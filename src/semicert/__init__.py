@@ -59,11 +59,13 @@ from .moebius_core import (
     from_axis_and_length,
     hyperbolic_distance,
     inverse,
+    matrix_entries,
     normalize,
     translation_length,
     translation_length_iterate_check,
 )
 from .pair_geometry import (
+    Family,
     PairGeometry,
     axes_distance_from_cr,
     common_perpendicular,

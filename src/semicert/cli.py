@@ -24,23 +24,18 @@ from .criteria_engine import (
     point_to_dict,
     uniform_hyperbolicity,
 )
-from .errors import CertifyError, ParseError
+from .errors import CertifyError, InvalidMatrix, ParseError
 from .moebius_core import (
     BoundaryPoint,
     MoebiusMap,
     apply_boundary,
     classify,
     from_axis_and_length,
+    matrix_entries,
 )
-from .pair_geometry import configuration
+from .pair_geometry import Family
 from .render import RenderSpec, render_figure
-from .search_oracle import (
-    DEFAULT_BUDGET,
-    chaos_game,
-    enumerate_words,
-    find_elliptic,
-    inverse_free_probe,
-)
+from .search_oracle import DEFAULT_BUDGET, chaos_game, enumerate_words, inverse_free_probe
 
 SCHEMA_VERSION = 1
 
@@ -78,17 +73,6 @@ def _boundary_value(v, model: str, where: str) -> BoundaryPoint:
     raise ParseError(f"{where}: expected a number or \"inf\", got {v!r}")
 
 
-def _matrix_entries(raw, where: str) -> list[float]:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        raw = [*raw[0], *raw[1]]
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError(f"{where}: matrix must have four entries [a, b, c, d]")
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: matrix entries must be numbers") from exc
-
-
 def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
     data = _load(path)
     model = data.get("model", "half-plane")
@@ -103,9 +87,8 @@ def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
         if not isinstance(g, dict):
             raise ParseError(f"{where}: must be an object")
         if "matrix" in g:
-            entries = _matrix_entries(g["matrix"], where)
             try:
-                m = map_from_unit_matrix(entries, idx)
+                m = map_from_unit_matrix(matrix_entries(g["matrix"]), idx)
             except CertifyError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
             if m is None:
@@ -201,16 +184,14 @@ def cmd_pairs(input_path, output_path, fmt):
     try:
         maps, _ = _load_generators(input_path)
         rows = []
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                cfg = configuration(maps[i], maps[j])
-                row = {"i": i, "j": j, "cross_ratio": _num(cfg.cross_ratio), "kind": cfg.kind}
-                if cfg.kind == "crossing":
-                    row["theta"] = cfg.theta
-                elif cfg.kind == "disjoint":
-                    row["distance"] = cfg.distance
-                    row["nested_attractors"] = cfg.nested_attractors
-                rows.append(row)
+        for (i, j), cfg in Family.of(maps).pairs.items():
+            row = {"i": i, "j": j, "cross_ratio": _num(cfg.cross_ratio), "kind": cfg.kind}
+            if cfg.kind == "crossing":
+                row["theta"] = cfg.theta
+            elif cfg.kind == "disjoint":
+                row["distance"] = cfg.distance
+                row["nested_attractors"] = cfg.nested_attractors
+            rows.append(row)
     except CertifyError as exc:
         _fail(exc)
     lines = [
@@ -239,15 +220,14 @@ def _num(v: float):
     default=0,
     help="Cross-validate with the word enumeration oracle up to this word length.",
 )
-@click.option("--seed", type=int, default=0, help="Seed for oracle sampling.")
-def cmd_certify(input_path, output_path, fmt, margin, max_words, seed):
+def cmd_certify(input_path, output_path, fmt, margin, max_words):
     """Run the semidiscreteness decision procedure and emit its certificate."""
     try:
         maps, _ = _load_generators(input_path)
         cert = certify(maps, margin=margin)
         payload = certificate_to_dict(cert, version=__version__)
         if max_words > 0:
-            payload["oracle"] = _oracle_section(maps, max_words, seed)
+            payload["oracle"] = _oracle_section(maps, max_words)
     except CertifyError as exc:
         _fail(exc)
     lines = [f"certificate: {cert.kind}"]
@@ -257,17 +237,18 @@ def cmd_certify(input_path, output_path, fmt, margin, max_words, seed):
     sys.exit(2 if isinstance(cert, Inconclusive) else 0)
 
 
-def _oracle_section(maps, max_len: int, seed: int) -> dict:
+def _oracle_section(maps, max_len: int) -> dict:
     report = enumerate_words(maps, max_len)
-    elliptic = find_elliptic(maps, max_len)
+    # Elliptic words are stored in breadth-first order, so the first one is
+    # what find_elliptic would return from a second sweep.
+    first = report.elliptic_words[0] if report.elliptic_words else None
     return {
         "empirical": True,
         "max_len": max_len,
-        "seed": seed,
         "words_explored": report.words_explored,
         "min_identity_distance": report.min_identity_distance,
         "elliptic_count": report.elliptic_count,
-        "first_elliptic_word": list(elliptic.letters) if elliptic else None,
+        "first_elliptic_word": list(first.letters) if first else None,
         "inverse_free_probe": inverse_free_probe(maps, min(max_len, 10)),
     }
 
@@ -292,7 +273,10 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
                 raise ParseError(
                     f"{input_path}: generators[{idx}]: cocycle input needs matrix entries"
                 )
-            matrices.append(_matrix_entries(g["matrix"], f"{input_path}: generators[{idx}]"))
+            try:
+                matrices.append(matrix_entries(g["matrix"]))
+            except InvalidMatrix as exc:
+                raise ParseError(f"{input_path}: generators[{idx}]: {exc}") from exc
         union = uniform_hyperbolicity(matrices, margin=margin)
     except CertifyError as exc:
         _fail(exc)

@@ -23,10 +23,7 @@ from .boundary_arcs import (
 )
 from .errors import (
     AxesDoNotCross,
-    AxesNotDisjoint,
-    CrossRatioOutOfRange,
     InvalidMatrix,
-    NotHyperbolic,
     PreconditionViolated,
     SearchExhausted,
     ThresholdNotMet,
@@ -38,11 +35,11 @@ from .moebius_core import (
     Classification,
     MoebiusMap,
     _canonical_sign,
-    classify,
     compose,
+    matrix_entries,
     power,
 )
-from .pair_geometry import configuration, cross_ratio_of_points
+from .pair_geometry import Family
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -92,12 +89,11 @@ class HRegion:
 
 def pair_trace_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, float]:
     """(|tr(f o g)|/2 from matrices, |h(tau_f/2, tau_g/2, d)|); they agree."""
-    cfg = configuration(f, g)
-    if cfg.kind != "disjoint" or not cfg.nested_attractors:
-        raise AxesNotDisjoint(f"configuration is {cfg.kind!r} with C = {cfg.cross_ratio!r}")
-    cf, cg = classify(f), classify(g)
+    family = Family.of([f, g])
+    d = family.disjoint_pair(0, 1).distance
+    cf, cg = family.cls
     lhs = 0.5 * abs(compose(f, g).trace)
-    rhs = abs(h_function(0.5 * cf.tau, 0.5 * cg.tau, cfg.distance))
+    rhs = abs(h_function(0.5 * cf.tau, 0.5 * cg.tau, d))
     return lhs, rhs
 
 
@@ -133,16 +129,10 @@ class Thresholds:
         return Thresholds(_lower(entries), _upper(entries), entries)
 
     @staticmethod
-    def from_generators(F: Sequence[MoebiusMap]) -> "Thresholds":
-        cls = [classify(f) for f in F]
-        for idx, k in enumerate(cls):
-            if not k.is_hyperbolic:
-                raise NotHyperbolic(f"generator {idx} is {k.kind}")
-        entries = tuple(
-            PairEntry(i, j, cross_ratio_of_points(cls[i].alpha, cls[i].beta, cls[j].alpha, cls[j].beta))
-            for i in range(len(cls))
-            for j in range(i + 1, len(cls))
-        )
+    def from_generators(F) -> "Thresholds":
+        """Thresholds of a family (anything :meth:`Family.of` accepts)."""
+        pairs = Family.of(F).pairs
+        entries = tuple(PairEntry(i, j, pg.cross_ratio) for (i, j), pg in pairs.items())
         return Thresholds(_lower(entries), _upper(entries), entries)
 
 
@@ -209,18 +199,17 @@ Certificate = NotSemidiscrete | SemidiscreteInverseFree | RankOneSchottky | Inco
 # --- two-generator tests ------------------------------------------------------
 
 
-def elliptic_witness_disjoint(f: MoebiusMap, g: MoebiusMap) -> tuple[int, int, float]:
-    """Smallest (m + n) with f^m o g^n elliptic, located through the h levels.
+def elliptic_witness_disjoint(F, i: int = 0, j: int = 1) -> tuple[int, int, float]:
+    """Smallest (m + n) with f^m o g^n elliptic for f, g = F[i], F[j], via the h levels.
 
     Scans exponent pairs in increasing m + n until h at the half-length
     multiples lands in (-1, -1/2); the returned trace comes from the actual
     matrix product and satisfies 1 < |tr| < 2.
     """
-    cfg = configuration(f, g)
-    if cfg.kind != "disjoint" or not cfg.nested_attractors:
-        raise AxesNotDisjoint(f"configuration is {cfg.kind!r} with C = {cfg.cross_ratio!r}")
-    d = cfg.distance
-    tau_f, tau_g = classify(f).tau, classify(g).tau
+    family = Family.of(F)
+    d = family.disjoint_pair(i, j).distance
+    f, g = family.maps[i], family.maps[j]
+    tau_f, tau_g = family.cls[i].tau, family.cls[j].tau
     region = HRegion(d)
     bound = max(64, math.ceil(4.0 * region.b / min(tau_f, tau_g)))
     for total in range(2, 2 * bound + 1):
@@ -242,35 +231,48 @@ def elliptic_witness_disjoint(f: MoebiusMap, g: MoebiusMap) -> tuple[int, int, f
 
 def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_MARGIN) -> Certificate:
     """Decision for a pair with cross ratio above 1: witness, intervals, or neither."""
-    cfg = configuration(f, g)
-    if cfg.kind != "disjoint" or not cfg.nested_attractors:
-        raise CrossRatioOutOfRange(f"cross ratio {cfg.cross_ratio!r} is not above 1")
-    c = cfg.cross_ratio
-    tau_f, tau_g = classify(f).tau, classify(g).tau
-    t_low = 0.2 * (c - 1.0) / (c + 3.0)
+    family = Family.of([f, g])
+    c = family.disjoint_pair(0, 1).cross_ratio
+    witness = _disjoint_witness(family, 0, 1)
+    if witness is not None:
+        return witness
+    tau_f, tau_g = (k.tau for k in family.cls)
     t_high = math.log(c) + 1.5
-    if tau_f < t_low and tau_g < t_low:
-        m, n, trace = elliptic_witness_disjoint(f, g)
-        return NotSemidiscrete(
-            criterion={
-                "rule": "disjoint_pair_elliptic_power",
-                "cross_ratio": c,
-                "pair_bound": t_low,
-            },
-            witness_word=((0, m), (1, n)),
-            trace=trace,
-        )
     if tau_f > t_high and tau_g > t_high:
-        system = assemble_global([f, g], margin=margin)
-        return SemidiscreteInverseFree(system=system, thresholds=Thresholds.from_generators([f, g]))
+        system = assemble_global(family, margin=margin)
+        return SemidiscreteInverseFree(system=system, thresholds=Thresholds.from_generators(family))
     return Inconclusive(
         report={
             "reason": "translation lengths between the pair bounds",
             "cross_ratio": c,
-            "lower": t_low,
+            "lower": _pair_bound(c),
             "upper": t_high,
             "taus": [tau_f, tau_g],
         }
+    )
+
+
+def _pair_bound(c: float) -> float:
+    """Lower gate 0.2 (C - 1)/(C + 3) of a pair with cross ratio C > 1."""
+    return 0.2 * (c - 1.0) / (c + 3.0)
+
+
+def _disjoint_witness(family: Family, i: int, j: int) -> NotSemidiscrete | None:
+    """Elliptic word of a C > 1 pair whose translation lengths are both below its gate."""
+    c = family.pair(i, j).cross_ratio
+    t_low = _pair_bound(c)
+    if family.cls[i].tau >= t_low or family.cls[j].tau >= t_low:
+        return None
+    m, n, trace = elliptic_witness_disjoint(family, i, j)
+    return NotSemidiscrete(
+        criterion={
+            "rule": "disjoint_pair_elliptic_power",
+            "pair": [i, j],
+            "cross_ratio": c,
+            "pair_bound": t_low,
+        },
+        witness_word=((i, m), (j, n)),
+        trace=trace,
     )
 
 
@@ -281,17 +283,18 @@ def cos_phi(tau: float, theta: float) -> float:
     )
 
 
-def crossing_limit_interval(f: MoebiusMap, g: MoebiusMap) -> BoundaryArc:
-    """The attractor-to-attractor arc filled by forward orbits of a crossing pair.
+def crossing_limit_interval(F, i: int = 0, j: int = 1) -> BoundaryArc:
+    """The attractor-to-attractor arc filled by forward orbits of the crossing pair i, j.
 
     Requires both translation lengths below 1/5; the covering condition is
     certified through the angle inequality cos(phi) < cos(theta/2) for both
     generators.
     """
-    cfg = configuration(f, g)
+    family = Family.of(F)
+    cfg = family.pair(i, j)
     if cfg.kind != "crossing":
         raise AxesDoNotCross(f"cross ratio {cfg.cross_ratio!r} is not negative")
-    cf, cg = classify(f), classify(g)
+    cf, cg = family.cls[i], family.cls[j]
     for tau in (cf.tau, cg.tau):
         if tau >= CROSSING_TAU_LIMIT:
             raise ThresholdNotMet(
@@ -309,31 +312,27 @@ def crossing_limit_interval(f: MoebiusMap, g: MoebiusMap) -> BoundaryArc:
     return arc
 
 
-def triple_crossing_test(
-    f: MoebiusMap, g: MoebiusMap, hgen: MoebiusMap, owners: tuple[int, int, int] = (0, 1, 2)
-) -> Certificate:
-    """Nondiscreteness from a crossing pair plus a repelling point in its limit arc."""
+def triple_crossing_test(F, i: int = 0, j: int = 1, k: int = 2) -> Certificate:
+    """Nondiscreteness from the crossing pair i, j and the repeller of generator k in its limit arc."""
+    family = Family.of(F)
     try:
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval(family, i, j)
     except (ThresholdNotMet, AxesDoNotCross) as exc:
         raise PreconditionViolated(str(exc)) from exc
-    ch = classify(hgen)
-    if not ch.is_hyperbolic:
-        raise PreconditionViolated(f"third generator is {ch.kind}")
-    if not contains(arc, ch.beta):
+    if not contains(arc, family.cls[k].beta):
         raise PreconditionViolated(
             "repelling point of the third generator lies outside the limit interval"
         )
-    cfg = configuration(f, g)
-    cf, cg = classify(f), classify(g)
+    cfg = family.pair(i, j)
+    cf, cg = family.cls[i], family.cls[j]
     product = math.sinh(0.5 * cf.tau) * math.sinh(0.5 * cg.tau) * math.sin(cfg.theta)
     if product >= JORGENSEN_BOUND:
         raise PreconditionViolated("discreteness product is not below cos(3*pi/7)")
     return NotSemidiscrete(
         criterion={
             "rule": "crossing_pair_with_interleaved_repeller",
-            "pair": [owners[0], owners[1]],
-            "interleaved": owners[2],
+            "pair": [i, j],
+            "interleaved": k,
             "angle": cfg.theta,
             "limit_interval": arc_to_dict(arc),
             "discreteness_product": product,
@@ -353,78 +352,50 @@ def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certific
     translation length clears the upper threshold, then the nondiscreteness
     witness scan, and otherwise a full inconclusive report.
     """
-    maps = list(F)
-    if not maps:
-        raise ValueError("need at least one generator")
-    cls = []
-    for idx, f in enumerate(maps):
-        k = classify(f)
-        if not k.is_hyperbolic:
-            raise PreconditionViolated(f"generator {idx} is {k.kind}, not hyperbolic")
-        cls.append(k)
-    rank_one = find_rank_one_interval(maps, cls)
+    family = Family.of(F)
+    rank_one = find_rank_one_interval(family)
     if rank_one is not None:
         arc, achieved = rank_one
         return RankOneSchottky(interval=arc, margin=achieved)
-    for i, ki in enumerate(cls):
-        for j, kj in enumerate(cls):
-            if ki.alpha.approx(kj.beta):
-                raise PreconditionViolated(
-                    f"attracting point of generator {i} meets repelling point of {j}"
-                )
-    thresholds = Thresholds.from_generators(maps)
-    taus = [k.tau for k in cls]
+    # After the rank-one search: a rank-one interval may end where an
+    # attracting point meets a repelling one.
+    family.require_alpha_apart_from_beta()
+    thresholds = Thresholds.from_generators(family)
     notes: list[str] = []
-    if all(tau > thresholds.upper for tau in taus):
+    if all(k.tau > thresholds.upper for k in family.cls):
         try:
-            system = assemble_global(maps, margin=margin)
+            system = assemble_global(family, margin=margin)
             return SemidiscreteInverseFree(system=system, thresholds=thresholds)
         except (PreconditionViolated, VerificationFailed) as exc:
             notes.append(f"interval assembly failed: {exc}")
-    witness = _witness_scan(maps, cls)
+    witness = _witness_scan(family)
     if witness is not None:
         return witness
-    return Inconclusive(report=_report(cls, thresholds, notes))
+    return Inconclusive(report=_report(family.cls, thresholds, notes))
 
 
-def _witness_scan(maps: list[MoebiusMap], cls: list[Classification]) -> Certificate | None:
-    n = len(maps)
-    table = {
-        (i, j): cross_ratio_of_points(cls[i].alpha, cls[i].beta, cls[j].alpha, cls[j].beta)
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    for (i, j), c in sorted(table.items()):
-        if not (math.isfinite(c) and c > 1.0):
-            continue
-        t_low = 0.2 * (c - 1.0) / (c + 3.0)
-        if cls[i].tau < t_low and cls[j].tau < t_low:
-            m, e_n, trace = elliptic_witness_disjoint(maps[i], maps[j])
-            return NotSemidiscrete(
-                criterion={
-                    "rule": "disjoint_pair_elliptic_power",
-                    "pair": [i, j],
-                    "cross_ratio": c,
-                    "pair_bound": t_low,
-                },
-                witness_word=((i, m), (j, e_n)),
-                trace=trace,
-            )
-    for (i, j), c in sorted(table.items()):
-        if not (math.isfinite(c) and c < 0.0):
+def _witness_scan(family: Family) -> Certificate | None:
+    cls = family.cls
+    for (i, j), pg in family.pairs.items():
+        if pg.kind == "disjoint" and pg.nested_attractors:
+            witness = _disjoint_witness(family, i, j)
+            if witness is not None:
+                return witness
+    for (i, j), pg in family.pairs.items():
+        if pg.kind != "crossing":
             continue
         if cls[i].tau >= CROSSING_TAU_LIMIT or cls[j].tau >= CROSSING_TAU_LIMIT:
             continue
-        arc = crossing_limit_interval(maps[i], maps[j])
-        for k in range(n):
+        arc = crossing_limit_interval(family, i, j)
+        for k in range(len(cls)):
             if k in (i, j):
                 continue
             if contains(arc, cls[k].beta):
-                return triple_crossing_test(maps[i], maps[j], maps[k], owners=(i, j, k))
+                return triple_crossing_test(family, i, j, k)
     return None
 
 
-def _report(cls: list[Classification], thresholds: Thresholds, notes: list[str]) -> dict:
+def _report(cls: Sequence[Classification], thresholds: Thresholds, notes: list[str]) -> dict:
     return {
         "reason": "no sufficient condition fired",
         "lower": thresholds.lower,
@@ -455,9 +426,7 @@ def _report(cls: list[Classification], thresholds: Thresholds, notes: list[str])
 # --- rank-one detection --------------------------------------------------------
 
 
-def find_rank_one_interval(
-    maps: list[MoebiusMap], cls: list[Classification], tol: float = 1e-9
-) -> tuple[BoundaryArc, float] | None:
+def find_rank_one_interval(F, tol: float = 1e-9) -> tuple[BoundaryArc, float] | None:
     """A single interval every generator maps strictly inside itself, if one exists.
 
     Candidate endpoints are points where an attracting and a repelling fixed
@@ -465,8 +434,9 @@ def find_rank_one_interval(
     between consecutive distinct fixed points; every candidate interval that
     covers the attractors and avoids the repellers is then verified.
     """
+    family = Family.of(F)
     merged: list[tuple[BoundaryPoint, bool, bool]] = []
-    for k in cls:
+    for k in family.cls:
         merged = _tag(merged, k.alpha, is_alpha=True, tol=tol)
         merged = _tag(merged, k.beta, is_alpha=False, tol=tol)
     shared = [p for p, a, b in merged if a and b]
@@ -490,7 +460,7 @@ def find_rank_one_interval(
                 continue
             if any(contains(arc, p) for p in betas):
                 continue
-            achieved = schottky_margin(maps, ArcUnion([arc]))
+            achieved = schottky_margin(family.maps, ArcUnion([arc]))
             if achieved >= 0.0:
                 return arc, achieved
     return None
@@ -521,15 +491,12 @@ def uniform_hyperbolicity(
     """
     maps = []
     for idx, raw in enumerate(matrices):
-        entries = _flatten_matrix(raw, idx)
-        f = map_from_unit_matrix(entries, idx)
+        f = map_from_unit_matrix(matrix_entries(raw), idx)
         if f is None:
             return None  # orientation-reversing member: outside this test
         maps.append(f)
     if not maps:
         raise InvalidMatrix("empty tuple")
-    if any(not classify(f).is_hyperbolic for f in maps):
-        return None
     try:
         cert = certify(maps, margin=margin)
     except PreconditionViolated:
@@ -560,19 +527,6 @@ def map_from_unit_matrix(entries: list[float], idx: int = 0) -> MoebiusMap | Non
     if scale2 > 1e12:
         return _canonical_sign(a, b, c, d)
     raise InvalidMatrix(f"matrix {idx} is singular (determinant {det!r})")
-
-
-def _flatten_matrix(raw, idx: int) -> list[float]:
-    try:
-        seq = list(raw)
-        if len(seq) == 2:
-            seq = [*seq[0], *seq[1]]
-        out = [float(v) for v in seq]
-    except (TypeError, ValueError) as exc:
-        raise InvalidMatrix(f"matrix {idx} is malformed: {raw!r}") from exc
-    if len(out) != 4:
-        raise InvalidMatrix(f"matrix {idx} must have four entries")
-    return out
 
 
 # --- serialization ---------------------------------------------------------------

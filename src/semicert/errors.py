@@ -9,10 +9,6 @@ class NonPositiveDeterminant(CertifyError):
     """Raw matrix has determinant <= 0 and defines no half-plane isometry."""
 
 
-class NotHyperbolic(CertifyError):
-    """Operation requires a hyperbolic transformation."""
-
-
 class CoincidentEndpoints(CertifyError):
     """Two boundary points expected to be distinct coincide."""
 
@@ -30,7 +26,7 @@ class SharedEndpoint(CertifyError):
 
 
 class AxesNotDisjoint(CertifyError):
-    """Pair operation requires disjoint axes in the admissible configuration."""
+    """Pair operation needs disjoint axes with cross ratio above 1."""
 
 
 class OverlappingArcs(CertifyError):
@@ -39,10 +35,6 @@ class OverlappingArcs(CertifyError):
 
 class ThresholdNotMet(CertifyError):
     """Translation lengths fall short of the constructive threshold."""
-
-
-class AxesNotDisjointOutside(CertifyError):
-    """Disjoint-pair construction needs cross ratio > 1."""
 
 
 class AxesDoNotCross(CertifyError):
@@ -57,12 +49,12 @@ class PreconditionViolated(CertifyError):
     """A stated hypothesis of the decision procedure fails; the message says which."""
 
 
+class NotHyperbolic(PreconditionViolated):
+    """Operation requires a hyperbolic transformation."""
+
+
 class VerificationFailed(CertifyError):
     """A constructed certificate did not survive independent re-verification."""
-
-
-class CrossRatioOutOfRange(CertifyError):
-    """Pair test called outside its cross-ratio regime."""
 
 
 class SearchExhausted(CertifyError):
@@ -74,7 +66,7 @@ class BudgetExceeded(CertifyError):
 
 
 class InvalidMatrix(CertifyError):
-    """Cocycle input matrix is not usable (singular or malformed)."""
+    """Raw matrix is not usable (malformed, or singular cocycle input)."""
 
 
 class ParseError(CertifyError):

@@ -29,9 +29,7 @@ from .boundary_arcs import (
 )
 from .errors import (
     AxesDoNotCross,
-    AxesNotDisjointOutside,
     NoCommonAlpha,
-    NotHyperbolic,
     OverlappingArcs,
     PreconditionViolated,
     ThresholdNotMet,
@@ -45,12 +43,12 @@ from .moebius_core import (
     MoebiusMap,
     apply_boundary,
     axis_chart_at,
-    classify,
     compose,
     from_boundary_triple,
     inverse,
+    require_hyperbolic,
 )
-from .pair_geometry import common_perpendicular, configuration, cross_ratio_of_points
+from .pair_geometry import Family, common_perpendicular, distance_from_cross_ratio
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
@@ -137,13 +135,6 @@ def _cut_position(tau: float, floor: float, extra: float) -> float:
     return min(s, 0.5 * tau - 0.125 * gap, max(floor + 1e-6, MAX_CUT_DEPTH))
 
 
-def _hyperbolic(f: MoebiusMap) -> Classification:
-    cls = classify(f)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"map is {cls.kind}")
-    return cls
-
-
 def _axis_cut_pair(
     cls: Classification, foot: complex, s: float, owner: int
 ) -> SymmetricIntervalPair:
@@ -180,12 +171,9 @@ def _require_valid_pair(f: MoebiusMap, pair: SymmetricIntervalPair, label: str) 
 
 
 def build_disjoint_pair_intervals(
-    f: MoebiusMap,
-    g: MoebiusMap,
-    owners: tuple[int, int] = (0, 1),
-    cut_offset: float = 0.0,
+    F, i: int = 0, j: int = 1, cut_offset: float = 0.0
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Interval pairs for two maps with disjoint axes and cross ratio above 1.
+    """Interval pairs for generators i, j of F with disjoint axes and cross ratio above 1.
 
     Construction: erect perpendiculars to each axis on both sides of the foot
     of the common perpendicular.  Cut positions stay beyond the separation
@@ -193,12 +181,10 @@ def build_disjoint_pair_intervals(
     and below tau/2 (so each owner maps the complement of its b-arc strictly
     inside its a-arc), bounded so that margins stay macroscopic at any tau.
     """
-    cf, cg = _hyperbolic(f), _hyperbolic(g)
-    pg = configuration(f, g)
-    c = pg.cross_ratio
-    if pg.kind != "disjoint" or not pg.nested_attractors:
-        raise AxesNotDisjointOutside(f"cross ratio {c!r} is not above 1")
-    gate = disjoint_pair_gate(c)
+    family = Family.of(F)
+    pg = family.disjoint_pair(i, j)
+    cf, cg = family.cls[i], family.cls[j]
+    gate = disjoint_pair_gate(pg.cross_ratio)
     taus = (cf.tau, cg.tau)
     for tau in taus:
         if tau <= gate:
@@ -214,24 +200,21 @@ def build_disjoint_pair_intervals(
             f"axis distance mismatch: cross ratio gives {d:.9f}, feet give {d_perp:.9f}"
         )
     floor = math.asinh(1.0 / math.sinh(0.5 * d))
-    pair_f = _axis_cut_pair(cf, foot_f, _cut_position(taus[0], floor, cut_offset), owners[0])
-    pair_g = _axis_cut_pair(cg, foot_g, _cut_position(taus[1], floor, cut_offset), owners[1])
+    pair_f = _axis_cut_pair(cf, foot_f, _cut_position(taus[0], floor, cut_offset), i)
+    pair_g = _axis_cut_pair(cg, foot_g, _cut_position(taus[1], floor, cut_offset), j)
     try:
         ArcUnion([pair_f.a, pair_f.b, pair_g.a, pair_g.b])
     except OverlappingArcs as exc:
         raise VerificationFailed("disjoint-pair arcs are not pairwise disjoint") from exc
-    _require_valid_pair(f, pair_f, "disjoint pair, first owner")
-    _require_valid_pair(g, pair_g, "disjoint pair, second owner")
+    _require_valid_pair(family.maps[i], pair_f, "disjoint pair, first owner")
+    _require_valid_pair(family.maps[j], pair_g, "disjoint pair, second owner")
     return pair_f, pair_g
 
 
 def build_crossing_pair_intervals(
-    f: MoebiusMap,
-    g: MoebiusMap,
-    owners: tuple[int, int] = (0, 1),
-    cut_offset: float = 0.0,
+    F, i: int = 0, j: int = 1, cut_offset: float = 0.0
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Interval pairs for two maps whose axes cross.
+    """Interval pairs for generators i, j of F whose axes cross.
 
     The pair is conjugated to the normalized disc position: axes through the
     origin with the coordinate diameters bisecting the two crossing angles
@@ -242,47 +225,45 @@ def build_crossing_pair_intervals(
     pairwise disjoint (that needs roughly 2*artanh(cos(min(theta, pi-theta)/2))
     of translation length); each owner's own pair is still valid and verified.
     """
-    cf, cg = _hyperbolic(f), _hyperbolic(g)
-    pg = configuration(f, g)
+    family = Family.of(F)
+    pg = family.pair(i, j)
     if pg.kind != "crossing":
         raise AxesDoNotCross(f"cross ratio {pg.cross_ratio!r} is not negative")
     c, theta = pg.cross_ratio, pg.theta
     gate = crossing_pair_gate(c)
-    tau_f, tau_g = cf.tau, cg.tau
-    for tau in (tau_f, tau_g):
+    cf, cg = family.cls[i], family.cls[j]
+    for tau in (cf.tau, cg.tau):
         if tau <= gate:
             raise ThresholdNotMet(
                 f"translation length {tau:.6f} not above |log|C|| + 3/2 = {gate:.6f}"
             )
     # Normalize with the attractor-to-attractor arc free of repelling points.
     if _beta_free(cf, cg):
-        first, second = (cf, tau_f, owners[0]), (cg, tau_g, owners[1])
-        swap = False
+        first, second = i, j
     elif _beta_free(cg, cf):
-        first, second = (cg, tau_g, owners[1]), (cf, tau_f, owners[0])
-        swap = True
+        first, second = j, i
     else:
         raise AxesDoNotCross("fixed points do not interleave")
+    c1, c2 = family.cls[first], family.cls[second]
     psi1 = 1.5 * math.pi - 0.5 * theta
     psi2 = 1.5 * math.pi + 0.5 * theta
     m = from_boundary_triple(
-        (first[0].alpha, first[0].beta, second[0].alpha),
+        (c1.alpha, c1.beta, c2.alpha),
         (
             BoundaryPoint.from_angle(psi1),
             BoundaryPoint.from_angle(psi1 + math.pi),
             BoundaryPoint.from_angle(psi2),
         ),
     )
-    placed = apply_boundary(m, second[0].beta)
+    placed = apply_boundary(m, c2.beta)
     if placed.angular_distance(BoundaryPoint.from_angle(psi2 + math.pi)) > 1e-6:
         raise VerificationFailed("normalization did not place the fourth fixed point")
     floor = crossing_cut_floor(theta)
-    pair1 = _normalized_cut_pair(m, psi1, _cut_position(first[1], floor, cut_offset), first[0], first[2])
-    pair2 = _normalized_cut_pair(m, psi2, _cut_position(second[1], floor, cut_offset), second[0], second[2])
-    f1, f2 = (g, f) if swap else (f, g)
-    _require_valid_pair(f1, pair1, "crossing pair, first owner")
-    _require_valid_pair(f2, pair2, "crossing pair, second owner")
-    return (pair2, pair1) if swap else (pair1, pair2)
+    pair1 = _normalized_cut_pair(m, psi1, _cut_position(c1.tau, floor, cut_offset), c1, first)
+    pair2 = _normalized_cut_pair(m, psi2, _cut_position(c2.tau, floor, cut_offset), c2, second)
+    _require_valid_pair(family.maps[first], pair1, "crossing pair, first owner")
+    _require_valid_pair(family.maps[second], pair2, "crossing pair, second owner")
+    return (pair1, pair2) if first == i else (pair2, pair1)
 
 
 def _beta_free(cf: Classification, cg: Classification) -> bool:
@@ -319,7 +300,7 @@ def build_shared_alpha_intervals(
     """
     if not fs:
         raise ValueError("need at least one map")
-    cls = [_hyperbolic(f) for f in fs]
+    cls = [require_hyperbolic(f) for f in fs]
     alpha = cls[0].alpha
     for k in cls[1:]:
         if not alpha.approx(k.alpha):
@@ -364,7 +345,7 @@ def _between(p: BoundaryPoint, q: BoundaryPoint) -> BoundaryPoint:
 # --- global assembly --------------------------------------------------------
 
 
-def assemble_global(F: list[MoebiusMap], margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
+def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     """Assemble a verified forward-invariant union for the whole family.
 
     Per generator, interval pairs are built against every admissible partner
@@ -373,59 +354,40 @@ def assemble_global(F: list[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Glob
     constrained by the shared-fixed-point intervals.  If the resulting union
     fails verification the cuts are pushed deeper and the assembly retried.
     """
-    maps = list(F)
-    if not maps:
-        raise ValueError("need at least one generator")
-    cls = []
-    for idx, f in enumerate(maps):
-        k = classify(f)
-        if not k.is_hyperbolic:
-            raise PreconditionViolated(f"generator {idx} is {k.kind}, not hyperbolic")
-        cls.append(k)
-    for i, ki in enumerate(cls):
-        for j, kj in enumerate(cls):
-            if ki.alpha.approx(kj.beta):
-                raise PreconditionViolated(
-                    f"attracting point of generator {i} meets repelling point of {j}"
-                )
-    if can_partition_rank_one([k.alpha for k in cls], [k.beta for k in cls]):
+    family = Family.of(F)
+    family.require_alpha_apart_from_beta()
+    if can_partition_rank_one([k.alpha for k in family.cls], [k.beta for k in family.cls]):
         raise PreconditionViolated(
             "fixed points are separable by two intervals (rank-one configuration)"
         )
     last_error: Exception | None = None
     for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
         try:
-            return _assemble_once(maps, cls, margin, extra)
+            return _assemble_once(family, margin, extra)
         except (VerificationFailed, OverlappingArcs) as exc:
             last_error = exc
     raise VerificationFailed(f"no cut schedule produced a verifiable union: {last_error}")
 
 
-def _assemble_once(
-    maps: list[MoebiusMap], cls: list[Classification], margin: float, extra: float
-) -> GlobalIntervalSystem:
+def _assemble_once(family: Family, margin: float, extra: float) -> GlobalIntervalSystem:
+    maps, cls = family.maps, family.cls
     n = len(maps)
     notes: list[str] = []
     candidates: dict[int, list[SymmetricIntervalPair]] = {i: [] for i in range(n)}
-    table: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = cross_ratio_of_points(cls[i].alpha, cls[i].beta, cls[j].alpha, cls[j].beta)
-            table[(i, j)] = c
-            builder = None
-            if math.isfinite(c) and c < -1e-9:
-                builder = build_crossing_pair_intervals
-            elif math.isfinite(c) and c > 1.0 + 1e-9:
-                builder = build_disjoint_pair_intervals
-            if builder is None:
-                continue
-            try:
-                pi, pj = builder(maps[i], maps[j], owners=(i, j), cut_offset=extra)
-            except ThresholdNotMet as exc:
-                notes.append(f"pair ({i}, {j}) skipped: {exc}")
-                continue
-            candidates[i].append(pi)
-            candidates[j].append(pj)
+    for (i, j), pg in family.pairs.items():
+        if pg.kind == "crossing":
+            builder = build_crossing_pair_intervals
+        elif pg.kind == "disjoint" and pg.nested_attractors:
+            builder = build_disjoint_pair_intervals
+        else:
+            continue
+        try:
+            pi, pj = builder(family, i, j, cut_offset=extra)
+        except ThresholdNotMet as exc:
+            notes.append(f"pair ({i}, {j}) skipped: {exc}")
+            continue
+        candidates[i].append(pi)
+        candidates[j].append(pj)
     pairs = []
     for i in range(n):
         if not candidates[i]:
@@ -486,7 +448,7 @@ def _assemble_once(
         pairs=tuple(pairs),
         groups=tuple(groups),
         union=union,
-        constant_m=eq_constant(list(table.values())),
+        constant_m=eq_constant([pg.cross_ratio for pg in family.pairs.values()]),
         margin=achieved,
         notes=tuple(notes),
     )
@@ -504,8 +466,7 @@ def eq_constant(cross_ratios: list[float]) -> float:
     dists = [0.0]
     for c in cross_ratios:
         if math.isfinite(c) and c > 1e-9 and abs(c - 1.0) > 1e-9:
-            s = math.sqrt(c)
-            dists.append(math.log((s + 1.0) / abs(s - 1.0)))
+            dists.append(distance_from_cross_ratio(c))
     return 2.0 * max(logs) + max(dists)
 
 

@@ -9,9 +9,10 @@ positive imaginary part.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
+from .errors import CoincidentEndpoints, InvalidMatrix, NonPositiveDeterminant, NotHyperbolic
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,19 +157,31 @@ def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
 
 
 def normalize(raw) -> MoebiusMap:
-    """Canonical representative of a raw 2x2 matrix (nested pairs or flat 4)."""
-    entries = [float(v) for row in raw for v in row] if _is_nested(raw) else [float(v) for v in raw]
-    if len(entries) != 4:
-        raise ValueError("expected four matrix entries")
-    return MoebiusMap.from_matrix(*entries)
+    """Canonical representative of a raw 2x2 matrix (see :func:`matrix_entries`)."""
+    return MoebiusMap.from_matrix(*matrix_entries(raw))
 
 
-def _is_nested(raw) -> bool:
+def matrix_entries(raw) -> list[float]:
+    """Entries a, b, c, d of a flat [a, b, c, d] or nested [[a, b], [c, d]] matrix."""
+    items = _items(raw)
+    if items is not None and len(items) == 2:
+        rows = [_items(row) for row in items]
+        if all(row is not None and len(row) == 2 for row in rows):
+            items = rows[0] + rows[1]
+    if items is None or len(items) != 4 or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
+    ):
+        raise InvalidMatrix(f"expected [a, b, c, d] or [[a, b], [c, d]] of numbers, got {raw!r}")
+    return [float(v) for v in items]
+
+
+def _items(raw) -> list | None:
+    if isinstance(raw, (str, bytes)):
+        return None
     try:
-        iter(raw[0])
-        return True
+        return list(raw)
     except TypeError:
-        return False
+        return None
 
 
 def compose(f: MoebiusMap, g: MoebiusMap) -> MoebiusMap:
@@ -281,20 +294,23 @@ def _image_norm(f: MoebiusMap, p: BoundaryPoint) -> float:
     return math.hypot(f.a * p.x + f.b * p.y, f.c * p.x + f.d * p.y)
 
 
-def translation_length(f: MoebiusMap) -> float:
+def require_hyperbolic(f: MoebiusMap, label: str = "map") -> Classification:
+    """Classification of f; raises NotHyperbolic naming `label` otherwise."""
     cls = classify(f)
     if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"map is {cls.kind}")
-    return cls.tau
+        raise NotHyperbolic(f"{label} is {cls.kind}, not hyperbolic")
+    return cls
+
+
+def translation_length(f: MoebiusMap) -> float:
+    return require_hyperbolic(f).tau
 
 
 def translation_length_iterate_check(f: MoebiusMap, k: int) -> float:
     """Translation length of f^k, computed from the matrix power."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    cls = classify(f)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"map is {cls.kind}")
+    require_hyperbolic(f)
     return translation_length(power(f, k))
 
 
@@ -305,9 +321,7 @@ def hyperbolic_distance(z: complex, w: complex) -> float:
 
 
 def axis(f: MoebiusMap) -> Geodesic:
-    cls = classify(f)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"map is {cls.kind}")
+    cls = require_hyperbolic(f)
     return Geodesic(cls.beta, cls.alpha)
 
 

@@ -3,7 +3,8 @@
 The cross ratio is evaluated in homogeneous coordinates (2x2 determinants of
 endpoint pairs), so infinite fixed points need no branching.  Its value
 decodes the axis configuration: crossing angle for negative values, distance
-apart for positive ones, shared endpoints at 0 and infinity.
+apart for positive ones, shared endpoints at 0 and infinity.  A `Family`
+classifies each generator of a set once and decodes each pair once.
 """
 
 from __future__ import annotations
@@ -11,15 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AxesCross, DegenerateCrossRatio, NotHyperbolic, SharedEndpoint
+from .errors import (
+    AxesCross,
+    AxesNotDisjoint,
+    DegenerateCrossRatio,
+    PreconditionViolated,
+    SharedEndpoint,
+)
 from .moebius_core import (
     BoundaryPoint,
     Classification,
     Geodesic,
     MoebiusMap,
-    classify,
     hyperbolic_distance,
     inverse,
+    require_hyperbolic,
 )
 
 # |C| or |C - 1| below this counts as a degenerate configuration.
@@ -30,16 +37,9 @@ def _wedge(p: BoundaryPoint, q: BoundaryPoint) -> float:
     return p.x * q.y - p.y * q.x
 
 
-def _hyperbolic_or_raise(f: MoebiusMap) -> Classification:
-    cls = classify(f)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"map is {cls.kind}")
-    return cls
-
-
 def cross_ratio(f: MoebiusMap, g: MoebiusMap) -> float:
     """Cross ratio of the fixed-point quadruple; math.inf when alpha meets beta."""
-    cf, cg = _hyperbolic_or_raise(f), _hyperbolic_or_raise(g)
+    cf, cg = require_hyperbolic(f), require_hyperbolic(g)
     return cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta)
 
 
@@ -88,13 +88,17 @@ class PairGeometry:
 
 
 def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
-    """Decode the axis configuration of a hyperbolic pair from its cross ratio.
+    """Decode the axis configuration of a hyperbolic pair from its cross ratio."""
+    return _decode(require_hyperbolic(f), require_hyperbolic(g))
+
+
+def _decode(cf: Classification, cg: Classification) -> PairGeometry:
+    """Cross ratio of two hyperbolic classifications and the configuration it encodes.
 
     Crossing axes: C = -tan^2(theta/2) with theta in (0, pi) measured at the
     crossing point on the attracting side.  Disjoint axes: C = tanh^2(d/2)
     below 1 and coth^2(d/2) above 1, d the distance between the axes.
     """
-    cf, cg = _hyperbolic_or_raise(f), _hyperbolic_or_raise(g)
     c = cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta)
     if math.isinf(c):
         return PairGeometry(cross_ratio=c, kind="alpha_meets_beta")
@@ -113,6 +117,57 @@ def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
     return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=True)
 
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Hyperbolic generators with their classifications and decoded pair table.
+
+    `pairs[(i, j)]` for i < j holds the geometry of generators i and j; the
+    cross ratio is symmetric in the pair, so :meth:`pair` serves both orders.
+    Build values with :meth:`of`, the one place that classifies a family.
+    """
+
+    maps: tuple[MoebiusMap, ...]
+    cls: tuple[Classification, ...]
+    pairs: dict[tuple[int, int], PairGeometry]
+
+    @staticmethod
+    def of(F) -> "Family":
+        """The family of a sequence of maps; a Family is returned unchanged."""
+        if isinstance(F, Family):
+            return F
+        maps = tuple(F)
+        if not maps:
+            raise ValueError("need at least one generator")
+        cls = tuple(require_hyperbolic(f, f"generator {idx}") for idx, f in enumerate(maps))
+        pairs = {
+            (i, j): _decode(cls[i], cls[j])
+            for i in range(len(cls))
+            for j in range(i + 1, len(cls))
+        }
+        return Family(maps, cls, pairs)
+
+    def pair(self, i: int, j: int) -> PairGeometry:
+        return self.pairs[(i, j) if i < j else (j, i)]
+
+    def disjoint_pair(self, i: int, j: int) -> PairGeometry:
+        """The geometry of (i, j); raises AxesNotDisjoint unless C > 1."""
+        pg = self.pair(i, j)
+        if pg.kind != "disjoint" or not pg.nested_attractors:
+            raise AxesNotDisjoint(
+                f"configuration is {pg.kind!r} with C = {pg.cross_ratio!r}, not above 1"
+            )
+        return pg
+
+    def require_alpha_apart_from_beta(self) -> None:
+        """Raise PreconditionViolated where an attracting point meets a repelling one."""
+        for i, ki in enumerate(self.cls):
+            for j, kj in enumerate(self.cls):
+                if ki.alpha.approx(kj.beta):
+                    raise PreconditionViolated(
+                        f"attracting point of generator {i} meets repelling point of {j}"
+                    )
+
+
 def inverse_flip_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, float]:
     """(C(f, g), C(f^-1, g)); the product of the two values is 1."""
     return cross_ratio(f, g), cross_ratio(inverse(f), g)
@@ -123,6 +178,11 @@ def axes_distance_from_cr(f: MoebiusMap, g: MoebiusMap) -> float:
     c = cross_ratio(f, g)
     if not math.isfinite(c) or c <= DEGENERATE_TOL or abs(c - 1.0) <= DEGENERATE_TOL:
         raise DegenerateCrossRatio(f"cross ratio {c!r} admits no distance")
+    return distance_from_cross_ratio(c)
+
+
+def distance_from_cross_ratio(c: float) -> float:
+    """log((sqrt C + 1)/|sqrt C - 1|), the axis distance of a disjoint pair."""
     s = math.sqrt(c)
     return math.log((s + 1.0) / abs(s - 1.0))
 

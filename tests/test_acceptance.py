@@ -100,7 +100,7 @@ def test_criterion_3_two_generator_regimes():
     # small lengths: elliptic witness plus independent enumeration hit
     f, g = disjoint_pair(rng, d, 0.1, 0.1)
     assert 0.1 < 2.0 / 15.0
-    m, n, trace = elliptic_witness_disjoint(f, g)
+    m, n, trace = elliptic_witness_disjoint([f, g])
     assert abs(trace) < 2.0
     predicted = 2.0 * abs(h_function(0.05 * m, 0.05 * n, d))
     assert abs(abs(trace) - predicted) <= 1e-8
@@ -111,7 +111,7 @@ def test_criterion_3_two_generator_regimes():
     # large lengths: four verified arcs and no elliptic words at desk scale
     tau = math.log(9.0) + 1.6
     fb, gb = disjoint_pair(rng, d, tau, tau)
-    pf, pg = build_disjoint_pair_intervals(fb, gb)
+    pf, pg = build_disjoint_pair_intervals([fb, gb])
     ArcUnion([pf.a, pf.b, pg.a, pg.b])  # pairwise disjoint closures
     assert mapping_margin(fb, pf) >= 1e-7
     assert mapping_margin(gb, pg) >= 1e-7
@@ -253,7 +253,7 @@ def test_criterion_8_limit_set_no_escape():
     """No chaos-game sample leaves the attractor-to-attractor interval."""
     rng = np.random.default_rng(108)
     f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
-    arc = crossing_limit_interval(f, g)
+    arc = crossing_limit_interval([f, g])
     pts = chaos_game([f, g], 1_000_000, seed=8)
     for p in pts:
         assert contains(arc, p) or min(
@@ -282,7 +282,7 @@ def test_criterion_8_hausdorff_fill():
     """
     rng = np.random.default_rng(108)
     f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
-    arc = crossing_limit_interval(f, g)
+    arc = crossing_limit_interval([f, g])
     n = 1_000_000
     pts = chaos_game([f, g], n, seed=8)
     offsets = np.sort(np.array([ccw_gap(arc.start.angle, p.angle) for p in pts]))

@@ -1,0 +1,68 @@
+"""The benchmark's tracer still finds every function it measures.
+
+`bench/tracing.py` wraps library functions by name; a rename in the library
+would silently zero a per-layer metric.  This test only reads `bench/`.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from semicert import criteria_engine
+
+from helpers import figure_two
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracing")
+
+
+def resolve(tracing, dotted: str):
+    """(owner, attribute) for 'module.func' or 'module.Class.method'."""
+    module, _, rest = dotted.partition(".")
+    owner = importlib.import_module(f"semicert.{module}")
+    *classes, attr = rest.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    return owner, attr
+
+
+def stage_sites(tracing):
+    """(module, name) for every stage, at each traced module that binds it."""
+    modules = [importlib.import_module(f"semicert.{layer}") for layer in tracing.LAYERS]
+    sites = []
+    for name in sorted(tracing.STAGES):
+        homes = [module for module in modules if name in vars(module)]
+        assert homes, f"stage {name} is defined in no traced module"
+        sites += [(module, name) for module in homes]
+    return sites
+
+
+def test_tracer_wraps_every_measured_function(tracing):
+    from semicert.moebius_core import BoundaryPoint
+    from semicert.search_oracle import _Bfs
+
+    targets = [resolve(tracing, name) for name in sorted(tracing.SPAN_FUNCTIONS)]
+    targets += stage_sites(tracing)
+    targets += [(BoundaryPoint, "angle"), (_Bfs, "__init__")]
+    originals = [owner.__dict__[attr] for owner, attr in targets]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [owner.__dict__[attr] for owner, attr in targets]
+        criteria_engine.certify(figure_two(41.0))  # looked up as the benchmark does
+    finally:
+        tracer.uninstall()
+
+    for (owner, attr), before, during in zip(targets, originals, wrapped):
+        assert during is not before, f"{owner.__name__}.{attr} was not wrapped"
+        assert owner.__dict__[attr] is before, f"{owner.__name__}.{attr} was not restored"
+    assert tracer.total_calls("moebius_core.classify") >= 5
+    assert tracer.total_calls("criteria_engine.certify") == 1
+    assert tracer.total_calls("interval_builder._assemble_once") >= 1

@@ -168,6 +168,24 @@ class TestCertifyCommand:
         assert payload["oracle"]["empirical"] is True
         assert payload["oracle"]["elliptic_count"] == 0
 
+    def test_oracle_first_elliptic_word_is_breadth_first(self, runner, tmp_path):
+        from semicert import find_elliptic
+        from semicert.cli import _load_generators
+
+        src = write_matrix_input(tmp_path / "in.json", figure_two(0.1))
+        result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", "5"])
+        oracle = json.loads(result.output)["oracle"]
+        maps, _ = _load_generators(str(src))
+        assert oracle["first_elliptic_word"] == list(find_elliptic(maps, 5).letters)
+        assert oracle["elliptic_count"] > 0
+        assert "seed" not in oracle
+
+    def test_certify_has_no_seed_option(self, runner, tmp_path):
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, ["certify", "--input", str(src), "--seed", "3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_parse_error_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.json"
         src.write_text("{not json")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from semicert.criteria_engine import certificate_to_dict, cos_phi, map_from_unit
 from semicert.errors import (
     AxesDoNotCross,
     AxesNotDisjoint,
-    CrossRatioOutOfRange,
     InvalidMatrix,
     PreconditionViolated,
     SearchExhausted,
@@ -157,7 +157,7 @@ class TestEllipticWitness:
     def test_small_lengths(self):
         rng = np.random.default_rng(75)
         f, g = disjoint_pair(rng, math.log(2.0), 0.1, 0.1)
-        m, n, trace = elliptic_witness_disjoint(f, g)
+        m, n, trace = elliptic_witness_disjoint([f, g])
         assert (m, n) == (1, 1)
         assert 1.0 < abs(trace) < 2.0
         word = compose(power(f, m), power(g, n))
@@ -166,7 +166,7 @@ class TestEllipticWitness:
     def test_matches_h_prediction(self):
         rng = np.random.default_rng(76)
         f, g = disjoint_pair(rng, math.log(2.0), 0.1, 0.1)
-        m, n, trace = elliptic_witness_disjoint(f, g)
+        m, n, trace = elliptic_witness_disjoint([f, g])
         value = h_function(0.5 * m * 0.1, 0.5 * n * 0.1, math.log(2.0))
         assert abs(trace) == pytest.approx(2.0 * abs(value), abs=1e-8)
 
@@ -174,7 +174,7 @@ class TestEllipticWitness:
         rng = np.random.default_rng(77)
         d = math.log(2.0)
         f, g = disjoint_pair(rng, d, 0.05, 0.05)
-        m, n, _ = elliptic_witness_disjoint(f, g)
+        m, n, _ = elliptic_witness_disjoint([f, g])
         value = h_function(0.025 * m, 0.025 * n, d)
         assert -1.0 < value < -0.5
 
@@ -183,7 +183,7 @@ class TestEllipticWitness:
         tau = math.log(9.0) + 1.6
         f, g = disjoint_pair(rng, math.log(2.0), tau, tau)
         with pytest.raises(SearchExhausted):
-            elliptic_witness_disjoint(f, g)
+            elliptic_witness_disjoint([f, g])
 
 
 class TestTwoGenTest:
@@ -204,7 +204,7 @@ class TestTwoGenTest:
     def test_rejects_wrong_range(self):
         rng = np.random.default_rng(80)
         f, g = crossing_pair(rng, 1.0, 0.1, 0.1)
-        with pytest.raises(CrossRatioOutOfRange):
+        with pytest.raises(AxesNotDisjoint):
             two_gen_disjoint_test(f, g)
 
 
@@ -212,7 +212,7 @@ class TestCrossingLimitInterval:
     def test_right_angle(self):
         rng = np.random.default_rng(81)
         f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         cf, cg = classify(f), classify(g)
         assert {arc.start.angle, arc.end.angle} == {cf.alpha.angle, cg.alpha.angle}
         assert not contains(arc, cf.beta) and not contains(arc, cg.beta)
@@ -220,7 +220,7 @@ class TestCrossingLimitInterval:
     def test_near_the_gate(self):
         rng = np.random.default_rng(82)
         f, g = crossing_pair(rng, math.pi / 2.0, 0.19, 0.19)
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         theta = math.pi / 2.0
         assert cos_phi(0.19, theta) < math.cos(0.5 * theta)
 
@@ -228,19 +228,19 @@ class TestCrossingLimitInterval:
         rng = np.random.default_rng(83)
         f, g = crossing_pair(rng, math.pi / 2.0, 0.3, 0.3)
         with pytest.raises(ThresholdNotMet):
-            crossing_limit_interval(f, g)
+            crossing_limit_interval([f, g])
 
     def test_requires_crossing(self):
         rng = np.random.default_rng(84)
         f, g = disjoint_pair(rng, 1.0, 0.1, 0.1)
         with pytest.raises(AxesDoNotCross):
-            crossing_limit_interval(f, g)
+            crossing_limit_interval([f, g])
 
 
 class TestTripleCrossing:
     def _triple(self, rng, where=0.5):
         f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15, conjugate_by=normalize([[1, 0], [0, 1]]))
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         beta_angle = arc.start.angle + where * arc.span
         h = from_axis_and_length(
             BoundaryPoint.from_angle(beta_angle),
@@ -252,7 +252,7 @@ class TestTripleCrossing:
     def test_interleaved_repeller(self):
         rng = np.random.default_rng(85)
         f, g, h = self._triple(rng)
-        cert = triple_crossing_test(f, g, h)
+        cert = triple_crossing_test([f, g, h])
         assert isinstance(cert, NotSemidiscrete)
         assert cert.criterion["rule"] == "crossing_pair_with_interleaved_repeller"
         assert cert.criterion["discreteness_product"] < cert.criterion["discreteness_bound"]
@@ -262,11 +262,11 @@ class TestTripleCrossing:
     def test_repeller_outside(self):
         rng = np.random.default_rng(86)
         f, g, _ = self._triple(rng)
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         outside = BoundaryPoint.from_angle(arc.end.angle + 0.4 * (2 * math.pi - arc.span))
         h = from_axis_and_length(outside, BoundaryPoint.from_angle(outside.angle + 2.0), 1.0)
         with pytest.raises(PreconditionViolated):
-            triple_crossing_test(f, g, h)
+            triple_crossing_test([f, g, h])
 
 
 class TestCertify:
@@ -321,6 +321,32 @@ class TestCertify:
             assert isinstance(cert, NotSemidiscrete)
             word = MoebiusMapProduct(cert.witness_word, [f, g])
             assert abs(word.trace) < 2.0 - 1e-9
+
+
+def test_readme_quick_start(capsys):
+    """The README example runs and prints what its comments say."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    printed = capsys.readouterr().out.split()
+    expected = [line.split("#")[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert printed == expected == ["semidiscrete_inverse_free", "True", "inconclusive"]
+
+
+def test_readme_pair_verdicts():
+    """Pair gate log 9 + 3/2 is cleared; the family upper threshold is not."""
+    r = BoundaryPoint.from_real
+    tau = math.log(9) + 1.6
+    f = from_axis_and_length(r(-1.0), r(1.0), tau=tau)
+    g = from_axis_and_length(r(2.0), r(-2.0), tau=tau)
+    assert cross_ratio(f, g) == pytest.approx(9.0, abs=1e-12)
+    cert = two_gen_disjoint_test(f, g)
+    assert isinstance(cert, SemidiscreteInverseFree)
+    assert verify_schottky([f, g], cert.system.union, margin=1e-7)
+    verdict = certify([f, g])
+    assert isinstance(verdict, Inconclusive)
+    assert verdict.report["upper"] == pytest.approx(4.0 * math.log(72.0) + 23.0, abs=1e-9)
+    assert math.log(9.0) + 1.5 < tau < verdict.report["upper"]
 
 
 def MoebiusMapProduct(word, gens):

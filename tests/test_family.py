@@ -1,0 +1,109 @@
+"""The one-pass family: each generator classified once, each pair decoded once."""
+
+import importlib
+import math
+import pkgutil
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import semicert
+from semicert import (
+    BoundaryPoint,
+    NotSemidiscrete,
+    SemidiscreteInverseFree,
+    certify,
+    cross_ratio,
+    from_axis_and_length,
+    normalize,
+)
+from semicert.criteria_engine import crossing_limit_interval
+from semicert.errors import NotHyperbolic, PreconditionViolated
+from semicert.pair_geometry import Family
+
+from helpers import crossing_pair, figure_two, random_admissible_family
+
+MODULES = [semicert] + [
+    importlib.import_module(f"semicert.{info.name}") for info in pkgutil.iter_modules(semicert.__path__)
+]
+COUNTED = ("classify", "cross_ratio_of_points")
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Wrap every binding of the counted functions in every semicert module."""
+    counts: Counter = Counter()
+    for module in MODULES:
+        for name in COUNTED:
+            original = module.__dict__.get(name)
+            if original is None:
+                continue
+
+            def wrapper(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def crossing_with_repeller():
+    rng = np.random.default_rng(90)
+    f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15, conjugate_by=normalize([[1, 0], [0, 1]]))
+    arc = crossing_limit_interval([f, g])
+    beta = arc.start.angle + 0.5 * arc.span
+    h = from_axis_and_length(BoundaryPoint.from_angle(beta), BoundaryPoint.from_angle(beta + 0.9 * math.pi), 1.0)
+    return [f, g, h]
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: random_admissible_family(np.random.default_rng(91), 12), SemidiscreteInverseFree),
+        (lambda: figure_two(0.1), NotSemidiscrete),
+        (crossing_with_repeller, NotSemidiscrete),
+    ],
+    ids=["schottky-12", "figure-two-witness", "crossing-with-repeller"],
+)
+def test_certify_classifies_each_generator_once(monkeypatch, build, kind):
+    F = build()
+    n = len(F)
+    counts = count_calls(monkeypatch)
+    cert = certify(F)
+    assert isinstance(cert, kind)
+    assert counts["classify"] == n
+    assert counts["cross_ratio_of_points"] == n * (n - 1) // 2
+
+
+def test_of_returns_a_family_unchanged():
+    family = Family.of(figure_two(1.0))
+    assert Family.of(family) is family
+    assert len(family.cls) == 5 and len(family.pairs) == 10
+
+
+def test_pair_table_matches_cross_ratio_in_both_orders():
+    F = figure_two(1.0)
+    family = Family.of(F)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert family.pair(i, j).cross_ratio == cross_ratio(F[i], F[j])
+
+
+def test_guard_names_the_generator():
+    parabolic = normalize([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotHyperbolic, match="generator 1 is parabolic"):
+        Family.of([normalize([[2.0, 0.0], [0.0, 1.0]]), parabolic])
+    assert issubclass(NotHyperbolic, PreconditionViolated)
+    with pytest.raises(ValueError):
+        Family.of([])
+
+
+def test_shared_fixed_point_does_not_stop_the_crossing_scan():
+    # The corner pairs of Figure 2 share a fixed point, and their cross ratio
+    # rounds to about -1e-14.  The witness scan reads the decoded kind, so it
+    # skips them and finds the crossing pair (2, 4) with repeller 0 inside.
+    cert = certify(figure_two(0.15))
+    assert isinstance(cert, NotSemidiscrete)
+    assert cert.criterion["rule"] == "crossing_pair_with_interleaved_repeller"
+    assert (cert.criterion["pair"], cert.criterion["interleaved"]) == ([2, 4], 0)

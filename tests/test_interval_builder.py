@@ -25,11 +25,12 @@ from semicert import (
 from semicert.boundary_arcs import arc_image
 from semicert.errors import (
     AxesDoNotCross,
-    AxesNotDisjointOutside,
+    AxesNotDisjoint,
     NoCommonAlpha,
     OverlappingArcs,
     PreconditionViolated,
     ThresholdNotMet,
+    VerificationFailed,
 )
 from semicert.interval_builder import mapping_margin
 from semicert.pair_geometry import _intersect, geodesic_shape, tangent_at
@@ -62,7 +63,7 @@ class TestDisjointBuilder:
         tau = math.log(4.0) + 1.6
         f, g = disjoint_pair(rng, d, tau, tau)
         assert cross_ratio(f, g) == pytest.approx(4.0, rel=1e-9)
-        pf, pg = build_disjoint_pair_intervals(f, g)
+        pf, pg = build_disjoint_pair_intervals([f, g])
         ArcUnion([pf.a, pf.b, pg.a, pg.b])  # pairwise disjoint closures
         for pair, owner in ((pf, f), (pg, g)):
             assert mapping_margin(owner, pair) >= 1e-7
@@ -74,7 +75,7 @@ class TestDisjointBuilder:
         rng = np.random.default_rng(51)
         tau = math.log(9.0) + 1.6
         f, g = disjoint_pair(rng, math.log(2.0), tau, tau)
-        pf, pg = build_disjoint_pair_intervals(f, g)
+        pf, pg = build_disjoint_pair_intervals([f, g])
         ArcUnion([pf.a, pf.b, pg.a, pg.b])
         assert strictly_inside(
             ArcUnion([arc_image(f, complement(pf.b))]), ArcUnion([pf.a]), 1e-7
@@ -88,23 +89,23 @@ class TestDisjointBuilder:
         tau = math.log(9.0) + 1.4
         f, g = disjoint_pair(rng, math.log(2.0), tau, tau)
         with pytest.raises(ThresholdNotMet):
-            build_disjoint_pair_intervals(f, g)
+            build_disjoint_pair_intervals([f, g])
 
     def test_rejects_other_configurations(self):
         rng = np.random.default_rng(53)
         f, g = crossing_pair(rng, 1.0, 5.0, 5.0)
-        with pytest.raises(AxesNotDisjointOutside):
-            build_disjoint_pair_intervals(f, g)
+        with pytest.raises(AxesNotDisjoint):
+            build_disjoint_pair_intervals([f, g])
         from semicert import inverse
 
         f2, g2 = disjoint_pair(rng, 1.0, 9.0, 9.0)
-        with pytest.raises(AxesNotDisjointOutside):
-            build_disjoint_pair_intervals(inverse(f2), g2)  # C below 1
+        with pytest.raises(AxesNotDisjoint):
+            build_disjoint_pair_intervals([inverse(f2), g2])  # C below 1
 
     def test_margins_stay_large_at_huge_tau(self):
         rng = np.random.default_rng(54)
         f, g = disjoint_pair(rng, math.log(2.0), 41.0, 41.0)
-        pf, pg = build_disjoint_pair_intervals(f, g)
+        pf, pg = build_disjoint_pair_intervals([f, g])
         assert mapping_margin(f, pf) > 1e-3
         assert mapping_margin(g, pg) > 1e-3
 
@@ -113,7 +114,7 @@ class TestCrossingBuilder:
     def test_right_angle_above_separation(self):
         rng = np.random.default_rng(55)
         f, g = crossing_pair(rng, math.pi / 2.0, 2.0, 2.0)
-        pf, pg = build_crossing_pair_intervals(f, g)
+        pf, pg = build_crossing_pair_intervals([f, g])
         ArcUnion([pf.a, pf.b, pg.a, pg.b])  # tau = 2 clears 2*artanh(cos(pi/4))
         for pair, owner in ((pf, f), (pg, g)):
             assert mapping_margin(owner, pair) >= 1e-7
@@ -124,7 +125,7 @@ class TestCrossingBuilder:
         # though the four arcs cannot all be separated at this length.
         rng = np.random.default_rng(56)
         f, g = crossing_pair(rng, math.pi / 2.0, 1.6, 1.6)
-        pf, pg = build_crossing_pair_intervals(f, g)
+        pf, pg = build_crossing_pair_intervals([f, g])
         for pair, owner in ((pf, f), (pg, g)):
             assert mapping_margin(owner, pair) >= 1e-7
             assert_symmetric(pair, owner)
@@ -137,7 +138,7 @@ class TestCrossingBuilder:
         rng = np.random.default_rng(57)
         f, g = crossing_pair(rng, math.pi / 2.0, 1.4, 1.4)
         with pytest.raises(ThresholdNotMet):
-            build_crossing_pair_intervals(f, g)
+            build_crossing_pair_intervals([f, g])
 
     def test_pi_third_with_quarter_condition(self):
         rng = np.random.default_rng(58)
@@ -149,7 +150,7 @@ class TestCrossingBuilder:
         half = 0.5 * theta
         m_bound = (math.sin(half) + math.cos(half)) / (math.sin(half) * math.cos(half))
         assert math.sinh(tau) > m_bound
-        pf, pg = build_crossing_pair_intervals(f, g)
+        pf, pg = build_crossing_pair_intervals([f, g])
         ArcUnion([pf.a, pf.b, pg.a, pg.b])
         for pair, owner in ((pf, f), (pg, g)):
             assert mapping_margin(owner, pair) >= 1e-7
@@ -157,8 +158,8 @@ class TestCrossingBuilder:
     def test_argument_order_is_respected(self):
         rng = np.random.default_rng(59)
         f, g = crossing_pair(rng, 1.2, 2.5, 2.5)
-        pf, pg = build_crossing_pair_intervals(f, g)
-        qg, qf = build_crossing_pair_intervals(g, f, owners=(1, 0))
+        pf, pg = build_crossing_pair_intervals([f, g])
+        qg, qf = build_crossing_pair_intervals([f, g], 1, 0)
         assert pf.a.start.angular_distance(qf.a.start) < 1e-9
         assert pg.b.end.angular_distance(qg.b.end) < 1e-9
 
@@ -166,7 +167,7 @@ class TestCrossingBuilder:
         rng = np.random.default_rng(60)
         f, g = disjoint_pair(rng, 1.0, 9.0, 9.0)
         with pytest.raises(AxesDoNotCross):
-            build_crossing_pair_intervals(f, g)
+            build_crossing_pair_intervals([f, g])
 
 
 class TestSharedAlpha:
@@ -230,7 +231,7 @@ class TestAssembleGlobal:
         assert len(system.union) == 2
         assert len(system.pairs) == 2
         assert not system.groups
-        pf, pg = build_disjoint_pair_intervals(f, g)
+        pf, pg = build_disjoint_pair_intervals([f, g])
         assert system.pairs[0].a.approx(pf.a, tol=1e-12)
         assert system.pairs[1].b.approx(pg.b, tol=1e-12)
 
@@ -250,7 +251,7 @@ class TestAssembleGlobal:
                 builder = (
                     build_crossing_pair_intervals if c < 0 else build_disjoint_pair_intervals
                 )
-                pi_, _ = builder(F[i], F[j], owners=(i, j))
+                pi_, _ = builder(F, i, j)
                 assert _arc_contained(system.pairs[i].a, pi_.a, slack=1e-9)
                 assert _arc_contained(system.pairs[i].b, pi_.b, slack=1e-9)
 
@@ -293,11 +294,11 @@ class TestAssembleGlobal:
             )
             for b, a, t in data
         ]
-        cls = [classify(f) for f in F]
         from semicert.interval_builder import _assemble_once
+        from semicert.pair_geometry import Family
 
-        with pytest.raises(Exception):
-            _assemble_once(F, cls, 1e-7, 0.0)
+        with pytest.raises((OverlappingArcs, VerificationFailed)):
+            _assemble_once(Family.of(F), 1e-7, 0.0)
         system = assemble_global(F)
         assert system.margin >= 1e-7
         assert verify_schottky(F, system.union, margin=1e-7)

@@ -152,7 +152,7 @@ class TestCertifyTripleRoute:
         h = from_axis_and_length(a(1.5 * math.pi), a(0.5 * math.pi), 1.0)
         cfg_fg = configuration(f, g)
         assert cfg_fg.kind == "crossing"
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         assert contains(arc, classify(h).beta)
         cert = certify([f, g, h])
         assert isinstance(cert, NotSemidiscrete)

@@ -78,7 +78,7 @@ class TestFindElliptic:
 
         rng = np.random.default_rng(93)
         f, g = disjoint_pair(rng, math.log(2.0), 0.1, 0.1)
-        m, n, trace = elliptic_witness_disjoint(f, g)
+        m, n, trace = elliptic_witness_disjoint([f, g])
         word = find_elliptic([f, g], 40)
         assert sorted(word.letters) == sorted([0] * m + [1] * n)
         assert abs(word.matrix.trace) == pytest.approx(abs(trace), abs=1e-9)
@@ -132,7 +132,7 @@ class TestChaosGame:
         # suite records the endpoint behaviour.
         rng = np.random.default_rng(97)
         f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
-        arc = crossing_limit_interval(f, g)
+        arc = crossing_limit_interval([f, g])
         pts = chaos_game([f, g], 50_000, seed=5)
         for p in pts:
             assert contains(arc, p) or min(
