@@ -1,8 +1,11 @@
-"""Arcs on the circle at infinity, their images, and strict containment.
+"""Arcs on the circle at infinity, their images, and every cyclic-order decision.
 
 All arc arithmetic happens in disc-model angle coordinates so that infinity
 needs no special casing.  An arc is the open set swept counterclockwise from
-its start point to its end point.
+its start point to its end point.  This is the only module that does
+arithmetic on circle order: strict membership (`contains`), one arc-in-arc
+clearance routine behind the verifier and every containment check, greedy
+clustering of nearby points, and the arcs built around a point.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import OverlappingArcs
-from .moebius_core import TWO_PI, BoundaryPoint, MoebiusMap, apply_boundary
+from .errors import AxesDoNotCross, OverlappingArcs, VerificationFailed
+from .moebius_core import TWO_PI, BoundaryPoint, Classification, MoebiusMap, apply_boundary
 
 # Verification margin below which a certificate is not trusted.
 DEFAULT_MARGIN = 1e-7
@@ -115,48 +118,16 @@ class ArcUnion:
             a.approx(b, tol) for a, b in zip(self.arcs, other.arcs)
         )
 
-    def locate(self, arc: BoundaryArc) -> tuple[BoundaryArc, float, float] | None:
-        """Component containing `arc` plus the two endpoint clearances, if any."""
-        for outer in self.arcs:
-            lead = ccw_gap(outer.start.angle, arc.start.angle)
-            if lead <= outer.span:
-                tail = outer.span - lead - arc.span
-                if arc.span <= outer.span and tail >= 0.0:
-                    return outer, lead, tail
-        return None
 
+def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[float, float] | None:
+    """Endpoint clearances of the arc from angle p to angle q inside `outer`.
 
-def strictly_inside(inner: ArcUnion, outer: ArcUnion, margin: float = 0.0) -> bool:
-    """closure(inner) inside outer with angular clearance >= margin per endpoint.
-
-    At margin 0 one endpoint of an inner arc may coincide with the enclosing
-    endpoint, as long as the containment stays proper: that is exactly the
-    situation of an invariant interval whose endpoint is a fixed point.  An
-    arc equal to a whole component is never strictly inside.
-    """
-    for arc in inner:
-        found = outer.locate(arc)
-        if found is None:
-            return False
-        _, lead, tail = found
-        if lead < margin or tail < margin or lead + tail == 0.0:
-            return False
-    return True
-
-
-def image_clearances(
-    f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
-) -> tuple[float, float] | None:
-    """Endpoint clearances of the image of `arc` under f inside `outer`.
-
-    Works on endpoint angles directly, so images contracted below float
+    Works on endpoint angles directly, so arcs contracted below float
     angular resolution (endpoints rounding to one point) are still checked;
-    a midpoint image guards against mistaking a wrapped arc for a tiny one.
-    Returns None when the image is not contained in `outer`.
+    the angle `mid` of a point inside the arc guards against mistaking a
+    wrapped arc for a tiny one.  Returns None when the arc is not contained
+    in `outer`.
     """
-    p = apply_boundary(f, arc.start).angle
-    q = apply_boundary(f, arc.end).angle
-    mid = apply_boundary(f, arc.midpoint).angle
     img = ccw_gap(p, q)
     if img >= TWO_PI - 1e-9:
         img = 0.0  # endpoints collapsed by rounding
@@ -171,6 +142,51 @@ def image_clearances(
     if lead > span or tail > span or abs(lead + img + tail - span) > 1e-9:
         return None
     return lead, tail
+
+
+def _angles(arc: BoundaryArc) -> tuple[float, float, float]:
+    return arc.start.angle, arc.end.angle, arc.midpoint.angle
+
+
+def _image_angles(f: MoebiusMap, arc: BoundaryArc) -> tuple[float, float, float]:
+    """Start, end and midpoint angles of the image of `arc` under f."""
+    return (
+        apply_boundary(f, arc.start).angle,
+        apply_boundary(f, arc.end).angle,
+        apply_boundary(f, arc.midpoint).angle,
+    )
+
+
+def _enclosing(angles: tuple[float, float, float], union: ArcUnion) -> tuple[float, float] | None:
+    """Clearances in the first component of `union` that properly contains the arc."""
+    for outer in union:
+        found = _clearances(*angles, outer)
+        if found is not None and found[0] + found[1] > 0.0:
+            return found
+    return None
+
+
+def strictly_inside(inner: ArcUnion, outer: ArcUnion, margin: float = 0.0) -> bool:
+    """closure(inner) inside outer with angular clearance >= margin per endpoint.
+
+    At margin 0 one endpoint of an inner arc may coincide with the enclosing
+    endpoint, as long as the containment stays proper: that is exactly the
+    situation of an invariant interval whose endpoint is a fixed point.  An
+    arc equal to a whole component is never strictly inside.  The clearances
+    are the verifier's, including its 1e-9 closure slack.
+    """
+    for arc in inner:
+        found = _enclosing(_angles(arc), outer)
+        if found is None or min(found) < margin:
+            return False
+    return True
+
+
+def image_clearances(
+    f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
+) -> tuple[float, float] | None:
+    """Endpoint clearances of the image of `arc` under f inside `outer`, or None."""
+    return _clearances(*_image_angles(f, arc), outer)
 
 
 def verify_schottky(
@@ -189,16 +205,27 @@ def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
     worst = math.inf
     for f in generators:
         for arc in union:
-            best = -math.inf
-            for outer in union:
-                found = image_clearances(f, arc, outer)
-                if found is not None and found[0] + found[1] > 0.0:
-                    best = min(found)
-                    break
-            if best == -math.inf:
+            found = _enclosing(_image_angles(f, arc), union)
+            if found is None:
                 return -math.inf
-            worst = min(worst, best)
+            worst = min(worst, min(found))
     return worst
+
+
+# --- points and arcs around them -----------------------------------------------
+
+
+def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
+    """Greedy index classes: each point joins the first class whose first point is within tol."""
+    classes: list[list[int]] = []
+    for idx, p in enumerate(points):
+        for members in classes:
+            if points[members[0]].angular_distance(p) <= tol:
+                members.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
 
 
 def can_partition_rank_one(
@@ -211,8 +238,8 @@ def can_partition_rank_one(
     """
     if not alphas or not betas:
         raise ValueError("both point lists must be nonempty")
-    a_pts = _dedupe(alphas, tol)
-    b_pts = _dedupe(betas, tol)
+    a_pts = [alphas[c[0]] for c in cluster(alphas, tol)]
+    b_pts = [betas[c[0]] for c in cluster(betas, tol)]
     for p in a_pts:
         for q in b_pts:
             if p.angular_distance(q) <= tol:
@@ -224,9 +251,67 @@ def can_partition_rank_one(
     return changes == 2
 
 
-def _dedupe(points: Sequence[BoundaryPoint], tol: float) -> list[BoundaryPoint]:
-    out: list[BoundaryPoint] = []
-    for p in points:
-        if not any(p.angular_distance(q) <= tol for q in out):
-            out.append(p)
-    return out
+def cut_points(
+    points: Sequence[BoundaryPoint], pinned: Sequence[BoundaryPoint], tol: float
+) -> list[BoundaryPoint]:
+    """`pinned` plus the midpoints of the gaps wider than tol between cyclically
+    consecutive `points`, in counterclockwise order from angle 0."""
+    ordered = sorted(points, key=lambda p: p.angle)
+    mids = [
+        BoundaryArc(cur, nxt).midpoint
+        for cur, nxt in zip(ordered, ordered[1:] + ordered[:1])
+        if ccw_gap(cur.angle, nxt.angle) > tol
+    ]
+    return sorted([*pinned, *mids], key=lambda p: p.angle)
+
+
+def repeller_free_arc(ci: Classification, cj: Classification) -> BoundaryArc:
+    """The attractor-to-attractor arc of two maps that holds neither repelling point.
+
+    Tries alpha_i -> alpha_j first, then alpha_j -> alpha_i; when both hold
+    a repeller the fixed points do not interleave.
+    """
+    for start, end in ((ci.alpha, cj.alpha), (cj.alpha, ci.alpha)):
+        arc = BoundaryArc(start, end)
+        if not contains(arc, ci.beta) and not contains(arc, cj.beta):
+            return arc
+    raise AxesDoNotCross("fixed points do not interleave")
+
+
+def innermost_arc(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
+    """Smallest of a family of nested arcs around `point`; rejects non-nesting."""
+    ordered = sorted(arcs, key=lambda a: a.span)
+    for inner, outer in zip(ordered, ordered[1:]):
+        if not _nested(inner, outer):
+            raise VerificationFailed("candidate arcs around one fixed point do not nest")
+    if not contains(ordered[0], point):
+        raise VerificationFailed("innermost arc lost its fixed point")
+    return ordered[0]
+
+
+def _nested(inner: BoundaryArc, outer: BoundaryArc) -> bool:
+    """Whether the closure of `inner` lies in the closure of `outer`, to within 1e-9."""
+    return _clearances(*_angles(inner), outer) is not None
+
+
+def intersect_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
+    """Largest arc around `point` inside each of `arcs` (each must contain the point)."""
+    lead, tail = _reach(point, arcs, min)
+    if lead <= 0.0 or tail <= 0.0:
+        raise VerificationFailed("intersection around fixed point is empty")
+    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
+
+
+def hull_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
+    """Smallest arc around `point` holding each of `arcs` (each must contain the point)."""
+    lead, tail = _reach(point, arcs, max)
+    if lead + tail >= TWO_PI:
+        raise VerificationFailed("hull around fixed point covers the whole circle")
+    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
+
+
+def _reach(point: BoundaryPoint, arcs: Sequence[BoundaryArc], pick) -> tuple[float, float]:
+    """`pick` of the clearances behind and ahead of `point` to the ends of `arcs`."""
+    lead = pick(ccw_gap(a.start.angle, point.angle) for a in arcs)
+    tail = pick(ccw_gap(point.angle, a.end.angle) for a in arcs)
+    return lead, tail

@@ -24,7 +24,7 @@ from .criteria_engine import (
     point_to_dict,
     uniform_hyperbolicity,
 )
-from .errors import CertifyError, InvalidMatrix, ParseError
+from .errors import BudgetExceeded, CertifyError, InvalidMatrix, ParseError
 from .moebius_core import (
     BoundaryPoint,
     MoebiusMap,
@@ -218,7 +218,8 @@ def _num(v: float):
     "--max-words",
     type=click.IntRange(min=0),
     default=0,
-    help="Cross-validate with the word enumeration oracle up to this word length.",
+    help="Cross-validate with the word enumeration oracle up to this word length "
+    "(the oracle command's --max-words is a word budget instead).",
 )
 def cmd_certify(input_path, output_path, fmt, margin, max_words):
     """Run the semidiscreteness decision procedure and emit its certificate."""
@@ -238,7 +239,12 @@ def cmd_certify(input_path, output_path, fmt, margin, max_words):
 
 
 def _oracle_section(maps, max_len: int) -> dict:
-    report = enumerate_words(maps, max_len)
+    """Evidence up to word length max_len; an exhausted word budget is reported, not raised."""
+    try:
+        report = enumerate_words(maps, max_len)
+        probe = inverse_free_probe(maps, min(max_len, 10))
+    except BudgetExceeded as exc:
+        return {"empirical": True, "max_len": max_len, "error": str(exc)}
     # Elliptic words are stored in breadth-first order, so the first one is
     # what find_elliptic would return from a second sweep.
     first = report.elliptic_words[0] if report.elliptic_words else None
@@ -249,7 +255,7 @@ def _oracle_section(maps, max_len: int) -> dict:
         "min_identity_distance": report.min_identity_distance,
         "elliptic_count": report.elliptic_count,
         "first_elliptic_word": list(first.letters) if first else None,
-        "inverse_free_probe": inverse_free_probe(maps, min(max_len, 10)),
+        "inverse_free_probe": probe,
     }
 
 

@@ -17,8 +17,10 @@ from .boundary_arcs import (
     ArcUnion,
     BoundaryArc,
     can_partition_rank_one,
-    ccw_gap,
+    cluster,
     contains,
+    cut_points,
+    repeller_free_arc,
     schottky_margin,
 )
 from .errors import (
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global
 from .moebius_core import (
+    ANGLE_TOL,
     BoundaryPoint,
     Classification,
     MoebiusMap,
@@ -304,12 +307,7 @@ def crossing_limit_interval(F, i: int = 0, j: int = 1) -> BoundaryArc:
     bound = math.cos(0.5 * theta)
     if cos_phi(cf.tau, theta) >= bound or cos_phi(cg.tau, theta) >= bound:
         raise VerificationFailed("angle condition failed below the stated gate")
-    arc = BoundaryArc(cf.alpha, cg.alpha)
-    if contains(arc, cf.beta) or contains(arc, cg.beta):
-        arc = BoundaryArc(cg.alpha, cf.alpha)
-        if contains(arc, cf.beta) or contains(arc, cg.beta):
-            raise AxesDoNotCross("fixed points do not interleave")
-    return arc
+    return repeller_free_arc(cf, cg)
 
 
 def triple_crossing_test(F, i: int = 0, j: int = 1, k: int = 2) -> Certificate:
@@ -426,37 +424,33 @@ def _report(cls: Sequence[Classification], thresholds: Thresholds, notes: list[s
 # --- rank-one detection --------------------------------------------------------
 
 
-def find_rank_one_interval(F, tol: float = 1e-9) -> tuple[BoundaryArc, float] | None:
+def find_rank_one_interval(F) -> tuple[BoundaryArc, float] | None:
     """A single interval every generator maps strictly inside itself, if one exists.
 
-    Candidate endpoints are points where an attracting and a repelling fixed
-    point coincide (the interval may end there) and midpoints of the gaps
-    between consecutive distinct fixed points; every candidate interval that
-    covers the attractors and avoids the repellers is then verified.
+    Fixed points within ANGLE_TOL of each other count as one.  Candidate
+    endpoints are points where an attracting and a repelling fixed point
+    coincide (the interval may end there) and midpoints of the gaps between
+    consecutive distinct fixed points; every candidate interval that covers
+    the attractors and avoids the repellers is then verified.
     """
     family = Family.of(F)
-    merged: list[tuple[BoundaryPoint, bool, bool]] = []
-    for k in family.cls:
-        merged = _tag(merged, k.alpha, is_alpha=True, tol=tol)
-        merged = _tag(merged, k.beta, is_alpha=False, tol=tol)
+    points = [p for k in family.cls for p in (k.alpha, k.beta)]
+    merged = []  # (point, is attracting, is repelling)
+    for c in cluster(points, ANGLE_TOL):
+        kinds = {i % 2 for i in c}  # even indices are attracting points
+        merged.append((points[c[0]], 0 in kinds, 1 in kinds))
     shared = [p for p, a, b in merged if a and b]
     alphas = [p for p, a, _ in merged if a]
     betas = [p for p, _, b in merged if b]
-    if not shared and not can_partition_rank_one(alphas, betas, tol=tol):
+    if not shared and not can_partition_rank_one(alphas, betas, tol=ANGLE_TOL):
         return None
-    ordered = sorted((p for p, _, _ in merged), key=lambda p: p.angle)
-    candidates = list(shared)
-    for cur, nxt in zip(ordered, ordered[1:] + ordered[:1]):
-        gap = ccw_gap(cur.angle, nxt.angle)
-        if gap > tol:
-            candidates.append(BoundaryPoint.from_angle(cur.angle + 0.5 * gap))
-    candidates.sort(key=lambda p: p.angle)
+    candidates = cut_points([p for p, _, _ in merged], shared, ANGLE_TOL)
     for u in candidates:
         for v in candidates:
             if u is v:
                 continue
             arc = BoundaryArc(u, v)
-            if not all(contains(arc, p) or p.approx(u, tol) or p.approx(v, tol) for p in alphas):
+            if not all(contains(arc, p) or p.approx(u) or p.approx(v) for p in alphas):
                 continue
             if any(contains(arc, p) for p in betas):
                 continue
@@ -464,17 +458,6 @@ def find_rank_one_interval(F, tol: float = 1e-9) -> tuple[BoundaryArc, float] | 
             if achieved >= 0.0:
                 return arc, achieved
     return None
-
-
-def _tag(
-    merged: list[tuple[BoundaryPoint, bool, bool]], p: BoundaryPoint, is_alpha: bool, tol: float
-) -> list[tuple[BoundaryPoint, bool, bool]]:
-    for idx, (q, a, b) in enumerate(merged):
-        if q.angular_distance(p) <= tol:
-            merged[idx] = (q, a or is_alpha, b or not is_alpha)
-            return merged
-    merged.append((p, is_alpha, not is_alpha))
-    return merged
 
 
 # --- cocycle bridge -------------------------------------------------------------

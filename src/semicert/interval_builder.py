@@ -21,10 +21,14 @@ from .boundary_arcs import (
     arc_between,
     arc_image,
     can_partition_rank_one,
-    ccw_gap,
+    cluster,
     complement,
     contains,
+    hull_around,
     image_clearances,
+    innermost_arc,
+    intersect_around,
+    repeller_free_arc,
     schottky_margin,
 )
 from .errors import (
@@ -36,7 +40,7 @@ from .errors import (
     VerificationFailed,
 )
 from .moebius_core import (
-    TWO_PI,
+    ANGLE_TOL,
     BoundaryPoint,
     Classification,
     Geodesic,
@@ -238,12 +242,8 @@ def build_crossing_pair_intervals(
                 f"translation length {tau:.6f} not above |log|C|| + 3/2 = {gate:.6f}"
             )
     # Normalize with the attractor-to-attractor arc free of repelling points.
-    if _beta_free(cf, cg):
-        first, second = i, j
-    elif _beta_free(cg, cf):
-        first, second = j, i
-    else:
-        raise AxesDoNotCross("fixed points do not interleave")
+    free = repeller_free_arc(cf, cg)
+    first, second = (i, j) if free.start is cf.alpha else (j, i)
     c1, c2 = family.cls[first], family.cls[second]
     psi1 = 1.5 * math.pi - 0.5 * theta
     psi2 = 1.5 * math.pi + 0.5 * theta
@@ -264,11 +264,6 @@ def build_crossing_pair_intervals(
     _require_valid_pair(family.maps[first], pair1, "crossing pair, first owner")
     _require_valid_pair(family.maps[second], pair2, "crossing pair, second owner")
     return (pair1, pair2) if first == i else (pair2, pair1)
-
-
-def _beta_free(cf: Classification, cg: Classification) -> bool:
-    arc = BoundaryArc(cf.alpha, cg.alpha)
-    return not contains(arc, cf.beta) and not contains(arc, cg.beta)
 
 
 def _normalized_cut_pair(
@@ -315,7 +310,7 @@ def build_shared_alpha_intervals(
     # Send the common attractor to infinity, then squeeze the repelling
     # points into [0, 1] with a boundary-affine map.
     to_infinity = from_boundary_triple(
-        (cls[0].beta, _between(cls[0].beta, alpha), alpha),
+        (cls[0].beta, BoundaryArc(cls[0].beta, alpha).midpoint, alpha),
         (
             BoundaryPoint.from_real(0.0),
             BoundaryPoint.from_real(1.0),
@@ -335,11 +330,6 @@ def build_shared_alpha_intervals(
         if found is None or min(found) <= 0.0:
             raise VerificationFailed("shared-attractor intervals failed verification")
     return a_union, b_arc, conjugator
-
-
-def _between(p: BoundaryPoint, q: BoundaryPoint) -> BoundaryPoint:
-    """Midpoint of the counterclockwise arc from p to q (fixes orientation)."""
-    return BoundaryPoint.from_angle(p.angle + 0.5 * ccw_gap(p.angle, q.angle))
 
 
 # --- global assembly --------------------------------------------------------
@@ -396,13 +386,13 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
             )
         pairs.append(
             SymmetricIntervalPair(
-                a=_innermost([p.a for p in candidates[i]], cls[i].alpha),
-                b=_innermost([p.b for p in candidates[i]], cls[i].beta),
+                a=innermost_arc(cls[i].alpha, [p.a for p in candidates[i]]),
+                b=innermost_arc(cls[i].beta, [p.b for p in candidates[i]]),
                 owner=i,
             )
         )
-    alpha_classes = _point_classes([k.alpha for k in cls])
-    beta_classes = _point_classes([k.beta for k in cls])
+    alpha_classes = cluster([k.alpha for k in cls], ANGLE_TOL)
+    beta_classes = cluster([k.beta for k in cls], ANGLE_TOL)
     groups: list[SharedFixedPointGroup] = []
     alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
     for members in alpha_classes:
@@ -433,11 +423,11 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
             alpha_extra[i].append(b_arc)
     final_a: list[BoundaryArc] = []
     for i in range(n):
-        final_a.append(_intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
+        final_a.append(intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
     components: list[BoundaryArc] = []
     for members in alpha_classes:
         point = cls[members[0]].alpha
-        components.append(_hull_around(point, [final_a[i] for i in members]))
+        components.append(hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
     achieved = schottky_margin(maps, union)
     if achieved < margin:
@@ -468,47 +458,3 @@ def eq_constant(cross_ratios: list[float]) -> float:
         if math.isfinite(c) and c > 1e-9 and abs(c - 1.0) > 1e-9:
             dists.append(distance_from_cross_ratio(c))
     return 2.0 * max(logs) + max(dists)
-
-
-def _point_classes(points: list[BoundaryPoint], tol: float = 1e-9) -> list[list[int]]:
-    classes: list[list[int]] = []
-    for idx, p in enumerate(points):
-        for members in classes:
-            if points[members[0]].angular_distance(p) <= tol:
-                members.append(idx)
-                break
-        else:
-            classes.append([idx])
-    return classes
-
-
-def _innermost(arcs: list[BoundaryArc], center: BoundaryPoint) -> BoundaryArc:
-    """Smallest of a family of nested arcs around one point; rejects non-nesting."""
-    ordered = sorted(arcs, key=lambda a: a.span)
-    for inner, outer in zip(ordered, ordered[1:]):
-        if not _arc_contained(inner, outer):
-            raise VerificationFailed("candidate arcs around one fixed point do not nest")
-    if not contains(ordered[0], center):
-        raise VerificationFailed("innermost arc lost its fixed point")
-    return ordered[0]
-
-
-def _arc_contained(inner: BoundaryArc, outer: BoundaryArc, slack: float = 1e-9) -> bool:
-    lead = ccw_gap(outer.start.angle, inner.start.angle)
-    return lead <= outer.span + slack and lead + inner.span <= outer.span + slack
-
-
-def _intersect_around(point: BoundaryPoint, arcs: list[BoundaryArc]) -> BoundaryArc:
-    lead = min(ccw_gap(a.start.angle, point.angle) for a in arcs)
-    tail = min(ccw_gap(point.angle, a.end.angle) for a in arcs)
-    if lead <= 0.0 or tail <= 0.0:
-        raise VerificationFailed("intersection around fixed point is empty")
-    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
-
-
-def _hull_around(point: BoundaryPoint, arcs: list[BoundaryArc]) -> BoundaryArc:
-    lead = max(ccw_gap(a.start.angle, point.angle) for a in arcs)
-    tail = max(ccw_gap(point.angle, a.end.angle) for a in arcs)
-    if lead + tail >= TWO_PI:
-        raise VerificationFailed("hull around fixed point covers the whole circle")
-    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)

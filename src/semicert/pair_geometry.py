@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .boundary_arcs import BoundaryArc, contains
 from .errors import (
     AxesCross,
     AxesNotDisjoint,
@@ -210,11 +211,8 @@ def _quadratic_coeffs(geo: Geodesic) -> tuple[float, float, float]:
 
 def geodesics_cross(g1: Geodesic, g2: Geodesic) -> bool:
     """Whether the lines cross in the open half-plane (endpoints interleave)."""
-    a = g1.start.angle
-    span = (g1.end.angle - a) % (2.0 * math.pi)
-    in1 = 0.0 < (g2.start.angle - a) % (2.0 * math.pi) < span
-    in2 = 0.0 < (g2.end.angle - a) % (2.0 * math.pi) < span
-    return in1 != in2
+    arc = BoundaryArc(g1.start, g1.end)
+    return contains(arc, g2.start) != contains(arc, g2.end)
 
 
 def _shared_endpoint(g1: Geodesic, g2: Geodesic, tol: float) -> bool:

@@ -16,7 +16,6 @@ from .moebius_core import (
     Geodesic,
     MoebiusMap,
     apply_interior,
-    axis,
     axis_chart,
     cayley_to_disc,
     classify,
@@ -27,16 +26,16 @@ from .moebius_core import (
 AXIS_REACH = 8.0
 AXIS_SAMPLES = 96
 ARC_SAMPLES = 48
+STROKE = 1.3
+CIRCLE_COLOR = "#303030"
+AXIS_COLOR = "#1f4e9c"
+ARC_COLOR = "#c23b22"
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     size: int = 600
-    stroke: float = 1.3
     draw_labels: bool = True
-    circle_color: str = "#303030"
-    axis_color: str = "#1f4e9c"
-    arc_color: str = "#c23b22"
 
 
 def render_figure(
@@ -58,21 +57,21 @@ def render_figure(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.size}" '
         f'height="{spec.size}" viewBox="0 0 {spec.size} {spec.size}">',
         f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(radius)}" '
-        f'fill="none" stroke="{spec.circle_color}" stroke-width="{_fmt(spec.stroke)}"/>',
+        f'fill="none" stroke="{CIRCLE_COLOR}" stroke-width="{_fmt(STROKE)}"/>',
     ]
     for idx, f in enumerate(maps):
         cls = classify(f)
         if not cls.is_hyperbolic:
             continue
-        samples = _axis_samples(axis(f))
-        parts.append(_path([pix(z) for z in samples], spec.axis_color, spec.stroke))
-        parts.append(_arrow(samples, pix, spec))
+        samples = _axis_samples(Geodesic(cls.beta, cls.alpha))
+        parts.append(_path([pix(z) for z in samples], AXIS_COLOR, STROKE))
+        parts.append(_arrow(samples, pix))
         if spec.draw_labels:
             name = labels[idx] if labels else f"f{idx + 1}"
             lx, ly = pix(samples[len(samples) // 2] + 0.045 * _label_offset(samples))
             parts.append(
                 f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{spec.size // 40}" '
-                f'fill="{spec.axis_color}">{name}</text>'
+                f'fill="{AXIS_COLOR}">{name}</text>'
             )
     if union is not None:
         for arc in union:
@@ -81,7 +80,7 @@ def render_figure(
                 pix(1.035 * _circle_point(start + arc.span * k / ARC_SAMPLES))
                 for k in range(ARC_SAMPLES + 1)
             ]
-            parts.append(_path(pts, spec.arc_color, 2.4 * spec.stroke))
+            parts.append(_path(pts, ARC_COLOR, 2.4 * STROKE))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -109,7 +108,7 @@ def _label_offset(samples: list[complex]) -> complex:
     return n
 
 
-def _arrow(samples: list[complex], pix, spec: RenderSpec) -> str:
+def _arrow(samples: list[complex], pix) -> str:
     mid = samples[len(samples) // 2]
     nxt = samples[len(samples) // 2 + 1]
     t = nxt - mid
@@ -122,7 +121,7 @@ def _arrow(samples: list[complex], pix, spec: RenderSpec) -> str:
     left = mid - 0.6 * size * t + 0.55 * size * n
     right = mid - 0.6 * size * t - 0.55 * size * n
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (pix(tip), pix(left), pix(right)))
-    return f'<polygon points="{pts}" fill="{spec.axis_color}"/>'
+    return f'<polygon points="{pts}" fill="{AXIS_COLOR}"/>'
 
 
 def _path(points: list[tuple[float, float]], color: str, width: float) -> str:

@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .moebius_core import TRACE_TOL, BoundaryPoint, MoebiusMap, classify
 
-DEFAULT_DEDUP_TOL = 1e-10
+# Matrices whose entries round to the same multiple of this count as one element.
+DEDUP_TOL = 1e-10
 DEFAULT_BUDGET = 2_000_000
 MAX_STORED_ELLIPTIC = 16
+# A product of two words within this max-entry distance of +/-I refutes inverse-freeness.
+INVERSE_TOL = 1e-9
+# Chaos-game steps discarded before sampling starts.
+CHAOS_BURN_IN = 100
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,17 @@ class EnumerationReport:
 
 
 class _Bfs:
-    """Level-synchronous breadth-first exploration with matrix deduplication."""
+    """Level-synchronous breadth-first exploration with matrix deduplication.
 
-    def __init__(self, F: Sequence[MoebiusMap], dedup_tol: float, budget: int):
+    Iterating yields (level, matrices of the new elements) for levels
+    1..max_len, stopping early at the first level with nothing new.
+    """
+
+    def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
+        if max_len < 1:
+            raise ValueError("max_len must be at least 1")
         self.gens = np.array([[f.a, f.b, f.c, f.d] for f in F], dtype=np.float64)
-        self.tol = dedup_tol
+        self.max_len = max_len
         self.budget = budget
         self.words_explored = 0
         self.duplicates = 0
@@ -57,18 +68,19 @@ class _Bfs:
         # Per level: matrices, parent index into previous level, letter applied.
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         root = np.array([[1.0, 0.0, 0.0, 1.0]])
-        self.seen.add(self._keys(root)[0])
+        self.seen.add(_keys(root)[0])
         self.levels.append((root, np.array([-1]), np.array([-1])))
 
-    def _keys(self, mats: np.ndarray) -> list[bytes]:
-        rounded = np.round(mats / self.tol) + 0.0  # squash negative zeros
-        return [row.tobytes() for row in rounded]
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        for level in range(1, self.max_len + 1):
+            mats = self._step()
+            if mats.shape[0] == 0:
+                return
+            yield level, mats
 
-    def step(self) -> np.ndarray | None:
+    def _step(self) -> np.ndarray:
         """Expand one level; returns the new frontier (may be empty)."""
         frontier = self.levels[-1][0]
-        if frontier.shape[0] == 0:
-            return None
         n_candidates = frontier.shape[0] * self.gens.shape[0]
         if self.words_explored + n_candidates > self.budget:
             raise BudgetExceeded(
@@ -97,7 +109,7 @@ class _Bfs:
         parent = np.concatenate(parents)
         letter = np.concatenate(letters)
         fresh = np.zeros(mats.shape[0], dtype=bool)
-        for idx, key in enumerate(self._keys(mats)):
+        for idx, key in enumerate(_keys(mats)):
             if key not in self.seen:
                 self.seen.add(key)
                 fresh[idx] = True
@@ -105,6 +117,13 @@ class _Bfs:
         level = (mats[fresh], parent[fresh], letter[fresh])
         self.levels.append(level)
         return level[0]
+
+
+def _keys(mats: np.ndarray) -> list[bytes]:
+    """Dedup key of each matrix row: its entries rounded to multiples of DEDUP_TOL."""
+    rounded = np.round(mats / DEDUP_TOL) + 0.0  # squash negative zeros
+    return [row.tobytes() for row in rounded]
+
 
 def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
     tr = mats[:, 0] + mats[:, 3]
@@ -118,34 +137,21 @@ def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
     return mats * sign[:, None]
 
 
-def _row_to_map(mats: np.ndarray, idx: int) -> MoebiusMap:
-    a, b, c, d = (float(v) for v in mats[idx])
-    return MoebiusMap(a, b, c, d)
-
-
 def enumerate_words(
-    F: Sequence[MoebiusMap],
-    max_len: int,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    budget: int = DEFAULT_BUDGET,
+    F: Sequence[MoebiusMap], max_len: int, budget: int = DEFAULT_BUDGET
 ) -> EnumerationReport:
     """Breadth-first sweep of all words up to max_len, deduplicated.
 
     Records how close the semigroup gets to the identity (max-entry norm of
     the sign-normalized matrix) and every elliptic element class found.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    bfs = _Bfs(F, dedup_tol, budget)
+    bfs = _Bfs(F, max_len, budget)
     best = math.inf
     best_at: tuple[int, int] | None = None
     elliptic_at: list[tuple[int, int]] = []
     elliptic_count = 0
     distinct = 0
-    for level in range(1, max_len + 1):
-        mats = bfs.step()
-        if mats is None or mats.shape[0] == 0:
-            break
+    for level, mats in bfs:
         distinct += mats.shape[0]
         dist = np.max(
             np.abs(mats - np.array([1.0, 0.0, 0.0, 1.0])), axis=1
@@ -168,13 +174,12 @@ def enumerate_words(
         elliptic_count=elliptic_count,
         elliptic_words=tuple(_reconstruct(bfs, lv, i) for lv, i in elliptic_at),
         max_len=max_len,
-        dedup_tol=dedup_tol,
+        dedup_tol=DEDUP_TOL,
     )
 
 
 def _reconstruct(bfs: _Bfs, level: int, index: int) -> Word:
-    mats, _, _ = bfs.levels[level]
-    matrix = _row_to_map(mats, index)
+    matrix = MoebiusMap(*(float(v) for v in bfs.levels[level][0][index]))
     letters: list[int] = []
     lv, idx = level, index
     while lv > 0:
@@ -186,19 +191,11 @@ def _reconstruct(bfs: _Bfs, level: int, index: int) -> Word:
 
 
 def find_elliptic(
-    F: Sequence[MoebiusMap],
-    max_len: int,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    budget: int = DEFAULT_BUDGET,
+    F: Sequence[MoebiusMap], max_len: int, budget: int = DEFAULT_BUDGET
 ) -> Word | None:
     """First elliptic word in breadth-first order, or None within the budget."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    bfs = _Bfs(F, dedup_tol, budget)
-    for level in range(1, max_len + 1):
-        mats = bfs.step()
-        if mats is None or mats.shape[0] == 0:
-            return None
+    bfs = _Bfs(F, max_len, budget)
+    for level, mats in bfs:
         elliptic = np.nonzero(np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - TRACE_TOL)[0]
         if elliptic.size:
             return _reconstruct(bfs, level, int(elliptic[0]))
@@ -206,53 +203,35 @@ def find_elliptic(
 
 
 def inverse_free_probe(
-    F: Sequence[MoebiusMap],
-    max_len: int,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-9,
+    F: Sequence[MoebiusMap], max_len: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """True when no product of two enumerated words lands at the identity.
 
     A desk-scale necessary check: it can refute inverse-freeness, never
     prove it.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    bfs = _Bfs(F, dedup_tol, budget)
-    index: dict[bytes, np.ndarray] = {}
-    rows: list[np.ndarray] = []
-
-    def key(row: np.ndarray) -> bytes:
-        return (np.round(row / dedup_tol) + 0.0).tobytes()
-
-    for _ in range(max_len):
-        mats = bfs.step()
-        if mats is None or mats.shape[0] == 0:
-            break
-        for row in mats:
-            index[key(row)] = row
-            rows.append(row)
-    for row in rows:
-        a, b, c, d = row
-        inv = _canonical_sign_rows(np.array([[d, -b, -c, a]]))[0]
-        partner = index.get(key(inv))
+    levels = [mats for _, mats in _Bfs(F, max_len, budget)]
+    rows = np.concatenate(levels) if levels else np.empty((0, 4))
+    index = dict(zip(_keys(rows), rows))
+    # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
+    inverses = _canonical_sign_rows(rows[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0]))
+    for row, key in zip(rows, _keys(inverses)):
+        partner = index.get(key)
         if partner is None:
             continue
+        a, b, c, d = row
         prod_b = a * partner[1] + b * partner[3]
         prod_c = c * partner[0] + d * partner[2]
         prod_a = a * partner[0] + b * partner[2]
         prod_d = c * partner[1] + d * partner[3]
         dist = max(abs(abs(prod_a) - 1.0), abs(prod_b), abs(prod_c), abs(abs(prod_d) - 1.0))
-        if dist < tol:
+        if dist < INVERSE_TOL:
             return False
     return True
 
 
-def chaos_game(
-    F: Sequence[MoebiusMap], samples: int, seed: int, burn_in: int = 100
-) -> list[BoundaryPoint]:
-    """Boundary orbit under random left-composition, after burn-in.
+def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> list[BoundaryPoint]:
+    """Boundary orbit under random left-composition, after CHAOS_BURN_IN steps.
 
     Deterministic for a fixed seed; the samples approximate the forward
     limit set of the semigroup.
@@ -260,9 +239,9 @@ def chaos_game(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(F), size=samples + burn_in)
+    picks = rng.integers(0, len(F), size=samples + CHAOS_BURN_IN)
     mats = [(f.a, f.b, f.c, f.d) for f in F]
-    start = classify(F[0]).alpha or _fallback_start(F[0])
+    start = classify(F[0]).alpha or BoundaryPoint.from_angle(1.0)
     x, y = start.x, start.y
     out: list[BoundaryPoint] = []
     for k in range(picks.shape[0]):
@@ -270,10 +249,7 @@ def chaos_game(
         x, y = a * x + b * y, c * x + d * y
         norm = math.hypot(x, y)
         x, y = x / norm, y / norm
-        if k >= burn_in:
+        if k >= CHAOS_BURN_IN:
             out.append(BoundaryPoint.of(x, y))
     return out
 
-
-def _fallback_start(f: MoebiusMap) -> BoundaryPoint:
-    return BoundaryPoint.from_angle(1.0)

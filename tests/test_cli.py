@@ -180,6 +180,24 @@ class TestCertifyCommand:
         assert oracle["elliptic_count"] > 0
         assert "seed" not in oracle
 
+    def test_oracle_budget_keeps_the_certificate(self, runner, tmp_path):
+        # Length 40 needs more words than the oracle's default budget; the
+        # certificate computed before the oracle ran must still be emitted.
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", "40"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        oracle = payload.pop("oracle")
+        from semicert.cli import _load_generators
+
+        maps, _ = _load_generators(str(src))
+        via_lib = certificate_to_dict(certify(maps), version=payload["tool_version"])
+        assert payload == json.loads(json.dumps(via_lib))
+        assert payload["kind"] == "rank_one_schottky"
+        assert set(oracle) == {"empirical", "max_len", "error"}
+        assert oracle["empirical"] is True and oracle["max_len"] == 40
+        assert "exceeds the budget of 2000000" in oracle["error"]
+
     def test_certify_has_no_seed_option(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
         result = runner.invoke(main, ["certify", "--input", str(src), "--seed", "3"])

@@ -1,0 +1,125 @@
+"""One cyclic-order layer: circle order is decided in `boundary_arcs` only."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import semicert
+from semicert import ArcUnion, BoundaryPoint, arc_image, assemble_global, classify, strictly_inside, verify_schottky
+from semicert.boundary_arcs import (
+    DEFAULT_MARGIN,
+    BoundaryArc,
+    cluster,
+    cut_points,
+    hull_around,
+    intersect_around,
+    repeller_free_arc,
+    schottky_margin,
+)
+from semicert.errors import AxesDoNotCross, VerificationFailed
+
+from helpers import crossing_pair, disjoint_pair, figure_two
+
+ORDER_MODULES = {"boundary_arcs.py", "moebius_core.py"}
+
+
+def circle_arithmetic(tree: ast.AST) -> list[str]:
+    """Uses of ccw_gap or TWO_PI, and `x % (... math.pi ...)` expressions."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("ccw_gap", "TWO_PI"):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("ccw_gap", "TWO_PI"):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias) and node.name in ("ccw_gap", "TWO_PI"):
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            if any(isinstance(n, ast.Attribute) and n.attr == "pi" for n in ast.walk(node.right)):
+                found.append("% pi")
+    return found
+
+
+def test_circle_arithmetic_lives_in_boundary_arcs():
+    package = Path(semicert.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name in ORDER_MODULES:
+            continue
+        uses = circle_arithmetic(ast.parse(path.read_text(encoding="utf-8")))
+        if uses:
+            offenders[path.name] = uses
+    assert offenders == {}
+    assert circle_arithmetic(ast.parse((package / "boundary_arcs.py").read_text(encoding="utf-8")))
+
+
+def the_families():
+    rng = np.random.default_rng(62)
+    families = {f"figure-two-{tau}": figure_two(tau) for tau in (5.0, 10.0, 20.0)}
+    families["disjoint"] = list(disjoint_pair(rng, math.log(2.0), 5.0, 5.0))
+    return families
+
+
+@pytest.mark.parametrize("name", sorted(the_families()))
+def test_strictly_inside_agrees_with_the_verifier(name):
+    # Translation lengths stay moderate so that every image arc is wider
+    # than float angular resolution and `arc_image` can represent it.
+    F = the_families()[name]
+    union = assemble_global(F).union
+    achieved = schottky_margin(F, union)
+    unions = [union]
+    if len(union) > 1:
+        unions.append(ArcUnion(union.arcs[1:]))  # a broken union: the verifier rejects it
+    for U in unions:
+        margins = (0.0, DEFAULT_MARGIN, achieved, math.nextafter(achieved, math.inf))
+        for m in margins:
+            images = all(strictly_inside(ArcUnion([arc_image(f, a)]), U, m) for f in F for a in U)
+            assert verify_schottky(F, U, m) == images, (name, len(U), m)
+    assert verify_schottky(F, union, achieved)
+    assert not verify_schottky(F, union, math.nextafter(achieved, math.inf))
+
+
+def test_cluster_joins_the_first_class_within_tol():
+    points = [BoundaryPoint.from_angle(t) for t in (1.0, 1.0 + 6e-10, 1.0 + 12e-10, 3.0, 1.0 - 5e-10)]
+    assert cluster(points, 1e-9) == [[0, 1, 4], [2], [3]]
+
+
+def test_cut_points_skip_narrow_gaps():
+    points = [BoundaryPoint.from_angle(t) for t in (4.0, 1.0, 1.0 + 1e-12)]
+    pinned = BoundaryPoint.from_angle(3.0)
+    cuts = [p.angle for p in cut_points(points, [pinned], 1e-9)]
+    assert len(cuts) == 3
+    assert math.isclose(cuts[0], 2.5, abs_tol=1e-12)
+    assert cuts[1] == pinned.angle
+    assert math.isclose(cuts[2], 2.5 + math.pi, abs_tol=1e-12)
+
+
+def test_repeller_free_arc_tries_i_to_j_first():
+    rng = np.random.default_rng(3)
+    f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
+    cf, cg = classify(f), classify(g)
+    arc = repeller_free_arc(cf, cg)
+    assert not contains_any(arc, cf.beta, cg.beta)
+    assert repeller_free_arc(cg, cf) == arc
+    # Both attractor-to-attractor arcs hold a repeller when the axes do not cross.
+    f, g = disjoint_pair(rng, 1.0, 2.0, 2.0)
+    with pytest.raises(AxesDoNotCross, match="fixed points do not interleave"):
+        repeller_free_arc(classify(f), classify(g))
+
+
+def contains_any(arc, *points):
+    return any(semicert.contains(arc, p) for p in points)
+
+
+def test_arcs_around_a_point():
+    point = BoundaryPoint.from_angle(1.0)
+    wide, narrow = BoundaryArc.from_angles(0.5, 2.0), BoundaryArc.from_angles(0.8, 1.5)
+    assert intersect_around(point, [wide, narrow]).approx(BoundaryArc.from_angles(0.8, 1.5), 1e-12)
+    assert hull_around(point, [wide, narrow]).approx(BoundaryArc.from_angles(0.5, 2.0), 1e-12)
+    elsewhere = BoundaryArc.from_angles(3.0, 4.0)
+    with pytest.raises(VerificationFailed, match="intersection around fixed point is empty"):
+        intersect_around(BoundaryPoint.from_angle(3.0), [elsewhere, wide])
+    with pytest.raises(VerificationFailed, match="covers the whole circle"):
+        hull_around(point, [BoundaryArc.from_angles(0.5, 6.0), BoundaryArc.from_angles(2.0, 1.9)])

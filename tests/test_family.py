@@ -75,6 +75,15 @@ def test_certify_classifies_each_generator_once(monkeypatch, build, kind):
     assert counts["cross_ratio_of_points"] == n * (n - 1) // 2
 
 
+def test_render_classifies_each_generator_once(monkeypatch):
+    from semicert.render import render_figure
+
+    F = figure_two(1.0)
+    counts = count_calls(monkeypatch)
+    assert render_figure(F).count("<polygon") == len(F)
+    assert counts["classify"] == len(F)
+
+
 def test_of_returns_a_family_unchanged():
     family = Family.of(figure_two(1.0))
     assert Family.of(family) is family

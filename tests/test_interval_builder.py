@@ -237,7 +237,7 @@ class TestAssembleGlobal:
 
     def test_innermost_containment(self):
         F = figure_two(41.0)
-        from semicert.interval_builder import _arc_contained
+        from semicert.boundary_arcs import _nested
 
         system = assemble_global(F)
         cls = [classify(f) for f in F]
@@ -252,8 +252,8 @@ class TestAssembleGlobal:
                     build_crossing_pair_intervals if c < 0 else build_disjoint_pair_intervals
                 )
                 pi_, _ = builder(F, i, j)
-                assert _arc_contained(system.pairs[i].a, pi_.a, slack=1e-9)
-                assert _arc_contained(system.pairs[i].b, pi_.b, slack=1e-9)
+                assert _nested(system.pairs[i].a, pi_.a)
+                assert _nested(system.pairs[i].b, pi_.b)
 
     def test_alpha_meets_beta_precondition(self):
         from helpers import section_one_pair

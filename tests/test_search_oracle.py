@@ -112,6 +112,37 @@ class TestInverseFreeProbe:
         assert report.elliptic_count == 0
         assert report.min_identity_distance > 10.0 * report.dedup_tol
 
+    @pytest.mark.parametrize("case", ["inverse-pair", "product-inverse", "section-one", "figure-two"])
+    def test_matches_the_per_row_reference(self, case):
+        # The probe keys whole arrays at once; this is the per-row loop it replaced.
+        from semicert.search_oracle import DEDUP_TOL, INVERSE_TOL, _Bfs, _canonical_sign_rows
+
+        def key(row):
+            return (np.round(row / DEDUP_TOL) + 0.0).tobytes()
+
+        def reference(F, max_len):
+            rows = [row for _, mats in _Bfs(F, max_len, 2_000_000) for row in mats]
+            index = {key(row): row for row in rows}
+            for row in rows:
+                a, b, c, d = row
+                partner = index.get(key(_canonical_sign_rows(np.array([[d, -b, -c, a]]))[0]))
+                if partner is None:
+                    continue
+                prod = np.array([[a, b], [c, d]]) @ np.array([[partner[0], partner[1]], [partner[2], partner[3]]])
+                if np.max(np.abs(np.abs(prod) - np.eye(2))) < INVERSE_TOL:
+                    return False
+            return True
+
+        f, g = section_one_pair()
+        F, max_len = {
+            "inverse-pair": ([f, inverse(f)], 4),
+            "product-inverse": ([f, g, inverse(compose(f, g))], 3),
+            "section-one": ([f, g], 10),
+            "figure-two": (figure_two(0.1), 5),
+        }[case]
+        assert inverse_free_probe(F, max_len) == reference(F, max_len)
+        assert inverse_free_probe(F, max_len) == (case in ("section-one", "figure-two"))
+
 
 class TestChaosGame:
     def test_single_attractor(self):
