@@ -11,6 +11,7 @@ clustering of nearby points, and the arcs built around a point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,11 +89,12 @@ def arc_between(p: BoundaryPoint, q: BoundaryPoint, containing: BoundaryPoint) -
 class ArcUnion:
     """Finite union of open arcs with pairwise disjoint closures.
 
-    Arcs are kept sorted by start angle; overlapping input is rejected rather
-    than merged, since overlap always signals an upstream construction bug.
+    Arcs are kept sorted by start angle, and `starts` holds those angles for
+    bisection; overlapping input is rejected rather than merged, since
+    overlap always signals an upstream construction bug.
     """
 
-    __slots__ = ("arcs",)
+    __slots__ = ("arcs", "starts")
 
     def __init__(self, arcs: Iterable[BoundaryArc]):
         ordered = sorted(arcs, key=lambda a: a.start.angle)
@@ -106,6 +108,7 @@ class ArcUnion:
                         f"arc closures intersect near angle {cur.end.angle:.6f}"
                     )
         self.arcs = tuple(ordered)
+        self.starts = [a.start.angle for a in ordered]
 
     def __iter__(self):
         return iter(self.arcs)
@@ -144,21 +147,37 @@ def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[flo
     return lead, tail
 
 
+def _points(arc: BoundaryArc) -> tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]:
+    return arc.start, arc.end, arc.midpoint
+
+
 def _angles(arc: BoundaryArc) -> tuple[float, float, float]:
     return arc.start.angle, arc.end.angle, arc.midpoint.angle
 
 
-def _image_angles(f: MoebiusMap, arc: BoundaryArc) -> tuple[float, float, float]:
-    """Start, end and midpoint angles of the image of `arc` under f."""
+def _image_angles(
+    f: MoebiusMap, points: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
+) -> tuple[float, float, float]:
+    """Start, end and midpoint angles of the images of an arc's `points` under f."""
+    start, end, mid = points
     return (
-        apply_boundary(f, arc.start).angle,
-        apply_boundary(f, arc.end).angle,
-        apply_boundary(f, arc.midpoint).angle,
+        apply_boundary(f, start).angle,
+        apply_boundary(f, end).angle,
+        apply_boundary(f, mid).angle,
     )
 
 
 def _enclosing(angles: tuple[float, float, float], union: ArcUnion) -> tuple[float, float] | None:
-    """Clearances in the first component of `union` that properly contains the arc."""
+    """Clearances in the first component of `union` that properly contains the arc.
+
+    Components have disjoint closures, so only the one starting last at or
+    before the arc's start (index -1 wraps to the last) can contain it.  When
+    that one does not properly contain the arc, the linear scan decides, so
+    the answer never differs from scanning every component.
+    """
+    found = _clearances(*angles, union.arcs[bisect_right(union.starts, angles[0]) - 1])
+    if found is not None and found[0] + found[1] > 0.0:
+        return found
     for outer in union:
         found = _clearances(*angles, outer)
         if found is not None and found[0] + found[1] > 0.0:
@@ -186,7 +205,7 @@ def image_clearances(
     f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
 ) -> tuple[float, float] | None:
     """Endpoint clearances of the image of `arc` under f inside `outer`, or None."""
-    return _clearances(*_image_angles(f, arc), outer)
+    return _clearances(*_image_angles(f, _points(arc)), outer)
 
 
 def verify_schottky(
@@ -203,9 +222,10 @@ def verify_schottky(
 def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
     """Smallest endpoint clearance over all generator images, -inf on failure."""
     worst = math.inf
+    arc_points = [_points(arc) for arc in union]
     for f in generators:
-        for arc in union:
-            found = _enclosing(_image_angles(f, arc), union)
+        for points in arc_points:
+            found = _enclosing(_image_angles(f, points), union)
             if found is None:
                 return -math.inf
             worst = min(worst, min(found))

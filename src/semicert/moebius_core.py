@@ -34,6 +34,9 @@ class BoundaryPoint:
 
     x: float
     y: float
+    # Angle cache, set on the first read of `angle`.  Not a field, so it takes
+    # no part in construction, equality, hashing or repr.
+    _angle = None
 
     @staticmethod
     def of(x: float, y: float) -> "BoundaryPoint":
@@ -64,8 +67,18 @@ class BoundaryPoint:
 
     @property
     def angle(self) -> float:
-        """Disc-model angle in [0, 2*pi); infinity sits at angle 0."""
-        return (-2.0 * math.atan2(self.y, self.x)) % TWO_PI
+        """Disc-model angle in [0, 2*pi); infinity sits at angle 0.
+
+        Computed once per point.  A point so close to infinity that the
+        modulo rounds up to 2*pi gets infinity's angle, 0.
+        """
+        theta = self._angle
+        if theta is None:
+            theta = (-2.0 * math.atan2(self.y, self.x)) % TWO_PI
+            if theta == TWO_PI:
+                theta = 0.0
+            object.__setattr__(self, "_angle", theta)
+        return theta
 
     @property
     def is_infinity(self) -> bool:

@@ -64,5 +64,6 @@ def test_tracer_wraps_every_measured_function(tracing):
         assert during is not before, f"{owner.__name__}.{attr} was not wrapped"
         assert owner.__dict__[attr] is before, f"{owner.__name__}.{attr} was not restored"
     assert tracer.total_calls("moebius_core.classify") >= 5
+    assert tracer.total_calls("moebius_core.angle") > 0  # reads are counted, cached or not
     assert tracer.total_calls("criteria_engine.certify") == 1
     assert tracer.total_calls("interval_builder._assemble_once") >= 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import semicert
+from semicert import boundary_arcs
 from semicert import ArcUnion, BoundaryPoint, arc_image, assemble_global, classify, strictly_inside, verify_schottky
 from semicert.boundary_arcs import (
     DEFAULT_MARGIN,
@@ -79,6 +80,102 @@ def test_strictly_inside_agrees_with_the_verifier(name):
             assert verify_schottky(F, U, m) == images, (name, len(U), m)
     assert verify_schottky(F, union, achieved)
     assert not verify_schottky(F, union, math.nextafter(achieved, math.inf))
+
+
+def test_verifier_checks_each_image_against_one_component(monkeypatch):
+    F = figure_two(41.0)
+    union = assemble_global(F).union
+    calls = []
+    clearances = boundary_arcs._clearances
+
+    def counted(*args):
+        calls.append(args)
+        return clearances(*args)
+
+    monkeypatch.setattr(boundary_arcs, "_clearances", counted)
+    assert schottky_margin(F, union) > 0.0
+    assert len(calls) == len(F) * len(union) == 15
+
+
+def scan_enclosing(angles, union):
+    """The verifier's former lookup: the first component, in order, that properly contains the arc."""
+    for outer in union:
+        found = boundary_arcs._clearances(*angles, outer)
+        if found is not None and found[0] + found[1] > 0.0:
+            return found
+    return None
+
+
+def union_with_gaps(*bounds):
+    """ArcUnion of arcs between consecutive angles (start, end, start, end, ...)."""
+    points = [BoundaryPoint.from_angle(t) for t in bounds]
+    return ArcUnion(BoundaryArc(s, e) for s, e in zip(points[::2], points[1::2]))
+
+
+ADVERSARIAL_UNIONS = {
+    "wraps-past-zero": union_with_gaps(5.9, 0.4, 1.0, 2.0, 3.0, 4.5),
+    "gap-1e-9": union_with_gaps(1.0, 2.0, 2.0 + 1e-9, 3.0, 3.5, 6.0),
+    "gaps-below-1e-9": union_with_gaps(0.5, 2.0, 2.0 + 1e-12, 3.0, 3.0 + 1e-14, 6.2),
+    "one-component": union_with_gaps(6.0, 5.0),
+}
+
+
+def probe_angles(union):
+    """Component endpoints and their float and 1e-9 neighbours, interior and gap points, 0 and 2*pi-."""
+    marks = {0.0, math.nextafter(2.0 * math.pi, 0.0)}
+    for arc, nxt in zip(union.arcs, union.arcs[1:] + union.arcs[:1]):
+        s, e = arc.start.angle, arc.end.angle
+        marks |= {arc.midpoint.angle, BoundaryArc(arc.end, nxt.start).midpoint.angle}
+        for t in (s, e):
+            marks |= {t, math.nextafter(t, -1.0), math.nextafter(t, 7.0), t - 1e-9, t + 1e-9}
+    return sorted(t % (2.0 * math.pi) for t in marks)
+
+
+def ccw_midpoint(p, q):
+    return (p + 0.5 * ((q - p) % (2.0 * math.pi))) % (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_UNIONS))
+def test_bisection_agrees_with_the_linear_scan(name):
+    union = ADVERSARIAL_UNIONS[name]
+    marks = probe_angles(union)
+    outcomes = set()
+    for p in marks:
+        for q in marks:
+            angles = (p, q, ccw_midpoint(p, q))
+            found = boundary_arcs._enclosing(angles, union)
+            assert found == scan_enclosing(angles, union), (name, angles)
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_UNIONS))
+def test_named_cases_agree_with_the_linear_scan(name, monkeypatch):
+    union = ADVERSARIAL_UNIONS[name]
+    calls = []
+    clearances = boundary_arcs._clearances
+
+    def counted(*args):
+        calls.append(args)
+        return clearances(*args)
+
+    monkeypatch.setattr(boundary_arcs, "_clearances", counted)
+    for arc, nxt in zip(union.arcs, union.arcs[1:] + union.arcs[:1]):
+        s, e, m = arc.start.angle, arc.end.angle, arc.midpoint.angle
+        cases = {
+            "whole-component": ((s, e, m), None),  # lead + tail == 0: the fallback scan runs
+            "in-a-gap": (boundary_arcs._angles(BoundaryArc(arc.end, nxt.start)), None),
+            "starts-at-a-start": ((s, m, ccw_midpoint(s, m)), "found"),
+        }
+        if len(union) == 1:
+            del cases["in-a-gap"]  # the gap of a single arc is its whole complement
+        for case, (angles, expected) in cases.items():
+            calls.clear()
+            found = boundary_arcs._enclosing(angles, union)
+            if case == "whole-component":
+                assert len(calls) == 1 + len(union), (name, case)
+            assert found == scan_enclosing(angles, union), (name, case)
+            assert (found is not None) == (expected == "found"), (name, case)
 
 
 def test_cluster_joins_the_first_class_within_tol():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semicert import (
     BoundaryPoint,
@@ -20,8 +23,9 @@ from semicert import (
     normalize,
     translation_length_iterate_check,
 )
+from semicert import moebius_core
 from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
-from semicert.moebius_core import from_boundary_triple, power
+from semicert.moebius_core import TWO_PI, from_boundary_triple, power
 
 from helpers import random_hyperbolic, random_moebius, section_one_pair
 
@@ -209,6 +213,50 @@ class TestBoundaryAction:
     def test_pole_goes_to_infinity(self):
         f = normalize([[0.0, -1.0], [1.0, 0.0]])
         assert apply_boundary(f, real(0.0)).is_infinity
+
+
+class TestAngle:
+    def test_points_next_to_infinity_sit_at_angle_zero(self):
+        # (-tiny) % 2*pi rounds up to 2*pi; such a point takes infinity's angle.
+        assert real(1e17).angle == 0.0
+        assert BoundaryPoint.of(1.0, 1e-300).angle == 0.0
+        assert not real(1e17).is_infinity
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    def test_angle_lies_in_the_half_open_circle(self, x, y):
+        assume(0.0 < math.hypot(x, y) < math.inf)
+        p = BoundaryPoint.of(x, y)
+        raw = (-2.0 * math.atan2(p.y, p.x)) % TWO_PI
+        assert 0.0 <= p.angle < TWO_PI
+        assert p.angle == (0.0 if raw == TWO_PI else raw)
+
+    def test_reading_the_angle_changes_nothing_visible(self):
+        p, q = real(2.0), real(2.0)
+
+        def visible(point):
+            return point == q, hash(point), repr(point), [f.name for f in dataclasses.fields(point)]
+
+        before = visible(p)
+        assert p.angle == q.angle
+        assert visible(p) == before == (True, hash(q), repr(q), ["x", "y"])
+        assert isinstance(BoundaryPoint.__dict__["angle"], property)
+
+    def test_atan2_runs_once_per_point(self, monkeypatch):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def atan2(self, y, x):
+                calls.append((y, x))
+                return math.atan2(y, x)
+
+        p = real(-3.5)
+        monkeypatch.setattr(moebius_core, "math", CountingMath())
+        assert p.angle == p.angle
+        assert len(calls) == 1
 
 
 class TestDistance:
