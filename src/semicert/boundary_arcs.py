@@ -147,10 +147,6 @@ def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[flo
     return lead, tail
 
 
-def _points(arc: BoundaryArc) -> tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]:
-    return arc.start, arc.end, arc.midpoint
-
-
 def _angles(arc: BoundaryArc) -> tuple[float, float, float]:
     return arc.start.angle, arc.end.angle, arc.midpoint.angle
 
@@ -168,20 +164,14 @@ def _image_angles(
 
 
 def _enclosing(angles: tuple[float, float, float], union: ArcUnion) -> tuple[float, float] | None:
-    """Clearances in the first component of `union` that properly contains the arc.
+    """Clearances in the component of `union` that properly contains the arc, or None.
 
     Components have disjoint closures, so only the one starting last at or
-    before the arc's start (index -1 wraps to the last) can contain it.  When
-    that one does not properly contain the arc, the linear scan decides, so
-    the answer never differs from scanning every component.
+    before the arc's start (index -1 wraps to the last) can contain it.
     """
     found = _clearances(*angles, union.arcs[bisect_right(union.starts, angles[0]) - 1])
     if found is not None and found[0] + found[1] > 0.0:
         return found
-    for outer in union:
-        found = _clearances(*angles, outer)
-        if found is not None and found[0] + found[1] > 0.0:
-            return found
     return None
 
 
@@ -205,7 +195,7 @@ def image_clearances(
     f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
 ) -> tuple[float, float] | None:
     """Endpoint clearances of the image of `arc` under f inside `outer`, or None."""
-    return _clearances(*_image_angles(f, _points(arc)), outer)
+    return _clearances(*_image_angles(f, (arc.start, arc.end, arc.midpoint)), outer)
 
 
 def verify_schottky(
@@ -222,7 +212,7 @@ def verify_schottky(
 def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
     """Smallest endpoint clearance over all generator images, -inf on failure."""
     worst = math.inf
-    arc_points = [_points(arc) for arc in union]
+    arc_points = [(a.start, a.end, a.midpoint) for a in union]
     for f in generators:
         for points in arc_points:
             found = _enclosing(_image_angles(f, points), union)
