@@ -288,22 +288,6 @@ def repeller_free_arc(ci: Classification, cj: Classification) -> BoundaryArc:
     raise AxesDoNotCross("fixed points do not interleave")
 
 
-def innermost_arc(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
-    """Smallest of a family of nested arcs around `point`; rejects non-nesting."""
-    ordered = sorted(arcs, key=lambda a: a.span)
-    for inner, outer in zip(ordered, ordered[1:]):
-        if not _nested(inner, outer):
-            raise VerificationFailed("candidate arcs around one fixed point do not nest")
-    if not contains(ordered[0], point):
-        raise VerificationFailed("innermost arc lost its fixed point")
-    return ordered[0]
-
-
-def _nested(inner: BoundaryArc, outer: BoundaryArc) -> bool:
-    """Whether the closure of `inner` lies in the closure of `outer`, to within 1e-9."""
-    return _clearances(*_angles(inner), outer) is not None
-
-
 def intersect_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
     """Largest arc around `point` inside each of `arcs` (each must contain the point)."""
     lead, tail = _reach(point, arcs, min)

@@ -61,16 +61,20 @@ def _load(path: str) -> dict:
     return data
 
 
+def _finite(v, where: str, expected: str) -> float:
+    """`v` as a float if it is a finite real number other than a bool; ParseError otherwise."""
+    # abs(v) <= max rejects NaN, the infinities and ints too large for a float.
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ParseError(f"{where}: expected {expected}, got {v!r}")
+
+
 def _boundary_value(v, model: str, where: str) -> BoundaryPoint:
     if model == "disc":
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return BoundaryPoint.from_angle(float(v))
-        raise ParseError(f"{where}: disc-model boundary values are angles in radians")
+        return BoundaryPoint.from_angle(_finite(v, where, "a finite angle in radians"))
     if v == "inf":
         return BoundaryPoint.infinity()
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return BoundaryPoint.from_real(float(v))
-    raise ParseError(f"{where}: expected a number or \"inf\", got {v!r}")
+    return BoundaryPoint.from_real(_finite(v, where, 'a finite number or "inf"'))
 
 
 def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
@@ -102,8 +106,9 @@ def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
                 raise ParseError(f"{where}: axis form needs \"tau\"")
             beta = _boundary_value(ax["beta"], model, f"{where}.axis.beta")
             alpha = _boundary_value(ax["alpha"], model, f"{where}.axis.alpha")
+            tau = _finite(g["tau"], f"{where}.tau", "a finite number")
             try:
-                maps.append(from_axis_and_length(beta, alpha, float(g["tau"])))
+                maps.append(from_axis_and_length(beta, alpha, tau))
             except (CertifyError, ValueError) as exc:
                 raise ParseError(f"{where}: {exc}") from exc
         else:

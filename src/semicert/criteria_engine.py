@@ -31,7 +31,7 @@ from .errors import (
     ThresholdNotMet,
     VerificationFailed,
 )
-from .interval_builder import GlobalIntervalSystem, assemble_global
+from .interval_builder import GlobalIntervalSystem, assemble_global, disjoint_pair_gate
 from .moebius_core import (
     ANGLE_TOL,
     BoundaryPoint,
@@ -240,7 +240,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
     if witness is not None:
         return witness
     tau_f, tau_g = (k.tau for k in family.cls)
-    t_high = math.log(c) + 1.5
+    t_high = disjoint_pair_gate(c)
     if tau_f > t_high and tau_g > t_high:
         system = assemble_global(family, margin=margin)
         return SemidiscreteInverseFree(system=system, thresholds=Thresholds.from_generators(family))

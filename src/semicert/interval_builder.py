@@ -26,7 +26,6 @@ from .boundary_arcs import (
     contains,
     hull_around,
     image_clearances,
-    innermost_arc,
     intersect_around,
     repeller_free_arc,
     schottky_margin,
@@ -46,6 +45,7 @@ from .moebius_core import (
     Geodesic,
     MoebiusMap,
     apply_boundary,
+    axis_chart,
     axis_chart_at,
     compose,
     from_boundary_triple,
@@ -114,11 +114,20 @@ def crossing_cut_floor(theta: float) -> float:
     return math.atanh(math.cos(0.5 * m))
 
 
-def crossing_quarter_condition(tau: float, theta: float) -> bool:
-    """Whether the normalized quarter-arc mapping bound sinh(tau) > M holds."""
-    half = 0.5 * theta
-    m = (math.sin(half) + math.cos(half)) / (math.sin(half) * math.cos(half))
-    return math.sinh(tau) > m
+def _cut_floor(family: Family, i: int, j: int) -> float:
+    """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
+    pg = family.pair(i, j)
+    if pg.kind == "crossing":
+        gate, rule = crossing_pair_gate(pg.cross_ratio), "|log|C|| + 3/2"
+        floor = crossing_cut_floor(pg.theta)
+    else:
+        gate, rule = disjoint_pair_gate(pg.cross_ratio), "log C + 3/2"
+        floor = math.asinh(1.0 / math.sinh(0.5 * pg.distance))
+    for k in (i, j):
+        tau = family.cls[k].tau
+        if tau <= gate:
+            raise ThresholdNotMet(f"translation length {tau:.6f} not above {rule} = {gate:.6f}")
+    return floor
 
 
 # Beyond this cut depth, tanh rounds to 1 and arc endpoints lose angular
@@ -186,16 +195,9 @@ def build_disjoint_pair_intervals(
     inside its a-arc), bounded so that margins stay macroscopic at any tau.
     """
     family = Family.of(F)
-    pg = family.disjoint_pair(i, j)
+    d = family.disjoint_pair(i, j).distance
+    floor = _cut_floor(family, i, j)
     cf, cg = family.cls[i], family.cls[j]
-    gate = disjoint_pair_gate(pg.cross_ratio)
-    taus = (cf.tau, cg.tau)
-    for tau in taus:
-        if tau <= gate:
-            raise ThresholdNotMet(
-                f"translation length {tau:.6f} not above log C + 3/2 = {gate:.6f}"
-            )
-    d = pg.distance
     _, foot_f, foot_g, d_perp = common_perpendicular(
         Geodesic(cf.beta, cf.alpha), Geodesic(cg.beta, cg.alpha)
     )
@@ -203,9 +205,8 @@ def build_disjoint_pair_intervals(
         raise VerificationFailed(
             f"axis distance mismatch: cross ratio gives {d:.9f}, feet give {d_perp:.9f}"
         )
-    floor = math.asinh(1.0 / math.sinh(0.5 * d))
-    pair_f = _axis_cut_pair(cf, foot_f, _cut_position(taus[0], floor, cut_offset), i)
-    pair_g = _axis_cut_pair(cg, foot_g, _cut_position(taus[1], floor, cut_offset), j)
+    pair_f = _axis_cut_pair(cf, foot_f, _cut_position(cf.tau, floor, cut_offset), i)
+    pair_g = _axis_cut_pair(cg, foot_g, _cut_position(cg.tau, floor, cut_offset), j)
     try:
         ArcUnion([pair_f.a, pair_f.b, pair_g.a, pair_g.b])
     except OverlappingArcs as exc:
@@ -233,14 +234,9 @@ def build_crossing_pair_intervals(
     pg = family.pair(i, j)
     if pg.kind != "crossing":
         raise AxesDoNotCross(f"cross ratio {pg.cross_ratio!r} is not negative")
-    c, theta = pg.cross_ratio, pg.theta
-    gate = crossing_pair_gate(c)
+    floor = _cut_floor(family, i, j)
+    theta = pg.theta
     cf, cg = family.cls[i], family.cls[j]
-    for tau in (cf.tau, cg.tau):
-        if tau <= gate:
-            raise ThresholdNotMet(
-                f"translation length {tau:.6f} not above |log|C|| + 3/2 = {gate:.6f}"
-            )
     # Normalize with the attractor-to-attractor arc free of repelling points.
     free = repeller_free_arc(cf, cg)
     first, second = (i, j) if free.start is cf.alpha else (j, i)
@@ -258,7 +254,6 @@ def build_crossing_pair_intervals(
     placed = apply_boundary(m, c2.beta)
     if placed.angular_distance(BoundaryPoint.from_angle(psi2 + math.pi)) > 1e-6:
         raise VerificationFailed("normalization did not place the fourth fixed point")
-    floor = crossing_cut_floor(theta)
     pair1 = _normalized_cut_pair(m, psi1, _cut_position(c1.tau, floor, cut_offset), c1, first)
     pair2 = _normalized_cut_pair(m, psi2, _cut_position(c2.tau, floor, cut_offset), c2, second)
     _require_valid_pair(family.maps[first], pair1, "crossing pair, first owner")
@@ -338,11 +333,11 @@ def build_shared_alpha_intervals(
 def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     """Assemble a verified forward-invariant union for the whole family.
 
-    Per generator, interval pairs are built against every admissible partner
-    (crossing axes, or disjoint with cross ratio above 1) and the innermost
-    pair is kept; generators sharing a fixed point are additionally
-    constrained by the shared-fixed-point intervals.  If the resulting union
-    fails verification the cuts are pushed deeper and the assembly retried.
+    Per generator, the innermost a and b arcs that its admissible partners
+    (crossing axes, or disjoint with cross ratio above 1) would cut are chosen
+    by axis position, and only those pairs are built; generators sharing a
+    fixed point are additionally constrained by the shared-fixed-point
+    intervals.  If the union fails verification the cuts are pushed deeper.
     """
     family = Family.of(F)
     family.require_alpha_apart_from_beta()
@@ -359,38 +354,56 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     raise VerificationFailed(f"no cut schedule produced a verifiable union: {last_error}")
 
 
+def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
+    """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
+
+    `to_axis` inverts the owner's :func:`axis_chart` (axis on 0 -> inf) and
+    sends the partner's fixed points to u and v; the point sits at height
+    sqrt|u v|.  Neither is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1
+    and inf, and C is 0 or inf exactly when the two maps share a fixed point.
+    """
+    u = apply_boundary(to_axis, partner.alpha).value
+    v = apply_boundary(to_axis, partner.beta).value
+    return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
+
+
 def _assemble_once(family: Family, margin: float, extra: float) -> GlobalIntervalSystem:
     maps, cls = family.maps, family.cls
     n = len(maps)
     notes: list[str] = []
-    candidates: dict[int, list[SymmetricIntervalPair]] = {i: [] for i in range(n)}
+    # Candidate cuts sit at t + s (a side) and t - s (b side) on the owner's
+    # axis; perpendiculars to one line nest, so the innermost a arc has the
+    # largest t + s and the innermost b arc the smallest t - s.
+    to_axis = [inverse(axis_chart(Geodesic(k.beta, k.alpha))) for k in cls]
+    deepest_a: list[tuple[float, tuple[int, int] | None]] = [(-math.inf, None)] * n
+    deepest_b: list[tuple[float, tuple[int, int] | None]] = [(math.inf, None)] * n
     for (i, j), pg in family.pairs.items():
-        if pg.kind == "crossing":
-            builder = build_crossing_pair_intervals
-        elif pg.kind == "disjoint" and pg.nested_attractors:
-            builder = build_disjoint_pair_intervals
-        else:
+        if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
             continue
         try:
-            pi, pj = builder(family, i, j, cut_offset=extra)
+            floor = _cut_floor(family, i, j)
         except ThresholdNotMet as exc:
             notes.append(f"pair ({i}, {j}) skipped: {exc}")
             continue
-        candidates[i].append(pi)
-        candidates[j].append(pj)
+        for owner, partner in ((i, j), (j, i)):
+            t = _axis_position(to_axis[owner], cls[partner])
+            s = _cut_position(cls[owner].tau, floor, extra)
+            if t + s > deepest_a[owner][0]:  # strict: ties keep the first pair
+                deepest_a[owner] = (t + s, (i, j))
+            if t - s < deepest_b[owner][0]:
+                deepest_b[owner] = (t - s, (i, j))
+    built: dict[tuple[int, int], tuple[SymmetricIntervalPair, SymmetricIntervalPair]] = {}
     pairs = []
-    for i in range(n):
-        if not candidates[i]:
+    for i, ((_, ka), (_, kb)) in enumerate(zip(deepest_a, deepest_b)):
+        if ka is None:
             raise PreconditionViolated(
                 f"generator {i} has no admissible partner with sufficient translation length"
             )
-        pairs.append(
-            SymmetricIntervalPair(
-                a=innermost_arc(cls[i].alpha, [p.a for p in candidates[i]]),
-                b=innermost_arc(cls[i].beta, [p.b for p in candidates[i]]),
-                owner=i,
-            )
-        )
+        for key in sorted({ka, kb} - built.keys()):
+            crossing = family.pairs[key].kind == "crossing"
+            builder = build_crossing_pair_intervals if crossing else build_disjoint_pair_intervals
+            built[key] = builder(family, *key, cut_offset=extra)
+        pairs.append(SymmetricIntervalPair(built[ka][ka.index(i)].a, built[kb][kb.index(i)].b, i))
     alpha_classes = cluster([k.alpha for k in cls], ANGLE_TOL)
     beta_classes = cluster([k.beta for k in cls], ANGLE_TOL)
     groups: list[SharedFixedPointGroup] = []
@@ -446,11 +459,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
 
 def eq_constant(cross_ratios: list[float]) -> float:
     """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance."""
-    logs = [
-        abs(math.log(abs(c))) + PAIR_GATE_SLACK
-        for c in cross_ratios
-        if math.isfinite(c) and abs(c) > 1e-9
-    ]
+    logs = [crossing_pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > 1e-9]
     if not logs:
         return 0.0
     dists = [0.0]

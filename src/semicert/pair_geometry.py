@@ -240,16 +240,6 @@ def _intersect(shape1, shape2) -> complex:
     return complex(x, math.sqrt(max(y2, 0.0)))
 
 
-def tangent_at(geo: Geodesic, z: complex) -> complex:
-    """Unit tangent direction of the geodesic at a point on it."""
-    kind, a, _ = geodesic_shape(geo)
-    if kind == "line":
-        return 1j
-    radial = complex(z.real - a, z.imag)
-    t = 1j * radial
-    return t / abs(t)
-
-
 def common_perpendicular(
     l1: Geodesic, l2: Geodesic, tol: float = 1e-12
 ) -> tuple[Geodesic, complex, complex, float]:

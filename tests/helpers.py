@@ -11,8 +11,13 @@ from semicert import (
     from_axis_and_length,
     normalize,
 )
-from semicert.boundary_arcs import can_partition_rank_one
-from semicert.pair_geometry import cross_ratio_of_points
+from semicert.boundary_arcs import _angles, _clearances, can_partition_rank_one, contains
+from semicert.errors import ThresholdNotMet
+from semicert.interval_builder import (
+    build_crossing_pair_intervals,
+    build_disjoint_pair_intervals,
+)
+from semicert.pair_geometry import Family, cross_ratio_of_points, geodesic_shape
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,3 +161,56 @@ def brute_force_line_distance(chart1, chart2, lo=-8.0, hi=8.0):
         else:
             a = m1
     return inner(0.5 * (a + b))
+
+
+def tangent_at(geo, z):
+    """Unit tangent direction of the half-plane geodesic `geo` at a point z on it."""
+    kind, a, _ = geodesic_shape(geo)
+    if kind == "line":
+        return 1j
+    t = 1j * complex(z.real - a, z.imag)
+    return t / abs(t)
+
+
+def nested(inner, outer):
+    """Whether the closure of arc `inner` lies in the closure of `outer`, to within 1e-9."""
+    return _clearances(*_angles(inner), outer) is not None
+
+
+def innermost_arc(point, arcs):
+    """Smallest of a family of nested arcs around `point`; asserts that they nest."""
+    ordered = sorted(arcs, key=lambda a: a.span)
+    for inner, outer in zip(ordered, ordered[1:]):
+        assert nested(inner, outer), "candidate arcs around one fixed point do not nest"
+    assert contains(ordered[0], point)
+    return ordered[0]
+
+
+def innermost_by_building_every_pair(F, extra=0.0):
+    """Reference selection: build every admissible pair, keep each generator's innermost arcs.
+
+    Returns one (a, b) tuple per generator, from the same builders and cut
+    schedule `extra` that the assembly uses.
+    """
+    family = Family.of(F)
+    candidates = {i: [] for i in range(len(family.maps))}
+    for (i, j), pg in family.pairs.items():
+        if pg.kind == "crossing":
+            builder = build_crossing_pair_intervals
+        elif pg.kind == "disjoint" and pg.nested_attractors:
+            builder = build_disjoint_pair_intervals
+        else:
+            continue
+        try:
+            pi, pj = builder(family, i, j, cut_offset=extra)
+        except ThresholdNotMet:
+            continue
+        candidates[i].append(pi)
+        candidates[j].append(pj)
+    return [
+        (
+            innermost_arc(family.cls[i].alpha, [p.a for p in found]),
+            innermost_arc(family.cls[i].beta, [p.b for p in found]),
+        )
+        for i, found in candidates.items()
+    ]

@@ -356,3 +356,41 @@ class TestMisc:
         )
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 1
+
+
+class TestAxisFormInput:
+    def test_inf_string_is_a_half_plane_endpoint(self, runner, tmp_path):
+        src = tmp_path / "in.json"
+        axis_form = {"axis": {"beta": 0.0, "alpha": "inf"}, "tau": 2.0}
+        src.write_text(json.dumps({"schema": 1, "generators": [axis_form]}))
+        result = runner.invoke(main, ["classify", "--input", str(src)])
+        assert result.exit_code == 0
+        row = json.loads(result.output)["generators"][0]
+        assert row["alpha"]["value"] == "inf"
+        assert row["tau"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, axis_form, field",
+        [
+            ("half-plane", {"axis": {"beta": math.nan, "alpha": 1.0}, "tau": 2.0}, ".axis.beta"),
+            ("disc", {"axis": {"beta": math.nan, "alpha": 1.0}, "tau": 2.0}, ".axis.beta"),
+            ("half-plane", {"axis": {"beta": 0.0, "alpha": math.inf}, "tau": 2.0}, ".axis.alpha"),
+            ("disc", {"axis": {"beta": 0.0, "alpha": True}, "tau": 2.0}, ".axis.alpha"),
+            ("half-plane", {"axis": {"beta": -1.0, "alpha": 1.0}, "tau": None}, ".tau"),
+            ("half-plane", {"axis": {"beta": -1.0, "alpha": 1.0}, "tau": [2]}, ".tau"),
+            ("half-plane", {"axis": {"beta": -1.0, "alpha": 1.0}, "tau": True}, ".tau"),
+            ("half-plane", {"axis": {"beta": -1.0, "alpha": 1.0}, "tau": "2"}, ".tau"),
+            ("disc", {"axis": {"beta": 0.0, "alpha": 1.0}, "tau": math.nan}, ".tau"),
+            ("disc", {"axis": {"beta": 0.0, "alpha": 1.0}, "tau": math.inf}, ".tau"),
+            ("disc", {"axis": {"beta": 0.0, "alpha": 1.0}, "tau": 10**400}, ".tau"),
+        ],
+    )
+    def test_rejects_non_finite_or_non_numeric(self, runner, tmp_path, model, axis_form, field):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"schema": 1, "model": model, "generators": [axis_form]}))
+        result = runner.invoke(main, ["classify", "--input", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert result.stderr.startswith("error:")
+        assert f"generators[0]{field}" in result.stderr
+        assert "Traceback" not in result.output

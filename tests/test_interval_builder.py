@@ -33,14 +33,16 @@ from semicert.errors import (
     VerificationFailed,
 )
 from semicert.interval_builder import mapping_margin
-from semicert.pair_geometry import _intersect, geodesic_shape, tangent_at
+from semicert.pair_geometry import _intersect, geodesic_shape
 
 from helpers import (
     crossing_pair,
     disjoint_pair,
     figure_two,
+    nested,
     random_admissible_family,
     random_moebius,
+    tangent_at,
 )
 
 INF = BoundaryPoint.infinity()
@@ -237,8 +239,6 @@ class TestAssembleGlobal:
 
     def test_innermost_containment(self):
         F = figure_two(41.0)
-        from semicert.boundary_arcs import _nested
-
         system = assemble_global(F)
         cls = [classify(f) for f in F]
         for i in range(5):
@@ -252,8 +252,8 @@ class TestAssembleGlobal:
                     build_crossing_pair_intervals if c < 0 else build_disjoint_pair_intervals
                 )
                 pi_, _ = builder(F, i, j)
-                assert _nested(system.pairs[i].a, pi_.a)
-                assert _nested(system.pairs[i].b, pi_.b)
+                assert nested(system.pairs[i].a, pi_.a)
+                assert nested(system.pairs[i].b, pi_.b)
 
     def test_alpha_meets_beta_precondition(self):
         from helpers import section_one_pair
@@ -302,3 +302,86 @@ class TestAssembleGlobal:
         system = assemble_global(F)
         assert system.margin >= 1e-7
         assert verify_schottky(F, system.union, margin=1e-7)
+
+
+class TestInnermostSelection:
+    """The assembly picks each generator's innermost arcs by axis position."""
+
+    @staticmethod
+    def families():
+        yield figure_two(41.0)
+        for seed, draws, sizes in ((64, 20, (2, 6)), (120, 10, (2, 5)), (12, 3, (12, 13))):
+            rng = np.random.default_rng(seed)
+            for _ in range(draws):
+                yield random_admissible_family(rng, int(rng.integers(*sizes)))
+
+    def test_agrees_with_building_every_pair(self, monkeypatch):
+        from semicert import interval_builder
+
+        from helpers import innermost_by_building_every_pair
+
+        schedules = []
+        once = interval_builder._assemble_once
+
+        def recording(family, margin, extra):
+            schedules.append(extra)
+            return once(family, margin, extra)
+
+        monkeypatch.setattr(interval_builder, "_assemble_once", recording)
+        for F in self.families():
+            system = assemble_global(F)
+            reference = innermost_by_building_every_pair(F, schedules[-1])
+            assert [(p.a, p.b) for p in system.pairs] == reference
+
+    def test_builds_at_most_two_pairs_per_generator(self, monkeypatch):
+        from semicert import interval_builder
+        from semicert.interval_builder import _assemble_once
+        from semicert.pair_geometry import Family
+
+        family = Family.of(random_admissible_family(np.random.default_rng(12), 12))
+        admissible = [
+            pg for pg in family.pairs.values()
+            if pg.kind == "crossing" or (pg.kind == "disjoint" and pg.nested_attractors)
+        ]
+        assert len(admissible) > 2 * 12  # building every pair would exceed the bound
+        calls = []
+        for name in ("build_crossing_pair_intervals", "build_disjoint_pair_intervals"):
+            builder = getattr(interval_builder, name)
+            monkeypatch.setattr(
+                interval_builder,
+                name,
+                lambda *args, _b=builder, **kwargs: calls.append(args[1:3]) or _b(*args, **kwargs),
+            )
+        _assemble_once(family, 1e-7, 0.0)
+        assert 0 < len(calls) <= 2 * 12
+        assert len(set(calls)) == len(calls)
+
+    def test_axis_position_is_log_height_of_foot(self):
+        from semicert import apply_interior, inverse
+        from semicert.interval_builder import _axis_position
+        from semicert.moebius_core import axis_chart
+        from semicert.pair_geometry import Family, common_perpendicular
+
+        rng = np.random.default_rng(121)
+        checked = {"crossing": 0, "disjoint": 0}
+        for _ in range(4):
+            family = Family.of(random_admissible_family(rng, 6))
+            axes = [axis(f) for f in family.maps]
+            to_axis = [inverse(axis_chart(ax)) for ax in axes]
+            for (i, j), pg in family.pairs.items():
+                if pg.kind == "crossing":
+                    z = _intersect(geodesic_shape(axes[i]), geodesic_shape(axes[j]))
+                    points = ((i, j, z), (j, i, z))
+                elif pg.kind == "disjoint":
+                    _, foot_i, foot_j, _ = common_perpendicular(axes[i], axes[j])
+                    points = ((i, j, foot_i), (j, i, foot_j))
+                else:
+                    continue
+                for owner, partner, z in points:
+                    w = apply_interior(to_axis[owner], z)
+                    assert abs(w.real) < 1e-9 * abs(w)  # the point is on the owner's axis
+                    assert math.log(w.imag) == pytest.approx(
+                        _axis_position(to_axis[owner], family.cls[partner]), abs=1e-9
+                    )
+                checked[pg.kind] += 1
+        assert min(checked.values()) > 0

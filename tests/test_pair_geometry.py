@@ -19,7 +19,6 @@ from semicert import (
 )
 from semicert.errors import AxesCross, DegenerateCrossRatio, NotHyperbolic, SharedEndpoint
 from semicert.moebius_core import axis_chart, power
-from semicert.pair_geometry import tangent_at
 
 from helpers import (
     brute_force_line_distance,
@@ -28,6 +27,7 @@ from helpers import (
     figure_two,
     random_moebius,
     section_one_pair,
+    tangent_at,
 )
 
 INF = BoundaryPoint.infinity()
