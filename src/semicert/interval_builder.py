@@ -1,9 +1,11 @@
 """Constructions of the boundary interval systems behind the certificates.
 
-Each builder returns arcs that are symmetric with respect to their owner:
-the hyperbolic line through the arc endpoints meets the owner's axis at a
-right angle.  Such arcs are cut out by a perpendicular erected at a signed
-position along the axis, and the owner translates cut positions by its
+Each pair builder returns arcs that are symmetric with respect to their
+owner: the hyperbolic line through the arc endpoints meets the owner's axis
+at a right angle.  One routine places every such cut.  In the owner's axis
+chart (axis on 0 -> inf) the partner fixes a position t = log sqrt|u v| on
+the axis, u and v being the partner's fixed points there; the a arc is cut
+at t + s and the b arc at t - s.  The owner translates cut positions by its
 translation length, which turns every mapping claim into arithmetic on cut
 positions plus an endpoint-image verification.  The geometry here is
 advisory; the verifier in :mod:`semicert.boundary_arcs` is the certificate.
@@ -23,11 +25,9 @@ from .boundary_arcs import (
     can_partition_rank_one,
     cluster,
     complement,
-    contains,
     hull_around,
     image_clearances,
     intersect_around,
-    repeller_free_arc,
     schottky_margin,
 )
 from .errors import (
@@ -46,13 +46,12 @@ from .moebius_core import (
     MoebiusMap,
     apply_boundary,
     axis_chart,
-    axis_chart_at,
     compose,
     from_boundary_triple,
     inverse,
     require_hyperbolic,
 )
-from .pair_geometry import Family, common_perpendicular, distance_from_cross_ratio
+from .pair_geometry import Family, distance_from_cross_ratio
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
@@ -130,7 +129,7 @@ def _cut_floor(family: Family, i: int, j: int) -> float:
     return floor
 
 
-# Beyond this cut depth, tanh rounds to 1 and arc endpoints lose angular
+# Cap on the cut depth, so that cut arcs stay far wider than float angular
 # resolution; deeper cuts could not be verified anyway.
 MAX_CUT_DEPTH = 18.0
 
@@ -148,19 +147,37 @@ def _cut_position(tau: float, floor: float, extra: float) -> float:
     return min(s, 0.5 * tau - 0.125 * gap, max(floor + 1e-6, MAX_CUT_DEPTH))
 
 
-def _axis_cut_pair(
-    cls: Classification, foot: complex, s: float, owner: int
-) -> SymmetricIntervalPair:
-    """Arcs cut by perpendiculars at +s (attracting side) and -s along the axis."""
-    chart = axis_chart_at(Geodesic(cls.beta, cls.alpha), foot)
-    es = math.exp(s)
+def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
+    """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
+
+    `to_axis` inverts the owner's :func:`axis_chart` (axis on 0 -> inf) and
+    sends the partner's fixed points to u and v; the point sits at height
+    sqrt|u v|.  Neither is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1
+    and inf, and C is 0 or inf exactly when the two maps share a fixed point.
+    """
+    u = apply_boundary(to_axis, partner.alpha).value
+    v = apply_boundary(to_axis, partner.beta).value
+    return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
+
+
+def _axis_cut_pair(family: Family, owner: int, partner: int, s: float) -> SymmetricIntervalPair:
+    """Arcs cut by perpendiculars at t + s (a side) and t - s (b side) on the owner's axis.
+
+    In the owner's axis chart the axis is 0 -> inf, t is the partner's
+    :func:`_axis_position`, and the perpendicular at log-height h is the
+    half-circle with endpoints -e^h and e^h.
+    """
+    cls = family.cls[owner]
+    chart = axis_chart(Geodesic(cls.beta, cls.alpha))
+    t = _axis_position(inverse(chart), family.cls[partner])
 
     def at(v: float) -> BoundaryPoint:
         return apply_boundary(chart, BoundaryPoint.from_real(v))
 
+    ea, eb = math.exp(t + s), math.exp(t - s)
     try:
-        a = arc_between(at(-es), at(es), cls.alpha)
-        b = arc_between(at(-1.0 / es), at(1.0 / es), cls.beta)
+        a = arc_between(at(-ea), at(ea), cls.alpha)
+        b = arc_between(at(-eb), at(eb), cls.beta)
     except ValueError as exc:
         raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
     return SymmetricIntervalPair(a=a, b=b, owner=owner)
@@ -183,37 +200,39 @@ def _require_valid_pair(f: MoebiusMap, pair: SymmetricIntervalPair, label: str) 
         raise VerificationFailed(f"{label}: mapping property failed verification")
 
 
+def _build_pair(
+    family: Family, i: int, j: int, extra: float
+) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
+    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position."""
+    kind = family.pair(i, j).kind
+    floor = _cut_floor(family, i, j)
+    pair_i = _axis_cut_pair(family, i, j, _cut_position(family.cls[i].tau, floor, extra))
+    pair_j = _axis_cut_pair(family, j, i, _cut_position(family.cls[j].tau, floor, extra))
+    if kind == "disjoint":
+        try:
+            ArcUnion([pair_i.a, pair_i.b, pair_j.a, pair_j.b])
+        except OverlappingArcs as exc:
+            raise VerificationFailed("disjoint-pair arcs are not pairwise disjoint") from exc
+    _require_valid_pair(family.maps[i], pair_i, f"{kind} pair, first owner")
+    _require_valid_pair(family.maps[j], pair_j, f"{kind} pair, second owner")
+    return pair_i, pair_j
+
+
 def build_disjoint_pair_intervals(
     F, i: int = 0, j: int = 1, cut_offset: float = 0.0
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
     """Interval pairs for generators i, j of F with disjoint axes and cross ratio above 1.
 
-    Construction: erect perpendiculars to each axis on both sides of the foot
-    of the common perpendicular.  Cut positions stay beyond the separation
-    floor arsinh(1/sinh(d/2)) (so the four closures are pairwise disjoint)
-    and below tau/2 (so each owner maps the complement of its b-arc strictly
-    inside its a-arc), bounded so that margins stay macroscopic at any tau.
+    Each owner's arcs are cut at t + s and t - s along its axis, where t is
+    the position of the common perpendicular's foot.  The cut depth s stays
+    beyond the separation floor arsinh(1/sinh(d/2)) (so the four closures
+    are pairwise disjoint) and below tau/2 (so each owner maps the
+    complement of its b-arc strictly inside its a-arc), bounded so that
+    margins stay macroscopic at any tau.
     """
     family = Family.of(F)
-    d = family.disjoint_pair(i, j).distance
-    floor = _cut_floor(family, i, j)
-    cf, cg = family.cls[i], family.cls[j]
-    _, foot_f, foot_g, d_perp = common_perpendicular(
-        Geodesic(cf.beta, cf.alpha), Geodesic(cg.beta, cg.alpha)
-    )
-    if abs(d - d_perp) > 1e-6 * (1.0 + d):
-        raise VerificationFailed(
-            f"axis distance mismatch: cross ratio gives {d:.9f}, feet give {d_perp:.9f}"
-        )
-    pair_f = _axis_cut_pair(cf, foot_f, _cut_position(cf.tau, floor, cut_offset), i)
-    pair_g = _axis_cut_pair(cg, foot_g, _cut_position(cg.tau, floor, cut_offset), j)
-    try:
-        ArcUnion([pair_f.a, pair_f.b, pair_g.a, pair_g.b])
-    except OverlappingArcs as exc:
-        raise VerificationFailed("disjoint-pair arcs are not pairwise disjoint") from exc
-    _require_valid_pair(family.maps[i], pair_f, "disjoint pair, first owner")
-    _require_valid_pair(family.maps[j], pair_g, "disjoint pair, second owner")
-    return pair_f, pair_g
+    family.disjoint_pair(i, j)
+    return _build_pair(family, i, j, cut_offset)
 
 
 def build_crossing_pair_intervals(
@@ -221,10 +240,8 @@ def build_crossing_pair_intervals(
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
     """Interval pairs for generators i, j of F whose axes cross.
 
-    The pair is conjugated to the normalized disc position: axes through the
-    origin with the coordinate diameters bisecting the two crossing angles
-    and the attractor-free arc on top.  Arc endpoints are computed there as
-    explicit circle points and pulled back through the one conjugating map.
+    Each owner's arcs are cut at t + s and t - s along its axis, where t is
+    the position of the crossing point.
 
     Near the threshold the four arcs of the two owners cannot always be made
     pairwise disjoint (that needs roughly 2*artanh(cos(min(theta, pi-theta)/2))
@@ -234,48 +251,7 @@ def build_crossing_pair_intervals(
     pg = family.pair(i, j)
     if pg.kind != "crossing":
         raise AxesDoNotCross(f"cross ratio {pg.cross_ratio!r} is not negative")
-    floor = _cut_floor(family, i, j)
-    theta = pg.theta
-    cf, cg = family.cls[i], family.cls[j]
-    # Normalize with the attractor-to-attractor arc free of repelling points.
-    free = repeller_free_arc(cf, cg)
-    first, second = (i, j) if free.start is cf.alpha else (j, i)
-    c1, c2 = family.cls[first], family.cls[second]
-    psi1 = 1.5 * math.pi - 0.5 * theta
-    psi2 = 1.5 * math.pi + 0.5 * theta
-    m = from_boundary_triple(
-        (c1.alpha, c1.beta, c2.alpha),
-        (
-            BoundaryPoint.from_angle(psi1),
-            BoundaryPoint.from_angle(psi1 + math.pi),
-            BoundaryPoint.from_angle(psi2),
-        ),
-    )
-    placed = apply_boundary(m, c2.beta)
-    if placed.angular_distance(BoundaryPoint.from_angle(psi2 + math.pi)) > 1e-6:
-        raise VerificationFailed("normalization did not place the fourth fixed point")
-    pair1 = _normalized_cut_pair(m, psi1, _cut_position(c1.tau, floor, cut_offset), c1, first)
-    pair2 = _normalized_cut_pair(m, psi2, _cut_position(c2.tau, floor, cut_offset), c2, second)
-    _require_valid_pair(family.maps[first], pair1, "crossing pair, first owner")
-    _require_valid_pair(family.maps[second], pair2, "crossing pair, second owner")
-    return (pair1, pair2) if first == i else (pair2, pair1)
-
-
-def _normalized_cut_pair(
-    m: MoebiusMap, psi: float, s: float, cls: Classification, owner: int
-) -> SymmetricIntervalPair:
-    # In normalized coordinates the perpendicular at +s along the diameter
-    # toward angle psi has endpoints psi -/+ acos(tanh s).
-    phi = math.acos(math.tanh(s))
-    minv = inverse(m)
-    try:
-        a = arc_image(minv, BoundaryArc.from_angles(psi - phi, psi + phi))
-        b = arc_image(minv, BoundaryArc.from_angles(psi + math.pi - phi, psi + math.pi + phi))
-    except ValueError as exc:
-        raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
-    if not contains(a, cls.alpha) or not contains(b, cls.beta):
-        raise VerificationFailed("pulled-back arcs missed their fixed points")
-    return SymmetricIntervalPair(a=a, b=b, owner=owner)
+    return _build_pair(family, i, j, cut_offset)
 
 
 def build_shared_alpha_intervals(
@@ -352,19 +328,6 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
         except (VerificationFailed, OverlappingArcs) as exc:
             last_error = exc
     raise VerificationFailed(f"no cut schedule produced a verifiable union: {last_error}")
-
-
-def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
-    """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
-
-    `to_axis` inverts the owner's :func:`axis_chart` (axis on 0 -> inf) and
-    sends the partner's fixed points to u and v; the point sits at height
-    sqrt|u v|.  Neither is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1
-    and inf, and C is 0 or inf exactly when the two maps share a fixed point.
-    """
-    u = apply_boundary(to_axis, partner.alpha).value
-    v = apply_boundary(to_axis, partner.beta).value
-    return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
 
 
 def _assemble_once(family: Family, margin: float, extra: float) -> GlobalIntervalSystem:

@@ -185,7 +185,10 @@ def matrix_entries(raw) -> list[float]:
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
     ):
         raise InvalidMatrix(f"expected [a, b, c, d] or [[a, b], [c, d]] of numbers, got {raw!r}")
-    return [float(v) for v in items]
+    try:
+        return [float(v) for v in items]
+    except OverflowError:
+        raise InvalidMatrix("matrix entry too large for a float") from None
 
 
 def _items(raw) -> list | None:
@@ -360,15 +363,6 @@ def axis_chart(geo: Geodesic) -> MoebiusMap:
         raise CoincidentEndpoints("geodesic endpoints coincide")
     s = 1.0 if cross > 0.0 else -1.0
     return MoebiusMap.from_matrix(s * geo.end.x, geo.start.x, s * geo.end.y, geo.start.y)
-
-
-def axis_chart_at(geo: Geodesic, foot: complex) -> MoebiusMap:
-    """Like :func:`axis_chart`, additionally sending i to `foot` on the line."""
-    chart = axis_chart(geo)
-    w = apply_interior(inverse(chart), foot)
-    r = abs(w)  # w sits on the imaginary axis up to rounding
-    sr = math.sqrt(r)
-    return compose(chart, MoebiusMap.from_matrix(sr, 0.0, 0.0, 1.0 / sr))
 
 
 def from_boundary_triple(

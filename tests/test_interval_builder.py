@@ -7,6 +7,7 @@ from semicert import (
     ArcUnion,
     BoundaryPoint,
     Geodesic,
+    MoebiusMap,
     assemble_global,
     axis,
     build_crossing_pair_intervals,
@@ -111,6 +112,20 @@ class TestDisjointBuilder:
         assert mapping_margin(f, pf) > 1e-3
         assert mapping_margin(g, pg) > 1e-3
 
+    def test_near_vertical_common_perpendicular(self):
+        # Generators 10 and 29 of assembly-large seed 45, family admissible32/3.
+        # Their common perpendicular is a half-circle of huge radius, and feet
+        # computed from it miss the cross-ratio distance by about 2e-5.
+        f = MoebiusMap(
+            -7723159180656495.0, 3341268183132059.5, -2.9487306711274076e16, 1.2757085205158436e16
+        )
+        g = MoebiusMap(
+            4795559954432299.0, 5050549539804464.0, 2743990322201417.5, 2889893816511124.5
+        )
+        pf, pg = build_disjoint_pair_intervals([f, g])
+        assert mapping_margin(f, pf) >= 1e-7
+        assert mapping_margin(g, pg) >= 1e-7
+
 
 class TestCrossingBuilder:
     def test_right_angle_above_separation(self):
@@ -170,6 +185,42 @@ class TestCrossingBuilder:
         f, g = disjoint_pair(rng, 1.0, 9.0, 9.0)
         with pytest.raises(AxesDoNotCross):
             build_crossing_pair_intervals([f, g])
+
+
+class TestCutPlacement:
+    def test_cuts_sit_at_cut_depth_from_reference_point(self):
+        """Each arc's line meets the owner's axis at distance s from the
+        common perpendicular's foot (disjoint) or the crossing point."""
+        from semicert import hyperbolic_distance
+        from semicert.interval_builder import _cut_floor, _cut_position, crossing_pair_gate
+        from semicert.pair_geometry import Family, common_perpendicular
+
+        rng = np.random.default_rng(122)
+        for k in range(40):
+            crossing = k % 2 == 1
+            if crossing:
+                make, build = crossing_pair, build_crossing_pair_intervals
+                shape = rng.uniform(0.3, math.pi - 0.3)
+            else:
+                make, build = disjoint_pair, build_disjoint_pair_intervals
+                shape = rng.uniform(0.2, 3.0)
+            m = random_moebius(rng)
+            gate = crossing_pair_gate(cross_ratio(*make(rng, shape, 1.0, 1.0, conjugate_by=m)))
+            taus = gate + rng.uniform(0.5, 12.0, size=2)
+            family = Family.of(make(rng, shape, *taus, conjugate_by=m))
+            axes = [axis(h) for h in family.maps]
+            if crossing:
+                z = _intersect(geodesic_shape(axes[0]), geodesic_shape(axes[1]))
+                refs = (z, z)
+            else:
+                refs = common_perpendicular(axes[0], axes[1])[1:3]
+            floor = _cut_floor(family, 0, 1)
+            for cls, pair, ax, ref in zip(family.cls, build(family), axes, refs):
+                s = _cut_position(cls.tau, floor, 0.0)
+                for arc in (pair.a, pair.b):
+                    line = geodesic_shape(Geodesic(arc.start, arc.end))
+                    w = _intersect(line, geodesic_shape(ax))
+                    assert hyperbolic_distance(ref, w) == pytest.approx(s, abs=1e-9 * (1.0 + s))
 
 
 class TestSharedAlpha:

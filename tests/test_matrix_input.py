@@ -19,6 +19,7 @@ REJECTED = {
     "three": [2, 0, 0],
     "five": [2, 0, 0, 1, 1],
     "non-numeric": [2, "x", 0, 1],
+    "huge-int": [10**400, 0, 0, 1],
 }
 
 
