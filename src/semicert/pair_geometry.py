@@ -25,6 +25,9 @@ from .moebius_core import (
     Classification,
     Geodesic,
     MoebiusMap,
+    apply_boundary,
+    apply_interior,
+    axis_chart,
     hyperbolic_distance,
     inverse,
     require_hyperbolic,
@@ -203,12 +206,6 @@ def geodesic_shape(geo: Geodesic):
     return ("circle", 0.5 * (a + b), 0.5 * abs(a - b))
 
 
-def _quadratic_coeffs(geo: Geodesic) -> tuple[float, float, float]:
-    # Endpoints are the projective roots of A z^2 + B z + C.
-    p, q = geo.start, geo.end
-    return p.y * q.y, -(p.x * q.y + q.x * p.y), p.x * q.x
-
-
 def geodesics_cross(g1: Geodesic, g2: Geodesic) -> bool:
     """Whether the lines cross in the open half-plane (endpoints interleave)."""
     arc = BoundaryArc(g1.start, g1.end)
@@ -245,57 +242,24 @@ def common_perpendicular(
 ) -> tuple[Geodesic, complex, complex, float]:
     """Unique line orthogonal to both disjoint lines, its feet, and their distance.
 
-    Orthogonality of half-plane geodesics is a bilinear condition on the
-    quadratic forms vanishing on their endpoints; intersecting the two linear
-    constraints yields the perpendicular in closed form.
+    The perpendicular runs from the foot on `l1` to the foot on `l2`.  It is
+    found in the chart of `l1` (`axis_chart`, `l1` on 0 -> inf), where `l2`
+    joins u and v of one sign: the perpendicular is the half-circle of radius
+    r = sqrt(uv) about 0, with feet i*r and (2uv/(u+v), r*|u-v|/|u+v|).
     """
     if _shared_endpoint(l1, l2, tol):
         raise SharedEndpoint("lines share a boundary endpoint")
     if geodesics_cross(l1, l2):
         raise AxesCross("lines cross; no common perpendicular exists")
-    a1, b1, c1 = _quadratic_coeffs(l1)
-    a2, b2, c2 = _quadratic_coeffs(l2)
-    # (A, B, C) of the perpendicular solves B*Bi = 2*(C*Ai + A*Ci) for i = 1, 2.
-    u1 = (-2.0 * c1, b1, -2.0 * a1)
-    u2 = (-2.0 * c2, b2, -2.0 * a2)
-    A = u1[1] * u2[2] - u1[2] * u2[1]
-    B = u1[2] * u2[0] - u1[0] * u2[2]
-    C = u1[0] * u2[1] - u1[1] * u2[0]
-    perp = _geodesic_from_quadratic(A, B, C)
-    foot1 = _intersect(geodesic_shape(perp), geodesic_shape(l1))
-    foot2 = _intersect(geodesic_shape(perp), geodesic_shape(l2))
-    d = hyperbolic_distance(foot1, foot2)
-    perp = _orient_through(perp, foot1, foot2)
-    return perp, foot1, foot2, d
-
-
-def _geodesic_from_quadratic(A: float, B: float, C: float) -> Geodesic:
-    scale = max(abs(A), abs(B), abs(C))
-    if scale == 0.0:
-        raise ValueError("degenerate perpendicular")
-    A, B, C = A / scale, B / scale, C / scale
-    if abs(A) < 1e-14:
-        if B == 0.0:
-            raise ValueError("degenerate perpendicular")
-        return Geodesic(BoundaryPoint.infinity(), BoundaryPoint.of(-C, B))
-    disc = B * B - 4.0 * A * C
-    if disc <= 0.0:
-        raise ValueError("perpendicular has no real endpoints")
-    sq = math.sqrt(disc)
-    q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
-    return Geodesic(BoundaryPoint.of(q, A), BoundaryPoint.of(C, q) if q != 0.0 else BoundaryPoint.of(-B, A))
-
-
-def _orient_through(geo: Geodesic, first: complex, second: complex) -> Geodesic:
-    """Direct the line so that it passes `first` before `second`."""
-    kind, a, _ = geodesic_shape(geo)
-    if kind == "line":
-        forward = second.imag > first.imag
-        upward = geo.end.is_infinity
-        return geo if forward == upward else geo.reversed()
-    # On a half-circle the euclidean angle decreases toward the endpoint with
-    # the larger coordinate; compare polar angles around the center.
-    th1 = math.atan2(first.imag, first.real - a)
-    th2 = math.atan2(second.imag, second.real - a)
-    toward_end = geo.end.value > geo.start.value
-    return geo if (th2 < th1) == toward_end else geo.reversed()
+    chart = axis_chart(l1)
+    to_chart = inverse(chart)
+    u = apply_boundary(to_chart, l2.start).value
+    v = apply_boundary(to_chart, l2.end).value
+    r = math.sqrt(u * v)
+    near, far = 1j * r, complex(2.0 * u * v / (u + v), r * abs(u - v) / abs(u + v))
+    end = math.copysign(r, u)
+    perp = Geodesic(
+        apply_boundary(chart, BoundaryPoint.from_real(-end)),
+        apply_boundary(chart, BoundaryPoint.from_real(end)),
+    )
+    return perp, apply_interior(chart, near), apply_interior(chart, far), hyperbolic_distance(near, far)

@@ -4,6 +4,14 @@ Everything here is empirical corroboration at desk scale, never a proof; the
 reports label themselves accordingly.  Enumeration is breadth-first with
 deduplication by rounded normalized matrix, which collapses semigroups with
 many coincidences (the interesting ones) to a manageable state count.
+
+Deduplication works on whole levels.  Each candidate's key (its entries
+rounded to multiples of DEDUP_TOL) is mixed into a 64-bit hash; the level is
+sorted by hash, and the first candidate of each key is looked up in one
+sorted table holding the hashes of every element stored so far.  Equal
+hashes are always confirmed on the full key, so a hash collision costs time,
+never a wrong answer.  The inverse-free probe looks its inverses up in the
+same table.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ MAX_STORED_ELLIPTIC = 16
 INVERSE_TOL = 1e-9
 # Chaos-game steps discarded before sampling starts.
 CHAOS_BURN_IN = 100
+# Odd multiplier of the dedup key hash.
+_MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -54,22 +64,30 @@ class _Bfs:
 
     Iterating yields (level, matrices of the new elements) for levels
     1..max_len, stopping early at the first level with nothing new.
+
+    Stored rows are numbered level by level from the root (row 0).  The
+    dedup table is the sorted array `hashes` of the stored rows' key hashes
+    with each row's number alongside in `rows`; keys themselves are not
+    kept, but recomputed from the level matrices wherever two hashes match.
     """
 
     def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        if len(F) == 0:
+            raise ValueError("need at least one generator")
         self.gens = np.array([[f.a, f.b, f.c, f.d] for f in F], dtype=np.float64)
         self.max_len = max_len
         self.budget = budget
         self.words_explored = 0
         self.duplicates = 0
-        self.seen: set[bytes] = set()
         # Per level: matrices, parent index into previous level, letter applied.
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.rows = np.empty(0, dtype=np.int64)
         root = np.array([[1.0, 0.0, 0.0, 1.0]])
-        self.seen.add(_keys(root)[0])
-        self.levels.append((root, np.array([-1]), np.array([-1])))
+        zero = np.array([0])
+        self._store((root, np.array([-1]), np.array([-1])), zero, _mix(_keys(root)), zero)
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
@@ -80,52 +98,129 @@ class _Bfs:
 
     def _step(self) -> np.ndarray:
         """Expand one level; returns the new frontier (may be empty)."""
-        frontier = self.levels[-1][0]
-        n_candidates = frontier.shape[0] * self.gens.shape[0]
+        w = self.levels[-1][0]
+        width = w.shape[0]
+        n_candidates = width * self.gens.shape[0]
         if self.words_explored + n_candidates > self.budget:
             raise BudgetExceeded(
                 f"exploring {self.words_explored + n_candidates} words exceeds "
                 f"the budget of {self.budget}"
             )
         self.words_explored += n_candidates
-        blocks, parents, letters = [], [], []
-        base = np.arange(frontier.shape[0])
+        # Candidate gi * width + k is generator gi applied to frontier row k.
+        mats = np.empty((n_candidates, 4))
         for gi, (a, b, c, d) in enumerate(self.gens):
-            w = frontier
-            blocks.append(
-                np.stack(
-                    [
-                        a * w[:, 0] + b * w[:, 2],
-                        a * w[:, 1] + b * w[:, 3],
-                        c * w[:, 0] + d * w[:, 2],
-                        c * w[:, 1] + d * w[:, 3],
-                    ],
-                    axis=1,
-                )
-            )
-            parents.append(base)
-            letters.append(np.full(frontier.shape[0], gi))
-        mats = _canonical_sign_rows(np.concatenate(blocks, axis=0))
-        parent = np.concatenate(parents)
-        letter = np.concatenate(letters)
-        fresh = np.zeros(mats.shape[0], dtype=bool)
-        for idx, key in enumerate(_keys(mats)):
-            if key not in self.seen:
-                self.seen.add(key)
-                fresh[idx] = True
-        self.duplicates += int(mats.shape[0] - fresh.sum())
-        level = (mats[fresh], parent[fresh], letter[fresh])
-        self.levels.append(level)
+            block = mats[gi * width : (gi + 1) * width]
+            block[:, 0] = a * w[:, 0] + b * w[:, 2]
+            block[:, 1] = a * w[:, 1] + b * w[:, 3]
+            block[:, 2] = c * w[:, 0] + d * w[:, 2]
+            block[:, 3] = c * w[:, 1] + d * w[:, 3]
+        keys = _keys(_canonical_sign_rows(mats))
+        hashes = _mix(keys)
+        first = _first_of_each_key(keys, hashes)
+        hashes = hashes[first]
+        at, found = self._lookup(np.take(keys, first, axis=0), hashes)
+        del keys
+        new = found < 0
+        is_new = np.zeros(n_candidates, dtype=bool)
+        is_new[first[new]] = True
+        fresh = np.flatnonzero(is_new)
+        self.duplicates += n_candidates - fresh.shape[0]
+        level = (np.take(mats, fresh, axis=0), fresh % width, fresh // width)
+        # Each new row's index in the level, in hash order.
+        index = (np.cumsum(is_new) - 1)[first[new]]
+        self._store(level, at[new], hashes[new], index)
         return level[0]
 
+    def _store(
+        self,
+        level: tuple[np.ndarray, np.ndarray, np.ndarray],
+        at: np.ndarray,
+        hashes: np.ndarray,
+        index: np.ndarray,
+    ) -> None:
+        """Append a level and enter its rows into the table.
 
-def _keys(mats: np.ndarray) -> list[bytes]:
-    """Dedup key of each matrix row: its entries rounded to multiples of DEDUP_TOL."""
-    rounded = np.round(mats / DEDUP_TOL) + 0.0  # squash negative zeros
-    return [row.tobytes() for row in rounded]
+        Row `index[k]` of the level has hash `hashes[k]`, which belongs before
+        table position `at[k]`; both arrays are in hash order.
+        """
+        first_row = sum(mats.shape[0] for mats, _, _ in self.levels)
+        self.levels.append(level)
+        self.hashes = np.insert(self.hashes, at, hashes)
+        self.rows = np.insert(self.rows, at, first_row + index)
+
+    def _lookup(self, keys: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Table position of each hash, and the stored row with each key or -1."""
+        at = np.searchsorted(self.hashes, hashes)
+        probe = np.minimum(at, self.hashes.shape[0] - 1)
+        hit = np.flatnonzero(self.hashes[probe] == hashes)
+        rows = self.rows[probe[hit]]
+        found = np.full(hashes.shape[0], -1, dtype=np.int64)
+        if (self._stored_keys(rows) == np.take(keys, hit, axis=0)).all():
+            found[hit] = rows
+            return at, found
+        # Equal hashes with different keys: match against every stored key.
+        stored = _keys(np.concatenate([mats for mats, _, _ in self.levels]))
+        _, first, inverse = np.unique(
+            np.concatenate([stored, keys]), axis=0, return_index=True, return_inverse=True
+        )
+        match = first[inverse.reshape(-1)[stored.shape[0] :]]
+        known = match < stored.shape[0]
+        found[known] = match[known]
+        return at, found
+
+    def _stored_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of stored rows, recomputed from the level matrices."""
+        starts = np.cumsum([0] + [mats.shape[0] for mats, _, _ in self.levels])
+        level = np.searchsorted(starts, rows, side="right") - 1
+        keys = np.empty((rows.shape[0], 4), dtype=np.int64)
+        for lv in np.unique(level):
+            at = level == lv
+            keys[at] = _keys(self.levels[lv][0][rows[at] - starts[lv]])
+        return keys
+
+
+def _keys(mats: np.ndarray) -> np.ndarray:
+    """Dedup key of each matrix row, as four int64 words.
+
+    The entries are rounded to multiples of DEDUP_TOL with negative zeros
+    squashed and read as bit patterns, so two keys are equal exactly when
+    the rounded rows are bytewise equal.
+    """
+    rounded = np.divide(mats, DEDUP_TOL)
+    np.round(rounded, out=rounded)
+    rounded += 0.0  # squash negative zeros
+    return rounded.view(np.int64)
+
+
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """64-bit hash of each key; callers compare keys wherever hashes are equal."""
+    words = keys.view(np.uint64)
+    hashes = np.zeros(words.shape[0], dtype=np.uint64)
+    for col in range(4):
+        word = words[:, col]
+        hashes ^= word ^ (word >> np.uint64(29))
+        hashes *= _MIX_MULTIPLIER
+        hashes ^= hashes >> np.uint64(32)
+    return hashes
+
+
+def _first_of_each_key(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """Index of the first row with each distinct key, ordered by hash."""
+    order = np.argsort(hashes)
+    ordered = hashes[order]
+    repeat = ordered[1:] == ordered[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+    run = np.flatnonzero(repeat)
+    if (np.take(keys, order[run], axis=0) == np.take(keys, order[run + 1], axis=0)).all():
+        return np.minimum.reduceat(order, starts)
+    # Equal hashes with different keys: group by the keys themselves.
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    return first[np.argsort(hashes[first], kind="stable")]
 
 
 def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
+    """Flip each row, in place, to the canonical sign of `MoebiusMap`; returns `mats`."""
     tr = mats[:, 0] + mats[:, 3]
     sign = np.sign(tr)
     for col in (0, 1, 2):
@@ -134,7 +229,8 @@ def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
             break
         sign = np.where(undecided, np.sign(mats[:, col]), sign)
     sign[sign == 0.0] = 1.0
-    return mats * sign[:, None]
+    mats *= sign[:, None]
+    return mats
 
 
 def enumerate_words(
@@ -162,9 +258,8 @@ def enumerate_words(
             best_at = (level, idx)
         elliptic = np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - TRACE_TOL
         elliptic_count += int(elliptic.sum())
-        for i in np.nonzero(elliptic)[0]:
-            if len(elliptic_at) < MAX_STORED_ELLIPTIC:
-                elliptic_at.append((level, int(i)))
+        for i in np.flatnonzero(elliptic)[: MAX_STORED_ELLIPTIC - len(elliptic_at)]:
+            elliptic_at.append((level, int(i)))
     return EnumerationReport(
         words_explored=bfs.words_explored,
         distinct_elements=distinct,
@@ -210,24 +305,28 @@ def inverse_free_probe(
     A desk-scale necessary check: it can refute inverse-freeness, never
     prove it.
     """
-    levels = [mats for _, mats in _Bfs(F, max_len, budget)]
-    rows = np.concatenate(levels) if levels else np.empty((0, 4))
-    index = dict(zip(_keys(rows), rows))
+    bfs = _Bfs(F, max_len, budget)
+    for _ in bfs:
+        pass
+    rows = np.concatenate([mats for mats, _, _ in bfs.levels])
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
     inverses = _canonical_sign_rows(rows[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0]))
-    for row, key in zip(rows, _keys(inverses)):
-        partner = index.get(key)
-        if partner is None:
-            continue
-        a, b, c, d = row
-        prod_b = a * partner[1] + b * partner[3]
-        prod_c = c * partner[0] + d * partner[2]
-        prod_a = a * partner[0] + b * partner[2]
-        prod_d = c * partner[1] + d * partner[3]
-        dist = max(abs(abs(prod_a) - 1.0), abs(prod_b), abs(prod_c), abs(abs(prod_d) - 1.0))
-        if dist < INVERSE_TOL:
-            return False
-    return True
+    keys = _keys(inverses)
+    hashes = _mix(keys)
+    order = np.argsort(hashes)  # the table is searched fastest in hash order
+    _, partner = bfs._lookup(np.take(keys, order, axis=0), hashes[order])
+    # Row 0 is the root; only enumerated words pair up.
+    paired = partner > 0
+    a, b, c, d = rows[order[paired]].T
+    p = rows[partner[paired]]
+    prod_b = a * p[:, 1] + b * p[:, 3]
+    prod_c = c * p[:, 0] + d * p[:, 2]
+    prod_a = a * p[:, 0] + b * p[:, 2]
+    prod_d = c * p[:, 1] + d * p[:, 3]
+    dist = np.maximum.reduce(
+        [np.abs(np.abs(prod_a) - 1.0), np.abs(prod_b), np.abs(prod_c), np.abs(np.abs(prod_d) - 1.0)]
+    )
+    return not (dist < INVERSE_TOL).any()
 
 
 def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> list[BoundaryPoint]:

@@ -74,3 +74,19 @@ def test_tracer_wraps_every_measured_function(tracing):
         "interval_builder.build_shared_alpha_intervals",
     ):
         assert tracer.total_calls(builder) > 0, builder
+
+
+def test_tracer_counts_one_bfs_sweep_per_oracle_call(tracing):
+    # `search_oracle.bfs_sweeps` counts `_Bfs` constructions; each call runs one sweep.
+    from semicert import search_oracle
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        maps = figure_two(0.1)
+        search_oracle.enumerate_words(maps, 4)  # looked up as the benchmark does
+        search_oracle.find_elliptic(maps, 4)
+        search_oracle.inverse_free_probe(maps, 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.total_calls("search_oracle._Bfs") == 3

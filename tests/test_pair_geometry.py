@@ -6,6 +6,7 @@ import pytest
 from semicert import (
     BoundaryPoint,
     Geodesic,
+    MoebiusMap,
     axes_distance_from_cr,
     axis,
     classify,
@@ -19,6 +20,7 @@ from semicert import (
 )
 from semicert.errors import AxesCross, DegenerateCrossRatio, NotHyperbolic, SharedEndpoint
 from semicert.moebius_core import axis_chart, power
+from semicert.pair_geometry import distance_from_cross_ratio
 
 from helpers import (
     brute_force_line_distance,
@@ -206,6 +208,22 @@ class TestCommonPerpendicular:
                 t2 = tangent_at(line, foot)
                 dot = t1.real * t2.real + t1.imag * t2.imag
                 assert abs(dot) < 1e-7
+
+    def test_near_vertical_perpendicular_matches_cross_ratio(self):
+        # Generators 10 and 29 of assembly-large seed 45, family admissible32/3:
+        # their common perpendicular is a near-vertical half-circle of huge radius.
+        f = MoebiusMap(
+            -7723159180656495.0, 3341268183132059.5, -2.9487306711274076e16, 1.2757085205158436e16
+        )
+        g = MoebiusMap(
+            4795559954432299.0, 5050549539804464.0, 2743990322201417.5, 2889893816511124.5
+        )
+        expected = distance_from_cross_ratio(cross_ratio(f, g))
+        _, f1, f2, d12 = common_perpendicular(axis(f), axis(g))
+        _, g1, g2, d21 = common_perpendicular(axis(g), axis(f))
+        assert d12 == pytest.approx(expected, abs=1e-9)
+        assert d21 == pytest.approx(expected, abs=1e-9)
+        assert f1 == pytest.approx(g2, abs=1e-9) and f2 == pytest.approx(g1, abs=1e-9)
 
     def test_rejects_crossing_and_shared(self):
         with pytest.raises(AxesCross):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semicert import (
+    MoebiusMap,
     chaos_game,
     compose,
     contains,
@@ -14,9 +15,90 @@ from semicert import (
     inverse_free_probe,
     normalize,
 )
+from semicert import search_oracle
 from semicert.errors import BudgetExceeded
+from semicert.search_oracle import DEDUP_TOL, INVERSE_TOL, _Bfs, _canonical_sign_rows
 
 from helpers import crossing_pair, disjoint_pair, figure_two, section_one_pair
+
+
+def key(row):
+    """The per-row dedup key that the table replaced: rounded entries as bytes."""
+    return (np.round(row / DEDUP_TOL) + 0.0).tobytes()
+
+
+def reference_bfs(F, max_len):
+    """The set-of-bytes sweep `_Bfs` replaced: (levels, duplicates, every candidate row)."""
+    gens = np.array([[f.a, f.b, f.c, f.d] for f in F], dtype=np.float64)
+    root = np.array([[1.0, 0.0, 0.0, 1.0]])
+    seen = {key(root[0])}
+    levels = [(root, np.array([-1]), np.array([-1]))]
+    duplicates, candidates = 0, []
+    for _ in range(max_len):
+        w = levels[-1][0]
+        blocks, parents, letters = [], [], []
+        for gi, (a, b, c, d) in enumerate(gens):
+            blocks.append(
+                np.stack(
+                    [
+                        a * w[:, 0] + b * w[:, 2],
+                        a * w[:, 1] + b * w[:, 3],
+                        c * w[:, 0] + d * w[:, 2],
+                        c * w[:, 1] + d * w[:, 3],
+                    ],
+                    axis=1,
+                )
+            )
+            parents.append(np.arange(w.shape[0]))
+            letters.append(np.full(w.shape[0], gi))
+        mats = _canonical_sign_rows(np.concatenate(blocks, axis=0))
+        parent, letter = np.concatenate(parents), np.concatenate(letters)
+        fresh = np.zeros(mats.shape[0], dtype=bool)
+        for idx, row in enumerate(mats):
+            if key(row) not in seen:
+                seen.add(key(row))
+                fresh[idx] = True
+        duplicates += int(mats.shape[0] - fresh.sum())
+        candidates.append(mats)
+        levels.append((mats[fresh], parent[fresh], letter[fresh]))
+        if not fresh.any():
+            break
+    return levels, duplicates, np.concatenate(candidates)
+
+
+def edge_generators():
+    """Maps whose words hold signed zeros and entries on a DEDUP_TOL rounding boundary."""
+    t = DEDUP_TOL
+    return [
+        MoebiusMap(2.0, 0.5 * t, -0.0, 0.5),
+        MoebiusMap(-0.5, -1.5 * t, 0.0, -2.0),  # negative trace: its words flip sign
+        MoebiusMap(1.0, 0.0, 2.5 * t, 1.0),
+    ]
+
+
+def agreement_case(name):
+    f, g = section_one_pair()
+    if name == "section-one":
+        return [f, g], 16
+    if name == "figure-two":
+        return figure_two(0.1), 5
+    if name == "coincident":
+        # The third generator is the product of the first two, so words coincide.
+        p, q = disjoint_pair(np.random.default_rng(98), 1.0, 2.0, 2.3)
+        return [p, q, compose(p, q)], 7
+    return edge_generators(), 8
+
+
+def assert_same_sweep(F, max_len):
+    want_levels, want_duplicates, _ = reference_bfs(F, max_len)
+    bfs = _Bfs(F, max_len, 2_000_000)
+    for _ in bfs:
+        pass
+    assert bfs.duplicates == want_duplicates
+    assert len(bfs.levels) == len(want_levels)
+    for got, want in zip(bfs.levels, want_levels):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEnumerate:
@@ -58,10 +140,36 @@ class TestEnumerate:
         r2 = enumerate_words([f, g], 9)
         assert r1 == r2
 
+    def test_pinned_counts(self):
+        # Section 1 at length 24 is the benchmark's pin; figure_two(0.1) is free to length 6.
+        report = enumerate_words(list(section_one_pair()), 24)
+        assert (report.words_explored, report.distinct_elements) == (341_790, 254_331)
+        assert enumerate_words(figure_two(0.1), 6).distinct_elements == 19_530
+
     def test_min_distance_nonincreasing_in_length(self):
         f, g = section_one_pair()
         dists = [enumerate_words([f, g], n).min_identity_distance for n in (2, 4, 8, 12)]
         assert all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
+
+
+class TestDedupTable:
+    @pytest.mark.parametrize("case", ["section-one", "figure-two", "coincident", "edge-values"])
+    def test_matches_the_set_of_bytes_reference(self, case):
+        assert_same_sweep(*agreement_case(case))
+
+    def test_edge_values_reach_the_dedup(self):
+        _, duplicates, rows = reference_bfs(*agreement_case("edge-values"))
+        assert duplicates > 0
+        assert (np.signbit(rows) & (rows == 0.0)).any()
+        assert (np.abs(rows / DEDUP_TOL) % 1.0 == 0.5).any()
+
+    @pytest.mark.parametrize("case", ["figure-two", "coincident", "edge-values"])
+    def test_forced_collisions_stay_exact(self, case, monkeypatch):
+        monkeypatch.setattr(search_oracle, "_mix", lambda keys: np.zeros(keys.shape[0], dtype=np.uint64))
+        assert_same_sweep(*agreement_case(case))
+        f, g = section_one_pair()
+        assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
+        assert inverse_free_probe([f, g], 6)
 
 
 class TestFindElliptic:
@@ -114,12 +222,7 @@ class TestInverseFreeProbe:
 
     @pytest.mark.parametrize("case", ["inverse-pair", "product-inverse", "section-one", "figure-two"])
     def test_matches_the_per_row_reference(self, case):
-        # The probe keys whole arrays at once; this is the per-row loop it replaced.
-        from semicert.search_oracle import DEDUP_TOL, INVERSE_TOL, _Bfs, _canonical_sign_rows
-
-        def key(row):
-            return (np.round(row / DEDUP_TOL) + 0.0).tobytes()
-
+        # The probe looks whole arrays up in the table; this is the per-row loop it replaced.
         def reference(F, max_len):
             rows = [row for _, mats in _Bfs(F, max_len, 2_000_000) for row in mats]
             index = {key(row): row for row in rows}
