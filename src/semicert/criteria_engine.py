@@ -35,7 +35,6 @@ from .interval_builder import GlobalIntervalSystem, assemble_global, disjoint_pa
 from .moebius_core import (
     ANGLE_TOL,
     BoundaryPoint,
-    Classification,
     MoebiusMap,
     _canonical_sign,
     compose,
@@ -104,57 +103,33 @@ def pair_trace_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, floa
 
 
 @dataclass(frozen=True)
-class PairEntry:
-    i: int
-    j: int
-    cross_ratio: float
-
-    @property
-    def in_lower(self) -> bool:
-        return math.isfinite(self.cross_ratio) and self.cross_ratio > 1.0
-
-    @property
-    def in_upper(self) -> bool:
-        return math.isfinite(self.cross_ratio) and abs(self.cross_ratio) > 1e-9
-
-
-@dataclass(frozen=True)
 class Thresholds:
     """Lower and upper translation-length bounds for a generator family."""
 
     lower: float
     upper: float
-    pairs: tuple[PairEntry, ...]
 
     @staticmethod
     def from_cross_ratios(values: Sequence[float]) -> "Thresholds":
-        entries = tuple(PairEntry(-1, -1, float(c)) for c in values)
-        return Thresholds(_lower(entries), _upper(entries), entries)
+        cs = [float(c) for c in values]
+        lower = min([1.0] + [(c - 1.0) / (c + 3.0) for c in cs if _in_lower(c)])
+        upper = max([0.0] + [abs(math.log(abs(c * (c - 1.0)))) for c in cs if _in_upper(c)])
+        return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
 
     @staticmethod
     def from_generators(F) -> "Thresholds":
         """Thresholds of a family (anything :meth:`Family.of` accepts)."""
-        pairs = Family.of(F).pairs
-        entries = tuple(PairEntry(i, j, pg.cross_ratio) for (i, j), pg in pairs.items())
-        return Thresholds(_lower(entries), _upper(entries), entries)
+        return Thresholds.from_cross_ratios([pg.cross_ratio for pg in Family.of(F).pairs.values()])
 
 
-def _lower(entries: tuple[PairEntry, ...]) -> float:
-    terms = [1.0]
-    for e in entries:
-        if e.in_lower:
-            c = e.cross_ratio
-            terms.append((c - 1.0) / (c + 3.0))
-    return 0.2 * min(terms)
+def _in_lower(c: float) -> bool:
+    """Whether cross ratio c enters the lower bound 0.2 min(1, (C - 1)/(C + 3))."""
+    return math.isfinite(c) and c > 1.0
 
 
-def _upper(entries: tuple[PairEntry, ...]) -> float:
-    terms = [0.0]
-    for e in entries:
-        if e.in_upper:
-            c = e.cross_ratio
-            terms.append(abs(math.log(abs(c * (c - 1.0)))))
-    return 4.0 * max(terms) + 23.0
+def _in_upper(c: float) -> bool:
+    """Whether cross ratio c enters the upper bound 4 max |log|C (C - 1)|| + 23."""
+    return math.isfinite(c) and abs(c) > 1e-9
 
 
 # --- certificates -------------------------------------------------------------
@@ -369,7 +344,7 @@ def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certific
     witness = _witness_scan(family)
     if witness is not None:
         return witness
-    return Inconclusive(report=_report(family.cls, thresholds, notes))
+    return Inconclusive(report=_report(family, thresholds, notes))
 
 
 def _witness_scan(family: Family) -> Certificate | None:
@@ -393,7 +368,7 @@ def _witness_scan(family: Family) -> Certificate | None:
     return None
 
 
-def _report(cls: Sequence[Classification], thresholds: Thresholds, notes: list[str]) -> dict:
+def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
     return {
         "reason": "no sufficient condition fired",
         "lower": thresholds.lower,
@@ -405,17 +380,17 @@ def _report(cls: Sequence[Classification], thresholds: Thresholds, notes: list[s
                 "below_lower": k.tau < thresholds.lower,
                 "above_upper": k.tau > thresholds.upper,
             }
-            for idx, k in enumerate(cls)
+            for idx, k in enumerate(family.cls)
         ],
         "pairs": [
             {
-                "i": e.i,
-                "j": e.j,
-                "cross_ratio": e.cross_ratio,
-                "in_lower": e.in_lower,
-                "in_upper": e.in_upper,
+                "i": i,
+                "j": j,
+                "cross_ratio": pg.cross_ratio,
+                "in_lower": _in_lower(pg.cross_ratio),
+                "in_upper": _in_upper(pg.cross_ratio),
             }
-            for e in thresholds.pairs
+            for (i, j), pg in family.pairs.items()
         ],
         "notes": notes,
     }

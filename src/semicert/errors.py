@@ -41,10 +41,6 @@ class AxesDoNotCross(CertifyError):
     """Crossing-pair construction needs crossing axes (cross ratio < 0)."""
 
 
-class NoCommonAlpha(CertifyError):
-    """Shared-fixed-point construction needs one common attracting point."""
-
-
 class PreconditionViolated(CertifyError):
     """A stated hypothesis of the decision procedure fails; the message says which."""
 

@@ -23,7 +23,6 @@ from .boundary_arcs import (
     arc_between,
     arc_image,
     can_partition_rank_one,
-    cluster,
     complement,
     hull_around,
     image_clearances,
@@ -32,14 +31,12 @@ from .boundary_arcs import (
 )
 from .errors import (
     AxesDoNotCross,
-    NoCommonAlpha,
     OverlappingArcs,
     PreconditionViolated,
     ThresholdNotMet,
     VerificationFailed,
 )
 from .moebius_core import (
-    ANGLE_TOL,
     BoundaryPoint,
     Classification,
     Geodesic,
@@ -49,7 +46,6 @@ from .moebius_core import (
     compose,
     from_boundary_triple,
     inverse,
-    require_hyperbolic,
 )
 from .pair_geometry import Family, distance_from_cross_ratio
 
@@ -74,17 +70,19 @@ class SymmetricIntervalPair:
 
 @dataclass(frozen=True)
 class SharedFixedPointGroup:
-    """Common interval data for generators sharing one fixed point.
+    """Two arcs that serve every generator sharing one fixed point.
 
-    For kind "beta" the construction ran on the inverses, so `a_union`
-    surrounds the shared repelling point and `b_arc` covers the attractors.
+    `near` surrounds the shared point and `far` the members' other fixed
+    points.  Kind "alpha" (shared attractor): every member maps the
+    complement of `far` strictly inside `near`.  Kind "beta" (shared
+    repeller): every member maps the complement of `near` strictly inside
+    `far`.
     """
 
     kind: str  # "alpha" or "beta"
     members: tuple[int, ...]
-    a_union: ArcUnion
-    b_arc: BoundaryArc
-    conjugator: MoebiusMap
+    near: BoundaryArc
+    far: BoundaryArc
 
 
 @dataclass(frozen=True)
@@ -254,53 +252,59 @@ def build_crossing_pair_intervals(
     return _build_pair(family, i, j, cut_offset)
 
 
-def build_shared_alpha_intervals(
-    fs: list[MoebiusMap],
-) -> tuple[ArcUnion, BoundaryArc, MoebiusMap]:
-    """Common intervals for maps sharing one attracting fixed point.
+def build_shared_alpha_intervals(F) -> tuple[SharedFixedPointGroup, ...]:
+    """One verified group for each fixed point shared by two or more generators.
 
-    Conjugates the family so the common attractor is infinity and every
-    repelling point lies in [0, 1]; then the fixed half-plane intervals
-    (5/2, -3/2) through infinity and (-1/2, 3/2) work for every member as
-    soon as each translation length exceeds log 5, and are pulled back.
+    Attracting classes come first, then repelling ones, each in the order of
+    `Family.alpha_classes` and `Family.beta_classes`.  The construction
+    conjugates the shared point to infinity and the members' other fixed
+    points into [0, 1]; there the half-plane intervals (5/2, -3/2) through
+    infinity (`near`) and (-1/2, 3/2) (`far`) work for every member as soon
+    as each translation length exceeds log 5, and are pulled back.  Raises
+    ThresholdNotMet below that gate and VerificationFailed when a member's
+    mapping check fails.
     """
-    if not fs:
-        raise ValueError("need at least one map")
-    cls = [require_hyperbolic(f) for f in fs]
-    alpha = cls[0].alpha
-    for k in cls[1:]:
-        if not alpha.approx(k.alpha):
-            raise NoCommonAlpha("attracting fixed points differ")
-    for k in cls:
+    family = Family.of(F)
+    groups = []
+    for kind, classes in (("alpha", family.alpha_classes), ("beta", family.beta_classes)):
+        for members in classes:
+            if len(members) > 1:
+                groups.append(_shared_group(family, kind, members))
+    return tuple(groups)
+
+
+def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> SharedFixedPointGroup:
+    attracting = kind == "alpha"
+    for i in members:
+        tau = family.cls[i].tau
         # The comparison is conservative by a few ulps so that multiplier 5
         # exactly is rejected even after classification round-trips.
-        if k.tau <= SHARED_ALPHA_GATE + 1e-12:
+        if tau <= SHARED_ALPHA_GATE + 1e-12:
             raise ThresholdNotMet(
-                f"translation length {k.tau:.6f} not above log 5 = {SHARED_ALPHA_GATE:.6f}"
+                f"shared {'attracting' if attracting else 'repelling'} point at {list(members)}: "
+                f"translation length {tau:.6f} not above log 5 = {SHARED_ALPHA_GATE:.6f}"
             )
-    # Send the common attractor to infinity, then squeeze the repelling
-    # points into [0, 1] with a boundary-affine map.
+    cls = [family.cls[i] for i in members]
+    ends = [(k.alpha, k.beta) if attracting else (k.beta, k.alpha) for k in cls]
+    shared, first = ends[0]
+    # Send the shared point to infinity, then squeeze the other fixed points
+    # into [0, 1] with a boundary-affine map.
     to_infinity = from_boundary_triple(
-        (cls[0].beta, BoundaryArc(cls[0].beta, alpha).midpoint, alpha),
-        (
-            BoundaryPoint.from_real(0.0),
-            BoundaryPoint.from_real(1.0),
-            BoundaryPoint.infinity(),
-        ),
+        (first, BoundaryArc(first, shared).midpoint, shared),
+        (BoundaryPoint.from_real(0.0), BoundaryPoint.from_real(1.0), BoundaryPoint.infinity()),
     )
-    xs = [apply_boundary(to_infinity, k.beta).value for k in cls]
+    xs = [apply_boundary(to_infinity, other).value for _, other in ends]
     lo, hi = min(xs), max(xs)
     scale = hi - lo if hi - lo > 1e-12 else 1.0
-    affine = MoebiusMap.from_matrix(1.0, -lo, 0.0, scale)
-    conjugator = compose(affine, to_infinity)
-    minv = inverse(conjugator)
-    a_union = ArcUnion([arc_image(minv, BoundaryArc.from_reals(2.5, -1.5))])
-    b_arc = arc_image(minv, BoundaryArc.from_reals(-0.5, 1.5))
-    for f in fs:
-        found = image_clearances(f, complement(b_arc), a_union.arcs[0])
+    back = inverse(compose(MoebiusMap.from_matrix(1.0, -lo, 0.0, scale), to_infinity))
+    near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
+    far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
+    source, target = (far, near) if attracting else (near, far)
+    for i in members:
+        found = image_clearances(family.maps[i], complement(source), target)
         if found is None or min(found) <= 0.0:
             raise VerificationFailed("shared-attractor intervals failed verification")
-    return a_union, b_arc, conjugator
+    return SharedFixedPointGroup(kind, members, near, far)
 
 
 # --- global assembly --------------------------------------------------------
@@ -367,41 +371,19 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
             builder = build_crossing_pair_intervals if crossing else build_disjoint_pair_intervals
             built[key] = builder(family, *key, cut_offset=extra)
         pairs.append(SymmetricIntervalPair(built[ka][ka.index(i)].a, built[kb][kb.index(i)].b, i))
-    alpha_classes = cluster([k.alpha for k in cls], ANGLE_TOL)
-    beta_classes = cluster([k.beta for k in cls], ANGLE_TOL)
-    groups: list[SharedFixedPointGroup] = []
+    try:
+        groups = build_shared_alpha_intervals(family)
+    except ThresholdNotMet as exc:
+        raise PreconditionViolated(str(exc)) from exc
     alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
-    for members in alpha_classes:
-        if len(members) < 2:
-            continue
-        try:
-            a_union, b_arc, conj = build_shared_alpha_intervals([maps[i] for i in members])
-        except ThresholdNotMet as exc:
-            raise PreconditionViolated(f"shared attracting point at {members}: {exc}") from exc
-        groups.append(
-            SharedFixedPointGroup("alpha", tuple(members), a_union, b_arc, conj)
-        )
-        for i in members:
-            alpha_extra[i].append(a_union.arcs[0])
-    for members in beta_classes:
-        if len(members) < 2:
-            continue
-        try:
-            a_union, b_arc, conj = build_shared_alpha_intervals(
-                [inverse(maps[i]) for i in members]
-            )
-        except ThresholdNotMet as exc:
-            raise PreconditionViolated(f"shared repelling point at {members}: {exc}") from exc
-        groups.append(SharedFixedPointGroup("beta", tuple(members), a_union, b_arc, conj))
-        for i in members:
-            # Roles swap under inversion: the pulled-back b-side covers the
-            # attracting points of the original maps.
-            alpha_extra[i].append(b_arc)
+    for group in groups:
+        for i in group.members:
+            alpha_extra[i].append(group.near if group.kind == "alpha" else group.far)
     final_a: list[BoundaryArc] = []
     for i in range(n):
         final_a.append(intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
     components: list[BoundaryArc] = []
-    for members in alpha_classes:
+    for members in family.alpha_classes:
         point = cls[members[0]].alpha
         components.append(hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
@@ -412,7 +394,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
         )
     return GlobalIntervalSystem(
         pairs=tuple(pairs),
-        groups=tuple(groups),
+        groups=groups,
         union=union,
         constant_m=eq_constant([pg.cross_ratio for pg in family.pairs.values()]),
         margin=achieved,

@@ -4,7 +4,8 @@ The cross ratio is evaluated in homogeneous coordinates (2x2 determinants of
 endpoint pairs), so infinite fixed points need no branching.  Its value
 decodes the axis configuration: crossing angle for negative values, distance
 apart for positive ones, shared endpoints at 0 and infinity.  A `Family`
-classifies each generator of a set once and decodes each pair once.
+classifies each generator of a set once, decodes each pair once and groups
+coinciding fixed points once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary_arcs import BoundaryArc, contains
+from .boundary_arcs import BoundaryArc, cluster, contains
 from .errors import (
     AxesCross,
     AxesNotDisjoint,
@@ -21,6 +22,7 @@ from .errors import (
     SharedEndpoint,
 )
 from .moebius_core import (
+    ANGLE_TOL,
     BoundaryPoint,
     Classification,
     Geodesic,
@@ -123,16 +125,28 @@ def _decode(cf: Classification, cg: Classification) -> PairGeometry:
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """Hyperbolic generators with their classifications and decoded pair table.
+    """Hyperbolic generators with everything the constructions read about them.
 
-    `pairs[(i, j)]` for i < j holds the geometry of generators i and j; the
-    cross ratio is symmetric in the pair, so :meth:`pair` serves both orders.
+    - `cls[i]`: the classification of generator i (fixed points, translation
+      length).
+    - `pairs[(i, j)]` for i < j: the geometry of generators i and j; the
+      cross ratio is symmetric in the pair, so :meth:`pair` serves both
+      orders.
+    - `alpha_classes`, `beta_classes`: generator indices grouped by
+      attracting (repelling) points within ANGLE_TOL, as :func:`cluster`
+      groups them; a class with two or more members is a shared fixed point.
+    - `alpha_meets_beta`: the first (i, j) whose attracting point i meets
+      repelling point j within ANGLE_TOL, or None.
+
     Build values with :meth:`of`, the one place that classifies a family.
     """
 
     maps: tuple[MoebiusMap, ...]
     cls: tuple[Classification, ...]
     pairs: dict[tuple[int, int], PairGeometry]
+    alpha_classes: tuple[tuple[int, ...], ...]
+    beta_classes: tuple[tuple[int, ...], ...]
+    alpha_meets_beta: tuple[int, int] | None
 
     @staticmethod
     def of(F) -> "Family":
@@ -148,7 +162,13 @@ class Family:
             for i in range(len(cls))
             for j in range(i + 1, len(cls))
         }
-        return Family(maps, cls, pairs)
+        alpha_classes = tuple(map(tuple, cluster([k.alpha for k in cls], ANGLE_TOL)))
+        beta_classes = tuple(map(tuple, cluster([k.beta for k in cls], ANGLE_TOL)))
+        meets = next(
+            ((i, j) for i, ki in enumerate(cls) for j, kj in enumerate(cls) if ki.alpha.approx(kj.beta)),
+            None,
+        )
+        return Family(maps, cls, pairs, alpha_classes, beta_classes, meets)
 
     def pair(self, i: int, j: int) -> PairGeometry:
         return self.pairs[(i, j) if i < j else (j, i)]
@@ -164,12 +184,9 @@ class Family:
 
     def require_alpha_apart_from_beta(self) -> None:
         """Raise PreconditionViolated where an attracting point meets a repelling one."""
-        for i, ki in enumerate(self.cls):
-            for j, kj in enumerate(self.cls):
-                if ki.alpha.approx(kj.beta):
-                    raise PreconditionViolated(
-                        f"attracting point of generator {i} meets repelling point of {j}"
-                    )
+        if self.alpha_meets_beta is not None:
+            i, j = self.alpha_meets_beta
+            raise PreconditionViolated(f"attracting point of generator {i} meets repelling point of {j}")
 
 
 def inverse_flip_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, float]:
@@ -193,18 +210,6 @@ def distance_from_cross_ratio(c: float) -> float:
 
 # --- half-plane circle geometry -------------------------------------------
 
-# A geodesic is either a vertical euclidean ray ("line", x0) or a euclidean
-# half-circle ("circle", center, radius) orthogonal to the real axis.
-
-
-def geodesic_shape(geo: Geodesic):
-    u, v = geo.start, geo.end
-    if u.is_infinity or v.is_infinity:
-        finite = v if u.is_infinity else u
-        return ("line", finite.value, 0.0)
-    a, b = u.value, v.value
-    return ("circle", 0.5 * (a + b), 0.5 * abs(a - b))
-
 
 def geodesics_cross(g1: Geodesic, g2: Geodesic) -> bool:
     """Whether the lines cross in the open half-plane (endpoints interleave)."""
@@ -218,23 +223,6 @@ def _shared_endpoint(g1: Geodesic, g2: Geodesic, tol: float) -> bool:
         for p in (g1.start, g1.end)
         for q in (g2.start, g2.end)
     )
-
-
-def _intersect(shape1, shape2) -> complex:
-    kind1, a1, b1 = shape1
-    kind2, a2, b2 = shape2
-    if kind1 == "line" and kind2 == "line":
-        raise ValueError("parallel vertical lines do not intersect")
-    if kind1 == "line":
-        return _intersect(shape2, shape1)
-    if kind2 == "line":
-        c, r, x0 = a1, b1, a2
-        y2 = r * r - (x0 - c) * (x0 - c)
-        return complex(x0, math.sqrt(max(y2, 0.0)))
-    c1, r1, c2, r2 = a1, b1, a2, b2
-    x = (r2 * r2 - r1 * r1 + c1 * c1 - c2 * c2) / (2.0 * (c1 - c2))
-    y2 = r1 * r1 - (x - c1) * (x - c1)
-    return complex(x, math.sqrt(max(y2, 0.0)))
 
 
 def common_perpendicular(

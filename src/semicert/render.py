@@ -42,7 +42,6 @@ def render_figure(
     maps: Sequence[MoebiusMap],
     union: ArcUnion | None = None,
     spec: RenderSpec = RenderSpec(),
-    labels: Sequence[str] | None = None,
 ) -> str:
     """SVG text for the axes of `maps` plus an optional boundary arc union."""
     if spec.size <= 0:
@@ -67,11 +66,10 @@ def render_figure(
         parts.append(_path([pix(z) for z in samples], AXIS_COLOR, STROKE))
         parts.append(_arrow(samples, pix))
         if spec.draw_labels:
-            name = labels[idx] if labels else f"f{idx + 1}"
             lx, ly = pix(samples[len(samples) // 2] + 0.045 * _label_offset(samples))
             parts.append(
                 f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{spec.size // 40}" '
-                f'fill="{AXIS_COLOR}">{name}</text>'
+                f'fill="{AXIS_COLOR}">f{idx + 1}</text>'
             )
     if union is not None:
         for arc in union:

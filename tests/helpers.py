@@ -11,13 +11,32 @@ from semicert import (
     from_axis_and_length,
     normalize,
 )
-from semicert.boundary_arcs import _angles, _clearances, can_partition_rank_one, contains
-from semicert.errors import ThresholdNotMet
+from semicert.boundary_arcs import (
+    ArcUnion,
+    BoundaryArc,
+    _angles,
+    _clearances,
+    arc_image,
+    can_partition_rank_one,
+    complement,
+    contains,
+    image_clearances,
+)
+from semicert.errors import ThresholdNotMet, VerificationFailed
 from semicert.interval_builder import (
+    SHARED_ALPHA_GATE,
     build_crossing_pair_intervals,
     build_disjoint_pair_intervals,
 )
-from semicert.pair_geometry import Family, cross_ratio_of_points, geodesic_shape
+from semicert.moebius_core import (
+    Geodesic,
+    apply_boundary,
+    compose,
+    from_boundary_triple,
+    inverse,
+    require_hyperbolic,
+)
+from semicert.pair_geometry import Family, cross_ratio_of_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +66,30 @@ def figure_two(tau):
         from_axis_and_length(ne, se, tau),
         from_axis_and_length(sw, se, tau),
         from_axis_and_length(disc_p1, disc_m1, tau),
+    ]
+
+
+def shared_attractor_family():
+    """Two generators sharing an attractor, plus two independent ones."""
+    a = BoundaryPoint.from_angle
+    tau = 60.0
+    return [
+        from_axis_and_length(a(2.2), a(0.7), tau),   # shares attractor 0.7
+        from_axis_and_length(a(2.9), a(0.7), tau),   # shares attractor 0.7
+        from_axis_and_length(a(1.7), a(4.2), tau),   # crosses the others
+        from_axis_and_length(a(5.8), a(3.6), tau),
+    ]
+
+
+def shared_repeller_family():
+    """The inverses of `shared_attractor_family`: generators 0 and 1 share a repeller."""
+    a = BoundaryPoint.from_angle
+    tau = 60.0
+    return [
+        from_axis_and_length(a(0.7), a(2.2), tau),
+        from_axis_and_length(a(0.7), a(2.9), tau),
+        from_axis_and_length(a(4.2), a(1.7), tau),
+        from_axis_and_length(a(3.6), a(5.8), tau),
     ]
 
 
@@ -163,6 +206,37 @@ def brute_force_line_distance(chart1, chart2, lo=-8.0, hi=8.0):
     return inner(0.5 * (a + b))
 
 
+# A geodesic is either a vertical euclidean ray ("line", x0) or a euclidean
+# half-circle ("circle", center, radius) orthogonal to the real axis.
+
+
+def geodesic_shape(geo: Geodesic):
+    u, v = geo.start, geo.end
+    if u.is_infinity or v.is_infinity:
+        finite = v if u.is_infinity else u
+        return ("line", finite.value, 0.0)
+    a, b = u.value, v.value
+    return ("circle", 0.5 * (a + b), 0.5 * abs(a - b))
+
+
+def intersect_shapes(shape1, shape2) -> complex:
+    """Crossing point of two `geodesic_shape` lines in the upper half-plane."""
+    kind1, a1, b1 = shape1
+    kind2, a2, b2 = shape2
+    if kind1 == "line" and kind2 == "line":
+        raise ValueError("parallel vertical lines do not intersect")
+    if kind1 == "line":
+        return intersect_shapes(shape2, shape1)
+    if kind2 == "line":
+        c, r, x0 = a1, b1, a2
+        y2 = r * r - (x0 - c) * (x0 - c)
+        return complex(x0, math.sqrt(max(y2, 0.0)))
+    c1, r1, c2, r2 = a1, b1, a2, b2
+    x = (r2 * r2 - r1 * r1 + c1 * c1 - c2 * c2) / (2.0 * (c1 - c2))
+    y2 = r1 * r1 - (x - c1) * (x - c1)
+    return complex(x, math.sqrt(max(y2, 0.0)))
+
+
 def tangent_at(geo, z):
     """Unit tangent direction of the half-plane geodesic `geo` at a point z on it."""
     kind, a, _ = geodesic_shape(geo)
@@ -214,3 +288,41 @@ def innermost_by_building_every_pair(F, extra=0.0):
         )
         for i, found in candidates.items()
     ]
+
+
+def reference_shared_intervals(fs):
+    """Reference shared-attractor construction: classifies `fs` itself.
+
+    `fs` share one attracting point; a shared repeller is passed as the
+    inverses of its members.  Returns (a_union, b_arc): a_union surrounds
+    the shared point and b_arc the members' repelling points.
+    """
+    cls = [require_hyperbolic(f) for f in fs]
+    alpha = cls[0].alpha
+    assert all(alpha.approx(k.alpha) for k in cls[1:]), "attracting fixed points differ"
+    for k in cls:
+        if k.tau <= SHARED_ALPHA_GATE + 1e-12:
+            raise ThresholdNotMet(
+                f"translation length {k.tau:.6f} not above log 5 = {SHARED_ALPHA_GATE:.6f}"
+            )
+    to_infinity = from_boundary_triple(
+        (cls[0].beta, BoundaryArc(cls[0].beta, alpha).midpoint, alpha),
+        (
+            BoundaryPoint.from_real(0.0),
+            BoundaryPoint.from_real(1.0),
+            BoundaryPoint.infinity(),
+        ),
+    )
+    xs = [apply_boundary(to_infinity, k.beta).value for k in cls]
+    lo, hi = min(xs), max(xs)
+    scale = hi - lo if hi - lo > 1e-12 else 1.0
+    affine = MoebiusMap.from_matrix(1.0, -lo, 0.0, scale)
+    minv = inverse(compose(affine, to_infinity))
+    a_union = ArcUnion([arc_image(minv, BoundaryArc.from_reals(2.5, -1.5))])
+    b_arc = arc_image(minv, BoundaryArc.from_reals(-0.5, 1.5))
+    for f in fs:
+        found = image_clearances(f, complement(b_arc), a_union.arcs[0])
+        if found is None or min(found) <= 0.0:
+            raise VerificationFailed("shared-attractor intervals failed verification")
+    return a_union, b_arc
+

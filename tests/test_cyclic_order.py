@@ -56,6 +56,28 @@ def test_circle_arithmetic_lives_in_boundary_arcs():
     assert circle_arithmetic(ast.parse((package / "boundary_arcs.py").read_text(encoding="utf-8")))
 
 
+def classification_calls(tree: ast.AST) -> list[str]:
+    """Calls of classify or require_hyperbolic, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("classify", "require_hyperbolic"):
+                found.append(f"{name} at line {node.lineno}")
+    return found
+
+
+def test_certify_path_reads_classifications_from_the_family():
+    package = Path(semicert.__file__).parent
+    offenders = {
+        name: classification_calls(ast.parse((package / name).read_text(encoding="utf-8")))
+        for name in ("interval_builder.py", "criteria_engine.py")
+    }
+    assert offenders == {"interval_builder.py": [], "criteria_engine.py": []}
+    assert classification_calls(ast.parse((package / "pair_geometry.py").read_text(encoding="utf-8")))
+
+
 def the_families():
     rng = np.random.default_rng(62)
     families = {f"figure-two-{tau}": figure_two(tau) for tau in (5.0, 10.0, 20.0)}

@@ -22,7 +22,7 @@ from semicert.criteria_engine import crossing_limit_interval
 from semicert.errors import NotHyperbolic, PreconditionViolated
 from semicert.pair_geometry import Family
 
-from helpers import crossing_pair, figure_two, random_admissible_family
+from helpers import crossing_pair, figure_two, random_admissible_family, section_one_pair
 
 MODULES = [semicert] + [
     importlib.import_module(f"semicert.{info.name}") for info in pkgutil.iter_modules(semicert.__path__)
@@ -62,8 +62,9 @@ def crossing_with_repeller():
         (lambda: random_admissible_family(np.random.default_rng(91), 12), SemidiscreteInverseFree),
         (lambda: figure_two(0.1), NotSemidiscrete),
         (crossing_with_repeller, NotSemidiscrete),
+        (lambda: figure_two(41.0), SemidiscreteInverseFree),
     ],
-    ids=["schottky-12", "figure-two-witness", "crossing-with-repeller"],
+    ids=["schottky-12", "figure-two-witness", "crossing-with-repeller", "figure-two-shared-points"],
 )
 def test_certify_classifies_each_generator_once(monkeypatch, build, kind):
     F = build()
@@ -97,6 +98,19 @@ def test_pair_table_matches_cross_ratio_in_both_orders():
         for j in range(5):
             if i != j:
                 assert family.pair(i, j).cross_ratio == cross_ratio(F[i], F[j])
+
+
+def test_fixed_point_classes_and_the_first_meeting_are_recorded():
+    family = Family.of(figure_two(41.0))
+    assert family.alpha_classes == ((0, 1), (2, 3), (4,))
+    assert family.beta_classes == ((0, 3), (1, 2), (4,))
+    assert family.alpha_meets_beta is None
+    family.require_alpha_apart_from_beta()
+    # 2z attracts to infinity, where z/2 + 1 and z/2 - 1 both repel; the first meeting is kept.
+    family = Family.of([*section_one_pair(), normalize([[1.0, -2.0], [0.0, 2.0]])])
+    assert family.alpha_meets_beta == (0, 1)
+    with pytest.raises(PreconditionViolated, match="^attracting point of generator 0 meets repelling point of 1$"):
+        family.require_alpha_apart_from_beta()
 
 
 def test_guard_names_the_generator():

@@ -19,6 +19,7 @@ from semicert import (
     contains,
     cross_ratio,
     from_axis_and_length,
+    inverse,
     normalize,
     strictly_inside,
     verify_schottky,
@@ -27,22 +28,25 @@ from semicert.boundary_arcs import arc_image
 from semicert.errors import (
     AxesDoNotCross,
     AxesNotDisjoint,
-    NoCommonAlpha,
     OverlappingArcs,
     PreconditionViolated,
     ThresholdNotMet,
     VerificationFailed,
 )
 from semicert.interval_builder import mapping_margin
-from semicert.pair_geometry import _intersect, geodesic_shape
 
 from helpers import (
     crossing_pair,
     disjoint_pair,
     figure_two,
+    geodesic_shape,
+    intersect_shapes,
     nested,
     random_admissible_family,
     random_moebius,
+    reference_shared_intervals,
+    shared_attractor_family,
+    shared_repeller_family,
     tangent_at,
 )
 
@@ -54,7 +58,7 @@ def assert_symmetric(pair, owner_map):
     ax = axis(owner_map)
     for arc in (pair.a, pair.b):
         line = Geodesic(arc.start, arc.end)
-        z = _intersect(geodesic_shape(line), geodesic_shape(ax))
+        z = intersect_shapes(geodesic_shape(line), geodesic_shape(ax))
         t1, t2 = tangent_at(line, z), tangent_at(ax, z)
         assert abs(t1.real * t2.real + t1.imag * t2.imag) < 1e-7
 
@@ -210,7 +214,7 @@ class TestCutPlacement:
             family = Family.of(make(rng, shape, *taus, conjugate_by=m))
             axes = [axis(h) for h in family.maps]
             if crossing:
-                z = _intersect(geodesic_shape(axes[0]), geodesic_shape(axes[1]))
+                z = intersect_shapes(geodesic_shape(axes[0]), geodesic_shape(axes[1]))
                 refs = (z, z)
             else:
                 refs = common_perpendicular(axes[0], axes[1])[1:3]
@@ -219,7 +223,7 @@ class TestCutPlacement:
                 s = _cut_position(cls.tau, floor, 0.0)
                 for arc in (pair.a, pair.b):
                     line = geodesic_shape(Geodesic(arc.start, arc.end))
-                    w = _intersect(line, geodesic_shape(ax))
+                    w = intersect_shapes(line, geodesic_shape(ax))
                     assert hyperbolic_distance(ref, w) == pytest.approx(s, abs=1e-9 * (1.0 + s))
 
 
@@ -227,8 +231,9 @@ class TestSharedAlpha:
     def test_normalized_family(self):
         f1 = normalize([[6.0, 0.0], [0.0, 1.0]])
         f2 = normalize([[6.0, -5.0], [0.0, 1.0]])
-        a_union, b_arc, conj = build_shared_alpha_intervals([f1, f2])
-        (a_arc,) = a_union.arcs
+        (group,) = build_shared_alpha_intervals([f1, f2])
+        a_arc, b_arc = group.near, group.far
+        assert (group.kind, group.members) == ("alpha", (0, 1))
         assert a_arc.start.value == pytest.approx(2.5)
         assert a_arc.end.value == pytest.approx(-1.5)
         assert b_arc.start.value == pytest.approx(-0.5)
@@ -238,7 +243,7 @@ class TestSharedAlpha:
             lam = 6.0
             assert lam * (1.5 - x) + x >= 2.5 + x
             img = arc_image(f, complement(b_arc))
-            assert strictly_inside(ArcUnion([img]), a_union, 0.0)
+            assert strictly_inside(ArcUnion([img]), ArcUnion([a_arc]), 0.0)
 
     def test_strict_gate(self):
         f1 = normalize([[5.0, 0.0], [0.0, 1.0]])
@@ -254,17 +259,80 @@ class TestSharedAlpha:
             conjugate(normalize([[6.0, -5.0], [0.0, 1.0]]), m),
             conjugate(normalize([[7.5, -3.0], [0.0, 1.0]]), m),
         ]
-        a_union, b_arc, conj = build_shared_alpha_intervals(fs)
+        (group,) = build_shared_alpha_intervals(fs)
         for f in fs:
-            img = arc_image(f, complement(b_arc))
-            assert strictly_inside(ArcUnion([img]), a_union, 0.0)
-            assert contains(a_union.arcs[0], classify(f).alpha)
+            img = arc_image(f, complement(group.far))
+            assert strictly_inside(ArcUnion([img]), ArcUnion([group.near]), 0.0)
+            assert contains(group.near, classify(f).alpha)
 
-    def test_requires_common_alpha(self):
+    def test_groups_follow_the_shared_point(self):
+        # z -> 6z and the map along 0 -> 1 share the repelling point 0.
         f1 = normalize([[6.0, 0.0], [0.0, 1.0]])
         f2 = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.from_real(1.0), 2.0)
-        with pytest.raises(NoCommonAlpha):
-            build_shared_alpha_intervals([f1, f2])
+        groups = build_shared_alpha_intervals([f1, f2])
+        assert [(g.kind, g.members) for g in groups] == [("beta", (0, 1))]
+        (group,) = groups
+        for f in (f1, f2):
+            img = arc_image(f, complement(group.near))
+            assert strictly_inside(ArcUnion([img]), ArcUnion([group.far]), 0.0)
+            assert contains(group.far, classify(f).alpha)
+        rng = np.random.default_rng(62)
+        assert build_shared_alpha_intervals(disjoint_pair(rng, math.log(2.0), 5.0, 5.0)) == ()
+
+    def test_assembly_names_the_members_below_the_gate(self):
+        # Every generator has a partner crossing at a right angle or nearly
+        # (pair gate about 3/2), so the pair selection passes at tau = 1.6,
+        # and the shared point then fails the log 5 gate.
+        a, pi = BoundaryPoint.from_angle, math.pi
+        axes = [(pi, 0.0), (pi + 0.05, 0.0), (1.5 * pi, 0.5 * pi), (0.25 * pi, 1.25 * pi), (1.75 * pi, 0.75 * pi)]
+        F = [from_axis_and_length(a(u), a(v), 1.6) for u, v in axes]
+        gate = r"translation length 1.600000 not above log 5 = 1.609438"
+        with pytest.raises(PreconditionViolated, match=r"^shared attracting point at \[0, 1\]: " + gate):
+            assemble_global(F)
+        with pytest.raises(PreconditionViolated, match=r"^shared repelling point at \[0, 1\]: " + gate):
+            assemble_global([inverse(f) for f in F])
+
+
+def one_axis_family():
+    """Generators 0 and 1 share both fixed points, so they share an attractor and a repeller."""
+    a = BoundaryPoint.from_angle
+    return [
+        from_axis_and_length(a(0.7), a(2.2), 60.0),
+        from_axis_and_length(a(0.7), a(2.2), 70.0),
+        from_axis_and_length(a(4.2), a(1.7), 60.0),
+        from_axis_and_length(a(3.6), a(5.8), 60.0),
+    ]
+
+
+def conjugated_figure_two():
+    m = random_moebius(np.random.default_rng(63))
+    return [conjugate(f, m) for f in figure_two(41.0)]
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (shared_attractor_family, [("alpha", (0, 1))]),
+        (shared_repeller_family, [("beta", (0, 1))]),
+        (one_axis_family, [("alpha", (0, 1)), ("beta", (0, 1))]),
+        (conjugated_figure_two, [("alpha", (0, 1)), ("alpha", (2, 3)), ("beta", (0, 3)), ("beta", (1, 2))]),
+    ],
+    ids=["shared-attractor", "shared-repeller", "one-axis", "conjugated-figure-two"],
+)
+def test_shared_groups_match_the_inverse_construction(build, expected):
+    # The reference classifies the members itself and runs a shared repeller
+    # through the inverses; the groups read the Family's classifications.
+    # Arcs agree bit for bit because classify(inverse(f)) swaps f's fixed
+    # points exactly, except for a member with a == d, whose quadratic roots
+    # the two classifications take by different formulas (an ulp apart).
+    F = build()
+    groups = build_shared_alpha_intervals(F)
+    assert [(g.kind, g.members) for g in groups] == expected
+    for g in groups:
+        members = [F[i] if g.kind == "alpha" else inverse(F[i]) for i in g.members]
+        a_union, b_arc = reference_shared_intervals(members)
+        assert g.near == a_union.arcs[0]
+        assert g.far == b_arc
 
 
 class TestAssembleGlobal:
@@ -421,7 +489,7 @@ class TestInnermostSelection:
             to_axis = [inverse(axis_chart(ax)) for ax in axes]
             for (i, j), pg in family.pairs.items():
                 if pg.kind == "crossing":
-                    z = _intersect(geodesic_shape(axes[i]), geodesic_shape(axes[j]))
+                    z = intersect_shapes(geodesic_shape(axes[i]), geodesic_shape(axes[j]))
                     points = ((i, j, z), (j, i, z))
                 elif pg.kind == "disjoint":
                     _, foot_i, foot_j, _ = common_perpendicular(axes[i], axes[j])

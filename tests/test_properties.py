@@ -26,9 +26,17 @@ from semicert import (
     verify_schottky,
 )
 from semicert.moebius_core import axis_chart, inverse
-from semicert.pair_geometry import _intersect, geodesic_shape
 
-from helpers import crossing_pair, disjoint_pair, figure_two, random_admissible_family
+from helpers import (
+    crossing_pair,
+    disjoint_pair,
+    figure_two,
+    geodesic_shape,
+    intersect_shapes,
+    random_admissible_family,
+    shared_attractor_family,
+    shared_repeller_family,
+)
 
 
 def sample_arc_points(arc, count):
@@ -88,7 +96,7 @@ class TestIndependentAngleOracle:
             f, g = crossing_pair(rng, theta, 1.0, 1.0)
             decoded = configuration(f, g).theta
             ax_f, ax_g = axis(f), axis(g)
-            z = _intersect(geodesic_shape(ax_f), geodesic_shape(ax_g))
+            z = intersect_shapes(geodesic_shape(ax_f), geodesic_shape(ax_g))
             d_f = _direction_toward_attractor(ax_f, z)
             d_g = _direction_toward_attractor(ax_g, z)
             dot = d_f.real * d_g.real + d_f.imag * d_g.imag
@@ -107,15 +115,7 @@ def _direction_toward_attractor(geo, z):
 
 class TestSharedFixedPointAssembly:
     def test_shared_attractor_family(self):
-        # Two generators sharing an attractor, plus two independent ones.
-        a = BoundaryPoint.from_angle
-        tau = 60.0
-        F = [
-            from_axis_and_length(a(2.2), a(0.7), tau),   # shares attractor 0.7
-            from_axis_and_length(a(2.9), a(0.7), tau),   # shares attractor 0.7
-            from_axis_and_length(a(1.7), a(4.2), tau),   # crosses the others
-            from_axis_and_length(a(5.8), a(3.6), tau),
-        ]
+        F = shared_attractor_family()
         system = assemble_global(F)
         assert any(g.kind == "alpha" and set(g.members) == {0, 1} for g in system.groups)
         assert verify_schottky(F, system.union, margin=1e-7)
@@ -129,14 +129,7 @@ class TestSharedFixedPointAssembly:
         assert len(hosts) == len(system.union) == 3
 
     def test_shared_repeller_family(self):
-        a = BoundaryPoint.from_angle
-        tau = 60.0
-        F = [
-            from_axis_and_length(a(0.7), a(2.2), tau),
-            from_axis_and_length(a(0.7), a(2.9), tau),
-            from_axis_and_length(a(4.2), a(1.7), tau),
-            from_axis_and_length(a(3.6), a(5.8), tau),
-        ]
+        F = shared_repeller_family()
         system = assemble_global(F)
         assert any(g.kind == "beta" and set(g.members) == {0, 1} for g in system.groups)
         assert verify_schottky(F, system.union, margin=1e-7)
