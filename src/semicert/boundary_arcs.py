@@ -5,7 +5,7 @@ needs no special casing.  An arc is the open set swept counterclockwise from
 its start point to its end point.  This is the only module that does
 arithmetic on circle order: strict membership (`contains`), one arc-in-arc
 clearance routine behind the verifier and every containment check, greedy
-clustering of nearby points, and the arcs built around a point.
+clustering of nearby points, the rank-one candidate arcs, and arcs around a point.
 """
 
 from __future__ import annotations
@@ -65,9 +65,17 @@ def contains(arc: BoundaryArc, p: BoundaryPoint) -> bool:
 
 
 def arc_image(f: MoebiusMap, arc: BoundaryArc) -> BoundaryArc:
-    # Orientation-preserving maps of the circle send the ccw arc between the
-    # endpoint images to the image of the arc.
-    return BoundaryArc(apply_boundary(f, arc.start), apply_boundary(f, arc.end))
+    """The ccw arc between the endpoint images, checked on the midpoint's image.
+
+    An image thinner than float angular resolution (endpoint images equal,
+    or rounded out of order) raises VerificationFailed.
+    """
+    start, end = apply_boundary(f, arc.start), apply_boundary(f, arc.end)
+    if start.angular_distance(end) > 0.0:
+        image = BoundaryArc(start, end)
+        if contains(image, apply_boundary(f, arc.midpoint)):
+            return image
+    raise VerificationFailed("image arc is below float angular resolution")
 
 
 def complement(arc: BoundaryArc) -> BoundaryArc:
@@ -261,18 +269,34 @@ def can_partition_rank_one(
     return changes == 2
 
 
-def cut_points(
-    points: Sequence[BoundaryPoint], pinned: Sequence[BoundaryPoint], tol: float
-) -> list[BoundaryPoint]:
-    """`pinned` plus the midpoints of the gaps wider than tol between cyclically
-    consecutive `points`, in counterclockwise order from angle 0."""
-    ordered = sorted(points, key=lambda p: p.angle)
-    mids = [
-        BoundaryArc(cur, nxt).midpoint
-        for cur, nxt in zip(ordered, ordered[1:] + ordered[:1])
-        if ccw_gap(cur.angle, nxt.angle) > tol
-    ]
-    return sorted([*pinned, *mids], key=lambda p: p.angle)
+def rank_one_arcs(
+    alphas: Sequence[BoundaryPoint], betas: Sequence[BoundaryPoint], tol: float
+) -> tuple[BoundaryArc, ...]:
+    """The arcs that can be one interval every generator maps inside itself.
+
+    Clusters the fixed points (alphas[i], betas[i] interleaved) within tol
+    into attracting, repelling and shared classes.  An arc qualifies when its
+    open interior holds exactly the attracting-only classes and each shared
+    class is one of its ends; the other ends are midpoints of the gaps next
+    to the attracting run.  Returns a tuple sorted by start, then end angle.
+    """
+    points = [p for pair in zip(alphas, betas) for p in pair]
+    classes = sorted(cluster(points, tol), key=lambda c: points[c[0]].angle)
+    reps, m = [points[c[0]] for c in classes], len(classes)
+    kinds = [{i % 2 for i in c} for c in classes]  # 0: attracting, 1: repelling
+    shared = {k for k, kind in enumerate(kinds) if len(kind) == 2}
+    attracting = [k for k, kind in enumerate(kinds) if kind == {0}]
+    runs = [k for k in attracting if kinds[k - 1] != {0}]
+    if m < 2 or len(runs) > 1 or len(shared) > 2:
+        return ()
+    gaps = [BoundaryArc(reps[k - 1], reps[k]).midpoint for k in range(m)]
+    arcs = []
+    for k in runs or range(m):  # an empty attracting run may sit in any gap
+        prev, nxt = (k - 1) % m, (k + len(attracting)) % m
+        starts = [(gaps[k], None)] + [(reps[prev], prev)] * (prev in shared)
+        ends = [(gaps[nxt], None)] + [(reps[nxt], nxt)] * (nxt in shared)
+        arcs += [BoundaryArc(u, v) for u, i in starts for v, j in ends if u != v and shared <= {i, j}]
+    return tuple(sorted(arcs, key=lambda a: (a.start.angle, a.end.angle)))
 
 
 def repeller_free_arc(ci: Classification, cj: Classification) -> BoundaryArc:

@@ -328,7 +328,7 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
 @_format_opt
 @click.option("--max-len", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--max-words", type=click.IntRange(min=1), default=DEFAULT_BUDGET, show_default=True)
-@click.option("--seed", type=int, default=None, help="Also sample the forward limit set.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Also sample the forward limit set.")
 def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
     """Empirical word-enumeration report (evidence, not a certificate)."""
     try:

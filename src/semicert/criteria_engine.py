@@ -16,10 +16,7 @@ from .boundary_arcs import (
     DEFAULT_MARGIN,
     ArcUnion,
     BoundaryArc,
-    can_partition_rank_one,
-    cluster,
     contains,
-    cut_points,
     repeller_free_arc,
     schottky_margin,
 )
@@ -33,7 +30,6 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, disjoint_pair_gate
 from .moebius_core import (
-    ANGLE_TOL,
     BoundaryPoint,
     MoebiusMap,
     _canonical_sign,
@@ -400,38 +396,12 @@ def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
 
 
 def find_rank_one_interval(F) -> tuple[BoundaryArc, float] | None:
-    """A single interval every generator maps strictly inside itself, if one exists.
-
-    Fixed points within ANGLE_TOL of each other count as one.  Candidate
-    endpoints are points where an attracting and a repelling fixed point
-    coincide (the interval may end there) and midpoints of the gaps between
-    consecutive distinct fixed points; every candidate interval that covers
-    the attractors and avoids the repellers is then verified.
-    """
+    """One interval every generator maps strictly inside itself: the first verified `rank_one_arcs`."""
     family = Family.of(F)
-    points = [p for k in family.cls for p in (k.alpha, k.beta)]
-    merged = []  # (point, is attracting, is repelling)
-    for c in cluster(points, ANGLE_TOL):
-        kinds = {i % 2 for i in c}  # even indices are attracting points
-        merged.append((points[c[0]], 0 in kinds, 1 in kinds))
-    shared = [p for p, a, b in merged if a and b]
-    alphas = [p for p, a, _ in merged if a]
-    betas = [p for p, _, b in merged if b]
-    if not shared and not can_partition_rank_one(alphas, betas, tol=ANGLE_TOL):
-        return None
-    candidates = cut_points([p for p, _, _ in merged], shared, ANGLE_TOL)
-    for u in candidates:
-        for v in candidates:
-            if u is v:
-                continue
-            arc = BoundaryArc(u, v)
-            if not all(contains(arc, p) or p.approx(u) or p.approx(v) for p in alphas):
-                continue
-            if any(contains(arc, p) for p in betas):
-                continue
-            achieved = schottky_margin(family.maps, ArcUnion([arc]))
-            if achieved >= 0.0:
-                return arc, achieved
+    for arc in family.rank_one_arcs:
+        achieved = schottky_margin(family.maps, ArcUnion([arc]))
+        if achieved >= 0.0:
+            return arc, achieved
     return None
 
 

@@ -22,7 +22,6 @@ from .boundary_arcs import (
     BoundaryArc,
     arc_between,
     arc_image,
-    can_partition_rank_one,
     complement,
     hull_around,
     image_clearances,
@@ -321,10 +320,8 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     """
     family = Family.of(F)
     family.require_alpha_apart_from_beta()
-    if can_partition_rank_one([k.alpha for k in family.cls], [k.beta for k in family.cls]):
-        raise PreconditionViolated(
-            "fixed points are separable by two intervals (rank-one configuration)"
-        )
+    if family.rank_one_arcs:
+        raise PreconditionViolated("fixed points are separable by two intervals (rank-one configuration)")
     last_error: Exception | None = None
     for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
         try:

@@ -297,7 +297,8 @@ def _hyperbolic_fixed_points(f: MoebiusMap) -> tuple[BoundaryPoint, BoundaryPoin
     sq = math.sqrt(max(f.trace * f.trace - 4.0, 0.0))
     if A == 0.0:
         return BoundaryPoint.infinity(), BoundaryPoint.of(-C, B)
-    q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
+    # At B == 0 the sign of A keeps each point's formula the same for inverse(f).
+    q = -0.5 * (B + math.copysign(sq, B if B != 0.0 else A))
     # q/A is the large root, C/q the small one; no cancellation either way.
     first = BoundaryPoint.of(q, A)
     second = BoundaryPoint.of(C, q) if q != 0.0 else BoundaryPoint.of(-B, A)

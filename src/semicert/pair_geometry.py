@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary_arcs import BoundaryArc, cluster, contains
+from .boundary_arcs import BoundaryArc, cluster, contains, rank_one_arcs
 from .errors import (
     AxesCross,
     AxesNotDisjoint,
@@ -137,6 +137,8 @@ class Family:
       groups them; a class with two or more members is a shared fixed point.
     - `alpha_meets_beta`: the first (i, j) whose attracting point i meets
       repelling point j within ANGLE_TOL, or None.
+    - `rank_one_arcs`: the candidate single intervals, read by
+      :func:`rank_one_arcs` off all 2n fixed points clustered within ANGLE_TOL.
 
     Build values with :meth:`of`, the one place that classifies a family.
     """
@@ -147,6 +149,7 @@ class Family:
     alpha_classes: tuple[tuple[int, ...], ...]
     beta_classes: tuple[tuple[int, ...], ...]
     alpha_meets_beta: tuple[int, int] | None
+    rank_one_arcs: tuple[BoundaryArc, ...]
 
     @staticmethod
     def of(F) -> "Family":
@@ -168,7 +171,8 @@ class Family:
             ((i, j) for i, ki in enumerate(cls) for j, kj in enumerate(cls) if ki.alpha.approx(kj.beta)),
             None,
         )
-        return Family(maps, cls, pairs, alpha_classes, beta_classes, meets)
+        arcs = rank_one_arcs([k.alpha for k in cls], [k.beta for k in cls], ANGLE_TOL)
+        return Family(maps, cls, pairs, alpha_classes, beta_classes, meets, arcs)
 
     def pair(self, i: int, j: int) -> PairGeometry:
         return self.pairs[(i, j) if i < j else (j, i)]

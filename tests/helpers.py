@@ -18,9 +18,12 @@ from semicert.boundary_arcs import (
     _clearances,
     arc_image,
     can_partition_rank_one,
+    ccw_gap,
+    cluster,
     complement,
     contains,
     image_clearances,
+    schottky_margin,
 )
 from semicert.errors import ThresholdNotMet, VerificationFailed
 from semicert.interval_builder import (
@@ -29,6 +32,7 @@ from semicert.interval_builder import (
     build_disjoint_pair_intervals,
 )
 from semicert.moebius_core import (
+    ANGLE_TOL,
     Geodesic,
     apply_boundary,
     compose,
@@ -326,3 +330,77 @@ def reference_shared_intervals(fs):
             raise VerificationFailed("shared-attractor intervals failed verification")
     return a_union, b_arc
 
+
+
+def reference_rank_one_search(F):
+    """Reference rank-one search: every pair of cut points, filtered and verified.
+
+    Fixed points within ANGLE_TOL count as one.  Cut points are the shared
+    points (an attracting and a repelling point in one class) and the
+    midpoints of the gaps wider than ANGLE_TOL between consecutive classes;
+    every ordered pair of cut points whose arc covers the attractors and
+    avoids the repellers is verified, and the first with a nonnegative
+    margin is returned with that margin.
+    """
+    family = Family.of(F)
+    points = [p for k in family.cls for p in (k.alpha, k.beta)]
+    merged = []  # (point, is attracting, is repelling)
+    for c in cluster(points, ANGLE_TOL):
+        kinds = {i % 2 for i in c}  # even indices are attracting points
+        merged.append((points[c[0]], 0 in kinds, 1 in kinds))
+    shared = [p for p, a, b in merged if a and b]
+    alphas = [p for p, a, _ in merged if a]
+    betas = [p for p, _, b in merged if b]
+    if not shared and not can_partition_rank_one(alphas, betas, tol=ANGLE_TOL):
+        return None
+    ordered = sorted([p for p, _, _ in merged], key=lambda p: p.angle)
+    mids = [
+        BoundaryArc(cur, nxt).midpoint
+        for cur, nxt in zip(ordered, ordered[1:] + ordered[:1])
+        if ccw_gap(cur.angle, nxt.angle) > ANGLE_TOL
+    ]
+    candidates = sorted([*shared, *mids], key=lambda p: p.angle)
+    for u in candidates:
+        for v in candidates:
+            if u is v:
+                continue
+            arc = BoundaryArc(u, v)
+            if not all(contains(arc, p) or p.approx(u) or p.approx(v) for p in alphas):
+                continue
+            if any(contains(arc, p) for p in betas):
+                continue
+            achieved = schottky_margin(family.maps, ArcUnion([arc]))
+            if achieved >= 0.0:
+                return arc, achieved
+    return None
+
+
+def forced_shared_family(rng, offset):
+    """One to six generators, often rank one, often with an attracting point
+    forced to sit `offset` radians from another generator's repelling point.
+
+    Attracting points are drawn in one arc and repelling points in its
+    complement (or anywhere, one draw in four); with two or more generators,
+    three draws in four move attracting point i to repelling point j plus
+    `offset`, and half of those with three or more generators move a third
+    attracting point onto i (or `offset` beyond it).
+    """
+    n = int(rng.integers(1, 7))
+    lo, width = rng.uniform(0.0, TWO_PI), rng.uniform(0.3, 5.5)
+    mode = int(rng.integers(0, 4))
+    alphas = list(lo + rng.uniform(0.0, width, n))
+    if mode == 3:
+        betas = list(rng.uniform(0.0, TWO_PI, n))
+    else:
+        betas = list(lo + width + rng.uniform(0.0, TWO_PI - width, n))
+    if n > 1 and mode >= 1:
+        i, j = rng.choice(n, 2, replace=False)
+        alphas[i] = betas[j] + offset
+        if mode == 2 and n > 2:
+            k = next(x for x in range(n) if x not in (i, j))
+            alphas[k] = alphas[i] + rng.choice([0.0, offset])
+    taus = rng.uniform(0.5, 8.0, n)
+    return [
+        from_axis_and_length(BoundaryPoint.from_angle(b), BoundaryPoint.from_angle(a), float(t))
+        for a, b, t in zip(alphas, betas, taus)
+    ]

@@ -11,7 +11,7 @@ import pytest
 
 from semicert import criteria_engine
 
-from helpers import figure_two
+from helpers import figure_two, section_one_pair
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -74,6 +74,19 @@ def test_tracer_wraps_every_measured_function(tracing):
         "interval_builder.build_shared_alpha_intervals",
     ):
         assert tracer.total_calls(builder) > 0, builder
+
+
+def test_tracer_sees_the_rank_one_verification(tracing):
+    # `criteria_engine.rank_one.candidates_verified` and `hit_ratio` read the
+    # verifier calls at the criteria_engine binding and the search's hits.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        criteria_engine.certify(list(section_one_pair()))  # looked up as the benchmark does
+    finally:
+        tracer.uninstall()
+    assert tracer.total_calls("boundary_arcs.schottky_margin", "criteria_engine") >= 1
+    assert tracer.non_null["criteria_engine.find_rank_one_interval"] == 1
 
 
 def test_tracer_counts_one_bfs_sweep_per_oracle_call(tracing):

@@ -6,7 +6,9 @@ import pytest
 from semicert import (
     ArcUnion,
     BoundaryPoint,
+    apply_boundary,
     arc_image,
+    assemble_global,
     can_partition_rank_one,
     classify,
     complement,
@@ -16,9 +18,9 @@ from semicert import (
     verify_schottky,
 )
 from semicert.boundary_arcs import BoundaryArc, schottky_margin
-from semicert.errors import OverlappingArcs
+from semicert.errors import OverlappingArcs, VerificationFailed
 
-from helpers import figure_two, random_moebius, section_one_pair
+from helpers import figure_two, random_admissible_family, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
 
@@ -70,6 +72,34 @@ class TestArcBasics:
             twice = arc_image(f, arc_image(g, a))
             assert once.start.angular_distance(twice.start) < 1e-9
             assert once.end.angular_distance(twice.end) < 1e-9
+
+
+    def test_image_below_float_resolution_is_refused(self):
+        # Generators of an assembled union squeeze its arcs far below float
+        # angular resolution; an image either contains the midpoint's image
+        # or is refused, never returned as the complementary arc.
+        families = [figure_two(41.0)]
+        for seed, count, high in ((64, 20, 6), (120, 10, 5)):
+            rng = np.random.default_rng(seed)
+            families += [random_admissible_family(rng, int(rng.integers(2, high))) for _ in range(count)]
+        outcomes = {"image": 0, "refused": 0}
+        for F in families:
+            union = assemble_global(F).union
+            for f in F:
+                for a in union:
+                    try:
+                        image = arc_image(f, a)
+                    except VerificationFailed:
+                        outcomes["refused"] += 1
+                        continue
+                    assert contains(image, apply_boundary(f, a.midpoint))
+                    outcomes["image"] += 1
+        assert min(outcomes.values()) > 0
+
+    def test_coincident_endpoint_images_are_refused(self):
+        squeeze = normalize([[1e9, 0.0], [0.0, 1e-9]])  # attracts everything to infinity
+        with pytest.raises(VerificationFailed, match="below float angular resolution"):
+            arc_image(squeeze, arc(1.0, 2.0))
 
 
 class TestArcUnion:

@@ -275,6 +275,13 @@ class TestOracleCommand:
         assert payload["chaos"]["seed"] == 3
         assert payload["chaos"]["samples"] == 10_000
 
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path):
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, ["oracle", "--input", str(src), "--max-len", "2", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
+
 
 class TestRenderCommand:
     def test_deterministic_svg(self, runner, tmp_path):

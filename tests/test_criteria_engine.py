@@ -30,7 +30,12 @@ from semicert import (
     uniform_hyperbolicity,
     verify_schottky,
 )
-from semicert.criteria_engine import certificate_to_dict, cos_phi, map_from_unit_matrix
+from semicert.criteria_engine import (
+    certificate_to_dict,
+    cos_phi,
+    find_rank_one_interval,
+    map_from_unit_matrix,
+)
 from semicert.errors import (
     AxesDoNotCross,
     AxesNotDisjoint,
@@ -41,7 +46,14 @@ from semicert.errors import (
 )
 from semicert.moebius_core import power
 
-from helpers import crossing_pair, disjoint_pair, figure_two, section_one_pair
+from helpers import (
+    crossing_pair,
+    disjoint_pair,
+    figure_two,
+    forced_shared_family,
+    reference_rank_one_search,
+    section_one_pair,
+)
 
 INF = BoundaryPoint.infinity()
 
@@ -321,6 +333,34 @@ class TestCertify:
             assert isinstance(cert, NotSemidiscrete)
             word = MoebiusMapProduct(cert.witness_word, [f, g])
             assert abs(word.trace) < 2.0 - 1e-9
+
+
+class TestRankOneSearch:
+    """The search verifies the Family's arcs and agrees with the all-pairs reference."""
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            list(section_one_pair()),
+            [normalize([[2.0, 0.0], [0.0, 1.0]])],
+            [normalize([[2.0, 0.0], [0.0, 1.0]]), normalize([[1.0, 0.0], [0.0, 2.0]])],
+            figure_two(41.0),
+        ],
+        ids=["section-one", "one-generator-cone", "inverse-pair", "figure-two"],
+    )
+    def test_fixed_cases_match_reference(self, F):
+        assert find_rank_one_interval(F) == reference_rank_one_search(F)
+
+    @pytest.mark.parametrize("offset", [0.0, 3e-10, 1.5e-9, 2.5e-9, -1.2e-9])
+    def test_seeded_draws_match_reference(self, offset):
+        rng = np.random.default_rng(121)
+        found = 0
+        for _ in range(120):
+            F = forced_shared_family(rng, offset)
+            result = find_rank_one_interval(F)
+            assert result == reference_rank_one_search(F)
+            found += result is not None
+        assert 20 < found < 100  # both outcomes are exercised
 
 
 def test_readme_quick_start(capsys):

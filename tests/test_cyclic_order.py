@@ -14,9 +14,9 @@ from semicert.boundary_arcs import (
     DEFAULT_MARGIN,
     BoundaryArc,
     cluster,
-    cut_points,
     hull_around,
     intersect_around,
+    rank_one_arcs,
     repeller_free_arc,
     schottky_margin,
 )
@@ -194,14 +194,35 @@ def test_cluster_joins_the_first_class_within_tol():
     assert cluster(points, 1e-9) == [[0, 1, 4], [2], [3]]
 
 
-def test_cut_points_skip_narrow_gaps():
-    points = [BoundaryPoint.from_angle(t) for t in (4.0, 1.0, 1.0 + 1e-12)]
-    pinned = BoundaryPoint.from_angle(3.0)
-    cuts = [p.angle for p in cut_points(points, [pinned], 1e-9)]
-    assert len(cuts) == 3
-    assert math.isclose(cuts[0], 2.5, abs_tol=1e-12)
-    assert cuts[1] == pinned.angle
-    assert math.isclose(cuts[2], 2.5 + math.pi, abs_tol=1e-12)
+@pytest.mark.parametrize(
+    "alphas, betas, expected",
+    [
+        # One attracting run: gap midpoint to gap midpoint (the first gap wraps).
+        ((1.0, 1.5), (3.0, 4.0), [(2.5 + math.pi, 2.25)]),
+        # Two attracting runs: no single arc.
+        ((1.0, 3.5), (2.0, 5.0), []),
+        # The run between two shared points ends at both.
+        ((1.0, 1.5, 2.0), (2.0, 1.0, 4.0), [(1.0, 2.0)]),
+        # A shared point next to the run ends it; the other end is a gap midpoint.
+        ((1.0, 1.5), (3.0, 1.0 + 4e-10), [(1.0, 2.25)]),
+        # Two shared points and no attracting-only class: both arcs between them.
+        ((1.0, 2.0), (2.0, 1.0), [(1.0, 2.0), (2.0, 1.0)]),
+        # One shared point and no attracting-only class: it ends both arcs.
+        ((1.0, 1.0), (1.0, 3.0), [(1.0, 2.0), (2.0 + math.pi, 1.0)]),
+        # Three shared points cannot all be ends.
+        ((1.0, 2.0, 3.0), (2.0, 3.0, 1.0), []),
+    ],
+    ids=["run", "two-runs", "shared-both-ends", "shared-one-end", "two-shared", "one-shared", "three-shared"],
+)
+def test_rank_one_arcs_read_the_classes_in_angle_order(alphas, betas, expected):
+    def points(angles):
+        return [BoundaryPoint.from_angle(t) for t in angles]
+
+    arcs = rank_one_arcs(points(alphas), points(betas), 1e-9)
+    found = [(a.start.angle, a.end.angle) for a in arcs]
+    assert len(found) == len(expected)
+    for got, want in zip(found, expected):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_repeller_free_arc_tries_i_to_j_first():

@@ -30,11 +30,11 @@ MODULES = [semicert] + [
 COUNTED = ("classify", "cross_ratio_of_points")
 
 
-def count_calls(monkeypatch) -> Counter:
-    """Wrap every binding of the counted functions in every semicert module."""
+def count_calls(monkeypatch, names=COUNTED) -> Counter:
+    """Wrap every binding of the named functions in every semicert module."""
     counts: Counter = Counter()
     for module in MODULES:
-        for name in COUNTED:
+        for name in names:
             original = module.__dict__.get(name)
             if original is None:
                 continue
@@ -76,6 +76,21 @@ def test_certify_classifies_each_generator_once(monkeypatch, build, kind):
     assert counts["cross_ratio_of_points"] == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: figure_two(41.0), lambda: random_admissible_family(np.random.default_rng(92), 12)],
+    ids=["figure-two-shared-points", "schottky-12"],
+)
+def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
+    # Attracting classes, repelling classes and the merged classes behind
+    # the rank-one arcs: three clusterings, and no partition re-check.
+    F = build()
+    counts = count_calls(monkeypatch, ("cluster", "can_partition_rank_one"))
+    assert isinstance(certify(F), SemidiscreteInverseFree)
+    assert counts["cluster"] == 3
+    assert counts["can_partition_rank_one"] == 0
+
+
 def test_render_classifies_each_generator_once(monkeypatch):
     from semicert.render import render_figure
 
@@ -105,6 +120,7 @@ def test_fixed_point_classes_and_the_first_meeting_are_recorded():
     assert family.alpha_classes == ((0, 1), (2, 3), (4,))
     assert family.beta_classes == ((0, 3), (1, 2), (4,))
     assert family.alpha_meets_beta is None
+    assert family.rank_one_arcs == ()  # attracting classes in two runs
     family.require_alpha_apart_from_beta()
     # 2z attracts to infinity, where z/2 + 1 and z/2 - 1 both repel; the first meeting is kept.
     family = Family.of([*section_one_pair(), normalize([[1.0, -2.0], [0.0, 2.0]])])

@@ -24,9 +24,10 @@ from semicert import (
     strictly_inside,
     verify_schottky,
 )
-from semicert.boundary_arcs import arc_image
+from semicert.boundary_arcs import arc_image, can_partition_rank_one
 from semicert.errors import (
     AxesDoNotCross,
+    CertifyError,
     AxesNotDisjoint,
     OverlappingArcs,
     PreconditionViolated,
@@ -34,11 +35,13 @@ from semicert.errors import (
     VerificationFailed,
 )
 from semicert.interval_builder import mapping_margin
+from semicert.pair_geometry import Family
 
 from helpers import (
     crossing_pair,
     disjoint_pair,
     figure_two,
+    forced_shared_family,
     geodesic_shape,
     intersect_shapes,
     nested,
@@ -388,6 +391,28 @@ class TestAssembleGlobal:
         f, g = disjoint_pair(rng, 1.0, 30.0, 30.0)
         with pytest.raises(PreconditionViolated):
             assemble_global([f, inverse(g)])  # aligned pair is separable
+
+    def test_rank_one_precondition_is_the_partition_test(self):
+        # With attracting points apart from repelling ones, the Family's
+        # rank-one arcs exist exactly when two arcs separate the kinds.
+        rng = np.random.default_rng(122)
+        seen = {True: 0, False: 0}
+        for offset in (1.5e-9, 2.5e-9, -1.2e-9, 0.3):
+            for _ in range(60):
+                family = Family.of(forced_shared_family(rng, offset))
+                if family.alpha_meets_beta is not None:
+                    continue
+                separable = can_partition_rank_one(
+                    [k.alpha for k in family.cls], [k.beta for k in family.cls]
+                )
+                try:
+                    assemble_global(family)
+                    refused = False
+                except CertifyError as exc:
+                    refused = "rank-one configuration" in str(exc)
+                assert refused == separable
+                seen[separable] += 1
+        assert min(seen.values()) > 20
 
     def test_random_admissible_families(self):
         rng = np.random.default_rng(64)

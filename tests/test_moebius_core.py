@@ -25,7 +25,7 @@ from semicert import moebius_core
 from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
 from semicert.moebius_core import TWO_PI, from_boundary_triple, power
 
-from helpers import random_hyperbolic, random_moebius, section_one_pair
+from helpers import figure_two, random_hyperbolic, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
 
@@ -162,6 +162,24 @@ class TestClassify:
             cls = classify(f)
             assert apply_boundary(f, cls.alpha).angular_distance(cls.alpha) < 1e-9
             assert apply_boundary(f, cls.beta).angular_distance(cls.beta) < 1e-9
+
+    @staticmethod
+    def equal_diagonal_maps():
+        # a == d makes B = d - a exactly 0; c of both signs.
+        rng = np.random.default_rng(11)
+        maps = [figure_two(10.0)[0], figure_two(80.0)[0]]
+        for sign in (1.0, -1.0) * 10:
+            a, c = rng.uniform(1.05, 20.0), sign * rng.uniform(0.1, 5.0)
+            maps.append(MoebiusMap.from_matrix(a, (a * a - 1.0) / c, c, a))
+        return maps
+
+    def test_inverse_swaps_fixed_points_exactly(self):
+        maps = self.equal_diagonal_maps()
+        assert all(f.a == f.d for f in maps)
+        assert {f.c > 0.0 for f in maps} == {True, False}
+        for f in maps:
+            cls, inv = classify(f), classify(inverse(f))
+            assert (inv.alpha, inv.beta) == (cls.beta, cls.alpha)
 
     def test_attraction(self):
         rng = np.random.default_rng(5)
