@@ -68,12 +68,15 @@ def arc_image(f: MoebiusMap, arc: BoundaryArc) -> BoundaryArc:
     """The ccw arc between the endpoint images, checked on the midpoint's image.
 
     An image thinner than float angular resolution (endpoint images equal,
-    or rounded out of order) raises VerificationFailed.
+    or rounded out of order) or not placeable raises VerificationFailed.
     """
-    start, end = apply_boundary(f, arc.start), apply_boundary(f, arc.end)
+    try:
+        start, end, mid = (apply_boundary(f, p) for p in (arc.start, arc.end, arc.midpoint))
+    except ValueError as exc:
+        raise VerificationFailed(f"image point cannot be placed: {exc}") from exc
     if start.angular_distance(end) > 0.0:
         image = BoundaryArc(start, end)
-        if contains(image, apply_boundary(f, arc.midpoint)):
+        if contains(image, mid):
             return image
     raise VerificationFailed("image arc is below float angular resolution")
 
@@ -161,22 +164,27 @@ def _angles(arc: BoundaryArc) -> tuple[float, float, float]:
 
 def _image_angles(
     f: MoebiusMap, points: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
-) -> tuple[float, float, float]:
-    """Start, end and midpoint angles of the images of an arc's `points` under f."""
+) -> tuple[float, float, float] | None:
+    """Start, end and midpoint angles of the images of an arc's `points` under f.
+
+    None when an image cannot be placed: a map with huge entries can send a
+    point to a pair whose coordinates both round to zero.
+    """
     start, end, mid = points
-    return (
-        apply_boundary(f, start).angle,
-        apply_boundary(f, end).angle,
-        apply_boundary(f, mid).angle,
-    )
+    try:
+        return apply_boundary(f, start).angle, apply_boundary(f, end).angle, apply_boundary(f, mid).angle
+    except ValueError:
+        return None
 
 
-def _enclosing(angles: tuple[float, float, float], union: ArcUnion) -> tuple[float, float] | None:
+def _enclosing(angles: tuple[float, float, float] | None, union: ArcUnion) -> tuple[float, float] | None:
     """Clearances in the component of `union` that properly contains the arc, or None.
 
     Components have disjoint closures, so only the one starting last at or
     before the arc's start (index -1 wraps to the last) can contain it.
     """
+    if angles is None:
+        return None
     found = _clearances(*angles, union.arcs[bisect_right(union.starts, angles[0]) - 1])
     if found is not None and found[0] + found[1] > 0.0:
         return found
@@ -203,7 +211,8 @@ def image_clearances(
     f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
 ) -> tuple[float, float] | None:
     """Endpoint clearances of the image of `arc` under f inside `outer`, or None."""
-    return _clearances(*_image_angles(f, (arc.start, arc.end, arc.midpoint)), outer)
+    angles = _image_angles(f, (arc.start, arc.end, arc.midpoint))
+    return None if angles is None else _clearances(*angles, outer)
 
 
 def verify_schottky(
@@ -218,7 +227,8 @@ def verify_schottky(
 
 
 def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
-    """Smallest endpoint clearance over all generator images, -inf on failure."""
+    """Smallest endpoint clearance over all generator images; -inf on failure,
+    which includes an image that cannot be placed (it is never guessed)."""
     worst = math.inf
     arc_points = [(a.start, a.end, a.midpoint) for a in union]
     for f in generators:
@@ -269,19 +279,16 @@ def can_partition_rank_one(
     return changes == 2
 
 
-def rank_one_arcs(
-    alphas: Sequence[BoundaryPoint], betas: Sequence[BoundaryPoint], tol: float
-) -> tuple[BoundaryArc, ...]:
+def rank_one_arcs(points: Sequence[BoundaryPoint], classes: list[list[int]]) -> tuple[BoundaryArc, ...]:
     """The arcs that can be one interval every generator maps inside itself.
 
-    Clusters the fixed points (alphas[i], betas[i] interleaved) within tol
-    into attracting, repelling and shared classes.  An arc qualifies when its
-    open interior holds exactly the attracting-only classes and each shared
-    class is one of its ends; the other ends are midpoints of the gaps next
-    to the attracting run.  Returns a tuple sorted by start, then end angle.
+    Reads the :func:`cluster` classes of the fixed points (alpha_i at 2i,
+    beta_i at 2i + 1).  An arc qualifies when its open interior holds exactly
+    the attracting-only classes and each shared class is one of its ends; the
+    other ends are midpoints of the gaps next to the attracting run.  Returns
+    a tuple sorted by start, then end angle.
     """
-    points = [p for pair in zip(alphas, betas) for p in pair]
-    classes = sorted(cluster(points, tol), key=lambda c: points[c[0]].angle)
+    classes = sorted(classes, key=lambda c: points[c[0]].angle)
     reps, m = [points[c[0]] for c in classes], len(classes)
     kinds = [{i % 2 for i in c} for c in classes]  # 0: attracting, 1: repelling
     shared = {k for k, kind in enumerate(kinds) if len(kind) == 2}

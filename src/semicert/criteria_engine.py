@@ -28,7 +28,7 @@ from .errors import (
     ThresholdNotMet,
     VerificationFailed,
 )
-from .interval_builder import GlobalIntervalSystem, assemble_global, disjoint_pair_gate
+from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
 from .moebius_core import (
     BoundaryPoint,
     MoebiusMap,
@@ -211,7 +211,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
     if witness is not None:
         return witness
     tau_f, tau_g = (k.tau for k in family.cls)
-    t_high = disjoint_pair_gate(c)
+    t_high = pair_gate(c)
     if tau_f > t_high and tau_g > t_high:
         system = assemble_global(family, margin=margin)
         return SemidiscreteInverseFree(system=system, thresholds=Thresholds.from_generators(family))
@@ -284,10 +284,7 @@ def crossing_limit_interval(F, i: int = 0, j: int = 1) -> BoundaryArc:
 def triple_crossing_test(F, i: int = 0, j: int = 1, k: int = 2) -> Certificate:
     """Nondiscreteness from the crossing pair i, j and the repeller of generator k in its limit arc."""
     family = Family.of(F)
-    try:
-        arc = crossing_limit_interval(family, i, j)
-    except (ThresholdNotMet, AxesDoNotCross) as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    arc = crossing_limit_interval(family, i, j)
     if not contains(arc, family.cls[k].beta):
         raise PreconditionViolated(
             "repelling point of the third generator lies outside the limit interval"

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; a rule that does not apply raises PreconditionViolated."""
 
 
 class CertifyError(Exception):
@@ -25,20 +25,8 @@ class SharedEndpoint(CertifyError):
     """Lines share a boundary endpoint."""
 
 
-class AxesNotDisjoint(CertifyError):
-    """Pair operation needs disjoint axes with cross ratio above 1."""
-
-
 class OverlappingArcs(CertifyError):
     """Arc union constructor received arcs with intersecting closures."""
-
-
-class ThresholdNotMet(CertifyError):
-    """Translation lengths fall short of the constructive threshold."""
-
-
-class AxesDoNotCross(CertifyError):
-    """Crossing-pair construction needs crossing axes (cross ratio < 0)."""
 
 
 class PreconditionViolated(CertifyError):
@@ -47,6 +35,18 @@ class PreconditionViolated(CertifyError):
 
 class NotHyperbolic(PreconditionViolated):
     """Operation requires a hyperbolic transformation."""
+
+
+class AxesDoNotCross(PreconditionViolated):
+    """Crossing-pair construction needs crossing axes (cross ratio < 0)."""
+
+
+class ThresholdNotMet(PreconditionViolated):
+    """Translation lengths fall short of the constructive threshold."""
+
+
+class AxesNotDisjoint(PreconditionViolated):
+    """Pair operation needs disjoint axes with cross ratio above 1."""
 
 
 class VerificationFailed(CertifyError):

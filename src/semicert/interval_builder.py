@@ -96,11 +96,8 @@ class GlobalIntervalSystem:
     notes: tuple[str, ...] = ()
 
 
-def disjoint_pair_gate(c: float) -> float:
-    return math.log(c) + PAIR_GATE_SLACK
-
-
-def crossing_pair_gate(c: float) -> float:
+def pair_gate(c: float) -> float:
+    """|log|C|| + 3/2, the translation-length gate of a pair; log C + 3/2 when C > 1."""
     return abs(math.log(abs(c))) + PAIR_GATE_SLACK
 
 
@@ -113,12 +110,11 @@ def crossing_cut_floor(theta: float) -> float:
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
     pg = family.pair(i, j)
+    gate = pair_gate(pg.cross_ratio)
     if pg.kind == "crossing":
-        gate, rule = crossing_pair_gate(pg.cross_ratio), "|log|C|| + 3/2"
-        floor = crossing_cut_floor(pg.theta)
+        rule, floor = "|log|C|| + 3/2", crossing_cut_floor(pg.theta)
     else:
-        gate, rule = disjoint_pair_gate(pg.cross_ratio), "log C + 3/2"
-        floor = math.asinh(1.0 / math.sinh(0.5 * pg.distance))
+        rule, floor = "log C + 3/2", math.asinh(1.0 / math.sinh(0.5 * pg.distance))
     for k in (i, j):
         tau = family.cls[k].tau
         if tau <= gate:
@@ -368,10 +364,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
             builder = build_crossing_pair_intervals if crossing else build_disjoint_pair_intervals
             built[key] = builder(family, *key, cut_offset=extra)
         pairs.append(SymmetricIntervalPair(built[ka][ka.index(i)].a, built[kb][kb.index(i)].b, i))
-    try:
-        groups = build_shared_alpha_intervals(family)
-    except ThresholdNotMet as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    groups = build_shared_alpha_intervals(family)
     alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
     for group in groups:
         for i in group.members:
@@ -401,7 +394,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
 
 def eq_constant(cross_ratios: list[float]) -> float:
     """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance."""
-    logs = [crossing_pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > 1e-9]
+    logs = [pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > 1e-9]
     if not logs:
         return 0.0
     dists = [0.0]

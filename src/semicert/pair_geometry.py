@@ -132,13 +132,14 @@ class Family:
     - `pairs[(i, j)]` for i < j: the geometry of generators i and j; the
       cross ratio is symmetric in the pair, so :meth:`pair` serves both
       orders.
-    - `alpha_classes`, `beta_classes`: generator indices grouped by
-      attracting (repelling) points within ANGLE_TOL, as :func:`cluster`
-      groups them; a class with two or more members is a shared fixed point.
-    - `alpha_meets_beta`: the first (i, j) whose attracting point i meets
-      repelling point j within ANGLE_TOL, or None.
+    - `alpha_classes`, `beta_classes`: the generators whose attracting
+      (repelling) points fall in each class of the one :func:`cluster` of
+      all 2n fixed points within ANGLE_TOL, empty ones dropped; a class with
+      two or more members is a shared fixed point.
+    - `alpha_meets_beta`: the first (i, j) in row-major order whose attracting
+      point i and repelling point j share a class, or None.
     - `rank_one_arcs`: the candidate single intervals, read by
-      :func:`rank_one_arcs` off all 2n fixed points clustered within ANGLE_TOL.
+      :func:`rank_one_arcs` off the same classes.
 
     Build values with :meth:`of`, the one place that classifies a family.
     """
@@ -165,14 +166,15 @@ class Family:
             for i in range(len(cls))
             for j in range(i + 1, len(cls))
         }
-        alpha_classes = tuple(map(tuple, cluster([k.alpha for k in cls], ANGLE_TOL)))
-        beta_classes = tuple(map(tuple, cluster([k.beta for k in cls], ANGLE_TOL)))
-        meets = next(
-            ((i, j) for i, ki in enumerate(cls) for j, kj in enumerate(cls) if ki.alpha.approx(kj.beta)),
-            None,
-        )
-        arcs = rank_one_arcs([k.alpha for k in cls], [k.beta for k in cls], ANGLE_TOL)
-        return Family(maps, cls, pairs, alpha_classes, beta_classes, meets, arcs)
+        points = [p for k in cls for p in (k.alpha, k.beta)]
+        classes = cluster(points, ANGLE_TOL)
+        # Point 2i is alpha_i and 2i + 1 is beta_i; members ascend, so the
+        # row-major first meeting is the least pair of class heads.
+        split = [(tuple(i // 2 for i in c if i % 2 == 0), tuple(i // 2 for i in c if i % 2)) for c in classes]
+        alpha_classes = tuple(a for a, _ in split if a)
+        beta_classes = tuple(b for _, b in split if b)
+        meets = min(((a[0], b[0]) for a, b in split if a and b), default=None)
+        return Family(maps, cls, pairs, alpha_classes, beta_classes, meets, rank_one_arcs(points, classes))
 
     def pair(self, i: int, j: int) -> PairGeometry:
         return self.pairs[(i, j) if i < j else (j, i)]

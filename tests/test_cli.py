@@ -198,6 +198,19 @@ class TestCertifyCommand:
         assert oracle["empirical"] is True and oracle["max_len"] == 40
         assert "exceeds the budget of 2000000" in oracle["error"]
 
+    def test_repeller_mapped_below_rounding_ends_typed(self, runner, tmp_path):
+        # The second map sends the shared alpha_0 = beta_1 to (0.0, 0.0) in floats.
+        src = tmp_path / "in.json"
+        matrices = [
+            [0.4612951147548283, 1.8578422640717427, 0.11348537936011255, 2.6248661548756593],
+            [704961729.4789271, -580290387.8993331, 670594815.1531041, -552001206.7833941],
+        ]
+        src.write_text(json.dumps({"schema": 1, "generators": [{"matrix": m} for m in matrices]}))
+        result = runner.invoke(main, ["certify", "--input", str(src)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code in (0, 1, 2)
+        assert "Traceback" not in result.output
+
     def test_certify_has_no_seed_option(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
         result = runner.invoke(main, ["certify", "--input", str(src), "--seed", "3"])

@@ -39,6 +39,7 @@ from semicert.criteria_engine import (
 from semicert.errors import (
     AxesDoNotCross,
     AxesNotDisjoint,
+    CertifyError,
     InvalidMatrix,
     PreconditionViolated,
     SearchExhausted,
@@ -324,6 +325,52 @@ class TestCertify:
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(PreconditionViolated):
             certify([normalize([[1.0, 1.0], [0.0, 1.0]])])
+
+    def test_assembly_failure_falls_back_to_a_report(self):
+        # Every tau clears the upper threshold (29.67), but generator 1 has no
+        # admissible partner above its pair gate, so the assembly gives up.
+        angles = (
+            3.4761109122883744, 4.23075971507368, 3.257061109325002,
+            1.6186626719428447, 6.153635994390231, 0.6035339212297176,
+        )
+        F = [
+            from_axis_and_length(BoundaryPoint.from_angle(beta), BoundaryPoint.from_angle(alpha), 30.66622822244309)
+            for alpha, beta in zip(angles[::2], angles[1::2])
+        ]
+        cert = certify(F)
+        assert isinstance(cert, Inconclusive)
+        assert all(tau > cert.report["upper"] for tau in (g["tau"] for g in cert.report["generators"]))
+        assert cert.report["notes"] == [
+            "interval assembly failed: generator 1 has no admissible partner with sufficient translation length"
+        ]
+
+    def test_repeller_mapped_below_rounding_is_not_contained(self):
+        # f1 (entries about 7e8) sends its own repelling point, the shared
+        # alpha_0 = beta_1 that ends the rank-one arc, to an image of norm
+        # about 6.5e-9 whose coordinates both round to 0.0.
+        pt = BoundaryPoint.from_angle
+        f0 = from_axis_and_length(pt(0.10047899997889743), pt(4.518991109258015), 2.0)
+        f1 = from_axis_and_length(pt(4.518991109258015), pt(4.762346601567949), 37.691380848931175)
+        with pytest.raises(PreconditionViolated, match="attracting point of generator 0 meets repelling point of 1"):
+            certify([f0, f1])
+
+    def test_shared_repeller_sweep_ends_typed(self):
+        # alpha_0 = beta_1 = p, with a long second map: the images that cannot
+        # be placed must end as a typed outcome, never a raw error.
+        pt = BoundaryPoint.from_angle
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for _ in range(2000):
+            p, beta_0, alpha_1 = rng.uniform(0.0, 2.0 * math.pi, size=3)
+            F = [
+                from_axis_and_length(pt(beta_0), pt(p), 2.0),
+                from_axis_and_length(pt(p), pt(alpha_1), rng.uniform(30.0, 45.0)),
+            ]
+            try:
+                kinds.add(certify(F).kind)
+            except CertifyError as exc:
+                kinds.add(type(exc).__name__)
+        assert kinds == {"rank_one_schottky", "PreconditionViolated"}
 
     def test_witness_soundness(self):
         rng = np.random.default_rng(87)

@@ -215,10 +215,8 @@ def test_cluster_joins_the_first_class_within_tol():
     ids=["run", "two-runs", "shared-both-ends", "shared-one-end", "two-shared", "one-shared", "three-shared"],
 )
 def test_rank_one_arcs_read_the_classes_in_angle_order(alphas, betas, expected):
-    def points(angles):
-        return [BoundaryPoint.from_angle(t) for t in angles]
-
-    arcs = rank_one_arcs(points(alphas), points(betas), 1e-9)
+    points = [BoundaryPoint.from_angle(t) for pair in zip(alphas, betas) for t in pair]
+    arcs = rank_one_arcs(points, cluster(points, 1e-9))
     found = [(a.start.angle, a.end.angle) for a in arcs]
     assert len(found) == len(expected)
     for got, want in zip(found, expected):

@@ -19,7 +19,7 @@ from semicert import (
     normalize,
 )
 from semicert.criteria_engine import crossing_limit_interval
-from semicert.errors import NotHyperbolic, PreconditionViolated
+from semicert.errors import AxesDoNotCross, AxesNotDisjoint, NotHyperbolic, PreconditionViolated, ThresholdNotMet
 from semicert.pair_geometry import Family
 
 from helpers import crossing_pair, figure_two, random_admissible_family, section_one_pair
@@ -82,13 +82,24 @@ def test_certify_classifies_each_generator_once(monkeypatch, build, kind):
     ids=["figure-two-shared-points", "schottky-12"],
 )
 def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
-    # Attracting classes, repelling classes and the merged classes behind
-    # the rank-one arcs: three clusterings, and no partition re-check.
+    # The attracting classes, the repelling classes, their first meeting and
+    # the rank-one arcs all read one clustering; no partition re-check, and
+    # no pointwise comparison beyond the shared-endpoint label of a pair.
     F = build()
     counts = count_calls(monkeypatch, ("cluster", "can_partition_rank_one"))
+    approx = BoundaryPoint.approx
+
+    def counted_approx(*args, **kwargs):
+        counts["approx"] += 1
+        return approx(*args, **kwargs)
+
+    monkeypatch.setattr(BoundaryPoint, "approx", counted_approx)
     assert isinstance(certify(F), SemidiscreteInverseFree)
-    assert counts["cluster"] == 3
+    assert counts["cluster"] == 1
     assert counts["can_partition_rank_one"] == 0
+    counts.clear()
+    family = Family.of(F)
+    assert counts["approx"] == sum(pg.kind.startswith("shared_") for pg in family.pairs.values())
 
 
 def test_render_classifies_each_generator_once(monkeypatch):
@@ -133,7 +144,8 @@ def test_guard_names_the_generator():
     parabolic = normalize([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotHyperbolic, match="generator 1 is parabolic"):
         Family.of([normalize([[2.0, 0.0], [0.0, 1.0]]), parabolic])
-    assert issubclass(NotHyperbolic, PreconditionViolated)
+    for kind in (NotHyperbolic, AxesNotDisjoint, ThresholdNotMet, AxesDoNotCross):
+        assert issubclass(kind, PreconditionViolated)
     with pytest.raises(ValueError):
         Family.of([])
 

@@ -199,7 +199,7 @@ class TestCutPlacement:
         """Each arc's line meets the owner's axis at distance s from the
         common perpendicular's foot (disjoint) or the crossing point."""
         from semicert import hyperbolic_distance
-        from semicert.interval_builder import _cut_floor, _cut_position, crossing_pair_gate
+        from semicert.interval_builder import _cut_floor, _cut_position, pair_gate
         from semicert.pair_geometry import Family, common_perpendicular
 
         rng = np.random.default_rng(122)
@@ -212,7 +212,7 @@ class TestCutPlacement:
                 make, build = disjoint_pair, build_disjoint_pair_intervals
                 shape = rng.uniform(0.2, 3.0)
             m = random_moebius(rng)
-            gate = crossing_pair_gate(cross_ratio(*make(rng, shape, 1.0, 1.0, conjugate_by=m)))
+            gate = pair_gate(cross_ratio(*make(rng, shape, 1.0, 1.0, conjugate_by=m)))
             taus = gate + rng.uniform(0.5, 12.0, size=2)
             family = Family.of(make(rng, shape, *taus, conjugate_by=m))
             axes = [axis(h) for h in family.maps]
