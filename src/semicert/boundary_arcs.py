@@ -15,6 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import AxesDoNotCross, OverlappingArcs, VerificationFailed
 from .moebius_core import TWO_PI, BoundaryPoint, Classification, MoebiusMap, apply_boundary
 
@@ -226,34 +228,137 @@ def verify_schottky(
     return schottky_margin(generators, union) >= margin
 
 
+# The screen's error bound: array angles differ from the scalar ones by a
+# few ulps of 2*pi (about 1e-15 rad), and derived gaps by a few times that.
+SCREEN_TOL = 1e-12
+# Generators times union components from which the screen pays for itself.
+# One call on assembled families (about n components for n generators),
+# scalar against screened: 120 vs 170 us at n*k = 16, 160 vs 160 us at 25,
+# 230 vs 180 us at 36, 530 vs 230 us at 64, 9.4 vs 1.0 ms at 1,024.
+SCREEN_MIN_PAIRS = 32
+
+
 def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
     """Smallest endpoint clearance over all generator images; -inf on failure,
-    which includes an image that cannot be placed (it is never guessed)."""
+    which includes an image that cannot be placed (it is never guessed).
+
+    Every pair of generator and union arc is decided by the scalar
+    `_enclosing` check, or screened out by :func:`_screen` once there are
+    SCREEN_MIN_PAIRS = 32 pairs or more, where the screen was measured to
+    start paying for itself.  The screen maps every arc's start, end
+    and midpoint by every generator at once in numpy and replays the check
+    on those angles.  It leaves to the scalar check every pair with a
+    decision within SCREEN_TOL = 1e-12 rad of its threshold, every pair it
+    finds not contained, and every pair whose clearance is within SCREEN_TOL
+    of the least one.  Its angles are within about 1e-15 rad of the scalar
+    ones, so a screened-out pair is contained in scalar too, with a
+    clearance above the minimum.  The result, -inf or the scalar clearance
+    of the minimising pair, is therefore bit-identical to the all-scalar
+    loop.  On n = 32 assembled unions the scalar check runs on about 3% of
+    the pairs: the images of one strongly contracting generator, whose
+    clearances agree to the last few ulps.
+    """
     worst = math.inf
     arc_points = [(a.start, a.end, a.midpoint) for a in union]
-    for f in generators:
-        for points in arc_points:
-            found = _enclosing(_image_angles(f, points), union)
-            if found is None:
-                return -math.inf
-            worst = min(worst, min(found))
+    if len(generators) * len(union) < SCREEN_MIN_PAIRS:
+        candidates = [(i, k) for i in range(len(generators)) for k in range(len(arc_points))]
+    else:
+        candidates = _screen(generators, union, arc_points)
+    for i, k in candidates:
+        found = _enclosing(_image_angles(generators[i], arc_points[k]), union)
+        if found is None:
+            return -math.inf
+        worst = min(worst, min(found))
     return worst
+
+
+@np.errstate(all="ignore")  # images that overflow or vanish are left to the scalar check
+def _screen(
+    generators: Sequence[MoebiusMap], union: ArcUnion, arc_points: list[tuple[BoundaryPoint, ...]]
+) -> list[tuple[int, int]]:
+    """The (generator, arc) pairs, in order, that the scalar check must decide.
+
+    Replays `_image_angles`, `_enclosing` and `_clearances` on arrays of
+    shape (generators, arcs).  Returns a pair when an image point is not
+    safely placeable, when a decision lies within SCREEN_TOL of its
+    threshold (a collapse guard, a 1e-9 slack, a clearance against the
+    span), when the screen finds it not contained, or when its clearance is
+    within SCREEN_TOL of the least screened one.  That covers the other
+    decisions too.  An image start near a component start (the choice of
+    component, or `lead` wrapping from 2*pi to 0) or an image end near a
+    component end gives a clearance within SCREEN_TOL of 0, so near the
+    least; near the next component's start, `lead` exceeds the span or
+    comes within SCREEN_TOL of it.
+    """
+    tol = SCREEN_TOL
+    maps = np.array([(f.a, f.b, f.c, f.d) for f in generators]).T[:, :, None, None]
+    pts = np.array([[(p.x, p.y) for p in points] for points in arc_points]).transpose(2, 0, 1)[:, None]
+    x = maps[0] * pts[0] + maps[1] * pts[1]
+    y = maps[2] * pts[0] + maps[3] * pts[1]
+    norm = np.hypot(x, y)  # far from 0 and inf, the scalar check places the image too
+    placed = ((norm > 1e-290) & (norm < 1e290)).all(axis=2)
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    angle = (-2.0 * np.arctan2(np.where(flip, -y, y), np.where(flip, -x, x))) % TWO_PI
+    p, q, mid = angle[..., 0], angle[..., 1], angle[..., 2]
+    starts = np.array(union.starts)
+    ends = np.array([a.end.angle for a in union])
+    spans = np.array([a.span for a in union])
+    comp = np.searchsorted(starts, p, side="right") - 1
+    span = spans[comp]
+    img = (q - p) % TWO_PI
+    off = (mid - p) % TWO_PI
+    near = ~placed | (np.abs(img - (TWO_PI - 1e-9)) <= tol) | (np.abs(off - (TWO_PI - 1e-9)) <= tol)
+    img = np.where(img >= TWO_PI - 1e-9, 0.0, img)
+    off = np.where(off >= TWO_PI - 1e-9, 0.0, off)
+    lead = (p - starts[comp]) % TWO_PI
+    tail = (ends[comp] - q) % TWO_PI
+    rest = np.abs(lead + img + tail - span)
+    near |= (np.abs(off - img - 1e-9) <= tol) | (np.abs(rest - 1e-9) <= tol)
+    near |= (np.abs(lead - span) <= tol) | (np.abs(tail - span) <= tol)
+    inside = (off <= img + 1e-9) & (lead <= span) & (tail <= span) & (rest <= 1e-9) & (lead + tail > 0.0)
+    clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
+    pick = near | ~inside | (clear <= clear.min() + tol)
+    return list(zip(*(axis.tolist() for axis in np.nonzero(pick))))
 
 
 # --- points and arcs around them -----------------------------------------------
 
 
+# Points from which the distance matrix beats the pairwise loop, on the fixed
+# points of the benchmark's families: loop vs matrix 13 vs 18 us at 6 points,
+# 23 vs 22 us at 10, 54 vs 24 us at 12, 1.6 vs 0.15 ms at 64.
+CLUSTER_MIN_POINTS = 12
+
+
 def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
-    """Greedy index classes: each point joins the first class whose first point is within tol."""
-    classes: list[list[int]] = []
-    for idx, p in enumerate(points):
-        for members in classes:
-            if points[members[0]].angular_distance(p) <= tol:
-                members.append(idx)
-                break
-        else:
-            classes.append([idx])
-    return classes
+    """Greedy index classes: each point joins the first class whose first point is within tol.
+
+    From CLUSTER_MIN_POINTS points on, the distances come from one numpy
+    matrix; it uses only subtraction, abs and %, so it matches
+    `BoundaryPoint.angular_distance` bit for bit.
+    """
+    if len(points) < CLUSTER_MIN_POINTS:
+        classes: list[list[int]] = []
+        for idx, p in enumerate(points):
+            for members in classes:
+                if points[members[0]].angular_distance(p) <= tol:
+                    members.append(idx)
+                    break
+            else:
+                classes.append([idx])
+        return classes
+    angles = np.fromiter((p.angle for p in points), dtype=float, count=len(points))
+    gap = np.abs(angles[:, None] - angles) % TWO_PI
+    later, earlier = np.nonzero(np.minimum(gap, TWO_PI - gap) <= tol)
+    head = list(range(len(points)))
+    # Row by row with ascending columns: the first earlier point that heads a class.
+    for i, j in zip(later.tolist(), earlier.tolist()):
+        if j < head[i] and head[j] == j:
+            head[i] = j
+    heads: dict[int, list[int]] = {}
+    for idx, h in enumerate(head):
+        heads.setdefault(h, []).append(idx)
+    return list(heads.values())
 
 
 def can_partition_rank_one(

@@ -151,6 +151,9 @@ class Family:
     beta_classes: tuple[tuple[int, ...], ...]
     alpha_meets_beta: tuple[int, int] | None
     rank_one_arcs: tuple[BoundaryArc, ...]
+    # The interval assembly's axis table, built on its first use.  Not a
+    # field, so it takes no part in construction or repr.
+    axis_table = None
 
     @staticmethod
     def of(F) -> "Family":

@@ -404,3 +404,17 @@ def forced_shared_family(rng, offset):
         from_axis_and_length(BoundaryPoint.from_angle(b), BoundaryPoint.from_angle(a), float(t))
         for a, b, t in zip(alphas, betas, taus)
     ]
+
+
+def union_with_gaps(*bounds):
+    """ArcUnion of arcs between consecutive angles (start, end, start, end, ...)."""
+    points = [BoundaryPoint.from_angle(t) for t in bounds]
+    return ArcUnion(BoundaryArc(s, e) for s, e in zip(points[::2], points[1::2]))
+
+
+ADVERSARIAL_UNIONS = {
+    "wraps-past-zero": union_with_gaps(5.9, 0.4, 1.0, 2.0, 3.0, 4.5),
+    "gap-1e-9": union_with_gaps(1.0, 2.0, 2.0 + 1e-9, 3.0, 3.5, 6.0),
+    "gaps-below-1e-9": union_with_gaps(0.5, 2.0, 2.0 + 1e-12, 3.0, 3.0 + 1e-14, 6.2),
+    "one-component": union_with_gaps(6.0, 5.0),
+}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semicert import boundary_arcs
 from semicert import (
     ArcUnion,
     BoundaryPoint,
@@ -13,6 +14,7 @@ from semicert import (
     classify,
     complement,
     contains,
+    from_axis_and_length,
     normalize,
     strictly_inside,
     verify_schottky,
@@ -20,9 +22,10 @@ from semicert import (
 from semicert.boundary_arcs import BoundaryArc, schottky_margin
 from semicert.errors import OverlappingArcs, VerificationFailed
 
-from helpers import figure_two, random_admissible_family, random_moebius, section_one_pair
+from helpers import ADVERSARIAL_UNIONS, figure_two, random_admissible_family, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
+CROSSOVER = boundary_arcs.SCREEN_MIN_PAIRS
 
 
 def arc(a, b):
@@ -222,3 +225,110 @@ class TestPartition:
                 [apply_boundary(m, p) for p in alphas], [apply_boundary(m, p) for p in betas]
             )
             assert moved == base
+
+
+def screened_and_scalar(monkeypatch, F, union):
+    """float.hex of schottky_margin with the screen on every call, then with every pair in scalar."""
+    out = []
+    for crossover in (0, math.inf):
+        monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", crossover)
+        out.append(schottky_margin(F, union).hex())
+    return out
+
+
+def contracting_maps(rng, union, count, taus):
+    """Maps attracting to a point inside a random component and repelling from a random gap."""
+    arcs = union.arcs
+    maps = []
+    for _ in range(count):
+        inside, k = arcs[rng.integers(len(arcs))], rng.integers(len(arcs))
+        gap = BoundaryArc(arcs[k].end, arcs[(k + 1) % len(arcs)].start)
+        alpha = inside.start.angle + rng.uniform(0.05, 0.95) * inside.span
+        beta = gap.start.angle + rng.uniform(0.05, 0.95) * gap.span
+        tau = rng.uniform(*taus)
+        maps.append(from_axis_and_length(BoundaryPoint.from_angle(beta), BoundaryPoint.from_angle(alpha), tau))
+    return maps
+
+
+class TestScreenedVerifier:
+    """The numpy screen of schottky_margin returns the all-scalar margin bit for bit."""
+
+    def test_assembled_unions_on_both_sides_of_the_crossover(self, monkeypatch):
+        rng = np.random.default_rng(140)
+        sides = set()
+        for n in (2, 3, 4, 5, 6, 8, 10, 12, 16):
+            F = random_admissible_family(rng, n, min_gap=0.01)
+            union = assemble_global(F).union
+            screened, scalar = screened_and_scalar(monkeypatch, F, union)
+            assert screened == scalar, n
+            assert float.fromhex(scalar) >= 1e-7
+            sides.add(n * len(union) >= CROSSOVER)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_UNIONS))
+    def test_adversarial_unions(self, monkeypatch, name):
+        union = ADVERSARIAL_UNIONS[name]
+        rng = np.random.default_rng(141)
+        finite = set()
+        for count in (1, 3, 8, 20, 48):
+            for taus in ((1.0, 8.0), (8.0, 40.0), (40.0, 60.0)):
+                maps = contracting_maps(rng, union, count, taus)
+                for F in (maps, maps + [random_moebius(rng)]):
+                    screened, scalar = screened_and_scalar(monkeypatch, F, union)
+                    assert screened == scalar, (count, taus)
+                    finite.add(math.isfinite(float.fromhex(scalar)))
+        assert finite == {True, False}
+
+    def test_images_on_a_component_start(self, monkeypatch):
+        # z -> lam z - mu fixes infinity, the start (angle 0) of the component
+        # (-inf, -1), and maps (1/2, 2) inside it: the image of (-inf, -1)
+        # starts exactly on that start, where the bisection wraps.
+        union = ArcUnion([BoundaryArc(INF, BoundaryPoint.from_real(-1.0)), arc(0.5, 2.0)])
+        assert union.starts[0] == 0.0
+        rng = np.random.default_rng(142)
+        F = [
+            normalize([[lam, -(2.0 * lam + 1.0 + mu)], [0.0, 1.0]])
+            for lam, mu in zip(rng.uniform(1.5, 20.0, size=30), rng.uniform(0.1, 5.0, size=30))
+        ]
+        assert len(F) * len(union) >= CROSSOVER
+        assert screened_and_scalar(monkeypatch, F, union) == [(0.0).hex()] * 2
+        # The identity maps each component onto itself: not properly inside.
+        identity = normalize([[1.0, 0.0], [0.0, 1.0]])
+        assert screened_and_scalar(monkeypatch, F + [identity], union) == [(-math.inf).hex()] * 2
+
+    def test_images_below_float_resolution(self, monkeypatch):
+        rng = np.random.default_rng(143)
+        families = [figure_two(41.0), figure_two(45.0)]
+        families += [random_admissible_family(rng, n, tau_slack=(17.0, 25.0), min_gap=0.01) for n in (4, 8, 12)]
+        collapsed = 0
+        for F in families:
+            union = assemble_global(F).union
+            for f in F:
+                for a in union:
+                    p, q, _ = boundary_arcs._image_angles(f, (a.start, a.end, a.midpoint))
+                    collapsed += p == q
+            screened, scalar = screened_and_scalar(monkeypatch, F, union)
+            assert screened == scalar
+        assert collapsed > 0
+
+    def test_unplaceable_image(self, monkeypatch):
+        # f1 (entries about 7e8) sends its repelling point to a pair whose
+        # coordinates both round to 0.0 (see test_criteria_engine).
+        pt = BoundaryPoint.from_angle
+        f0 = from_axis_and_length(pt(0.10047899997889743), pt(4.518991109258015), 2.0)
+        f1 = from_axis_and_length(pt(4.518991109258015), pt(4.762346601567949), 37.691380848931175)
+        a = BoundaryArc(classify(f1).beta, pt(1.0))
+        assert boundary_arcs._image_angles(f1, (a.start, a.end, a.midpoint)) is None
+        union = ArcUnion([a, BoundaryArc(pt(2.0), pt(3.0))])
+        F = [f0, f1] * 12
+        assert len(F) * len(union) >= CROSSOVER
+        assert screened_and_scalar(monkeypatch, F, union) == [(-math.inf).hex()] * 2
+
+    def test_screen_leaves_few_pairs_to_the_scalar_check(self, monkeypatch):
+        F = random_admissible_family(np.random.default_rng(32), 32, min_gap=0.01)
+        union = assemble_global(F).union
+        calls = []
+        image_angles = boundary_arcs._image_angles
+        monkeypatch.setattr(boundary_arcs, "_image_angles", lambda *args: calls.append(args) or image_angles(*args))
+        assert schottky_margin(F, union) >= 1e-7
+        assert 0 < len(calls) <= 0.1 * len(F) * len(union)

@@ -22,7 +22,7 @@ from semicert.boundary_arcs import (
 )
 from semicert.errors import AxesDoNotCross, VerificationFailed
 
-from helpers import crossing_pair, disjoint_pair, figure_two
+from helpers import ADVERSARIAL_UNIONS, crossing_pair, disjoint_pair, figure_two
 
 ORDER_MODULES = {"boundary_arcs.py", "moebius_core.py"}
 
@@ -126,20 +126,6 @@ def scan_enclosing(angles, union):
         if found is not None and found[0] + found[1] > 0.0:
             return found
     return None
-
-
-def union_with_gaps(*bounds):
-    """ArcUnion of arcs between consecutive angles (start, end, start, end, ...)."""
-    points = [BoundaryPoint.from_angle(t) for t in bounds]
-    return ArcUnion(BoundaryArc(s, e) for s, e in zip(points[::2], points[1::2]))
-
-
-ADVERSARIAL_UNIONS = {
-    "wraps-past-zero": union_with_gaps(5.9, 0.4, 1.0, 2.0, 3.0, 4.5),
-    "gap-1e-9": union_with_gaps(1.0, 2.0, 2.0 + 1e-9, 3.0, 3.5, 6.0),
-    "gaps-below-1e-9": union_with_gaps(0.5, 2.0, 2.0 + 1e-12, 3.0, 3.0 + 1e-14, 6.2),
-    "one-component": union_with_gaps(6.0, 5.0),
-}
 
 
 def probe_angles(union):

@@ -18,8 +18,11 @@ from semicert import (
     from_axis_and_length,
     normalize,
 )
+from semicert import boundary_arcs
+from semicert.boundary_arcs import cluster
 from semicert.criteria_engine import crossing_limit_interval
-from semicert.errors import AxesDoNotCross, AxesNotDisjoint, NotHyperbolic, PreconditionViolated, ThresholdNotMet
+from semicert.errors import AxesDoNotCross, AxesNotDisjoint, CertifyError, NotHyperbolic, PreconditionViolated, ThresholdNotMet
+from semicert.moebius_core import ANGLE_TOL, TWO_PI
 from semicert.pair_geometry import Family
 
 from helpers import crossing_pair, figure_two, random_admissible_family, section_one_pair
@@ -100,6 +103,46 @@ def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
     counts.clear()
     family = Family.of(F)
     assert counts["approx"] == sum(pg.kind.startswith("shared_") for pg in family.pairs.values())
+
+
+def matrix_and_loop(monkeypatch, points):
+    """`cluster` by its distance matrix, then by its pairwise loop, whatever the number of points."""
+    out = []
+    with monkeypatch.context() as patch:
+        for crossover in (0, math.inf):
+            patch.setattr(boundary_arcs, "CLUSTER_MIN_POINTS", crossover)
+            out.append(cluster(points, ANGLE_TOL))
+    return out
+
+
+def test_family_classes_follow_the_greedy_clustering(monkeypatch):
+    # Near-tolerance chains: a run of the 2n fixed points stepped by
+    # 0.55-0.95 x ANGLE_TOL, where the greedy first-head rule decides
+    # which points share a class; some runs cross angle 0.
+    rng = np.random.default_rng(5)
+    chains = families = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        angles = rng.uniform(0.0, TWO_PI, size=2 * n)
+        run = rng.permutation(2 * n)[: int(rng.integers(2, 2 * n + 1))]
+        start = rng.uniform(0.0, TWO_PI) if rng.uniform() < 0.7 else -rng.uniform(0.0, 2.0) * ANGLE_TOL
+        angles[run] = (start + np.cumsum(rng.uniform(0.55, 0.95, size=len(run)) * ANGLE_TOL)) % TWO_PI
+        points = [BoundaryPoint.from_angle(a) for a in angles]
+        matrix, classes = matrix_and_loop(monkeypatch, points)
+        assert matrix == classes
+        class_of = {i: k for k, c in enumerate(classes) for i in c}
+        chains += len({class_of[i] for i in run.tolist()}) > 1  # the greedy rule splits the run
+        try:
+            family = Family.of([from_axis_and_length(b, a, 3.0) for a, b in zip(points[::2], points[1::2])])
+        except CertifyError:
+            continue
+        fixed = [p for k in family.cls for p in (k.alpha, k.beta)]
+        matrix, classes = matrix_and_loop(monkeypatch, fixed)
+        assert matrix == classes
+        assert family.alpha_classes == tuple(tuple(i // 2 for i in c if i % 2 == 0) for c in classes if any(i % 2 == 0 for i in c))
+        assert family.beta_classes == tuple(tuple(i // 2 for i in c if i % 2) for c in classes if any(i % 2 for i in c))
+        families += 1
+    assert chains > 0 and families > 100
 
 
 def test_render_classifies_each_generator_once(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -529,3 +530,66 @@ class TestInnermostSelection:
                     )
                 checked[pg.kind] += 1
         assert min(checked.values()) > 0
+
+
+class TestScreens:
+    """The numpy screens of the verifier and of the cut ranking change no certificate."""
+
+    @staticmethod
+    def screened_and_scalar(monkeypatch, run):
+        """run() with both screens on every call, then with every pair in scalar."""
+        from semicert import boundary_arcs, interval_builder
+
+        out = []
+        for crossover in (0, math.inf):
+            monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", crossover)
+            monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", crossover)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_certificates_are_byte_identical(self, monkeypatch, n):
+        from semicert import certify
+        from semicert.criteria_engine import certificate_to_dict
+
+        F = random_admissible_family(np.random.default_rng(150 + n), n, min_gap=0.01)
+        screened, scalar = self.screened_and_scalar(
+            monkeypatch, lambda: json.dumps(certificate_to_dict(certify(F)), sort_keys=True)
+        )
+        assert json.loads(scalar)["kind"] == "semidiscrete_inverse_free"
+        assert screened == scalar
+
+    def test_innermost_pairs_match_the_scalar_ranking(self, monkeypatch):
+        from semicert.interval_builder import _AxisTable
+
+        rng = np.random.default_rng(152)
+        for n in (3, 5, 8, 12, 20):
+            family = Family.of(random_admissible_family(rng, n, min_gap=0.01))
+            for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
+                screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(extra))
+                assert screened == scalar, (n, extra)
+
+    def test_exact_tie_keeps_the_first_pair(self, monkeypatch):
+        # Partners mirrored by z -> -z have bit-identical axis positions and
+        # cross ratios on the owner's axis 0 -> inf, hence equal t + s.
+        from semicert.interval_builder import _AxisTable
+
+        owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 20.0)
+        partner = from_axis_and_length(BoundaryPoint.from_real(-3.0), BoundaryPoint.from_real(0.5), 20.0)
+        mirror = MoebiusMap(partner.a, -partner.b, -partner.c, partner.d)
+        family = Family.of([owner, partner, mirror])
+        table = _AxisTable(family)
+        assert table.position(0, 1) == table.position(0, 2)
+        screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(0.0))
+        assert screened == scalar
+        assert scalar[0][0] == scalar[1][0] == (0, 1)
+
+    def test_cut_positions_match_the_scalar_rule(self):
+        from semicert.interval_builder import _cut_position, _cut_positions
+
+        rng = np.random.default_rng(151)
+        tau, floor = rng.uniform(0.1, 60.0, size=2000), rng.uniform(0.0, 25.0, size=2000)
+        for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
+            assert [s.hex() for s in _cut_positions(tau, floor, extra).tolist()] == [
+                _cut_position(t, f, extra).hex() for t, f in zip(tau.tolist(), floor.tolist())
+            ]
