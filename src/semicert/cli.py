@@ -15,27 +15,12 @@ import click
 
 from . import __version__
 from .boundary_arcs import DEFAULT_MARGIN, ArcUnion, BoundaryArc
-from .criteria_engine import (
-    Inconclusive,
-    arc_to_dict,
-    certificate_to_dict,
-    certify,
-    map_from_unit_matrix,
-    point_to_dict,
-    uniform_hyperbolicity,
-)
-from .errors import BudgetExceeded, CertifyError, InvalidMatrix, ParseError
-from .moebius_core import (
-    BoundaryPoint,
-    MoebiusMap,
-    apply_boundary,
-    classify,
-    from_axis_and_length,
-    matrix_entries,
-)
+from .criteria_engine import Inconclusive, arc_to_dict, certificate_to_dict, certify, multicone, point_to_dict
+from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, ParseError
+from .moebius_core import BoundaryPoint, MoebiusMap, apply_boundary, classify, from_axis_and_length, normalize
 from .pair_geometry import Family
 from .render import RenderSpec, render_figure
-from .search_oracle import DEFAULT_BUDGET, chaos_game, enumerate_words, inverse_free_probe
+from .search_oracle import DEFAULT_BUDGET, EnumerationReport, chaos_game, enumerate_words, inverse_free_probe
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +62,12 @@ def _boundary_value(v, model: str, where: str) -> BoundaryPoint:
     return BoundaryPoint.from_real(_finite(v, where, 'a finite number or "inf"'))
 
 
-def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
+def _load_generators(path: str, matrices_only: bool = False) -> list[MoebiusMap | None]:
+    """The generators of `path`: matrices through `normalize`, axis forms through `from_axis_and_length`.
+
+    With `matrices_only` (the cocycle input) every generator must be a
+    matrix, and one of negative determinant reads as None, not as an error.
+    """
     data = _load(path)
     model = data.get("model", "half-plane")
     if model not in ("half-plane", "disc"):
@@ -92,12 +82,15 @@ def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
             raise ParseError(f"{where}: must be an object")
         if "matrix" in g:
             try:
-                m = map_from_unit_matrix(matrix_entries(g["matrix"]), idx)
-            except CertifyError as exc:
+                maps.append(normalize(g["matrix"]))
+            except InvalidMatrix as exc:
                 raise ParseError(f"{where}: {exc}") from exc
-            if m is None:
-                raise ParseError(f"{where}: matrix has negative determinant")
-            maps.append(m)
+            except NonPositiveDeterminant as exc:
+                if not matrices_only:
+                    raise ParseError(f"{where}: matrix has negative determinant") from exc
+                maps.append(None)
+        elif matrices_only:
+            raise ParseError(f"{where}: cocycle input needs matrix entries")
         elif "axis" in g:
             ax = g["axis"]
             if not isinstance(ax, dict) or "beta" not in ax or "alpha" not in ax:
@@ -113,7 +106,7 @@ def _load_generators(path: str) -> tuple[list[MoebiusMap], str]:
                 raise ParseError(f"{where}: {exc}") from exc
         else:
             raise ParseError(f"{where}: needs either \"matrix\" or \"axis\"+\"tau\"")
-    return maps, model
+    return maps
 
 
 def _emit(payload: dict, fmt: str, output: str | None, text_lines: list[str] | None = None):
@@ -147,7 +140,7 @@ _format_opt = click.option(
 def cmd_classify(input_path, output_path, fmt):
     """Per-generator classification: kind, fixed points, translation length."""
     try:
-        maps, _ = _load_generators(input_path)
+        maps = _load_generators(input_path)
         rows = []
         for idx, f in enumerate(maps):
             cls = classify(f)
@@ -187,7 +180,7 @@ def _classify_line(row: dict) -> str:
 def cmd_pairs(input_path, output_path, fmt):
     """Cross-ratio table with decoded configurations for all generator pairs."""
     try:
-        maps, _ = _load_generators(input_path)
+        maps = _load_generators(input_path)
         rows = []
         for (i, j), cfg in Family.of(maps).pairs.items():
             row = {"i": i, "j": j, "cross_ratio": _num(cfg.cross_ratio), "kind": cfg.kind}
@@ -229,7 +222,7 @@ def _num(v: float):
 def cmd_certify(input_path, output_path, fmt, margin, max_words):
     """Run the semidiscreteness decision procedure and emit its certificate."""
     try:
-        maps, _ = _load_generators(input_path)
+        maps = _load_generators(input_path)
         cert = certify(maps, margin=margin)
         payload = certificate_to_dict(cert, version=__version__)
         if max_words > 0:
@@ -246,21 +239,26 @@ def cmd_certify(input_path, output_path, fmt, margin, max_words):
 def _oracle_section(maps, max_len: int) -> dict:
     """Evidence up to word length max_len; an exhausted word budget is reported, not raised."""
     try:
-        report = enumerate_words(maps, max_len)
-        probe = inverse_free_probe(maps, min(max_len, 10))
+        report, payload = _oracle_payload(maps, max_len)
     except BudgetExceeded as exc:
         return {"empirical": True, "max_len": max_len, "error": str(exc)}
     # Elliptic words are stored in breadth-first order, so the first one is
     # what find_elliptic would return from a second sweep.
     first = report.elliptic_words[0] if report.elliptic_words else None
-    return {
+    payload["first_elliptic_word"] = list(first.letters) if first else None
+    return payload
+
+
+def _oracle_payload(maps, max_len: int, budget: int = DEFAULT_BUDGET) -> tuple[EnumerationReport, dict]:
+    """The enumeration up to max_len and the fields both oracle payloads share (probe capped at length 10)."""
+    report = enumerate_words(maps, max_len, budget=budget)
+    return report, {
         "empirical": True,
         "max_len": max_len,
         "words_explored": report.words_explored,
         "min_identity_distance": report.min_identity_distance,
         "elliptic_count": report.elliptic_count,
-        "first_elliptic_word": list(first.letters) if first else None,
-        "inverse_free_probe": probe,
+        "inverse_free_probe": inverse_free_probe(maps, min(max_len, 10), budget=budget),
     }
 
 
@@ -274,32 +272,13 @@ def _oracle_section(maps, max_len: int) -> dict:
 def cmd_cocycle(input_path, output_path, fmt, margin):
     """Multicone certificate for a matrix tuple (uniform hyperbolicity test)."""
     try:
-        data = _load(input_path)
-        gens = data.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise ParseError(f"{input_path}: \"generators\" must be a nonempty list")
-        matrices = []
-        for idx, g in enumerate(gens):
-            if not isinstance(g, dict) or "matrix" not in g:
-                raise ParseError(
-                    f"{input_path}: generators[{idx}]: cocycle input needs matrix entries"
-                )
-            try:
-                matrices.append(matrix_entries(g["matrix"]))
-            except InvalidMatrix as exc:
-                raise ParseError(f"{input_path}: generators[{idx}]: {exc}") from exc
-        union = uniform_hyperbolicity(matrices, margin=margin)
+        maps = _load_generators(input_path, matrices_only=True)
+        union = None if None in maps else multicone(maps, margin=margin)
     except CertifyError as exc:
         _fail(exc)
     if union is None:
-        _emit(
-            {"schema": SCHEMA_VERSION, "kind": "inconclusive"},
-            fmt,
-            output_path,
-            ["inconclusive"],
-        )
+        _emit({"schema": SCHEMA_VERSION, "kind": "inconclusive"}, fmt, output_path, ["inconclusive"])
         sys.exit(2)
-    maps = [map_from_unit_matrix(m, i) for i, m in enumerate(matrices)]
     # Endpoint images are reported as raw points: a strongly contracted arc
     # can be thinner than float angular resolution.
     images = [
@@ -332,21 +311,16 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
 def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
     """Empirical word-enumeration report (evidence, not a certificate)."""
     try:
-        maps, _ = _load_generators(input_path)
-        report = enumerate_words(maps, max_len, budget=max_words)
+        maps = _load_generators(input_path)
+        report, shared = _oracle_payload(maps, max_len, budget=max_words)
         payload = {
             "schema": SCHEMA_VERSION,
-            "empirical": True,
-            "max_len": max_len,
+            **shared,
             "budget": max_words,
-            "words_explored": report.words_explored,
             "distinct_elements": report.distinct_elements,
             "duplicate_classes": report.duplicate_classes,
-            "min_identity_distance": report.min_identity_distance,
             "nearest_word": list(report.nearest_word.letters) if report.nearest_word else None,
-            "elliptic_count": report.elliptic_count,
             "elliptic_words": [list(w.letters) for w in report.elliptic_words],
-            "inverse_free_probe": inverse_free_probe(maps, min(max_len, 10), budget=max_words),
         }
         if seed is not None:
             samples = chaos_game(maps, 10_000, seed=seed)
@@ -370,7 +344,7 @@ def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
 def cmd_render(input_path, output_path, cert_path, size, no_labels):
     """Draw the disc-model figure (axes, arrows, certificate arcs) as SVG."""
     try:
-        maps, _ = _load_generators(input_path)
+        maps = _load_generators(input_path)
         union = None
         if cert_path:
             union = _union_from_certificate(_load(cert_path))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .boundary_arcs import (
@@ -23,20 +22,15 @@ from .boundary_arcs import (
 from .errors import (
     AxesDoNotCross,
     InvalidMatrix,
+    NonPositiveDeterminant,
     PreconditionViolated,
     SearchExhausted,
+    SingularMatrix,
     ThresholdNotMet,
     VerificationFailed,
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
-from .moebius_core import (
-    BoundaryPoint,
-    MoebiusMap,
-    _canonical_sign,
-    compose,
-    matrix_entries,
-    power,
-)
+from .moebius_core import BoundaryPoint, MoebiusMap, compose, normalize, power
 from .pair_geometry import Family
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
@@ -410,16 +404,24 @@ def uniform_hyperbolicity(
 ) -> ArcUnion | None:
     """Multicone certificate for a matrix tuple, when the sufficient test applies.
 
-    Accepts raw 2x2 matrices (flat or nested, any positive determinant scale).
-    Returns a union every matrix maps with closure into the interior, or None
-    when this test is silent; None is never a disproof.
+    Reads raw 2x2 matrices with :func:`normalize`; a singular or malformed
+    one raises InvalidMatrix.  Returns a union every matrix maps with closure
+    into the interior, or None when this test is silent, which includes a
+    matrix of negative determinant; None is never a disproof.
     """
     maps = []
-    for idx, raw in enumerate(matrices):
-        f = map_from_unit_matrix(matrix_entries(raw), idx)
-        if f is None:
+    for raw in matrices:
+        try:
+            maps.append(normalize(raw))
+        except SingularMatrix:
+            raise
+        except NonPositiveDeterminant:
             return None  # orientation-reversing member: outside this test
-        maps.append(f)
+    return multicone(maps, margin)
+
+
+def multicone(maps: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> ArcUnion | None:
+    """The `uniform_hyperbolicity` union for maps already read, or None."""
     if not maps:
         raise InvalidMatrix("empty tuple")
     try:
@@ -431,27 +433,6 @@ def uniform_hyperbolicity(
     if isinstance(cert, RankOneSchottky) and cert.margin >= margin:
         return ArcUnion([cert.interval])
     return None
-
-
-def map_from_unit_matrix(entries: list[float], idx: int = 0) -> MoebiusMap | None:
-    """Map for a matrix promised to have |det| = 1; None when det is negative.
-
-    For entries so large that the determinant drowns in rounding (a det-1
-    matrix with translation length 40 already does), the promise is trusted
-    and the entries are used as given.
-    """
-    a, b, c, d = entries
-    if not all(math.isfinite(v) for v in entries):
-        raise InvalidMatrix(f"matrix {idx} has non-finite entries")
-    det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
-    scale2 = max(a * a, b * b, c * c, d * d)
-    if abs(det) > 1e-9 * scale2:
-        if det < 0.0:
-            return None
-        return MoebiusMap.from_matrix(a, b, c, d)
-    if scale2 > 1e12:
-        return _canonical_sign(a, b, c, d)
-    raise InvalidMatrix(f"matrix {idx} is singular (determinant {det!r})")
 
 
 # --- serialization ---------------------------------------------------------------

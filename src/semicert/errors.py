@@ -62,7 +62,11 @@ class BudgetExceeded(CertifyError):
 
 
 class InvalidMatrix(CertifyError):
-    """Raw matrix is not usable (malformed, or singular cocycle input)."""
+    """Raw matrix is not usable: malformed, non-finite, beyond float range or singular."""
+
+
+class SingularMatrix(InvalidMatrix, NonPositiveDeterminant):
+    """Raw matrix has determinant zero: unusable input that defines no isometry."""
 
 
 class ParseError(CertifyError):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import CoincidentEndpoints, InvalidMatrix, NonPositiveDeterminant, NotHyperbolic
+from .errors import CoincidentEndpoints, InvalidMatrix, NonPositiveDeterminant, NotHyperbolic, SingularMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,6 +23,9 @@ TRACE_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 # angular tolerance for boundary-point identity checks.
 ANGLE_TOL = 1e-9
+# the determinant rule of `normalize`: relative |det| and largest squared entry.
+DET_REL_TOL = 1e-9
+UNIT_SCALE2 = 1e12
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,37 @@ def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
 
 
 def normalize(raw) -> MoebiusMap:
-    """Canonical representative of a raw 2x2 matrix (see :func:`matrix_entries`)."""
-    return MoebiusMap.from_matrix(*matrix_entries(raw))
+    """Canonical representative of a raw 2x2 matrix (see :func:`matrix_entries`).
+
+    The one reader of raw matrices, with the determinant computed exactly.  A
+    matrix with largest squared entry above UNIT_SCALE2 and |det| at most
+    DET_REL_TOL times it is a determinant-one matrix whose determinant drowned
+    in rounding (Figure 2 at tau = 41), kept as given; any other is scaled by
+    its float determinant.  A zero determinant raises SingularMatrix, which is
+    both an InvalidMatrix and a NonPositiveDeterminant.
+    """
+    a, b, c, d = entries = matrix_entries(raw)
+    if not all(math.isfinite(v) for v in entries):
+        raise InvalidMatrix("matrix has non-finite entries")
+    try:
+        det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
+    except OverflowError:
+        raise InvalidMatrix("matrix determinant too large for a float") from None
+    scale2 = max(a * a, b * b, c * c, d * d)
+    if scale2 > UNIT_SCALE2 and abs(det) <= DET_REL_TOL * scale2:
+        if not _in_float_range(f := _canonical_sign(a, b, c, d)):
+            raise InvalidMatrix("matrix entries too large to classify in floats")
+        return f
+    if det < 0.0:
+        raise NonPositiveDeterminant(f"determinant {det!r} must be positive")
+    if det == 0.0 or a * d - b * c <= 0.0:  # from_matrix divides by the float determinant
+        raise SingularMatrix(f"matrix is singular (determinant {det!r})")
+    return MoebiusMap.from_matrix(a, b, c, d)
+
+
+def _in_float_range(f: MoebiusMap) -> bool:
+    # Every sum `classify` forms (d - a plus the discriminant root at most) stays finite.
+    return math.isfinite(2.0 * (abs(f.a) + abs(f.b) + abs(f.c) + abs(f.d)))
 
 
 def matrix_entries(raw) -> list[float]:
@@ -294,7 +327,9 @@ def _parabolic_fixed_point(f: MoebiusMap) -> BoundaryPoint:
 def _hyperbolic_fixed_points(f: MoebiusMap) -> tuple[BoundaryPoint, BoundaryPoint]:
     # Roots of A z^2 + B z + C with A = c, B = d - a, C = -b; disc = tr^2 - 4.
     A, B, C = f.c, f.d - f.a, -f.b
-    sq = math.sqrt(max(f.trace * f.trace - 4.0, 0.0))
+    t2 = f.trace * f.trace
+    # Once tr^2 overflows, 4/tr^2 is far below float epsilon and the root is tr.
+    sq = math.sqrt(max(t2 - 4.0, 0.0)) if t2 < math.inf else f.trace
     if A == 0.0:
         return BoundaryPoint.infinity(), BoundaryPoint.of(-C, B)
     # At B == 0 the sign of A keeps each point's formula the same for inverse(f).
@@ -347,14 +382,19 @@ def from_axis_and_length(beta: BoundaryPoint, alpha: BoundaryPoint, tau: float) 
 
     Right inverse of (axis, translation length): conjugates the dilation
     diag(e^{tau/2}, e^{-tau/2}) by the map sending (0, inf) to (beta, alpha).
+    A length whose map is too large to classify in floats (from about
+    tau = 1418 on) raises ValueError.
     """
     if tau <= 0.0:
         raise ValueError("translation length must be positive")
     if alpha.approx(beta, tol=0.0):
         raise CoincidentEndpoints("axis endpoints coincide")
     chart = axis_chart(Geodesic(beta, alpha))
-    e = math.exp(tau / 2.0)
-    return conjugate(MoebiusMap.from_matrix(e, 0.0, 0.0, 1.0 / e), chart)
+    e = math.exp(min(tau / 2.0, 709.5))  # from tau = 1419 on no map passes the range check
+    f = conjugate(MoebiusMap.from_matrix(e, 0.0, 0.0, 1.0 / e), chart)
+    if not _in_float_range(f):
+        raise ValueError(f"translation length {tau!r} is too large to classify in floats")
+    return f
 
 
 def axis_chart(geo: Geodesic) -> MoebiusMap:

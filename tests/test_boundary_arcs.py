@@ -332,3 +332,122 @@ class TestScreenedVerifier:
         monkeypatch.setattr(boundary_arcs, "_image_angles", lambda *args: calls.append(args) or image_angles(*args))
         assert schottky_margin(F, union) >= 1e-7
         assert 0 < len(calls) <= 0.1 * len(F) * len(union)
+
+
+# --- inputs within SCREEN_TOL of each threshold the screen flags ----------------------
+
+COLLAPSE = boundary_arcs.TWO_PI - 1e-9  # the collapse guards of _clearances
+
+
+def tuned(measure, lo, hi, target):
+    """The tau in [lo, hi] at which `measure`, monotone there, meets `target` (bisection)."""
+    rising = measure(hi) > measure(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (measure(mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(measure(hi) - target) <= 1e-14
+    return hi
+
+
+def image_gaps(f, arc):
+    """ccw_gap from the image start to the image midpoint and to the image end."""
+    p, q, mid = boundary_arcs._image_angles(f, (arc.start, arc.end, arc.midpoint))
+    return boundary_arcs.ccw_gap(p, mid), boundary_arcs.ccw_gap(p, q)
+
+
+def near_full_image(beta, tau):
+    """f attracting to angle 4 and repelling from `beta` inside U = (0.9, 1.5), with U.
+
+    f maps U onto all but a sliver of the circle around its attracting
+    point; the three image points of U lie within that sliver, and the float
+    verifier reads such an image as a collapsed one.
+    """
+    pt = BoundaryPoint.from_angle
+    return from_axis_and_length(pt(beta), pt(4.0), tau), BoundaryArc(pt(0.9), pt(1.5))
+
+
+def contracting_to(alpha):
+    pt = BoundaryPoint.from_angle
+    return from_axis_and_length(pt(2.5), pt(alpha), 20.0)
+
+
+class TestScreenFlags:
+    """Each input puts one pair within SCREEN_TOL of one threshold, where the
+    screen's angles still find it contained with a clearance above the least;
+    only that threshold's flag sends the pair to the scalar check."""
+
+    def check(self, monkeypatch, F, union, pair):
+        arc_points = [(a.start, a.end, a.midpoint) for a in union]
+        assert pair in boundary_arcs._screen(F, union, arc_points)
+        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        assert screened == scalar
+
+    def test_unplaceable_point(self, monkeypatch):
+        # f (entries near 9e8) sends its own repelling point to (0.0, 0.0),
+        # which the arrays place at angle 0, inside K = (5.5, 0.9).
+        pt = BoundaryPoint.from_angle
+        for tau in np.linspace(40.0, 41.5, 300):
+            f = from_axis_and_length(pt(1.0), pt(0.5), float(tau))
+            beta = classify(f).beta
+            try:
+                apply_boundary(f, beta)
+            except ValueError:
+                break
+        else:
+            pytest.fail("no unplaceable repelling point")
+        union = ArcUnion([BoundaryArc(beta, pt(2.0)), BoundaryArc(pt(5.5), pt(0.9))])
+        F = [f, contracting_to(0.8)]
+        self.check(monkeypatch, F, union, (0, 0))
+        assert schottky_margin(F, union) == -math.inf
+
+    def test_image_at_the_collapse_guard(self, monkeypatch):
+        # U misses 5e-10 rad around angle 0; f repels from the middle of that
+        # gap and widens it to 1e-9 - 5e-13 rad, so ccw_gap(p, q) sits just
+        # below the guard.  g widens it on one side only (clearance 2e-11).
+        pt = BoundaryPoint.from_angle
+        U = BoundaryArc(pt(0.0), pt(boundary_arcs.TWO_PI - 5e-10))
+        widen = lambda tau: from_axis_and_length(pt(boundary_arcs.TWO_PI - 2.5e-10), pt(math.pi), tau)
+        tau = tuned(lambda t: image_gaps(widen(t), U)[1], 0.5, 1.0, COLLAPSE - 5e-13)
+        g = from_axis_and_length(pt(boundary_arcs.TWO_PI - 4.9e-10), pt(math.pi), math.log(3.0))
+        self.check(monkeypatch, [widen(tau), g], ArcUnion([U]), (0, 0))
+
+    def test_midpoint_at_the_collapse_guard(self, monkeypatch):
+        # The repelling point lies in U's first half: the midpoint's image
+        # falls behind the start's image, 1e-9 - 5e-13 rad before it.
+        U = near_full_image(1.0, 20.0)[1]
+        tau = tuned(lambda t: image_gaps(near_full_image(1.0, t)[0], U)[0], 15.0, 30.0, COLLAPSE + 5e-13)
+        union = ArcUnion([U, BoundaryArc.from_angles(3.5, 4.5)])
+        self.check(monkeypatch, [near_full_image(1.0, tau)[0], contracting_to(4.4)], union, (0, 0))
+
+    def test_midpoint_at_the_containment_slack(self, monkeypatch):
+        # The repelling point lies in U's second half: the image end falls
+        # just behind the start (a collapsed image) and the midpoint's image
+        # 1e-9 - 5e-13 rad after the start, at the `off > img + 1e-9` slack.
+        U = near_full_image(1.25, 20.0)[1]
+        tau = tuned(lambda t: image_gaps(near_full_image(1.25, t)[0], U)[0], 15.0, 30.0, 1e-9 - 5e-13)
+        f = near_full_image(1.25, tau)[0]
+        assert image_gaps(f, U)[1] >= COLLAPSE + 1e-10
+        union = ArcUnion([U, BoundaryArc.from_angles(3.5, 4.5)])
+        self.check(monkeypatch, [f, contracting_to(4.4)], union, (0, 0))
+
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_collapsed_image_at_a_component_end(self, monkeypatch, end):
+        # A collapsed image, 5e-10 rad wide, whose start lies 5e-13 rad before
+        # the end of its component (lead at the span) or whose end lies
+        # 5e-13 rad after the start (tail at the span).
+        U = near_full_image(1.35, 20.0)[1]
+        tau = tuned(lambda t: boundary_arcs.TWO_PI - image_gaps(near_full_image(1.35, t)[0], U)[1], 20.0, 30.0, 5e-10)
+        f = near_full_image(1.35, tau)[0]
+        p, q, _ = boundary_arcs._image_angles(f, (U.start, U.end, U.midpoint))
+        assert image_gaps(f, U)[0] < 1e-9 - 1e-10
+        pt = BoundaryPoint.from_angle
+        K = BoundaryArc(pt(3.5), pt(p + 5e-13)) if end == "end" else BoundaryArc(pt(q - 5e-13), pt(4.5))
+        union = ArcUnion([U, K])
+        span = K.span
+        lead = boundary_arcs.ccw_gap(K.start.angle, p)
+        tail = boundary_arcs.ccw_gap(q, K.end.angle)
+        assert abs((lead if end == "end" else tail) - span) <= 1e-12
+        self.check(monkeypatch, [f], union, (0, 0))

@@ -156,7 +156,7 @@ class TestCertifyCommand:
         via_cli = json.loads(result.output)
         from semicert.cli import _load_generators
 
-        maps, _ = _load_generators(str(src))
+        maps = _load_generators(str(src))
         via_lib = certificate_to_dict(certify(maps), version=via_cli["tool_version"])
         assert via_cli == json.loads(json.dumps(via_lib))
 
@@ -175,10 +175,32 @@ class TestCertifyCommand:
         src = write_matrix_input(tmp_path / "in.json", figure_two(0.1))
         result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", "5"])
         oracle = json.loads(result.output)["oracle"]
-        maps, _ = _load_generators(str(src))
+        maps = _load_generators(str(src))
         assert oracle["first_elliptic_word"] == list(find_elliptic(maps, 5).letters)
         assert oracle["elliptic_count"] > 0
         assert "seed" not in oracle
+
+    def test_oracle_section_full_payload(self, runner, tmp_path):
+        from semicert import enumerate_words, inverse_free_probe
+        from semicert.cli import _load_generators
+
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", "10"])
+        assert result.exit_code == 0
+        maps = _load_generators(str(src))
+        report = enumerate_words(maps, 10)
+        expected = certificate_to_dict(certify(maps), version=json.loads(result.output)["tool_version"])
+        expected["oracle"] = {
+            "empirical": True,
+            "max_len": 10,
+            "words_explored": report.words_explored,
+            "min_identity_distance": report.min_identity_distance,
+            "elliptic_count": report.elliptic_count,
+            "first_elliptic_word": None,
+            "inverse_free_probe": inverse_free_probe(maps, 10),
+        }
+        assert not report.elliptic_words
+        assert result.output == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_oracle_budget_keeps_the_certificate(self, runner, tmp_path):
         # Length 40 needs more words than the oracle's default budget; the
@@ -190,7 +212,7 @@ class TestCertifyCommand:
         oracle = payload.pop("oracle")
         from semicert.cli import _load_generators
 
-        maps, _ = _load_generators(str(src))
+        maps = _load_generators(str(src))
         via_lib = certificate_to_dict(certify(maps), version=payload["tool_version"])
         assert payload == json.loads(json.dumps(via_lib))
         assert payload["kind"] == "rank_one_schottky"
@@ -277,6 +299,32 @@ class TestOracleCommand:
         assert payload["min_identity_distance"] > 0.1
         assert payload["elliptic_count"] == 0
         assert payload["inverse_free_probe"] is True
+
+    def test_full_payload(self, runner, tmp_path):
+        from semicert import enumerate_words, inverse_free_probe
+        from semicert.cli import _load_generators
+        from semicert.search_oracle import DEFAULT_BUDGET
+
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, ["oracle", "--input", str(src), "--max-len", "10"])
+        assert result.exit_code == 0
+        maps = _load_generators(str(src))
+        report = enumerate_words(maps, 10)
+        expected = {
+            "schema": 1,
+            "empirical": True,
+            "max_len": 10,
+            "budget": DEFAULT_BUDGET,
+            "words_explored": report.words_explored,
+            "distinct_elements": report.distinct_elements,
+            "duplicate_classes": report.duplicate_classes,
+            "min_identity_distance": report.min_identity_distance,
+            "nearest_word": list(report.nearest_word.letters),
+            "elliptic_count": report.elliptic_count,
+            "elliptic_words": [],
+            "inverse_free_probe": inverse_free_probe(maps, 10),
+        }
+        assert result.output == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_chaos_section_with_seed(self, runner, tmp_path):
         f, g = section_one_pair()

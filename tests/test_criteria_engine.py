@@ -34,7 +34,6 @@ from semicert.criteria_engine import (
     certificate_to_dict,
     cos_phi,
     find_rank_one_interval,
-    map_from_unit_matrix,
 )
 from semicert.errors import (
     AxesDoNotCross,
@@ -492,8 +491,9 @@ class TestSerialization:
             assert json.loads(text)["kind"] == cert.kind
 
     def test_unit_matrix_loader_handles_huge_entries(self):
-        F = figure_two(41.0)
-        for f in F:
-            g = map_from_unit_matrix([f.a, f.b, f.c, f.d])
-            assert g is not None
-            assert classify(g).kind == "hyperbolic"
+        for tau in (41.0, 60.0):
+            for f in figure_two(tau):
+                g = normalize([f.a, f.b, f.c, f.d])
+                assert g is not None
+                assert classify(g).kind == "hyperbolic"
+                assert g == f  # the drowned determinant is trusted: kept as given
