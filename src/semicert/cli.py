@@ -273,7 +273,7 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
     """Multicone certificate for a matrix tuple (uniform hyperbolicity test)."""
     try:
         maps = _load_generators(input_path, matrices_only=True)
-        union = None if None in maps else multicone(maps, margin=margin)
+        union = multicone(maps, margin=margin)
     except CertifyError as exc:
         _fail(exc)
     if union is None:

@@ -416,14 +416,19 @@ def uniform_hyperbolicity(
         except SingularMatrix:
             raise
         except NonPositiveDeterminant:
-            return None  # orientation-reversing member: outside this test
+            maps.append(None)
     return multicone(maps, margin)
 
 
-def multicone(maps: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> ArcUnion | None:
-    """The `uniform_hyperbolicity` union for maps already read, or None."""
+def multicone(maps: Sequence[MoebiusMap | None], margin: float = DEFAULT_MARGIN) -> ArcUnion | None:
+    """The `uniform_hyperbolicity` union for maps already read, or None.
+
+    None stands for a matrix of negative determinant, which is outside this test.
+    """
     if not maps:
         raise InvalidMatrix("empty tuple")
+    if None in maps:
+        return None
     try:
         cert = certify(maps, margin=margin)
     except PreconditionViolated:

@@ -23,9 +23,12 @@ TRACE_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 # angular tolerance for boundary-point identity checks.
 ANGLE_TOL = 1e-9
-# the determinant rule of `normalize`: relative |det| and largest squared entry.
-DET_REL_TOL = 1e-9
+# the determinant rule of `normalize`, relative to the largest squared entry
+# when that exceeds UNIT_SCALE2: a determinant within DET_ROUND_TOL (64 units
+# of rounding) of 1 is rounding, and one at most DET_REL_TOL drowns in it.
 UNIT_SCALE2 = 1e12
+DET_ROUND_TOL = 64 * 2.0**-53
+DET_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,30 +179,40 @@ def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
 def normalize(raw) -> MoebiusMap:
     """Canonical representative of a raw 2x2 matrix (see :func:`matrix_entries`).
 
-    The one reader of raw matrices, with the determinant computed exactly.  A
-    matrix with largest squared entry above UNIT_SCALE2 and |det| at most
-    DET_REL_TOL times it is a determinant-one matrix whose determinant drowned
-    in rounding (Figure 2 at tau = 41), kept as given; any other is scaled by
-    its float determinant.  A zero determinant raises SingularMatrix, which is
-    both an InvalidMatrix and a NonPositiveDeterminant.
+    The one reader of raw matrices.  The determinant is computed exactly; s2
+    is the largest squared entry.  When s2 exceeds UNIT_SCALE2 and the
+    determinant is within DET_ROUND_TOL * s2 of 1, the matrix is a
+    determinant-one matrix up to the rounding of its entries (Figure 2 at
+    tau = 41) and is kept as given.  Any other positive determinant is
+    divided out: the float one, or the exact one where the float one drowned
+    in rounding (s2 above UNIT_SCALE2 and determinant at most DET_REL_TOL *
+    s2) or is not positive and finite.  A negative determinant raises
+    NonPositiveDeterminant; a zero one raises SingularMatrix, both an
+    InvalidMatrix and a NonPositiveDeterminant.
     """
     a, b, c, d = entries = matrix_entries(raw)
     if not all(math.isfinite(v) for v in entries):
         raise InvalidMatrix("matrix has non-finite entries")
-    try:
-        det = float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
-    except OverflowError:
-        raise InvalidMatrix("matrix determinant too large for a float") from None
-    scale2 = max(a * a, b * b, c * c, d * d)
-    if scale2 > UNIT_SCALE2 and abs(det) <= DET_REL_TOL * scale2:
-        if not _in_float_range(f := _canonical_sign(a, b, c, d)):
-            raise InvalidMatrix("matrix entries too large to classify in floats")
-        return f
-    if det < 0.0:
-        raise NonPositiveDeterminant(f"determinant {det!r} must be positive")
-    if det == 0.0 or a * d - b * c <= 0.0:  # from_matrix divides by the float determinant
-        raise SingularMatrix(f"matrix is singular (determinant {det!r})")
-    return MoebiusMap.from_matrix(a, b, c, d)
+    det = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
+    scale2 = Fraction(max(map(abs, entries))) ** 2
+    large = scale2 > UNIT_SCALE2
+    if large and abs(det - 1) <= Fraction(DET_ROUND_TOL) * scale2:
+        f = _canonical_sign(a, b, c, d)
+    elif det == 0:
+        raise SingularMatrix("matrix is singular")
+    elif det < 0:
+        raise NonPositiveDeterminant("matrix has negative determinant")
+    elif 0.0 < a * d - b * c < math.inf and not (large and det <= Fraction(DET_REL_TOL) * scale2):
+        f = MoebiusMap.from_matrix(a, b, c, d)
+    else:
+        try:
+            s = 1.0 / math.sqrt(det)
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidMatrix("matrix determinant beyond float range") from None
+        f = _canonical_sign(a * s, b * s, c * s, d * s)
+    if not _in_float_range(f):
+        raise InvalidMatrix("matrix entries too large to classify in floats")
+    return f
 
 
 def _in_float_range(f: MoebiusMap) -> bool:
@@ -390,10 +403,14 @@ def from_axis_and_length(beta: BoundaryPoint, alpha: BoundaryPoint, tau: float) 
     if alpha.approx(beta, tol=0.0):
         raise CoincidentEndpoints("axis endpoints coincide")
     chart = axis_chart(Geodesic(beta, alpha))
-    e = math.exp(min(tau / 2.0, 709.5))  # from tau = 1419 on no map passes the range check
+    too_large = ValueError(f"translation length {tau!r} is too large to classify in floats")
+    try:
+        e = math.exp(tau / 2.0)
+    except OverflowError:
+        raise too_large from None
     f = conjugate(MoebiusMap.from_matrix(e, 0.0, 0.0, 1.0 / e), chart)
     if not _in_float_range(f):
-        raise ValueError(f"translation length {tau!r} is too large to classify in floats")
+        raise too_large
     return f
 
 

@@ -472,8 +472,10 @@ class TestUniformHyperbolicity:
         assert uniform_hyperbolicity([[2.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, -1.0]]) is None
 
     def test_rejects_singular(self):
-        with pytest.raises(InvalidMatrix):
-            uniform_hyperbolicity([[1.0, 1.0, 1.0, 1.0]])
+        # Every matrix is read, also after an orientation-reversing one.
+        for matrices in ([[1.0, 1.0, 1.0, 1.0]], [[1, 0, 0, -1], [1, 1, 1, 1]]):
+            with pytest.raises(InvalidMatrix):
+                uniform_hyperbolicity(matrices)
 
 
 class TestSerialization:

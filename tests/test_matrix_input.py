@@ -204,6 +204,85 @@ def test_drowned_determinants_kept_as_given(tau):
         assert bits(normalize(entries(f))) == bits(f)
 
 
+def exact_det(f):
+    return Fraction(f.a) * Fraction(f.d) - Fraction(f.b) * Fraction(f.c)
+
+
+@pytest.mark.parametrize(
+    "raw, unit",
+    [
+        ([2e6, 0, 0, 2e-6], [1e6, 0, 0, 1e-6]),
+        ([-2e6, 0, 0, -2e-6], [1e6, 0, 0, 1e-6]),
+        ([1e7, 0, 0, 1e-3], [1e5, 0, 0, 1e-5]),
+        ([3e7, 1e7, 2e7, 1e7], [3, 1, 2, 1]),
+    ],
+    ids=["diag-2e6", "negated-diag-2e6", "diag-1e7-1e-3", "det-1e14"],
+)
+def test_large_scalar_multiples_are_scaled(raw, unit):
+    # Their determinants (4, 1e4, 1e14) sit well outside rounding of 1, so the
+    # determinant is divided out although the float one drowned or is exact.
+    f = normalize(raw)
+    assert abs(exact_det(f) - 1) < 1e-12
+    for got, want in zip(entries(f), unit):
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+    assert classify(f).tau == pytest.approx(classify(normalize(unit)).tau, rel=1e-12)
+
+
+def test_large_scalar_multiples_keep_tau():
+    # lambda * M for a determinant-one M of tau <= 15: lambda**2 is far from 1
+    # at the rounding scale of lambda * M, whose largest squared entry reaches
+    # 1e25, so the float determinant or, once it drowns, the exact one is
+    # divided out.  The float one moves tau by about 2**-53 times M's largest
+    # squared entry.
+    rng = np.random.default_rng(131)
+    for _ in range(500):
+        beta, alpha = (BoundaryPoint.from_angle(t) for t in rng.uniform(0.0, 2.0 * math.pi, 2))
+        f = from_axis_and_length(beta, alpha, rng.uniform(0.05, 15.0))
+        lam = 10.0 ** rng.uniform(0.5, 8.0) * rng.choice([-1.0, 1.0])
+        lam = lam if rng.random() < 0.5 else 1.0 / lam
+        g = normalize([lam * v for v in entries(f)])
+        assert abs(exact_det(g) - 1) < 1e-6
+        assert classify(g).tau == pytest.approx(classify(f).tau, rel=1e-6)
+        assert classify(g).alpha.approx(classify(f).alpha, tol=1e-9)
+
+
+def test_drowned_scalar_multiples_divide_out_the_exact_determinant():
+    # M of tau 21..26 has largest squared entry about 1e9..1e12, so lambda * M
+    # has a determinant far from 1 that drowned in the float rounding.  A
+    # power of two keeps lambda * M exact.
+    rng = np.random.default_rng(132)
+    exact = 0
+    for _ in range(300):
+        beta, alpha = (BoundaryPoint.from_angle(t) for t in rng.uniform(0.0, 2.0 * math.pi, 2))
+        f = from_axis_and_length(beta, alpha, rng.uniform(21.0, 26.0))
+        lam = 2.0 ** rng.integers(4, 27) * rng.choice([-1.0, 1.0])
+        raw = [lam * v for v in entries(f)]
+        det, scale2 = exact_det(MoebiusMap(*raw)), Fraction(max(map(abs, raw))) ** 2
+        if not 1e12 < scale2 <= 1e12 * lam * lam or det > Fraction(1e-9) * scale2:
+            continue  # a float determinant divides out, or M's own one is noise
+        exact += 1
+        root = math.sqrt(exact_det(f))
+        for got, want in zip(entries(normalize(raw)), entries(f)):
+            assert got == pytest.approx(want / root, rel=1e-14, abs=1e-14 * abs(f.a + f.d))
+    assert exact > 200
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ([1e7, 0, 0, -1e-3], NonPositiveDeterminant),
+        ([1e7, 1e7, 2e7, 1e7], NonPositiveDeterminant),
+        ([1e7, 1e7, 1e7, 1e7], InvalidMatrix),
+        ([1e200, 0, 0, 1e200], InvalidMatrix),
+    ],
+    ids=["diag-1e7-negative", "det-minus-1e14", "singular-1e7", "det-1e400"],
+)
+def test_large_matrices_far_from_determinant_one_are_rejected(raw, error):
+    with pytest.raises(error) as info:
+        normalize(raw)
+    assert isinstance(info.value, InvalidMatrix) == (error is InvalidMatrix)
+
+
 def test_overflowing_trace_still_classifies():
     cls = classify(normalize([2e154, 1, -1, 0]))
     assert cls.kind == "hyperbolic"
@@ -232,6 +311,11 @@ ADVERSARIAL = {
     **{f"figure-two-{tau:g}": [{"matrix": entries(f)} for f in figure_two(tau)] for tau in (20.0, 25.0, 41.0)},
     **{f"axis-tau-{tau:g}": axis_form(tau) for tau in (709.0, 710.0, 1419.0, 1420.0, 1e300)},
     "trace-2e154": [{"matrix": [2e154, 1, -1, 0]}],
+    "scaled-diag-2e6": [{"matrix": [2e6, 0, 0, 2e-6]}],
+    "scaled-diag-1e7-1e-3": [{"matrix": [1e7, 0, 0, 1e-3]}],
+    "negative-diag-1e7": [{"matrix": [1e7, 0, 0, -1e-3]}],
+    "singular-1e7": [{"matrix": [1e7, 1e7, 1e7, 1e7]}],
+    "drowned-diag-1e200": [{"matrix": [1e200, 0, 0, 1e-100]}],
     "entries-1e308": [{"matrix": [1e308, -1, 1, 0]}],
     "scalar-1e200": [{"matrix": [1e200, 0, 0, 1e200]}],
     "singular": [{"matrix": [1, 1, 1, 1]}],
