@@ -11,14 +11,14 @@ clustering of nearby points, the rank-one candidate arcs, and arcs around a poin
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AxesDoNotCross, OverlappingArcs, VerificationFailed
-from .moebius_core import TWO_PI, BoundaryPoint, Classification, MoebiusMap, apply_boundary
+from .moebius_core import TWO_PI, BoundaryPoint, Classification, MoebiusMap, apply_boundary, classify
 
 # Verification margin below which a certificate is not trusted.
 DEFAULT_MARGIN = 1e-7
@@ -223,7 +223,8 @@ def verify_schottky(
     """Check that every generator maps every arc of the union strictly inside it.
 
     This is the final, construction-independent certificate check: it looks
-    only at endpoint images and angular clearances.
+    only at the generators' repelling points, endpoint images and angular
+    clearances.
     """
     return schottky_margin(generators, union) >= margin
 
@@ -238,9 +239,20 @@ SCREEN_TOL = 1e-12
 SCREEN_MIN_PAIRS = 32
 
 
-def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
+def schottky_margin(
+    generators: Sequence[MoebiusMap], union: ArcUnion, classes: Sequence[Classification] | None = None
+) -> float:
     """Smallest endpoint clearance over all generator images; -inf on failure,
     which includes an image that cannot be placed (it is never guessed).
+
+    It is also -inf when a hyperbolic generator f repels from a point inside
+    an arc A of the union.  f fixes that point, so f(A) holds it and could
+    only lie in A, the one component holding it; but a closed arc that f
+    maps into its own interior holds an attracting fixed point of f and no
+    repelling one.  The endpoint images alone cannot see this: such an image
+    covers all of the circle but a sliver, and its three sample points can
+    land in the sliver.  `classes` are the generators' classifications,
+    when the caller holds them; otherwise they are classified here.
 
     Every pair of generator and union arc is decided by the scalar
     `_enclosing` check, or screened out by :func:`_screen` once there are
@@ -258,6 +270,10 @@ def schottky_margin(generators: Sequence[MoebiusMap], union: ArcUnion) -> float:
     the pairs: the images of one strongly contracting generator, whose
     clearances agree to the last few ulps.
     """
+    for k in classes if classes is not None else map(classify, generators):
+        # Components are disjoint, so only the last one starting at or before beta can hold it.
+        if k.beta is not None and contains(union.arcs[bisect_right(union.starts, k.beta.angle) - 1], k.beta):
+            return -math.inf
     worst = math.inf
     arc_points = [(a.start, a.end, a.midpoint) for a in union]
     if len(generators) * len(union) < SCREEN_MIN_PAIRS:
@@ -290,35 +306,113 @@ def _screen(
     least; near the next component's start, `lead` exceeds the span or
     comes within SCREEN_TOL of it.
     """
-    tol = SCREEN_TOL
     maps = np.array([(f.a, f.b, f.c, f.d) for f in generators]).T[:, :, None, None]
     pts = np.array([[(p.x, p.y) for p in points] for points in arc_points]).transpose(2, 0, 1)[:, None]
-    x = maps[0] * pts[0] + maps[1] * pts[1]
-    y = maps[2] * pts[0] + maps[3] * pts[1]
-    norm = np.hypot(x, y)  # far from 0 and inf, the scalar check places the image too
-    placed = ((norm > 1e-290) & (norm < 1e290)).all(axis=2)
-    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
-    angle = (-2.0 * np.arctan2(np.where(flip, -y, y), np.where(flip, -x, x))) % TWO_PI
-    p, q, mid = angle[..., 0], angle[..., 1], angle[..., 2]
+    angle, placed = _array_images(maps, pts)
+    p = angle[..., 0]
     starts = np.array(union.starts)
     ends = np.array([a.end.angle for a in union])
     spans = np.array([a.span for a in union])
     comp = np.searchsorted(starts, p, side="right") - 1
-    span = spans[comp]
+    lead, tail, inside, near = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
+    near |= ~placed
+    inside &= lead + tail > 0.0
+    clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
+    pick = near | ~inside | (clear <= clear.min() + SCREEN_TOL)
+    return list(zip(*(axis.tolist() for axis in np.nonzero(pick))))
+
+
+# Bound on the distance between the screen's unit midpoint of an arc and the
+# scalar BoundaryArc.midpoint: a few ulps of cos and sin, and one rounding of
+# the scalar normalisation.
+MIDPOINT_ERR = 1e-15
+
+
+@np.errstate(all="ignore")  # images that overflow or vanish are left to the scalar check
+def clear_owner_pairs(maps: Sequence[MoebiusMap], pairs: Sequence[tuple[BoundaryArc, BoundaryArc]]) -> np.ndarray:
+    """Per row (f, (a, b)): whether ArcUnion([a, b]) is valid and f surely maps the complement of b into a.
+
+    The overlap check is exact, as in :func:`overlapping`.  The mapping check
+    replays `image_clearances(f, complement(b), a)` on arrays, as
+    :func:`_screen` does, and passes a row only when every image point is
+    placeable, the image is contained, both clearances exceed SCREEN_TOL and
+    no decision lies within SCREEN_TOL of its threshold.  The midpoint of
+    the complement comes from numpy's cos and sin, within MIDPOINT_ERR of
+    the scalar one; f moves its image angle by at most 2 MIDPOINT_ERR /
+    |f(mid)|^2, and a row where that could exceed SCREEN_TOL / 10 does not
+    pass.  The other image angles are within about 1e-15 rad of the scalar
+    ones, so the scalar check passes every row that passes here; a row that
+    does not pass may pass or fail, and only the scalar check decides it.
+    """
+    m = np.array([(f.a, f.b, f.c, f.d) for f in maps]).T[:, :, None]
+    rows = [(b.end.x, b.end.y, b.start.x, b.start.y, a.start.angle, a.end.angle, b.start.angle, b.end.angle) for a, b in pairs]
+    ex, ey, sx, sy, a0, a1, b0, b1 = np.array(rows).T
+    apart = ~_overlap(np.stack([a0, b0], axis=1), np.stack([a1, b1], axis=1))
+    theta = b1 + 0.5 * ((b0 - b1) % TWO_PI)  # the complement's midpoint angle, as BoundaryArc.midpoint has it
+    mx, my = np.cos(0.5 * theta), -np.sin(0.5 * theta)
+    angle, placed = _array_images(m, np.array([np.stack([ex, sx, mx], axis=1), np.stack([ey, sy, my], axis=1)]))
+    lead, tail, inside, near = _array_clearances(angle, a0, a1, (a1 - a0) % TWO_PI)
+    stretch = 1.0 / ((m[0, :, 0] * mx + m[1, :, 0] * my) ** 2 + (m[2, :, 0] * mx + m[3, :, 0] * my) ** 2)
+    near |= ~(2.0 * MIDPOINT_ERR * stretch <= 0.1 * SCREEN_TOL)
+    return apart & placed & inside & ~near & (np.minimum(lead, tail) > SCREEN_TOL)
+
+
+def overlapping(rows: Sequence[Sequence[BoundaryArc]]) -> np.ndarray:
+    """Per row of arcs (all rows of one length), whether :class:`ArcUnion` of the row raises OverlappingArcs."""
+    starts, ends = np.array([[(a.start.angle, a.end.angle) for a in row] for row in rows]).transpose(2, 0, 1)
+    return _overlap(starts, ends)
+
+
+def _overlap(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per row of arcs given by start and end angles, whether the closures of two of them meet.
+
+    Sorts each row by start angle and compares each gap to the next start
+    with the span, both with the operations of ArcUnion and
+    :attr:`BoundaryArc.span`, so it decides exactly.
+    """
+    spans = (ends - starts) % TWO_PI
+    order = np.argsort(starts, axis=1, kind="stable")
+    starts, spans = np.take_along_axis(starts, order, 1), np.take_along_axis(spans, order, 1)
+    return ((np.roll(starts, -1, axis=1) - starts) % TWO_PI <= spans).any(axis=1)
+
+
+def _array_images(maps: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of the images of homogeneous points, and where all of a row's three are placeable.
+
+    `maps` holds the entries a, b, c, d on its first axis and `pts` the
+    coordinates x, y; the two broadcast to angles of shape (..., 3).
+    """
+    x = maps[0] * pts[0] + maps[1] * pts[1]
+    y = maps[2] * pts[0] + maps[3] * pts[1]
+    norm = np.hypot(x, y)  # far from 0 and inf, the scalar check places the image too
+    placed = ((norm > 1e-290) & (norm < 1e290)).all(axis=-1)
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    angle = (-2.0 * np.arctan2(np.where(flip, -y, y), np.where(flip, -x, x))) % TWO_PI
+    return angle, placed
+
+
+def _array_clearances(angle: np.ndarray, start, end, span) -> tuple[np.ndarray, ...]:
+    """`_clearances` on arrays: lead, tail, contained, and near a decision.
+
+    `angle` holds the image start, end and midpoint angles on its last axis;
+    `start`, `end` and `span` describe the outer arc.  Near means within
+    SCREEN_TOL of a collapse guard, a 1e-9 slack or a clearance against the
+    span.
+    """
+    tol = SCREEN_TOL
+    p, q, mid = angle[..., 0], angle[..., 1], angle[..., 2]
     img = (q - p) % TWO_PI
     off = (mid - p) % TWO_PI
-    near = ~placed | (np.abs(img - (TWO_PI - 1e-9)) <= tol) | (np.abs(off - (TWO_PI - 1e-9)) <= tol)
+    near = (np.abs(img - (TWO_PI - 1e-9)) <= tol) | (np.abs(off - (TWO_PI - 1e-9)) <= tol)
     img = np.where(img >= TWO_PI - 1e-9, 0.0, img)
     off = np.where(off >= TWO_PI - 1e-9, 0.0, off)
-    lead = (p - starts[comp]) % TWO_PI
-    tail = (ends[comp] - q) % TWO_PI
+    lead = (p - start) % TWO_PI
+    tail = (end - q) % TWO_PI
     rest = np.abs(lead + img + tail - span)
     near |= (np.abs(off - img - 1e-9) <= tol) | (np.abs(rest - 1e-9) <= tol)
     near |= (np.abs(lead - span) <= tol) | (np.abs(tail - span) <= tol)
-    inside = (off <= img + 1e-9) & (lead <= span) & (tail <= span) & (rest <= 1e-9) & (lead + tail > 0.0)
-    clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
-    pick = near | ~inside | (clear <= clear.min() + tol)
-    return list(zip(*(axis.tolist() for axis in np.nonzero(pick))))
+    inside = (off <= img + 1e-9) & (lead <= span) & (tail <= span) & (rest <= 1e-9)
+    return lead, tail, inside, near
 
 
 # --- points and arcs around them -----------------------------------------------
@@ -367,16 +461,21 @@ def can_partition_rank_one(
     """Whether two complementary arcs separate the alphas from the betas.
 
     Points are deduplicated per side; a point appearing on both sides makes
-    separation impossible by convention and yields False.
+    separation impossible by convention and yields False.  That test reads
+    only the repelling heads whose angle lies within tol (and a rounding
+    slack) of an attracting head's, found by bisection, across angle 0 too.
     """
     if not alphas or not betas:
         raise ValueError("both point lists must be nonempty")
     a_pts = [alphas[c[0]] for c in cluster(alphas, tol)]
-    b_pts = [betas[c[0]] for c in cluster(betas, tol)]
+    b_pts = sorted((betas[c[0]] for c in cluster(betas, tol)), key=lambda q: q.angle)
+    b_angles = [q.angle for q in b_pts]
+    reach = tol + 1e-12  # beyond any rounding of an angle difference below 2*pi
     for p in a_pts:
-        for q in b_pts:
-            if p.angular_distance(q) <= tol:
-                return False
+        for centre in (p.angle - TWO_PI, p.angle, p.angle + TWO_PI):
+            for q in b_pts[bisect_left(b_angles, centre - reach) : bisect_right(b_angles, centre + reach)]:
+                if p.angular_distance(q) <= tol:
+                    return False
     labeled = sorted(
         [(p.angle, 0) for p in a_pts] + [(q.angle, 1) for q in b_pts], key=lambda t: t[0]
     )

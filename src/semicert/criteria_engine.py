@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .boundary_arcs import (
     DEFAULT_MARGIN,
     ArcUnion,
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
 from .moebius_core import BoundaryPoint, MoebiusMap, compose, normalize, power
-from .pair_geometry import Family
+from .pair_geometry import Family, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -100,16 +102,38 @@ class Thresholds:
     upper: float
 
     @staticmethod
-    def from_cross_ratios(values: Sequence[float]) -> "Thresholds":
+    def from_cross_ratios(values: Sequence[float] | np.ndarray) -> "Thresholds":
+        """Thresholds of the given cross ratios.
+
+        An array, as the pair table of a large Family holds, is read with
+        numpy: the lower bound uses only -, + and /, so it is the scalar one
+        bit for bit, and the upper bound is a :func:`screened_max`.
+        """
+        if isinstance(values, np.ndarray):
+            return Thresholds._of_array(values)
         cs = [float(c) for c in values]
         lower = min([1.0] + [(c - 1.0) / (c + 3.0) for c in cs if _in_lower(c)])
-        upper = max([0.0] + [abs(math.log(abs(c * (c - 1.0)))) for c in cs if _in_upper(c)])
+        upper = max([0.0] + [_upper_term(c) for c in cs if _in_upper(c)])
         return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
+
+    @staticmethod
+    @np.errstate(all="ignore")  # a product c (c - 1) of 0 or inf is recomputed in scalar
+    def _of_array(cs: np.ndarray) -> "Thresholds":
+        finite = np.isfinite(cs)
+        low = cs[finite & (cs > 1.0)]
+        lower = min(1.0, ((low - 1.0) / (low + 3.0)).min()) if low.size else 1.0
+        up = cs[finite & (np.abs(cs) > 1e-9)]
+        upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term)
+        return Thresholds(0.2 * float(lower), 4.0 * max(0.0, upper or 0.0) + 23.0)
 
     @staticmethod
     def from_generators(F) -> "Thresholds":
         """Thresholds of a family (anything :meth:`Family.of` accepts)."""
-        return Thresholds.from_cross_ratios([pg.cross_ratio for pg in Family.of(F).pairs.values()])
+        return Thresholds.from_cross_ratios(Family.of(F).cross_ratios)
+
+
+def _upper_term(c: float) -> float:
+    return abs(math.log(abs(c * (c - 1.0))))
 
 
 def _in_lower(c: float) -> bool:
@@ -390,7 +414,7 @@ def find_rank_one_interval(F) -> tuple[BoundaryArc, float] | None:
     """One interval every generator maps strictly inside itself: the first verified `rank_one_arcs`."""
     family = Family.of(F)
     for arc in family.rank_one_arcs:
-        achieved = schottky_margin(family.maps, ArcUnion([arc]))
+        achieved = schottky_margin(family.maps, ArcUnion([arc]), family.cls)
         if achieved >= 0.0:
             return arc, achieved
     return None

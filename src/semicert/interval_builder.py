@@ -14,6 +14,7 @@ advisory; the verifier in :mod:`semicert.boundary_arcs` is the certificate.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,12 @@ from .boundary_arcs import (
     BoundaryArc,
     arc_between,
     arc_image,
+    clear_owner_pairs,
     complement,
     hull_around,
     image_clearances,
     intersect_around,
+    overlapping,
     schottky_margin,
 )
 from .errors import (
@@ -48,7 +51,7 @@ from .moebius_core import (
     from_boundary_triple,
     inverse,
 )
-from .pair_geometry import Family, distance_from_cross_ratio
+from .pair_geometry import CROSSING, NESTED, Family, distance_from_cross_ratio, screened_max
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
@@ -165,11 +168,16 @@ def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
 
 
 # Screen of the cut ranking: an owner's entry is rescored in scalar when its
-# t + s or t - s lies within AXIS_SCREEN_TOL of the owner's max or min.  The
-# array t differs from the scalar one by about 1e-14 while both logs stay
-# within AXIS_SCREEN_LOG; entries beyond it are always rescored.
-AXIS_SCREEN_TOL = 1e-12
+# t + s or t - s lies within AXIS_SCREEN_TOL of the owner's max or min, and a
+# pair is admitted or skipped in scalar when its lesser translation length
+# lies within AXIS_SCREEN_TOL of its pair gate.  The array t differs from the
+# scalar one by about 1e-14 while both logs stay within AXIS_SCREEN_LOG, the
+# gates by a few ulps, and the cut floors by at most about 1e-11 where
+# trusted (a crossing floor atanh(x) with 1 - x^2 >= AXIS_FLOOR_CONDITION);
+# entries beyond these bounds are always rescored.
+AXIS_SCREEN_TOL = 1e-9
 AXIS_SCREEN_LOG = 100.0
+AXIS_FLOOR_CONDITION = 1e-4
 # Ordered admissible pairs from which the screen pays for itself.  One table
 # and ranking, scalar against screened: 115 vs 180 us at 22 entries, 215 vs
 # 220 us at 42, 350 vs 250 us at 68, 3.9 vs 0.8 ms at about 640 (n = 32).
@@ -180,30 +188,86 @@ class _AxisTable:
     """What the cut ranking of one family reads, whatever the cut schedule.
 
     - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its inverse;
-    - `entries`: (owner, partner, cut floor) for both orders of each
-      admissible pair above its pair gate, in table order, and `notes` for
-      the pairs skipped below it;
-    - :meth:`position`: the scalar axis position t, computed once per
-      ordered pair.
+    - `entries`: (owner, partner) for both orders of each admissible pair
+      above its pair gate, in table order, and `notes` for the pairs skipped
+      below it;
+    - :meth:`floor`, :meth:`position`, :meth:`cut`: the scalar cut floor of
+      a pair, axis position t of an ordered pair and cut arcs of an owner,
+      each computed once;
+    - `cleared`: the (i, j, extra) builds whose checks :func:`_screen_builds`
+      passed.
+
+    A family with the pair table as arrays is admitted from the arrays:
+    gates and cut floors come from numpy, and a pair is decided, and a skip
+    note written, in scalar where the gate screen cannot decide it.
     """
 
     def __init__(self, family: Family):
-        self.cls = family.cls  # not the family, which keeps this table
+        self.cls = family.cls
+        self._family = weakref.ref(family)  # not the family itself, which keeps this table
         self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
         self.to_axis = tuple(inverse(chart) for chart in self.charts)
         self.floors: dict[tuple[int, int], float] = {}
+        if family.kinds is None:
+            keys, notes = [], []
+            for (i, j), pg in family.pairs.items():
+                if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
+                    continue
+                try:
+                    self.floors[(i, j)] = _cut_floor(family, i, j)
+                    keys.append((i, j))
+                except ThresholdNotMet as exc:
+                    notes.append(f"pair ({i}, {j}) skipped: {exc}")
+            floors = np.array([self.floors[key] for key in keys])
+            trusted = np.ones(len(keys), dtype=bool)
+        else:
+            keys, notes, floors, trusted = self._admit(family)
+        self.notes = tuple(notes)
+        self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
+        self._key_floors = floors
+        self._key_trusted = trusted
+        self._positions: dict[tuple[int, int], float] = {}
+        self._cuts: dict[tuple[int, int, float], SymmetricIntervalPair] = {}
+        self.cleared: set[tuple[int, int, float]] = set()
+        self._screen: tuple[np.ndarray, ...] | None = None
+
+    @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
+    def _admit(self, family: Family) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """Admitted keys, skip notes, cut floors and their trust, from the family's arrays."""
+        n = len(self.cls)
+        rows, cols = np.triu_indices(n, 1)
+        pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
+        c, rows, cols = family.cross_ratios[pick], rows[pick], cols[pick]
+        crossing = family.kinds[pick] == CROSSING
+        tau = np.array([k.tau for k in self.cls])
+        gate = np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK
+        low = np.minimum(tau[rows], tau[cols])
+        admit = (low > gate) & ~(np.abs(low - gate) <= AXIS_SCREEN_TOL)
+        # The floors of crossing_cut_floor and _cut_floor, with the
+        # configuration's angle and distance as _decode computes them.
+        theta = 2.0 * np.arctan(np.sqrt(-c))
+        x = np.cos(0.5 * np.minimum(theta, math.pi - theta))
+        nested = np.arcsinh(1.0 / np.sinh(0.5 * (2.0 * np.arctanh(1.0 / np.sqrt(c)))))
+        floors = np.where(crossing, np.arctanh(x), nested)
+        trusted = ~crossing | (1.0 - x * x >= AXIS_FLOOR_CONDITION)
         notes = []
-        for (i, j), pg in family.pairs.items():
-            if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
-                continue
+        for k in np.flatnonzero(~admit).tolist():  # decided in scalar, in table order
+            i, j = int(rows[k]), int(cols[k])
             try:
-                self.floors[(i, j)] = _cut_floor(family, i, j)
+                floors[k] = self.floors[(i, j)] = _cut_floor(family, i, j)
+                admit[k] = trusted[k] = True
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
-        self.notes = tuple(notes)
-        self.entries = [(o, p, floor) for (i, j), floor in self.floors.items() for o, p in ((i, j), (j, i))]
-        self._positions: dict[tuple[int, int], float] = {}
-        self._screen: tuple[np.ndarray, ...] | None = None
+        keys = list(zip(rows[admit].tolist(), cols[admit].tolist()))
+        return keys, notes, floors[admit], trusted[admit]
+
+    def floor(self, i: int, j: int) -> float:
+        """The scalar cut floor of pair (i, j); raises ThresholdNotMet below its pair gate."""
+        key = (i, j) if i < j else (j, i)
+        floor = self.floors.get(key)
+        if floor is None:
+            floor = self.floors[key] = _cut_floor(self._family(), i, j)
+        return floor
 
     def position(self, owner: int, partner: int) -> float:
         t = self._positions.get((owner, partner))
@@ -211,6 +275,14 @@ class _AxisTable:
             t = _axis_position(self.to_axis[owner], self.cls[partner])
             self._positions[(owner, partner)] = t
         return t
+
+    def cut(self, owner: int, partner: int, s: float) -> SymmetricIntervalPair:
+        """:func:`_axis_cut_pair` of the owner around the partner's position at depth s."""
+        key = (owner, partner, s)
+        pair = self._cuts.get(key)
+        if pair is None:
+            pair = self._cuts[key] = _axis_cut_pair(self, owner, partner, s)
+        return pair
 
     def innermost(self, extra: float) -> tuple[list, list]:
         """Per owner, the pairs cutting its innermost a arc and b arc at cut schedule `extra`.
@@ -228,9 +300,9 @@ class _AxisTable:
             entries = [entries[e] for e in self._candidates(extra)]
         deepest_a: list[tuple[float, tuple[int, int] | None]] = [(-math.inf, None)] * n
         deepest_b: list[tuple[float, tuple[int, int] | None]] = [(math.inf, None)] * n
-        for owner, partner, floor in entries:
+        for owner, partner in entries:
             t = self.position(owner, partner)
-            s = _cut_position(cls[owner].tau, floor, extra)
+            s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
             key = (owner, partner) if owner < partner else (partner, owner)
             if t + s > deepest_a[owner][0]:  # strict: ties keep the first pair
                 deepest_a[owner] = (t + s, key)
@@ -254,7 +326,11 @@ class _AxisTable:
 
     @np.errstate(all="ignore")  # the diagonal and degenerate positions come out untrusted
     def _screen_entries(self) -> tuple[np.ndarray, ...]:
-        """The entries as arrays, with t from one n x n broadcast and where it is trusted."""
+        """The entries as arrays, with t from one n x n broadcast and where it is trusted.
+
+        An entry is also untrusted where its floor is, or where tau/2 lies
+        within AXIS_SCREEN_TOL of the floor: :func:`_cut_position` jumps there.
+        """
         cls = self.cls
         maps = np.array([(m.a, m.b, m.c, m.d) for m in self.to_axis]).T[:, :, None]
         logs = []
@@ -262,10 +338,13 @@ class _AxisTable:
             x, y = np.array([(getattr(k, point).x, getattr(k, point).y) for k in cls]).T
             logs.append(np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))))
         trusted = (np.abs(logs[0]) <= AXIS_SCREEN_LOG) & (np.abs(logs[1]) <= AXIS_SCREEN_LOG)
-        owner, partner, floor = (np.array(column) for column in zip(*self.entries))
+        owner, partner = np.array(self.entries).T
+        floor = np.repeat(self._key_floors, 2)
         tau = np.array([k.tau for k in cls])[owner]
         t = 0.5 * (logs[0] + logs[1])
-        return owner, partner, tau, floor, t[owner, partner], trusted[owner, partner]
+        trusted = trusted[owner, partner] & np.repeat(self._key_trusted, 2)
+        trusted &= ~(np.abs(0.5 * tau - floor) <= AXIS_SCREEN_TOL)
+        return owner, partner, tau, floor, t[owner, partner], trusted
 
 
 def _axis_table(family: Family) -> _AxisTable:
@@ -284,17 +363,27 @@ def _axis_cut_pair(table: _AxisTable, owner: int, partner: int, s: float) -> Sym
     """
     cls, chart = table.cls[owner], table.charts[owner]
     t = table.position(owner, partner)
-
-    def at(v: float) -> BoundaryPoint:
-        return apply_boundary(chart, BoundaryPoint.from_real(v))
-
-    ea, eb = math.exp(t + s), math.exp(t - s)
     try:
-        a = arc_between(at(-ea), at(ea), cls.alpha)
-        b = arc_between(at(-eb), at(eb), cls.beta)
+        a = arc_between(*_chart_pair(chart, math.exp(t + s)), cls.alpha)
+        b = arc_between(*_chart_pair(chart, math.exp(t - s)), cls.beta)
     except ValueError as exc:
         raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
     return SymmetricIntervalPair(a=a, b=b, owner=owner)
+
+
+def _chart_pair(chart: MoebiusMap, e: float) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """chart(-e) and chart(e), bit for bit as :func:`apply_boundary` of :meth:`BoundaryPoint.from_real` gives them.
+
+    from_real(-e) is (-x, y) for from_real(e) = (x, y), and the chart's
+    products with -x are the negated products with x, so both images share
+    one normalisation of (e, 1) and four products.
+    """
+    if not math.isfinite(e):
+        return tuple(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e))
+    n = math.hypot(e, 1.0)
+    x, y = e / n, 1.0 / n
+    ax, by, cx, dy = chart.a * x, chart.b * y, chart.c * x, chart.d * y
+    return BoundaryPoint.of(by - ax, dy - cx), BoundaryPoint.of(ax + by, cx + dy)
 
 
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
@@ -317,14 +406,17 @@ def _require_valid_pair(f: MoebiusMap, pair: SymmetricIntervalPair, label: str) 
 def _build_pair(
     family: Family, i: int, j: int, extra: float
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position."""
+    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position.
+
+    The checks run in scalar unless :func:`_screen_builds` cleared this build.
+    """
     kind = family.pair(i, j).kind
     table = _axis_table(family)
-    floor = table.floors.get((i, j) if i < j else (j, i))
-    if floor is None:  # not admissible above its gate: raises ThresholdNotMet
-        floor = _cut_floor(family, i, j)
-    pair_i = _axis_cut_pair(table, i, j, _cut_position(family.cls[i].tau, floor, extra))
-    pair_j = _axis_cut_pair(table, j, i, _cut_position(family.cls[j].tau, floor, extra))
+    floor = table.floor(i, j)
+    pair_i = table.cut(i, j, _cut_position(family.cls[i].tau, floor, extra))
+    pair_j = table.cut(j, i, _cut_position(family.cls[j].tau, floor, extra))
+    if (i, j, extra) in table.cleared:
+        return pair_i, pair_j
     if kind == "disjoint":
         try:
             ArcUnion([pair_i.a, pair_i.b, pair_j.a, pair_j.b])
@@ -333,6 +425,44 @@ def _build_pair(
     _require_valid_pair(family.maps[i], pair_i, f"{kind} pair, first owner")
     _require_valid_pair(family.maps[j], pair_j, f"{kind} pair, second owner")
     return pair_i, pair_j
+
+
+# Pair builds of one cut schedule from which one screen of their checks pays
+# for itself.  `certify` on admissible families, screen against scalar
+# checks: +35% at about 4 builds (n = 4), +11% at 7 (n = 6), +2% at 10
+# (n = 8), -5% at 14 (n = 10), -16% at 43 (n = 32).
+BUILD_SCREEN_MIN_PAIRS = 12
+
+
+def _screen_builds(family: Family, table: _AxisTable, keys: list[tuple[int, int]], extra: float) -> None:
+    """Cut the arcs of the builds of `keys` and clear those whose checks surely pass.
+
+    One numpy pass (:func:`clear_owner_pairs`) replays, for both owners, the
+    overlap check of the owner's two arcs and the mapping check of
+    :func:`mapping_margin`; another replays the four-arc overlap check of
+    disjoint pairs.  The overlap checks decide exactly.  A build that the
+    screen does not clear, or whose arcs cannot be cut, is left to the
+    scalar checks of :func:`_build_pair`, which raise its first failure.
+    """
+    builds = []
+    for i, j in keys:
+        floor = table.floor(i, j)
+        try:
+            pair_i = table.cut(i, j, _cut_position(family.cls[i].tau, floor, extra))
+            pair_j = table.cut(j, i, _cut_position(family.cls[j].tau, floor, extra))
+        except VerificationFailed:
+            continue
+        builds.append((i, j, pair_i, pair_j))
+    if not builds:
+        return
+    halves = [pair for _, _, pair_i, pair_j in builds for pair in (pair_i, pair_j)]
+    owners = [family.maps[pair.owner] for pair in halves]
+    ok = clear_owner_pairs(owners, [(pair.a, pair.b) for pair in halves]).reshape(-1, 2).all(axis=1)
+    disjoint = [k for k, (i, j, _, _) in enumerate(builds) if family.pair(i, j).kind == "disjoint"]
+    if disjoint:
+        four = [(builds[k][2].a, builds[k][2].b, builds[k][3].a, builds[k][3].b) for k in disjoint]
+        ok[disjoint] &= ~overlapping(four)
+    table.cleared.update((i, j, extra) for (i, j, _, _), passed in zip(builds, ok.tolist()) if passed)
 
 
 def build_disjoint_pair_intervals(
@@ -459,6 +589,9 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
     table = _axis_table(family)
     # Candidate cuts sit at t + s (a side) and t - s (b side) on the owner's axis.
     deepest_a, deepest_b = table.innermost(extra)
+    keys = sorted({key for key in deepest_a + deepest_b if key is not None})
+    if len(keys) >= BUILD_SCREEN_MIN_PAIRS:
+        _screen_builds(family, table, keys, extra)
     built: dict[tuple[int, int], tuple[SymmetricIntervalPair, SymmetricIntervalPair]] = {}
     pairs = []
     for i, (ka, kb) in enumerate(zip(deepest_a, deepest_b)):
@@ -467,7 +600,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
                 f"generator {i} has no admissible partner with sufficient translation length"
             )
         for key in sorted({ka, kb} - built.keys()):
-            crossing = family.pairs[key].kind == "crossing"
+            crossing = family.pair(*key).kind == "crossing"
             builder = build_crossing_pair_intervals if crossing else build_disjoint_pair_intervals
             built[key] = builder(family, *key, cut_offset=extra)
         pairs.append(SymmetricIntervalPair(built[ka][ka.index(i)].a, built[kb][kb.index(i)].b, i))
@@ -484,7 +617,7 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
         point = cls[members[0]].alpha
         components.append(hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
-    achieved = schottky_margin(maps, union)
+    achieved = schottky_margin(maps, union, cls)
     if achieved < margin:
         raise VerificationFailed(
             f"assembled union has margin {achieved:.3e}, below required {margin:.3e}"
@@ -493,14 +626,21 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
         pairs=tuple(pairs),
         groups=groups,
         union=union,
-        constant_m=eq_constant([pg.cross_ratio for pg in family.pairs.values()]),
+        constant_m=eq_constant(family.cross_ratios),
         margin=achieved,
         notes=table.notes,
     )
 
 
-def eq_constant(cross_ratios: list[float]) -> float:
-    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance."""
+def eq_constant(cross_ratios: list[float] | np.ndarray) -> float:
+    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance.
+
+    An array, as the pair table of a large Family holds, is read with numpy,
+    each maximum a :func:`screened_max`, so the constant is the scalar one
+    bit for bit.
+    """
+    if isinstance(cross_ratios, np.ndarray):
+        return _eq_constant_of_array(cross_ratios)
     logs = [pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > 1e-9]
     if not logs:
         return 0.0
@@ -509,3 +649,16 @@ def eq_constant(cross_ratios: list[float]) -> float:
         if math.isfinite(c) and c > 1e-9 and abs(c - 1.0) > 1e-9:
             dists.append(distance_from_cross_ratio(c))
     return 2.0 * max(logs) + max(dists)
+
+
+@np.errstate(all="ignore")
+def _eq_constant_of_array(cs: np.ndarray) -> float:
+    cs = cs[np.isfinite(cs)]
+    gated = cs[np.abs(cs) > 1e-9]
+    top = screened_max(gated, np.abs(np.log(np.abs(gated))) + PAIR_GATE_SLACK, pair_gate)
+    if top is None:
+        return 0.0
+    far = cs[(cs > 1e-9) & (np.abs(cs - 1.0) > 1e-9)]
+    root = np.sqrt(far)
+    dist = screened_max(far, np.log((root + 1.0) / np.abs(root - 1.0)), distance_from_cross_ratio)
+    return 2.0 * top + max(0.0, dist or 0.0)

@@ -333,18 +333,24 @@ def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> list[Boundar
     """Boundary orbit under random left-composition, after CHAOS_BURN_IN steps.
 
     Deterministic for a fixed seed; the samples approximate the forward
-    limit set of the semigroup.
+    limit set of the semigroup.  The orbit starts at the attracting point
+    of F[0], unless every generator fixes that point exactly (the orbit
+    could never leave it); then at the attracting point of the first
+    generator that not every generator fixes, if there is one.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(F), size=samples + CHAOS_BURN_IN)
+    picks = rng.integers(0, len(F), size=samples + CHAOS_BURN_IN).tolist()
     mats = [(f.a, f.b, f.c, f.d) for f in F]
     start = classify(F[0]).alpha or BoundaryPoint.from_angle(1.0)
+    if all(_fixes(m, start) for m in mats):
+        alphas = (classify(f).alpha for f in F[1:])
+        start = next((p for p in alphas if p is not None and not all(_fixes(m, p) for m in mats)), start)
     x, y = start.x, start.y
     out: list[BoundaryPoint] = []
-    for k in range(picks.shape[0]):
-        a, b, c, d = mats[picks[k]]
+    for k, pick in enumerate(picks):
+        a, b, c, d = mats[pick]
         x, y = a * x + b * y, c * x + d * y
         norm = math.hypot(x, y)
         x, y = x / norm, y / norm
@@ -352,3 +358,8 @@ def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> list[Boundar
             out.append(BoundaryPoint.of(x, y))
     return out
 
+
+def _fixes(m: tuple[float, float, float, float], p: BoundaryPoint) -> bool:
+    """Whether the matrix m sends p to a multiple of itself in float arithmetic."""
+    a, b, c, d = m
+    return (a * p.x + b * p.y) * p.y - (c * p.x + d * p.y) * p.x == 0.0

@@ -227,6 +227,39 @@ class TestPartition:
             assert moved == base
 
 
+    def test_agrees_with_the_pairwise_loop(self):
+        # The bisected window against every attracting-repelling pair, on
+        # draws with points within 1e-12 (and tol) of each other and points
+        # on both sides of angle 0.
+        def pairwise(alphas, betas, tol):
+            a_pts = [alphas[c[0]] for c in boundary_arcs.cluster(alphas, tol)]
+            b_pts = [betas[c[0]] for c in boundary_arcs.cluster(betas, tol)]
+            if any(p.angular_distance(q) <= tol for p in a_pts for q in b_pts):
+                return False
+            labeled = sorted([(p.angle, 0) for p in a_pts] + [(q.angle, 1) for q in b_pts], key=lambda t: t[0])
+            return sum(cur[1] != nxt[1] for cur, nxt in zip(labeled, labeled[1:] + labeled[:1])) == 2
+
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for trial in range(600):
+            n = int(rng.integers(1, 20))
+            tol = (1e-12, 1e-9)[trial % 2]
+            angles = rng.uniform(0.0, 2 * math.pi, 2 * n)
+            if trial % 3 == 0:  # a cluster straddling angle 0
+                angles[: n] = rng.uniform(-3 * tol, 3 * tol, n) % (2 * math.pi)
+            if trial % 4 == 0:  # an attracting point echoed by a repelling one, 0 to 2 tol away
+                k = int(rng.integers(n, 2 * n))
+                angles[k] = (angles[int(rng.integers(0, n))] + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0) * tol) % (2 * math.pi)
+            if trial % 5 == 0:  # attractors on one arc, repellers on the other
+                angles = np.sort(angles)
+            pts = [BoundaryPoint.from_angle(float(a)) for a in angles]
+            alphas, betas = pts[:n], pts[n:]
+            expected = pairwise(alphas, betas, tol)
+            assert can_partition_rank_one(alphas, betas, tol) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
 def screened_and_scalar(monkeypatch, F, union):
     """float.hex of schottky_margin with the screen on every call, then with every pair in scalar."""
     out = []
@@ -451,3 +484,32 @@ class TestScreenFlags:
         tail = boundary_arcs.ccw_gap(q, K.end.angle)
         assert abs((lead if end == "end" else tail) - span) <= 1e-12
         self.check(monkeypatch, [f], union, (0, 0))
+
+
+class TestRepellingPointInside:
+    """A generator that repels from inside a union arc cannot map that arc into the union."""
+
+    def test_image_around_the_repelling_point_is_refused(self):
+        # f repels from angle 1 inside (0.9, 1.5): its image of that arc is all
+        # of the circle but a sliver around angle 4, where the three sample
+        # points of the image land.  The endpoint check alone accepted it.
+        pt = BoundaryPoint.from_angle
+        g = from_axis_and_length(pt(2.5), pt(4.4), 20.0)
+        union = ArcUnion([BoundaryArc.from_angles(0.9, 1.5), BoundaryArc.from_angles(3.5, 4.5)])
+        for tau in (30.0, 40.0):
+            f = from_axis_and_length(pt(1.0), pt(4.0), tau)
+            assert not verify_schottky([f, g], union)
+            assert schottky_margin([f, g], union) == -math.inf
+            assert schottky_margin([f, g], union, [classify(f), classify(g)]) == -math.inf
+
+    def test_repelling_point_on_an_arc_end_is_allowed(self):
+        # Section 1: g repels from infinity, the end of the invariant arc [1, inf].
+        f, g = section_one_pair()
+        union = ArcUnion([BoundaryArc.from_reals(1.0, math.inf)])
+        assert schottky_margin([f, g], union) == 0.0
+
+    def test_assembled_unions_hold_no_repelling_point(self):
+        rng = np.random.default_rng(24)
+        for F in [figure_two(41.0)] + [random_admissible_family(rng, n) for n in (3, 6, 12)]:
+            union = assemble_global(F).union
+            assert schottky_margin(F, union) > 0.0

@@ -1,0 +1,244 @@
+"""The pair table as arrays and the screens of the assembly change no certificate.
+
+A large `Family` keeps its cross ratios and kinds as arrays and decodes a
+pair only when asked; the axis table, `Thresholds` and `eq_constant` read
+the arrays, and one numpy pass per cut schedule screens the pair builders'
+checks.  Every screen leaves to the scalar code each decision it cannot
+separate from a threshold, so forcing the scalar path everywhere must give
+byte-identical certificates.
+"""
+
+import importlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from semicert import BoundaryPoint, assemble_global, certify, from_axis_and_length
+from semicert import interval_builder, pair_geometry
+from semicert.boundary_arcs import BoundaryArc, arc_image, clear_owner_pairs, complement
+from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
+from semicert.errors import CertifyError
+from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
+from semicert.pair_geometry import Family, cross_ratio_of_points
+
+from helpers import figure_two, random_admissible_family
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+CROSSOVERS = ((pair_geometry, "PAIR_ARRAY_MIN_PAIRS"), (interval_builder, "BUILD_SCREEN_MIN_PAIRS"))
+
+
+def bench_inputs(builder: str, *args):
+    """Inputs of a benchmark workload, from `bench/families.py` (read only)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        families = importlib.import_module("families")
+    finally:
+        sys.path.remove(str(BENCH))
+    return [list(f.maps) for f in getattr(families, builder)(*args)]
+
+
+def with_crossover(monkeypatch, crossover, run):
+    """run() with both crossovers set to `crossover` (None keeps the defaults)."""
+    with monkeypatch.context() as patch:
+        if crossover is not None:
+            for module, name in CROSSOVERS:
+                patch.setattr(module, name, crossover)
+        return run()
+
+
+def certificates(families):
+    return [json.dumps(certificate_to_dict(certify(F)), sort_keys=True) for F in families]
+
+
+def assembly(F):
+    """The assembled system's JSON, or the error it raised."""
+    try:
+        system = assemble_global(F)
+    except CertifyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(certificate_to_dict(SemidiscreteInverseFree(system)), sort_keys=True)
+
+
+# --- agreement -----------------------------------------------------------------
+
+
+def test_assembly_large_certificates_are_byte_identical(monkeypatch):
+    families = bench_inputs("assembly_large", 1, 48, 32)
+    schedules = []
+    once = interval_builder._assemble_once
+
+    def counting(family, margin, extra):
+        schedules.append(extra)
+        return once(family, margin, extra)
+
+    checked = []
+    require = interval_builder._require_valid_pair
+    monkeypatch.setattr(interval_builder, "_assemble_once", counting)
+    monkeypatch.setattr(interval_builder, "_require_valid_pair", lambda *args: checked.append(args) or require(*args))
+    default = with_crossover(monkeypatch, None, lambda: certificates(families))
+    assert len(schedules) == 53 and schedules.count(2.0) == 5  # five families need a second schedule
+    screened = len(checked)
+    scalar = with_crossover(monkeypatch, math.inf, lambda: certificates(families))
+    assert default == scalar
+    assert screened <= 0.05 * (len(checked) - screened)  # the screen clears almost every build
+    assert all(json.loads(text)["kind"] == "semidiscrete_inverse_free" for text in default)
+
+
+def test_verdict_mix_certificates_are_byte_identical(monkeypatch):
+    families = bench_inputs("verdict_mix", 1, 20)
+    arrays, default, scalar = (
+        with_crossover(monkeypatch, crossover, lambda: certificates(families)) for crossover in (0, None, math.inf)
+    )
+    assert arrays == default == scalar
+    assert len({json.loads(text)["kind"] for text in default}) == 4
+
+
+def figure_two_grid():
+    """tau on both sides of the pair gates 3/2 and log 9 + 3/2, the shared gate log 5 and the upper threshold."""
+    upper = Thresholds.from_generators(figure_two(1.0)).upper
+    gates = (1.5, math.log(5.0), math.log(9.0) + 1.5, upper)
+    return [g + d for g in gates for d in (-1e-6, -1e-10, 0.0, 1e-10, 1e-6)] + [41.0, 45.0, 60.0]
+
+
+@pytest.mark.parametrize("tau", figure_two_grid())
+def test_figure_two_near_the_gates(monkeypatch, tau):
+    F = figure_two(tau)
+    arrays, scalar = (
+        with_crossover(monkeypatch, crossover, lambda: (certificates([F]), assembly(F))) for crossover in (0, math.inf)
+    )
+    assert arrays == scalar
+
+
+def below_gate_families():
+    """Admissible fixed points with tau log-uniform in [2, 30]: some pairs fall below their gates."""
+    rng = np.random.default_rng(161)
+    out = []
+    for trial in range(300):
+        n = int(rng.integers(3, 9)) if trial % 50 else 16
+        family = Family.of(random_admissible_family(rng, n, min_gap=0.01))
+        taus = np.exp(rng.uniform(math.log(2.0), math.log(30.0), size=n)).tolist()
+        out.append([from_axis_and_length(k.beta, k.alpha, tau) for k, tau in zip(family.cls, taus)])
+    return out
+
+
+def test_skip_notes_are_byte_identical(monkeypatch):
+    families = below_gate_families()
+    arrays, scalar = (
+        with_crossover(monkeypatch, crossover, lambda: [assembly(F) for F in families]) for crossover in (0, math.inf)
+    )
+    assert arrays == scalar
+    notes = [json.loads(text)["notes"] for text in scalar if text.startswith("{")]
+    assert sum(map(bool, notes)) >= 5
+
+
+def test_broadcast_cross_ratios_equal_the_scalar_ones():
+    for F in bench_inputs("assembly_large", 1, 48, 32):
+        family = Family.of(F)
+        assert isinstance(family.cross_ratios, np.ndarray)
+        cls = family.cls
+        scalar = [
+            cross_ratio_of_points(cls[i].alpha, cls[i].beta, cls[j].alpha, cls[j].beta)
+            for i in range(len(cls))
+            for j in range(i + 1, len(cls))
+        ]
+        assert [c.hex() for c in family.cross_ratios.tolist()] == [c.hex() for c in scalar]
+
+
+# --- decisions near a threshold reach the scalar check ----------------------------
+
+
+def right_angle_partner(height, tau):
+    """A map whose axis crosses the axis 0 -> inf at a right angle, at height `height`."""
+    return from_axis_and_length(BoundaryPoint.from_real(-height), BoundaryPoint.from_real(height), tau)
+
+
+def test_tau_at_a_pair_gate_is_decided_in_scalar(monkeypatch):
+    monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", 0)
+    beta, alpha = BoundaryPoint.from_real(0.0), BoundaryPoint.infinity()
+    partners = [right_angle_partner(2.0, 20.0), right_angle_partner(0.5, 20.0)]
+    probe = Family.of([from_axis_and_length(beta, alpha, 5.0)] + partners)
+    gate = pair_gate(probe.pair(0, 1).cross_ratio)
+    family = Family.of([from_axis_and_length(beta, alpha, gate)] + partners)
+    assert abs(family.cls[0].tau - pair_gate(family.pair(0, 1).cross_ratio)) <= 1e-12
+    decided = []
+    cut_floor = interval_builder._cut_floor
+    monkeypatch.setattr(
+        interval_builder, "_cut_floor", lambda fam, i, j: decided.append((i, j)) or cut_floor(fam, i, j)
+    )
+    table = _AxisTable(Family.of(family.maps))
+    assert (0, 1) in decided and (0, 2) in decided
+    monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", math.inf)
+    reference = _AxisTable(Family.of(family.maps))
+    assert (table.entries, table.notes) == (reference.entries, reference.notes)
+
+
+def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
+    from semicert import criteria_engine
+
+    seen = []
+    for module, name in ((criteria_engine, "_upper_term"), (interval_builder, "pair_gate"), (interval_builder, "distance_from_cross_ratio")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda c, _f=original, _n=name: seen.append((_n, c)) or _f(c))
+    # c (c - 1) is 6 at c = 3 and c = -2; |log|c|| and the axis distance tie at c = 4 and 1/4.
+    values = [3.0, -2.0, 0.5, 4.0, 0.25, -1.0]
+    assert Thresholds.from_cross_ratios(np.array(values)) == Thresholds.from_cross_ratios(values)
+    assert {c for n, c in seen if n == "_upper_term"} >= {3.0, -2.0}
+    seen.clear()
+    assert eq_constant(np.array(values)).hex() == eq_constant(values).hex()
+    assert {c for n, c in seen if n == "pair_gate"} >= {4.0, 0.25}
+    assert {c for n, c in seen if n == "distance_from_cross_ratio"} >= {4.0, 0.25}
+
+
+def test_cut_at_half_tau_is_rescored_in_scalar(monkeypatch):
+    # Right-angle crossings have cut floor atanh(cos(pi/4)); at tau = twice
+    # that, _cut_position jumps between its two branches, so the screen
+    # cannot trust the array floor there.
+    monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", 0)
+    floor = math.atanh(math.cos(0.25 * math.pi))
+    owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 2.0 * floor)
+    family = Family.of([owner] + [right_angle_partner(h, 20.0) for h in (math.exp(-3.0), 1.0, math.exp(3.0))])
+    assert abs(0.5 * family.cls[0].tau - floor) <= AXIS_SCREEN_TOL
+    table = _AxisTable(family)
+    trusted = table._screen_entries()[-1]
+    mine = [e for e, (o, _) in enumerate(table.entries) if o == 0]
+    assert len(mine) == 3 and not trusted[mine].any()
+    for extra in (0.0, 2.0):
+        assert set(mine) <= set(table._candidates(extra))
+        monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", 0)
+        screened = table.innermost(extra)
+        monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", math.inf)
+        assert _AxisTable(family).innermost(extra) == screened
+
+
+def test_owner_check_within_tolerance_is_left_to_the_scalar_check():
+    # The owner maps the complement of b into a with one clearance of 5e-13
+    # rad, inside the screen's tolerance: the screen does not clear it, and
+    # the scalar check passes it.
+    f = from_axis_and_length(BoundaryPoint.from_angle(1.0), BoundaryPoint.from_angle(4.0), 6.0)
+    b = BoundaryArc.from_angles(0.9, 1.1)
+    image = arc_image(f, complement(b))
+    a = BoundaryArc.from_angles(image.start.angle - 5e-13, image.end.angle + 1e-3)
+    wide = BoundaryArc.from_angles(image.start.angle - 1e-3, image.end.angle + 1e-3)
+    assert clear_owner_pairs([f, f], [(a, b), (wide, b)]).tolist() == [False, True]
+    assert 0.0 < mapping_margin(f, SymmetricIntervalPair(a, b, 0)) < 1e-12
+
+
+# --- decoding on demand -----------------------------------------------------------
+
+
+def test_certify_decodes_only_the_pairs_it_reads(monkeypatch):
+    F = bench_inputs("assembly_large", 1, 1, 32)[0]
+    decoded = []
+    decode = pair_geometry._decode
+    monkeypatch.setattr(pair_geometry, "_decode", lambda c, cf, cg: decoded.append((id(cf), id(cg))) or decode(c, cf, cg))
+    assert certify(F).kind == "semidiscrete_inverse_free"
+    # 42 of the 496 pairs, each once: the pairs built, and those whose cut
+    # floor the ranking or a skip note reads in scalar.
+    assert len(decoded) == len(set(decoded)) == 42
+    family = Family.of(F)
+    assert len(family.pairs) == 496 and list(family.pairs) == sorted(family.pairs)
+

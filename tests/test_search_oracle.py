@@ -253,6 +253,16 @@ class TestChaosGame:
         pts = chaos_game([f], 100, seed=3)
         assert all(p.is_infinity for p in pts)
 
+    def test_leaves_a_common_fixed_point(self):
+        # 2z attracts to infinity, which z/2 + 1 fixes too; the orbit starts
+        # at 2, the attracting point of z/2 + 1, and fills [1, inf].
+        F = section_one_pair()
+        for seed in (1, 7, 91):
+            pts = chaos_game(F, 2000, seed=seed)
+            assert len({(p.x, p.y) for p in pts}) > 1
+            assert all(p.value >= 1.0 for p in pts)
+        assert chaos_game(F, 100, seed=1) != chaos_game(F, 100, seed=7)
+
     def test_deterministic(self):
         rng = np.random.default_rng(96)
         f, g = crossing_pair(rng, math.pi / 2.0, 0.15, 0.15)
