@@ -103,8 +103,8 @@ class ArcUnion:
     """Finite union of open arcs with pairwise disjoint closures.
 
     Arcs are kept sorted by start angle, and `starts` holds those angles for
-    bisection; overlapping input is rejected rather than merged, since
-    overlap always signals an upstream construction bug.
+    bisection; arcs whose closures meet are rejected rather than merged, and
+    the assembly answers that rejection with deeper cuts.
     """
 
     __slots__ = ("arcs", "starts")
@@ -320,60 +320,6 @@ def _screen(
     clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
     pick = near | ~inside | (clear <= clear.min() + SCREEN_TOL)
     return list(zip(*(axis.tolist() for axis in np.nonzero(pick))))
-
-
-# Bound on the distance between the screen's unit midpoint of an arc and the
-# scalar BoundaryArc.midpoint: a few ulps of cos and sin, and one rounding of
-# the scalar normalisation.
-MIDPOINT_ERR = 1e-15
-
-
-@np.errstate(all="ignore")  # images that overflow or vanish are left to the scalar check
-def clear_owner_pairs(maps: Sequence[MoebiusMap], pairs: Sequence[tuple[BoundaryArc, BoundaryArc]]) -> np.ndarray:
-    """Per row (f, (a, b)): whether ArcUnion([a, b]) is valid and f surely maps the complement of b into a.
-
-    The overlap check is exact, as in :func:`overlapping`.  The mapping check
-    replays `image_clearances(f, complement(b), a)` on arrays, as
-    :func:`_screen` does, and passes a row only when every image point is
-    placeable, the image is contained, both clearances exceed SCREEN_TOL and
-    no decision lies within SCREEN_TOL of its threshold.  The midpoint of
-    the complement comes from numpy's cos and sin, within MIDPOINT_ERR of
-    the scalar one; f moves its image angle by at most 2 MIDPOINT_ERR /
-    |f(mid)|^2, and a row where that could exceed SCREEN_TOL / 10 does not
-    pass.  The other image angles are within about 1e-15 rad of the scalar
-    ones, so the scalar check passes every row that passes here; a row that
-    does not pass may pass or fail, and only the scalar check decides it.
-    """
-    m = np.array([(f.a, f.b, f.c, f.d) for f in maps]).T[:, :, None]
-    rows = [(b.end.x, b.end.y, b.start.x, b.start.y, a.start.angle, a.end.angle, b.start.angle, b.end.angle) for a, b in pairs]
-    ex, ey, sx, sy, a0, a1, b0, b1 = np.array(rows).T
-    apart = ~_overlap(np.stack([a0, b0], axis=1), np.stack([a1, b1], axis=1))
-    theta = b1 + 0.5 * ((b0 - b1) % TWO_PI)  # the complement's midpoint angle, as BoundaryArc.midpoint has it
-    mx, my = np.cos(0.5 * theta), -np.sin(0.5 * theta)
-    angle, placed = _array_images(m, np.array([np.stack([ex, sx, mx], axis=1), np.stack([ey, sy, my], axis=1)]))
-    lead, tail, inside, near = _array_clearances(angle, a0, a1, (a1 - a0) % TWO_PI)
-    stretch = 1.0 / ((m[0, :, 0] * mx + m[1, :, 0] * my) ** 2 + (m[2, :, 0] * mx + m[3, :, 0] * my) ** 2)
-    near |= ~(2.0 * MIDPOINT_ERR * stretch <= 0.1 * SCREEN_TOL)
-    return apart & placed & inside & ~near & (np.minimum(lead, tail) > SCREEN_TOL)
-
-
-def overlapping(rows: Sequence[Sequence[BoundaryArc]]) -> np.ndarray:
-    """Per row of arcs (all rows of one length), whether :class:`ArcUnion` of the row raises OverlappingArcs."""
-    starts, ends = np.array([[(a.start.angle, a.end.angle) for a in row] for row in rows]).transpose(2, 0, 1)
-    return _overlap(starts, ends)
-
-
-def _overlap(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per row of arcs given by start and end angles, whether the closures of two of them meet.
-
-    Sorts each row by start angle and compares each gap to the next start
-    with the span, both with the operations of ArcUnion and
-    :attr:`BoundaryArc.span`, so it decides exactly.
-    """
-    spans = (ends - starts) % TWO_PI
-    order = np.argsort(starts, axis=1, kind="stable")
-    starts, spans = np.take_along_axis(starts, order, 1), np.take_along_axis(spans, order, 1)
-    return ((np.roll(starts, -1, axis=1) - starts) % TWO_PI <= spans).any(axis=1)
 
 
 def _array_images(maps: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

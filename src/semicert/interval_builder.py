@@ -7,8 +7,10 @@ chart (axis on 0 -> inf) the partner fixes a position t = log sqrt|u v| on
 the axis, u and v being the partner's fixed points there; the a arc is cut
 at t + s and the b arc at t - s.  The owner translates cut positions by its
 translation length, which turns every mapping claim into arithmetic on cut
-positions plus an endpoint-image verification.  The geometry here is
-advisory; the verifier in :mod:`semicert.boundary_arcs` is the certificate.
+positions.  The geometry here is advisory: the pair builders return
+unverified cut arcs, :func:`mapping_margin` measures one owner's pair, and
+:func:`assemble_global` verifies only the assembled union, with the
+verifier in :mod:`semicert.boundary_arcs`, which is the certificate.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .boundary_arcs import (
     BoundaryArc,
     arc_between,
     arc_image,
-    clear_owner_pairs,
     complement,
     hull_around,
     image_clearances,
     intersect_around,
-    overlapping,
     schottky_margin,
 )
 from .errors import (
@@ -63,8 +63,10 @@ SHARED_ALPHA_GATE = math.log(5.0)
 class SymmetricIntervalPair:
     """Arcs (a around the attractor, b around the repeller) of one generator.
 
-    Both arcs are symmetric with respect to the owner, their closures are
-    disjoint, and the owner maps the complement of b strictly inside a.
+    Both arcs are symmetric with respect to the owner.  They are cut
+    geometry, not checked: the cut depth aims at disjoint closures and at
+    the owner mapping the complement of b strictly inside a, and
+    :func:`mapping_margin` measures the latter.
     """
 
     a: BoundaryArc
@@ -185,17 +187,14 @@ AXIS_SCREEN_MIN_PAIRS = 48
 
 
 class _AxisTable:
-    """What the cut ranking of one family reads, whatever the cut schedule.
+    """What the cut ranking and the pair builders of one family read, whatever the cut schedule.
 
     - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its inverse;
     - `entries`: (owner, partner) for both orders of each admissible pair
       above its pair gate, in table order, and `notes` for the pairs skipped
       below it;
-    - :meth:`floor`, :meth:`position`, :meth:`cut`: the scalar cut floor of
-      a pair, axis position t of an ordered pair and cut arcs of an owner,
-      each computed once;
-    - `cleared`: the (i, j, extra) builds whose checks :func:`_screen_builds`
-      passed.
+    - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair and
+      the axis position t of an ordered pair, each computed once.
 
     A family with the pair table as arrays is admitted from the arrays:
     gates and cut floors come from numpy, and a pair is decided, and a skip
@@ -227,8 +226,6 @@ class _AxisTable:
         self._key_floors = floors
         self._key_trusted = trusted
         self._positions: dict[tuple[int, int], float] = {}
-        self._cuts: dict[tuple[int, int, float], SymmetricIntervalPair] = {}
-        self.cleared: set[tuple[int, int, float]] = set()
         self._screen: tuple[np.ndarray, ...] | None = None
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
@@ -275,14 +272,6 @@ class _AxisTable:
             t = _axis_position(self.to_axis[owner], self.cls[partner])
             self._positions[(owner, partner)] = t
         return t
-
-    def cut(self, owner: int, partner: int, s: float) -> SymmetricIntervalPair:
-        """:func:`_axis_cut_pair` of the owner around the partner's position at depth s."""
-        key = (owner, partner, s)
-        pair = self._cuts.get(key)
-        if pair is None:
-            pair = self._cuts[key] = _axis_cut_pair(self, owner, partner, s)
-        return pair
 
     def innermost(self, extra: float) -> tuple[list, list]:
         """Per owner, the pairs cutting its innermost a arc and b arc at cut schedule `extra`.
@@ -387,82 +376,25 @@ def _chart_pair(chart: MoebiusMap, e: float) -> tuple[BoundaryPoint, BoundaryPoi
 
 
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
-    """Clearance of image(complement of b) inside a; -inf if not contained."""
+    """Clearance of image(complement of b) inside a; -inf if not contained.
+
+    This is how a caller checks a pair: the builders do not.
+    """
     found = image_clearances(owner, complement(pair.b), pair.a)
     if found is None:
         return -math.inf
     return min(found)
 
 
-def _require_valid_pair(f: MoebiusMap, pair: SymmetricIntervalPair, label: str) -> None:
-    try:
-        ArcUnion([pair.a, pair.b])
-    except OverlappingArcs as exc:
-        raise VerificationFailed(f"{label}: owner arcs overlap") from exc
-    if mapping_margin(f, pair) <= 0.0:
-        raise VerificationFailed(f"{label}: mapping property failed verification")
-
-
 def _build_pair(
     family: Family, i: int, j: int, extra: float
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position.
-
-    The checks run in scalar unless :func:`_screen_builds` cleared this build.
-    """
-    kind = family.pair(i, j).kind
+    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position."""
     table = _axis_table(family)
     floor = table.floor(i, j)
-    pair_i = table.cut(i, j, _cut_position(family.cls[i].tau, floor, extra))
-    pair_j = table.cut(j, i, _cut_position(family.cls[j].tau, floor, extra))
-    if (i, j, extra) in table.cleared:
-        return pair_i, pair_j
-    if kind == "disjoint":
-        try:
-            ArcUnion([pair_i.a, pair_i.b, pair_j.a, pair_j.b])
-        except OverlappingArcs as exc:
-            raise VerificationFailed("disjoint-pair arcs are not pairwise disjoint") from exc
-    _require_valid_pair(family.maps[i], pair_i, f"{kind} pair, first owner")
-    _require_valid_pair(family.maps[j], pair_j, f"{kind} pair, second owner")
+    pair_i = _axis_cut_pair(table, i, j, _cut_position(family.cls[i].tau, floor, extra))
+    pair_j = _axis_cut_pair(table, j, i, _cut_position(family.cls[j].tau, floor, extra))
     return pair_i, pair_j
-
-
-# Pair builds of one cut schedule from which one screen of their checks pays
-# for itself.  `certify` on admissible families, screen against scalar
-# checks: +35% at about 4 builds (n = 4), +11% at 7 (n = 6), +2% at 10
-# (n = 8), -5% at 14 (n = 10), -16% at 43 (n = 32).
-BUILD_SCREEN_MIN_PAIRS = 12
-
-
-def _screen_builds(family: Family, table: _AxisTable, keys: list[tuple[int, int]], extra: float) -> None:
-    """Cut the arcs of the builds of `keys` and clear those whose checks surely pass.
-
-    One numpy pass (:func:`clear_owner_pairs`) replays, for both owners, the
-    overlap check of the owner's two arcs and the mapping check of
-    :func:`mapping_margin`; another replays the four-arc overlap check of
-    disjoint pairs.  The overlap checks decide exactly.  A build that the
-    screen does not clear, or whose arcs cannot be cut, is left to the
-    scalar checks of :func:`_build_pair`, which raise its first failure.
-    """
-    builds = []
-    for i, j in keys:
-        floor = table.floor(i, j)
-        try:
-            pair_i = table.cut(i, j, _cut_position(family.cls[i].tau, floor, extra))
-            pair_j = table.cut(j, i, _cut_position(family.cls[j].tau, floor, extra))
-        except VerificationFailed:
-            continue
-        builds.append((i, j, pair_i, pair_j))
-    if not builds:
-        return
-    halves = [pair for _, _, pair_i, pair_j in builds for pair in (pair_i, pair_j)]
-    owners = [family.maps[pair.owner] for pair in halves]
-    ok = clear_owner_pairs(owners, [(pair.a, pair.b) for pair in halves]).reshape(-1, 2).all(axis=1)
-    disjoint = [k for k, (i, j, _, _) in enumerate(builds) if family.pair(i, j).kind == "disjoint"]
-    if disjoint:
-        four = [(builds[k][2].a, builds[k][2].b, builds[k][3].a, builds[k][3].b) for k in disjoint]
-        ok[disjoint] &= ~overlapping(four)
-    table.cleared.update((i, j, extra) for (i, j, _, _), passed in zip(builds, ok.tolist()) if passed)
 
 
 def build_disjoint_pair_intervals(
@@ -476,6 +408,12 @@ def build_disjoint_pair_intervals(
     are pairwise disjoint) and below tau/2 (so each owner maps the
     complement of its b-arc strictly inside its a-arc), bounded so that
     margins stay macroscopic at any tau.
+
+    The arcs are not verified here: :func:`mapping_margin` checks an
+    owner's pair, and :func:`assemble_global` checks only the union it
+    assembles.  Raises AxesNotDisjoint or ThresholdNotMet when the pair does
+    not qualify, and VerificationFailed when a cut falls below float angular
+    resolution.
     """
     family = Family.of(F)
     family.disjoint_pair(i, j)
@@ -492,7 +430,14 @@ def build_crossing_pair_intervals(
 
     Near the threshold the four arcs of the two owners cannot always be made
     pairwise disjoint (that needs roughly 2*artanh(cos(min(theta, pi-theta)/2))
-    of translation length); each owner's own pair is still valid and verified.
+    of translation length); the cut depth still aims at each owner's own
+    mapping property.
+
+    The arcs are not verified here: :func:`mapping_margin` checks an
+    owner's pair, and :func:`assemble_global` checks only the union it
+    assembles.  Raises AxesDoNotCross or ThresholdNotMet when the pair does
+    not qualify, and VerificationFailed when a cut falls below float angular
+    resolution.
     """
     family = Family.of(F)
     pg = family.pair(i, j)
@@ -566,9 +511,11 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     (crossing axes, or disjoint with cross ratio above 1) would cut are chosen
     by axis position, and only those pairs are built; generators sharing a
     fixed point are additionally constrained by the shared-fixed-point
-    intervals.  If the union fails verification the cuts are pushed deeper.
-    Every cut schedule reads one axis table (charts, cut floors, axis
-    positions) of the family.
+    intervals.  The pairs are not checked one by one: the union of the
+    components, as :class:`ArcUnion`, and its :func:`schottky_margin` are
+    the only check, and if they fail the cuts are pushed deeper.  Every cut
+    schedule reads one axis table (charts, cut floors, axis positions) of
+    the family.
     """
     family = Family.of(F)
     family.require_alpha_apart_from_beta()
@@ -589,9 +536,6 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
     table = _axis_table(family)
     # Candidate cuts sit at t + s (a side) and t - s (b side) on the owner's axis.
     deepest_a, deepest_b = table.innermost(extra)
-    keys = sorted({key for key in deepest_a + deepest_b if key is not None})
-    if len(keys) >= BUILD_SCREEN_MIN_PAIRS:
-        _screen_builds(family, table, keys, extra)
     built: dict[tuple[int, int], tuple[SymmetricIntervalPair, SymmetricIntervalPair]] = {}
     pairs = []
     for i, (ka, kb) in enumerate(zip(deepest_a, deepest_b)):

@@ -1,6 +1,9 @@
 """Shared constructions for the test suite."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +46,16 @@ from semicert.moebius_core import (
 from semicert.pair_geometry import Family, cross_ratio_of_points
 
 TWO_PI = 2.0 * math.pi
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """A module of `bench/` (`families`, `exact`), imported read only."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 def section_one_pair():
@@ -97,6 +110,21 @@ def shared_repeller_family():
     ]
 
 
+def retry_ladder_family():
+    """Five generators whose arcs collide at the first cut schedule; a deeper one verifies."""
+    data = [
+        (4.2558218450491907, 0.86534830580207434, 36.0266330194099),
+        (4.3379055631154708, 2.8364965538271214, 36.539449265708278),
+        (5.3174737179548437, 2.4894652937445327, 36.610168408965471),
+        (5.8603049233260132, 0.72303015626408307, 36.188926875442107),
+        (1.2739359049477512, 2.6816471480974671, 36.619225012259285),
+    ]
+    return [
+        from_axis_and_length(BoundaryPoint.from_angle(b), BoundaryPoint.from_angle(a), t)
+        for b, a, t in data
+    ]
+
+
 def random_moebius(rng):
     """Random normalized map with positive determinant (used as a conjugator)."""
     while True:
@@ -139,9 +167,20 @@ def crossing_pair(rng, theta, tau_f, tau_g, conjugate_by=None):
 
 def random_admissible_family(rng, n, tau_slack=(0.5, 3.0), min_gap=0.08):
     """Family passing the assembly preconditions, with every tau above the
-    upper threshold of its own cross-ratio table."""
+    upper threshold of its own cross-ratio table.
+
+    The fixed points are drawn by rejection until every gap between them is
+    at least `min_gap`.  2n uniform points on the circle have that with
+    probability (1 - 2n min_gap / 2 pi)^(2n - 1); below 1e-6 the loop would
+    not end in practice, so that raises ValueError instead.
+    """
     from semicert import Thresholds
 
+    chance = max(0.0, 1.0 - 2 * n * min_gap / TWO_PI) ** (2 * n - 1)
+    if chance < 1e-6:
+        raise ValueError(
+            f"n = {n} fixed-point pairs with min_gap = {min_gap} are drawn with chance {chance:.1e}; use a smaller min_gap"
+        )
     while True:
         angles = rng.uniform(0.0, TWO_PI, size=2 * n)
         angles.sort()

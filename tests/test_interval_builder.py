@@ -426,20 +426,10 @@ class TestAssembleGlobal:
     def test_retry_ladder_rescues_tight_geometry(self):
         # At the default cut depth this family's arcs collide; deeper cuts
         # must be tried and must succeed.
-        data = [
-            (4.2558218450491907, 0.86534830580207434, 36.0266330194099),
-            (4.3379055631154708, 2.8364965538271214, 36.539449265708278),
-            (5.3174737179548437, 2.4894652937445327, 36.610168408965471),
-            (5.8603049233260132, 0.72303015626408307, 36.188926875442107),
-            (1.2739359049477512, 2.6816471480974671, 36.619225012259285),
-        ]
-        F = [
-            from_axis_and_length(
-                BoundaryPoint.from_angle(b), BoundaryPoint.from_angle(a), t
-            )
-            for b, a, t in data
-        ]
+        from helpers import retry_ladder_family
         from semicert.interval_builder import _assemble_once
+
+        F = retry_ladder_family()
         from semicert.pair_geometry import Family
 
         with pytest.raises((OverlappingArcs, VerificationFailed)):

@@ -1,0 +1,59 @@
+"""No orphaned names in the library.
+
+Every module-level private name and every ALL_CAPS constant under
+`src/semicert` must be read somewhere in the library outside the statement
+that defines it: as a name, an attribute or an imported name.  A deletion
+that leaves a helper or a tuning constant behind fails here.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "semicert"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def read_names(statement: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def checked(name: str) -> bool:
+    if name.startswith("__") and name.endswith("__"):
+        return False
+    return name.startswith("_") or CONSTANT.fullmatch(name) is not None
+
+
+def test_every_private_name_and_constant_is_read():
+    statements = [
+        (path.name, statement)
+        for path in sorted(SRC.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+    ]
+    reads = [read_names(statement) for _, statement in statements]
+    orphans = []
+    for k, (module, statement) in enumerate(statements):
+        for name in filter(checked, defined_names(statement)):
+            if not any(name in names for m, names in enumerate(reads) if m != k):
+                orphans.append(f"{module}: {name}")
+    assert not orphans

@@ -2,47 +2,37 @@
 
 A large `Family` keeps its cross ratios and kinds as arrays and decodes a
 pair only when asked; the axis table, `Thresholds` and `eq_constant` read
-the arrays, and one numpy pass per cut schedule screens the pair builders'
-checks.  Every screen leaves to the scalar code each decision it cannot
+the arrays.  Every screen leaves to the scalar code each decision it cannot
 separate from a threshold, so forcing the scalar path everywhere must give
 byte-identical certificates.
 """
 
-import importlib
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semicert import BoundaryPoint, assemble_global, certify, from_axis_and_length
 from semicert import interval_builder, pair_geometry
-from semicert.boundary_arcs import BoundaryArc, arc_image, clear_owner_pairs, complement
+from semicert.boundary_arcs import BoundaryArc, arc_image, complement
 from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
 from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
 from semicert.pair_geometry import Family, cross_ratio_of_points
 
-from helpers import figure_two, random_admissible_family
+from helpers import bench_module, figure_two, random_admissible_family
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-CROSSOVERS = ((pair_geometry, "PAIR_ARRAY_MIN_PAIRS"), (interval_builder, "BUILD_SCREEN_MIN_PAIRS"))
+CROSSOVERS = ((pair_geometry, "PAIR_ARRAY_MIN_PAIRS"),)
 
 
 def bench_inputs(builder: str, *args):
     """Inputs of a benchmark workload, from `bench/families.py` (read only)."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        families = importlib.import_module("families")
-    finally:
-        sys.path.remove(str(BENCH))
-    return [list(f.maps) for f in getattr(families, builder)(*args)]
+    return [list(f.maps) for f in getattr(bench_module("families"), builder)(*args)]
 
 
 def with_crossover(monkeypatch, crossover, run):
-    """run() with both crossovers set to `crossover` (None keeps the defaults)."""
+    """run() with every crossover in CROSSOVERS set to `crossover` (None keeps the defaults)."""
     with monkeypatch.context() as patch:
         if crossover is not None:
             for module, name in CROSSOVERS:
@@ -75,16 +65,11 @@ def test_assembly_large_certificates_are_byte_identical(monkeypatch):
         schedules.append(extra)
         return once(family, margin, extra)
 
-    checked = []
-    require = interval_builder._require_valid_pair
     monkeypatch.setattr(interval_builder, "_assemble_once", counting)
-    monkeypatch.setattr(interval_builder, "_require_valid_pair", lambda *args: checked.append(args) or require(*args))
     default = with_crossover(monkeypatch, None, lambda: certificates(families))
     assert len(schedules) == 53 and schedules.count(2.0) == 5  # five families need a second schedule
-    screened = len(checked)
     scalar = with_crossover(monkeypatch, math.inf, lambda: certificates(families))
     assert default == scalar
-    assert screened <= 0.05 * (len(checked) - screened)  # the screen clears almost every build
     assert all(json.loads(text)["kind"] == "semidiscrete_inverse_free" for text in default)
 
 
@@ -214,16 +199,13 @@ def test_cut_at_half_tau_is_rescored_in_scalar(monkeypatch):
         assert _AxisTable(family).innermost(extra) == screened
 
 
-def test_owner_check_within_tolerance_is_left_to_the_scalar_check():
+def test_mapping_margin_passes_a_clearance_below_the_screen_tolerance():
     # The owner maps the complement of b into a with one clearance of 5e-13
-    # rad, inside the screen's tolerance: the screen does not clear it, and
-    # the scalar check passes it.
+    # rad, below SCREEN_TOL: the scalar check measures it as contained.
     f = from_axis_and_length(BoundaryPoint.from_angle(1.0), BoundaryPoint.from_angle(4.0), 6.0)
     b = BoundaryArc.from_angles(0.9, 1.1)
     image = arc_image(f, complement(b))
     a = BoundaryArc.from_angles(image.start.angle - 5e-13, image.end.angle + 1e-3)
-    wide = BoundaryArc.from_angles(image.start.angle - 1e-3, image.end.angle + 1e-3)
-    assert clear_owner_pairs([f, f], [(a, b), (wide, b)]).tolist() == [False, True]
     assert 0.0 < mapping_margin(f, SymmetricIntervalPair(a, b, 0)) < 1e-12
 
 
