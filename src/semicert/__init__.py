@@ -74,6 +74,7 @@ from .pair_geometry import (
     inverse_flip_identity_check,
 )
 from .search_oracle import (
+    ChaosSamples,
     EnumerationReport,
     Word,
     chaos_game,

@@ -323,12 +323,12 @@ def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
             "elliptic_words": [list(w.letters) for w in report.elliptic_words],
         }
         if seed is not None:
-            samples = chaos_game(maps, 10_000, seed=seed)
+            angles = chaos_game(maps, 10_000, seed=seed).angles()
             payload["chaos"] = {
                 "seed": seed,
-                "samples": len(samples),
-                "angle_min": min(p.angle for p in samples),
-                "angle_max": max(p.angle for p in samples),
+                "samples": len(angles),
+                "angle_min": float(angles.min()),
+                "angle_max": float(angles.max()),
             }
     except CertifyError as exc:
         _fail(exc)

@@ -13,6 +13,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CoincidentEndpoints, InvalidMatrix, NonPositiveDeterminant, NotHyperbolic, SingularMatrix
 
 TWO_PI = 2.0 * math.pi
@@ -104,6 +106,18 @@ class BoundaryPoint:
 
     def approx(self, other: "BoundaryPoint", tol: float = ANGLE_TOL) -> bool:
         return self.angular_distance(other) <= tol
+
+
+def boundary_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`BoundaryPoint.angle` of every canonical pair (x[i] : y[i]), bit for bit.
+
+    atan2 is taken from `math`, as in the property: numpy's vectorized
+    arctan2 can differ from it in the last bit.
+    """
+    atan2 = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(x))
+    theta = (-2.0 * atan2) % TWO_PI
+    theta[theta == TWO_PI] = 0.0
+    return theta
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .moebius_core import TRACE_TOL, BoundaryPoint, MoebiusMap, classify
+from .moebius_core import TRACE_TOL, BoundaryPoint, MoebiusMap, boundary_angles, classify
 
 # Matrices whose entries round to the same multiple of this count as one element.
 DEDUP_TOL = 1e-10
@@ -31,8 +31,10 @@ DEFAULT_BUDGET = 2_000_000
 MAX_STORED_ELLIPTIC = 16
 # A product of two words within this max-entry distance of +/-I refutes inverse-freeness.
 INVERSE_TOL = 1e-9
-# Chaos-game steps discarded before sampling starts.
+# Chaos-game steps each chain discards before sampling starts.
 CHAOS_BURN_IN = 100
+# Chaos-game chains advanced together, one numpy row per step.
+CHAOS_CHAINS = 1024
 # Odd multiplier of the dedup key hash.
 _MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
@@ -249,8 +251,9 @@ def enumerate_words(
     distinct = 0
     for level, mats in bfs:
         distinct += mats.shape[0]
-        dist = np.max(
-            np.abs(mats - np.array([1.0, 0.0, 0.0, 1.0])), axis=1
+        dist = np.maximum(
+            np.maximum(np.abs(mats[:, 0] - 1.0), np.abs(mats[:, 1])),
+            np.maximum(np.abs(mats[:, 2]), np.abs(mats[:, 3] - 1.0)),
         )
         idx = int(np.argmin(dist))
         if dist[idx] < best:
@@ -329,34 +332,83 @@ def inverse_free_probe(
     return not (dist < INVERSE_TOL).any()
 
 
-def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> list[BoundaryPoint]:
-    """Boundary orbit under random left-composition, after CHAOS_BURN_IN steps.
+@dataclass(frozen=True, eq=False)
+class ChaosSamples:
+    """Chaos-game samples as coordinate arrays: sample i is (x[i] : y[i]), canonical.
 
-    Deterministic for a fixed seed; the samples approximate the forward
-    limit set of the semigroup.  The orbit starts at the attracting point
-    of F[0], unless every generator fixes that point exactly (the orbit
-    could never leave it); then at the attracting point of the first
-    generator that not every generator fixes, if there is one.
+    Iterating yields one `BoundaryPoint` per sample, built on demand from
+    Python floats; `angles()` gives every sample's angle at once.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __iter__(self) -> Iterator[BoundaryPoint]:
+        return map(BoundaryPoint, self.x.tolist(), self.y.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChaosSamples):
+            return NotImplemented
+        return np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
+
+    def angles(self) -> np.ndarray:
+        """Disc-model angles, equal bit for bit to `BoundaryPoint.angle` of each sample."""
+        return boundary_angles(self.x, self.y)
+
+
+def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> ChaosSamples:
+    """Boundary orbits under random left-composition, after CHAOS_BURN_IN steps.
+
+    The samples approximate the forward limit set of the semigroup.  They
+    come from min(CHAOS_CHAINS, samples) chains advanced together: each
+    chain starts at the attracting point of F[0], unless every generator
+    fixes that point exactly (a chain could never leave it); then at the
+    attracting point of the first generator that not every generator fixes,
+    if there is one.  Every chain discards CHAOS_BURN_IN steps; the samples
+    are then taken step by step, every chain at each step, and cut at
+    `samples`.
+
+    The result is fixed for fixed (F, samples, seed, numpy version).  The
+    picks are drawn as one (steps, chains) array, so a run with more samples
+    does not extend a run with fewer.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(F), size=samples + CHAOS_BURN_IN).tolist()
+    chains = min(CHAOS_CHAINS, samples)
+    steps = -(-samples // chains) + CHAOS_BURN_IN
+    picks = np.random.default_rng(seed).integers(0, len(F), size=(steps, chains))
+    # One contiguous entry array per matrix position, indexed by generator.
+    ga, gb, gc, gd = np.array([(f.a, f.b, f.c, f.d) for f in F], dtype=np.float64).T.copy()
+    start = _chaos_start(F)
+    x, y = np.full(chains, start.x), np.full(chains, start.y)
+    xs = np.empty((steps - CHAOS_BURN_IN, chains))
+    ys = np.empty_like(xs)
+    for step, pick in enumerate(picks):
+        a, b, c, d = ga[pick], gb[pick], gc[pick], gd[pick]
+        x, y = a * x + b * y, c * x + d * y
+        norm = np.hypot(x, y)
+        x /= norm
+        y /= norm
+        if step >= CHAOS_BURN_IN:
+            xs[step - CHAOS_BURN_IN] = x
+            ys[step - CHAOS_BURN_IN] = y
+    x, y = xs.ravel()[:samples], ys.ravel()[:samples]
+    # The canonical sign of `BoundaryPoint.of`.
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    return ChaosSamples(np.where(flip, -x, x), np.where(flip, -y, y))
+
+
+def _chaos_start(F: Sequence[MoebiusMap]) -> BoundaryPoint:
+    """Where every chaos-game chain starts (see `chaos_game`)."""
     mats = [(f.a, f.b, f.c, f.d) for f in F]
     start = classify(F[0]).alpha or BoundaryPoint.from_angle(1.0)
     if all(_fixes(m, start) for m in mats):
         alphas = (classify(f).alpha for f in F[1:])
         start = next((p for p in alphas if p is not None and not all(_fixes(m, p) for m in mats)), start)
-    x, y = start.x, start.y
-    out: list[BoundaryPoint] = []
-    for k, pick in enumerate(picks):
-        a, b, c, d = mats[pick]
-        x, y = a * x + b * y, c * x + d * y
-        norm = math.hypot(x, y)
-        x, y = x / norm, y / norm
-        if k >= CHAOS_BURN_IN:
-            out.append(BoundaryPoint.of(x, y))
-    return out
+    return start
 
 
 def _fixes(m: tuple[float, float, float, float], p: BoundaryPoint) -> bool:

@@ -1,10 +1,13 @@
-"""The benchmark's tracer still finds every function it measures.
+"""The benchmark still finds every function it measures and reads what they return.
 
 `bench/tracing.py` wraps library functions by name; a rename in the library
-would silently zero a per-layer metric.  This test only reads `bench/`.
+would silently zero a per-layer metric.  `bench/workloads.py` summarizes
+each oracle round from the library's return values.  These tests only read
+`bench/`.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,21 @@ def test_tracer_counts_one_bfs_sweep_per_oracle_call(tracing):
     finally:
         tracer.uninstall()
     assert tracer.total_calls("search_oracle._Bfs") == 3
+
+
+def test_oracle_summary_iterates_python_float_points(monkeypatch):
+    # The benchmark's untimed summary iterates the chaos result and hashes the
+    # repr of every (x, y): numpy scalars would change that repr, and a
+    # record array iterates ten times slower than these points.
+    from semicert import BoundaryPoint
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.make_inputs("oracle", 1, "tiny")
+    raw = workloads.oracle_request(inputs, [], lambda: None)
+    text = workloads.oracle_text(inputs, raw)
+    assert workloads.check_oracle(inputs, text) == []
+    assert json.loads(text)["chaos"]["samples"] == inputs.chaos_samples
+    points = list(raw[1])
+    assert len(points) == inputs.chaos_samples
+    assert all(type(p) is BoundaryPoint and type(p.x) is float and type(p.y) is float for p in points)

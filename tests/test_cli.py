@@ -327,6 +327,9 @@ class TestOracleCommand:
         assert result.output == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_chaos_section_with_seed(self, runner, tmp_path):
+        from semicert import chaos_game
+        from semicert.cli import _load_generators
+
         f, g = section_one_pair()
         src = write_matrix_input(tmp_path / "in.json", [f, g])
         result = runner.invoke(
@@ -335,6 +338,9 @@ class TestOracleCommand:
         payload = json.loads(result.output)
         assert payload["chaos"]["seed"] == 3
         assert payload["chaos"]["samples"] == 10_000
+        angles = [p.angle for p in chaos_game(_load_generators(str(src)), 10_000, seed=3)]
+        assert payload["chaos"]["angle_min"] == min(angles)
+        assert payload["chaos"]["angle_max"] == max(angles)
 
     def test_negative_seed_is_a_usage_error(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from semicert import (
+    BoundaryPoint,
+    ChaosSamples,
     MoebiusMap,
     chaos_game,
     compose,
@@ -17,7 +19,16 @@ from semicert import (
 )
 from semicert import search_oracle
 from semicert.errors import BudgetExceeded
-from semicert.search_oracle import DEDUP_TOL, INVERSE_TOL, _Bfs, _canonical_sign_rows
+from semicert.search_oracle import (
+    CHAOS_BURN_IN,
+    CHAOS_CHAINS,
+    DEDUP_TOL,
+    INVERSE_TOL,
+    _Bfs,
+    _canonical_sign_rows,
+    _chaos_start,
+    _reconstruct,
+)
 
 from helpers import crossing_pair, disjoint_pair, figure_two, section_one_pair
 
@@ -101,6 +112,49 @@ def assert_same_sweep(F, max_len):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def reference_nearest(F, max_len):
+    """(min identity distance, nearest word) by the row-wise max that the column maxima replaced."""
+    bfs = _Bfs(F, max_len, 2_000_000)
+    best, best_at = math.inf, None
+    for level, mats in bfs:
+        dist = np.max(np.abs(mats - np.array([1.0, 0.0, 0.0, 1.0])), axis=1)
+        idx = int(np.argmin(dist))
+        if dist[idx] < best:
+            best, best_at = float(dist[idx]), (level, idx)
+    return best, _reconstruct(bfs, *best_at)
+
+
+def reference_chaos(F, samples, seed):
+    """The chaos game as one scalar loop per chain, over the picks `chaos_game` draws."""
+    chains = min(CHAOS_CHAINS, samples)
+    steps = -(-samples // chains) + CHAOS_BURN_IN
+    picks = np.random.default_rng(seed).integers(0, len(F), size=(steps, chains)).tolist()
+    start = _chaos_start(F)
+    runs = []
+    for chain in range(chains):
+        x, y = start.x, start.y
+        run = []
+        for step in range(steps):
+            f = F[picks[step][chain]]
+            x, y = f.a * x + f.b * y, f.c * x + f.d * y
+            norm = math.hypot(x, y)
+            x, y = x / norm, y / norm
+            if step >= CHAOS_BURN_IN:
+                run.append(BoundaryPoint.of(x, y))
+        runs.append(run)
+    return [run[i] for i in range(steps - CHAOS_BURN_IN) for run in runs][:samples]
+
+
+def chaos_family(name):
+    return {
+        "section-one": list(section_one_pair()),
+        "crossing": list(crossing_pair(np.random.default_rng(97), math.pi / 2.0, 0.15, 0.15)),
+        "figure-two": figure_two(41.0),
+        # z/2 and -1/z: chains start at 0 and reach infinity as (-1 : -0.0).
+        "through-infinity": [normalize([[1.0, 0.0], [0.0, 2.0]]), normalize([[0.0, -1.0], [1.0, 0.0]])],
+    }[name]
+
+
 class TestEnumerate:
     def test_section_one_semigroup(self):
         f, g = section_one_pair()
@@ -145,6 +199,21 @@ class TestEnumerate:
         report = enumerate_words(list(section_one_pair()), 24)
         assert (report.words_explored, report.distinct_elements) == (341_790, 254_331)
         assert enumerate_words(figure_two(0.1), 6).distinct_elements == 19_530
+
+    @pytest.mark.parametrize("case", ["section-one", "figure-two", "disjoint", "crossing"])
+    def test_nearest_word_matches_the_row_max_reference(self, case):
+        if case == "section-one":
+            F, max_len = list(section_one_pair()), 12
+        elif case == "figure-two":
+            F, max_len = figure_two(0.1), 6
+        elif case == "disjoint":
+            F, max_len = list(disjoint_pair(np.random.default_rng(99), 1.0, 0.4, 0.3)), 10
+        else:
+            F, max_len = list(crossing_pair(np.random.default_rng(100), math.pi / 3.0, 0.2, 0.3)), 10
+        report = enumerate_words(F, max_len)
+        best, word = reference_nearest(F, max_len)
+        assert report.min_identity_distance == best
+        assert report.nearest_word == word
 
     def test_min_distance_nonincreasing_in_length(self):
         f, g = section_one_pair()
@@ -252,6 +321,7 @@ class TestChaosGame:
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         pts = chaos_game([f], 100, seed=3)
         assert all(p.is_infinity for p in pts)
+        assert pts.angles().tolist() == [0.0] * 100
 
     def test_leaves_a_common_fixed_point(self):
         # 2z attracts to infinity, which z/2 + 1 fixes too; the orbit starts
@@ -269,6 +339,7 @@ class TestChaosGame:
         a = chaos_game([f, g], 1000, seed=11)
         b = chaos_game([f, g], 1000, seed=11)
         assert a == b
+        assert a != chaos_game([f, g], 1000, seed=12)
 
     def test_samples_fill_the_limit_interval(self):
         # The endpoint tails carry measure ~ delta^(log2 / tau), so only the
@@ -300,3 +371,35 @@ class TestChaosGame:
                 or min(p.angular_distance(arc.start), p.angular_distance(arc.end)) < 1e-9
                 for arc in system.union
             )
+
+    @pytest.mark.parametrize("samples", [1, 7, 1023, 1024, 1025, 100_000])
+    def test_returns_exactly_the_samples_asked_for(self, samples):
+        pts = chaos_game(list(section_one_pair()), samples, seed=4)
+        assert isinstance(pts, ChaosSamples)
+        assert len(pts) == len(pts.x) == len(pts.y) == samples
+        assert sum(1 for _ in pts) == samples
+
+    @pytest.mark.parametrize("case", ["section-one", "crossing", "figure-two", "through-infinity"])
+    def test_samples_are_canonical(self, case):
+        pts = chaos_game(chaos_family(case), 5000, seed=2)
+        assert np.allclose(pts.x**2 + pts.y**2, 1.0, rtol=0.0, atol=1e-15)
+        assert ((pts.y > 0.0) | ((pts.y == 0.0) & (pts.x > 0.0))).all()
+        assert all(BoundaryPoint.of(p.x, p.y).approx(p, 1e-15) for p in pts)
+        if case == "through-infinity":
+            assert any(p.is_infinity for p in pts)
+
+    @pytest.mark.parametrize(
+        "case, samples", [("crossing", 3000), ("figure-two", 2500), ("section-one", 7), ("figure-two", 1)]
+    )
+    def test_matches_the_per_chain_scalar_loop(self, case, samples):
+        F = chaos_family(case)
+        got = list(chaos_game(F, samples, seed=5))
+        want = reference_chaos(F, samples, seed=5)
+        assert len(got) == len(want) == samples
+        assert max(p.angular_distance(q) for p, q in zip(got, want)) <= 1e-12
+
+    def test_angles_are_the_point_angles(self):
+        pts = chaos_game(chaos_family("crossing"), 20_000, seed=6)
+        angles = pts.angles()
+        assert angles.dtype == np.float64
+        assert angles.tolist() == [p.angle for p in pts]
