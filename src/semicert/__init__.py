@@ -14,7 +14,6 @@ from .boundary_arcs import (
     complement,
     contains,
     schottky_margin,
-    strictly_inside,
     verify_schottky,
 )
 from .criteria_engine import (
@@ -51,7 +50,6 @@ from .moebius_core import (
     apply_boundary,
     apply_interior,
     axis,
-    cayley_from_disc,
     cayley_to_disc,
     classify,
     compose,
@@ -61,13 +59,10 @@ from .moebius_core import (
     inverse,
     matrix_entries,
     normalize,
-    translation_length,
-    translation_length_iterate_check,
 )
 from .pair_geometry import (
     Family,
     PairGeometry,
-    axes_distance_from_cr,
     common_perpendicular,
     configuration,
     cross_ratio,

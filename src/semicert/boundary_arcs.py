@@ -129,11 +129,6 @@ class ArcUnion:
     def __len__(self) -> int:
         return len(self.arcs)
 
-    def approx(self, other: "ArcUnion", tol: float = 0.0) -> bool:
-        return len(self) == len(other) and all(
-            a.approx(b, tol) for a, b in zip(self.arcs, other.arcs)
-        )
-
 
 def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[float, float] | None:
     """Endpoint clearances of the arc from angle p to angle q inside `outer`.
@@ -158,10 +153,6 @@ def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[flo
     if lead > span or tail > span or abs(lead + img + tail - span) > 1e-9:
         return None
     return lead, tail
-
-
-def _angles(arc: BoundaryArc) -> tuple[float, float, float]:
-    return arc.start.angle, arc.end.angle, arc.midpoint.angle
 
 
 def _image_angles(
@@ -191,22 +182,6 @@ def _enclosing(angles: tuple[float, float, float] | None, union: ArcUnion) -> tu
     if found is not None and found[0] + found[1] > 0.0:
         return found
     return None
-
-
-def strictly_inside(inner: ArcUnion, outer: ArcUnion, margin: float = 0.0) -> bool:
-    """closure(inner) inside outer with angular clearance >= margin per endpoint.
-
-    At margin 0 one endpoint of an inner arc may coincide with the enclosing
-    endpoint, as long as the containment stays proper: that is exactly the
-    situation of an invariant interval whose endpoint is a fixed point.  An
-    arc equal to a whole component is never strictly inside.  The clearances
-    are the verifier's, including its 1e-9 closure slack.
-    """
-    for arc in inner:
-        found = _enclosing(_angles(arc), outer)
-        if found is None or min(found) < margin:
-            return False
-    return True
 
 
 def image_clearances(

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
 from .moebius_core import BoundaryPoint, MoebiusMap, compose, normalize, power
-from .pair_geometry import Family, screened_max
+from .pair_geometry import DEGENERATE_TOL, Family, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -122,7 +122,7 @@ class Thresholds:
         finite = np.isfinite(cs)
         low = cs[finite & (cs > 1.0)]
         lower = min(1.0, ((low - 1.0) / (low + 3.0)).min()) if low.size else 1.0
-        up = cs[finite & (np.abs(cs) > 1e-9)]
+        up = cs[finite & (np.abs(cs) > DEGENERATE_TOL)]
         upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term)
         return Thresholds(0.2 * float(lower), 4.0 * max(0.0, upper or 0.0) + 23.0)
 
@@ -143,7 +143,7 @@ def _in_lower(c: float) -> bool:
 
 def _in_upper(c: float) -> bool:
     """Whether cross ratio c enters the upper bound 4 max |log|C (C - 1)|| + 23."""
-    return math.isfinite(c) and abs(c) > 1e-9
+    return math.isfinite(c) and abs(c) > DEGENERATE_TOL
 
 
 # --- certificates -------------------------------------------------------------

@@ -7,8 +7,9 @@ chart (axis on 0 -> inf) the partner fixes a position t = log sqrt|u v| on
 the axis, u and v being the partner's fixed points there; the a arc is cut
 at t + s and the b arc at t - s.  The owner translates cut positions by its
 translation length, which turns every mapping claim into arithmetic on cut
-positions.  The geometry here is advisory: the pair builders return
-unverified cut arcs, :func:`mapping_margin` measures one owner's pair, and
+positions.  The geometry here is advisory: the pair builders and the
+shared-fixed-point groups return unverified cut arcs,
+:func:`mapping_margin` measures one owner's pair, and
 :func:`assemble_global` verifies only the assembled union, with the
 verifier in :mod:`semicert.boundary_arcs`, which is the certificate.
 """
@@ -51,7 +52,7 @@ from .moebius_core import (
     from_boundary_triple,
     inverse,
 )
-from .pair_geometry import CROSSING, NESTED, Family, distance_from_cross_ratio, screened_max
+from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, distance_from_cross_ratio, screened_max
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
@@ -79,10 +80,11 @@ class SharedFixedPointGroup:
     """Two arcs that serve every generator sharing one fixed point.
 
     `near` surrounds the shared point and `far` the members' other fixed
-    points.  Kind "alpha" (shared attractor): every member maps the
-    complement of `far` strictly inside `near`.  Kind "beta" (shared
-    repeller): every member maps the complement of `near` strictly inside
-    `far`.
+    points.  They are cut geometry, not checked: the cut aims at, for kind
+    "alpha" (shared attractor), every member mapping the complement of `far`
+    strictly inside `near`, and for kind "beta" (shared repeller), every
+    member mapping the complement of `near` strictly inside `far`.  The
+    assembled union is the check.
     """
 
     kind: str  # "alpha" or "beta"
@@ -447,16 +449,19 @@ def build_crossing_pair_intervals(
 
 
 def build_shared_alpha_intervals(F) -> tuple[SharedFixedPointGroup, ...]:
-    """One verified group for each fixed point shared by two or more generators.
+    """One cut group for each fixed point shared by two or more generators.
 
     Attracting classes come first, then repelling ones, each in the order of
     `Family.alpha_classes` and `Family.beta_classes`.  The construction
     conjugates the shared point to infinity and the members' other fixed
     points into [0, 1]; there the half-plane intervals (5/2, -3/2) through
     infinity (`near`) and (-1/2, 3/2) (`far`) work for every member as soon
-    as each translation length exceeds log 5, and are pulled back.  Raises
-    ThresholdNotMet below that gate and VerificationFailed when a member's
-    mapping check fails.
+    as each translation length exceeds log 5, and are pulled back.
+
+    The groups are not checked here: :func:`assemble_global` checks only
+    the union it assembles.  Raises ThresholdNotMet below the gate and
+    VerificationFailed when a pulled-back arc falls below float angular
+    resolution.
     """
     family = Family.of(F)
     groups = []
@@ -468,6 +473,7 @@ def build_shared_alpha_intervals(F) -> tuple[SharedFixedPointGroup, ...]:
 
 
 def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> SharedFixedPointGroup:
+    """The cut `near` and `far` arcs of one shared fixed point; the assembled union is their check."""
     attracting = kind == "alpha"
     for i in members:
         tau = family.cls[i].tau
@@ -493,11 +499,6 @@ def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> Shared
     back = inverse(compose(MoebiusMap.from_matrix(1.0, -lo, 0.0, scale), to_infinity))
     near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
     far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
-    source, target = (far, near) if attracting else (near, far)
-    for i in members:
-        found = image_clearances(family.maps[i], complement(source), target)
-        if found is None or min(found) <= 0.0:
-            raise VerificationFailed("shared-attractor intervals failed verification")
     return SharedFixedPointGroup(kind, members, near, far)
 
 
@@ -585,12 +586,12 @@ def eq_constant(cross_ratios: list[float] | np.ndarray) -> float:
     """
     if isinstance(cross_ratios, np.ndarray):
         return _eq_constant_of_array(cross_ratios)
-    logs = [pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > 1e-9]
+    logs = [pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > DEGENERATE_TOL]
     if not logs:
         return 0.0
     dists = [0.0]
     for c in cross_ratios:
-        if math.isfinite(c) and c > 1e-9 and abs(c - 1.0) > 1e-9:
+        if math.isfinite(c) and c > DEGENERATE_TOL and abs(c - 1.0) > DEGENERATE_TOL:
             dists.append(distance_from_cross_ratio(c))
     return 2.0 * max(logs) + max(dists)
 
@@ -598,11 +599,11 @@ def eq_constant(cross_ratios: list[float] | np.ndarray) -> float:
 @np.errstate(all="ignore")
 def _eq_constant_of_array(cs: np.ndarray) -> float:
     cs = cs[np.isfinite(cs)]
-    gated = cs[np.abs(cs) > 1e-9]
+    gated = cs[np.abs(cs) > DEGENERATE_TOL]
     top = screened_max(gated, np.abs(np.log(np.abs(gated))) + PAIR_GATE_SLACK, pair_gate)
     if top is None:
         return 0.0
-    far = cs[(cs > 1e-9) & (np.abs(cs - 1.0) > 1e-9)]
+    far = cs[(cs > DEGENERATE_TOL) & (np.abs(cs - 1.0) > DEGENERATE_TOL)]
     root = np.sqrt(far)
     dist = screened_max(far, np.log((root + 1.0) / np.abs(root - 1.0)), distance_from_cross_ratio)
     return 2.0 * top + max(0.0, dist or 0.0)

@@ -168,14 +168,6 @@ class MoebiusMap:
     def trace(self) -> float:
         return self.a + self.d
 
-    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return compose(self, other)
-
-    def __call__(self, p):
-        if isinstance(p, BoundaryPoint):
-            return apply_boundary(self, p)
-        return apply_interior(self, p)
-
 
 def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
     t = a + d
@@ -381,18 +373,6 @@ def require_hyperbolic(f: MoebiusMap, label: str = "map") -> Classification:
     return cls
 
 
-def translation_length(f: MoebiusMap) -> float:
-    return require_hyperbolic(f).tau
-
-
-def translation_length_iterate_check(f: MoebiusMap, k: int) -> float:
-    """Translation length of f^k, computed from the matrix power."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    require_hyperbolic(f)
-    return translation_length(power(f, k))
-
-
 def hyperbolic_distance(z: complex, w: complex) -> float:
     if z.imag <= 0.0 or w.imag <= 0.0:
         raise ValueError("points must lie in the open upper half-plane")
@@ -476,11 +456,3 @@ def cayley_to_disc(p):
         return complex(math.cos(p.angle), math.sin(p.angle))
     z = complex(p)
     return (z - 1j) / (z + 1j)
-
-
-def cayley_from_disc(w):
-    """Inverse transfer; unit-circle input returns a BoundaryPoint."""
-    w = complex(w)
-    if abs(abs(w) - 1.0) < 1e-12:
-        return BoundaryPoint.from_angle(math.atan2(w.imag, w.real))
-    return 1j * (1.0 + w) / (1.0 - w)

@@ -39,7 +39,8 @@ from .moebius_core import (
     require_hyperbolic,
 )
 
-# |C| or |C - 1| below this counts as a degenerate configuration.
+# |C| or |C - 1| below this counts as a degenerate configuration; the
+# thresholds and the assembly constant leave such cross ratios out.
 DEGENERATE_TOL = 1e-9
 
 
@@ -291,14 +292,6 @@ class Family:
 def inverse_flip_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, float]:
     """(C(f, g), C(f^-1, g)); the product of the two values is 1."""
     return cross_ratio(f, g), cross_ratio(inverse(f), g)
-
-
-def axes_distance_from_cr(f: MoebiusMap, g: MoebiusMap) -> float:
-    """Distance between disjoint axes, from cosh(rho) = (C + 1)/|C - 1|."""
-    c = cross_ratio(f, g)
-    if not math.isfinite(c) or c <= DEGENERATE_TOL or abs(c - 1.0) <= DEGENERATE_TOL:
-        raise DegenerateCrossRatio(f"cross ratio {c!r} admits no distance")
-    return distance_from_cross_ratio(c)
 
 
 def distance_from_cross_ratio(c: float) -> float:

@@ -17,8 +17,8 @@ from semicert import (
 from semicert.boundary_arcs import (
     ArcUnion,
     BoundaryArc,
-    _angles,
     _clearances,
+    _enclosing,
     arc_image,
     can_partition_rank_one,
     ccw_gap,
@@ -108,6 +108,23 @@ def shared_repeller_family():
         from_axis_and_length(a(4.2), a(1.7), tau),
         from_axis_and_length(a(3.6), a(5.8), tau),
     ]
+
+
+def one_axis_family():
+    """Generators 0 and 1 share both fixed points, so they share an attractor and a repeller."""
+    a = BoundaryPoint.from_angle
+    return [
+        from_axis_and_length(a(0.7), a(2.2), 60.0),
+        from_axis_and_length(a(0.7), a(2.2), 70.0),
+        from_axis_and_length(a(4.2), a(1.7), 60.0),
+        from_axis_and_length(a(3.6), a(5.8), 60.0),
+    ]
+
+
+def conjugated_figure_two():
+    """`figure_two(41)` conjugated by one seeded random map: two shared attractors and two shared repellers."""
+    m = random_moebius(np.random.default_rng(63))
+    return [conjugate(f, m) for f in figure_two(41.0)]
 
 
 def retry_ladder_family():
@@ -289,9 +306,38 @@ def tangent_at(geo, z):
     return t / abs(t)
 
 
+def cayley_from_disc(w):
+    """Inverse of `cayley_to_disc`; unit-circle input returns a BoundaryPoint."""
+    w = complex(w)
+    if abs(abs(w) - 1.0) < 1e-12:
+        return BoundaryPoint.from_angle(math.atan2(w.imag, w.real))
+    return 1j * (1.0 + w) / (1.0 - w)
+
+
+def arc_angles(arc):
+    """Start, end and midpoint angles of `arc`."""
+    return arc.start.angle, arc.end.angle, arc.midpoint.angle
+
+
+def strictly_inside(inner, outer, margin=0.0):
+    """closure(inner) inside outer with angular clearance >= margin per endpoint.
+
+    At margin 0 one endpoint of an inner arc may coincide with the enclosing
+    endpoint, as long as the containment stays proper: that is exactly the
+    situation of an invariant interval whose endpoint is a fixed point.  An
+    arc equal to a whole component is never strictly inside.  The clearances
+    are the verifier's, including its 1e-9 closure slack.
+    """
+    for arc in inner:
+        found = _enclosing(arc_angles(arc), outer)
+        if found is None or min(found) < margin:
+            return False
+    return True
+
+
 def nested(inner, outer):
     """Whether the closure of arc `inner` lies in the closure of `outer`, to within 1e-9."""
-    return _clearances(*_angles(inner), outer) is not None
+    return _clearances(*arc_angles(inner), outer) is not None
 
 
 def innermost_arc(point, arcs):

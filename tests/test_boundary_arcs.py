@@ -15,14 +15,21 @@ from semicert import (
     complement,
     contains,
     from_axis_and_length,
+    compose,
     normalize,
-    strictly_inside,
     verify_schottky,
 )
 from semicert.boundary_arcs import BoundaryArc, schottky_margin
 from semicert.errors import OverlappingArcs, VerificationFailed
 
-from helpers import ADVERSARIAL_UNIONS, figure_two, random_admissible_family, random_moebius, section_one_pair
+from helpers import (
+    ADVERSARIAL_UNIONS,
+    figure_two,
+    random_admissible_family,
+    random_moebius,
+    section_one_pair,
+    strictly_inside,
+)
 
 INF = BoundaryPoint.infinity()
 CROSSOVER = boundary_arcs.SCREEN_MIN_PAIRS
@@ -71,7 +78,7 @@ class TestArcBasics:
         for _ in range(200):
             f, g = random_moebius(rng), random_moebius(rng)
             a = BoundaryArc.from_angles(*sorted(rng.uniform(0, 2 * math.pi, size=2)))
-            once = arc_image(f @ g, a)
+            once = arc_image(compose(f, g), a)
             twice = arc_image(f, arc_image(g, a))
             assert once.start.angular_distance(twice.start) < 1e-9
             assert once.end.angular_distance(twice.end) < 1e-9

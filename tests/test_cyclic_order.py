@@ -9,7 +9,7 @@ import pytest
 
 import semicert
 from semicert import boundary_arcs
-from semicert import ArcUnion, BoundaryPoint, arc_image, assemble_global, classify, strictly_inside, verify_schottky
+from semicert import ArcUnion, BoundaryPoint, arc_image, assemble_global, classify, verify_schottky
 from semicert.boundary_arcs import (
     DEFAULT_MARGIN,
     BoundaryArc,
@@ -22,7 +22,7 @@ from semicert.boundary_arcs import (
 )
 from semicert.errors import AxesDoNotCross, VerificationFailed
 
-from helpers import ADVERSARIAL_UNIONS, crossing_pair, disjoint_pair, figure_two
+from helpers import ADVERSARIAL_UNIONS, arc_angles, crossing_pair, disjoint_pair, figure_two, strictly_inside
 
 ORDER_MODULES = {"boundary_arcs.py", "moebius_core.py"}
 
@@ -164,7 +164,7 @@ def test_named_cases_agree_with_the_linear_scan(name):
         s, e, m = arc.start.angle, arc.end.angle, arc.midpoint.angle
         cases = {
             "whole-component": ((s, e, m), None),  # lead + tail == 0: not properly inside
-            "in-a-gap": (boundary_arcs._angles(BoundaryArc(arc.end, nxt.start)), None),
+            "in-a-gap": (arc_angles(BoundaryArc(arc.end, nxt.start)), None),
             "starts-at-a-start": ((s, m, ccw_midpoint(s, m)), "found"),
         }
         if len(union) == 1:

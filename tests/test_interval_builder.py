@@ -22,7 +22,6 @@ from semicert import (
     from_axis_and_length,
     inverse,
     normalize,
-    strictly_inside,
     verify_schottky,
 )
 from semicert.boundary_arcs import arc_image, can_partition_rank_one
@@ -39,6 +38,7 @@ from semicert.interval_builder import mapping_margin
 from semicert.pair_geometry import Family
 
 from helpers import (
+    conjugated_figure_two,
     crossing_pair,
     disjoint_pair,
     figure_two,
@@ -46,11 +46,13 @@ from helpers import (
     geodesic_shape,
     intersect_shapes,
     nested,
+    one_axis_family,
     random_admissible_family,
     random_moebius,
     reference_shared_intervals,
     shared_attractor_family,
     shared_repeller_family,
+    strictly_inside,
     tangent_at,
 )
 
@@ -295,22 +297,6 @@ class TestSharedAlpha:
             assemble_global(F)
         with pytest.raises(PreconditionViolated, match=r"^shared repelling point at \[0, 1\]: " + gate):
             assemble_global([inverse(f) for f in F])
-
-
-def one_axis_family():
-    """Generators 0 and 1 share both fixed points, so they share an attractor and a repeller."""
-    a = BoundaryPoint.from_angle
-    return [
-        from_axis_and_length(a(0.7), a(2.2), 60.0),
-        from_axis_and_length(a(0.7), a(2.2), 70.0),
-        from_axis_and_length(a(4.2), a(1.7), 60.0),
-        from_axis_and_length(a(3.6), a(5.8), 60.0),
-    ]
-
-
-def conjugated_figure_two():
-    m = random_moebius(np.random.default_rng(63))
-    return [conjugate(f, m) for f in figure_two(41.0)]
 
 
 @pytest.mark.parametrize(

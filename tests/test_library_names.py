@@ -4,13 +4,19 @@ Every module-level private name and every ALL_CAPS constant under
 `src/semicert` must be read somewhere in the library outside the statement
 that defines it: as a name, an attribute or an imported name.  A deletion
 that leaves a helper or a tuning constant behind fails here.
+
+Every name the package exports must be read by something other than the
+tests that pin it: the library, `bench/`, the README's code, or the
+acceptance criteria.  A function only its own unit tests call belongs in
+`tests/helpers.py`.
 """
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "semicert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "semicert"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -57,3 +63,26 @@ def test_every_private_name_and_constant_is_read():
             if not any(name in names for m, names in enumerate(reads) if m != k):
                 orphans.append(f"{module}: {name}")
     assert not orphans
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    exports = [
+        alias.asname or alias.name
+        for statement in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(statement, ast.ImportFrom)
+        for alias in statement.names
+    ]
+    reads = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for statement in ast.parse(path.read_text()).body:
+                reads |= read_names(statement) - set(defined_names(statement))
+    for path in (ROOT / "bench").glob("*.py"):
+        reads |= read_names(ast.parse(path.read_text()))
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    reads |= {
+        alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    readme_code = " ".join(re.findall(r"`[^`\n]+`", (ROOT / "README.md").read_text()))
+    reads |= set(re.findall(r"\w+", readme_code))
+    assert [name for name in exports if name not in reads] == []

@@ -10,7 +10,6 @@ from semicert import (
     apply_boundary,
     apply_interior,
     axis,
-    cayley_from_disc,
     cayley_to_disc,
     classify,
     compose,
@@ -19,13 +18,12 @@ from semicert import (
     hyperbolic_distance,
     inverse,
     normalize,
-    translation_length_iterate_check,
 )
 from semicert import moebius_core
 from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
-from semicert.moebius_core import TWO_PI, from_boundary_triple, power
+from semicert.moebius_core import TWO_PI, from_boundary_triple, power, require_hyperbolic
 
-from helpers import figure_two, random_hyperbolic, random_moebius, section_one_pair
+from helpers import cayley_from_disc, figure_two, random_hyperbolic, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
 
@@ -196,7 +194,7 @@ class TestClassify:
 class TestTranslationLength:
     def test_iterate_of_dilation(self):
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
-        assert translation_length_iterate_check(f, 3) == pytest.approx(3.0 * math.log(2.0))
+        assert classify(power(f, 3)).tau == pytest.approx(3.0 * math.log(2.0))
 
     def test_iterate_matches_multiple(self):
         rng = np.random.default_rng(6)
@@ -204,17 +202,15 @@ class TestTranslationLength:
             f = random_hyperbolic(rng, tau_range=(0.2, 2.0))
             tau = classify(f).tau
             for k in (2, 5, 20):
-                assert translation_length_iterate_check(f, k) == pytest.approx(
-                    k * tau, abs=1e-8
-                )
+                assert classify(power(f, k)).tau == pytest.approx(k * tau, abs=1e-8)
 
     def test_small_translation_power(self):
         f = from_axis_and_length(real(0.0), INF, 0.1)
-        assert translation_length_iterate_check(f, 10) == pytest.approx(1.0, abs=1e-9)
+        assert classify(power(f, 10)).tau == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
-            translation_length_iterate_check(normalize([[1.0, 1.0], [0.0, 1.0]]), 2)
+            require_hyperbolic(power(normalize([[1.0, 1.0], [0.0, 1.0]]), 2))
 
 
 class TestBoundaryAction:

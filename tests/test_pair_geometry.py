@@ -7,7 +7,6 @@ from semicert import (
     BoundaryPoint,
     Geodesic,
     MoebiusMap,
-    axes_distance_from_cr,
     axis,
     classify,
     conjugate,
@@ -20,7 +19,7 @@ from semicert import (
 )
 from semicert.errors import AxesCross, DegenerateCrossRatio, NotHyperbolic, SharedEndpoint
 from semicert.moebius_core import axis_chart, power
-from semicert.pair_geometry import distance_from_cross_ratio
+from semicert.pair_geometry import Family, distance_from_cross_ratio
 
 from helpers import (
     brute_force_line_distance,
@@ -236,21 +235,21 @@ class TestAxesDistance:
     def test_values(self):
         rng = np.random.default_rng(41)
         f, g = disjoint_pair(rng, math.log(2.0), 1.0, 1.0)
-        assert axes_distance_from_cr(f, g) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert Family.of([f, g]).pair(0, 1).distance == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_reciprocal_symmetry(self):
         from semicert import inverse
 
         rng = np.random.default_rng(42)
         f, g = disjoint_pair(rng, math.log(2.0), 1.0, 1.0)
-        assert axes_distance_from_cr(inverse(f), g) == pytest.approx(math.log(2.0), abs=1e-9)
+        assert Family.of([inverse(f), g]).pair(0, 1).distance == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_cross_checks_perpendicular(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
             f, g = disjoint_pair(rng, rng.uniform(0.2, 2.5), 0.8, 1.1)
             _, _, _, d = common_perpendicular(axis(f), axis(g))
-            assert axes_distance_from_cr(f, g) == pytest.approx(d, abs=1e-9)
+            assert Family.of([f, g]).pair(0, 1).distance == pytest.approx(d, abs=1e-9)
 
     def test_c_25_over_4(self):
         # C = 25/4 decodes to distance log(7/3).
@@ -259,10 +258,10 @@ class TestAxesDistance:
         rng = np.random.default_rng(44)
         f, g = disjoint_pair(rng, d, 1.0, 1.0)
         assert cross_ratio(f, g) == pytest.approx(25.0 / 4.0, rel=1e-9)
-        assert axes_distance_from_cr(f, g) == pytest.approx(math.log(7.0 / 3.0), abs=1e-9)
+        assert Family.of([f, g]).pair(0, 1).distance == pytest.approx(math.log(7.0 / 3.0), abs=1e-9)
 
     def test_degenerate_raises(self):
         f = from_axis_and_length(real(0.0), INF, 1.0)
         g = from_axis_and_length(real(1.0), INF, 2.0)
         with pytest.raises(DegenerateCrossRatio):
-            axes_distance_from_cr(f, g)
+            Family.of([f, g]).pair(0, 1).distance
