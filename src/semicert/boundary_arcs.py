@@ -51,9 +51,6 @@ class BoundaryArc:
     def midpoint(self) -> BoundaryPoint:
         return BoundaryPoint.from_angle(self.start.angle + 0.5 * self.span)
 
-    def approx(self, other: "BoundaryArc", tol: float = 0.0) -> bool:
-        return self.start.approx(other.start, tol) and self.end.approx(other.end, tol)
-
 
 def ccw_gap(from_angle: float, to_angle: float) -> float:
     """Counterclockwise angular distance in [0, 2*pi)."""

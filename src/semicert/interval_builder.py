@@ -2,10 +2,11 @@
 
 Each pair builder returns arcs that are symmetric with respect to their
 owner: the hyperbolic line through the arc endpoints meets the owner's axis
-at a right angle.  One routine places every such cut.  In the owner's axis
-chart (axis on 0 -> inf) the partner fixes a position t = log sqrt|u v| on
-the axis, u and v being the partner's fixed points there; the a arc is cut
-at t + s and the b arc at t - s.  The owner translates cut positions by its
+at a right angle.  In the owner's axis chart (axis on 0 -> inf) such a line
+is one log-height on the axis, and :meth:`_AxisTable.cut` cuts every arc
+from its height.  The partner fixes a position t = log sqrt|u v| on the
+axis, u and v being the partner's fixed points there; the a arc is cut at
+t + s and the b arc at t - s.  The owner translates cut positions by its
 translation length, which turns every mapping claim into arithmetic on cut
 positions.  The geometry here is advisory: the pair builders and the
 shared-fixed-point groups return unverified cut arcs,
@@ -189,14 +190,16 @@ AXIS_SCREEN_MIN_PAIRS = 48
 
 
 class _AxisTable:
-    """What the cut ranking and the pair builders of one family read, whatever the cut schedule.
+    """What the cut ranking and every cut of one family read, whatever the cut schedule.
 
     - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its inverse;
     - `entries`: (owner, partner) for both orders of each admissible pair
       above its pair gate, in table order, and `notes` for the pairs skipped
       below it;
     - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair and
-      the axis position t of an ordered pair, each computed once.
+      the axis position t of an ordered pair, each computed once;
+    - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
+      and the arc cut at one height.
 
     A family with the pair table as arrays is admitted from the arrays:
     gates and cut floors come from numpy, and a pair is decided, and a skip
@@ -275,31 +278,37 @@ class _AxisTable:
             self._positions[(owner, partner)] = t
         return t
 
-    def innermost(self, extra: float) -> tuple[list, list]:
-        """Per owner, the pairs cutting its innermost a arc and b arc at cut schedule `extra`.
+    def innermost(self, extra: float) -> list[tuple[float, float] | None]:
+        """Per owner, the heights (top, bottom) of its innermost a and b cuts at schedule `extra`.
 
-        Perpendiculars to one line nest, so the innermost a arc has the
-        largest t + s and the innermost b arc the smallest t - s; strict
-        comparisons in table order keep the first pair on a tie.  From
+        Perpendiculars to one line nest, so the innermost a arc is cut at the
+        largest t + s and the innermost b arc at the smallest t - s; equal
+        heights cut equal arcs, so no tie needs a rule.  From
         AXIS_SCREEN_MIN_PAIRS entries on, the loop runs only over the
-        :meth:`_candidates`, which hold every entry that can win, so it picks
-        the same pairs as over all entries.  None marks an owner without one.
+        :meth:`_candidates`, which hold every entry that can win, so it finds
+        the same heights as over all entries.  None marks an owner without one.
         """
-        cls, n = self.cls, len(self.cls)
         entries = self.entries
         if len(entries) >= AXIS_SCREEN_MIN_PAIRS:
             entries = [entries[e] for e in self._candidates(extra)]
-        deepest_a: list[tuple[float, tuple[int, int] | None]] = [(-math.inf, None)] * n
-        deepest_b: list[tuple[float, tuple[int, int] | None]] = [(math.inf, None)] * n
+        heights: list[tuple[float, float] | None] = [None] * len(self.cls)
         for owner, partner in entries:
             t = self.position(owner, partner)
-            s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
-            key = (owner, partner) if owner < partner else (partner, owner)
-            if t + s > deepest_a[owner][0]:  # strict: ties keep the first pair
-                deepest_a[owner] = (t + s, key)
-            if t - s < deepest_b[owner][0]:
-                deepest_b[owner] = (t - s, key)
-        return [k for _, k in deepest_a], [k for _, k in deepest_b]
+            s = _cut_position(self.cls[owner].tau, self.floor(owner, partner), extra)
+            top, bottom = heights[owner] or (-math.inf, math.inf)
+            heights[owner] = (max(top, t + s), min(bottom, t - s))
+        return heights
+
+    def cut(self, owner: int, height: float, around: BoundaryPoint) -> BoundaryArc:
+        """The arc around `around` cut off at log-height `height` on the owner's axis.
+
+        In the owner's axis chart (axis 0 -> inf) the cut is the half-circle from -e to e, e = exp(height).
+        """
+        chart, e = self.charts[owner], math.exp(height)
+        try:
+            return arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
+        except ValueError as exc:
+            raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
 
     def _candidates(self, extra: float) -> list[int]:
         """Indices of the entries whose screened t + s or t - s is near its owner's max or min, or untrusted."""
@@ -345,38 +354,6 @@ def _axis_table(family: Family) -> _AxisTable:
     return family.axis_table
 
 
-def _axis_cut_pair(table: _AxisTable, owner: int, partner: int, s: float) -> SymmetricIntervalPair:
-    """Arcs cut by perpendiculars at t + s (a side) and t - s (b side) on the owner's axis.
-
-    In the owner's axis chart the axis is 0 -> inf, t is the partner's
-    :func:`_axis_position`, and the perpendicular at log-height h is the
-    half-circle with endpoints -e^h and e^h.
-    """
-    cls, chart = table.cls[owner], table.charts[owner]
-    t = table.position(owner, partner)
-    try:
-        a = arc_between(*_chart_pair(chart, math.exp(t + s)), cls.alpha)
-        b = arc_between(*_chart_pair(chart, math.exp(t - s)), cls.beta)
-    except ValueError as exc:
-        raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
-    return SymmetricIntervalPair(a=a, b=b, owner=owner)
-
-
-def _chart_pair(chart: MoebiusMap, e: float) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """chart(-e) and chart(e), bit for bit as :func:`apply_boundary` of :meth:`BoundaryPoint.from_real` gives them.
-
-    from_real(-e) is (-x, y) for from_real(e) = (x, y), and the chart's
-    products with -x are the negated products with x, so both images share
-    one normalisation of (e, 1) and four products.
-    """
-    if not math.isfinite(e):
-        return tuple(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e))
-    n = math.hypot(e, 1.0)
-    x, y = e / n, 1.0 / n
-    ax, by, cx, dy = chart.a * x, chart.b * y, chart.c * x, chart.d * y
-    return BoundaryPoint.of(by - ax, dy - cx), BoundaryPoint.of(ax + by, cx + dy)
-
-
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
     """Clearance of image(complement of b) inside a; -inf if not contained.
 
@@ -391,12 +368,16 @@ def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
 def _build_pair(
     family: Family, i: int, j: int, extra: float
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position."""
+    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position t."""
     table = _axis_table(family)
     floor = table.floor(i, j)
-    pair_i = _axis_cut_pair(table, i, j, _cut_position(family.cls[i].tau, floor, extra))
-    pair_j = _axis_cut_pair(table, j, i, _cut_position(family.cls[j].tau, floor, extra))
-    return pair_i, pair_j
+    pairs = []
+    for owner, partner in ((i, j), (j, i)):
+        k, t = family.cls[owner], table.position(owner, partner)
+        s = _cut_position(k.tau, floor, extra)
+        a, b = table.cut(owner, t + s, k.alpha), table.cut(owner, t - s, k.beta)
+        pairs.append(SymmetricIntervalPair(a, b, owner))
+    return pairs[0], pairs[1]
 
 
 def build_disjoint_pair_intervals(
@@ -508,10 +489,11 @@ def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> Shared
 def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     """Assemble a verified forward-invariant union for the whole family.
 
-    Per generator, the innermost a and b arcs that its admissible partners
-    (crossing axes, or disjoint with cross ratio above 1) would cut are chosen
-    by axis position, and only those pairs are built; generators sharing a
-    fixed point are additionally constrained by the shared-fixed-point
+    Each generator's admissible partners (crossing axes, or disjoint with
+    cross ratio above 1) propose cut heights on its axis; its a arc is cut at
+    the highest and its b arc at the lowest, the innermost arcs they would
+    cut, whatever the order of the generators.  Generators sharing a fixed
+    point are additionally constrained by the shared-fixed-point
     intervals.  The pairs are not checked one by one: the union of the
     components, as :class:`ArcUnion`, and its :func:`schottky_margin` are
     the only check, and if they fail the cuts are pushed deeper.  Every cut
@@ -535,20 +517,15 @@ def _assemble_once(family: Family, margin: float, extra: float) -> GlobalInterva
     maps, cls = family.maps, family.cls
     n = len(maps)
     table = _axis_table(family)
-    # Candidate cuts sit at t + s (a side) and t - s (b side) on the owner's axis.
-    deepest_a, deepest_b = table.innermost(extra)
-    built: dict[tuple[int, int], tuple[SymmetricIntervalPair, SymmetricIntervalPair]] = {}
     pairs = []
-    for i, (ka, kb) in enumerate(zip(deepest_a, deepest_b)):
-        if ka is None:
+    for i, heights in enumerate(table.innermost(extra)):
+        if heights is None:
             raise PreconditionViolated(
                 f"generator {i} has no admissible partner with sufficient translation length"
             )
-        for key in sorted({ka, kb} - built.keys()):
-            crossing = family.pair(*key).kind == "crossing"
-            builder = build_crossing_pair_intervals if crossing else build_disjoint_pair_intervals
-            built[key] = builder(family, *key, cut_offset=extra)
-        pairs.append(SymmetricIntervalPair(built[ka][ka.index(i)].a, built[kb][kb.index(i)].b, i))
+        top, bottom = heights
+        a, b = table.cut(i, top, cls[i].alpha), table.cut(i, bottom, cls[i].beta)
+        pairs.append(SymmetricIntervalPair(a, b, i))
     groups = build_shared_alpha_intervals(family)
     alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
     for group in groups:

@@ -319,6 +319,11 @@ def arc_angles(arc):
     return arc.start.angle, arc.end.angle, arc.midpoint.angle
 
 
+def arcs_approx(arc, other, tol=0.0):
+    """Whether both endpoints of the two arcs agree to within `tol` in angle."""
+    return arc.start.approx(other.start, tol) and arc.end.approx(other.end, tol)
+
+
 def strictly_inside(inner, outer, margin=0.0):
     """closure(inner) inside outer with angular clearance >= margin per endpoint.
 

@@ -22,7 +22,15 @@ from semicert.boundary_arcs import (
 )
 from semicert.errors import AxesDoNotCross, VerificationFailed
 
-from helpers import ADVERSARIAL_UNIONS, arc_angles, crossing_pair, disjoint_pair, figure_two, strictly_inside
+from helpers import (
+    ADVERSARIAL_UNIONS,
+    arc_angles,
+    arcs_approx,
+    crossing_pair,
+    disjoint_pair,
+    figure_two,
+    strictly_inside,
+)
 
 ORDER_MODULES = {"boundary_arcs.py", "moebius_core.py"}
 
@@ -229,8 +237,8 @@ def contains_any(arc, *points):
 def test_arcs_around_a_point():
     point = BoundaryPoint.from_angle(1.0)
     wide, narrow = BoundaryArc.from_angles(0.5, 2.0), BoundaryArc.from_angles(0.8, 1.5)
-    assert intersect_around(point, [wide, narrow]).approx(BoundaryArc.from_angles(0.8, 1.5), 1e-12)
-    assert hull_around(point, [wide, narrow]).approx(BoundaryArc.from_angles(0.5, 2.0), 1e-12)
+    assert arcs_approx(intersect_around(point, [wide, narrow]), BoundaryArc.from_angles(0.8, 1.5), 1e-12)
+    assert arcs_approx(hull_around(point, [wide, narrow]), BoundaryArc.from_angles(0.5, 2.0), 1e-12)
     elsewhere = BoundaryArc.from_angles(3.0, 4.0)
     with pytest.raises(VerificationFailed, match="intersection around fixed point is empty"):
         intersect_around(BoundaryPoint.from_angle(3.0), [elsewhere, wide])

@@ -38,6 +38,7 @@ from semicert.interval_builder import mapping_margin
 from semicert.pair_geometry import Family
 
 from helpers import (
+    arcs_approx,
     conjugated_figure_two,
     crossing_pair,
     disjoint_pair,
@@ -343,8 +344,8 @@ class TestAssembleGlobal:
         assert len(system.pairs) == 2
         assert not system.groups
         pf, pg = build_disjoint_pair_intervals([f, g])
-        assert system.pairs[0].a.approx(pf.a, tol=1e-12)
-        assert system.pairs[1].b.approx(pg.b, tol=1e-12)
+        assert arcs_approx(system.pairs[0].a, pf.a, tol=1e-12)
+        assert arcs_approx(system.pairs[1].b, pg.b, tol=1e-12)
 
     def test_innermost_containment(self):
         F = figure_two(41.0)
@@ -454,9 +455,11 @@ class TestInnermostSelection:
             reference = innermost_by_building_every_pair(F, schedules[-1])
             assert [(p.a, p.b) for p in system.pairs] == reference
 
-    def test_builds_at_most_two_pairs_per_generator(self, monkeypatch):
+    def test_cuts_two_arcs_per_generator(self, monkeypatch):
+        # The assembly cuts each generator's a and b arc once, at its
+        # innermost heights, and builds no pair.
         from semicert import interval_builder
-        from semicert.interval_builder import _assemble_once
+        from semicert.interval_builder import _assemble_once, _AxisTable
         from semicert.pair_geometry import Family
 
         family = Family.of(random_admissible_family(np.random.default_rng(12), 12))
@@ -464,18 +467,34 @@ class TestInnermostSelection:
             pg for pg in family.pairs.values()
             if pg.kind == "crossing" or (pg.kind == "disjoint" and pg.nested_attractors)
         ]
-        assert len(admissible) > 2 * 12  # building every pair would exceed the bound
-        calls = []
-        for name in ("build_crossing_pair_intervals", "build_disjoint_pair_intervals"):
+        assert len(admissible) > 2 * 12  # cutting every pair would exceed the count
+        cuts, built = [], []
+        cut = _AxisTable.cut
+        monkeypatch.setattr(_AxisTable, "cut", lambda self, *args: cuts.append(args[0]) or cut(self, *args))
+        for name in ("build_crossing_pair_intervals", "build_disjoint_pair_intervals", "_build_pair"):
             builder = getattr(interval_builder, name)
             monkeypatch.setattr(
                 interval_builder,
                 name,
-                lambda *args, _b=builder, **kwargs: calls.append(args[1:3]) or _b(*args, **kwargs),
+                lambda *args, _b=builder, **kwargs: built.append(args[1:3]) or _b(*args, **kwargs),
             )
-        _assemble_once(family, 1e-7, 0.0)
-        assert 0 < len(calls) <= 2 * 12
-        assert len(set(calls)) == len(calls)
+        system = _assemble_once(family, 1e-7, 0.0)
+        assert sorted(cuts) == [i for i in range(12) for _ in (0, 1)]
+        assert built == []
+        assert [p.owner for p in system.pairs] == list(range(12))
+
+    def test_assembly_does_not_depend_on_generator_order(self):
+        # Relabelling the generators relabels the owners' arcs and leaves the
+        # union as it is, bit for bit.
+        rng = np.random.default_rng(153)
+        for n in range(3, 13):
+            F = random_admissible_family(rng, n, min_gap=0.01)
+            order = rng.permutation(n).tolist()  # generator k of the copy is F[order[k]]
+            system = assemble_global(F)
+            shuffled = assemble_global([F[i] for i in order])
+            assert shuffled.union.arcs == system.union.arcs, n
+            for k, i in enumerate(order):
+                assert (shuffled.pairs[k].a, shuffled.pairs[k].b) == (system.pairs[i].a, system.pairs[i].b), (n, k)
 
     def test_axis_position_is_log_height_of_foot(self):
         from semicert import apply_interior, inverse
@@ -545,20 +564,28 @@ class TestScreens:
                 screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(extra))
                 assert screened == scalar, (n, extra)
 
-    def test_exact_tie_keeps_the_first_pair(self, monkeypatch):
+    def test_exact_tie_cuts_equal_arcs(self, monkeypatch):
         # Partners mirrored by z -> -z have bit-identical axis positions and
-        # cross ratios on the owner's axis 0 -> inf, hence equal t + s.
-        from semicert.interval_builder import _AxisTable
+        # cross ratios on the owner's axis 0 -> inf, hence equal t + s and
+        # t - s: the owner's innermost cuts are the same whichever partner
+        # comes first.
+        from semicert.interval_builder import _AxisTable, _cut_position
 
         owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 20.0)
         partner = from_axis_and_length(BoundaryPoint.from_real(-3.0), BoundaryPoint.from_real(0.5), 20.0)
         mirror = MoebiusMap(partner.a, -partner.b, -partner.c, partner.d)
         family = Family.of([owner, partner, mirror])
         table = _AxisTable(family)
-        assert table.position(0, 1) == table.position(0, 2)
+        heights = []
+        for p in (1, 2):
+            t, s = table.position(0, p), _cut_position(family.cls[0].tau, table.floor(0, p), 0.0)
+            heights.append(((t + s).hex(), (t - s).hex()))
+        assert heights[0] == heights[1]
         screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(0.0))
         assert screened == scalar
-        assert scalar[0][0] == scalar[1][0] == (0, 1)
+        assert [h.hex() for h in scalar[0]] == list(heights[0])
+        pairs = [assemble_global(F).pairs[0] for F in ([owner, partner, mirror], [owner, mirror, partner])]
+        assert (pairs[0].a, pairs[0].b) == (pairs[1].a, pairs[1].b)
 
     def test_cut_positions_match_the_scalar_rule(self):
         from semicert.interval_builder import _cut_position, _cut_positions
