@@ -37,8 +37,12 @@ def _load(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:

@@ -18,7 +18,6 @@ verifier in :mod:`semicert.boundary_arcs`, which is the certificate.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,14 +189,15 @@ AXIS_SCREEN_MIN_PAIRS = 48
 
 
 class _AxisTable:
-    """What the cut ranking and every cut of one family read, whatever the cut schedule.
+    """What the cut ranking and every cut of one family read; one :func:`assemble_global` call builds one.
 
     - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its inverse;
     - `entries`: (owner, partner) for both orders of each admissible pair
       above its pair gate, in table order, and `notes` for the pairs skipped
       below it;
-    - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair and
-      the axis position t of an ordered pair, each computed once;
+    - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair, read
+      off `family`, and the axis position t of an ordered pair, each
+      computed once;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
       and the arc cut at one height.
 
@@ -207,8 +207,7 @@ class _AxisTable:
     """
 
     def __init__(self, family: Family):
-        self.cls = family.cls
-        self._family = weakref.ref(family)  # not the family itself, which keeps this table
+        self.family, self.cls = family, family.cls
         self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
         self.to_axis = tuple(inverse(chart) for chart in self.charts)
         self.floors: dict[tuple[int, int], float] = {}
@@ -268,7 +267,7 @@ class _AxisTable:
         key = (i, j) if i < j else (j, i)
         floor = self.floors.get(key)
         if floor is None:
-            floor = self.floors[key] = _cut_floor(self._family(), i, j)
+            floor = self.floors[key] = _cut_floor(self.family, i, j)
         return floor
 
     def position(self, owner: int, partner: int) -> float:
@@ -347,13 +346,6 @@ class _AxisTable:
         return owner, partner, tau, floor, t[owner, partner], trusted
 
 
-def _axis_table(family: Family) -> _AxisTable:
-    """The axis table of `family`, built once and kept on the family for every cut schedule and pair builder."""
-    if family.axis_table is None:
-        object.__setattr__(family, "axis_table", _AxisTable(family))
-    return family.axis_table
-
-
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
     """Clearance of image(complement of b) inside a; -inf if not contained.
 
@@ -369,7 +361,7 @@ def _build_pair(
     family: Family, i: int, j: int, extra: float
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
     """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position t."""
-    table = _axis_table(family)
+    table = _AxisTable(family)
     floor = table.floor(i, j)
     pairs = []
     for owner, partner in ((i, j), (j, i)):
@@ -496,27 +488,27 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     point are additionally constrained by the shared-fixed-point
     intervals.  The pairs are not checked one by one: the union of the
     components, as :class:`ArcUnion`, and its :func:`schottky_margin` are
-    the only check, and if they fail the cuts are pushed deeper.  Every cut
-    schedule reads one axis table (charts, cut floors, axis positions) of
-    the family.
+    the only check, and if they fail the cuts are pushed deeper.  The call
+    builds one axis table (charts, cut floors, axis positions) of the family,
+    and every cut schedule reads it.
     """
     family = Family.of(F)
     family.require_alpha_apart_from_beta()
     if family.rank_one_arcs:
         raise PreconditionViolated("fixed points are separable by two intervals (rank-one configuration)")
+    table = _AxisTable(family)
     last_error: Exception | None = None
     for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
         try:
-            return _assemble_once(family, margin, extra)
+            return _assemble_once(family, table, margin, extra)
         except (VerificationFailed, OverlappingArcs) as exc:
             last_error = exc
     raise VerificationFailed(f"no cut schedule produced a verifiable union: {last_error}")
 
 
-def _assemble_once(family: Family, margin: float, extra: float) -> GlobalIntervalSystem:
+def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
     maps, cls = family.maps, family.cls
     n = len(maps)
-    table = _axis_table(family)
     pairs = []
     for i, heights in enumerate(table.innermost(extra)):
         if heights is None:

@@ -90,10 +90,6 @@ class BoundaryPoint:
         return theta
 
     @property
-    def is_infinity(self) -> bool:
-        return self.y == 0.0
-
-    @property
     def value(self) -> float:
         """Half-plane coordinate; infinity maps to math.inf."""
         if abs(self.y) < 1e-300:
@@ -133,9 +129,6 @@ class Geodesic:
     def __post_init__(self):
         if self.start.approx(self.end, tol=0.0):
             raise CoincidentEndpoints("geodesic endpoints coincide")
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.end, self.start)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,8 @@ class Family:
       :func:`rank_one_arcs` off the same classes.
 
     Build values with :meth:`of`, the one place that classifies a family.
+    What a construction derives from them stays with it: the interval
+    assembly's axis table lives for one :func:`assemble_global` call.
     """
 
     maps: tuple[MoebiusMap, ...]
@@ -215,9 +217,6 @@ class Family:
     alpha_meets_beta: tuple[int, int] | None
     rank_one_arcs: tuple[BoundaryArc, ...]
     _decoded: dict[tuple[int, int], PairGeometry] = field(default_factory=dict, repr=False)
-    # The interval assembly's axis table, built on its first use.  Not a
-    # field, so it takes no part in construction or repr.
-    axis_table = None
 
     @staticmethod
     def of(F) -> "Family":

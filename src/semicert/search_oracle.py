@@ -377,6 +377,8 @@ def chaos_game(F: Sequence[MoebiusMap], samples: int, seed: int) -> ChaosSamples
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if len(F) == 0:
+        raise ValueError("need at least one generator")
     chains = min(CHAOS_CHAINS, samples)
     steps = -(-samples // chains) + CHAOS_BURN_IN
     picks = np.random.default_rng(seed).integers(0, len(F), size=(steps, chains))

@@ -272,8 +272,8 @@ def brute_force_line_distance(chart1, chart2, lo=-8.0, hi=8.0):
 
 def geodesic_shape(geo: Geodesic):
     u, v = geo.start, geo.end
-    if u.is_infinity or v.is_infinity:
-        finite = v if u.is_infinity else u
+    if is_infinity(u) or is_infinity(v):
+        finite = v if is_infinity(u) else u
         return ("line", finite.value, 0.0)
     a, b = u.value, v.value
     return ("circle", 0.5 * (a + b), 0.5 * abs(a - b))
@@ -312,6 +312,11 @@ def cayley_from_disc(w):
     if abs(abs(w) - 1.0) < 1e-12:
         return BoundaryPoint.from_angle(math.atan2(w.imag, w.real))
     return 1j * (1.0 + w) / (1.0 - w)
+
+
+def is_infinity(p):
+    """Whether the boundary point `p` is infinity, (x : 0)."""
+    return p.y == 0.0
 
 
 def arc_angles(arc):

@@ -25,6 +25,7 @@ from semicert.errors import OverlappingArcs, VerificationFailed
 from helpers import (
     ADVERSARIAL_UNIONS,
     figure_two,
+    is_infinity,
     random_admissible_family,
     random_moebius,
     section_one_pair,
@@ -57,13 +58,13 @@ class TestArcBasics:
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         img = arc_image(f, arc(1.0, math.inf))
         assert img.start.value == pytest.approx(2.0)
-        assert img.end.is_infinity
+        assert is_infinity(img.end)
 
     def test_image_of_contraction(self):
         g = normalize([[1.0, 2.0], [0.0, 2.0]])
         img = arc_image(g, arc(1.0, math.inf))
         assert img.start.value == pytest.approx(1.5)
-        assert img.end.is_infinity
+        assert is_infinity(img.end)
         assert contains(arc(1.0, math.inf), img.midpoint)
 
     def test_complement(self):

@@ -245,6 +245,22 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"schema": 1, "generators": [{"matrix": [2, 0, 0, 1]}], "x": "\xff\xfe"}', "not UTF-8 text"),
+            (b'{"schema": 1, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
+        ],
+        ids=["not-utf8", "nested-too-deeply"],
+    )
+    def test_unreadable_input_is_a_parse_error(self, runner, tmp_path, content, message):
+        src = tmp_path / "bad.json"
+        src.write_bytes(content)
+        result = runner.invoke(main, ["certify", "--input", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert result.output == f"error: {src}: {message}\n"  # stdout is empty, so this is stderr
+
     def test_invalid_generator_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.json"
         src.write_text(json.dumps({"schema": 1, "generators": [{"matrix": [1, 0, 0, -1]}]}))
@@ -465,6 +481,6 @@ class TestAxisFormInput:
         result = runner.invoke(main, ["classify", "--input", str(src)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
-        assert result.stderr.startswith("error:")
-        assert f"generators[0]{field}" in result.stderr
+        assert result.output.startswith("error:")  # stdout is empty, so this is stderr
+        assert f"generators[0]{field}" in result.output
         assert "Traceback" not in result.output

@@ -414,13 +414,14 @@ class TestAssembleGlobal:
         # At the default cut depth this family's arcs collide; deeper cuts
         # must be tried and must succeed.
         from helpers import retry_ladder_family
-        from semicert.interval_builder import _assemble_once
+        from semicert.interval_builder import _assemble_once, _AxisTable
 
         F = retry_ladder_family()
         from semicert.pair_geometry import Family
 
+        family = Family.of(F)
         with pytest.raises((OverlappingArcs, VerificationFailed)):
-            _assemble_once(Family.of(F), 1e-7, 0.0)
+            _assemble_once(family, _AxisTable(family), 1e-7, 0.0)
         system = assemble_global(F)
         assert system.margin >= 1e-7
         assert verify_schottky(F, system.union, margin=1e-7)
@@ -445,9 +446,9 @@ class TestInnermostSelection:
         schedules = []
         once = interval_builder._assemble_once
 
-        def recording(family, margin, extra):
+        def recording(family, table, margin, extra):
             schedules.append(extra)
-            return once(family, margin, extra)
+            return once(family, table, margin, extra)
 
         monkeypatch.setattr(interval_builder, "_assemble_once", recording)
         for F in self.families():
@@ -478,7 +479,7 @@ class TestInnermostSelection:
                 name,
                 lambda *args, _b=builder, **kwargs: built.append(args[1:3]) or _b(*args, **kwargs),
             )
-        system = _assemble_once(family, 1e-7, 0.0)
+        system = _assemble_once(family, _AxisTable(family), 1e-7, 0.0)
         assert sorted(cuts) == [i for i in range(12) for _ in (0, 1)]
         assert built == []
         assert [p.owner for p in system.pairs] == list(range(12))

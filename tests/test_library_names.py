@@ -86,3 +86,27 @@ def test_every_export_is_read_outside_the_unit_tests():
     readme_code = " ".join(re.findall(r"`[^`\n]+`", (ROOT / "README.md").read_text()))
     reads |= set(re.findall(r"\w+", readme_code))
     assert [name for name in exports if name not in reads] == []
+
+
+def test_every_public_method_is_read_outside_the_unit_tests():
+    # A method or property that only unit tests read belongs in
+    # `tests/helpers.py` as a function of the instance.
+    methods = [
+        f"{path.name}: {cls.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    sources = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    reads = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    readme = (ROOT / "README.md").read_text()
+    readme_code = re.findall(r"```[^\n]*\n(.*?)```", readme, re.S) + re.findall(r"`[^`\n]+`", readme)
+    reads |= set(re.findall(r"\.(\w+)", " ".join(readme_code)))
+    assert [m for m in methods if m.rsplit(".", 1)[1] not in reads] == []

@@ -7,6 +7,7 @@ separate from a threshold, so forcing the scalar path everywhere must give
 byte-identical certificates.
 """
 
+import gc
 import json
 import math
 
@@ -61,9 +62,9 @@ def test_assembly_large_certificates_are_byte_identical(monkeypatch):
     schedules = []
     once = interval_builder._assemble_once
 
-    def counting(family, margin, extra):
+    def counting(family, table, margin, extra):
         schedules.append(extra)
-        return once(family, margin, extra)
+        return once(family, table, margin, extra)
 
     monkeypatch.setattr(interval_builder, "_assemble_once", counting)
     default = with_crossover(monkeypatch, None, lambda: certificates(families))
@@ -71,6 +72,24 @@ def test_assembly_large_certificates_are_byte_identical(monkeypatch):
     scalar = with_crossover(monkeypatch, math.inf, lambda: certificates(families))
     assert default == scalar
     assert all(json.loads(text)["kind"] == "semidiscrete_inverse_free" for text in default)
+
+
+def test_axis_table_outlives_its_family(monkeypatch):
+    # A table keeps the family that its lazy cut floors read, so one built
+    # on a Family that nothing else holds ranks every cut schedule as the
+    # table of assemble_global does.
+    F = bench_inputs("assembly_large", 1, 1, 32)[0]  # the workload's first family
+    table = _AxisTable(Family.of(F))
+    gc.collect()
+    tables = []
+    once = interval_builder._assemble_once
+    monkeypatch.setattr(
+        interval_builder, "_assemble_once", lambda family, t, *args: tables.append(t) or once(family, t, *args)
+    )
+    assemble_global(F)
+    assert tables and all(t is tables[0] for t in tables)
+    for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
+        assert table.innermost(extra) == tables[0].innermost(extra)
 
 
 def test_verdict_mix_certificates_are_byte_identical(monkeypatch):

@@ -30,7 +30,7 @@ from semicert.search_oracle import (
     _reconstruct,
 )
 
-from helpers import crossing_pair, disjoint_pair, figure_two, section_one_pair
+from helpers import crossing_pair, disjoint_pair, figure_two, is_infinity, section_one_pair
 
 
 def key(row):
@@ -320,7 +320,7 @@ class TestChaosGame:
     def test_single_attractor(self):
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         pts = chaos_game([f], 100, seed=3)
-        assert all(p.is_infinity for p in pts)
+        assert all(is_infinity(p) for p in pts)
         assert pts.angles().tolist() == [0.0] * 100
 
     def test_leaves_a_common_fixed_point(self):
@@ -332,6 +332,10 @@ class TestChaosGame:
             assert len({(p.x, p.y) for p in pts}) > 1
             assert all(p.value >= 1.0 for p in pts)
         assert chaos_game(F, 100, seed=1) != chaos_game(F, 100, seed=7)
+
+    def test_empty_family_is_refused_before_drawing(self):
+        with pytest.raises(ValueError, match="need at least one generator"):
+            chaos_game([], 100, seed=1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(96)
@@ -386,7 +390,7 @@ class TestChaosGame:
         assert ((pts.y > 0.0) | ((pts.y == 0.0) & (pts.x > 0.0))).all()
         assert all(BoundaryPoint.of(p.x, p.y).approx(p, 1e-15) for p in pts)
         if case == "through-infinity":
-            assert any(p.is_infinity for p in pts)
+            assert any(is_infinity(p) for p in pts)
 
     @pytest.mark.parametrize(
         "case, samples", [("crossing", 3000), ("figure-two", 2500), ("section-one", 7), ("figure-two", 1)]
