@@ -207,7 +207,7 @@ class _AxisTable:
     """
 
     def __init__(self, family: Family):
-        self.family, self.cls = family, family.cls
+        self.family = family
         self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
         self.to_axis = tuple(inverse(chart) for chart in self.charts)
         self.floors: dict[tuple[int, int], float] = {}
@@ -235,12 +235,12 @@ class _AxisTable:
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
     def _admit(self, family: Family) -> tuple[list, list, np.ndarray, np.ndarray]:
         """Admitted keys, skip notes, cut floors and their trust, from the family's arrays."""
-        n = len(self.cls)
+        n = len(family.cls)
         rows, cols = np.triu_indices(n, 1)
         pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
         c, rows, cols = family.cross_ratios[pick], rows[pick], cols[pick]
         crossing = family.kinds[pick] == CROSSING
-        tau = np.array([k.tau for k in self.cls])
+        tau = np.array([k.tau for k in family.cls])
         gate = np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK
         low = np.minimum(tau[rows], tau[cols])
         admit = (low > gate) & ~(np.abs(low - gate) <= AXIS_SCREEN_TOL)
@@ -273,7 +273,7 @@ class _AxisTable:
     def position(self, owner: int, partner: int) -> float:
         t = self._positions.get((owner, partner))
         if t is None:
-            t = _axis_position(self.to_axis[owner], self.cls[partner])
+            t = _axis_position(self.to_axis[owner], self.family.cls[partner])
             self._positions[(owner, partner)] = t
         return t
 
@@ -290,10 +290,11 @@ class _AxisTable:
         entries = self.entries
         if len(entries) >= AXIS_SCREEN_MIN_PAIRS:
             entries = [entries[e] for e in self._candidates(extra)]
-        heights: list[tuple[float, float] | None] = [None] * len(self.cls)
+        cls = self.family.cls
+        heights: list[tuple[float, float] | None] = [None] * len(cls)
         for owner, partner in entries:
             t = self.position(owner, partner)
-            s = _cut_position(self.cls[owner].tau, self.floor(owner, partner), extra)
+            s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
             top, bottom = heights[owner] or (-math.inf, math.inf)
             heights[owner] = (max(top, t + s), min(bottom, t - s))
         return heights
@@ -315,7 +316,7 @@ class _AxisTable:
             self._screen = self._screen_entries()
         owner, partner, tau, floor, t, trusted = self._screen
         s = _cut_positions(tau, floor, extra)
-        n = len(self.cls)
+        n = len(self.family.cls)
         up, down = np.full((n, n), -np.inf), np.full((n, n), np.inf)
         up[owner, partner] = np.where(trusted, t + s, -np.inf)
         down[owner, partner] = np.where(trusted, t - s, np.inf)
@@ -330,7 +331,7 @@ class _AxisTable:
         An entry is also untrusted where its floor is, or where tau/2 lies
         within AXIS_SCREEN_TOL of the floor: :func:`_cut_position` jumps there.
         """
-        cls = self.cls
+        cls = self.family.cls
         maps = np.array([(m.a, m.b, m.c, m.d) for m in self.to_axis]).T[:, :, None]
         logs = []
         for point in ("alpha", "beta"):

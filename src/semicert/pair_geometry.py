@@ -204,8 +204,6 @@ class Family:
       :func:`rank_one_arcs` off the same classes.
 
     Build values with :meth:`of`, the one place that classifies a family.
-    What a construction derives from them stays with it: the interval
-    assembly's axis table lives for one :func:`assemble_global` call.
     """
 
     maps: tuple[MoebiusMap, ...]

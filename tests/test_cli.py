@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -13,6 +14,10 @@ from helpers import figure_two, section_one_pair
 
 @pytest.fixture
 def runner():
+    # click < 8.2 mixes stderr into stdout unless told not to; 8.2 keeps them
+    # apart and dropped the option.
+    if "mix_stderr" in inspect.signature(CliRunner).parameters:
+        return CliRunner(mix_stderr=False)
     return CliRunner()
 
 
@@ -237,7 +242,7 @@ class TestCertifyCommand:
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
         result = runner.invoke(main, ["certify", "--input", str(src), "--seed", "3"])
         assert result.exit_code == 2
-        assert "No such option" in result.output
+        assert "No such option" in result.stderr
 
     def test_parse_error_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.json"
@@ -259,7 +264,8 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
-        assert result.output == f"error: {src}: {message}\n"  # stdout is empty, so this is stderr
+        assert result.stdout == ""
+        assert result.stderr == f"error: {src}: {message}\n"
 
     def test_invalid_generator_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.json"
@@ -363,7 +369,7 @@ class TestOracleCommand:
         result = runner.invoke(main, ["oracle", "--input", str(src), "--max-len", "2", "--seed", "-1"])
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert "Invalid value for '--seed'" in result.output
+        assert "Invalid value for '--seed'" in result.stderr
 
 
 class TestRenderCommand:
@@ -481,6 +487,7 @@ class TestAxisFormInput:
         result = runner.invoke(main, ["classify", "--input", str(src)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
-        assert result.output.startswith("error:")  # stdout is empty, so this is stderr
-        assert f"generators[0]{field}" in result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert f"generators[0]{field}" in result.stderr
         assert "Traceback" not in result.output
