@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 
 import click
@@ -43,10 +44,12 @@ def _load(path: str) -> dict:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's digit limit for int()
+        raise ParseError(f"{path}: integer literal too long") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported schema {data.get('schema')!r}")
+        raise ParseError(f"{path}: unsupported schema {reprlib.repr(data.get('schema'))}")
     return data
 
 
@@ -55,7 +58,8 @@ def _finite(v, where: str, expected: str) -> float:
     # abs(v) <= max rejects NaN, the infinities and ints too large for a float.
     if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
         return float(v)
-    raise ParseError(f"{where}: expected {expected}, got {v!r}")
+    # reprlib cuts the echo of a huge or deeply nested value to a short prefix.
+    raise ParseError(f"{where}: expected {expected}, got {reprlib.repr(v)}")
 
 
 def _boundary_value(v, model: str, where: str) -> BoundaryPoint:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,7 +230,7 @@ def matrix_entries(raw) -> list[float]:
     if items is None or len(items) != 4 or not all(
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
     ):
-        raise InvalidMatrix(f"expected [a, b, c, d] or [[a, b], [c, d]] of numbers, got {raw!r}")
+        raise InvalidMatrix(f"expected [a, b, c, d] or [[a, b], [c, d]] of numbers, got {reprlib.repr(raw)}")
     try:
         return [float(v) for v in items]
     except OverflowError:

@@ -5,13 +5,17 @@ reports label themselves accordingly.  Enumeration is breadth-first with
 deduplication by rounded normalized matrix, which collapses semigroups with
 many coincidences (the interesting ones) to a manageable state count.
 
-Deduplication works on whole levels.  Each candidate's key (its entries
-rounded to multiples of DEDUP_TOL) is mixed into a 64-bit hash; the level is
-sorted by hash, and the first candidate of each key is looked up in one
-sorted table holding the hashes of every element stored so far.  Equal
-hashes are always confirmed on the full key, so a hash collision costs time,
-never a wrong answer.  The inverse-free probe looks its inverses up in the
-same table.
+Deduplication works on whole levels.  A level's candidates are computed
+column-major, one contiguous array per matrix entry, in cache-sized blocks
+that go from product to canonical sign, key (the entries rounded to
+multiples of DEDUP_TOL) and 64-bit key hash before the next block starts.
+The level is sorted by hash, and the first candidate of each key is looked
+up in one sorted table holding the hashes of the elements stored before it.
+The table takes a level only when a later lookup needs it, so the last
+level of a sweep is never merged.  Equal hashes are always confirmed on the
+full key, recomputed for those candidates alone, so a hash collision costs
+time, never a wrong answer.  The inverse-free probe looks its inverses up
+in the same table.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 1024
 # Odd multiplier of the dedup key hash.
 _MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# Candidates per block of the sweep's product, sign, key and hash passes.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,17 @@ class _Bfs:
     Iterating yields (level, matrices of the new elements) for levels
     1..max_len, stopping early at the first level with nothing new.
 
+    Candidates are computed column-major, four contiguous arrays with one
+    per matrix entry, in blocks that stay in cache from product to hash (see
+    `_expand`).  A level's matrices are kept as the (n, 4) transpose of such
+    a (4, n) array.
+
     Stored rows are numbered level by level from the root (row 0).  The
     dedup table is the sorted array `hashes` of the stored rows' key hashes
     with each row's number alongside in `rows`; keys themselves are not
     kept, but recomputed from the level matrices wherever two hashes match.
+    The table takes a level only when a later lookup needs it: the newest
+    level waits in `_pending`, so the last level of a sweep is never merged.
     """
 
     def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
@@ -84,12 +97,13 @@ class _Bfs:
         self.words_explored = 0
         self.duplicates = 0
         # Per level: matrices, parent index into previous level, letter applied.
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        root = np.array([[1.0], [0.0], [0.0], [1.0]]).T
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [(root, np.array([-1]), np.array([-1]))]
+        self.stored = 1  # rows numbered so far, the pending level's included
         self.hashes = np.empty(0, dtype=np.uint64)
         self.rows = np.empty(0, dtype=np.int64)
-        root = np.array([[1.0, 0.0, 0.0, 1.0]])
-        zero = np.array([0])
-        self._store((root, np.array([-1]), np.array([-1])), zero, _mix(_keys(root)), zero)
+        # (table positions, hashes, row numbers) of the level not yet in the table.
+        self._pending = (np.array([0]), _mix(_keys(root)), np.array([0]))
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
@@ -100,8 +114,8 @@ class _Bfs:
 
     def _step(self) -> np.ndarray:
         """Expand one level; returns the new frontier (may be empty)."""
-        w = self.levels[-1][0]
-        width = w.shape[0]
+        w = self.levels[-1][0].T
+        width = w.shape[1]
         n_candidates = width * self.gens.shape[0]
         if self.words_explored + n_candidates > self.budget:
             raise BudgetExceeded(
@@ -109,62 +123,97 @@ class _Bfs:
                 f"the budget of {self.budget}"
             )
         self.words_explored += n_candidates
-        # Candidate gi * width + k is generator gi applied to frontier row k.
-        mats = np.empty((n_candidates, 4))
-        for gi, (a, b, c, d) in enumerate(self.gens):
-            block = mats[gi * width : (gi + 1) * width]
-            block[:, 0] = a * w[:, 0] + b * w[:, 2]
-            block[:, 1] = a * w[:, 1] + b * w[:, 3]
-            block[:, 2] = c * w[:, 0] + d * w[:, 2]
-            block[:, 3] = c * w[:, 1] + d * w[:, 3]
-        keys = _keys(_canonical_sign_rows(mats))
-        hashes = _mix(keys)
-        first = _first_of_each_key(keys, hashes)
+        cols, hashes = self._expand(w)
+        first = _first_of_each_key(cols.T, hashes)
         hashes = hashes[first]
-        at, found = self._lookup(np.take(keys, first, axis=0), hashes)
-        del keys
+        at, found = self._lookup(cols.T, first, hashes)
         new = found < 0
-        is_new = np.zeros(n_candidates, dtype=bool)
-        is_new[first[new]] = True
-        fresh = np.flatnonzero(is_new)
-        self.duplicates += n_candidates - fresh.shape[0]
-        level = (np.take(mats, fresh, axis=0), fresh % width, fresh // width)
-        # Each new row's index in the level, in hash order.
-        index = (np.cumsum(is_new) - 1)[first[new]]
-        self._store(level, at[new], hashes[new], index)
-        return level[0]
+        picked = first[new]  # the new candidates, in hash order
+        count = picked.shape[0]
+        self.duplicates += n_candidates - count
+        if count == n_candidates:
+            # Every candidate is new (a free semigroup's levels): the level is
+            # the candidate array itself, and candidate k is row stored + k.
+            fresh, rows = np.arange(n_candidates), self.stored + picked
+        else:
+            fresh = np.sort(picked)
+            cols = np.take(cols, fresh, axis=1)
+            # Each new row's number, in hash order.
+            number = np.empty(n_candidates, dtype=np.int64)
+            number[fresh] = np.arange(self.stored, self.stored + count)
+            rows = number[picked]
+        letters, parents = np.divmod(fresh, width)
+        self.levels.append((cols.T, parents, letters))
+        self._pending = (at[new], hashes[new], rows)
+        self.stored += count
+        return cols.T
 
-    def _store(
-        self,
-        level: tuple[np.ndarray, np.ndarray, np.ndarray],
-        at: np.ndarray,
-        hashes: np.ndarray,
-        index: np.ndarray,
-    ) -> None:
-        """Append a level and enter its rows into the table.
+    def _expand(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates from frontier columns `w`, as (4, n) entries, and their key hashes.
 
-        Row `index[k]` of the level has hash `hashes[k]`, which belongs before
-        table position `at[k]`; both arrays are in hash order.
+        Candidate gi * width + k is generator gi applied to frontier row k.
+        Product, sign, key and hash run over blocks of at most _BLOCK
+        candidates, so that each block stays in cache from one pass to the
+        next; the keys themselves are not kept.
         """
-        first_row = sum(mats.shape[0] for mats, _, _ in self.levels)
-        self.levels.append(level)
-        self.hashes = np.insert(self.hashes, at, hashes)
-        self.rows = np.insert(self.rows, at, first_row + index)
+        width = w.shape[1]
+        cols = np.empty((4, width * self.gens.shape[0]))
+        hashes = np.empty(cols.shape[1], dtype=np.uint64)
+        term = np.empty(min(width, _BLOCK))
+        for gi, (a, b, c, d) in enumerate(self.gens):
+            for lo in range(0, width, _BLOCK):
+                hi = min(lo + _BLOCK, width)
+                span = slice(gi * width + lo, gi * width + hi)
+                block = cols[:, span]
+                w0, w1, w2, w3 = w[:, lo:hi]
+                t = term[: hi - lo]
+                for out, x, y, p, q in (
+                    (block[0], a, b, w0, w2),
+                    (block[1], a, b, w1, w3),
+                    (block[2], c, d, w0, w2),
+                    (block[3], c, d, w1, w3),
+                ):
+                    np.multiply(p, x, out=out)
+                    out += np.multiply(q, y, out=t)
+                hashes[span] = _mix(_keys(_canonical_sign_rows(block.T)))
+        return cols, hashes
 
-    def _lookup(self, keys: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Table position of each hash, and the stored row with each key or -1."""
+    def _flush(self) -> None:
+        """Merge the pending level into the table.
+
+        Its k hashes are in hash order and each belongs before table
+        position `at`, so the j-th lands at `at[j] + j`.
+        """
+        at, hashes, rows = self._pending
+        self._pending = (at[:0], hashes[:0], rows[:0])
+        place = at + np.arange(at.shape[0])
+        old = np.ones(self.hashes.shape[0] + at.shape[0], dtype=bool)
+        old[place] = False
+        self.hashes = _merged(self.hashes, hashes, place, old)
+        self.rows = _merged(self.rows, rows, place, old)
+
+    def _lookup(
+        self, mats: np.ndarray, which: np.ndarray, hashes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Table position of each sorted hash, and the stored row with each key or -1.
+
+        Entry i looks up `hashes[i]`, the key hash of row `which[i]` of
+        `mats`.  The pending level is merged first, so every stored row is
+        searched; keys are computed only where two hashes match.
+        """
+        self._flush()
         at = np.searchsorted(self.hashes, hashes)
         probe = np.minimum(at, self.hashes.shape[0] - 1)
         hit = np.flatnonzero(self.hashes[probe] == hashes)
         rows = self.rows[probe[hit]]
         found = np.full(hashes.shape[0], -1, dtype=np.int64)
-        if (self._stored_keys(rows) == np.take(keys, hit, axis=0)).all():
+        if (self._stored_keys(rows) == _keys_at(mats, which[hit])).all():
             found[hit] = rows
             return at, found
         # Equal hashes with different keys: match against every stored key.
-        stored = _keys(np.concatenate([mats for mats, _, _ in self.levels]))
+        stored = _keys(np.concatenate([m for m, _, _ in self.levels]))
         _, first, inverse = np.unique(
-            np.concatenate([stored, keys]), axis=0, return_index=True, return_inverse=True
+            np.concatenate([stored, _keys_at(mats, which).T]), axis=0, return_index=True, return_inverse=True
         )
         match = first[inverse.reshape(-1)[stored.shape[0] :]]
         known = match < stored.shape[0]
@@ -172,13 +221,13 @@ class _Bfs:
         return at, found
 
     def _stored_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Keys of stored rows, recomputed from the level matrices."""
+        """Keys of stored rows, recomputed from the level matrices, one column each."""
         starts = np.cumsum([0] + [mats.shape[0] for mats, _, _ in self.levels])
         level = np.searchsorted(starts, rows, side="right") - 1
-        keys = np.empty((rows.shape[0], 4), dtype=np.int64)
+        keys = np.empty((4, rows.shape[0]), dtype=np.int64)
         for lv in np.unique(level):
             at = level == lv
-            keys[at] = _keys(self.levels[lv][0][rows[at] - starts[lv]])
+            keys[:, at] = _keys_at(self.levels[lv][0], rows[at] - starts[lv])
         return keys
 
 
@@ -207,17 +256,32 @@ def _mix(keys: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _first_of_each_key(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """Index of the first row with each distinct key, ordered by hash."""
+def _merged(table: np.ndarray, new: np.ndarray, place: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """`table` with `new` written at positions `place` and the old entries, in order, at `old`."""
+    merged = np.empty(old.shape[0], dtype=table.dtype)
+    merged[place] = new
+    merged[old] = table
+    return merged
+
+
+def _keys_at(mats: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Keys of rows `index` of the column-major matrices `mats`, one column each."""
+    return _keys(np.take(mats.T, index, axis=1))
+
+
+def _first_of_each_key(mats: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """Index of the first row of `mats` with each distinct key, ordered by hash."""
     order = np.argsort(hashes)
     ordered = hashes[order]
     repeat = ordered[1:] == ordered[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
     run = np.flatnonzero(repeat)
-    if (np.take(keys, order[run], axis=0) == np.take(keys, order[run + 1], axis=0)).all():
+    if run.shape[0] == 0:
+        return order
+    if (_keys_at(mats, order[run]) == _keys_at(mats, order[run + 1])).all():
+        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
         return np.minimum.reduceat(order, starts)
     # Equal hashes with different keys: group by the keys themselves.
-    first = np.unique(keys, axis=0, return_index=True)[1]
+    first = np.unique(_keys(mats), axis=0, return_index=True)[1]
     return first[np.argsort(hashes[first], kind="stable")]
 
 
@@ -311,21 +375,20 @@ def inverse_free_probe(
     bfs = _Bfs(F, max_len, budget)
     for _ in bfs:
         pass
-    rows = np.concatenate([mats for mats, _, _ in bfs.levels])
+    a, b, c, d = rows = np.concatenate([mats.T for mats, _, _ in bfs.levels], axis=1)
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
-    inverses = _canonical_sign_rows(rows[:, [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0]))
-    keys = _keys(inverses)
-    hashes = _mix(keys)
+    inverses = _canonical_sign_rows(np.stack([d, -b, -c, a]).T)
+    hashes = _mix(_keys(inverses))
     order = np.argsort(hashes)  # the table is searched fastest in hash order
-    _, partner = bfs._lookup(np.take(keys, order, axis=0), hashes[order])
+    _, partner = bfs._lookup(inverses, order, hashes[order])
     # Row 0 is the root; only enumerated words pair up.
     paired = partner > 0
-    a, b, c, d = rows[order[paired]].T
-    p = rows[partner[paired]]
-    prod_b = a * p[:, 1] + b * p[:, 3]
-    prod_c = c * p[:, 0] + d * p[:, 2]
-    prod_a = a * p[:, 0] + b * p[:, 2]
-    prod_d = c * p[:, 1] + d * p[:, 3]
+    a, b, c, d = rows[:, order[paired]]
+    pa, pb, pc, pd = rows[:, partner[paired]]
+    prod_b = a * pb + b * pd
+    prod_c = c * pa + d * pc
+    prod_a = a * pa + b * pc
+    prod_d = c * pb + d * pd
     dist = np.maximum.reduce(
         [np.abs(np.abs(prod_a) - 1.0), np.abs(prod_b), np.abs(prod_c), np.abs(np.abs(prod_d) - 1.0)]
     )

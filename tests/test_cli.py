@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -255,8 +256,9 @@ class TestCertifyCommand:
         [
             (b'{"schema": 1, "generators": [{"matrix": [2, 0, 0, 1]}], "x": "\xff\xfe"}', "not UTF-8 text"),
             (b'{"schema": 1, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
+            (b'{"schema": 1, "generators": [{"matrix": [' + b"1" * 5000 + b', 0, 0, 1]}]}', "integer literal too long"),
         ],
-        ids=["not-utf8", "nested-too-deeply"],
+        ids=["not-utf8", "nested-too-deeply", "integer-too-long"],
     )
     def test_unreadable_input_is_a_parse_error(self, runner, tmp_path, content, message):
         src = tmp_path / "bad.json"
@@ -266,6 +268,28 @@ class TestCertifyCommand:
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
         assert result.stdout == ""
         assert result.stderr == f"error: {src}: {message}\n"
+
+    @pytest.mark.parametrize("shape", ["nested-400-deep", "multi-megabyte"])
+    @pytest.mark.parametrize("field", ["matrix", "tau", "schema"])
+    def test_rejected_value_is_echoed_short(self, runner, tmp_path, monkeypatch, field, shape):
+        value = [0.5] * 500_000
+        if shape == "nested-400-deep":
+            value = 0.5
+            for _ in range(400):
+                value = [value]
+        generator = {"matrix": value} if field == "matrix" else {"axis": {"beta": 0.0, "alpha": 1.0}, "tau": value}
+        data = {"schema": value, "generators": []} if field == "schema" else {"schema": 1, "generators": [generator]}
+        monkeypatch.chdir(tmp_path)
+        Path("in.json").write_text(json.dumps(data))
+        assert shape == "nested-400-deep" or Path("in.json").stat().st_size > 2_000_000
+        commands = ["certify", "cocycle"] if field != "tau" else ["certify"]
+        for command in commands:
+            result = runner.invoke(main, [command, "--input", "in.json"])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            [line] = result.stderr.splitlines()
+            where = "in.json: unsupported schema" if field == "schema" else "in.json: generators[0]"
+            assert line.startswith(f"error: {where}") and len(line) < 200
 
     def test_invalid_generator_exit_one(self, runner, tmp_path):
         src = tmp_path / "bad.json"

@@ -93,6 +93,9 @@ def agreement_case(name):
         return [f, g], 16
     if name == "figure-two":
         return figure_two(0.1), 5
+    if name == "figure-two-6":
+        # 19,530 rows, every one new: each level is merged into a large table.
+        return figure_two(0.1), 6
     if name == "coincident":
         # The third generator is the product of the first two, so words coincide.
         p, q = disjoint_pair(np.random.default_rng(98), 1.0, 2.0, 2.3)
@@ -222,7 +225,7 @@ class TestEnumerate:
 
 
 class TestDedupTable:
-    @pytest.mark.parametrize("case", ["section-one", "figure-two", "coincident", "edge-values"])
+    @pytest.mark.parametrize("case", ["section-one", "figure-two", "figure-two-6", "coincident", "edge-values"])
     def test_matches_the_set_of_bytes_reference(self, case):
         assert_same_sweep(*agreement_case(case))
 
@@ -239,6 +242,22 @@ class TestDedupTable:
         f, g = section_one_pair()
         assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
         assert inverse_free_probe([f, g], 6)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["mixed", "forced-collisions"])
+    def test_lagging_table_reaches_the_last_level(self, forced, monkeypatch):
+        if forced:
+            monkeypatch.setattr(search_oracle, "_mix", lambda keys: np.zeros(keys.shape[0], dtype=np.uint64))
+        f = normalize([[2.0, 0.0], [0.0, 1.0]])
+        bfs = _Bfs([f, inverse(f)], 1, 2_000_000)
+        assert [mats.shape[0] for _, mats in bfs] == [2]
+        assert bfs.hashes.shape[0] == 1  # the last level never entered the table
+        # The partner of f sits only in that last level; the probe merges it first.
+        assert not inverse_free_probe([f, inverse(f)], 1)
+        # z -> -1/(z + 1) has order 3: the sweep closes at level 3 with M^3 = I.
+        m = normalize([[0.0, -1.0], [1.0, 1.0]])
+        report = enumerate_words([m], 5)
+        assert (report.words_explored, report.distinct_elements, report.duplicate_classes) == (3, 2, 1)
+        assert not inverse_free_probe([m], 5)
 
 
 class TestFindElliptic:
