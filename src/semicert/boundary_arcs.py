@@ -12,28 +12,35 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AxesDoNotCross, OverlappingArcs, VerificationFailed
-from .moebius_core import TWO_PI, BoundaryPoint, Classification, MoebiusMap, apply_boundary, classify
+from .moebius_core import TWO_PI, BoundaryPoint, Classification, FrozenValue, MoebiusMap, apply_boundary, classify
 
 # Verification margin below which a certificate is not trusted.
 DEFAULT_MARGIN = 1e-7
 
 
-@dataclass(frozen=True)
-class BoundaryArc:
-    """Open arc from `start` counterclockwise to `end` (never the full circle)."""
+class BoundaryArc(FrozenValue):
+    """Open arc from `start` counterclockwise to `end` (never the full circle).
 
-    start: BoundaryPoint
-    end: BoundaryPoint
+    A slotted class, not a frozen dataclass, for the same reason as
+    `BoundaryPoint`: the verifier and the assembly build arcs in bulk.
+    """
 
-    def __post_init__(self):
-        if self.start.angular_distance(self.end) == 0.0:
+    __slots__ = ("start", "end")
+    _fields = ("start", "end")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, start: BoundaryPoint, end: BoundaryPoint):
+        # Angles lie in [0, 2*pi): equal angles are zero angular distance.
+        if start.angle == end.angle:
             raise ValueError("arc endpoints coincide")
+        _arc_start(self, start)
+        _arc_end(self, end)
 
     @staticmethod
     def from_reals(start: float, end: float) -> "BoundaryArc":
@@ -50,6 +57,10 @@ class BoundaryArc:
     @property
     def midpoint(self) -> BoundaryPoint:
         return BoundaryPoint.from_angle(self.start.angle + 0.5 * self.span)
+
+
+_arc_start = BoundaryArc.start.__set__
+_arc_end = BoundaryArc.end.__set__
 
 
 def ccw_gap(from_angle: float, to_angle: float) -> float:

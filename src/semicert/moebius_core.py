@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,19 +35,63 @@ DET_ROUND_TOL = 64 * 2.0**-53
 DET_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class FrozenValue:
+    """Base of the value types built in bulk: immutable slotted instances.
+
+    A subclass names its fields in `_fields`, reads them with
+    `_key = attrgetter(*_fields)` and sets them in `__init__` through the
+    slots' member descriptors.  Equality (within one class), hashing, repr,
+    copy and pickle follow `_fields`, as for a frozen dataclass; assigning or
+    deleting any attribute raises FrozenInstanceError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _key: attrgetter
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class BoundaryPoint(FrozenValue):
     """Point of R u {inf} as a homogeneous pair (x : y), meaning x/y.
 
     Canonical form: x^2 + y^2 = 1 and y > 0, or y == 0 and x > 0, so that
     infinity is exactly (1, 0).  Use :meth:`of` to build canonical values.
+
+    A slotted class, not a frozen dataclass, because certification builds
+    points in bulk and the dataclass `__init__` nearly doubled their cost.
+    `angle` stays a property (the benchmark tracer counts reads by rebinding
+    its `fget`); it caches into the `_angle` slot, which is not a field and
+    takes no part in equality, hashing or repr.
     """
 
-    x: float
-    y: float
-    # Angle cache, set on the first read of `angle`.  Not a field, so it takes
-    # no part in construction, equality, hashing or repr.
-    _angle = None
+    __slots__ = ("x", "y", "_angle")
+    _fields = ("x", "y")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, x: float, y: float):
+        _point_x(self, x)
+        _point_y(self, y)
+        _point_angle(self, None)
 
     @staticmethod
     def of(x: float, y: float) -> "BoundaryPoint":
@@ -56,7 +101,12 @@ class BoundaryPoint:
         x, y = x / n, y / n
         if y < 0.0 or (y == 0.0 and x < 0.0):
             x, y = -x, -y
-        return BoundaryPoint(x, y)
+        # `__init__` inlined: this is the constructor certification calls most.
+        p = _new(BoundaryPoint)
+        _point_x(p, x)
+        _point_y(p, y)
+        _point_angle(p, None)
+        return p
 
     @staticmethod
     def from_real(v: float) -> "BoundaryPoint":
@@ -87,7 +137,7 @@ class BoundaryPoint:
             theta = (-2.0 * math.atan2(self.y, self.x)) % TWO_PI
             if theta == TWO_PI:
                 theta = 0.0
-            object.__setattr__(self, "_angle", theta)
+            _point_angle(self, theta)
         return theta
 
     @property
@@ -103,6 +153,12 @@ class BoundaryPoint:
 
     def approx(self, other: "BoundaryPoint", tol: float = ANGLE_TOL) -> bool:
         return self.angular_distance(other) <= tol
+
+
+_new = object.__new__
+_point_x = BoundaryPoint.x.__set__
+_point_y = BoundaryPoint.y.__set__
+_point_angle = BoundaryPoint._angle.__set__
 
 
 def boundary_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,8 +188,7 @@ class Geodesic:
             raise CoincidentEndpoints("geodesic endpoints coincide")
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(FrozenValue):
     """Orientation-preserving isometry of H, stored as a normalized matrix.
 
     Invariants: a*d - b*c == 1 and the canonical sign a + d > 0, or a + d == 0
@@ -141,10 +196,15 @@ class MoebiusMap:
     :meth:`from_matrix`, which normalizes arbitrary positive-determinant input.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
+    _fields = ("a", "b", "c", "d")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, a: float, b: float, c: float, d: float):
+        _map_a(self, a)
+        _map_b(self, b)
+        _map_c(self, c)
+        _map_d(self, d)
 
     @staticmethod
     def from_matrix(a: float, b: float, c: float, d: float) -> "MoebiusMap":
@@ -161,6 +221,12 @@ class MoebiusMap:
     @property
     def trace(self) -> float:
         return self.a + self.d
+
+
+_map_a = MoebiusMap.a.__set__
+_map_b = MoebiusMap.b.__set__
+_map_c = MoebiusMap.c.__set__
+_map_d = MoebiusMap.d.__set__
 
 
 def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:

@@ -1,10 +1,13 @@
-import dataclasses
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from semicert import (
+    BoundaryArc,
     BoundaryPoint,
     MoebiusMap,
     apply_boundary,
@@ -255,14 +258,14 @@ class TestAngle:
         assert 0.0 <= BoundaryPoint.of(x, y).angle < TWO_PI
 
     def test_reading_the_angle_changes_nothing_visible(self):
-        p, q = real(2.0), real(2.0)
+        p, q, unread = real(2.0), real(2.0), real(2.0)
 
         def visible(point):
-            return point == q, hash(point), repr(point), [f.name for f in dataclasses.fields(point)]
+            return point == unread, hash(point), repr(point)
 
         before = visible(p)
         assert p.angle == q.angle
-        assert visible(p) == before == (True, hash(q), repr(q), ["x", "y"])
+        assert visible(p) == before == visible(q) == (True, hash((p.x, p.y)), f"BoundaryPoint(x={p.x!r}, y={p.y!r})")
         assert isinstance(BoundaryPoint.__dict__["angle"], property)
 
     def test_atan2_runs_once_per_point(self, monkeypatch):
@@ -280,6 +283,58 @@ class TestAngle:
         monkeypatch.setattr(moebius_core, "math", CountingMath())
         assert p.angle == p.angle
         assert len(calls) == 1
+
+
+VALUES = [
+    (BoundaryPoint(0.6, 0.8), ("x", "y"), "BoundaryPoint(x=0.6, y=0.8)"),
+    (
+        BoundaryArc(BoundaryPoint(0.6, 0.8), BoundaryPoint(1.0, 0.0)),
+        ("start", "end"),
+        "BoundaryArc(start=BoundaryPoint(x=0.6, y=0.8), end=BoundaryPoint(x=1.0, y=0.0))",
+    ),
+    (MoebiusMap(2.0, 1.0, 1.0, 1.0), ("a", "b", "c", "d"), "MoebiusMap(a=2.0, b=1.0, c=1.0, d=1.0)"),
+]
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=["point", "arc", "map"])
+class TestValueSemantics:
+    """The value types built in bulk behave as frozen dataclasses do."""
+
+    def test_no_attribute_can_be_assigned_or_deleted(self, value, names, text):
+        fields = tuple(getattr(value, name) for name in names)
+        for name in (*names, "_angle"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 0.0)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert tuple(getattr(value, name) for name in names) == fields
+
+    def test_equality_hash_and_repr_follow_the_fields(self, value, names, text):
+        fields = tuple(getattr(value, name) for name in names)
+        twin = type(value)(*fields)
+        assert value == twin and not value != twin
+        assert value != fields and fields != value
+        assert hash(value) == hash(fields)
+        assert repr(value) == text
+
+    def test_copy_and_pickle_round_trip(self, value, names, text):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def test_a_copied_point_reads_its_angle():
+    p = real(-3.0)
+    theta = p.angle
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin.angle == theta
+
+
+def test_an_arc_with_equal_ends_is_refused():
+    p = BoundaryPoint(0.6, 0.8)
+    for end in (p, BoundaryPoint(0.6, 0.8)):
+        with pytest.raises(ValueError, match="^arc endpoints coincide$"):
+            BoundaryArc(p, end)
 
 
 class TestDistance:
