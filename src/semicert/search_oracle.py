@@ -5,17 +5,22 @@ reports label themselves accordingly.  Enumeration is breadth-first with
 deduplication by rounded normalized matrix, which collapses semigroups with
 many coincidences (the interesting ones) to a manageable state count.
 
-Deduplication works on whole levels.  A level's candidates are computed
-column-major, one contiguous array per matrix entry, in cache-sized blocks
-that go from product to canonical sign, key (the entries rounded to
-multiples of DEDUP_TOL) and 64-bit key hash before the next block starts.
-The level is sorted by hash, and the first candidate of each key is looked
-up in one sorted table holding the hashes of the elements stored before it.
-The table takes a level only when a later lookup needs it, so the last
-level of a sweep is never merged.  Equal hashes are always confirmed on the
-full key, recomputed for those candidates alone, so a hash collision costs
-time, never a wrong answer.  The inverse-free probe looks its inverses up
-in the same table.
+Deduplication works on whole levels, on one packed 64-bit word per entry:
+a prefix of the key hash in the high bits and a label, the entry's column
+in one flat store of matrices, in the low bits.  A level's candidates are
+computed column-major after the stored rows, in cache-sized blocks that go
+from product to canonical sign, key (the entries rounded to multiples of
+DEDUP_TOL) and hash before the next block starts.  One np.sort then orders
+the stored rows' words and the candidates' words together.  Equal keys have
+equal prefixes, and within a prefix the words sort by label, so a stored
+row comes before any candidate and the candidates come in candidate order:
+the first word of each run of equal prefixes is the element, and the rest
+are duplicates.  Equal prefixes are always confirmed on the full key,
+computed from the store for those entries alone.  A run that holds
+different keys is regrouped by key on its own, so a prefix collision costs
+time in that run, never a wrong answer.  The packed words are all distinct,
+so an unstable sort gives the same order on every numpy version.  The
+inverse-free probe sorts its inverses' words with the same table.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ CHAOS_CHAINS = 1024
 _MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Candidates per block of the sweep's product, sign, key and hash passes.
 _BLOCK = 16384
+# Store columns allocated up front; a longer sweep doubles the store.
+_STORE_COLUMNS = 1 << 19
+# Widest label field of a dedup word (2**39 stored rows would take 16 TiB).
+_LABEL_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -73,17 +82,20 @@ class _Bfs:
     Iterating yields (level, matrices of the new elements) for levels
     1..max_len, stopping early at the first level with nothing new.
 
-    Candidates are computed column-major, four contiguous arrays with one
-    per matrix entry, in blocks that stay in cache from product to hash (see
-    `_expand`).  A level's matrices are kept as the (n, 4) transpose of such
-    a (4, n) array.
+    Stored rows are numbered level by level from the root (row 0) and kept
+    in `store`, four contiguous arrays with one per matrix entry: row r is
+    column r, and a level's matrices are the (n, 4) transpose of its
+    columns.  A level's candidates are computed in the columns after the
+    stored rows, in blocks that stay in cache from product to hash (see
+    `_expand`); the new ones are then moved down in candidate order.
 
-    Stored rows are numbered level by level from the root (row 0).  The
-    dedup table is the sorted array `hashes` of the stored rows' key hashes
-    with each row's number alongside in `rows`; keys themselves are not
-    kept, but recomputed from the level matrices wherever two hashes match.
-    The table takes a level only when a later lookup needs it: the newest
-    level waits in `_pending`, so the last level of a sweep is never merged.
+    Dedup works on packed words, one uint64 per entry: the high bits hold
+    a prefix of the key hash and the low bits a label, the store column of
+    the entry's matrix.  The table `hashes` holds the words of the stored
+    rows, labelled by row number and in no particular order, except the
+    newest level's, which wait in `_pending`; `_join` sorts both with a
+    level's candidates.  Keys are not kept: they are computed from the
+    store wherever two prefixes match.
     """
 
     def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
@@ -96,14 +108,25 @@ class _Bfs:
         self.budget = budget
         self.words_explored = 0
         self.duplicates = 0
+        # Rows the sweep can keep: the root and the words up to max_len, within
+        # the budget.  Past 64 levels the label field is at its widest anyway.
+        count, levels = len(F), min(max_len, 64)
+        words = max_len if count == 1 else (count ** (levels + 1) - count) // (count - 1)
+        rows = max(int(min(words, budget)), 0) + 1
+        # Labels are store columns, and the inverse-free probe labels each
+        # row's inverse after the rows; no sweep that fits in memory needs
+        # more than _LABEL_BITS.
+        self.label_mask = np.uint64((1 << min((2 * rows).bit_length(), _LABEL_BITS)) - 1)
+        self.prefix_mask = ~self.label_mask
+        self.store = np.empty((4, min(rows, _STORE_COLUMNS)))
+        self.store[:, 0] = 1.0, 0.0, 0.0, 1.0
         # Per level: matrices, parent index into previous level, letter applied.
-        root = np.array([[1.0], [0.0], [0.0], [1.0]]).T
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [(root, np.array([-1]), np.array([-1]))]
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
+            (self.store[:, :1].T, np.array([-1]), np.array([-1]))
+        ]
         self.stored = 1  # rows numbered so far, the pending level's included
         self.hashes = np.empty(0, dtype=np.uint64)
-        self.rows = np.empty(0, dtype=np.int64)
-        # (table positions, hashes, row numbers) of the level not yet in the table.
-        self._pending = (np.array([0]), _mix(_keys(root)), np.array([0]))
+        self._pending = _mix(_keys(self.levels[0][0])) & self.prefix_mask
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
@@ -114,8 +137,7 @@ class _Bfs:
 
     def _step(self) -> np.ndarray:
         """Expand one level; returns the new frontier (may be empty)."""
-        w = self.levels[-1][0].T
-        width = w.shape[1]
+        width = self.levels[-1][0].shape[0]
         n_candidates = width * self.gens.shape[0]
         if self.words_explored + n_candidates > self.budget:
             raise BudgetExceeded(
@@ -123,112 +145,115 @@ class _Bfs:
                 f"the budget of {self.budget}"
             )
         self.words_explored += n_candidates
-        cols, hashes = self._expand(w)
-        first = _first_of_each_key(cols.T, hashes)
-        hashes = hashes[first]
-        at, found = self._lookup(cols.T, first, hashes)
-        new = found < 0
-        picked = first[new]  # the new candidates, in hash order
+        start = self.stored
+        self._reserve(n_candidates)
+        words = self._expand(start - width, n_candidates)
+        label, own = self._join(self.store, words)
+        at = np.flatnonzero((label >= start) & own)  # the new candidates, in prefix order
+        rows = label[at]
+        picked = rows - start
         count = picked.shape[0]
         self.duplicates += n_candidates - count
         if count == n_candidates:
-            # Every candidate is new (a free semigroup's levels): the level is
-            # the candidate array itself, and candidate k is row stored + k.
-            fresh, rows = np.arange(n_candidates), self.stored + picked
+            # Every candidate is new (a free semigroup's levels): each stays
+            # in its column, and its label is its row number.
+            fresh = np.arange(n_candidates)
         else:
             fresh = np.sort(picked)
-            cols = np.take(cols, fresh, axis=1)
-            # Each new row's number, in hash order.
+            for entry in self.store:
+                entry[start : start + count] = entry[start + fresh]
+            # Each new row's number, in prefix order.
             number = np.empty(n_candidates, dtype=np.int64)
-            number[fresh] = np.arange(self.stored, self.stored + count)
+            number[fresh] = np.arange(start, start + count)
             rows = number[picked]
-        letters, parents = np.divmod(fresh, width)
-        self.levels.append((cols.T, parents, letters))
-        self._pending = (at[new], hashes[new], rows)
+        # Candidates come in one run per letter, and `fresh` is sorted.
+        runs = np.searchsorted(fresh, np.arange(self.gens.shape[0] + 1) * width)
+        letters = np.repeat(np.arange(self.gens.shape[0]), np.diff(runs))
+        mats = self.store[:, start : start + count].T
+        self.levels.append((mats, fresh - letters * width, letters))
+        self.hashes = np.concatenate([self.hashes, self._pending])
+        self._pending = words[picked] & self.prefix_mask
+        self._pending |= rows.view(np.uint64)
         self.stored += count
-        return cols.T
+        return mats
 
-    def _expand(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates from frontier columns `w`, as (4, n) entries, and their key hashes.
+    def _reserve(self, n: int) -> None:
+        """Grow the store, if need be, to hold n columns after the stored rows."""
+        if self.stored + n <= self.store.shape[1]:
+            return
+        store = np.empty((4, max(2 * self.store.shape[1], self.stored + n)))
+        store[:, : self.stored] = self.store[:, : self.stored]
+        self.store, start = store, 0
+        for k, (mats, parents, letters) in enumerate(self.levels):
+            self.levels[k] = (store[:, start : start + mats.shape[0]].T, parents, letters)
+            start += mats.shape[0]
 
-        Candidate gi * width + k is generator gi applied to frontier row k.
-        Product, sign, key and hash run over blocks of at most _BLOCK
-        candidates, so that each block stays in cache from one pass to the
-        next; the keys themselves are not kept.
+    def _expand(self, frontier: int, n: int) -> np.ndarray:
+        """Write the n candidates from the frontier (store columns `frontier` on) after the stored rows.
+
+        Candidate gi * width + k is generator gi applied to frontier row k,
+        labelled by its store column.  Product, sign, key and hash run over
+        blocks of at most _BLOCK candidates, so that each block stays in
+        cache from one pass to the next; the keys themselves are not kept.
+        Returns the candidates' words.  A block whose keys leave float range
+        ends the sweep.
         """
+        w = self.store[:, frontier : self.stored]
+        cols = self.store[:, self.stored : self.stored + n]
         width = w.shape[1]
-        cols = np.empty((4, width * self.gens.shape[0]))
-        hashes = np.empty(cols.shape[1], dtype=np.uint64)
+        words = np.arange(self.stored, self.stored + n, dtype=np.uint64)
         term = np.empty(min(width, _BLOCK))
-        for gi, (a, b, c, d) in enumerate(self.gens):
-            for lo in range(0, width, _BLOCK):
-                hi = min(lo + _BLOCK, width)
-                span = slice(gi * width + lo, gi * width + hi)
-                block = cols[:, span]
-                w0, w1, w2, w3 = w[:, lo:hi]
-                t = term[: hi - lo]
-                for out, x, y, p, q in (
-                    (block[0], a, b, w0, w2),
-                    (block[1], a, b, w1, w3),
-                    (block[2], c, d, w0, w2),
-                    (block[3], c, d, w1, w3),
-                ):
-                    np.multiply(p, x, out=out)
-                    out += np.multiply(q, y, out=t)
-                hashes[span] = _mix(_keys(_canonical_sign_rows(block.T)))
-        return cols, hashes
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gi, (a, b, c, d) in enumerate(self.gens):
+                for lo in range(0, width, _BLOCK):
+                    hi = min(lo + _BLOCK, width)
+                    span = slice(gi * width + lo, gi * width + hi)
+                    block = cols[:, span]
+                    w0, w1, w2, w3 = w[:, lo:hi]
+                    t = term[: hi - lo]
+                    for out, x, y, p, q in (
+                        (block[0], a, b, w0, w2),
+                        (block[1], a, b, w1, w3),
+                        (block[2], c, d, w0, w2),
+                        (block[3], c, d, w1, w3),
+                    ):
+                        np.multiply(p, x, out=out)
+                        out += np.multiply(q, y, out=t)
+                    keys = _keys(_canonical_sign_rows(block.T))
+                    if not np.isfinite(keys.view(np.float64)).all():
+                        raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
+                    words[span] |= _mix(keys) & self.prefix_mask
+        return words
 
-    def _flush(self) -> None:
-        """Merge the pending level into the table.
+    def _join(self, mats: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Labels of the table, the pending level and `words`, sorted, and which is the first of its key.
 
-        Its k hashes are in hash order and each belongs before table
-        position `at`, so the j-th lands at `at[j] + j`.
+        Each word labels a column of `mats`, which starts with the stored
+        rows.  Sorted words put equal keys, whose prefixes are equal, in one
+        run of equal prefixes, in label order.  Only a run that holds
+        different keys is reordered, by key and then label.  Either way the
+        entries with one key are adjacent, and the first of them has the
+        lowest label.  Every word is distinct, so the sort gives the same
+        order whatever its algorithm.
         """
-        at, hashes, rows = self._pending
-        self._pending = (at[:0], hashes[:0], rows[:0])
-        place = at + np.arange(at.shape[0])
-        old = np.ones(self.hashes.shape[0] + at.shape[0], dtype=bool)
-        old[place] = False
-        self.hashes = _merged(self.hashes, hashes, place, old)
-        self.rows = _merged(self.rows, rows, place, old)
-
-    def _lookup(
-        self, mats: np.ndarray, which: np.ndarray, hashes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Table position of each sorted hash, and the stored row with each key or -1.
-
-        Entry i looks up `hashes[i]`, the key hash of row `which[i]` of
-        `mats`.  The pending level is merged first, so every stored row is
-        searched; keys are computed only where two hashes match.
-        """
-        self._flush()
-        at = np.searchsorted(self.hashes, hashes)
-        probe = np.minimum(at, self.hashes.shape[0] - 1)
-        hit = np.flatnonzero(self.hashes[probe] == hashes)
-        rows = self.rows[probe[hit]]
-        found = np.full(hashes.shape[0], -1, dtype=np.int64)
-        if (self._stored_keys(rows) == _keys_at(mats, which[hit])).all():
-            found[hit] = rows
-            return at, found
-        # Equal hashes with different keys: match against every stored key.
-        stored = _keys(np.concatenate([m for m, _, _ in self.levels]))
-        _, first, inverse = np.unique(
-            np.concatenate([stored, _keys_at(mats, which).T]), axis=0, return_index=True, return_inverse=True
-        )
-        match = first[inverse.reshape(-1)[stored.shape[0] :]]
-        known = match < stored.shape[0]
-        found[known] = match[known]
-        return at, found
-
-    def _stored_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Keys of stored rows, recomputed from the level matrices, one column each."""
-        starts = np.cumsum([0] + [mats.shape[0] for mats, _, _ in self.levels])
-        level = np.searchsorted(starts, rows, side="right") - 1
-        keys = np.empty((4, rows.shape[0]), dtype=np.int64)
-        for lv in np.unique(level):
-            at = level == lv
-            keys[:, at] = _keys_at(self.levels[lv][0], rows[at] - starts[lv])
-        return keys
+        merged = np.concatenate([self.hashes, self._pending, words])
+        merged.sort()
+        own = np.ones(merged.shape[0], dtype=bool)
+        np.greater(merged[1:] ^ merged[:-1], self.label_mask, out=own[1:])  # a new prefix
+        merged &= self.label_mask
+        label = merged.view(np.int64)
+        later = np.flatnonzero(~own)
+        clash = later[(_keys_at(mats, label[later]) != _keys_at(mats, label[later - 1])).any(axis=0)]
+        if clash.shape[0]:
+            run = np.cumsum(own)
+            member = np.flatnonzero(np.isin(run, run[clash]))
+            keys = _keys_at(mats, label[member])
+            run = run[member]
+            order = np.lexsort((*keys[::-1], run))
+            label[member] = label[member[order]]
+            keys = keys[:, order]
+            own[member[1:]] = (keys[:, 1:] != keys[:, :-1]).any(axis=0) | (run[1:] != run[:-1])
+        return label, own
 
 
 def _keys(mats: np.ndarray) -> np.ndarray:
@@ -245,44 +270,19 @@ def _keys(mats: np.ndarray) -> np.ndarray:
 
 
 def _mix(keys: np.ndarray) -> np.ndarray:
-    """64-bit hash of each key; callers compare keys wherever hashes are equal."""
+    """64-bit hash of each key; dedup words keep its high bits, and keys are compared where those match."""
     words = keys.view(np.uint64)
     hashes = np.zeros(words.shape[0], dtype=np.uint64)
     for col in range(4):
-        word = words[:, col]
-        hashes ^= word ^ (word >> np.uint64(29))
+        hashes ^= words[:, col]
         hashes *= _MIX_MULTIPLIER
         hashes ^= hashes >> np.uint64(32)
     return hashes
 
 
-def _merged(table: np.ndarray, new: np.ndarray, place: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """`table` with `new` written at positions `place` and the old entries, in order, at `old`."""
-    merged = np.empty(old.shape[0], dtype=table.dtype)
-    merged[place] = new
-    merged[old] = table
-    return merged
-
-
-def _keys_at(mats: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Keys of rows `index` of the column-major matrices `mats`, one column each."""
-    return _keys(np.take(mats.T, index, axis=1))
-
-
-def _first_of_each_key(mats: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """Index of the first row of `mats` with each distinct key, ordered by hash."""
-    order = np.argsort(hashes)
-    ordered = hashes[order]
-    repeat = ordered[1:] == ordered[:-1]
-    run = np.flatnonzero(repeat)
-    if run.shape[0] == 0:
-        return order
-    if (_keys_at(mats, order[run]) == _keys_at(mats, order[run + 1])).all():
-        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        return np.minimum.reduceat(order, starts)
-    # Equal hashes with different keys: group by the keys themselves.
-    first = np.unique(_keys(mats), axis=0, return_index=True)[1]
-    return first[np.argsort(hashes[first], kind="stable")]
+def _keys_at(mats: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Keys of columns `labels` of the (4, n) matrices `mats`, one column each."""
+    return _keys(np.take(mats, labels, axis=1))
 
 
 def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
@@ -294,7 +294,8 @@ def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
         if not undecided.any():
             break
         sign = np.where(undecided, np.sign(mats[:, col]), sign)
-    sign[sign == 0.0] = 1.0
+    else:
+        sign[sign == 0.0] = 1.0
     mats *= sign[:, None]
     return mats
 
@@ -375,23 +376,28 @@ def inverse_free_probe(
     bfs = _Bfs(F, max_len, budget)
     for _ in bfs:
         pass
-    a, b, c, d = rows = np.concatenate([mats.T for mats, _, _ in bfs.levels], axis=1)
+    n = bfs.stored
+    a, b, c, d = rows = bfs.store[:, :n]
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
     inverses = _canonical_sign_rows(np.stack([d, -b, -c, a]).T)
-    hashes = _mix(_keys(inverses))
-    order = np.argsort(hashes)  # the table is searched fastest in hash order
-    _, partner = bfs._lookup(inverses, order, hashes[order])
+    words = np.arange(n, 2 * n, dtype=np.uint64) | (_mix(_keys(inverses)) & bfs.prefix_mask)
+    label, own = bfs._join(np.concatenate([rows, inverses.T], axis=1), words)
+    # An inverse whose key came before it: the first entry with that key is the latest own one.
+    query = np.flatnonzero(~own & (label >= n))
+    heads = np.flatnonzero(own)
+    partner = label[heads[np.searchsorted(heads, query) - 1]]
     # Row 0 is the root; only enumerated words pair up.
-    paired = partner > 0
-    a, b, c, d = rows[:, order[paired]]
+    paired = (partner > 0) & (partner < n)
+    a, b, c, d = rows[:, label[query[paired]] - n]
     pa, pb, pc, pd = rows[:, partner[paired]]
-    prod_b = a * pb + b * pd
-    prod_c = c * pa + d * pc
-    prod_a = a * pa + b * pc
-    prod_d = c * pb + d * pd
-    dist = np.maximum.reduce(
-        [np.abs(np.abs(prod_a) - 1.0), np.abs(prod_b), np.abs(prod_c), np.abs(np.abs(prod_d) - 1.0)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is far from I
+        prod_b = a * pb + b * pd
+        prod_c = c * pa + d * pc
+        prod_a = a * pa + b * pc
+        prod_d = c * pb + d * pd
+        dist = np.maximum.reduce(
+            [np.abs(np.abs(prod_a) - 1.0), np.abs(prod_b), np.abs(prod_c), np.abs(np.abs(prod_d) - 1.0)]
+        )
     return not (dist < INVERSE_TOL).any()
 
 

@@ -1,12 +1,13 @@
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from semicert import certify, classify
+from semicert import MoebiusMap, certify, classify
 from semicert.cli import main
 from semicert.criteria_engine import certificate_to_dict
 
@@ -209,22 +210,25 @@ class TestCertifyCommand:
         assert result.output == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_oracle_budget_keeps_the_certificate(self, runner, tmp_path):
-        # Length 40 needs more words than the oracle's default budget; the
-        # certificate computed before the oracle ran must still be emitted.
-        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
-        result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", "40"])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
-        oracle = payload.pop("oracle")
         from semicert.cli import _load_generators
 
-        maps = _load_generators(str(src))
-        via_lib = certificate_to_dict(certify(maps), version=payload["tool_version"])
-        assert payload == json.loads(json.dumps(via_lib))
-        assert payload["kind"] == "rank_one_schottky"
-        assert set(oracle) == {"empirical", "max_len", "error"}
-        assert oracle["empirical"] is True and oracle["max_len"] == 40
-        assert "exceeds the budget of 2000000" in oracle["error"]
+        # Length 40 needs more words than the oracle's default budget, and
+        # the second family's length-2 products leave the float range; the
+        # certificate computed before the oracle ran must still be emitted.
+        huge = [MoebiusMap(1e150, 0.0, 0.0, 1.0), MoebiusMap(2.0, 1e149, 0.0, 1.0)]
+        for maps, max_len, error in (
+            (list(section_one_pair()), 40, "exploring 2460320 words exceeds the budget of 2000000"),
+            (huge, 6, "word products leave float range at length 2"),
+        ):
+            src = write_matrix_input(tmp_path / "in.json", maps)
+            result = runner.invoke(main, ["certify", "--input", str(src), "--max-words", str(max_len)])
+            assert result.exit_code == 0
+            payload = json.loads(result.output)
+            oracle = payload.pop("oracle")
+            via_lib = certificate_to_dict(certify(_load_generators(str(src))), version=payload["tool_version"])
+            assert payload == json.loads(json.dumps(via_lib))
+            assert payload["kind"] == "rank_one_schottky"
+            assert oracle == {"empirical": True, "max_len": max_len, "error": error}
 
     def test_repeller_mapped_below_rounding_ends_typed(self, runner, tmp_path):
         # The second map sends the shared alpha_0 = beta_1 to (0.0, 0.0) in floats.
@@ -387,6 +391,28 @@ class TestOracleCommand:
         angles = [p.angle for p in chaos_game(_load_generators(str(src)), 10_000, seed=3)]
         assert payload["chaos"]["angle_min"] == min(angles)
         assert payload["chaos"]["angle_max"] == max(angles)
+
+    def test_words_leaving_float_range_are_an_error(self, runner, tmp_path):
+        src = tmp_path / "in.json"
+        # Length-2 products reach 1e300, whose dedup key overflows.
+        generators = [{"matrix": [[1e150, 0], [0, 1]]}, {"matrix": [[2, 1e149], [0, 1]]}]
+        src.write_text(json.dumps({"generators": generators}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["oracle", "--input", str(src), "--max-len", "6"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: word products leave float range at length 2\n"
+
+    def test_huge_word_budget(self, runner, tmp_path):
+        from semicert import enumerate_words
+
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        args = ["oracle", "--input", str(src), "--max-len", "8", "--max-words", str(10**30)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["budget"] == 10**30
+        assert payload["words_explored"] == enumerate_words(list(section_one_pair()), 8).words_explored
 
     def test_negative_seed_is_a_usage_error(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))

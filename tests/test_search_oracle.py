@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,9 +104,9 @@ def agreement_case(name):
     return edge_generators(), 8
 
 
-def assert_same_sweep(F, max_len):
+def assert_same_sweep(F, max_len, budget=2_000_000):
     want_levels, want_duplicates, _ = reference_bfs(F, max_len)
-    bfs = _Bfs(F, max_len, 2_000_000)
+    bfs = _Bfs(F, max_len, budget)
     for _ in bfs:
         pass
     assert bfs.duplicates == want_duplicates
@@ -190,6 +191,32 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             enumerate_words([f, g], 30, budget=1000)
 
+    def test_budget_spent_exactly(self):
+        F, max_len = agreement_case("figure-two")
+        words = sum(len(F) ** level for level in range(1, max_len + 1))
+        assert_same_sweep(F, max_len, budget=words)
+        with pytest.raises(BudgetExceeded, match=f"exploring {words} words exceeds the budget of {words - 1}"):
+            enumerate_words(F, max_len, budget=words - 1)
+        for budget in (0, -1):
+            with pytest.raises(BudgetExceeded, match=f"exploring 5 words exceeds the budget of {budget}"):
+                enumerate_words(F, max_len, budget=budget)
+
+    def test_huge_budget(self):
+        for case in ("section-one", "coincident"):
+            assert_same_sweep(*agreement_case(case), budget=2**70)
+        # z -> -1/(z + 1) has order 3: the sweep closes long before max_len.
+        m = normalize([[0.0, -1.0], [1.0, 1.0]])
+        assert enumerate_words([m], 10**9, budget=2**70).words_explored == 3
+
+    def test_words_leaving_float_range_end_the_sweep(self):
+        # Length-2 products reach 1e300, whose key (entries / DEDUP_TOL) overflows.
+        F = [MoebiusMap(1e150, 0.0, 0.0, 1.0), MoebiusMap(2.0, 1e149, 0.0, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceeded, match="^word products leave float range at length 2$"):
+                enumerate_words(F, 6)
+            assert enumerate_words(F, 1).distinct_elements == 2
+
     def test_determinism(self):
         rng = np.random.default_rng(91)
         f, g = disjoint_pair(rng, 1.0, 2.0, 2.3)
@@ -242,6 +269,37 @@ class TestDedupTable:
         f, g = section_one_pair()
         assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
         assert inverse_free_probe([f, g], 6)
+
+    @pytest.mark.parametrize("case", ["section-one", "figure-two", "coincident", "edge-values"])
+    def test_few_hash_prefixes_stay_exact(self, case, monkeypatch):
+        # Four prefixes in all: runs of equal prefix mix different keys, both
+        # among a level's candidates and against the stored rows.
+        monkeypatch.setattr(search_oracle, "_mix", lambda keys: keys[:, 0].view(np.uint64) << np.uint64(62))
+        assert_same_sweep(*agreement_case(case))
+        f, g = section_one_pair()
+        assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
+        assert inverse_free_probe([f, g], 6)
+
+    def test_prefix_collisions_regroup_only_their_runs(self, monkeypatch):
+        # About one key in five hashes to prefix 0; the others keep their own.
+        mix = search_oracle._mix
+        monkeypatch.setattr(
+            search_oracle, "_mix", lambda keys: np.where(keys[:, 0] % 5 == 0, np.uint64(0), mix(keys))
+        )
+        regrouped = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: regrouped.append(len(keys[-1])) or lexsort(keys))
+        F, max_len = agreement_case("figure-two")
+        assert_same_sweep(F, max_len)
+        # The last level sorts 781 stored rows with 3,125 candidates.
+        assert regrouped and max(regrouped) < 3906 / 2
+
+    def test_store_growth_keeps_the_levels(self, monkeypatch):
+        monkeypatch.setattr(search_oracle, "_STORE_COLUMNS", 2)
+        for case in ("figure-two", "coincident"):
+            assert_same_sweep(*agreement_case(case))
+        f, g = section_one_pair()
+        assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
 
     @pytest.mark.parametrize("forced", [False, True], ids=["mixed", "forced-collisions"])
     def test_lagging_table_reaches_the_last_level(self, forced, monkeypatch):
