@@ -20,12 +20,20 @@ computed from the store for those entries alone.  A run that holds
 different keys is regrouped by key on its own, so a prefix collision costs
 time in that run, never a wrong answer.  The packed words are all distinct,
 so an unstable sort gives the same order on every numpy version.  The
-inverse-free probe sorts its inverses' words with the same table.
+inverse-free probe puts its inverses and their words after the stored rows
+and sorts them the same way.
+
+Each sweep has one working set: the store, one word per store column, and
+the join's sort buffer and flags.  It grows geometrically with the store,
+never past half of the machine's physical memory (a sweep that would need
+more ends with BudgetExceeded), and is reused level after level, so a
+level allocates little beyond the parents and letters it keeps.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -52,6 +60,9 @@ _BLOCK = 16384
 _STORE_COLUMNS = 1 << 19
 # Widest label field of a dedup word (2**39 stored rows would take 16 TiB).
 _LABEL_BITS = 40
+# Working-set bytes per store column: four entries, the word, its sort copy,
+# and a run-head and a new-row flag.
+_COLUMN_BYTES = 4 * 8 + 8 + 8 + 1 + 1
 
 
 @dataclass(frozen=True)
@@ -89,13 +100,18 @@ class _Bfs:
     stored rows, in blocks that stay in cache from product to hash (see
     `_expand`); the new ones are then moved down in candidate order.
 
-    Dedup works on packed words, one uint64 per entry: the high bits hold
-    a prefix of the key hash and the low bits a label, the store column of
-    the entry's matrix.  The table `hashes` holds the words of the stored
-    rows, labelled by row number and in no particular order, except the
-    newest level's, which wait in `_pending`; `_join` sorts both with a
-    level's candidates.  Keys are not kept: they are computed from the
-    store wherever two prefixes match.
+    Dedup works on packed words, one uint64 per column in `words`, aligned
+    with the store: the high bits hold a prefix of the key hash and the low
+    bits a label, the column of the entry's matrix.  `_join` sorts a copy
+    of the live words.  The table is the stored rows' words, `words[:table]`;
+    the newest level's words stay in its candidates' columns, under their
+    candidate labels, until `_settle` moves them down and relabels them
+    before the next join, so the last level never pays for it.  Keys are not
+    kept: they are computed from the store wherever two prefixes match.
+
+    The store, the words and the sort, run-head and new-row buffers form
+    one working set per sweep.  It grows geometrically, never past half of
+    the machine's memory, and is reused level after level.
     """
 
     def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
@@ -118,15 +134,18 @@ class _Bfs:
         # more than _LABEL_BITS.
         self.label_mask = np.uint64((1 << min((2 * rows).bit_length(), _LABEL_BITS)) - 1)
         self.prefix_mask = ~self.label_mask
-        self.store = np.empty((4, min(rows, _STORE_COLUMNS)))
+        # Labels of one block of columns, and two blocks of float scratch.
+        self.iota = np.arange(_BLOCK, dtype=np.uint64)
+        self.spare = np.empty((2, _BLOCK))
+        self.stored = self.table = 0
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.store = np.empty((4, 0))
+        self.words = np.empty(0, dtype=np.uint64)
+        self._grow(min(rows, _STORE_COLUMNS), 1)
         self.store[:, 0] = 1.0, 0.0, 0.0, 1.0
-        # Per level: matrices, parent index into previous level, letter applied.
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (self.store[:, :1].T, np.array([-1]), np.array([-1]))
-        ]
-        self.stored = 1  # rows numbered so far, the pending level's included
-        self.hashes = np.empty(0, dtype=np.uint64)
-        self._pending = _mix(_keys(self.levels[0][0])) & self.prefix_mask
+        self.words[0] = _mix(_keys(self.store[:, :1].T))[0] & self.prefix_mask
+        self.levels.append((self.store[:, :1].T, np.array([-1]), np.array([-1])))
+        self.stored = self.table = 1
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
@@ -145,64 +164,104 @@ class _Bfs:
                 f"the budget of {self.budget}"
             )
         self.words_explored += n_candidates
+        self._settle()
         start = self.stored
         self._reserve(n_candidates)
-        words = self._expand(start - width, n_candidates)
-        label, own = self._join(self.store, words)
-        at = np.flatnonzero((label >= start) & own)  # the new candidates, in prefix order
-        rows = label[at]
-        picked = rows - start
-        count = picked.shape[0]
+        self._expand(start - width, n_candidates)
+        end = start + n_candidates
+        label, own = self._join(end)
+        # Per column, whether it is the first of its key; every stored row is.
+        first = self._keep[:end]
+        first[label] = own
+        fresh = np.flatnonzero(first[start:])  # the new candidates, in candidate order
+        count = fresh.shape[0]
         self.duplicates += n_candidates - count
-        if count == n_candidates:
-            # Every candidate is new (a free semigroup's levels): each stays
-            # in its column, and its label is its row number.
-            fresh = np.arange(n_candidates)
-        else:
-            fresh = np.sort(picked)
+        if count < n_candidates:
+            moved = self._sorted[:count].view(np.float64)  # the sort buffer is free again
             for entry in self.store:
-                entry[start : start + count] = entry[start + fresh]
-            # Each new row's number, in prefix order.
-            number = np.empty(n_candidates, dtype=np.int64)
-            number[fresh] = np.arange(start, start + count)
-            rows = number[picked]
-        # Candidates come in one run per letter, and `fresh` is sorted.
+                np.take(entry[start:end], fresh, out=moved, mode="clip")
+                entry[start : start + count] = moved
+        # Candidates come in one run per letter, and `fresh` is sorted: it
+        # becomes the parents in place.
         runs = np.searchsorted(fresh, np.arange(self.gens.shape[0] + 1) * width)
-        letters = np.repeat(np.arange(self.gens.shape[0]), np.diff(runs))
+        for gi in range(1, self.gens.shape[0]):
+            fresh[runs[gi] : runs[gi + 1]] -= gi * width
+        parents, letters = fresh, np.repeat(np.arange(self.gens.shape[0]), np.diff(runs))
         mats = self.store[:, start : start + count].T
-        self.levels.append((mats, fresh - letters * width, letters))
-        self.hashes = np.concatenate([self.hashes, self._pending])
-        self._pending = words[picked] & self.prefix_mask
-        self._pending |= rows.view(np.uint64)
+        self.levels.append((mats, parents, letters))
         self.stored += count
         return mats
 
+    def _settle(self) -> None:
+        """Enter the newest level's words in the table: moved to its rows' columns and relabelled by row number."""
+        start, count = self.table, self.stored - self.table
+        self.table = self.stored
+        _, parents, letters = self.levels[-1]
+        width = self.levels[-2][0].shape[0] if count else 0
+        if count == width * self.gens.shape[0]:
+            return  # every candidate was new and stayed in its column
+        # Candidate gi * width + k sits in column start + gi * width + k.
+        runs = np.searchsorted(letters, np.arange(self.gens.shape[0] + 1))
+        moved = self._sorted[:count]
+        for gi in range(self.gens.shape[0]):
+            candidates = self.words[start + gi * width : start + (gi + 1) * width]
+            np.take(candidates, parents[runs[gi] : runs[gi + 1]], out=moved[runs[gi] : runs[gi + 1]], mode="clip")
+        moved &= self.prefix_mask
+        words = self.words[start : self.stored]
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            np.add(self.iota[: hi - lo], np.uint64(start + lo), out=words[lo:hi])
+        words |= moved
+
     def _reserve(self, n: int) -> None:
-        """Grow the store, if need be, to hold n columns after the stored rows."""
-        if self.stored + n <= self.store.shape[1]:
-            return
-        store = np.empty((4, max(2 * self.store.shape[1], self.stored + n)))
+        """Grow the working set, if need be, to hold n columns after the stored rows."""
+        need = self.stored + n
+        if need > self.store.shape[1]:
+            self._grow(max(2 * self.store.shape[1], need), need)
+
+    def _grow(self, columns: int, need: int) -> None:
+        """Move the working set to `columns` columns, `need` at least.
+
+        The working set takes at most half of the machine's physical memory:
+        fewer columns are allocated where `columns` would take more, and a
+        `need` that would take more ends the sweep.
+        """
+        memory = _physical_memory()
+        if memory is not None:
+            if need * _COLUMN_BYTES > memory // 2:
+                raise BudgetExceeded(
+                    f"the sweep needs {need} store columns, {need * _COLUMN_BYTES >> 20} MiB with its "
+                    f"working set, over half of the machine's {memory >> 20} MiB of memory"
+                )
+            columns = min(columns, memory // 2 // _COLUMN_BYTES)
+        store = np.empty((4, columns))
         store[:, : self.stored] = self.store[:, : self.stored]
-        self.store, start = store, 0
+        words = np.empty(columns, dtype=np.uint64)
+        words[: self.stored] = self.words[: self.stored]
+        self.store, self.words = store, words
+        self._sorted = np.empty(columns, dtype=np.uint64)
+        self._own = np.empty(columns, dtype=bool)
+        self._keep = np.empty(columns, dtype=bool)
+        start = 0
         for k, (mats, parents, letters) in enumerate(self.levels):
             self.levels[k] = (store[:, start : start + mats.shape[0]].T, parents, letters)
             start += mats.shape[0]
 
-    def _expand(self, frontier: int, n: int) -> np.ndarray:
+    def _expand(self, frontier: int, n: int) -> None:
         """Write the n candidates from the frontier (store columns `frontier` on) after the stored rows.
 
         Candidate gi * width + k is generator gi applied to frontier row k,
         labelled by its store column.  Product, sign, key and hash run over
         blocks of at most _BLOCK candidates, so that each block stays in
-        cache from one pass to the next; the keys themselves are not kept.
-        Returns the candidates' words.  A block whose keys leave float range
-        ends the sweep.
+        cache from one pass to the next; the keys themselves are not kept,
+        and the words go to the candidates' columns of `words`.  A block
+        whose keys leave float range ends the sweep.
         """
         w = self.store[:, frontier : self.stored]
         cols = self.store[:, self.stored : self.stored + n]
+        words = self.words[self.stored : self.stored + n]
         width = w.shape[1]
-        words = np.arange(self.stored, self.stored + n, dtype=np.uint64)
-        term = np.empty(min(width, _BLOCK))
+        term = self.spare[0]
         with np.errstate(over="ignore", invalid="ignore"):
             for gi, (a, b, c, d) in enumerate(self.gens):
                 for lo in range(0, width, _BLOCK):
@@ -222,32 +281,39 @@ class _Bfs:
                     keys = _keys(_canonical_sign_rows(block.T))
                     if not np.isfinite(keys.view(np.float64)).all():
                         raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
-                    words[span] |= _mix(keys) & self.prefix_mask
-        return words
+                    label = words[span]
+                    np.add(self.iota[: hi - lo], np.uint64(self.stored + span.start), out=label)
+                    label |= _mix(keys) & self.prefix_mask
 
-    def _join(self, mats: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Labels of the table, the pending level and `words`, sorted, and which is the first of its key.
+    def _join(self, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Labels of the words of store columns 0..end-1, sorted, and which is the first of its key.
 
-        Each word labels a column of `mats`, which starts with the stored
-        rows.  Sorted words put equal keys, whose prefixes are equal, in one
-        run of equal prefixes, in label order.  Only a run that holds
-        different keys is reordered, by key and then label.  Either way the
-        entries with one key are adjacent, and the first of them has the
-        lowest label.  Every word is distinct, so the sort gives the same
-        order whatever its algorithm.
+        The table comes first, and no two of its rows share a key.  Sorted
+        words put equal keys, whose prefixes are equal, in one run of equal
+        prefixes, in label order.  Only a run that holds different keys is
+        reordered, by key and then label.  Either way the entries with one
+        key are adjacent, and the first of them has the lowest label.  Every
+        word is distinct, so the sort gives the same order whatever its
+        algorithm.  Both results are views of the sweep's buffers.
         """
-        merged = np.concatenate([self.hashes, self._pending, words])
+        merged = self._sorted[:end]
+        merged[:] = self.words[:end]
         merged.sort()
-        own = np.ones(merged.shape[0], dtype=bool)
-        np.greater(merged[1:] ^ merged[:-1], self.label_mask, out=own[1:])  # a new prefix
+        own = self._own[:end]
+        own[0] = True
+        xor = self.spare[1].view(np.uint64)
+        for lo in range(1, end, _BLOCK):  # a new prefix
+            hi = min(lo + _BLOCK, end)
+            d = np.bitwise_xor(merged[lo:hi], merged[lo - 1 : hi - 1], out=xor[: hi - lo])
+            np.greater(d, self.label_mask, out=own[lo:hi])
         merged &= self.label_mask
         label = merged.view(np.int64)
-        later = np.flatnonzero(~own)
-        clash = later[(_keys_at(mats, label[later]) != _keys_at(mats, label[later - 1])).any(axis=0)]
+        later = np.flatnonzero(np.logical_not(own, out=self._keep[:end]))
+        clash = later[(_keys_at(self.store, label[later]) != _keys_at(self.store, label[later - 1])).any(axis=0)]
         if clash.shape[0]:
             run = np.cumsum(own)
             member = np.flatnonzero(np.isin(run, run[clash]))
-            keys = _keys_at(mats, label[member])
+            keys = _keys_at(self.store, label[member])
             run = run[member]
             order = np.lexsort((*keys[::-1], run))
             label[member] = label[member[order]]
@@ -285,6 +351,28 @@ def _keys_at(mats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _keys(np.take(mats, labels, axis=1))
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
+def _blocks(mats: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, (4, k) entry rows) of the (n, 4) matrices, in blocks of at most _BLOCK."""
+    for lo in range(0, mats.shape[0], _BLOCK):
+        yield lo, mats[lo : lo + _BLOCK].T
+
+
+def _elliptic(a: np.ndarray, d: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Whether each matrix with diagonal entries a, d is elliptic; `term` is scratch of at least a's size."""
+    t = term[: a.shape[0]]
+    np.abs(np.add(a, d, out=t), out=t)
+    return t < 2.0 - TRACE_TOL
+
+
 def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
     """Flip each row, in place, to the canonical sign of `MoebiusMap`; returns `mats`."""
     tr = mats[:, 0] + mats[:, 3]
@@ -314,20 +402,25 @@ def enumerate_words(
     elliptic_at: list[tuple[int, int]] = []
     elliptic_count = 0
     distinct = 0
+    dist, term = bfs.spare
     for level, mats in bfs:
         distinct += mats.shape[0]
-        dist = np.maximum(
-            np.maximum(np.abs(mats[:, 0] - 1.0), np.abs(mats[:, 1])),
-            np.maximum(np.abs(mats[:, 2]), np.abs(mats[:, 3] - 1.0)),
-        )
-        idx = int(np.argmin(dist))
-        if dist[idx] < best:
-            best = float(dist[idx])
-            best_at = (level, idx)
-        elliptic = np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - TRACE_TOL
-        elliptic_count += int(elliptic.sum())
-        for i in np.flatnonzero(elliptic)[: MAX_STORED_ELLIPTIC - len(elliptic_at)]:
-            elliptic_at.append((level, int(i)))
+        # A block of the level at a time, in the sweep's scratch: the first
+        # minimum of a level is the first minimum of the first block holding it.
+        for lo, (a, b, c, d) in _blocks(mats):
+            k, t = a.shape[0], term[: a.shape[0]]
+            near = np.abs(np.subtract(a, 1.0, out=dist[:k]), out=dist[:k])
+            np.maximum(near, np.abs(b, out=t), out=near)
+            np.maximum(near, np.abs(c, out=t), out=near)
+            np.maximum(near, np.abs(np.subtract(d, 1.0, out=t), out=t), out=near)
+            idx = int(np.argmin(near))
+            if near[idx] < best:
+                best = float(near[idx])
+                best_at = (level, lo + idx)
+            elliptic = _elliptic(a, d, term)
+            elliptic_count += int(np.count_nonzero(elliptic))
+            for i in np.flatnonzero(elliptic)[: MAX_STORED_ELLIPTIC - len(elliptic_at)]:
+                elliptic_at.append((level, lo + int(i)))
     return EnumerationReport(
         words_explored=bfs.words_explored,
         distinct_elements=distinct,
@@ -359,9 +452,10 @@ def find_elliptic(
     """First elliptic word in breadth-first order, or None within the budget."""
     bfs = _Bfs(F, max_len, budget)
     for level, mats in bfs:
-        elliptic = np.nonzero(np.abs(mats[:, 0] + mats[:, 3]) < 2.0 - TRACE_TOL)[0]
-        if elliptic.size:
-            return _reconstruct(bfs, level, int(elliptic[0]))
+        for lo, (a, _, _, d) in _blocks(mats):
+            elliptic = np.flatnonzero(_elliptic(a, d, bfs.spare[0]))
+            if elliptic.size:
+                return _reconstruct(bfs, level, lo + int(elliptic[0]))
     return None
 
 
@@ -376,12 +470,17 @@ def inverse_free_probe(
     bfs = _Bfs(F, max_len, budget)
     for _ in bfs:
         pass
+    bfs._settle()
     n = bfs.stored
-    a, b, c, d = rows = bfs.store[:, :n]
+    bfs._reserve(n)
+    # Each row's inverse goes to the column n after it, labelled by that column.
+    rows, inverses = bfs.store[:, :n], bfs.store[:, n : 2 * n]
+    a, b, c, d = rows
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
-    inverses = _canonical_sign_rows(np.stack([d, -b, -c, a]).T)
-    words = np.arange(n, 2 * n, dtype=np.uint64) | (_mix(_keys(inverses)) & bfs.prefix_mask)
-    label, own = bfs._join(np.concatenate([rows, inverses.T], axis=1), words)
+    inverses[:] = d, -b, -c, a
+    _canonical_sign_rows(inverses.T)
+    bfs.words[n : 2 * n] = np.arange(n, 2 * n, dtype=np.uint64) | (_mix(_keys(inverses.T)) & bfs.prefix_mask)
+    label, own = bfs._join(2 * n)
     # An inverse whose key came before it: the first entry with that key is the latest own one.
     query = np.flatnonzero(~own & (label >= n))
     heads = np.flatnonzero(own)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,21 @@ class TestOracleCommand:
         payload = json.loads(result.output)
         assert payload["budget"] == 10**30
         assert payload["words_explored"] == enumerate_words(list(section_one_pair()), 8).words_explored
+
+    def test_sweep_beyond_memory_is_an_error(self, runner, tmp_path, monkeypatch):
+        from semicert import search_oracle
+
+        # A budget far beyond memory on a machine of 8 MiB: the working set stops at 4 MiB.
+        monkeypatch.setattr(search_oracle, "_physical_memory", lambda: 8 << 20)
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        args = ["oracle", "--input", str(src), "--max-len", "60", "--max-words", str(10**30)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert re.fullmatch(
+            r"error: the sweep needs \d+ store columns, \d+ MiB with its working set, "
+            r"over half of the machine's 8 MiB of memory\n",
+            result.stderr,
+        )
 
     def test_negative_seed_is_a_usage_error(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))

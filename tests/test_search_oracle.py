@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,9 @@ def edge_generators():
         MoebiusMap(-0.5, -1.5 * t, 0.0, -2.0),  # negative trace: its words flip sign
         MoebiusMap(1.0, 0.0, 2.5 * t, 1.0),
     ]
+
+
+AGREEMENT_CASES = ["section-one", "figure-two", "figure-two-6", "coincident", "edge-values"]
 
 
 def agreement_case(name):
@@ -245,6 +249,47 @@ class TestEnumerate:
         assert report.min_identity_distance == best
         assert report.nearest_word == word
 
+    def test_memory_guard(self, monkeypatch):
+        # On a machine of 8 MiB the working set stops at 4 MiB, long before a budget of 2**70.
+        monkeypatch.setattr(search_oracle, "_physical_memory", lambda: 8 << 20)
+        message = (
+            r"^the sweep needs \d+ store columns, \d+ MiB with its working set, "
+            r"over half of the machine's 8 MiB of memory$"
+        )
+        F, _ = agreement_case("coincident")
+        with pytest.raises(BudgetExceeded, match=message):
+            enumerate_words(F, 60, budget=2**70)
+        bfs = _Bfs(F, 60, 2**70)
+        with pytest.raises(BudgetExceeded, match=message):
+            for _ in bfs:
+                pass
+        assert len(bfs.levels) <= 12
+        assert bfs.store.shape[1] * search_oracle._COLUMN_BYTES <= 4 << 20
+        # The probe's inverses need twice the rows of a sweep that fits.
+        F, max_len = agreement_case("figure-two-6")
+        monkeypatch.setattr(search_oracle, "_physical_memory", lambda: 2 * 30_000 * search_oracle._COLUMN_BYTES)
+        assert enumerate_words(F, max_len).distinct_elements == 19_530
+        with pytest.raises(BudgetExceeded, match="the sweep needs 39062 store columns"):
+            inverse_free_probe(F, max_len)
+        # Where the machine's memory is unknown, nothing caps the working set.
+        monkeypatch.setattr(search_oracle, "_physical_memory", lambda: None)
+        assert_same_sweep(*agreement_case("coincident"))
+
+    def test_traced_peak_is_the_working_set(self):
+        # To length 7, figure_two(0.1) keeps 97,656 store columns with their
+        # words, sort copies and flags (4.9 MB) and its levels (1.6 MB); a
+        # level copies neither its table nor its candidates' words.  The
+        # traced peak is 6.9 MB with numpy 2.4.
+        F = figure_two(0.1)
+        enumerate_words(F, 2)
+        tracemalloc.start()
+        try:
+            enumerate_words(F, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_min_distance_nonincreasing_in_length(self):
         f, g = section_one_pair()
         dists = [enumerate_words([f, g], n).min_identity_distance for n in (2, 4, 8, 12)]
@@ -252,7 +297,7 @@ class TestEnumerate:
 
 
 class TestDedupTable:
-    @pytest.mark.parametrize("case", ["section-one", "figure-two", "figure-two-6", "coincident", "edge-values"])
+    @pytest.mark.parametrize("case", AGREEMENT_CASES)
     def test_matches_the_set_of_bytes_reference(self, case):
         assert_same_sweep(*agreement_case(case))
 
@@ -295,9 +340,16 @@ class TestDedupTable:
         assert regrouped and max(regrouped) < 3906 / 2
 
     def test_store_growth_keeps_the_levels(self, monkeypatch):
+        def evidence(case):
+            return enumerate_words(*agreement_case(case)), inverse_free_probe(*agreement_case(case))
+
+        want = {case: evidence(case) for case in AGREEMENT_CASES}
         monkeypatch.setattr(search_oracle, "_STORE_COLUMNS", 2)
         for case in ("figure-two", "coincident"):
             assert_same_sweep(*agreement_case(case))
+        # The words and the join's buffers grow with the store.
+        for case in AGREEMENT_CASES:
+            assert evidence(case) == want[case]
         f, g = section_one_pair()
         assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
 
@@ -308,7 +360,7 @@ class TestDedupTable:
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         bfs = _Bfs([f, inverse(f)], 1, 2_000_000)
         assert [mats.shape[0] for _, mats in bfs] == [2]
-        assert bfs.hashes.shape[0] == 1  # the last level never entered the table
+        assert bfs.table == 1  # the last level never entered the table
         # The partner of f sits only in that last level; the probe merges it first.
         assert not inverse_free_probe([f, inverse(f)], 1)
         # z -> -1/(z + 1) has order 3: the sweep closes at level 3 with M^3 = I.
