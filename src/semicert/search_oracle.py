@@ -8,9 +8,10 @@ many coincidences (the interesting ones) to a manageable state count.
 Deduplication works on whole levels, on one packed 64-bit word per entry:
 a prefix of the key hash in the high bits and a label, the entry's column
 in one flat store of matrices, in the low bits.  A level's candidates are
-computed column-major after the stored rows, in cache-sized blocks that go
-from product to canonical sign, key (the entries rounded to multiples of
-DEDUP_TOL) and hash before the next block starts.  One np.sort then orders
+computed column-major after the stored rows, in cache-sized blocks of
+consecutive candidate columns, which may span several generators; a block
+goes from product to canonical sign, key (the entries rounded to multiples
+of DEDUP_TOL) and hash before the next block starts.  One np.sort then orders
 the stored rows' words and the candidates' words together.  Equal keys have
 equal prefixes, and within a prefix the words sort by label, so a stored
 row comes before any candidate and the candidates come in candidate order:
@@ -21,7 +22,8 @@ different keys is regrouped by key on its own, so a prefix collision costs
 time in that run, never a wrong answer.  The packed words are all distinct,
 so an unstable sort gives the same order on every numpy version.  The
 inverse-free probe puts its inverses and their words after the stored rows
-and sorts them the same way.
+and sorts them the same way.  The elliptic search tests its last level's
+candidates before their sort, and skips it when none is elliptic.
 
 Each sweep has one working set: the store, one word per store column, and
 the join's sort buffer and flags.  It grows geometrically with the store,
@@ -54,8 +56,9 @@ CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 1024
 # Odd multiplier of the dedup key hash.
 _MIX_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# Candidates per block of the sweep's product, sign, key and hash passes.
+# Candidate columns per block of the sweep's product, sign, key and hash passes.
 _BLOCK = 16384
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]])  # as a column of entries
 # Store columns allocated up front; a longer sweep doubles the store.
 _STORE_COLUMNS = 1 << 19
 # Widest label field of a dedup word (2**39 stored rows would take 16 TiB).
@@ -91,14 +94,18 @@ class _Bfs:
     """Level-synchronous breadth-first exploration with matrix deduplication.
 
     Iterating yields (level, matrices of the new elements) for levels
-    1..max_len, stopping early at the first level with nothing new.
+    1..max_len, stopping early at the first level with nothing new.  A level
+    is two steps: `_candidates` writes every candidate after the stored rows,
+    and `_select` joins them and keeps the new ones; `find_elliptic` leaves
+    its last level unjoined when none of its candidates is elliptic.
 
     Stored rows are numbered level by level from the root (row 0) and kept
     in `store`, four contiguous arrays with one per matrix entry: row r is
     column r, and a level's matrices are the (n, 4) transpose of its
     columns.  A level's candidates are computed in the columns after the
-    stored rows, in blocks that stay in cache from product to hash (see
-    `_expand`); the new ones are then moved down in candidate order.
+    stored rows, in blocks of consecutive candidate columns that stay in
+    cache from product to hash (see `_expand`); the new ones are then moved
+    down in candidate order.
 
     Dedup works on packed words, one uint64 per column in `words`, aligned
     with the store: the high bits hold a prefix of the key hash and the low
@@ -120,8 +127,9 @@ class _Bfs:
         if len(F) == 0:
             raise ValueError("need at least one generator")
         self.gens = np.array([[f.a, f.b, f.c, f.d] for f in F], dtype=np.float64)
-        self.max_len = max_len
-        self.budget = budget
+        # Each generator's columns (a, c) and (b, d), shaped to scale a (2, k) half of a frontier.
+        self.left, self.right = self.gens[:, 0::2, None, None].copy(), self.gens[:, 1::2, None, None].copy()
+        self.max_len, self.budget = max_len, budget
         self.words_explored = 0
         self.duplicates = 0
         # Rows the sweep can keep: the root and the words up to max_len, within
@@ -134,11 +142,13 @@ class _Bfs:
         # more than _LABEL_BITS.
         self.label_mask = np.uint64((1 << min((2 * rows).bit_length(), _LABEL_BITS)) - 1)
         self.prefix_mask = ~self.label_mask
-        # Labels of one block of columns, and two blocks of float scratch.
+        # Labels of one block of columns, and four blocks of float scratch.
         self.iota = np.arange(_BLOCK, dtype=np.uint64)
-        self.spare = np.empty((2, _BLOCK))
+        self.spare = np.empty((4, _BLOCK))
         self.stored = self.table = 0
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Generator numbers, and where each one's new rows start in the newest level.
+        self.letter_ids, self.runs = np.arange(count + 1), [0] * (count + 1)
         self.store = np.empty((4, 0))
         self.words = np.empty(0, dtype=np.uint64)
         self._grow(min(rows, _STORE_COLUMNS), 1)
@@ -149,46 +159,47 @@ class _Bfs:
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
-            mats = self._step()
+            self._candidates()
+            mats = self._select()
             if mats.shape[0] == 0:
                 return
             yield level, mats
 
-    def _step(self) -> np.ndarray:
-        """Expand one level; returns the new frontier (may be empty)."""
+    def _candidates(self) -> np.ndarray:
+        """Write the next level's candidates after the stored rows; returns their (n, 4) matrices."""
         width = self.levels[-1][0].shape[0]
-        n_candidates = width * self.gens.shape[0]
-        if self.words_explored + n_candidates > self.budget:
-            raise BudgetExceeded(
-                f"exploring {self.words_explored + n_candidates} words exceeds "
-                f"the budget of {self.budget}"
-            )
-        self.words_explored += n_candidates
+        n = width * self.gens.shape[0]
+        if self.words_explored + n > self.budget:
+            raise BudgetExceeded(f"exploring {self.words_explored + n} words exceeds the budget of {self.budget}")
+        self.words_explored += n
         self._settle()
-        start = self.stored
-        self._reserve(n_candidates)
-        self._expand(start - width, n_candidates)
+        self._reserve(n)
+        self._expand(self.stored - width, n)
+        return self.store[:, self.stored : self.stored + n].T
+
+    def _select(self) -> np.ndarray:
+        """Keep the new candidates as the next level; returns its matrices (may be empty)."""
+        width = self.levels[-1][0].shape[0]
+        start, n_candidates = self.stored, width * self.gens.shape[0]
         end = start + n_candidates
-        label, own = self._join(end)
-        # Per column, whether it is the first of its key; every stored row is.
-        first = self._keep[:end]
-        first[label] = own
-        fresh = np.flatnonzero(first[start:])  # the new candidates, in candidate order
+        self._join(end)  # leaves in `_keep` whether each column is the first of its key
+        fresh = np.flatnonzero(self._keep[start:end])  # the new candidates, in candidate order
         count = fresh.shape[0]
         self.duplicates += n_candidates - count
         if count < n_candidates:
             moved = self._sorted[:count].view(np.float64)  # the sort buffer is free again
-            for entry in self.store:
-                np.take(entry[start:end], fresh, out=moved, mode="clip")
-                entry[start : start + count] = moved
+            for entry in self.store[:, start:end]:
+                np.take(entry, fresh, out=moved, mode="clip")
+                entry[:count] = moved
         # Candidates come in one run per letter, and `fresh` is sorted: it
         # becomes the parents in place.
-        runs = np.searchsorted(fresh, np.arange(self.gens.shape[0] + 1) * width)
+        runs = self.runs = np.searchsorted(fresh, self.letter_ids * width).tolist()
         for gi in range(1, self.gens.shape[0]):
-            fresh[runs[gi] : runs[gi + 1]] -= gi * width
-        parents, letters = fresh, np.repeat(np.arange(self.gens.shape[0]), np.diff(runs))
+            if runs[gi] < runs[gi + 1]:
+                fresh[runs[gi] : runs[gi + 1]] -= gi * width
+        letters = self.letter_ids[:-1].repeat([b - a for a, b in zip(runs, runs[1:])])
         mats = self.store[:, start : start + count].T
-        self.levels.append((mats, parents, letters))
+        self.levels.append((mats, fresh, letters))
         self.stored += count
         return mats
 
@@ -196,16 +207,16 @@ class _Bfs:
         """Enter the newest level's words in the table: moved to its rows' columns and relabelled by row number."""
         start, count = self.table, self.stored - self.table
         self.table = self.stored
-        _, parents, letters = self.levels[-1]
+        _, parents, _ = self.levels[-1]
         width = self.levels[-2][0].shape[0] if count else 0
         if count == width * self.gens.shape[0]:
             return  # every candidate was new and stayed in its column
         # Candidate gi * width + k sits in column start + gi * width + k.
-        runs = np.searchsorted(letters, np.arange(self.gens.shape[0] + 1))
-        moved = self._sorted[:count]
+        moved, runs = self._sorted[:count], self.runs
         for gi in range(self.gens.shape[0]):
-            candidates = self.words[start + gi * width : start + (gi + 1) * width]
-            np.take(candidates, parents[runs[gi] : runs[gi + 1]], out=moved[runs[gi] : runs[gi + 1]], mode="clip")
+            if runs[gi] < runs[gi + 1]:
+                candidates = self.words[start + gi * width : start + (gi + 1) * width]
+                np.take(candidates, parents[runs[gi] : runs[gi + 1]], out=moved[runs[gi] : runs[gi + 1]], mode="clip")
         moved &= self.prefix_mask
         words = self.words[start : self.stored]
         for lo in range(0, count, _BLOCK):
@@ -251,39 +262,37 @@ class _Bfs:
         """Write the n candidates from the frontier (store columns `frontier` on) after the stored rows.
 
         Candidate gi * width + k is generator gi applied to frontier row k,
-        labelled by its store column.  Product, sign, key and hash run over
-        blocks of at most _BLOCK candidates, so that each block stays in
-        cache from one pass to the next; the keys themselves are not kept,
-        and the words go to the candidates' columns of `words`.  A block
-        whose keys leave float range ends the sweep.
+        labelled by its store column.  A block is a range of at most _BLOCK
+        consecutive candidate columns, which may span several generators:
+        the product runs once per generator's segment of it, and sign, key,
+        hash and labels once per block, which stays in cache from one pass
+        to the next.  So a narrow level costs one pass however many
+        generators it has.  The keys are not kept; the words go to the
+        candidates' columns of `words`.  Keys out of float range end the sweep.
         """
-        w = self.store[:, frontier : self.stored]
+        width = self.stored - frontier
+        top, bottom = self.store[:2, frontier : self.stored], self.store[2:, frontier : self.stored]
+        # The store as (2, 2, columns): row i, column j of each matrix.
+        quad = self.store.reshape(2, 2, -1)
         cols = self.store[:, self.stored : self.stored + n]
         words = self.words[self.stored : self.stored + n]
-        width = w.shape[1]
-        term = self.spare[0]
+        term = self.spare.reshape(2, 2, _BLOCK)
         with np.errstate(over="ignore", invalid="ignore"):
-            for gi, (a, b, c, d) in enumerate(self.gens):
-                for lo in range(0, width, _BLOCK):
-                    hi = min(lo + _BLOCK, width)
-                    span = slice(gi * width + lo, gi * width + hi)
-                    block = cols[:, span]
-                    w0, w1, w2, w3 = w[:, lo:hi]
-                    t = term[: hi - lo]
-                    for out, x, y, p, q in (
-                        (block[0], a, b, w0, w2),
-                        (block[1], a, b, w1, w3),
-                        (block[2], c, d, w0, w2),
-                        (block[3], c, d, w1, w3),
-                    ):
-                        np.multiply(p, x, out=out)
-                        out += np.multiply(q, y, out=t)
-                    keys = _keys(_canonical_sign_rows(block.T))
-                    if not np.isfinite(keys.view(np.float64)).all():
-                        raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
-                    label = words[span]
-                    np.add(self.iota[: hi - lo], np.uint64(self.stored + span.start), out=label)
-                    label |= _mix(keys) & self.prefix_mask
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                for gi in range(lo // width, (hi - 1) // width + 1):
+                    # Frontier rows k0..k1 give columns stored + gi * width + k.
+                    k0, k1 = max(lo - gi * width, 0), min(hi - gi * width, width)
+                    at = self.stored + gi * width
+                    out, t = quad[:, :, at + k0 : at + k1], term[:, :, : k1 - k0]
+                    np.multiply(self.left[gi], top[:, k0:k1], out=out)
+                    out += np.multiply(self.right[gi], bottom[:, k0:k1], out=t)
+                keys = _keys(_canonical_sign_rows(cols[:, lo:hi].T))
+                if not np.isfinite(keys.view(np.float64)).all():
+                    raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
+                label = words[lo:hi]
+                np.add(self.iota[: hi - lo], np.uint64(self.stored + lo), out=label)
+                label |= _mix(keys) & self.prefix_mask
 
     def _join(self, end: int) -> tuple[np.ndarray, np.ndarray]:
         """Labels of the words of store columns 0..end-1, sorted, and which is the first of its key.
@@ -294,7 +303,8 @@ class _Bfs:
         reordered, by key and then label.  Either way the entries with one
         key are adjacent, and the first of them has the lowest label.  Every
         word is distinct, so the sort gives the same order whatever its
-        algorithm.  Both results are views of the sweep's buffers.
+        algorithm.  Both results are views of the sweep's buffers, and
+        `_keep[:end]` is left flagging each column that is first of its key.
         """
         merged = self._sorted[:end]
         merged[:] = self.words[:end]
@@ -319,6 +329,10 @@ class _Bfs:
             label[member] = label[member[order]]
             keys = keys[:, order]
             own[member[1:]] = (keys[:, 1:] != keys[:, :-1]).any(axis=0) | (run[1:] != run[:-1])
+            later = np.flatnonzero(np.logical_not(own, out=self._keep[:end]))
+        # Each stored row is the first of its key, so only candidates come later.
+        self._keep[:end] = True
+        self._keep[label[later]] = False
         return label, own
 
 
@@ -330,7 +344,7 @@ def _keys(mats: np.ndarray) -> np.ndarray:
     the rounded rows are bytewise equal.
     """
     rounded = np.divide(mats, DEDUP_TOL)
-    np.round(rounded, out=rounded)
+    np.rint(rounded, out=rounded)
     rounded += 0.0  # squash negative zeros
     return rounded.view(np.int64)
 
@@ -373,15 +387,25 @@ def _elliptic(a: np.ndarray, d: np.ndarray, term: np.ndarray) -> np.ndarray:
     return t < 2.0 - TRACE_TOL
 
 
+def _first_elliptic(mats: np.ndarray, term: np.ndarray) -> int | None:
+    """Row of the first elliptic matrix among the (n, 4) matrices, or None."""
+    for lo, (a, _, _, d) in _blocks(mats):
+        hit = np.flatnonzero(_elliptic(a, d, term))
+        if hit.shape[0]:
+            return lo + int(hit[0])
+    return None
+
+
 def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
     """Flip each row, in place, to the canonical sign of `MoebiusMap`; returns `mats`."""
-    tr = mats[:, 0] + mats[:, 3]
-    sign = np.sign(tr)
+    trace = mats[:, 0] + mats[:, 3]
+    if trace.min(initial=1.0) > 0.0:  # no row flips
+        return mats
+    sign = np.sign(trace)
     for col in (0, 1, 2):
-        undecided = sign == 0.0
-        if not undecided.any():
+        if sign.all():  # no zero left (a NaN counts as decided)
             break
-        sign = np.where(undecided, np.sign(mats[:, col]), sign)
+        sign = np.where(sign == 0.0, np.sign(mats[:, col]), sign)
     else:
         sign[sign == 0.0] = 1.0
     mats *= sign[:, None]
@@ -402,22 +426,18 @@ def enumerate_words(
     elliptic_at: list[tuple[int, int]] = []
     elliptic_count = 0
     distinct = 0
-    dist, term = bfs.spare
     for level, mats in bfs:
         distinct += mats.shape[0]
         # A block of the level at a time, in the sweep's scratch: the first
         # minimum of a level is the first minimum of the first block holding it.
-        for lo, (a, b, c, d) in _blocks(mats):
-            k, t = a.shape[0], term[: a.shape[0]]
-            near = np.abs(np.subtract(a, 1.0, out=dist[:k]), out=dist[:k])
-            np.maximum(near, np.abs(b, out=t), out=near)
-            np.maximum(near, np.abs(c, out=t), out=near)
-            np.maximum(near, np.abs(np.subtract(d, 1.0, out=t), out=t), out=near)
-            idx = int(np.argmin(near))
+        for lo, block in _blocks(mats):
+            far = bfs.spare[:, : block.shape[1]]
+            near = np.abs(np.subtract(block, _IDENTITY, out=far), out=far).max(axis=0)
+            idx = int(near.argmin())
             if near[idx] < best:
                 best = float(near[idx])
                 best_at = (level, lo + idx)
-            elliptic = _elliptic(a, d, term)
+            elliptic = _elliptic(block[0], block[3], bfs.spare[0])
             elliptic_count += int(np.count_nonzero(elliptic))
             for i in np.flatnonzero(elliptic)[: MAX_STORED_ELLIPTIC - len(elliptic_at)]:
                 elliptic_at.append((level, lo + int(i)))
@@ -449,13 +469,23 @@ def _reconstruct(bfs: _Bfs, level: int, index: int) -> Word:
 def find_elliptic(
     F: Sequence[MoebiusMap], max_len: int, budget: int = DEFAULT_BUDGET
 ) -> Word | None:
-    """First elliptic word in breadth-first order, or None within the budget."""
+    """First elliptic word in breadth-first order, or None within the budget.
+
+    A level's new rows are some of its candidates, so the last level's
+    candidates are tested before its join: when none is elliptic, no new row
+    is either, and the answer is None without that join.
+    """
     bfs = _Bfs(F, max_len, budget)
-    for level, mats in bfs:
-        for lo, (a, _, _, d) in _blocks(mats):
-            elliptic = np.flatnonzero(_elliptic(a, d, bfs.spare[0]))
-            if elliptic.size:
-                return _reconstruct(bfs, level, lo + int(elliptic[0]))
+    for level in range(1, max_len + 1):
+        candidates = bfs._candidates()
+        if level == max_len and _first_elliptic(candidates, bfs.spare[0]) is None:
+            return None
+        mats = bfs._select()
+        if mats.shape[0] == 0:
+            return None
+        hit = _first_elliptic(mats, bfs.spare[0])
+        if hit is not None:
+            return _reconstruct(bfs, level, hit)
     return None
 
 

@@ -29,6 +29,8 @@ from semicert.search_oracle import (
     _Bfs,
     _canonical_sign_rows,
     _chaos_start,
+    _elliptic,
+    _keys,
     _reconstruct,
 )
 
@@ -306,6 +308,31 @@ class TestDedupTable:
         assert duplicates > 0
         assert (np.signbit(rows) & (rows == 0.0)).any()
         assert (np.abs(rows / DEDUP_TOL) % 1.0 == 0.5).any()
+        # The sweep's keys are the reference's bytes, ties to even and zeros unsigned.
+        assert [k.tobytes() for k in _keys(rows)] == [key(row) for row in rows]
+
+    def test_blocks_that_split_a_level(self, monkeypatch):
+        # Seven candidate columns per block: no case's generator count divides
+        # it, so blocks end inside generator runs and span several of them.
+        def evidence(F, max_len):
+            return enumerate_words(F, max_len), find_elliptic(F, max_len), inverse_free_probe(F, max_len)
+
+        want = {case: evidence(*agreement_case(case)) for case in AGREEMENT_CASES}
+        monkeypatch.setattr(search_oracle, "_BLOCK", 7)
+        for case in AGREEMENT_CASES:
+            assert_same_sweep(*agreement_case(case))
+            assert evidence(*agreement_case(case)) == want[case]
+
+    def test_a_narrow_level_hashes_once(self, monkeypatch):
+        # One block per level whatever the generator count: 30 levels of one
+        # new row each, plus the root, at five generators.
+        calls = []
+        mix = search_oracle._mix
+        monkeypatch.setattr(search_oracle, "_mix", lambda keys: calls.append(keys.shape[0]) or mix(keys))
+        f = normalize([[2.0, 0.0], [0.0, 1.0]])
+        report = enumerate_words([f] * 5, 30)
+        assert (report.distinct_elements, report.duplicate_classes) == (30, 120)
+        assert calls == [1] + [5] * 30
 
     @pytest.mark.parametrize("case", ["figure-two", "coincident", "edge-values"])
     def test_forced_collisions_stay_exact(self, case, monkeypatch):
@@ -398,6 +425,31 @@ class TestFindElliptic:
     def test_single_hyperbolic_has_none(self):
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         assert find_elliptic([f], 14) is None
+
+    @pytest.mark.parametrize("case", AGREEMENT_CASES)
+    def test_matches_the_first_elliptic_row_of_a_full_sweep(self, case):
+        F, max_len = agreement_case(case)
+        bfs = _Bfs(F, max_len, 2_000_000)
+        first = None
+        for level, mats in bfs:
+            hit = np.flatnonzero(_elliptic(mats[:, 0], mats[:, 3], np.empty(mats.shape[0])))
+            if hit.size:
+                first = (level, int(hit[0]))
+                break
+        if case == "figure-two":
+            # figure_two(0.1) has its first elliptic word at level 2, so max_len
+            # 2 finds it in the last level, which must then still be joined.
+            assert first is not None and first[0] == 2
+        for length in range(1, max_len + 1):
+            want = _reconstruct(bfs, *first) if first is not None and first[0] <= length else None
+            assert find_elliptic(F, length) == want
+
+    def test_no_join_for_a_last_level_without_elliptic_candidates(self, monkeypatch):
+        joins = []
+        join = _Bfs._join
+        monkeypatch.setattr(_Bfs, "_join", lambda bfs, end: joins.append(end) or join(bfs, end))
+        assert find_elliptic(list(section_one_pair()), 12) is None
+        assert len(joins) == 11
 
 
 class TestInverseFreeProbe:
