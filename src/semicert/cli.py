@@ -355,7 +355,7 @@ def cmd_render(input_path, output_path, cert_path, size, no_labels):
         maps = _load_generators(input_path)
         union = None
         if cert_path:
-            union = _union_from_certificate(_load(cert_path))
+            union = _union_from_certificate(_load(cert_path), cert_path)
         svg = render_figure(
             maps, union, RenderSpec(size=size, draw_labels=not no_labels)
         )
@@ -365,15 +365,20 @@ def cmd_render(input_path, output_path, cert_path, size, no_labels):
         _fail(exc)
 
 
-def _union_from_certificate(data: dict) -> ArcUnion | None:
-    arcs = data.get("union")
+def _union_from_certificate(data: dict, path: str) -> ArcUnion | None:
+    arcs, name = data.get("union"), "union[{}]"
     if arcs is None and "interval" in data:
-        arcs = [data["interval"]]
+        arcs, name = [data["interval"]], "interval"
     if arcs is None:
         return None
+
+    def angle(k: int, arc: dict, end: str) -> float:
+        where = f"{path}: {name.format(k)}.{end}.angle"
+        return _finite(arc[end]["angle"], where, "a finite angle in radians")
+
     try:
         return ArcUnion(
-            BoundaryArc.from_angles(a["start"]["angle"], a["end"]["angle"]) for a in arcs
+            BoundaryArc.from_angles(angle(k, a, "start"), angle(k, a, "end")) for k, a in enumerate(arcs)
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"certificate file has malformed arcs: {exc}") from exc

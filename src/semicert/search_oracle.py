@@ -21,15 +21,17 @@ computed from the store for those entries alone.  A run that holds
 different keys is regrouped by key on its own, so a prefix collision costs
 time in that run, never a wrong answer.  The packed words are all distinct,
 so an unstable sort gives the same order on every numpy version.  The
-inverse-free probe puts its inverses and their words after the stored rows
+inverse-free probe puts its inverses and their prefixes after the stored rows
 and sorts them the same way.  The elliptic search tests its last level's
 candidates before their sort, and skips it when none is elliptic.
 
-Each sweep has one working set: the store, one word per store column, and
-the join's sort buffer and flags.  It grows geometrically with the store,
-never past half of the machine's physical memory (a sweep that would need
-more ends with BudgetExceeded), and is reused level after level, so a
-level allocates little beyond the parents and letters it keeps.
+Each sweep has one working set: the store, the key-hash prefix of each
+store column (its label is the column, which the join adds as it copies
+the prefixes to sort), and the join's sort buffer and flags.  It grows
+geometrically with the store, never past half of the machine's physical
+memory (a sweep that would need more ends with BudgetExceeded), and is
+reused level after level, so a level allocates little beyond the parents
+and letters it keeps.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ _IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]])  # as a column of entries
 _STORE_COLUMNS = 1 << 19
 # Widest label field of a dedup word (2**39 stored rows would take 16 TiB).
 _LABEL_BITS = 40
-# Working-set bytes per store column: four entries, the word, its sort copy,
-# and a run-head and a new-row flag.
+# Working-set bytes per store column: four entries, the prefix, its labelled
+# sort copy, and a run-head and a new-row flag.
 _COLUMN_BYTES = 4 * 8 + 8 + 8 + 1 + 1
 
 
@@ -104,19 +106,17 @@ class _Bfs:
     column r, and a level's matrices are the (n, 4) transpose of its
     columns.  A level's candidates are computed in the columns after the
     stored rows, in blocks of consecutive candidate columns that stay in
-    cache from product to hash (see `_expand`); the new ones are then moved
-    down in candidate order.
+    cache from product to hash (see `_expand`); the new ones and their
+    prefixes are then moved down in candidate order.
 
-    Dedup works on packed words, one uint64 per column in `words`, aligned
-    with the store: the high bits hold a prefix of the key hash and the low
-    bits a label, the column of the entry's matrix.  `_join` sorts a copy
-    of the live words.  The table is the stored rows' words, `words[:table]`;
-    the newest level's words stay in its candidates' columns, under their
-    candidate labels, until `_settle` moves them down and relabels them
-    before the next join, so the last level never pays for it.  Keys are not
-    kept: they are computed from the store wherever two prefixes match.
+    Dedup works on packed words.  `words` holds the high bits of each, a
+    prefix of the key hash, one uint64 per column aligned with the store;
+    `_join` packs each prefix with its label, the column, into a sort copy.
+    A level's new prefixes move down with its new rows, so `words[:stored]`
+    is the whole table after every level.  Keys are not kept: they are
+    computed from the store wherever two prefixes match.
 
-    The store, the words and the sort, run-head and new-row buffers form
+    The store, the prefixes and the sort, run-head and new-row buffers form
     one working set per sweep.  It grows geometrically, never past half of
     the machine's memory, and is reused level after level.
     """
@@ -145,17 +145,17 @@ class _Bfs:
         # Labels of one block of columns, and four blocks of float scratch.
         self.iota = np.arange(_BLOCK, dtype=np.uint64)
         self.spare = np.empty((4, _BLOCK))
-        self.stored = self.table = 0
+        self.stored = 0
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # Generator numbers, and where each one's new rows start in the newest level.
-        self.letter_ids, self.runs = np.arange(count + 1), [0] * (count + 1)
+        # Generator numbers, and one past the last.
+        self.letter_ids = np.arange(count + 1)
         self.store = np.empty((4, 0))
         self.words = np.empty(0, dtype=np.uint64)
         self._grow(min(rows, _STORE_COLUMNS), 1)
         self.store[:, 0] = 1.0, 0.0, 0.0, 1.0
         self.words[0] = _mix(_keys(self.store[:, :1].T))[0] & self.prefix_mask
         self.levels.append((self.store[:, :1].T, np.array([-1]), np.array([-1])))
-        self.stored = self.table = 1
+        self.stored = 1
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         for level in range(1, self.max_len + 1):
@@ -172,7 +172,6 @@ class _Bfs:
         if self.words_explored + n > self.budget:
             raise BudgetExceeded(f"exploring {self.words_explored + n} words exceeds the budget of {self.budget}")
         self.words_explored += n
-        self._settle()
         self._reserve(n)
         self._expand(self.stored - width, n)
         return self.store[:, self.stored : self.stored + n].T
@@ -187,13 +186,14 @@ class _Bfs:
         count = fresh.shape[0]
         self.duplicates += n_candidates - count
         if count < n_candidates:
-            moved = self._sorted[:count].view(np.float64)  # the sort buffer is free again
-            for entry in self.store[:, start:end]:
-                np.take(entry, fresh, out=moved, mode="clip")
-                entry[:count] = moved
+            # Entries (as bit patterns) and prefixes move down through the free sort buffer.
+            moved = self._sorted[:count]
+            for row in (*self.store[:, start:end].view(np.uint64), self.words[start:end]):
+                np.take(row, fresh, out=moved, mode="clip")
+                row[:count] = moved
         # Candidates come in one run per letter, and `fresh` is sorted: it
         # becomes the parents in place.
-        runs = self.runs = np.searchsorted(fresh, self.letter_ids * width).tolist()
+        runs = np.searchsorted(fresh, self.letter_ids * width).tolist()
         for gi in range(1, self.gens.shape[0]):
             if runs[gi] < runs[gi + 1]:
                 fresh[runs[gi] : runs[gi + 1]] -= gi * width
@@ -202,27 +202,6 @@ class _Bfs:
         self.levels.append((mats, fresh, letters))
         self.stored += count
         return mats
-
-    def _settle(self) -> None:
-        """Enter the newest level's words in the table: moved to its rows' columns and relabelled by row number."""
-        start, count = self.table, self.stored - self.table
-        self.table = self.stored
-        _, parents, _ = self.levels[-1]
-        width = self.levels[-2][0].shape[0] if count else 0
-        if count == width * self.gens.shape[0]:
-            return  # every candidate was new and stayed in its column
-        # Candidate gi * width + k sits in column start + gi * width + k.
-        moved, runs = self._sorted[:count], self.runs
-        for gi in range(self.gens.shape[0]):
-            if runs[gi] < runs[gi + 1]:
-                candidates = self.words[start + gi * width : start + (gi + 1) * width]
-                np.take(candidates, parents[runs[gi] : runs[gi + 1]], out=moved[runs[gi] : runs[gi + 1]], mode="clip")
-        moved &= self.prefix_mask
-        words = self.words[start : self.stored]
-        for lo in range(0, count, _BLOCK):
-            hi = min(lo + _BLOCK, count)
-            np.add(self.iota[: hi - lo], np.uint64(start + lo), out=words[lo:hi])
-        words |= moved
 
     def _reserve(self, n: int) -> None:
         """Grow the working set, if need be, to hold n columns after the stored rows."""
@@ -261,14 +240,13 @@ class _Bfs:
     def _expand(self, frontier: int, n: int) -> None:
         """Write the n candidates from the frontier (store columns `frontier` on) after the stored rows.
 
-        Candidate gi * width + k is generator gi applied to frontier row k,
-        labelled by its store column.  A block is a range of at most _BLOCK
-        consecutive candidate columns, which may span several generators:
-        the product runs once per generator's segment of it, and sign, key,
-        hash and labels once per block, which stays in cache from one pass
-        to the next.  So a narrow level costs one pass however many
-        generators it has.  The keys are not kept; the words go to the
-        candidates' columns of `words`.  Keys out of float range end the sweep.
+        Candidate gi * width + k is generator gi applied to frontier row k.
+        A block is a range of at most _BLOCK consecutive candidate columns,
+        which may span several generators: the product runs once per generator's segment of it, and sign, key
+        and hash once per block, which stays in cache from one pass to the
+        next.  So a narrow level costs one pass however many generators it
+        has.  The keys are not kept; the hash prefixes go to the candidates'
+        columns of `words`.  Keys out of float range end the sweep.
         """
         width = self.stored - frontier
         top, bottom = self.store[:2, frontier : self.stored], self.store[2:, frontier : self.stored]
@@ -290,24 +268,26 @@ class _Bfs:
                 keys = _keys(_canonical_sign_rows(cols[:, lo:hi].T))
                 if not np.isfinite(keys.view(np.float64)).all():
                     raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
-                label = words[lo:hi]
-                np.add(self.iota[: hi - lo], np.uint64(self.stored + lo), out=label)
-                label |= _mix(keys) & self.prefix_mask
+                np.bitwise_and(_mix(keys), self.prefix_mask, out=words[lo:hi])
 
     def _join(self, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Labels of the words of store columns 0..end-1, sorted, and which is the first of its key.
+        """Labels of store columns 0..end-1 in the order of their words, and which is the first of its key.
 
-        The table comes first, and no two of its rows share a key.  Sorted
-        words put equal keys, whose prefixes are equal, in one run of equal
-        prefixes, in label order.  Only a run that holds different keys is
-        reordered, by key and then label.  Either way the entries with one
+        A column's word is its prefix with its label, the column, in the low
+        bits.  The table comes first, and no two of its rows share a key.
+        Sorted words put equal keys, whose prefixes are equal, in one run of
+        equal prefixes, in label order.  Only a run that holds different keys
+        is reordered, by key and then label.  Either way the entries with one
         key are adjacent, and the first of them has the lowest label.  Every
         word is distinct, so the sort gives the same order whatever its
         algorithm.  Both results are views of the sweep's buffers, and
         `_keep[:end]` is left flagging each column that is first of its key.
         """
         merged = self._sorted[:end]
-        merged[:] = self.words[:end]
+        for lo in range(0, end, _BLOCK):
+            hi = min(lo + _BLOCK, end)
+            np.add(self.iota[: hi - lo], np.uint64(lo), out=merged[lo:hi])
+            merged[lo:hi] |= self.words[lo:hi]
         merged.sort()
         own = self._own[:end]
         own[0] = True
@@ -500,16 +480,15 @@ def inverse_free_probe(
     bfs = _Bfs(F, max_len, budget)
     for _ in bfs:
         pass
-    bfs._settle()
     n = bfs.stored
     bfs._reserve(n)
-    # Each row's inverse goes to the column n after it, labelled by that column.
+    # Each row's inverse and its prefix go to the column n after it, which the join takes as its label.
     rows, inverses = bfs.store[:, :n], bfs.store[:, n : 2 * n]
     a, b, c, d = rows
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
     inverses[:] = d, -b, -c, a
     _canonical_sign_rows(inverses.T)
-    bfs.words[n : 2 * n] = np.arange(n, 2 * n, dtype=np.uint64) | (_mix(_keys(inverses.T)) & bfs.prefix_mask)
+    np.bitwise_and(_mix(_keys(inverses.T)), bfs.prefix_mask, out=bfs.words[n : 2 * n])
     label, own = bfs._join(2 * n)
     # An inverse whose key came before it: the first entry with that key is the latest own one.
     query = np.flatnonzero(~own & (label >= n))

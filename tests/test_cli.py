@@ -477,6 +477,23 @@ class TestRenderCommand:
         assert result.exit_code == 0
         assert plain.read_bytes() == overlay.read_bytes()
 
+    @pytest.mark.parametrize("layout", ["union", "interval"])
+    @pytest.mark.parametrize(
+        "angle", [10**400, True, "0.5", math.nan, math.inf], ids=["10**400", "true", "string", "NaN", "Infinity"]
+    )
+    def test_rejects_a_non_finite_or_non_numeric_angle(self, runner, tmp_path, layout, angle):
+        src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
+        arc = {"start": {"angle": angle}, "end": {"angle": 2.0}}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"union": [arc]} if layout == "union" else {"interval": arc}))
+        out = tmp_path / "out.svg"
+        result = runner.invoke(main, ["render", "--input", str(src), "--certificate", str(cert), "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        [line] = result.stderr.splitlines()
+        field = "union[0]" if layout == "union" else "interval"
+        assert line.startswith(f"error: {cert}: {field}.start.angle: expected a finite angle in radians, got ")
+
 
 class TestMisc:
     def test_version(self, runner):

@@ -381,13 +381,27 @@ class TestDedupTable:
         assert not inverse_free_probe([f, g, inverse(compose(f, g))], 3)
 
     @pytest.mark.parametrize("forced", [False, True], ids=["mixed", "forced-collisions"])
-    def test_lagging_table_reaches_the_last_level(self, forced, monkeypatch):
+    def test_words_are_the_prefixes_of_the_stored_rows(self, forced, monkeypatch):
+        # After a sweep, the last level included, `words` holds each stored
+        # row's key-hash prefix in row order, and no label bits.
+        if forced:
+            monkeypatch.setattr(search_oracle, "_mix", lambda keys: np.zeros(keys.shape[0], dtype=np.uint64))
+        for case in AGREEMENT_CASES:
+            bfs = _Bfs(*agreement_case(case), 2_000_000)
+            for _ in bfs:
+                pass
+            want = search_oracle._mix(_keys(bfs.store[:, : bfs.stored].T)) & bfs.prefix_mask
+            assert bfs.words[: bfs.stored].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["mixed", "forced-collisions"])
+    def test_the_last_level_reaches_the_probe(self, forced, monkeypatch):
         if forced:
             monkeypatch.setattr(search_oracle, "_mix", lambda keys: np.zeros(keys.shape[0], dtype=np.uint64))
         f = normalize([[2.0, 0.0], [0.0, 1.0]])
         bfs = _Bfs([f, inverse(f)], 1, 2_000_000)
         assert [mats.shape[0] for _, mats in bfs] == [2]
-        assert bfs.table == 1  # the last level never entered the table
+        # The last level is in the table: its prefixes sit in its rows' columns.
+        assert bfs.words[:3].tolist() == (search_oracle._mix(_keys(bfs.store[:, :3].T)) & bfs.prefix_mask).tolist()
         # The partner of f sits only in that last level; the probe merges it first.
         assert not inverse_free_probe([f, inverse(f)], 1)
         # z -> -1/(z + 1) has order 3: the sweep closes at level 3 with M^3 = I.
@@ -470,7 +484,9 @@ class TestInverseFreeProbe:
         assert report.elliptic_count == 0
         assert report.min_identity_distance > 10.0 * report.dedup_tol
 
-    @pytest.mark.parametrize("case", ["inverse-pair", "product-inverse", "section-one", "figure-two"])
+    @pytest.mark.parametrize(
+        "case", ["inverse-pair", "product-inverse", "section-one", "figure-two", "moved-partner-1", "moved-partner-2"]
+    )
     def test_matches_the_per_row_reference(self, case):
         # The probe looks whole arrays up in the table; this is the per-row loop it replaced.
         def reference(F, max_len):
@@ -487,14 +503,20 @@ class TestInverseFreeProbe:
             return True
 
         f, g = section_one_pair()
+        # Level 2 of `moved` keeps 14 of its 16 candidates, so q q, the only
+        # partner of the last generator, moves to a new column.
+        p, q = disjoint_pair(np.random.default_rng(98), 1.0, 2.0, 2.3)
+        moved = [p, q, compose(p, q), inverse(compose(q, q))]
         F, max_len = {
             "inverse-pair": ([f, inverse(f)], 4),
             "product-inverse": ([f, g, inverse(compose(f, g))], 3),
             "section-one": ([f, g], 10),
             "figure-two": (figure_two(0.1), 5),
+            "moved-partner-1": (moved, 1),
+            "moved-partner-2": (moved, 2),
         }[case]
         assert inverse_free_probe(F, max_len) == reference(F, max_len)
-        assert inverse_free_probe(F, max_len) == (case in ("section-one", "figure-two"))
+        assert inverse_free_probe(F, max_len) == (case in ("section-one", "figure-two", "moved-partner-1"))
 
 
 class TestChaosGame:
