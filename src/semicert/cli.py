@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .boundary_arcs import DEFAULT_MARGIN, ArcUnion, BoundaryArc
-from .criteria_engine import Inconclusive, arc_to_dict, certificate_to_dict, certify, multicone, point_to_dict
+from .criteria_engine import Inconclusive, certificate_to_dict, certify, multicone, point_to_dict, union_to_dict
 from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, ParseError
 from .moebius_core import BoundaryPoint, MoebiusMap, apply_boundary, classify, from_axis_and_length, normalize
 from .pair_geometry import Family
@@ -302,7 +302,7 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "multicone",
-        "union": [arc_to_dict(a) for a in union],
+        "union": union_to_dict(union),
         "images": images,
     }
     _emit(payload, fmt, output_path, ["multicone"])
@@ -371,17 +371,24 @@ def _union_from_certificate(data: dict, path: str) -> ArcUnion | None:
         arcs, name = [data["interval"]], "interval"
     if arcs is None:
         return None
+    if not isinstance(arcs, list):
+        raise ParseError(f"{path}: union: expected a list of arcs, got {reprlib.repr(arcs)}")
 
-    def angle(k: int, arc: dict, end: str) -> float:
-        where = f"{path}: {name.format(k)}.{end}.angle"
-        return _finite(arc[end]["angle"], where, "a finite angle in radians")
+    def field(obj, key: str, where: str):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where}: expected an object, got {reprlib.repr(obj)}")
+        if key not in obj:
+            raise ParseError(f"{where}.{key}: missing")
+        return obj[key]
 
-    try:
-        return ArcUnion(
-            BoundaryArc.from_angles(angle(k, a, "start"), angle(k, a, "end")) for k, a in enumerate(arcs)
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"certificate file has malformed arcs: {exc}") from exc
+    def arc(k: int, obj) -> BoundaryArc:
+        # Both ends are looked up before either angle, so a missing end is named first.
+        where = f"{path}: {name.format(k)}"
+        ends = [(f"{where}.{end}", field(obj, end, where)) for end in ("start", "end")]
+        angles = (_finite(field(p, "angle", w), f"{w}.angle", "a finite angle in radians") for w, p in ends)
+        return BoundaryArc.from_angles(*angles)
+
+    return ArcUnion(arc(k, a) for k, a in enumerate(arcs))
 
 
 if __name__ == "__main__":

@@ -22,8 +22,12 @@ different keys is regrouped by key on its own, so a prefix collision costs
 time in that run, never a wrong answer.  The packed words are all distinct,
 so an unstable sort gives the same order on every numpy version.  The
 inverse-free probe puts its inverses and their prefixes after the stored rows
-and sorts them the same way.  The elliptic search tests its last level's
-candidates before their sort, and skips it when none is elliptic.
+and sorts them the same way.
+
+One loop advances every sweep, level by level, for every caller.  A sweep
+may be given a last-level test, which sees the last level's candidates
+before their sort: when it says no, the sweep ends without that sort.  The
+elliptic search passes "some candidate is elliptic".
 
 Each sweep has one working set: the store, the key-hash prefix of each
 store column (its label is the column, which the join adds as it copies
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,10 +100,12 @@ class _Bfs:
     """Level-synchronous breadth-first exploration with matrix deduplication.
 
     Iterating yields (level, matrices of the new elements) for levels
-    1..max_len, stopping early at the first level with nothing new.  A level
-    is two steps: `_candidates` writes every candidate after the stored rows,
-    and `_select` joins them and keeps the new ones; `find_elliptic` leaves
-    its last level unjoined when none of its candidates is elliptic.
+    1..max_len, stopping early at the first level with nothing new; this
+    loop is the only place a level is advanced.  A level checks the budget,
+    writes every candidate after the stored rows (`_expand`), joins them
+    (`_join`) and keeps the new ones.  The optional `last_level` test gets
+    the (n, 4) candidates of level max_len before their join; when it
+    returns False, the sweep ends there, unjoined.
 
     Stored rows are numbered level by level from the root (row 0) and kept
     in `store`, four contiguous arrays with one per matrix entry: row r is
@@ -121,7 +127,7 @@ class _Bfs:
     the machine's memory, and is reused level after level.
     """
 
-    def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int):
+    def __init__(self, F: Sequence[MoebiusMap], max_len: int, budget: int, last_level: Callable | None = None):
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
         if len(F) == 0:
@@ -129,7 +135,7 @@ class _Bfs:
         self.gens = np.array([[f.a, f.b, f.c, f.d] for f in F], dtype=np.float64)
         # Each generator's columns (a, c) and (b, d), shaped to scale a (2, k) half of a frontier.
         self.left, self.right = self.gens[:, 0::2, None, None].copy(), self.gens[:, 1::2, None, None].copy()
-        self.max_len, self.budget = max_len, budget
+        self.max_len, self.budget, self.last_level = max_len, budget, last_level
         self.words_explored = 0
         self.duplicates = 0
         # Rows the sweep can keep: the root and the words up to max_len, within
@@ -158,50 +164,41 @@ class _Bfs:
         self.stored = 1
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        gens = self.gens.shape[0]
         for level in range(1, self.max_len + 1):
-            self._candidates()
-            mats = self._select()
-            if mats.shape[0] == 0:
+            width = self.levels[-1][0].shape[0]
+            start, n = self.stored, width * gens
+            if self.words_explored + n > self.budget:
+                raise BudgetExceeded(f"exploring {self.words_explored + n} words exceeds the budget of {self.budget}")
+            self.words_explored += n
+            self._reserve(n)
+            self._expand(start - width, n)
+            end = start + n
+            if level == self.max_len and self.last_level and not self.last_level(self.store[:, start:end].T):
+                return
+            self._join(end)  # leaves in `_keep` whether each column is the first of its key
+            fresh = np.flatnonzero(self._keep[start:end])  # the new candidates, in candidate order
+            count = fresh.shape[0]
+            self.duplicates += n - count
+            if count < n:
+                # Entries (as bit patterns) and prefixes move down through the free sort buffer.
+                moved = self._sorted[:count]
+                for row in (*self.store[:, start:end].view(np.uint64), self.words[start:end]):
+                    np.take(row, fresh, out=moved, mode="clip")
+                    row[:count] = moved
+            # Candidates come in one run per letter, and `fresh` is sorted: it
+            # becomes the parents in place.
+            runs = np.searchsorted(fresh, self.letter_ids * width).tolist()
+            for gi in range(1, gens):
+                if runs[gi] < runs[gi + 1]:
+                    fresh[runs[gi] : runs[gi + 1]] -= gi * width
+            letters = self.letter_ids[:-1].repeat([b - a for a, b in zip(runs, runs[1:])])
+            mats = self.store[:, start : start + count].T
+            self.levels.append((mats, fresh, letters))
+            self.stored += count
+            if count == 0:
                 return
             yield level, mats
-
-    def _candidates(self) -> np.ndarray:
-        """Write the next level's candidates after the stored rows; returns their (n, 4) matrices."""
-        width = self.levels[-1][0].shape[0]
-        n = width * self.gens.shape[0]
-        if self.words_explored + n > self.budget:
-            raise BudgetExceeded(f"exploring {self.words_explored + n} words exceeds the budget of {self.budget}")
-        self.words_explored += n
-        self._reserve(n)
-        self._expand(self.stored - width, n)
-        return self.store[:, self.stored : self.stored + n].T
-
-    def _select(self) -> np.ndarray:
-        """Keep the new candidates as the next level; returns its matrices (may be empty)."""
-        width = self.levels[-1][0].shape[0]
-        start, n_candidates = self.stored, width * self.gens.shape[0]
-        end = start + n_candidates
-        self._join(end)  # leaves in `_keep` whether each column is the first of its key
-        fresh = np.flatnonzero(self._keep[start:end])  # the new candidates, in candidate order
-        count = fresh.shape[0]
-        self.duplicates += n_candidates - count
-        if count < n_candidates:
-            # Entries (as bit patterns) and prefixes move down through the free sort buffer.
-            moved = self._sorted[:count]
-            for row in (*self.store[:, start:end].view(np.uint64), self.words[start:end]):
-                np.take(row, fresh, out=moved, mode="clip")
-                row[:count] = moved
-        # Candidates come in one run per letter, and `fresh` is sorted: it
-        # becomes the parents in place.
-        runs = np.searchsorted(fresh, self.letter_ids * width).tolist()
-        for gi in range(1, self.gens.shape[0]):
-            if runs[gi] < runs[gi + 1]:
-                fresh[runs[gi] : runs[gi + 1]] -= gi * width
-        letters = self.letter_ids[:-1].repeat([b - a for a, b in zip(runs, runs[1:])])
-        mats = self.store[:, start : start + count].T
-        self.levels.append((mats, fresh, letters))
-        self.stored += count
-        return mats
 
     def _reserve(self, n: int) -> None:
         """Grow the working set, if need be, to hold n columns after the stored rows."""
@@ -451,19 +448,16 @@ def find_elliptic(
 ) -> Word | None:
     """First elliptic word in breadth-first order, or None within the budget.
 
-    A level's new rows are some of its candidates, so the last level's
-    candidates are tested before its join: when none is elliptic, no new row
-    is either, and the answer is None without that join.
+    A level's new rows are some of its candidates, so the sweep's last-level
+    test looks for an elliptic candidate: when there is none, no new row is
+    elliptic either, and the sweep ends without that level's join.
     """
-    bfs = _Bfs(F, max_len, budget)
-    for level in range(1, max_len + 1):
-        candidates = bfs._candidates()
-        if level == max_len and _first_elliptic(candidates, bfs.spare[0]) is None:
-            return None
-        mats = bfs._select()
-        if mats.shape[0] == 0:
-            return None
-        hit = _first_elliptic(mats, bfs.spare[0])
+    # The test keeps its own scratch: one that referred to the sweep would
+    # keep the sweep's working set alive past this call.
+    term = np.empty(_BLOCK)
+    bfs = _Bfs(F, max_len, budget, last_level=lambda candidates: _first_elliptic(candidates, term) is not None)
+    for level, mats in bfs:
+        hit = _first_elliptic(mats, term)
         if hit is not None:
             return _reconstruct(bfs, level, hit)
     return None

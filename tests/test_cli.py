@@ -494,6 +494,25 @@ class TestRenderCommand:
         field = "union[0]" if layout == "union" else "interval"
         assert line.startswith(f"error: {cert}: {field}.start.angle: expected a finite angle in radians, got ")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"union": [{"start": 1}]}, "union[0].end: missing"),
+            ({"interval": None}, "interval: expected an object, got None"),
+            ({"union": {"a": 1}}, "union: expected a list of arcs, got {'a': 1}"),
+        ],
+        ids=["arc-without-end", "null-interval", "union-not-a-list"],
+    )
+    def test_names_the_malformed_field(self, runner, tmp_path, body, message):
+        src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps(body))
+        out = tmp_path / "out.svg"
+        result = runner.invoke(main, ["render", "--input", str(src), "--certificate", str(cert), "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert result.stderr.splitlines() == [f"error: {cert}: {message}"]
+
 
 class TestMisc:
     def test_version(self, runner):

@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -456,7 +458,11 @@ class TestFindElliptic:
             assert first is not None and first[0] == 2
         for length in range(1, max_len + 1):
             want = _reconstruct(bfs, *first) if first is not None and first[0] <= length else None
-            assert find_elliptic(F, length) == want
+            found = find_elliptic(F, length)
+            assert found == want
+            # `certify --max-words` reports the first elliptic word of the full sweep as this one.
+            elliptic = enumerate_words(F, length).elliptic_words
+            assert (elliptic[0] if elliptic else None) == found
 
     def test_no_join_for_a_last_level_without_elliptic_candidates(self, monkeypatch):
         joins = []
@@ -464,6 +470,21 @@ class TestFindElliptic:
         monkeypatch.setattr(_Bfs, "_join", lambda bfs, end: joins.append(end) or join(bfs, end))
         assert find_elliptic(list(section_one_pair()), 12) is None
         assert len(joins) == 11
+
+    def test_a_finished_search_frees_its_sweep(self, monkeypatch):
+        # A last-level test that referred to its sweep would make a reference
+        # cycle, and the working set would outlive the call until the cycle
+        # collector ran.
+        sweeps = []
+        init = _Bfs.__init__
+        monkeypatch.setattr(_Bfs, "__init__", lambda bfs, *a, **k: sweeps.append(weakref.ref(bfs)) or init(bfs, *a, **k))
+        gc.disable()
+        try:
+            assert find_elliptic(list(section_one_pair()), 8) is None
+            assert find_elliptic(figure_two(0.1), 3) is not None
+        finally:
+            gc.enable()
+        assert [ref() for ref in sweeps] == [None, None]
 
 
 class TestInverseFreeProbe:
