@@ -18,10 +18,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AxesDoNotCross, OverlappingArcs, VerificationFailed
-from .moebius_core import TWO_PI, BoundaryPoint, Classification, FrozenValue, MoebiusMap, apply_boundary, classify
+from .moebius_core import (
+    TWO_PI,
+    BoundaryPoint,
+    Classification,
+    FrozenValue,
+    MoebiusMap,
+    angle_pairs,
+    apply_boundary,
+    apply_boundary_arrays,
+    boundary_angles,
+    classify,
+    points_of,
+)
 
 # Verification margin below which a certificate is not trusted.
 DEFAULT_MARGIN = 1e-7
+
+# Canonical x, y and angle arrays of boundary points: the array form of a
+# sequence of `BoundaryPoint`s (see the kernel in `moebius_core`).
+PointArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Messages that the scalar and the array forms raise alike.
+_COINCIDENT_ENDS = "arc endpoints coincide"
+_EMPTY_UNION = "arc union must contain at least one arc"
+_EMPTY_INTERSECTION = "intersection around fixed point is empty"
+_WHOLE_CIRCLE_HULL = "hull around fixed point covers the whole circle"
 
 
 class BoundaryArc(FrozenValue):
@@ -38,7 +60,7 @@ class BoundaryArc(FrozenValue):
     def __init__(self, start: BoundaryPoint, end: BoundaryPoint):
         # Angles lie in [0, 2*pi): equal angles are zero angular distance.
         if start.angle == end.angle:
-            raise ValueError("arc endpoints coincide")
+            raise ValueError(_COINCIDENT_ENDS)
         _arc_start(self, start)
         _arc_end(self, end)
 
@@ -61,6 +83,11 @@ class BoundaryArc(FrozenValue):
 
 _arc_start = BoundaryArc.start.__set__
 _arc_end = BoundaryArc.end.__set__
+
+
+def arcs_of(start: PointArrays, end: PointArrays) -> list[BoundaryArc]:
+    """The arcs from start[k] to end[k], their points built once from the arrays."""
+    return list(map(BoundaryArc, points_of(*start), points_of(*end)))
 
 
 def ccw_gap(from_angle: float, to_angle: float) -> float:
@@ -107,35 +134,88 @@ def arc_between(p: BoundaryPoint, q: BoundaryPoint, containing: BoundaryPoint) -
     return arc
 
 
+def arcs_between(p: np.ndarray, q: np.ndarray, containing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`arc_between` on angle arrays: whether each arc runs from p (else from q), and where it exists.
+
+    An arc does not exist where `arc_between` raises ValueError.
+    """
+    forward = _contain(p, q, containing)
+    return forward, (p != q) & (forward | _contain(q, p, containing))
+
+
+def _contain(start: np.ndarray, end: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`contains` on angle arrays."""
+    offset = (p - start) % TWO_PI
+    return (0.0 < offset) & (offset < (end - start) % TWO_PI)
+
+
 class ArcUnion:
     """Finite union of open arcs with pairwise disjoint closures.
 
     Arcs are kept sorted by start angle, and `starts` holds those angles for
     bisection; arcs whose closures meet are rejected rather than merged, and
-    the assembly answers that rejection with deeper cuts.
+    the assembly answers that rejection with deeper cuts.  A union built by
+    :meth:`of_arrays` holds its arcs as the kernel's arrays, which the
+    screened verifier reads, and builds the arc objects on first use of `arcs`.
     """
 
-    __slots__ = ("arcs", "starts")
+    __slots__ = ("_arcs", "_arrays", "starts")
 
     def __init__(self, arcs: Iterable[BoundaryArc]):
         ordered = sorted(arcs, key=lambda a: a.start.angle)
         if not ordered:
-            raise ValueError("arc union must contain at least one arc")
+            raise ValueError(_EMPTY_UNION)
         if len(ordered) > 1:
             for cur, nxt in zip(ordered, ordered[1:] + ordered[:1]):
                 # The closure of `cur` must end strictly before `nxt` begins.
                 if ccw_gap(cur.start.angle, nxt.start.angle) <= cur.span:
-                    raise OverlappingArcs(
-                        f"arc closures intersect near angle {cur.end.angle:.6f}"
-                    )
-        self.arcs = tuple(ordered)
+                    raise _overlapping(cur.end.angle)
+        self._arcs = tuple(ordered)
+        self._arrays: tuple[PointArrays, PointArrays] | None = None
         self.starts = [a.start.angle for a in ordered]
+
+    @staticmethod
+    def of_arrays(start: PointArrays, end: PointArrays) -> "ArcUnion":
+        """The union of the arcs start[k] -> end[k], checked and sorted as the constructor does."""
+        if not len(start[2]):
+            raise ValueError(_EMPTY_UNION)
+        if (start[2] == end[2]).any():
+            raise ValueError(_COINCIDENT_ENDS)
+        order = np.argsort(start[2], kind="stable")
+        start, end = (tuple(v[order] for v in side) for side in (start, end))
+        if len(order) > 1:
+            overlap = (np.roll(start[2], -1) - start[2]) % TWO_PI <= (end[2] - start[2]) % TWO_PI
+            if overlap.any():
+                raise _overlapping(float(end[2][np.argmax(overlap)]))
+        union = object.__new__(ArcUnion)
+        union._arcs, union._arrays, union.starts = None, (start, end), start[2].tolist()
+        return union
+
+    @property
+    def arcs(self) -> tuple[BoundaryArc, ...]:
+        if self._arcs is None:
+            self._arcs = tuple(arcs_of(*self._arrays))
+        return self._arcs
+
+    def arrays(self) -> tuple[PointArrays, PointArrays]:
+        """The start and end points of the arcs, as arrays."""
+        if self._arrays is None:
+            self._arrays = tuple(_point_arrays([getattr(a, side) for a in self.arcs]) for side in ("start", "end"))
+        return self._arrays
 
     def __iter__(self):
         return iter(self.arcs)
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self.starts)
+
+
+def _overlapping(end_angle: float) -> OverlappingArcs:
+    return OverlappingArcs(f"arc closures intersect near angle {end_angle:.6f}")
+
+
+def _point_arrays(points: Sequence[BoundaryPoint]) -> PointArrays:
+    return tuple(np.array([getattr(p, name) for p in points]) for name in ("x", "y", "angle"))
 
 
 def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[float, float] | None:
@@ -237,72 +317,99 @@ def schottky_margin(
     land in the sliver.  `classes` are the generators' classifications,
     when the caller holds them; otherwise they are classified here.
 
-    Every pair of generator and union arc is decided by the scalar
-    `_enclosing` check, or screened out by :func:`_screen` once there are
-    SCREEN_MIN_PAIRS = 32 pairs or more, where the screen was measured to
-    start paying for itself.  The screen maps every arc's start, end
-    and midpoint by every generator at once in numpy and replays the check
-    on those angles.  It leaves to the scalar check every pair with a
-    decision within SCREEN_TOL = 1e-12 rad of its threshold, every pair it
-    finds not contained, and every pair whose clearance is within SCREEN_TOL
-    of the least one.  Its angles are within about 1e-15 rad of the scalar
-    ones, so a screened-out pair is contained in scalar too, with a
-    clearance above the minimum.  The result, -inf or the scalar clearance
-    of the minimising pair, is therefore bit-identical to the all-scalar
-    loop.  On n = 32 assembled unions the scalar check runs on about 3% of
-    the pairs: the images of one strongly contracting generator, whose
-    clearances agree to the last few ulps.
+    Below SCREEN_MIN_PAIRS = 32 pairs of generator and union arc, every pair
+    is decided by the scalar `_enclosing` check.  From there on, where the
+    screen was measured to start paying for itself, :func:`_screened_margin`
+    decides them on the union's arrays, with the same result; it builds no
+    object, so a union of :meth:`ArcUnion.of_arrays` builds no arc here.
     """
-    for k in classes if classes is not None else map(classify, generators):
+    if classes is None:
+        classes = [classify(f) for f in generators]
+    if len(generators) * len(union) >= SCREEN_MIN_PAIRS:
+        return _screened_margin(generators, classes, *union.arrays())
+    for k in classes:
         # Components are disjoint, so only the last one starting at or before beta can hold it.
         if k.beta is not None and contains(union.arcs[bisect_right(union.starts, k.beta.angle) - 1], k.beta):
             return -math.inf
     worst = math.inf
     arc_points = [(a.start, a.end, a.midpoint) for a in union]
-    if len(generators) * len(union) < SCREEN_MIN_PAIRS:
-        candidates = [(i, k) for i in range(len(generators)) for k in range(len(arc_points))]
-    else:
-        candidates = _screen(generators, union, arc_points)
-    for i, k in candidates:
-        found = _enclosing(_image_angles(generators[i], arc_points[k]), union)
-        if found is None:
-            return -math.inf
-        worst = min(worst, min(found))
+    for f in generators:
+        for points in arc_points:
+            found = _enclosing(_image_angles(f, points), union)
+            if found is None:
+                return -math.inf
+            worst = min(worst, min(found))
     return worst
 
 
-@np.errstate(all="ignore")  # images that overflow or vanish are left to the scalar check
-def _screen(
-    generators: Sequence[MoebiusMap], union: ArcUnion, arc_points: list[tuple[BoundaryPoint, ...]]
-) -> list[tuple[int, int]]:
-    """The (generator, arc) pairs, in order, that the scalar check must decide.
+@np.errstate(all="ignore")  # images that overflow or vanish are not placed
+def _screened_margin(
+    generators: Sequence[MoebiusMap], classes: Sequence[Classification], start: PointArrays, end: PointArrays
+) -> float:
+    """:func:`schottky_margin` on arrays, bit for bit, with the pairs to decide narrowed by :func:`_screen`.
 
-    Replays `_image_angles`, `_enclosing` and `_clearances` on arrays of
-    shape (generators, arcs).  Returns a pair when an image point is not
-    safely placeable, when a decision lies within SCREEN_TOL of its
-    threshold (a collapse guard, a 1e-9 slack, a clearance against the
-    span), when the screen finds it not contained, or when its clearance is
-    within SCREEN_TOL of the least screened one.  That covers the other
-    decisions too.  An image start near a component start (the choice of
-    component, or `lead` wrapping from 2*pi to 0) or an image end near a
-    component end gives a clearance within SCREEN_TOL of 0, so near the
-    least; near the next component's start, `lead` exceeds the span or
-    comes within SCREEN_TOL of it.
+    The repelling points are checked on the arcs' angles with the arithmetic
+    of :func:`contains`.  The arcs' midpoints and the images of the pairs
+    that the screen leaves are computed with the kernel of `moebius_core`,
+    and decided by `_array_clearances`, whose arithmetic is that of
+    `_clearances`: each pair is decided as in the scalar loop.  A pair the
+    screen leaves out is contained in scalar too, with a clearance above the
+    least, so the result, -inf or the clearance of the minimising pair, is
+    the scalar one bit for bit.  On n = 32 assembled unions the screen
+    leaves about 3% of the pairs: the images of one strongly contracting
+    generator, whose clearances agree to the last few ulps.
     """
-    maps = np.array([(f.a, f.b, f.c, f.d) for f in generators]).T[:, :, None, None]
-    pts = np.array([[(p.x, p.y) for p in points] for points in arc_points]).transpose(2, 0, 1)[:, None]
-    angle, placed = _array_images(maps, pts)
-    p = angle[..., 0]
-    starts = np.array(union.starts)
-    ends = np.array([a.end.angle for a in union])
-    spans = np.array([a.span for a in union])
-    comp = np.searchsorted(starts, p, side="right") - 1
+    betas = np.array([k.beta.angle for k in classes if k.beta is not None], dtype=float)
+    comp = np.searchsorted(start[2], betas, side="right") - 1
+    if _contain(start[2][comp], end[2][comp], betas).any():
+        return -math.inf
+    maps, pts, starts, ends, spans = _screen_inputs(generators, start, end)
+    rows, cols = _screen(maps, pts, starts, ends, spans)
+    x, y, placed = apply_boundary_arrays(maps[:, rows, None], pts[0, cols], pts[1, cols])
+    angle = boundary_angles(x, y)
+    comp = np.searchsorted(starts, angle[:, 0], side="right") - 1
+    lead, tail, inside, _ = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
+    if not (placed.all(axis=-1) & inside & (lead + tail > 0.0)).all():
+        return -math.inf
+    return float(np.minimum(lead, tail).min())
+
+
+def _screen_inputs(generators: Sequence[MoebiusMap], start: PointArrays, end: PointArrays) -> tuple[np.ndarray, ...]:
+    """What :func:`_screen` reads: the generators' entries, the arcs' points and their start and end angles and spans."""
+    spans = (end[2] - start[2]) % TWO_PI
+    mid = angle_pairs(start[2] + 0.5 * spans)
+    pts = np.array([[start[0], end[0], mid[0]], [start[1], end[1], mid[1]]]).transpose(0, 2, 1)
+    maps = np.array([(f.a, f.b, f.c, f.d) for f in generators]).T
+    return maps, pts, start[2], end[2], spans
+
+
+def _screen(
+    maps: np.ndarray, pts: np.ndarray, starts: np.ndarray, ends: np.ndarray, spans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generator and arc indices of the pairs, in order, that the exact check must decide.
+
+    `maps` holds the generators' entries a, b, c, d on its first axis, and
+    `pts` the x and y of each arc's start, end and midpoint (shape (2,
+    arcs, 3)).  Replays `_image_angles`, `_enclosing` and `_clearances` on
+    arrays of shape (generators, arcs), with numpy's hypot and arctan2.
+    Returns a pair when an image point is not safely placeable, when a
+    decision lies within SCREEN_TOL of its threshold (a collapse guard, a
+    1e-9 slack, a clearance against the span), when the screen finds it not
+    contained, or when its clearance is within SCREEN_TOL of the least
+    screened one.  That covers the other decisions too.  An image start
+    near a component start (the choice of component, or `lead` wrapping
+    from 2*pi to 0) or an image end near a component end gives a clearance
+    within SCREEN_TOL of 0, so near the least; near the next component's
+    start, `lead` exceeds the span or comes within SCREEN_TOL of it.
+    """
+    angle, placed = _array_images(maps[:, :, None, None], pts[:, None])
+    comp = np.searchsorted(starts, angle[..., 0], side="right") - 1
     lead, tail, inside, near = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
     near |= ~placed
     inside &= lead + tail > 0.0
     clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
     pick = near | ~inside | (clear <= clear.min() + SCREEN_TOL)
-    return list(zip(*(axis.tolist() for axis in np.nonzero(pick))))
+    return np.nonzero(pick)
 
 
 def _array_images(maps: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +563,7 @@ def intersect_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> Bound
     """Largest arc around `point` inside each of `arcs` (each must contain the point)."""
     lead, tail = _reach(point, arcs, min)
     if lead <= 0.0 or tail <= 0.0:
-        raise VerificationFailed("intersection around fixed point is empty")
+        raise VerificationFailed(_EMPTY_INTERSECTION)
     return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
 
 
@@ -464,7 +571,7 @@ def hull_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryAr
     """Smallest arc around `point` holding each of `arcs` (each must contain the point)."""
     lead, tail = _reach(point, arcs, max)
     if lead + tail >= TWO_PI:
-        raise VerificationFailed("hull around fixed point covers the whole circle")
+        raise VerificationFailed(_WHOLE_CIRCLE_HULL)
     return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
 
 
@@ -473,3 +580,49 @@ def _reach(point: BoundaryPoint, arcs: Sequence[BoundaryArc], pick) -> tuple[flo
     lead = pick(ccw_gap(a.start.angle, point.angle) for a in arcs)
     tail = pick(ccw_gap(point.angle, a.end.angle) for a in arcs)
     return lead, tail
+
+
+def intersections_around(
+    points: np.ndarray, owner: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[PointArrays, PointArrays]:
+    """:func:`intersect_around` of each angle points[i] and the arcs k with owner[k] == i, on angle arrays.
+
+    Returns the start and end points of the arcs; raises the error that the
+    scalar calls, in order of i, raise first.
+    """
+    lead, tail = _reaches(points, owner, starts, ends, np.minimum, math.inf)
+    return _arcs_around(points, lead, tail, (lead <= 0.0) | (tail <= 0.0), _EMPTY_INTERSECTION)
+
+
+def hulls_around(
+    points: np.ndarray, owner: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[PointArrays, PointArrays]:
+    """:func:`hull_around` of each angle points[i] and the arcs k with owner[k] == i, as :func:`intersections_around`."""
+    lead, tail = _reaches(points, owner, starts, ends, np.maximum, -math.inf)
+    return _arcs_around(points, lead, tail, lead + tail >= TWO_PI, _WHOLE_CIRCLE_HULL)
+
+
+def _reaches(points, owner, starts, ends, pick, empty) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_reach` of every point, with the ufunc `pick` and `empty` for a point without arcs."""
+    lead, tail = np.full(len(points), empty), np.full(len(points), empty)
+    pick.at(lead, owner, (points[owner] - starts) % TWO_PI)
+    pick.at(tail, owner, (ends - points[owner]) % TWO_PI)
+    return lead, tail
+
+
+def _arcs_around(points, lead, tail, failed, message) -> tuple[PointArrays, PointArrays]:
+    """`BoundaryArc.from_angles(points - lead, points + tail)` on arrays, after the check `failed`.
+
+    The first i where `failed` holds raises VerificationFailed(message), or
+    where the endpoints coincide, ValueError, as the arc's constructor does.
+    """
+    x, y = angle_pairs(np.concatenate([points - lead, points + tail]))
+    angle = boundary_angles(x, y)
+    m = len(points)
+    start, end = (x[:m], y[:m], angle[:m]), (x[m:], y[m:], angle[m:])
+    bad = failed | (start[2] == end[2])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VerificationFailed(message) if failed[i] else ValueError(_COINCIDENT_ENDS)
+    return start, end
+

@@ -17,7 +17,7 @@ import click
 from . import __version__
 from .boundary_arcs import DEFAULT_MARGIN, ArcUnion, BoundaryArc
 from .criteria_engine import Inconclusive, certificate_to_dict, certify, multicone, point_to_dict, union_to_dict
-from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, ParseError
+from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, OverlappingArcs, ParseError
 from .moebius_core import BoundaryPoint, MoebiusMap, apply_boundary, classify, from_axis_and_length, normalize
 from .pair_geometry import Family
 from .render import RenderSpec, render_figure
@@ -385,10 +385,17 @@ def _union_from_certificate(data: dict, path: str) -> ArcUnion | None:
         # Both ends are looked up before either angle, so a missing end is named first.
         where = f"{path}: {name.format(k)}"
         ends = [(f"{where}.{end}", field(obj, end, where)) for end in ("start", "end")]
-        angles = (_finite(field(p, "angle", w), f"{w}.angle", "a finite angle in radians") for w, p in ends)
-        return BoundaryArc.from_angles(*angles)
+        angles = [_finite(field(p, "angle", w), f"{w}.angle", "a finite angle in radians") for w, p in ends]
+        try:
+            return BoundaryArc.from_angles(*angles)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
 
-    return ArcUnion(arc(k, a) for k, a in enumerate(arcs))
+    built = [arc(k, a) for k, a in enumerate(arcs)]
+    try:
+        return ArcUnion(built)
+    except (ValueError, OverlappingArcs) as exc:  # only a union can be empty or overlap
+        raise ParseError(f"{path}: union: {exc}") from exc
 
 
 if __name__ == "__main__":

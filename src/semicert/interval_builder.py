@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,17 @@ from .boundary_arcs import (
     DEFAULT_MARGIN,
     ArcUnion,
     BoundaryArc,
+    PointArrays,
     arc_between,
     arc_image,
+    arcs_between,
+    arcs_of,
     complement,
     hull_around,
+    hulls_around,
     image_clearances,
     intersect_around,
+    intersections_around,
     schottky_margin,
 )
 from .errors import (
@@ -47,8 +53,13 @@ from .moebius_core import (
     Geodesic,
     MoebiusMap,
     apply_boundary,
+    apply_boundary_arrays,
     axis_chart,
+    boundary_angles,
+    boundary_values,
+    canonical_pairs,
     compose,
+    exact_map,
     from_boundary_triple,
     inverse,
 )
@@ -158,6 +169,28 @@ def _cut_positions(tau: np.ndarray, floor: np.ndarray, extra: float) -> np.ndarr
     return np.where(gap <= 0.0, shallow, deep)
 
 
+def _exact_cut_floors(c: np.ndarray, crossing: np.ndarray) -> np.ndarray:
+    """:func:`_cut_floor` of admitted pairs from their cross ratios, bit for bit.
+
+    The angle and distance are those of `_decode`; the transcendental
+    functions go through `math`, with :func:`exact_map`.
+    """
+    floors = np.empty(len(c))
+    theta = 2.0 * exact_map(math.atan, np.sqrt(-c[crossing]))
+    floors[crossing] = exact_map(math.atanh, exact_map(math.cos, 0.5 * np.minimum(theta, math.pi - theta)))
+    distance = 2.0 * exact_map(math.atanh, 1.0 / np.sqrt(c[~crossing]))
+    floors[~crossing] = exact_map(math.asinh, 1.0 / exact_map(math.sinh, 0.5 * distance))
+    return floors
+
+
+def _exp(height: float) -> float:
+    """math.exp, or NaN where it overflows: the cut is then rerun in scalar, which raises the OverflowError."""
+    try:
+        return math.exp(height)
+    except OverflowError:
+        return math.nan
+
+
 def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
     """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
 
@@ -171,11 +204,12 @@ def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
     return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
 
 
-# Screen of the cut ranking: an owner's entry is rescored in scalar when its
+# Screen of the cut ranking: an owner's entry is rescored exactly (in scalar,
+# or with the kernel of `moebius_core` on an array pair table) when its
 # t + s or t - s lies within AXIS_SCREEN_TOL of the owner's max or min, and a
 # pair is admitted or skipped in scalar when its lesser translation length
-# lies within AXIS_SCREEN_TOL of its pair gate.  The array t differs from the
-# scalar one by about 1e-14 while both logs stay within AXIS_SCREEN_LOG, the
+# lies within AXIS_SCREEN_TOL of its pair gate.  The screened t differs from the
+# exact one by about 1e-14 while both logs stay within AXIS_SCREEN_LOG, the
 # gates by a few ulps, and the cut floors by at most about 1e-11 where
 # trusted (a crossing floor atanh(x) with 1 - x^2 >= AXIS_FLOOR_CONDITION);
 # entries beyond these bounds are always rescored.
@@ -199,11 +233,13 @@ class _AxisTable:
       off `family`, and the axis position t of an ordered pair, each
       computed once;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
-      and the arc cut at one height.
+      and the arc cut at one height; :meth:`cuts`, many cuts on arrays.
 
     A family with the pair table as arrays is admitted from the arrays:
     gates and cut floors come from numpy, and a pair is decided, and a skip
-    note written, in scalar where the gate screen cannot decide it.
+    note written, in scalar where the gate screen cannot decide it.  Its
+    cut ranking reads exact positions and cut floors from the kernel of
+    `moebius_core`, each computed once.
     """
 
     def __init__(self, family: Family):
@@ -224,7 +260,10 @@ class _AxisTable:
             floors = np.array([self.floors[key] for key in keys])
             trusted = np.ones(len(keys), dtype=bool)
         else:
-            keys, notes, floors, trusted = self._admit(family)
+            keys, notes, floors, trusted, self._key_c, self._key_crossing = self._admit(family)
+            # NaN marks a value not computed yet: no exact position or floor is NaN.
+            self._exact_t = np.full(2 * len(keys), math.nan)
+            self._exact_floor = np.full(len(keys), math.nan)
         self.notes = tuple(notes)
         self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
         self._key_floors = floors
@@ -233,8 +272,8 @@ class _AxisTable:
         self._screen: tuple[np.ndarray, ...] | None = None
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
-    def _admit(self, family: Family) -> tuple[list, list, np.ndarray, np.ndarray]:
-        """Admitted keys, skip notes, cut floors and their trust, from the family's arrays."""
+    def _admit(self, family: Family) -> tuple[list, list, np.ndarray, ...]:
+        """Admitted keys, skip notes, cut floors and their trust, cross ratios and crossing flags, from the arrays."""
         n = len(family.cls)
         rows, cols = np.triu_indices(n, 1)
         pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
@@ -260,7 +299,7 @@ class _AxisTable:
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
         keys = list(zip(rows[admit].tolist(), cols[admit].tolist()))
-        return keys, notes, floors[admit], trusted[admit]
+        return keys, notes, floors[admit], trusted[admit], c[admit], crossing[admit]
 
     def floor(self, i: int, j: int) -> float:
         """The scalar cut floor of pair (i, j); raises ThresholdNotMet below its pair gate."""
@@ -283,21 +322,58 @@ class _AxisTable:
         Perpendiculars to one line nest, so the innermost a arc is cut at the
         largest t + s and the innermost b arc at the smallest t - s; equal
         heights cut equal arcs, so no tie needs a rule.  From
-        AXIS_SCREEN_MIN_PAIRS entries on, the loop runs only over the
+        AXIS_SCREEN_MIN_PAIRS entries on, the ranking reads only the
         :meth:`_candidates`, which hold every entry that can win, so it finds
         the same heights as over all entries.  None marks an owner without one.
         """
-        entries = self.entries
-        if len(entries) >= AXIS_SCREEN_MIN_PAIRS:
-            entries = [entries[e] for e in self._candidates(extra)]
+        picked = range(len(self.entries))
+        if len(self.entries) >= AXIS_SCREEN_MIN_PAIRS:
+            picked = self._candidates(extra)
+        if self.family.kinds is not None:
+            return self._innermost_arrays(np.array(picked, dtype=int), extra)
         cls = self.family.cls
         heights: list[tuple[float, float] | None] = [None] * len(cls)
-        for owner, partner in entries:
+        for owner, partner in (self.entries[e] for e in picked):
             t = self.position(owner, partner)
             s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
             top, bottom = heights[owner] or (-math.inf, math.inf)
             heights[owner] = (max(top, t + s), min(bottom, t - s))
         return heights
+
+    def _innermost_arrays(self, picked: np.ndarray, extra: float) -> list[tuple[float, float] | None]:
+        """:meth:`innermost` over the entries `picked`, on arrays with exact positions and floors."""
+        owner = self._entry_arrays[0, picked]
+        t = self._exact_positions(picked)
+        s = _cut_positions(self._taus[owner], self._exact_floors(picked // 2), extra)
+        n = len(self.family.cls)
+        top, bottom, held = np.full(n, -math.inf), np.full(n, math.inf), np.zeros(n, dtype=bool)
+        np.maximum.at(top, owner, t + s)
+        np.minimum.at(bottom, owner, t - s)
+        held[owner] = True
+        return [(u, v) if h else None for u, v, h in zip(top.tolist(), bottom.tolist(), held.tolist())]
+
+    def _exact_positions(self, picked: np.ndarray) -> np.ndarray:
+        """:meth:`position` of the entries `picked`, from the kernel, bit for bit."""
+        todo = picked[np.isnan(self._exact_t[picked])]
+        if todo.size:
+            owner, partner = self._entry_arrays[:, todo]
+            logs = []
+            for x, y in self._fixed_points:
+                x, y, placed = apply_boundary_arrays(self._to_axis_entries[:, owner], x[partner], y[partner])
+                value = np.abs(boundary_values(x, y))
+                if not (placed & (value > 0.0)).all():
+                    for o, p in zip(owner.tolist(), partner.tolist()):
+                        self.position(o, p)  # raises the scalar error of the first such entry
+                logs.append(exact_map(math.log, value))
+            self._exact_t[todo] = 0.5 * (logs[0] + logs[1])
+        return self._exact_t[picked]
+
+    def _exact_floors(self, keys: np.ndarray) -> np.ndarray:
+        """The cut floors of the admitted pairs `keys`, as :meth:`floor` computes them, without decoding a pair."""
+        todo = keys[np.isnan(self._exact_floor[keys])]
+        if todo.size:
+            self._exact_floor[todo] = _exact_cut_floors(self._key_c[todo], self._key_crossing[todo])
+        return self._exact_floor[keys]
 
     def cut(self, owner: int, height: float, around: BoundaryPoint) -> BoundaryArc:
         """The arc around `around` cut off at log-height `height` on the owner's axis.
@@ -309,6 +385,27 @@ class _AxisTable:
             return arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
         except ValueError as exc:
             raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
+
+    def cuts(
+        self, owners: np.ndarray, heights: np.ndarray, around: np.ndarray
+    ) -> tuple[PointArrays, PointArrays, np.ndarray]:
+        """:meth:`cut` of each owners[k] at heights[..., k] around the point at angle around[..., k], on arrays.
+
+        Returns the start and end points of the cut arcs, and where :meth:`cut`
+        would not raise; elsewhere the points are meaningless.
+        """
+        e = exact_map(_exp, heights)
+        v = np.stack([-e, e])
+        x, y, ok = canonical_pairs(v, np.ones_like(v))
+        far = np.isinf(v)
+        x[far], y[far], ok[far] = 1.0, 0.0, True  # `BoundaryPoint.from_real` of infinity
+        x, y, placed = apply_boundary_arrays(self._chart_entries[:, owners], x, y)
+        angle = boundary_angles(x, y)
+        forward, between = arcs_between(angle[0], angle[1], around)
+        p, q = (x[0], y[0], angle[0]), (x[1], y[1], angle[1])
+        start = tuple(np.where(forward, u, w) for u, w in zip(p, q))
+        end = tuple(np.where(forward, w, u) for u, w in zip(p, q))
+        return start, end, (ok & placed).all(axis=0) & between
 
     def _candidates(self, extra: float) -> list[int]:
         """Indices of the entries whose screened t + s or t - s is near its owner's max or min, or untrusted."""
@@ -331,20 +428,51 @@ class _AxisTable:
         An entry is also untrusted where its floor is, or where tau/2 lies
         within AXIS_SCREEN_TOL of the floor: :func:`_cut_position` jumps there.
         """
-        cls = self.family.cls
-        maps = np.array([(m.a, m.b, m.c, m.d) for m in self.to_axis]).T[:, :, None]
-        logs = []
-        for point in ("alpha", "beta"):
-            x, y = np.array([(getattr(k, point).x, getattr(k, point).y) for k in cls]).T
-            logs.append(np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))))
+        maps = self._to_axis_entries[:, :, None]
+        logs = [np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))) for x, y in self._fixed_points]
         trusted = (np.abs(logs[0]) <= AXIS_SCREEN_LOG) & (np.abs(logs[1]) <= AXIS_SCREEN_LOG)
-        owner, partner = np.array(self.entries).T
+        owner, partner = self._entry_arrays
         floor = np.repeat(self._key_floors, 2)
-        tau = np.array([k.tau for k in cls])[owner]
+        tau = self._taus[owner]
         t = 0.5 * (logs[0] + logs[1])
         trusted = trusted[owner, partner] & np.repeat(self._key_trusted, 2)
         trusted &= ~(np.abs(0.5 * tau - floor) <= AXIS_SCREEN_TOL)
         return owner, partner, tau, floor, t[owner, partner], trusted
+
+    # The arrays that the screen and the kernel read, each built on first use.
+
+    @cached_property
+    def _entry_arrays(self) -> np.ndarray:
+        """Owner and partner of every entry, shape (2, entries)."""
+        return np.array(self.entries, dtype=int).reshape(-1, 2).T
+
+    @cached_property
+    def _taus(self) -> np.ndarray:
+        return np.array([k.tau for k in self.family.cls])
+
+    @cached_property
+    def _fixed_points(self) -> np.ndarray:
+        """x and y of the attracting points, then of the repelling points: shape (2, 2, n)."""
+        cls = self.family.cls
+        return np.array([[(k.alpha.x, k.alpha.y) for k in cls], [(k.beta.x, k.beta.y) for k in cls]]).transpose(0, 2, 1)
+
+    @cached_property
+    def fixed_angles(self) -> np.ndarray:
+        """Angles of the attracting points, then of the repelling points: shape (2, n)."""
+        return np.array([(k.alpha.angle, k.beta.angle) for k in self.family.cls]).T
+
+    @cached_property
+    def _to_axis_entries(self) -> np.ndarray:
+        return _entries(self.to_axis)
+
+    @cached_property
+    def _chart_entries(self) -> np.ndarray:
+        return _entries(self.charts)
+
+
+def _entries(maps: tuple[MoebiusMap, ...]) -> np.ndarray:
+    """Entries a, b, c, d of the maps, on the first axis."""
+    return np.array([(m.a, m.b, m.c, m.d) for m in maps]).T
 
 
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
@@ -508,14 +636,18 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
 
 
 def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
+    """One cut schedule: the union of the innermost cuts, or the first error of its construction.
+
+    A family with the pair table as arrays is assembled by :func:`_assemble_arrays`.
+    """
+    if family.kinds is not None:
+        return _assemble_arrays(family, table, margin, extra)
     maps, cls = family.maps, family.cls
     n = len(maps)
     pairs = []
     for i, heights in enumerate(table.innermost(extra)):
         if heights is None:
-            raise PreconditionViolated(
-                f"generator {i} has no admissible partner with sufficient translation length"
-            )
+            raise _no_partner(i)
         top, bottom = heights
         a, b = table.cut(i, top, cls[i].alpha), table.cut(i, bottom, cls[i].beta)
         pairs.append(SymmetricIntervalPair(a, b, i))
@@ -523,7 +655,7 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
     alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
     for group in groups:
         for i in group.members:
-            alpha_extra[i].append(group.near if group.kind == "alpha" else group.far)
+            alpha_extra[i].append(_alpha_side(group))
     final_a: list[BoundaryArc] = []
     for i in range(n):
         final_a.append(intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
@@ -532,13 +664,80 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
         point = cls[members[0]].alpha
         components.append(hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
-    achieved = schottky_margin(maps, union, cls)
+    achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
+    return _system(family, table, tuple(pairs), groups, union, achieved)
+
+
+def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
+    """The scalar schedule of :func:`_assemble_once` on the arrays of the `moebius_core` kernel.
+
+    The cuts, intersections, hulls, union and margin are the scalar ones bit
+    for bit, and the error raised is the one the scalar schedule raises
+    first: the cuts of the owners before the first owner without a partner,
+    each a cut before its b cut (a failing cut is rerun by :meth:`_AxisTable.cut`,
+    which raises its error), then that owner, the shared groups, the
+    intersections, the hulls, the union's overlap and the margin, in order.
+    Points and arcs are built only for what the returned system holds (and
+    for the one cut that a failing schedule reruns).
+    """
+    cls = family.cls
+    heights = table.innermost(extra)
+    n = next((i for i, h in enumerate(heights) if h is None), len(cls))
+    # Row 0 holds the a cuts (top heights, around alpha), row 1 the b cuts.
+    owners, cut_heights = np.arange(n), np.array(heights[:n], dtype=float).reshape(n, 2).T
+    start, end, ok = table.cuts(owners, cut_heights, table.fixed_angles[:, :n])
+    failed = np.flatnonzero(~ok.all(axis=0))
+    if failed.size:
+        i = int(failed[0])
+        side = 0 if not ok[0, i] else 1
+        table.cut(i, cut_heights[side, i], (cls[i].alpha, cls[i].beta)[side])  # raises the scalar error
+        raise AssertionError(f"the cut of generator {i} failed on arrays but not in scalar")
+    if n < len(cls):
+        raise _no_partner(n)
+    groups = build_shared_alpha_intervals(family)
+    alpha = table.fixed_angles[0]
+    owner, starts, ends = [owners], [start[2][0]], [end[2][0]]
+    for group in groups:
+        arc, members = _alpha_side(group), np.array(group.members)
+        owner.append(members)
+        starts.append(np.full(len(members), arc.start.angle))
+        ends.append(np.full(len(members), arc.end.angle))
+    final_start, final_end = intersections_around(alpha, *map(np.concatenate, (owner, starts, ends)))
+    members = np.concatenate(family.alpha_classes)
+    owner = np.repeat(np.arange(len(family.alpha_classes)), [len(c) for c in family.alpha_classes])
+    heads = alpha[[c[0] for c in family.alpha_classes]]
+    union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
+    achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
+    a, b = (arcs_of(tuple(v[side] for v in start), tuple(v[side] for v in end)) for side in (0, 1))
+    pairs = tuple(map(SymmetricIntervalPair, a, b, range(n)))
+    return _system(family, table, pairs, groups, union, achieved)
+
+
+def _no_partner(i: int) -> PreconditionViolated:
+    return PreconditionViolated(f"generator {i} has no admissible partner with sufficient translation length")
+
+
+def _alpha_side(group: SharedFixedPointGroup) -> BoundaryArc:
+    """The arc of a shared group around its members' attracting points."""
+    return group.near if group.kind == "alpha" else group.far
+
+
+def _checked_margin(achieved: float, margin: float) -> float:
     if achieved < margin:
-        raise VerificationFailed(
-            f"assembled union has margin {achieved:.3e}, below required {margin:.3e}"
-        )
+        raise VerificationFailed(f"assembled union has margin {achieved:.3e}, below required {margin:.3e}")
+    return achieved
+
+
+def _system(
+    family: Family,
+    table: _AxisTable,
+    pairs: tuple[SymmetricIntervalPair, ...],
+    groups: tuple[SharedFixedPointGroup, ...],
+    union: ArcUnion,
+    achieved: float,
+) -> GlobalIntervalSystem:
     return GlobalIntervalSystem(
-        pairs=tuple(pairs),
+        pairs=pairs,
         groups=groups,
         union=union,
         constant_m=eq_constant(family.cross_ratios),

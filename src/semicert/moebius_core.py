@@ -14,6 +14,7 @@ import reprlib
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -161,16 +162,77 @@ _point_y = BoundaryPoint.y.__set__
 _point_angle = BoundaryPoint._angle.__set__
 
 
-def boundary_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`BoundaryPoint.angle` of every canonical pair (x[i] : y[i]), bit for bit.
+# --- the array kernel -----------------------------------------------------------
+#
+# `BoundaryPoint.of`, `apply_boundary`, `from_angle`, `angle` and `value` on
+# arrays, equal to the scalar code bit for bit.  Elementwise + - * / % and
+# sqrt round as the scalar operations do; the transcendental functions
+# (hypot, atan2, log, exp, cos, sin, ...) go through `math` with
+# :func:`exact_map`, since numpy's forms can differ from them in the last bit.
 
-    atan2 is taken from `math`, as in the property: numpy's vectorized
-    arctan2 can differ from it in the last bit.
+
+def exact_map(func: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
+    """`func` of `math` applied to each element of equally shaped arrays, as the scalar code applies it."""
+    first = arrays[0]
+    values = map(func, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, np.float64, first.size).reshape(first.shape)
+
+
+@np.errstate(all="ignore")  # pairs that are not placed
+def canonical_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`BoundaryPoint.of` of every pair (x[i] : y[i]): canonical x, y, and where it is placed.
+
+    A pair is not placed where `of` raises ValueError (its hypot is 0 or not
+    finite); its canonical entries are then meaningless.
     """
-    atan2 = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(x))
-    theta = (-2.0 * atan2) % TWO_PI
+    return _canonical(x, y)
+
+
+def _canonical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    norm = exact_map(math.hypot, x, y)
+    placed = np.isfinite(norm) & (norm != 0.0)
+    x, y = x / norm, y / norm
+    # Multiplying by -1.0 negates exactly, as the scalar `-x` does.
+    sign = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
+    return x * sign, y * sign, placed
+
+
+@np.errstate(all="ignore")  # images that overflow come out not placed
+def apply_boundary_arrays(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`apply_boundary` on arrays: `f` holds the entries a, b, c, d on its first axis; as :func:`canonical_pairs`."""
+    return _canonical(f[0] * x + f[1] * y, f[2] * x + f[3] * y)
+
+
+def angle_pairs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical x, y of `BoundaryPoint.from_angle` at each angle; every one is placed."""
+    half = 0.5 * theta
+    x, y, _ = _canonical(exact_map(math.cos, half), -exact_map(math.sin, half))
+    return x, y
+
+
+def boundary_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`BoundaryPoint.angle` of every canonical pair (x[i] : y[i])."""
+    theta = (-2.0 * exact_map(math.atan2, y, x)) % TWO_PI
     theta[theta == TWO_PI] = 0.0
     return theta
+
+
+@np.errstate(all="ignore")  # infinity's x/y, and pairs that are not placed
+def boundary_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`BoundaryPoint.value` of every canonical pair (x[i] : y[i])."""
+    return np.where(np.abs(y) < 1e-300, math.inf, x / y)
+
+
+def points_of(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> list[BoundaryPoint]:
+    """The `BoundaryPoint`s of canonical pairs whose angles the kernel computed, built once each."""
+    points = []
+    for px, py, theta in zip(x.tolist(), y.tolist(), angle.tolist()):
+        p = _new(BoundaryPoint)
+        _point_x(p, px)
+        _point_y(p, py)
+        _point_angle(p, theta)
+        points.append(p)
+    return points
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,22 @@ def screened_and_scalar(monkeypatch, F, union):
     return out
 
 
+def screened_pairs(monkeypatch, F, union):
+    """The (generator, arc) pairs that the screen leaves to the exact check, and the screened margin."""
+    found = []
+    screen = boundary_arcs._screen
+
+    def recording(*args):
+        rows, cols = screen(*args)
+        found.extend(zip(rows.tolist(), cols.tolist()))
+        return rows, cols
+
+    with monkeypatch.context() as patch:
+        patch.setattr(boundary_arcs, "_screen", recording)
+        patch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", 0)
+        return found, schottky_margin(F, union)
+
+
 def contracting_maps(rng, union, count, taus):
     """Maps attracting to a point inside a random component and repelling from a random gap."""
     arcs = union.arcs
@@ -366,13 +382,14 @@ class TestScreenedVerifier:
         assert screened_and_scalar(monkeypatch, F, union) == [(-math.inf).hex()] * 2
 
     def test_screen_leaves_few_pairs_to_the_scalar_check(self, monkeypatch):
+        # The pairs that `_screen` returns are decided exactly, on the kernel's arrays.
         F = random_admissible_family(np.random.default_rng(32), 32, min_gap=0.01)
         union = assemble_global(F).union
-        calls = []
-        image_angles = boundary_arcs._image_angles
-        monkeypatch.setattr(boundary_arcs, "_image_angles", lambda *args: calls.append(args) or image_angles(*args))
-        assert schottky_margin(F, union) >= 1e-7
-        assert 0 < len(calls) <= 0.1 * len(F) * len(union)
+        pairs, margin = screened_pairs(monkeypatch, F, union)
+        assert margin >= 1e-7
+        assert 0 < len(pairs) <= 0.1 * len(F) * len(union)
+        monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", math.inf)
+        assert margin.hex() == schottky_margin(F, union).hex()
 
 
 # --- inputs within SCREEN_TOL of each threshold the screen flags ----------------------
@@ -421,8 +438,8 @@ class TestScreenFlags:
     only that threshold's flag sends the pair to the scalar check."""
 
     def check(self, monkeypatch, F, union, pair):
-        arc_points = [(a.start, a.end, a.midpoint) for a in union]
-        assert pair in boundary_arcs._screen(F, union, arc_points)
+        rows, cols = boundary_arcs._screen(*boundary_arcs._screen_inputs(F, *union.arrays()))
+        assert pair in zip(rows.tolist(), cols.tolist())
         screened, scalar = screened_and_scalar(monkeypatch, F, union)
         assert screened == scalar
 

@@ -500,8 +500,23 @@ class TestRenderCommand:
             ({"union": [{"start": 1}]}, "union[0].end: missing"),
             ({"interval": None}, "interval: expected an object, got None"),
             ({"union": {"a": 1}}, "union: expected a list of arcs, got {'a': 1}"),
+            ({"union": []}, "union: arc union must contain at least one arc"),
+            ({"union": [{"start": {"angle": 1.0}, "end": {"angle": 1.0}}]}, "union[0]: arc endpoints coincide"),
+            ({"interval": {"start": {"angle": 2.0}, "end": {"angle": 2.0}}}, "interval: arc endpoints coincide"),
+            (
+                {"union": [{"start": {"angle": a}, "end": {"angle": b}} for a, b in ((1.0, 2.0), (1.5, 3.0))]},
+                "union: arc closures intersect near angle 2.000000",
+            ),
         ],
-        ids=["arc-without-end", "null-interval", "union-not-a-list"],
+        ids=[
+            "arc-without-end",
+            "null-interval",
+            "union-not-a-list",
+            "empty-union",
+            "coincident-ends",
+            "coincident-interval",
+            "overlapping-arcs",
+        ],
     )
     def test_names_the_malformed_field(self, runner, tmp_path, body, message):
         src = write_disc_input(tmp_path / "in.json", [41.0] * 5)

@@ -433,3 +433,86 @@ class TestBoundaryTriple:
         pts = [BoundaryPoint.from_angle(a) for a in (0.5, 1.5, 2.5)]
         with pytest.raises(ValueError):
             from_boundary_triple((pts[0], pts[1], pts[2]), (pts[0], pts[2], pts[1]))
+
+
+class TestArrayKernel:
+    """The array kernel equals `BoundaryPoint.of`, `apply_boundary`, `from_angle`, `angle` and `value` bit for bit."""
+
+    EDGES = [
+        (1.0, 0.0),  # infinity
+        (-3.0, 0.0),  # y == 0 with x < 0
+        (-0.0, 2.0),
+        (2.0, -5.0),  # negative y
+        (-2.0, -5.0),
+        (1.0, 1e-17),  # its angle rounds to 2*pi
+        (5e-324, 0.0),
+        (1e-320, 1e300),  # x / hypot underflows to 0
+        (0.0, 0.0),  # hypot 0
+        (-0.0, 0.0),
+        (math.inf, 1.0),  # hypot not finite
+        (1.0, math.nan),
+        (1.5e308, -1.5e308),  # hypot overflows
+    ]
+
+    @staticmethod
+    def scalar(x, y):
+        try:
+            p = BoundaryPoint.of(x, y)
+        except ValueError:
+            return None  # not placed
+        return [v.hex() for v in (p.x, p.y, p.angle, p.value)]
+
+    @staticmethod
+    def arrays(x, y, placed):
+        angle, value = moebius_core.boundary_angles(x, y), moebius_core.boundary_values(x, y)
+        rows = zip(x.tolist(), y.tolist(), angle.tolist(), value.tolist(), placed.tolist())
+        return [[v.hex() for v in row[:4]] if row[4] else None for row in rows]
+
+    def draws(self, rng, count):
+        """Pairs over a wide range of scales and signs, then the edge cases."""
+        x, y = rng.choice([-1.0, 1.0], size=(2, count)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(2, count))
+        x[: count // 4], y[: count // 4] = rng.standard_normal((2, count // 4))
+        ex, ey = zip(*self.EDGES)
+        return np.concatenate([x, ex]), np.concatenate([y, ey])
+
+    def test_of(self):
+        x, y = self.draws(np.random.default_rng(171), 4000)
+        expected = [self.scalar(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert self.arrays(*moebius_core.canonical_pairs(x, y)) == expected
+        edges = expected[-len(self.EDGES) :]
+        assert (-2.0 * math.atan2(1e-17, 1.0)) % TWO_PI == TWO_PI and edges[5][2] == (0.0).hex()
+        assert [i for i, e in enumerate(edges) if e is None] == [8, 9, 10, 11, 12]
+
+    def test_apply_boundary(self):
+        rng = np.random.default_rng(172)
+        maps = [random_moebius(rng) for _ in range(40)]
+        maps += [from_axis_and_length(real(-1.0), real(3.0), tau) for tau in (20.0, 41.0)]
+        x, y = self.draws(rng, 500)
+        points = [BoundaryPoint.of(a, b) for a, b in zip(x.tolist(), y.tolist()) if self.scalar(a, b)]
+        for f in maps:
+            expected = []
+            for p in points:
+                try:
+                    q = apply_boundary(f, p)
+                except ValueError:
+                    expected.append(None)
+                    continue
+                expected.append([v.hex() for v in (q.x, q.y, q.angle, q.value)])
+            px, py = np.array([(p.x, p.y) for p in points]).T
+            entries = np.array([f.a, f.b, f.c, f.d])
+            assert self.arrays(*moebius_core.apply_boundary_arrays(entries, px, py)) == expected
+
+    def test_from_angle(self):
+        rng = np.random.default_rng(173)
+        theta = np.concatenate([rng.uniform(-10.0, 10.0, 2000), [0.0, math.pi, TWO_PI, -TWO_PI, 1e-17]])
+        x, y = moebius_core.angle_pairs(theta)
+        placed = np.ones(len(theta), dtype=bool)
+        points = map(BoundaryPoint.from_angle, theta.tolist())
+        assert self.arrays(x, y, placed) == [[v.hex() for v in (p.x, p.y, p.angle, p.value)] for p in points]
+
+    def test_points_carry_the_kernel_angles(self):
+        x, y, placed = moebius_core.canonical_pairs(np.array([3.0, -1.0]), np.array([-4.0, 0.0]))
+        angle = moebius_core.boundary_angles(x, y)
+        points = moebius_core.points_of(x, y, angle)
+        assert points == [BoundaryPoint.of(3.0, -4.0), BoundaryPoint.of(-1.0, 0.0)]
+        assert [p.angle for p in points] == angle.tolist()

@@ -16,7 +16,8 @@ import pytest
 
 from semicert import BoundaryPoint, assemble_global, certify, from_axis_and_length
 from semicert import interval_builder, pair_geometry
-from semicert.boundary_arcs import BoundaryArc, arc_image, complement
+from semicert import boundary_arcs
+from semicert.boundary_arcs import ArcUnion, BoundaryArc, arc_between, arc_image, complement, hull_around, intersect_around
 from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
 from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
@@ -237,9 +238,97 @@ def test_certify_decodes_only_the_pairs_it_reads(monkeypatch):
     decode = pair_geometry._decode
     monkeypatch.setattr(pair_geometry, "_decode", lambda c, cf, cg: decoded.append((id(cf), id(cg))) or decode(c, cf, cg))
     assert certify(F).kind == "semidiscrete_inverse_free"
-    # 42 of the 496 pairs, each once: the pairs built, and those whose cut
-    # floor the ranking or a skip note reads in scalar.
-    assert len(decoded) == len(set(decoded)) == 42
+    # None of the 496 pairs: the ranking reads exact cut floors off the
+    # arrays, and no pair of this family is decided or skipped in scalar.
+    assert decoded == []
     family = Family.of(F)
     assert len(family.pairs) == 496 and list(family.pairs) == sorted(family.pairs)
+    assert len(decoded) == len(set(decoded)) == 496
 
+
+
+# --- the array assembly ---------------------------------------------------------------
+
+
+def outcome(run):
+    """run()'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except (CertifyError, ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def arc_hex(arc):
+    return [v.hex() for p in (arc.start, arc.end) for v in (p.x, p.y, p.angle)]
+
+
+def test_array_circle_steps_equal_the_scalar_ones():
+    rng = np.random.default_rng(181)
+    for trial in range(300):
+        n = int(rng.integers(1, 6))
+        # Arcs around angle 1, some of them missing it, many overlapping each other.
+        lo, hi = 1.0 - rng.uniform(-0.2, 3.0, n), 1.0 + rng.uniform(-0.2, 3.0, n)
+        if trial % 10 == 0:
+            hi[0] = lo[0]  # equal ends
+        if trial % 7 == 0:
+            lo[-1] = 1.0  # an arc that starts on the point: the intersection is empty
+        ends = [(BoundaryPoint.from_angle(a), BoundaryPoint.from_angle(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+        start, end = (boundary_arcs._point_arrays([e[k] for e in ends]) for k in (0, 1))
+        point = BoundaryPoint.from_angle(1.0)
+        arcs = [BoundaryArc(*e) for e in ends if e[0].angle != e[1].angle]
+        if len(arcs) == n:
+            owner, points = np.zeros(n, dtype=int), np.array([point.angle])
+            steps = ((intersect_around, boundary_arcs.intersections_around), (hull_around, boundary_arcs.hulls_around))
+            for scalar, arrays in steps:
+                expected = outcome(lambda: arc_hex(scalar(point, arcs)))
+                found = outcome(lambda: arc_hex(boundary_arcs.arcs_of(*arrays(points, owner, start[2], end[2]))[0]))
+                assert found == expected
+        expected = outcome(lambda: [arc_hex(a) for a in ArcUnion([BoundaryArc(*e) for e in ends])])
+        assert outcome(lambda: [arc_hex(a) for a in ArcUnion.of_arrays(start, end)]) == expected
+        forward, between = boundary_arcs.arcs_between(start[2], end[2], np.full(n, point.angle))
+        for k, e in enumerate(ends):
+            try:
+                expected = arc_between(*e, point).start is e[0]
+            except ValueError:
+                expected = None
+            assert (bool(forward[k]) if between[k] else None) == expected
+
+
+def test_array_cuts_equal_the_scalar_cuts(monkeypatch):
+    monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", 0)
+    family = Family.of(figure_two(41.0) + bench_inputs("assembly_large", 1, 1, 32)[0][:3])
+    table = _AxisTable(family)
+    n = len(family.cls)
+    heights = np.array([0.0, 3.0, -3.0, 18.0, 40.0, -40.0, 700.0, 800.0, -800.0, math.inf, -math.inf, math.nan])
+    owners = np.repeat(np.arange(n), len(heights))
+    heights = np.tile(heights, n)
+    start, end, ok = table.cuts(owners, np.array([heights, heights]), table.fixed_angles[:, owners])
+    for row, side in enumerate(("alpha", "beta")):
+        cut = ok[row]
+        arcs = iter(boundary_arcs.arcs_of(*(tuple(v[row][cut] for v in ends) for ends in (start, end))))
+        found = [arc_hex(next(arcs)) if k else "failed" for k in cut.tolist()]
+        points = [getattr(k, side) for k in family.cls]
+        expected = [outcome(lambda: arc_hex(table.cut(i, h, points[i]))) for i, h in zip(owners.tolist(), heights.tolist())]
+        assert found == [e if isinstance(e, list) else "failed" for e in expected]
+        assert {e.split(":")[0] for e in expected if isinstance(e, str)} == {"VerificationFailed", "OverflowError"}
+
+
+def test_a_failing_array_schedule_raises_the_scalar_error(monkeypatch):
+    F = bench_inputs("assembly_large", 1, 1, 32)[0]
+    heights = _AxisTable(Family.of(F)).innermost(0.0)
+    edits = [
+        {3: None},
+        {5: (heights[5][0], 60.0), 7: None},
+        {2: (800.0, heights[2][1]), 9: (heights[9][0], math.nan)},
+        {4: (math.nan, heights[4][1]), 6: (40.0, heights[6][1])},
+        {1: (heights[1][0] - 3.0, heights[1][1] + 3.0)},
+    ]
+    for edit in edits:
+        crafted = [edit.get(i, h) for i, h in enumerate(heights)]
+        monkeypatch.setattr(_AxisTable, "innermost", lambda self, extra: crafted)
+        arrays, scalar = (
+            with_crossover(monkeypatch, crossover, lambda: outcome(lambda: assemble_global(F).margin))
+            for crossover in (0, math.inf)
+        )
+        assert arrays == scalar
+        assert isinstance(scalar, str), edit
