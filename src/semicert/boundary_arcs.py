@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import cache
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -454,41 +455,44 @@ def _array_clearances(angle: np.ndarray, start, end, span) -> tuple[np.ndarray, 
 # --- points and arcs around them -----------------------------------------------
 
 
-# Points from which the distance matrix beats the pairwise loop, on the fixed
-# points of the benchmark's families: loop vs matrix 13 vs 18 us at 6 points,
-# 23 vs 22 us at 10, 54 vs 24 us at 12, 1.6 vs 0.15 ms at 64.
-CLUSTER_MIN_POINTS = 12
+_ANGLE = attrgetter("angle")
 
 
 def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
     """Greedy index classes: each point joins the first class whose first point is within tol.
 
-    From CLUSTER_MIN_POINTS points on, the distances come from one numpy
-    matrix; it uses only subtraction, abs and %, so it matches
-    `BoundaryPoint.angular_distance` bit for bit.
+    One pass over the points in angle order: each point's window holds the
+    points after it, across angle 0 too, whose angle lies within tol plus a
+    slack beyond any rounding, so every pair within tol shares a window.
+    `BoundaryPoint.angular_distance` confirms each pair a window holds, and
+    the greedy rule reads only the confirmed pairs; the classes are those of
+    comparing every point with every class head.  Members ascend within a
+    class, and the classes come in the order of their first points.
     """
-    if len(points) < CLUSTER_MIN_POINTS:
-        classes: list[list[int]] = []
-        for idx, p in enumerate(points):
-            for members in classes:
-                if points[members[0]].angular_distance(p) <= tol:
-                    members.append(idx)
-                    break
-            else:
-                classes.append([idx])
+    n = len(points)
+    angles = list(map(_ANGLE, points))
+    order = sorted(range(n), key=angles.__getitem__)
+    # The angles in sorted order, then once more a turn later: a window may run across angle 0.
+    turn = [angles[i] for i in order]
+    turn += [a + TWO_PI for a in turn]
+    reach = tol + 1e-12  # beyond any rounding of an angle difference below 2*pi
+    pairs = []
+    for k in [k for k in range(n) if turn[k + 1] - turn[k] <= reach]:
+        for m in range(k + 1, k + n):  # the window of k: each other point at most once
+            if turn[m] - turn[k] > reach:
+                break
+            i, j = order[k], order[m % n]
+            if points[i].angular_distance(points[j]) <= tol:
+                pairs.append((max(i, j), min(i, j)))
+    classes: list[list[int] | None] = [[i] for i in range(n)]
+    if not pairs:
         return classes
-    angles = np.fromiter((p.angle for p in points), dtype=float, count=len(points))
-    gap = np.abs(angles[:, None] - angles) % TWO_PI
-    later, earlier = np.nonzero(np.minimum(gap, TWO_PI - gap) <= tol)
-    head = list(range(len(points)))
-    # Row by row with ascending columns: the first earlier point that heads a class.
-    for i, j in zip(later.tolist(), earlier.tolist()):
-        if j < head[i] and head[j] == j:
-            head[i] = j
-    heads: dict[int, list[int]] = {}
-    for idx, h in enumerate(head):
-        heads.setdefault(h, []).append(idx)
-    return list(heads.values())
+    # By ascending later point i, then earlier point j: i joins the first j that heads a class.
+    for i, j in sorted(pairs):
+        if classes[i] is not None and classes[j] is not None:
+            classes[j].append(i)
+            classes[i] = None
+    return [members for members in classes if members is not None]
 
 
 def can_partition_rank_one(
@@ -530,19 +534,22 @@ def rank_one_arcs(points: Sequence[BoundaryPoint], classes: list[list[int]]) -> 
     """
     classes = sorted(classes, key=lambda c: points[c[0]].angle)
     reps, m = [points[c[0]] for c in classes], len(classes)
-    kinds = [{i % 2 for i in c} for c in classes]  # 0: attracting, 1: repelling
+    kinds = [{c[0] % 2} if len(c) == 1 else {i % 2 for i in c} for c in classes]  # 0: attracting, 1: repelling
     shared = {k for k, kind in enumerate(kinds) if len(kind) == 2}
     attracting = [k for k, kind in enumerate(kinds) if kind == {0}]
     runs = [k for k in attracting if kinds[k - 1] != {0}]
     if m < 2 or len(runs) > 1 or len(shared) > 2:
         return ()
-    gaps = [BoundaryArc(reps[k - 1], reps[k]).midpoint for k in range(m)]
+    gap = cache(lambda k: BoundaryArc(reps[k - 1], reps[k]).midpoint)  # built for the arcs that end there only
     arcs = []
     for k in runs or range(m):  # an empty attracting run may sit in any gap
         prev, nxt = (k - 1) % m, (k + len(attracting)) % m
-        starts = [(gaps[k], None)] + [(reps[prev], prev)] * (prev in shared)
-        ends = [(gaps[nxt], None)] + [(reps[nxt], nxt)] * (nxt in shared)
-        arcs += [BoundaryArc(u, v) for u, i in starts for v, j in ends if u != v and shared <= {i, j}]
+        for i in (None, prev)[: 1 + (prev in shared)]:
+            for j in (None, nxt)[: 1 + (nxt in shared)]:
+                if shared <= {i, j}:
+                    u, v = gap(k) if i is None else reps[i], gap(nxt) if j is None else reps[j]
+                    if u != v:
+                        arcs.append(BoundaryArc(u, v))
     return tuple(sorted(arcs, key=lambda a: (a.start.angle, a.end.angle)))
 
 

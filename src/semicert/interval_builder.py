@@ -55,6 +55,7 @@ from .moebius_core import (
     apply_boundary,
     apply_boundary_arrays,
     axis_chart,
+    axis_charts,
     boundary_angles,
     boundary_values,
     canonical_pairs,
@@ -225,10 +226,12 @@ AXIS_SCREEN_MIN_PAIRS = 48
 class _AxisTable:
     """What the cut ranking and every cut of one family read; one :func:`assemble_global` call builds one.
 
-    - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its inverse;
+    - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its
+      inverse; `_chart_entries`, `_to_axis_entries`: their entries a, b, c,
+      d on the first axis;
     - `entries`: (owner, partner) for both orders of each admissible pair
-      above its pair gate, in table order, and `notes` for the pairs skipped
-      below it;
+      above its pair gate, in table order, `_entry_arrays` the same as
+      shape (2, entries), and `notes` for the pairs skipped below it;
     - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair, read
       off `family`, and the axis position t of an ordered pair, each
       computed once;
@@ -238,16 +241,21 @@ class _AxisTable:
     A family with the pair table as arrays is admitted from the arrays:
     gates and cut floors come from numpy, and a pair is decided, and a skip
     note written, in scalar where the gate screen cannot decide it.  Its
-    cut ranking reads exact positions and cut floors from the kernel of
-    `moebius_core`, each computed once.
+    charts come from one pass of :func:`axis_charts` over the fixed points
+    and its entries from the admitted keys, as arrays; the chart objects
+    and the entry list are built only when a scalar replay (:meth:`cut`,
+    :meth:`position`) reads them.  Its cut ranking reads exact positions
+    and cut floors from the kernel of `moebius_core`, each computed once.
+    A smaller family builds the objects and the list, and the arrays on
+    first use.
     """
 
     def __init__(self, family: Family):
         self.family = family
-        self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
-        self.to_axis = tuple(inverse(chart) for chart in self.charts)
         self.floors: dict[tuple[int, int], float] = {}
         if family.kinds is None:
+            self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
+            self.to_axis = tuple(inverse(chart) for chart in self.charts)
             keys, notes = [], []
             for (i, j), pg in family.pairs.items():
                 if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
@@ -257,29 +265,35 @@ class _AxisTable:
                     keys.append((i, j))
                 except ThresholdNotMet as exc:
                     notes.append(f"pair ({i}, {j}) skipped: {exc}")
+            self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
             floors = np.array([self.floors[key] for key in keys])
             trusted = np.ones(len(keys), dtype=bool)
         else:
-            keys, notes, floors, trusted, self._key_c, self._key_crossing = self._admit(family)
+            alpha, beta = family.fixed_points
+            self._chart_entries, self._to_axis_entries, coincide = axis_charts(beta, alpha)
+            if (coincide | (self.fixed_angles[0] == self.fixed_angles[1])).any():
+                for k in family.cls:
+                    axis_chart(Geodesic(k.beta, k.alpha))  # raises the scalar error of the first such generator
+            rows, cols, notes, floors, trusted, self._key_c, self._key_crossing = self._admit(family)
+            # Entry 2k is (rows[k], cols[k]) and entry 2k + 1 the reverse.
+            self._entry_arrays = np.stack([np.stack([rows, cols], axis=1).ravel(), np.stack([cols, rows], axis=1).ravel()])
             # NaN marks a value not computed yet: no exact position or floor is NaN.
-            self._exact_t = np.full(2 * len(keys), math.nan)
-            self._exact_floor = np.full(len(keys), math.nan)
+            self._exact_t = np.full(2 * len(rows), math.nan)
+            self._exact_floor = np.full(len(rows), math.nan)
         self.notes = tuple(notes)
-        self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
         self._key_floors = floors
         self._key_trusted = trusted
         self._positions: dict[tuple[int, int], float] = {}
         self._screen: tuple[np.ndarray, ...] | None = None
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
-    def _admit(self, family: Family) -> tuple[list, list, np.ndarray, ...]:
-        """Admitted keys, skip notes, cut floors and their trust, cross ratios and crossing flags, from the arrays."""
-        n = len(family.cls)
-        rows, cols = np.triu_indices(n, 1)
+    def _admit(self, family: Family) -> tuple[np.ndarray, ...]:
+        """Rows and columns of the admitted keys, skip notes, cut floors and their trust, cross ratios and crossing flags, from the arrays."""
+        rows, cols = np.triu_indices(len(family.cls), 1)
         pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
         c, rows, cols = family.cross_ratios[pick], rows[pick], cols[pick]
         crossing = family.kinds[pick] == CROSSING
-        tau = np.array([k.tau for k in family.cls])
+        tau = self._taus
         gate = np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK
         low = np.minimum(tau[rows], tau[cols])
         admit = (low > gate) & ~(np.abs(low - gate) <= AXIS_SCREEN_TOL)
@@ -298,8 +312,7 @@ class _AxisTable:
                 admit[k] = trusted[k] = True
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
-        keys = list(zip(rows[admit].tolist(), cols[admit].tolist()))
-        return keys, notes, floors[admit], trusted[admit], c[admit], crossing[admit]
+        return rows[admit], cols[admit], notes, floors[admit], trusted[admit], c[admit], crossing[admit]
 
     def floor(self, i: int, j: int) -> float:
         """The scalar cut floor of pair (i, j); raises ThresholdNotMet below its pair gate."""
@@ -326,8 +339,8 @@ class _AxisTable:
         :meth:`_candidates`, which hold every entry that can win, so it finds
         the same heights as over all entries.  None marks an owner without one.
         """
-        picked = range(len(self.entries))
-        if len(self.entries) >= AXIS_SCREEN_MIN_PAIRS:
+        picked = range(2 * len(self._key_floors))  # two entries for each admitted pair
+        if len(picked) >= AXIS_SCREEN_MIN_PAIRS:
             picked = self._candidates(extra)
         if self.family.kinds is not None:
             return self._innermost_arrays(np.array(picked, dtype=int), extra)
@@ -358,7 +371,7 @@ class _AxisTable:
         if todo.size:
             owner, partner = self._entry_arrays[:, todo]
             logs = []
-            for x, y in self._fixed_points:
+            for x, y in self.family.fixed_points:
                 x, y, placed = apply_boundary_arrays(self._to_axis_entries[:, owner], x[partner], y[partner])
                 value = np.abs(boundary_values(x, y))
                 if not (placed & (value > 0.0)).all():
@@ -429,7 +442,9 @@ class _AxisTable:
         within AXIS_SCREEN_TOL of the floor: :func:`_cut_position` jumps there.
         """
         maps = self._to_axis_entries[:, :, None]
-        logs = [np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))) for x, y in self._fixed_points]
+        logs = [
+            np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))) for x, y in self.family.fixed_points
+        ]
         trusted = (np.abs(logs[0]) <= AXIS_SCREEN_LOG) & (np.abs(logs[1]) <= AXIS_SCREEN_LOG)
         owner, partner = self._entry_arrays
         floor = np.repeat(self._key_floors, 2)
@@ -439,7 +454,29 @@ class _AxisTable:
         trusted &= ~(np.abs(0.5 * tau - floor) <= AXIS_SCREEN_TOL)
         return owner, partner, tau, floor, t[owner, partner], trusted
 
-    # The arrays that the screen and the kernel read, each built on first use.
+    # One form of each of the charts, their inverses and the entries is set by
+    # the constructor (the objects on the scalar path, the arrays on the
+    # array path); the other is built from it on first use.
+
+    @cached_property
+    def charts(self) -> tuple[MoebiusMap, ...]:
+        return _maps(self._chart_entries)
+
+    @cached_property
+    def to_axis(self) -> tuple[MoebiusMap, ...]:
+        return _maps(self._to_axis_entries)
+
+    @cached_property
+    def entries(self) -> list[tuple[int, int]]:
+        return list(zip(*self._entry_arrays.tolist()))
+
+    @cached_property
+    def _chart_entries(self) -> np.ndarray:
+        return _entries(self.charts)
+
+    @cached_property
+    def _to_axis_entries(self) -> np.ndarray:
+        return _entries(self.to_axis)
 
     @cached_property
     def _entry_arrays(self) -> np.ndarray:
@@ -451,28 +488,19 @@ class _AxisTable:
         return np.array([k.tau for k in self.family.cls])
 
     @cached_property
-    def _fixed_points(self) -> np.ndarray:
-        """x and y of the attracting points, then of the repelling points: shape (2, 2, n)."""
-        cls = self.family.cls
-        return np.array([[(k.alpha.x, k.alpha.y) for k in cls], [(k.beta.x, k.beta.y) for k in cls]]).transpose(0, 2, 1)
-
-    @cached_property
     def fixed_angles(self) -> np.ndarray:
         """Angles of the attracting points, then of the repelling points: shape (2, n)."""
         return np.array([(k.alpha.angle, k.beta.angle) for k in self.family.cls]).T
-
-    @cached_property
-    def _to_axis_entries(self) -> np.ndarray:
-        return _entries(self.to_axis)
-
-    @cached_property
-    def _chart_entries(self) -> np.ndarray:
-        return _entries(self.charts)
 
 
 def _entries(maps: tuple[MoebiusMap, ...]) -> np.ndarray:
     """Entries a, b, c, d of the maps, on the first axis."""
     return np.array([(m.a, m.b, m.c, m.d) for m in maps]).T
+
+
+def _maps(entries: np.ndarray) -> tuple[MoebiusMap, ...]:
+    """The maps whose entries a, b, c, d lie on the first axis."""
+    return tuple(map(MoebiusMap, *entries.tolist()))
 
 
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:

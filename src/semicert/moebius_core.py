@@ -165,10 +165,11 @@ _point_angle = BoundaryPoint._angle.__set__
 # --- the array kernel -----------------------------------------------------------
 #
 # `BoundaryPoint.of`, `apply_boundary`, `from_angle`, `angle` and `value` on
-# arrays, equal to the scalar code bit for bit.  Elementwise + - * / % and
-# sqrt round as the scalar operations do; the transcendental functions
-# (hypot, atan2, log, exp, cos, sin, ...) go through `math` with
-# :func:`exact_map`, since numpy's forms can differ from them in the last bit.
+# arrays, and `axis_chart` with its `inverse` (:func:`axis_charts`, below),
+# equal to the scalar code bit for bit.  Elementwise + - * / % and sqrt
+# round as the scalar operations do; the transcendental functions (hypot,
+# atan2, log, exp, cos, sin, ...) go through `math` with :func:`exact_map`,
+# since numpy's forms can differ from them in the last bit.
 
 
 def exact_map(func: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
@@ -537,6 +538,40 @@ def axis_chart(geo: Geodesic) -> MoebiusMap:
         raise CoincidentEndpoints("geodesic endpoints coincide")
     s = 1.0 if cross > 0.0 else -1.0
     return MoebiusMap.from_matrix(s * geo.end.x, geo.start.x, s * geo.end.y, geo.start.y)
+
+
+@np.errstate(all="ignore")  # lines whose ends coincide, where `axis_chart` raises
+def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`axis_chart` of each line from (start[0][i] : start[1][i]) to (end[0][i] : end[1][i]), and its :func:`inverse`.
+
+    Returns the entries a, b, c, d of the charts, then of their inverses, on
+    the first axis, equal to the scalar ones bit for bit, and where
+    `axis_chart` raises (its cross product is 0); the entries are
+    meaningless there.  Elsewhere `from_matrix` cannot raise: its
+    determinant is |cross|.
+    """
+    (sx, sy), (ex, ey) = start, end
+    cross = ex * sy - ey * sx
+    s = np.where(cross > 0.0, 1.0, -1.0)
+    chart = np.array([s * ex, sx, s * ey, sy])
+    a, b, c, d = chart
+    chart *= 1.0 / np.sqrt(a * d - b * c)
+    _canonical_signs(chart)
+    inverses = np.array([d, -b, -c, a])
+    _canonical_signs(inverses)
+    return chart, inverses, cross == 0.0
+
+
+def _canonical_signs(entries: np.ndarray) -> None:
+    """:func:`_canonical_sign` in place, on the entries a, b, c, d of maps on the first axis."""
+    a, b, c, d = entries
+    t = a + d
+    flip = t < 0.0
+    zero = t == 0.0
+    if zero.any():  # the first nonzero of a, b, c decides
+        flip |= zero & (np.where(a != 0.0, a, np.where(b != 0.0, b, c)) < 0.0)
+    # Multiplying by -1.0 negates exactly, as the scalar `-a` does.
+    entries *= np.where(flip, -1.0, 1.0)
 
 
 def from_boundary_triple(

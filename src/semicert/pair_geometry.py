@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -136,29 +138,32 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
 # (n = 18), -31% at 496 (n = 32).
 PAIR_ARRAY_MIN_PAIRS = 91
 
+_XY = attrgetter("x", "y")
+
 # Kind codes of the array table, in the order of `_decode`'s tests.
 MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT, NESTED = range(6)
 
 
 @np.errstate(all="ignore")  # den == 0 and overflowing ratios become inf, as in the scalar code
-def _cross_ratio_table(cls: tuple[Classification, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Cross ratio and kind code of every pair i < j, in row-major order.
+def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross ratio and kind code of every pair i < j, in row-major order, from `Family.fixed_points`.
 
     The four wedge products are one n x n broadcast each, with the operations
     of :func:`cross_ratio_of_points` (products, differences and one
     quotient), so every ratio equals the scalar one bit for bit.
     """
-    ax, ay, bx, by = np.array([(k.alpha.x, k.alpha.y, k.beta.x, k.beta.y) for k in cls]).T
-    i, j = np.triu_indices(len(cls), 1)
+    (ax, ay), (bx, by) = fixed_points
+    i, j = np.triu_indices(len(ax), 1)
     num = (ax[i] * ay[j] - ay[i] * ax[j]) * (bx[i] * by[j] - by[i] * bx[j])
     den = (ax[i] * by[j] - ay[i] * bx[j]) * (bx[i] * ay[j] - by[i] * ax[j])
     c = num / den
     c[(den == 0.0) | ~np.isfinite(c)] = np.inf
-    kinds = np.select(
-        [np.isinf(c), np.abs(c) <= DEGENERATE_TOL, np.abs(c - 1.0) <= DEGENERATE_TOL, c < 0.0, c < 1.0],
-        [MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT],
-        NESTED,
-    )
+    # The first test of `_decode` that holds decides, so the tests are applied last to first.
+    kinds = np.where(c < 1.0, DISJOINT, NESTED)
+    kinds[c < 0.0] = CROSSING
+    kinds[np.abs(c - 1.0) <= DEGENERATE_TOL] = PARABOLIC
+    kinds[np.abs(c) <= DEGENERATE_TOL] = SHARED
+    kinds[np.isinf(c)] = MEETS
     return c, kinds
 
 
@@ -194,6 +199,9 @@ class Family:
     - :meth:`pair`: the geometry of generators i and j, decoded on first
       use; the cross ratio is symmetric in the pair, so it serves both
       orders.  `pairs` maps every (i, j), i < j, to its geometry.
+    - `fixed_points`: x and y of the attracting points, then of the
+      repelling points, shape (2, 2, n); built with the array pair table,
+      or on first use.
     - `alpha_classes`, `beta_classes`: the generators whose attracting
       (repelling) points fall in each class of the one :func:`cluster` of
       all 2n fixed points within ANGLE_TOL, empty ones dropped; a class with
@@ -226,6 +234,8 @@ class Family:
             raise ValueError("need at least one generator")
         cls = tuple(require_hyperbolic(f, f"generator {idx}") for idx, f in enumerate(maps))
         n = len(cls)
+        # Point 2i is alpha_i and 2i + 1 is beta_i.
+        points = [p for k in cls for p in (k.alpha, k.beta)]
         if n * (n - 1) // 2 < PAIR_ARRAY_MIN_PAIRS:
             decoded = {
                 (i, j): _decode(cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta), ci, cj)
@@ -234,18 +244,15 @@ class Family:
             }
             cross_ratios, kinds = [pg.cross_ratio for pg in decoded.values()], None
         else:
-            decoded = {}
-            cross_ratios, kinds = _cross_ratio_table(cls)
-        points = [p for k in cls for p in (k.alpha, k.beta)]
+            decoded, fixed_points = {}, _coordinates(points)
+            cross_ratios, kinds = _cross_ratio_table(fixed_points)
         classes = cluster(points, ANGLE_TOL)
-        # Point 2i is alpha_i and 2i + 1 is beta_i; members ascend, so the
-        # row-major first meeting is the least pair of class heads.
-        split = [(tuple(i // 2 for i in c if i % 2 == 0), tuple(i // 2 for i in c if i % 2)) for c in classes]
-        alpha_classes = tuple(a for a, _ in split if a)
-        beta_classes = tuple(b for _, b in split if b)
-        meets = min(((a[0], b[0]) for a, b in split if a and b), default=None)
+        alpha_classes, beta_classes, meets = _split(classes)
         arcs = rank_one_arcs(points, classes)
-        return Family(maps, cls, cross_ratios, kinds, alpha_classes, beta_classes, meets, arcs, decoded)
+        family = Family(maps, cls, cross_ratios, kinds, alpha_classes, beta_classes, meets, arcs, decoded)
+        if kinds is not None:
+            object.__setattr__(family, "fixed_points", fixed_points)  # cached: the array the pair table read
+        return family
 
     def pair(self, i: int, j: int) -> PairGeometry:
         key = (i, j) if i < j else (j, i)
@@ -266,6 +273,10 @@ class Family:
         return self._all_pairs
 
     @cached_property
+    def fixed_points(self) -> np.ndarray:
+        return _coordinates([p for k in self.cls for p in (k.alpha, k.beta)])
+
+    @cached_property
     def _all_pairs(self) -> dict[tuple[int, int], PairGeometry]:
         n = len(self.cls)
         return {(i, j): self.pair(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -284,6 +295,36 @@ class Family:
         if self.alpha_meets_beta is not None:
             i, j = self.alpha_meets_beta
             raise PreconditionViolated(f"attracting point of generator {i} meets repelling point of {j}")
+
+
+def _coordinates(points: list[BoundaryPoint]) -> np.ndarray:
+    """`Family.fixed_points` of the points alpha_0, beta_0, alpha_1, ..."""
+    n = len(points) // 2
+    xy = np.fromiter(chain.from_iterable(map(_XY, points)), dtype=float, count=4 * n)
+    return xy.reshape(n, 2, 2).transpose(1, 2, 0)
+
+
+def _split(classes: list[list[int]]) -> tuple[tuple, tuple, tuple[int, int] | None]:
+    """`Family.alpha_classes`, `beta_classes` and `alpha_meets_beta` of the classes of the points 2i (alpha_i) and 2i + 1 (beta_i).
+
+    Members ascend, so the row-major first meeting is the least pair of the
+    first attracting and the first repelling member of a class.
+    """
+    alpha, beta, meets = [], [], None
+    for members in classes:
+        if len(members) == 1:  # nearly every class
+            i = members[0]
+            (beta if i % 2 else alpha).append((i // 2,))
+            continue
+        a = tuple(i // 2 for i in members if i % 2 == 0)
+        b = tuple(i // 2 for i in members if i % 2)
+        if a:
+            alpha.append(a)
+        if b:
+            beta.append(b)
+        if a and b:
+            meets = min(meets or (a[0], b[0]), (a[0], b[0]))
+    return tuple(alpha), tuple(beta), meets
 
 
 def inverse_flip_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, float]:

@@ -22,7 +22,6 @@ from semicert.boundary_arcs import (
     arc_image,
     can_partition_rank_one,
     ccw_gap,
-    cluster,
     complement,
     contains,
     image_clearances,
@@ -56,6 +55,19 @@ def bench_module(name):
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def greedy_cluster(points, tol):
+    """Reference for `cluster`: each point, in order, joins the first class whose first point is within tol."""
+    classes = []
+    for idx, p in enumerate(points):
+        for members in classes:
+            if points[members[0]].angular_distance(p) <= tol:
+                members.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
 
 
 def section_one_pair():
@@ -440,7 +452,7 @@ def reference_rank_one_search(F):
     family = Family.of(F)
     points = [p for k in family.cls for p in (k.alpha, k.beta)]
     merged = []  # (point, is attracting, is repelling)
-    for c in cluster(points, ANGLE_TOL):
+    for c in greedy_cluster(points, ANGLE_TOL):
         kinds = {i % 2 for i in c}  # even indices are attracting points
         merged.append((points[c[0]], 0 in kinds, 1 in kinds))
     shared = [p for p, a, b in merged if a and b]

@@ -21,6 +21,7 @@ from semicert.boundary_arcs import (
     schottky_margin,
 )
 from semicert.errors import AxesDoNotCross, VerificationFailed
+from semicert.moebius_core import ANGLE_TOL, points_of
 
 from helpers import (
     ADVERSARIAL_UNIONS,
@@ -29,6 +30,7 @@ from helpers import (
     crossing_pair,
     disjoint_pair,
     figure_two,
+    greedy_cluster,
     strictly_inside,
 )
 
@@ -186,6 +188,54 @@ def test_named_cases_agree_with_the_linear_scan(name):
 def test_cluster_joins_the_first_class_within_tol():
     points = [BoundaryPoint.from_angle(t) for t in (1.0, 1.0 + 6e-10, 1.0 + 12e-10, 3.0, 1.0 - 5e-10)]
     assert cluster(points, 1e-9) == [[0, 1, 4], [2], [3]]
+
+
+def at_angles(*angles):
+    """Points whose angles are exactly `angles`; their x and y are placeholders.
+
+    A canonical pair's angle near 0 is a multiple of 2**-50, so no two
+    placed points lie exactly ANGLE_TOL apart.
+    """
+    return points_of(np.ones(len(angles)), np.zeros(len(angles)), np.array(angles))
+
+
+def around(*angles):
+    return [BoundaryPoint.from_angle(t) for t in angles]
+
+
+def one_pair_inside_tol():
+    points = around(*((np.arange(64) + 0.5) * (2.0 * math.pi / 64)))
+    points[40] = BoundaryPoint.from_angle(points[7].angle + 0.5 * ANGLE_TOL)
+    return points, [[i] for i in range(7)] + [[7, 40]] + [[i] for i in range(8, 64) if i != 40]
+
+
+CLUSTER_CASES = {
+    "exactly-tol-apart": lambda: (at_angles(0.0, ANGLE_TOL), [[0, 1]]),
+    "just-beyond-tol": lambda: (at_angles(0.0, math.nextafter(ANGLE_TOL, 1.0)), [[0], [1]]),
+    "chain-across-zero": lambda: (around(2.0 * math.pi - 4e-10, 3e-10, 8e-10), [[0, 1], [2]]),
+    "chain-across-zero-reordered": lambda: (around(3e-10, 8e-10, 2.0 * math.pi - 4e-10), [[0, 1, 2]]),
+    "64-points-one-pair-inside-tol": one_pair_inside_tol,
+    "all-within-tol": lambda: (around(*(3.0 + 1e-10 * np.arange(10))), [list(range(10))]),
+    "all-within-tol-across-zero": lambda: (around(2.0 * math.pi - 3e-10, 1e-10, 4e-10, 2.0 * math.pi - 1e-10), [[0, 1, 2, 3]]),
+    "single-point": lambda: (around(2.0), [[0]]),
+    "no-points": lambda: ([], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_CASES))
+def test_cluster_named_cases(name):
+    points, expected = CLUSTER_CASES[name]()
+    assert greedy_cluster(points, ANGLE_TOL) == expected
+    assert cluster(points, ANGLE_TOL) == expected
+
+
+@pytest.mark.parametrize("angles", [(1.0, 2.5), (2.0 * math.pi - 3e-10, 5e-10), (0.1, 2.0 * math.pi - 0.2)], ids=["inside", "across-zero", "wide-across-zero"])
+def test_cluster_includes_a_pair_exactly_tol_apart(angles):
+    points = around(*angles)
+    tol = points[0].angular_distance(points[1])
+    assert cluster(points, tol) == greedy_cluster(points, tol) == [[0, 1]]
+    below = math.nextafter(tol, 0.0)
+    assert cluster(points, below) == greedy_cluster(points, below) == [[0], [1]]
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,13 @@ from semicert import (
     from_axis_and_length,
     normalize,
 )
-from semicert import boundary_arcs
 from semicert.boundary_arcs import cluster
 from semicert.criteria_engine import crossing_limit_interval
 from semicert.errors import AxesDoNotCross, AxesNotDisjoint, CertifyError, NotHyperbolic, PreconditionViolated, ThresholdNotMet
 from semicert.moebius_core import ANGLE_TOL, TWO_PI
 from semicert.pair_geometry import Family
 
-from helpers import crossing_pair, figure_two, random_admissible_family, section_one_pair
+from helpers import bench_module, crossing_pair, figure_two, greedy_cluster, random_admissible_family, section_one_pair
 
 MODULES = [semicert] + [
     importlib.import_module(f"semicert.{info.name}") for info in pkgutil.iter_modules(semicert.__path__)
@@ -105,17 +104,24 @@ def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
     assert counts["approx"] == sum(pg.kind.startswith("shared_") for pg in family.pairs.values())
 
 
-def matrix_and_loop(monkeypatch, points):
-    """`cluster` by its distance matrix, then by its pairwise loop, whatever the number of points."""
-    out = []
-    with monkeypatch.context() as patch:
-        for crossover in (0, math.inf):
-            patch.setattr(boundary_arcs, "CLUSTER_MIN_POINTS", crossover)
-            out.append(cluster(points, ANGLE_TOL))
-    return out
+def test_certify_builds_no_chart_object_on_the_array_path(monkeypatch):
+    # The axis table of a family with the pair table as arrays computes its
+    # charts and their inverses on arrays; the fixed points are clustered once.
+    F = list(bench_module("families").assembly_large(1, 1, 32)[0].maps)
+    counts = count_calls(monkeypatch, ("axis_chart", "inverse", "cluster"))
+    assert isinstance(certify(F), SemidiscreteInverseFree)
+    assert (counts["axis_chart"], counts["inverse"], counts["cluster"]) == (0, 0, 1)
 
 
-def test_family_classes_follow_the_greedy_clustering(monkeypatch):
+@pytest.mark.parametrize("n", [5, 14], ids=["list-table", "array-table"])
+def test_fixed_points_are_the_classified_coordinates(n):
+    family = Family.of(random_admissible_family(np.random.default_rng(93), n))
+    assert (family.kinds is None) == (n == 5)
+    expected = [[[getattr(getattr(k, side), axis) for k in family.cls] for axis in "xy"] for side in ("alpha", "beta")]
+    assert family.fixed_points.tolist() == expected
+
+
+def test_family_classes_follow_the_greedy_clustering():
     # Near-tolerance chains: a run of the 2n fixed points stepped by
     # 0.55-0.95 x ANGLE_TOL, where the greedy first-head rule decides
     # which points share a class; some runs cross angle 0.
@@ -128,8 +134,8 @@ def test_family_classes_follow_the_greedy_clustering(monkeypatch):
         start = rng.uniform(0.0, TWO_PI) if rng.uniform() < 0.7 else -rng.uniform(0.0, 2.0) * ANGLE_TOL
         angles[run] = (start + np.cumsum(rng.uniform(0.55, 0.95, size=len(run)) * ANGLE_TOL)) % TWO_PI
         points = [BoundaryPoint.from_angle(a) for a in angles]
-        matrix, classes = matrix_and_loop(monkeypatch, points)
-        assert matrix == classes
+        classes = greedy_cluster(points, ANGLE_TOL)
+        assert cluster(points, ANGLE_TOL) == classes
         class_of = {i: k for k, c in enumerate(classes) for i in c}
         chains += len({class_of[i] for i in run.tolist()}) > 1  # the greedy rule splits the run
         try:
@@ -137,10 +143,12 @@ def test_family_classes_follow_the_greedy_clustering(monkeypatch):
         except CertifyError:
             continue
         fixed = [p for k in family.cls for p in (k.alpha, k.beta)]
-        matrix, classes = matrix_and_loop(monkeypatch, fixed)
-        assert matrix == classes
+        classes = greedy_cluster(fixed, ANGLE_TOL)
+        assert cluster(fixed, ANGLE_TOL) == classes
         assert family.alpha_classes == tuple(tuple(i // 2 for i in c if i % 2 == 0) for c in classes if any(i % 2 == 0 for i in c))
         assert family.beta_classes == tuple(tuple(i // 2 for i in c if i % 2) for c in classes if any(i % 2 for i in c))
+        meetings = [(i // 2, j // 2) for c in classes for i in c for j in c if i % 2 == 0 and j % 2]
+        assert family.alpha_meets_beta == min(meetings, default=None)
         families += 1
     assert chains > 0 and families > 100
 

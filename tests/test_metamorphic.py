@@ -3,8 +3,10 @@
 The corpora are the seed-1 `verdict-mix` workload (small conjugated
 families of every verdict) and the seed-1 `assembly-large` workload (48
 admissible families of 32 generators, assembled on arrays), loaded read
-only from `bench/families.py`.  Each transformation of a family has a known
-effect on its semigroup:
+only from `bench/families.py`; 600 seeded random families (n = 2 to 4,
+random axes, tau log-uniform in [0.01, 80]); and 384 two-generator pairs
+of the disjoint atlas, from `bench/families._disjoint_pair`.  Each
+transformation of a family has a known effect on its semigroup:
 
 - inverting every generator gives the semigroup of inverses, which
   accumulates at the identity exactly when the original does, so no family
@@ -22,12 +24,14 @@ effect on its semigroup:
   error (it need not be hyperbolic).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from semicert import certify
+from semicert import BoundaryPoint, certify, from_axis_and_length
 from semicert.errors import CertifyError
-from semicert.moebius_core import compose, conjugate, inverse
+from semicert.moebius_core import TWO_PI, compose, conjugate, inverse
 
 from helpers import bench_module
 
@@ -50,6 +54,40 @@ def corpus():
 def large_corpus():
     families = bench_module("families").assembly_large(1, 48, 32)
     return [(f.name, list(f.maps), certify(list(f.maps)).kind) for f in families]
+
+
+def random_families(count=600):
+    """Seeded random families: n = 2 to 4, random axes, tau log-uniform in [0.01, 80]."""
+    rng = np.random.default_rng(11)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 5))
+        ends = rng.uniform(0.0, TWO_PI, size=(n, 2)).tolist()
+        taus = np.exp(rng.uniform(math.log(0.01), math.log(80.0), size=n)).tolist()
+        maps = [
+            from_axis_and_length(BoundaryPoint.from_angle(b), BoundaryPoint.from_angle(a), tau)
+            for (a, b), tau in zip(ends, taus)
+        ]
+        out.append((f"random/{k}", maps))
+    return out
+
+
+def atlas_pairs():
+    """Disjoint pairs of the two-generator atlas: 6 axis distances, 8 x 8 translation lengths."""
+    disjoint_pair = bench_module("families")._disjoint_pair
+    taus = np.geomspace(0.02, 20.0, 8).tolist()
+    return [
+        (f"atlas/d={d:.3g}/{tau_f:.3g}/{tau_g:.3g}", disjoint_pair(d, tau_f, tau_g))
+        for d in np.geomspace(0.1, 3.0, 6).tolist()
+        for tau_f in taus
+        for tau_g in taus
+    ]
+
+
+@pytest.fixture(scope="module", params=["random", "atlas"])
+def seeded_corpus(request):
+    families = random_families() if request.param == "random" else atlas_pairs()
+    return [(name, maps, certify(maps).kind) for name, maps in families]
 
 
 def opposite(kind, other):
@@ -131,3 +169,20 @@ def test_dropping_a_generator_never_gives_the_opposite_verdict(corpus):
                 flipped.append((name, k))
     assert flipped == []
     assert checked > 1000
+
+
+def test_inverting_a_seeded_family_never_gives_the_opposite_verdict(seeded_corpus):
+    flipped, compared = inverted_flips(seeded_corpus)
+    assert flipped == []
+    assert compared > 0
+
+
+def test_reversing_a_seeded_family_keeps_the_verdict_kind(seeded_corpus):
+    changed = [name for name, maps, kind in seeded_corpus if certify(maps[::-1]).kind != kind]
+    assert changed == []
+    assert len({kind for _, _, kind in seeded_corpus}) >= 2
+
+
+def test_bounded_conjugation_of_a_seeded_family_keeps_the_verdict_kind(seeded_corpus):
+    changed = [name for name, maps, kind in conjugated(seeded_corpus) if certify(maps).kind != kind]
+    assert changed == []

@@ -24,9 +24,10 @@ from semicert import (
 )
 from semicert import moebius_core
 from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
-from semicert.moebius_core import TWO_PI, from_boundary_triple, power, require_hyperbolic
+from semicert.moebius_core import TWO_PI, Geodesic, axis_chart, from_boundary_triple, power, require_hyperbolic
+from semicert.pair_geometry import Family
 
-from helpers import cayley_from_disc, figure_two, is_infinity, random_hyperbolic, random_moebius, section_one_pair
+from helpers import bench_module, cayley_from_disc, figure_two, is_infinity, random_hyperbolic, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
 
@@ -516,3 +517,45 @@ class TestArrayKernel:
         points = moebius_core.points_of(x, y, angle)
         assert points == [BoundaryPoint.of(3.0, -4.0), BoundaryPoint.of(-1.0, 0.0)]
         assert [p.angle for p in points] == angle.tolist()
+
+    @staticmethod
+    def chart_hex(lines):
+        """Entries of `axis_chart` of each (start, end) line and of its inverse, in hex."""
+        charts = [axis_chart(Geodesic(start, end)) for start, end in lines]
+        return [[v.hex() for v in (m.a, m.b, m.c, m.d)] for maps in (charts, map(inverse, charts)) for m in maps]
+
+    @staticmethod
+    def array_chart_hex(lines):
+        start, end = (np.array([[p.x for p in ends], [p.y for p in ends]]) for ends in zip(*lines))
+        chart, to_axis, coincide = moebius_core.axis_charts(start, end)
+        assert not coincide.any()
+        return [[v.hex() for v in column] for entries in (chart, to_axis) for column in entries.T.tolist()]
+
+    def test_axis_charts_of_the_assembly_large_axes(self):
+        for spec in bench_module("families").assembly_large(1, 48, 32):
+            family = Family.of(list(spec.maps))
+            lines = [(k.beta, k.alpha) for k in family.cls]
+            assert self.array_chart_hex(lines) == self.chart_hex(lines)
+
+    def test_axis_charts_of_crafted_lines(self):
+        zero, one = real(0.0), real(1.0)
+        lines = [
+            (zero, INF),  # the chart is the identity: c = 0
+            (INF, zero),  # trace exactly 0: the first nonzero entry decides both signs
+            (INF, one),
+            (real(-2.0), INF),
+            (real(-1.0), one),
+            (one, real(-1.0)),
+        ]
+        rng = np.random.default_rng(174)
+        angles = rng.uniform(0.0, TWO_PI, size=(400, 2))
+        lines += [(BoundaryPoint.from_angle(a), BoundaryPoint.from_angle(b)) for a, b in angles.tolist()]
+        charts = [axis_chart(Geodesic(*line)) for line in lines]
+        assert charts[0] == MoebiusMap(1.0, 0.0, 0.0, 1.0)
+        assert charts[1].trace == 0.0 and (charts[1].b, inverse(charts[1]).b) == (1.0, 1.0)
+        assert self.array_chart_hex(lines) == self.chart_hex(lines)
+
+    def test_axis_charts_mark_coinciding_ends(self):
+        p = np.array([[0.6, 1.0], [0.8, 0.0]])
+        _, _, coincide = moebius_core.axis_charts(p, p)
+        assert coincide.tolist() == [True, True]
