@@ -8,7 +8,6 @@ codes: 0 for a definitive certificate, 2 for inconclusive, 1 for errors.
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 import sys
 
@@ -17,14 +16,12 @@ import click
 from . import __version__
 from .boundary_arcs import DEFAULT_MARGIN, ArcUnion, BoundaryArc
 from .criteria_engine import Inconclusive, certificate_to_dict, certify, multicone, point_to_dict, union_to_dict
+from .criteria_engine import SCHEMA_VERSION, _json_number, certificate_arcs, finite_number, point_from_value
 from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, OverlappingArcs, ParseError
-from .moebius_core import BoundaryPoint, MoebiusMap, apply_boundary, classify, from_axis_and_length, normalize
+from .moebius_core import MoebiusMap, apply_boundary, classify, from_axis_and_length, normalize
 from .pair_geometry import Family
 from .render import RenderSpec, render_figure
 from .search_oracle import DEFAULT_BUDGET, EnumerationReport, chaos_game, enumerate_words, inverse_free_probe
-
-SCHEMA_VERSION = 1
-
 
 @click.group()
 @click.version_option(__version__)
@@ -51,23 +48,6 @@ def _load(path: str) -> dict:
     if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported schema {reprlib.repr(data.get('schema'))}")
     return data
-
-
-def _finite(v, where: str, expected: str) -> float:
-    """`v` as a float if it is a finite real number other than a bool; ParseError otherwise."""
-    # abs(v) <= max rejects NaN, the infinities and ints too large for a float.
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
-        return float(v)
-    # reprlib cuts the echo of a huge or deeply nested value to a short prefix.
-    raise ParseError(f"{where}: expected {expected}, got {reprlib.repr(v)}")
-
-
-def _boundary_value(v, model: str, where: str) -> BoundaryPoint:
-    if model == "disc":
-        return BoundaryPoint.from_angle(_finite(v, where, "a finite angle in radians"))
-    if v == "inf":
-        return BoundaryPoint.infinity()
-    return BoundaryPoint.from_real(_finite(v, where, 'a finite number or "inf"'))
 
 
 def _load_generators(path: str, matrices_only: bool = False) -> list[MoebiusMap | None]:
@@ -105,9 +85,9 @@ def _load_generators(path: str, matrices_only: bool = False) -> list[MoebiusMap 
                 raise ParseError(f"{where}: axis needs \"beta\" and \"alpha\"")
             if "tau" not in g:
                 raise ParseError(f"{where}: axis form needs \"tau\"")
-            beta = _boundary_value(ax["beta"], model, f"{where}.axis.beta")
-            alpha = _boundary_value(ax["alpha"], model, f"{where}.axis.alpha")
-            tau = _finite(g["tau"], f"{where}.tau", "a finite number")
+            beta = point_from_value(ax["beta"], f"{where}.axis.beta", model)
+            alpha = point_from_value(ax["alpha"], f"{where}.axis.alpha", model)
+            tau = finite_number(g["tau"], f"{where}.tau")
             try:
                 maps.append(from_axis_and_length(beta, alpha, tau))
             except (CertifyError, ValueError) as exc:
@@ -136,9 +116,7 @@ def _fail(exc: Exception) -> "sys.NoReturn":
 
 _input_opt = click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 _output_opt = click.option("--output", "output_path", default=None, type=click.Path())
-_format_opt = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
-)
+_format_opt = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 
 
 @main.command("classify")
@@ -191,7 +169,7 @@ def cmd_pairs(input_path, output_path, fmt):
         maps = _load_generators(input_path)
         rows = []
         for (i, j), cfg in Family.of(maps).pairs.items():
-            row = {"i": i, "j": j, "cross_ratio": _num(cfg.cross_ratio), "kind": cfg.kind}
+            row = {"i": i, "j": j, "cross_ratio": _json_number(cfg.cross_ratio), "kind": cfg.kind}
             if cfg.kind == "crossing":
                 row["theta"] = cfg.theta
             elif cfg.kind == "disjoint":
@@ -207,10 +185,6 @@ def cmd_pairs(input_path, output_path, fmt):
         for r in rows
     ]
     _emit({"schema": SCHEMA_VERSION, "pairs": rows}, fmt, output_path, lines)
-
-
-def _num(v: float):
-    return "inf" if math.isinf(v) else v
 
 
 @main.command("certify")
@@ -290,21 +264,12 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
     # Endpoint images are reported as raw points: a strongly contracted arc
     # can be thinner than float angular resolution.
     images = [
-        {
-            "matrix": i,
-            "arc": a,
-            "image_start": point_to_dict(apply_boundary(maps[i], arc.start)),
-            "image_end": point_to_dict(apply_boundary(maps[i], arc.end)),
-        }
-        for i in range(len(maps))
+        {"matrix": i, "arc": a, "image_start": point_to_dict(apply_boundary(f, arc.start)),
+         "image_end": point_to_dict(apply_boundary(f, arc.end))}
+        for i, f in enumerate(maps)
         for a, arc in enumerate(union)
     ]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "kind": "multicone",
-        "union": union_to_dict(union),
-        "images": images,
-    }
+    payload = {"schema": SCHEMA_VERSION, "kind": "multicone", "union": union_to_dict(union), "images": images}
     _emit(payload, fmt, output_path, ["multicone"])
     sys.exit(0)
 
@@ -353,45 +318,24 @@ def cmd_render(input_path, output_path, cert_path, size, no_labels):
     """Draw the disc-model figure (axes, arrows, certificate arcs) as SVG."""
     try:
         maps = _load_generators(input_path)
-        union = None
-        if cert_path:
-            union = _union_from_certificate(_load(cert_path), cert_path)
-        svg = render_figure(
-            maps, union, RenderSpec(size=size, draw_labels=not no_labels)
-        )
+        union = _certificate_union(cert_path) if cert_path else None
+        svg = render_figure(maps, union, RenderSpec(size=size, draw_labels=not no_labels))
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(svg)
     except (CertifyError, OSError, ValueError) as exc:
         _fail(exc)
 
 
-def _union_from_certificate(data: dict, path: str) -> ArcUnion | None:
-    arcs, name = data.get("union"), "union[{}]"
-    if arcs is None and "interval" in data:
-        arcs, name = [data["interval"]], "interval"
+def _certificate_union(path: str) -> ArcUnion | None:
+    arcs = certificate_arcs(_load(path), path)
     if arcs is None:
         return None
-    if not isinstance(arcs, list):
-        raise ParseError(f"{path}: union: expected a list of arcs, got {reprlib.repr(arcs)}")
-
-    def field(obj, key: str, where: str):
-        if not isinstance(obj, dict):
-            raise ParseError(f"{where}: expected an object, got {reprlib.repr(obj)}")
-        if key not in obj:
-            raise ParseError(f"{where}.{key}: missing")
-        return obj[key]
-
-    def arc(k: int, obj) -> BoundaryArc:
-        # Both ends are looked up before either angle, so a missing end is named first.
-        where = f"{path}: {name.format(k)}"
-        ends = [(f"{where}.{end}", field(obj, end, where)) for end in ("start", "end")]
-        angles = [_finite(field(p, "angle", w), f"{w}.angle", "a finite angle in radians") for w, p in ends]
+    built = []
+    for label, start, end in arcs:
         try:
-            return BoundaryArc.from_angles(*angles)
+            built.append(BoundaryArc(start, end))
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-
-    built = [arc(k, a) for k, a in enumerate(arcs)]
+            raise ParseError(f"{path}: {label}: {exc}") from exc
     try:
         return ArcUnion(built)
     except (ValueError, OverlappingArcs) as exc:  # only a union can be empty or overlap

@@ -8,6 +8,8 @@ inconclusive rather than guessed.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,6 +27,7 @@ from .errors import (
     AxesDoNotCross,
     InvalidMatrix,
     NonPositiveDeterminant,
+    ParseError,
     PreconditionViolated,
     SearchExhausted,
     SingularMatrix,
@@ -465,11 +468,17 @@ def multicone(maps: Sequence[MoebiusMap | None], margin: float = DEFAULT_MARGIN)
 
 
 # --- serialization ---------------------------------------------------------------
+# The JSON forms of points, arcs and certificates, and the one reader of them.
+ANGLE_AGREEMENT = 1e-12  # radians; the angle and value that `point_to_dict` writes agree to about 1e-15
+SCHEMA_VERSION = 1
+
+
+def _json_number(v: float) -> float | str:
+    return "inf" if math.isinf(v) else v  # private, so the benchmark tracer adds no timed call per point
 
 
 def point_to_dict(p: BoundaryPoint) -> dict:
-    value = p.value
-    return {"angle": p.angle, "value": "inf" if math.isinf(value) else value}
+    return {"angle": p.angle, "value": _json_number(p.value)}
 
 
 def arc_to_dict(arc: BoundaryArc) -> dict:
@@ -481,7 +490,7 @@ def union_to_dict(union: ArcUnion) -> list[dict]:
 
 
 def certificate_to_dict(cert: Certificate, version: str = "") -> dict:
-    out: dict = {"schema": 1, "kind": cert.kind}
+    out: dict = {"schema": SCHEMA_VERSION, "kind": cert.kind}
     if version:
         out["tool_version"] = version
     if isinstance(cert, NotSemidiscrete):
@@ -494,10 +503,7 @@ def certificate_to_dict(cert: Certificate, version: str = "") -> dict:
         out["union"] = union_to_dict(cert.system.union)
         out["margin"] = cert.system.margin
         out["assembly_constant"] = cert.system.constant_m
-        out["pairs"] = [
-            {"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)}
-            for p in cert.system.pairs
-        ]
+        out["pairs"] = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in cert.system.pairs]
         out["notes"] = list(cert.system.notes)
         if cert.thresholds is not None:
             out["lower"] = cert.thresholds.lower
@@ -508,3 +514,53 @@ def certificate_to_dict(cert: Certificate, version: str = "") -> dict:
     elif isinstance(cert, Inconclusive):
         out["report"] = cert.report
     return out
+
+
+def finite_number(v, where: str, expected: str = "a finite number") -> float:
+    """`v` as a float if it is a finite real number other than a bool; ParseError otherwise."""
+    # abs(v) <= max rejects NaN, the infinities and ints too large for a float; reprlib shortens the echo.
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ParseError(f"{where}: expected {expected}, got {reprlib.repr(v)}")
+
+
+def point_from_value(v, where: str, model: str = "half-plane") -> BoundaryPoint:
+    """The point a JSON value names: a number or "inf" in the half-plane, an angle in the disc."""
+    if model == "disc":
+        return BoundaryPoint.from_angle(finite_number(v, where, "a finite angle in radians"))
+    return BoundaryPoint.from_real(math.inf if v == "inf" else finite_number(v, where, 'a finite number or "inf"'))
+
+
+def point_from_dict(obj, where: str) -> BoundaryPoint:
+    """A point as `point_to_dict` writes it: the point of its `value`, if its `angle` is within ANGLE_AGREEMENT."""
+    p = point_from_value(_member(obj, "value", where), f"{where}.value")
+    angle = finite_number(_member(obj, "angle", where), f"{where}.angle", "a finite angle in radians")
+    if abs(math.remainder(angle - p.angle, 2.0 * math.pi)) > ANGLE_AGREEMENT:
+        raise ParseError(f"{where}.angle: {angle!r} is not the angle of its value, {p.angle!r}")
+    return p
+
+
+def certificate_arcs(data: dict, path: str) -> list[tuple[str, BoundaryPoint, BoundaryPoint]] | None:
+    """(field, start, end) of each arc of a certificate's `union` or `interval`, or None; builds no arc."""
+    arcs, name = data.get("union"), "union[{}]"
+    if arcs is None and "interval" in data:
+        arcs, name = [data["interval"]], "interval"
+    if arcs is None:
+        return None
+    if not isinstance(arcs, list):
+        raise ParseError(f"{path}: union: expected a list of arcs, got {reprlib.repr(arcs)}")
+    out = []
+    for k, arc in enumerate(arcs):
+        where = f"{path}: {name.format(k)}"
+        # Both ends are looked up before either point, so a missing end is named first.
+        start, end = [_member(arc, end, where) for end in ("start", "end")]
+        out.append((name.format(k), point_from_dict(start, f"{where}.start"), point_from_dict(end, f"{where}.end")))
+    return out
+
+
+def _member(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {reprlib.repr(obj)}")
+    if key not in obj:
+        raise ParseError(f"{where}.{key}: missing")
+    return obj[key]

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from semicert import MoebiusMap, certify, classify
+from semicert import BoundaryArc, BoundaryPoint, MoebiusMap, certify, classify, normalize
 from semicert.cli import main
-from semicert.criteria_engine import certificate_to_dict
+from semicert.criteria_engine import certificate_to_dict, multicone, point_to_dict
+from semicert.render import render_figure
 
 from helpers import figure_two, section_one_pair
 
@@ -47,6 +48,11 @@ def write_disc_input(path, taus):
     }
     path.write_text(json.dumps(data))
     return path
+
+
+def point(angle):
+    """A certificate point at disc angle `angle`, with the value it stands for."""
+    return {"angle": angle, "value": BoundaryPoint.from_angle(angle).value}
 
 
 def write_matrix_input(path, maps):
@@ -331,6 +337,18 @@ class TestCocycleCommand:
         assert result.exit_code == 2
         assert json.loads(result.output)["kind"] == "inconclusive"
 
+    def test_multicone_union_renders(self, runner, tmp_path):
+        maps = figure_two(41.0)
+        src = write_matrix_input(tmp_path / "in.json", maps)
+        cert, out = tmp_path / "cert.json", tmp_path / "figure.svg"
+        assert runner.invoke(main, ["cocycle", "--input", str(src), "--output", str(cert)]).exit_code == 0
+        result = runner.invoke(main, ["render", "--input", str(src), "--certificate", str(cert), "--output", str(out)])
+        assert result.exit_code == 0, result.stderr
+        read = [normalize([m.a, m.b, m.c, m.d]) for m in maps]
+        union = multicone(read)
+        assert len(union) == len(json.loads(cert.read_text())["union"]) > 1
+        assert out.read_text() == render_figure(read, union)
+
     def test_single_cone(self, runner, tmp_path):
         src = tmp_path / "in.json"
         src.write_text(json.dumps({"schema": 1, "generators": [{"matrix": [2, 0, 0, 0.5]}]}))
@@ -483,7 +501,7 @@ class TestRenderCommand:
     )
     def test_rejects_a_non_finite_or_non_numeric_angle(self, runner, tmp_path, layout, angle):
         src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
-        arc = {"start": {"angle": angle}, "end": {"angle": 2.0}}
+        arc = {"start": {**point(1.0), "angle": angle}, "end": point(2.0)}
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"union": [arc]} if layout == "union" else {"interval": arc}))
         out = tmp_path / "out.svg"
@@ -501,10 +519,10 @@ class TestRenderCommand:
             ({"interval": None}, "interval: expected an object, got None"),
             ({"union": {"a": 1}}, "union: expected a list of arcs, got {'a': 1}"),
             ({"union": []}, "union: arc union must contain at least one arc"),
-            ({"union": [{"start": {"angle": 1.0}, "end": {"angle": 1.0}}]}, "union[0]: arc endpoints coincide"),
-            ({"interval": {"start": {"angle": 2.0}, "end": {"angle": 2.0}}}, "interval: arc endpoints coincide"),
+            ({"union": [{"start": point(1.0), "end": point(1.0)}]}, "union[0]: arc endpoints coincide"),
+            ({"interval": {"start": point(2.0), "end": point(2.0)}}, "interval: arc endpoints coincide"),
             (
-                {"union": [{"start": {"angle": a}, "end": {"angle": b}} for a, b in ((1.0, 2.0), (1.5, 3.0))]},
+                {"union": [{"start": point(a), "end": point(b)} for a, b in ((1.0, 2.0), (1.5, 3.0))]},
                 "union: arc closures intersect near angle 2.000000",
             ),
         ],
@@ -527,6 +545,56 @@ class TestRenderCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
         assert result.stderr.splitlines() == [f"error: {cert}: {message}"]
+
+    @pytest.mark.parametrize("layout", ["union", "interval"])
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ({"angle": 1.0}, ".start.value: missing"),
+            *[
+                ({**point(1.0), "value": value}, '.start.value: expected a finite number or "inf", got ')
+                for value in (10**400, True, "0.5", math.nan, math.inf)
+            ],
+            ({**point(1.0), "angle": 1.0 + 1e-9}, ".start.angle: 1.000000001 is not the angle of its value, "),
+            ({**point(1.0), "angle": 1.0 + 1e-9 - 2.0 * math.pi}, ".start.angle: -5.28318530617"),
+        ],
+        ids=[
+            "missing-value",
+            "value-10**400",
+            "value-true",
+            "value-string",
+            "value-NaN",
+            "value-Infinity",
+            "angle-off-by-1e-9",
+            "angle-off-by-1e-9-a-turn-away",
+        ],
+    )
+    def test_names_a_bad_value_or_a_disagreeing_angle(self, runner, tmp_path, layout, start, message):
+        src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
+        arc = {"start": start, "end": point(2.0)}
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps({"union": [arc]} if layout == "union" else {"interval": arc}))
+        out = tmp_path / "out.svg"
+        result = runner.invoke(main, ["render", "--input", str(src), "--certificate", str(cert), "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        [line] = result.stderr.splitlines()
+        field = "union[0]" if layout == "union" else "interval"
+        assert line.startswith(f"error: {cert}: {field}{message}") and len(line) < 200
+
+    @pytest.mark.parametrize("angle", [0.0, 2.0 * math.pi, 1e-13, -1e-13], ids=["0", "2pi", "1e-13", "-1e-13"])
+    def test_reads_an_inf_value_within_the_bound(self, runner, tmp_path, angle):
+        src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
+        arc = BoundaryArc(BoundaryPoint.infinity(), BoundaryPoint.from_angle(2.0))
+        svgs = []
+        for name, start in [("written", point_to_dict(arc.start)), ("edited", {"angle": angle, "value": "inf"})]:
+            cert, out = tmp_path / f"{name}.json", tmp_path / f"{name}.svg"
+            cert.write_text(json.dumps({"interval": {"start": start, "end": point_to_dict(arc.end)}}))
+            args = ["render", "--input", str(src), "--certificate", str(cert), "--output", str(out)]
+            assert runner.invoke(main, args).exit_code == 0
+            svgs.append(out.read_text())
+        assert svgs[0] == svgs[1]
+        assert svgs[0].count("<path") == 6  # five axes and the arc
 
 
 class TestMisc:
