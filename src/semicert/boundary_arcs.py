@@ -296,10 +296,13 @@ def verify_schottky(
 # The screen's error bound: array angles differ from the scalar ones by a
 # few ulps of 2*pi (about 1e-15 rad), and derived gaps by a few times that.
 SCREEN_TOL = 1e-12
-# Generators times union components from which the screen pays for itself.
-# One call on assembled families (about n components for n generators),
-# scalar against screened: 120 vs 170 us at n*k = 16, 160 vs 160 us at 25,
-# 230 vs 180 us at 36, 530 vs 230 us at 64, 9.4 vs 1.0 ms at 1,024.
+# Generators times union components from which the verifier screens.  One
+# call on assembled families (about n components for n generators), scalar
+# against screened, each the median over 12 families (4 at n = 32) of the
+# fastest of 60 interleaved calls on a 2-core VM: 128 vs 297 us at n*k = 16,
+# 190 vs 297 us at 25, 263 vs 308 us at 36, 347 vs 242 us at 64, 5.3 vs
+# 0.46 ms at 1,024.  The crossover, between 36 and 64, lies where it lay
+# with numpy's `%` in the screen; the constant is left where it was.
 SCREEN_MIN_PAIRS = 32
 
 
@@ -319,10 +322,10 @@ def schottky_margin(
     when the caller holds them; otherwise they are classified here.
 
     Below SCREEN_MIN_PAIRS = 32 pairs of generator and union arc, every pair
-    is decided by the scalar `_enclosing` check.  From there on, where the
-    screen was measured to start paying for itself, :func:`_screened_margin`
-    decides them on the union's arrays, with the same result; it builds no
-    object, so a union of :meth:`ArcUnion.of_arrays` builds no arc here.
+    is decided by the scalar `_enclosing` check.  From there on
+    :func:`_screened_margin` decides them on the union's arrays, with the
+    same result; it builds no object, so a union of
+    :meth:`ArcUnion.of_arrays` builds no arc here.
     """
     if classes is None:
         classes = [classify(f) for f in generators]
@@ -353,7 +356,9 @@ def _screened_margin(
     of :func:`contains`.  The arcs' midpoints and the images of the pairs
     that the screen leaves are computed with the kernel of `moebius_core`,
     and decided by `_array_clearances`, whose arithmetic is that of
-    `_clearances`: each pair is decided as in the scalar loop.  A pair the
+    `_clearances` (its remainders by :func:`_wrap_turn` are `%` bit for bit,
+    since the kernel's angles and the arcs' lie in [0, 2*pi)): each pair is
+    decided as in the scalar loop.  A pair the
     screen leaves out is contained in scalar too, with a clearance above the
     least, so the result, -inf or the clearance of the minimising pair, is
     the scalar one bit for bit.  On n = 32 assembled unions the screen
@@ -392,7 +397,10 @@ def _screen(
     `maps` holds the generators' entries a, b, c, d on its first axis, and
     `pts` the x and y of each arc's start, end and midpoint (shape (2,
     arcs, 3)).  Replays `_image_angles`, `_enclosing` and `_clearances` on
-    arrays of shape (generators, arcs), with numpy's hypot and arctan2.
+    arrays of shape (generators, arcs) at array cost: :func:`_array_images`
+    reads the angles with numpy's arctan2 off the images as computed, with
+    no normalisation and no sign flip, and places them by a bound on their
+    larger coordinate; no remainder is taken with numpy's `%`.
     Returns a pair when an image point is not safely placeable, when a
     decision lies within SCREEN_TOL of its threshold (a collapse guard, a
     1e-9 slack, a clearance against the span), when the screen finds it not
@@ -417,15 +425,38 @@ def _array_images(maps: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     """Angles of the images of homogeneous points, and where all of a row's three are placeable.
 
     `maps` holds the entries a, b, c, d on its first axis and `pts` the
-    coordinates x, y; the two broadcast to angles of shape (..., 3).
+    coordinates x, y; the two broadcast to angles of shape (..., 3), each in
+    [0, 2*pi) or NaN.  An image is placeable where the larger of |x| and |y|
+    lies in (1e-290, 1e289): its hypot, at most sqrt(2) times that, is then
+    neither 0 nor inf, so the scalar check places it too.  The angle is read
+    off (x, y) without the canonical sign flip: -2*atan2 of (x, y) and of
+    (-x, -y) differ by 2*pi, which :func:`_wrap_turn` removes up to an ulp.
+    So -2*atan2 lies in [-2*pi, 2*pi], and a result of exactly 2*pi (from
+    y = -0.0 with x < 0, or a tiny negative angle that wraps onto 2*pi) reads
+    as 0, as in `boundary_angles`.
     """
     x = maps[0] * pts[0] + maps[1] * pts[1]
     y = maps[2] * pts[0] + maps[3] * pts[1]
-    norm = np.hypot(x, y)  # far from 0 and inf, the scalar check places the image too
-    placed = ((norm > 1e-290) & (norm < 1e290)).all(axis=-1)
-    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
-    angle = (-2.0 * np.arctan2(np.where(flip, -y, y), np.where(flip, -x, x))) % TWO_PI
+    big = np.maximum(np.abs(x), np.abs(y))
+    placed = ((big > 1e-290) & (big < 1e289)).all(axis=-1)
+    angle = _wrap_turn(-2.0 * np.arctan2(y, x))
+    angle[angle == TWO_PI] = 0.0
     return angle, placed
+
+
+def _wrap_turn(d: np.ndarray) -> np.ndarray:
+    """`d % TWO_PI` in place, bit for bit, for every d in [-2*pi, 2*pi) and NaN.
+
+    On a float d with |d| <= 2*pi numpy's remainder (like Python's) takes
+    fmod(d, 2*pi), which is d itself except at -2*pi, where it is -0.0; it
+    then adds 2*pi to a negative result and turns a zero into +0.0.  Adding
+    2*pi where d < 0 rounds the same sum, gives -2*pi + 2*pi = +0.0 and
+    -0.0 + 0.0 = +0.0, and leaves NaN as it is: about an eighth of the cost
+    of `%` on the screen's thousands of elements, and twice it on a few
+    dozen.  Angles in [0, 2*pi) have their differences in that range.
+    """
+    d += TWO_PI * (d < 0.0)
+    return d
 
 
 def _array_clearances(angle: np.ndarray, start, end, span) -> tuple[np.ndarray, ...]:
@@ -434,17 +465,19 @@ def _array_clearances(angle: np.ndarray, start, end, span) -> tuple[np.ndarray, 
     `angle` holds the image start, end and midpoint angles on its last axis;
     `start`, `end` and `span` describe the outer arc.  Near means within
     SCREEN_TOL of a collapse guard, a 1e-9 slack or a clearance against the
-    span.
+    span.  Every angle here, the images' and the outer arc's, lies in
+    [0, 2*pi) or is NaN, so each difference lies in (-2*pi, 2*pi) or is NaN,
+    and :func:`_wrap_turn` is `%` on it, bit for bit.
     """
     tol = SCREEN_TOL
     p, q, mid = angle[..., 0], angle[..., 1], angle[..., 2]
-    img = (q - p) % TWO_PI
-    off = (mid - p) % TWO_PI
+    img = _wrap_turn(q - p)
+    off = _wrap_turn(mid - p)
     near = (np.abs(img - (TWO_PI - 1e-9)) <= tol) | (np.abs(off - (TWO_PI - 1e-9)) <= tol)
     img = np.where(img >= TWO_PI - 1e-9, 0.0, img)
     off = np.where(off >= TWO_PI - 1e-9, 0.0, off)
-    lead = (p - start) % TWO_PI
-    tail = (end - q) % TWO_PI
+    lead = _wrap_turn(p - start)
+    tail = _wrap_turn(end - q)
     rest = np.abs(lead + img + tail - span)
     near |= (np.abs(off - img - 1e-9) <= tol) | (np.abs(rest - 1e-9) <= tol)
     near |= (np.abs(lead - span) <= tol) | (np.abs(tail - span) <= tol)
@@ -469,6 +502,15 @@ def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
     comparing every point with every class head.  Members ascend within a
     class, and the classes come in the order of their first points.
     """
+    return _cluster(points, tol)[0]
+
+
+def _cluster(points: Sequence[BoundaryPoint], tol: float) -> tuple[list[list[int]], list[list[int]]]:
+    """:func:`cluster`'s classes, then the same classes in the angle order of their first points.
+
+    The second order is read off the one sort of the points by angle (ties
+    by index), so it is the stable sort of the first by the first points' angles.
+    """
     n = len(points)
     angles = list(map(_ANGLE, points))
     order = sorted(range(n), key=angles.__getitem__)
@@ -485,14 +527,13 @@ def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
             if points[i].angular_distance(points[j]) <= tol:
                 pairs.append((max(i, j), min(i, j)))
     classes: list[list[int] | None] = [[i] for i in range(n)]
-    if not pairs:
-        return classes
     # By ascending later point i, then earlier point j: i joins the first j that heads a class.
     for i, j in sorted(pairs):
         if classes[i] is not None and classes[j] is not None:
             classes[j].append(i)
             classes[i] = None
-    return [members for members in classes if members is not None]
+    by_angle = [members for members in map(classes.__getitem__, order) if members is not None]
+    return [members for members in classes if members is not None], by_angle
 
 
 def can_partition_rank_one(
@@ -527,23 +568,29 @@ def rank_one_arcs(points: Sequence[BoundaryPoint], classes: list[list[int]]) -> 
     """The arcs that can be one interval every generator maps inside itself.
 
     Reads the :func:`cluster` classes of the fixed points (alpha_i at 2i,
-    beta_i at 2i + 1).  An arc qualifies when its open interior holds exactly
-    the attracting-only classes and each shared class is one of its ends; the
-    other ends are midpoints of the gaps next to the attracting run.  Returns
-    a tuple sorted by start, then end angle.
+    beta_i at 2i + 1), given in the angle order of their first points, ties
+    by index, as `_cluster` returns them second.  An arc qualifies when its
+    open interior holds exactly the attracting-only classes and each shared
+    class is one of its ends; the other ends are midpoints of the gaps next
+    to the attracting run.  Most families have their attracting points in
+    several runs, which is decided first, before any class's kinds are
+    collected.  Returns a tuple sorted by start, then end angle.
     """
-    classes = sorted(classes, key=lambda c: points[c[0]].angle)
-    reps, m = [points[c[0]] for c in classes], len(classes)
-    kinds = [{c[0] % 2} if len(c) == 1 else {i % 2 for i in c} for c in classes]  # 0: attracting, 1: repelling
-    shared = {k for k, kind in enumerate(kinds) if len(kind) == 2}
-    attracting = [k for k, kind in enumerate(kinds) if kind == {0}]
-    runs = [k for k in attracting if kinds[k - 1] != {0}]
-    if m < 2 or len(runs) > 1 or len(shared) > 2:
+    m = len(classes)
+    # A class is attracting-only when every member is an attracting point (an even index).
+    attracting = [c[0] % 2 == 0 and (len(c) == 1 or not any(i % 2 for i in c)) for c in classes]
+    runs = [k for k in range(m) if attracting[k] and not attracting[k - 1]]
+    if m < 2 or len(runs) > 1:
         return ()
+    reps = [points[c[0]] for c in classes]
+    shared = {k for k, c in enumerate(classes) if len({i % 2 for i in c}) == 2}
+    if len(shared) > 2:
+        return ()
+    count = attracting.count(True)
     gap = cache(lambda k: BoundaryArc(reps[k - 1], reps[k]).midpoint)  # built for the arcs that end there only
     arcs = []
     for k in runs or range(m):  # an empty attracting run may sit in any gap
-        prev, nxt = (k - 1) % m, (k + len(attracting)) % m
+        prev, nxt = (k - 1) % m, (k + count) % m
         for i in (None, prev)[: 1 + (prev in shared)]:
             for j in (None, nxt)[: 1 + (nxt in shared)]:
                 if shared <= {i, j}:

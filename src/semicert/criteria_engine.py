@@ -19,6 +19,7 @@ from .boundary_arcs import (
     DEFAULT_MARGIN,
     ArcUnion,
     BoundaryArc,
+    PointArrays,
     contains,
     repeller_free_arc,
     schottky_margin,
@@ -35,7 +36,7 @@ from .errors import (
     VerificationFailed,
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
-from .moebius_core import BoundaryPoint, MoebiusMap, compose, normalize, power
+from .moebius_core import BoundaryPoint, MoebiusMap, boundary_values, compose, normalize, power
 from .pair_geometry import DEGENERATE_TOL, Family, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
@@ -478,7 +479,12 @@ def _json_number(v: float) -> float | str:
 
 
 def point_to_dict(p: BoundaryPoint) -> dict:
-    return {"angle": p.angle, "value": _json_number(p.value)}
+    return _point_dict(p.angle, p.value)
+
+
+def _point_dict(angle: float, value: float) -> dict:
+    """The one JSON form of a point, from its angle and value, read off an object or an array."""
+    return {"angle": angle, "value": _json_number(value)}
 
 
 def arc_to_dict(arc: BoundaryArc) -> dict:
@@ -487,6 +493,32 @@ def arc_to_dict(arc: BoundaryArc) -> dict:
 
 def union_to_dict(union: ArcUnion) -> list[dict]:
     return [arc_to_dict(a) for a in union]
+
+
+def _arc_dicts(start: PointArrays, end: PointArrays) -> list[dict]:
+    """:func:`arc_to_dict` of the arcs from start[k] to end[k] of the kernel's arrays, in their flat order.
+
+    The angles are the points' own, and `boundary_values` is
+    `BoundaryPoint.value` bit for bit, so the dicts are those of the arcs.
+    """
+    starts, ends = (
+        list(map(_point_dict, angle.ravel().tolist(), boundary_values(x, y).ravel().tolist())) for x, y, angle in (start, end)
+    )
+    return [{"start": p, "end": q} for p, q in zip(starts, ends)]
+
+
+def _system_to_dict(system: GlobalIntervalSystem) -> tuple[list[dict], list[dict]]:
+    """The `union` and `pairs` entries of a system's certificate.
+
+    Read off the arrays when the system holds its cuts as arrays (its union
+    then holds its arcs as arrays too), so no arc is built; else off its objects.
+    """
+    if system.cuts is None:
+        pairs = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in system.pairs]
+        return union_to_dict(system.union), pairs
+    cuts = _arc_dicts(*system.cuts)  # the a arcs, then the b arcs
+    n = len(cuts) // 2
+    return _arc_dicts(*system.union.arrays()), [{"owner": i, "a": cuts[i], "b": cuts[n + i]} for i in range(n)]
 
 
 def certificate_to_dict(cert: Certificate, version: str = "") -> dict:
@@ -500,10 +532,10 @@ def certificate_to_dict(cert: Certificate, version: str = "") -> dict:
         if cert.trace is not None:
             out["trace"] = cert.trace
     elif isinstance(cert, SemidiscreteInverseFree):
-        out["union"] = union_to_dict(cert.system.union)
+        out["union"], pairs = _system_to_dict(cert.system)
         out["margin"] = cert.system.margin
         out["assembly_constant"] = cert.system.constant_m
-        out["pairs"] = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in cert.system.pairs]
+        out["pairs"] = pairs
         out["notes"] = list(cert.system.notes)
         if cert.thresholds is not None:
             out["lower"] = cert.thresholds.lower

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .errors import (
 from .moebius_core import (
     BoundaryPoint,
     Classification,
+    FrozenValue,
     Geodesic,
     MoebiusMap,
     apply_boundary,
@@ -105,16 +107,43 @@ class SharedFixedPointGroup:
     far: BoundaryArc
 
 
-@dataclass(frozen=True)
-class GlobalIntervalSystem:
-    """Assembled per-generator intervals plus the verified forward union."""
+class GlobalIntervalSystem(FrozenValue):
+    """Assembled per-generator intervals plus the verified forward union.
 
-    pairs: tuple[SymmetricIntervalPair, ...]
-    groups: tuple[SharedFixedPointGroup, ...]
-    union: ArcUnion
-    constant_m: float
-    margin: float
-    notes: tuple[str, ...] = ()
+    `pairs[i]` holds generator i's a and b arcs.  A system assembled on the
+    kernel's arrays holds its cuts as arrays in `cuts`: the start and end
+    points of the a arcs (row 0) and of the b arcs (row 1), each x, y and
+    angle of shape (2, n).  It builds `pairs` from them on first read, as a
+    union of :meth:`ArcUnion.of_arrays` builds its arcs, so a certificate
+    written from the arrays builds no arc.  `cuts` is None otherwise.
+    Immutable, with equality, hashing and repr over `_fields`, as a frozen
+    dataclass.
+    """
+
+    __slots__ = ("_pairs", "cuts", "groups", "union", "constant_m", "margin", "notes")
+    _fields = ("pairs", "groups", "union", "constant_m", "margin", "notes")
+    _key = attrgetter(*_fields)
+
+    def __init__(
+        self,
+        pairs: tuple[SymmetricIntervalPair, ...] | None,
+        groups: tuple[SharedFixedPointGroup, ...],
+        union: ArcUnion,
+        constant_m: float,
+        margin: float,
+        notes: tuple[str, ...] = (),
+        cuts: tuple[PointArrays, PointArrays] | None = None,
+    ):
+        for name, value in zip(self.__slots__, (pairs, cuts, groups, union, constant_m, margin, notes)):
+            object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
+
+    @property
+    def pairs(self) -> tuple[SymmetricIntervalPair, ...]:
+        if self._pairs is None:
+            start, end = self.cuts
+            a, b = (arcs_of(tuple(v[side] for v in start), tuple(v[side] for v in end)) for side in (0, 1))
+            object.__setattr__(self, "_pairs", tuple(map(SymmetricIntervalPair, a, b, range(len(a)))))
+        return self._pairs
 
 
 def pair_gate(c: float) -> float:
@@ -289,7 +318,7 @@ class _AxisTable:
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
     def _admit(self, family: Family) -> tuple[np.ndarray, ...]:
         """Rows and columns of the admitted keys, skip notes, cut floors and their trust, cross ratios and crossing flags, from the arrays."""
-        rows, cols = np.triu_indices(len(family.cls), 1)
+        rows, cols = family.pair_index
         pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
         c, rows, cols = family.cross_ratios[pick], rows[pick], cols[pick]
         crossing = family.kinds[pick] == CROSSING
@@ -705,8 +734,8 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     each a cut before its b cut (a failing cut is rerun by :meth:`_AxisTable.cut`,
     which raises its error), then that owner, the shared groups, the
     intersections, the hulls, the union's overlap and the margin, in order.
-    Points and arcs are built only for what the returned system holds (and
-    for the one cut that a failing schedule reruns).
+    No point or arc is built: the returned system holds the cuts as arrays
+    (only the one cut that a failing schedule reruns builds its points).
     """
     cls = family.cls
     heights = table.innermost(extra)
@@ -736,9 +765,7 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     heads = alpha[[c[0] for c in family.alpha_classes]]
     union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
     achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
-    a, b = (arcs_of(tuple(v[side] for v in start), tuple(v[side] for v in end)) for side in (0, 1))
-    pairs = tuple(map(SymmetricIntervalPair, a, b, range(n)))
-    return _system(family, table, pairs, groups, union, achieved)
+    return _system(family, table, None, groups, union, achieved, (start, end))
 
 
 def _no_partner(i: int) -> PreconditionViolated:
@@ -759,10 +786,11 @@ def _checked_margin(achieved: float, margin: float) -> float:
 def _system(
     family: Family,
     table: _AxisTable,
-    pairs: tuple[SymmetricIntervalPair, ...],
+    pairs: tuple[SymmetricIntervalPair, ...] | None,
     groups: tuple[SharedFixedPointGroup, ...],
     union: ArcUnion,
     achieved: float,
+    cuts: tuple[PointArrays, PointArrays] | None = None,
 ) -> GlobalIntervalSystem:
     return GlobalIntervalSystem(
         pairs=pairs,
@@ -771,6 +799,7 @@ def _system(
         constant_m=eq_constant(family.cross_ratios),
         margin=achieved,
         notes=table.notes,
+        cuts=cuts,
     )
 
 

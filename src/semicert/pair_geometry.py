@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary_arcs import BoundaryArc, cluster, contains, rank_one_arcs
+from .boundary_arcs import BoundaryArc, _cluster, contains, rank_one_arcs
 from .errors import (
     AxesCross,
     AxesNotDisjoint,
@@ -145,8 +145,8 @@ MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT, NESTED = range(6)
 
 
 @np.errstate(all="ignore")  # den == 0 and overflowing ratios become inf, as in the scalar code
-def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross ratio and kind code of every pair i < j, in row-major order, from `Family.fixed_points`.
+def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Cross ratio and kind code of every pair i < j, in row-major order, from `Family.fixed_points`, and the i and j.
 
     The four wedge products are one n x n broadcast each, with the operations
     of :func:`cross_ratio_of_points` (products, differences and one
@@ -164,7 +164,7 @@ def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     kinds[np.abs(c - 1.0) <= DEGENERATE_TOL] = PARABOLIC
     kinds[np.abs(c) <= DEGENERATE_TOL] = SHARED
     kinds[np.isinf(c)] = MEETS
-    return c, kinds
+    return c, kinds, (i, j)
 
 
 # Relative tolerance of :func:`screened_max`: numpy's log and math.log agree
@@ -195,7 +195,8 @@ class Family:
       length).
     - `cross_ratios`: the cross ratio of each pair i < j, in row-major
       order; a list, or from PAIR_ARRAY_MIN_PAIRS pairs on an array, with
-      the kind codes of the pairs in `kinds` (None on the list path).
+      the kind codes of the pairs in `kinds` and their generators i and j
+      in `pair_index` (both None on the list path).
     - :meth:`pair`: the geometry of generators i and j, decoded on first
       use; the cross ratio is symmetric in the pair, so it serves both
       orders.  `pairs` maps every (i, j), i < j, to its geometry.
@@ -209,7 +210,8 @@ class Family:
     - `alpha_meets_beta`: the first (i, j) in row-major order whose attracting
       point i and repelling point j share a class, or None.
     - `rank_one_arcs`: the candidate single intervals, read by
-      :func:`rank_one_arcs` off the same classes.
+      :func:`rank_one_arcs` off the same classes, in the angle order that
+      the clustering sorted.
 
     Build values with :meth:`of`, the one place that classifies a family.
     """
@@ -218,6 +220,7 @@ class Family:
     cls: tuple[Classification, ...]
     cross_ratios: list[float] | np.ndarray
     kinds: np.ndarray | None
+    pair_index: tuple[np.ndarray, np.ndarray] | None
     alpha_classes: tuple[tuple[int, ...], ...]
     beta_classes: tuple[tuple[int, ...], ...]
     alpha_meets_beta: tuple[int, int] | None
@@ -242,14 +245,14 @@ class Family:
                 for i, ci in enumerate(cls)
                 for j, cj in enumerate(cls[i + 1 :], i + 1)
             }
-            cross_ratios, kinds = [pg.cross_ratio for pg in decoded.values()], None
+            cross_ratios, kinds, pair_index = [pg.cross_ratio for pg in decoded.values()], None, None
         else:
             decoded, fixed_points = {}, _coordinates(points)
-            cross_ratios, kinds = _cross_ratio_table(fixed_points)
-        classes = cluster(points, ANGLE_TOL)
+            cross_ratios, kinds, pair_index = _cross_ratio_table(fixed_points)
+        classes, by_angle = _cluster(points, ANGLE_TOL)
         alpha_classes, beta_classes, meets = _split(classes)
-        arcs = rank_one_arcs(points, classes)
-        family = Family(maps, cls, cross_ratios, kinds, alpha_classes, beta_classes, meets, arcs, decoded)
+        arcs = rank_one_arcs(points, by_angle)
+        family = Family(maps, cls, cross_ratios, kinds, pair_index, alpha_classes, beta_classes, meets, arcs, decoded)
         if kinds is not None:
             object.__setattr__(family, "fixed_points", fixed_points)  # cached: the array the pair table read
         return family

@@ -7,6 +7,7 @@ from semicert import boundary_arcs
 from semicert import (
     ArcUnion,
     BoundaryPoint,
+    MoebiusMap,
     apply_boundary,
     arc_image,
     assemble_global,
@@ -509,6 +510,103 @@ class TestScreenFlags:
         tail = boundary_arcs.ccw_gap(q, K.end.angle)
         assert abs((lead if end == "end" else tail) - span) <= 1e-12
         self.check(monkeypatch, [f], union, (0, 0))
+
+
+class TestWrapTurn:
+    """`_wrap_turn`, the screen's remainder, is `x % TWO_PI` bit for bit on [-2*pi, 2*pi) and NaN."""
+
+    def test_equals_the_remainder_across_its_range(self):
+        two_pi = boundary_arcs.TWO_PI
+        edges = [0.0, -0.0, -two_pi, -math.ulp(0.0), -math.ulp(1.0), -1e-300, math.nextafter(-two_pi, 0.0)]
+        edges += [math.nextafter(two_pi, 0.0), math.pi, -math.pi, math.nan]
+        rng = np.random.default_rng(150)
+        angles = rng.uniform(0.0, two_pi, (2, 5000))
+        values = np.concatenate([edges, rng.uniform(-two_pi, two_pi, 5000), angles[0] - angles[1]])
+        wrapped = [v.hex() for v in boundary_arcs._wrap_turn(values.copy()).tolist()]
+        assert wrapped == [(v % two_pi).hex() for v in values.tolist()]
+        assert wrapped == [v.hex() for v in (values % two_pi).tolist()]
+
+    def test_two_pi_lies_outside_its_range(self):
+        two_pi = boundary_arcs.TWO_PI
+        assert boundary_arcs._wrap_turn(np.array([two_pi])).tolist() == [two_pi]
+        assert two_pi % two_pi == 0.0
+
+
+def negated_affine_maps(rng, count):
+    """The matrices -[[a, b], [0, d]] (c = -0.0) of the maps z -> lam z - (2 lam + 1 + mu).
+
+    They fix infinity, the start of (inf, -1), and map (1/2, 2) and (inf, -1)
+    into (inf, -1).  Each sends infinity, (1 : 0), to (-a : -0.0): y is -0.0
+    and x < 0, where -2*atan2 is 2*pi, not 0, without the canonical sign flip.
+    """
+    maps = []
+    for lam, mu in zip(rng.uniform(1.5, 20.0, size=count), rng.uniform(0.1, 5.0, size=count)):
+        f = normalize([[lam, -(2.0 * lam + 1.0 + mu)], [0.0, 1.0]])
+        maps.append(MoebiusMap(-f.a, -f.b, -0.0, -f.d))
+    return maps
+
+
+def scaled(maps, factor):
+    """The same transformations, every entry multiplied by `factor`."""
+    return [MoebiusMap(factor * f.a, factor * f.b, factor * f.c, factor * f.d) for f in maps]
+
+
+class TestScreenAtItsBounds:
+    """The screen reads angles without the canonical flip and places images by
+    max(|x|, |y|); on unions at those edges the margin is still the scalar one."""
+
+    def test_screen_angles_stay_below_two_pi(self):
+        # Infinity under -[[a, b], [0, d]], and tiny negative y with x < 0:
+        # each image is the point at infinity, angle 0 in scalar.
+        f = negated_affine_maps(np.random.default_rng(151), 1)[0]
+        maps = np.array([[f.a, 1.0], [f.b, 0.0], [f.c, 0.0], [f.d, 1.0]])[:, :, None, None]
+        pts = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])[:, None, None, :]
+        pts = np.concatenate([pts, np.array([[-1.0, -1.0, -1.0], [-1e-300, -1e-20, -0.0]])[:, None, None, :]], axis=2)
+        angle, placed = boundary_arcs._array_images(maps, pts)
+        assert placed.all()
+        assert angle[0, 0].tolist() == [0.0] * 3  # from (-a : -0.0)
+        assert angle[1, 1].tolist() == [0.0] * 3  # from (-1 : -1e-300), (-1 : -1e-20), (-1 : -0.0)
+        assert (angle < boundary_arcs.TWO_PI).all()
+
+    def test_images_at_minus_zero_on_a_component_start(self, monkeypatch):
+        union = ArcUnion([BoundaryArc(INF, BoundaryPoint.from_real(-1.0)), arc(0.5, 2.0)])
+        F = negated_affine_maps(np.random.default_rng(152), 20)
+        assert len(F) * len(union) >= CROSSOVER
+        for f in F:
+            image = (f.a * INF.x + f.b * INF.y, f.c * INF.x + f.d * INF.y)
+            assert image[0] < 0.0 and image[1] == 0.0 and math.copysign(1.0, image[1]) < 0.0
+        assert screened_and_scalar(monkeypatch, F, union) == [(0.0).hex()] * 2
+
+    @pytest.mark.parametrize("bound", [1e-290, 1e289])
+    def test_entries_near_the_placement_bounds(self, monkeypatch, bound):
+        # Contracting maps scaled so that the larger coordinates of their
+        # images fall on both sides of the screen's bound, half on each.
+        union = ADVERSARIAL_UNIONS["wraps-past-zero"]
+        rng = np.random.default_rng(153)
+        maps = contracting_maps(rng, union, 12, (8.0, 20.0))
+        points = [p for a in union for p in (a.start, a.end, a.midpoint)]
+
+        def larger_coordinates(F):
+            return np.array([max(abs(f.a * p.x + f.b * p.y), abs(f.c * p.x + f.d * p.y)) for f in F for p in points])
+
+        F = scaled(maps, bound / float(np.median(larger_coordinates(maps))))
+        assert len(F) * len(union) >= CROSSOVER
+        above = larger_coordinates(F) > bound
+        assert above.any() and not above.all()
+        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        assert screened == scalar
+        assert float.fromhex(scalar) > 0.0
+
+    def test_images_collapsed_below_1e_9(self, monkeypatch):
+        union = ADVERSARIAL_UNIONS["wraps-past-zero"]
+        rng = np.random.default_rng(154)
+        F = contracting_maps(rng, union, 12, (45.0, 60.0))
+        assert len(F) * len(union) >= CROSSOVER
+        widths = [image_gaps(f, a)[1] for f in F for a in union]
+        assert min(widths) < 1e-9
+        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        assert screened == scalar
+        assert float.fromhex(scalar) > 0.0
 
 
 class TestRepellingPointInside:

@@ -260,11 +260,30 @@ def test_cluster_includes_a_pair_exactly_tol_apart(angles):
 )
 def test_rank_one_arcs_read_the_classes_in_angle_order(alphas, betas, expected):
     points = [BoundaryPoint.from_angle(t) for pair in zip(alphas, betas) for t in pair]
-    arcs = rank_one_arcs(points, cluster(points, 1e-9))
+    arcs = rank_one_arcs(points, boundary_arcs._cluster(points, 1e-9)[1])
     found = [(a.start.angle, a.end.angle) for a in arcs]
     assert len(found) == len(expected)
     for got, want in zip(found, expected):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_the_clustering_sorts_its_classes_by_angle_once():
+    # `Family.of` hands `rank_one_arcs` the classes in the order that the
+    # clustering's one sort gives: cluster's classes sorted by their first
+    # points' angles, ties by index.
+    rng = np.random.default_rng(160)
+    for trial in range(400):
+        n = int(rng.integers(1, 7))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+        if trial % 3 == 0:  # a shared point, within the tolerance or exactly
+            i, j = rng.integers(0, n, 2)
+            angles[2 * i + 1] = angles[2 * j] + rng.choice([0.0, 5e-10])
+        if trial % 5 == 0:  # two points on one angle
+            angles[0] = angles[-2]
+        points = [BoundaryPoint.from_angle(float(t)) for t in angles]
+        classes, by_angle = boundary_arcs._cluster(points, ANGLE_TOL)
+        assert classes == cluster(points, ANGLE_TOL)
+        assert by_angle == sorted(classes, key=lambda c: points[c[0]].angle)
 
 
 def test_repeller_free_arc_tries_i_to_j_first():

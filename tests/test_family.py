@@ -88,7 +88,7 @@ def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
     # the rank-one arcs all read one clustering; no partition re-check, and
     # no pointwise comparison beyond the shared-endpoint label of a pair.
     F = build()
-    counts = count_calls(monkeypatch, ("cluster", "can_partition_rank_one"))
+    counts = count_calls(monkeypatch, ("_cluster", "can_partition_rank_one"))
     approx = BoundaryPoint.approx
 
     def counted_approx(*args, **kwargs):
@@ -97,7 +97,7 @@ def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
 
     monkeypatch.setattr(BoundaryPoint, "approx", counted_approx)
     assert isinstance(certify(F), SemidiscreteInverseFree)
-    assert counts["cluster"] == 1
+    assert counts["_cluster"] == 1
     assert counts["can_partition_rank_one"] == 0
     counts.clear()
     family = Family.of(F)
@@ -108,9 +108,9 @@ def test_certify_builds_no_chart_object_on_the_array_path(monkeypatch):
     # The axis table of a family with the pair table as arrays computes its
     # charts and their inverses on arrays; the fixed points are clustered once.
     F = list(bench_module("families").assembly_large(1, 1, 32)[0].maps)
-    counts = count_calls(monkeypatch, ("axis_chart", "inverse", "cluster"))
+    counts = count_calls(monkeypatch, ("axis_chart", "inverse", "_cluster"))
     assert isinstance(certify(F), SemidiscreteInverseFree)
-    assert (counts["axis_chart"], counts["inverse"], counts["cluster"]) == (0, 0, 1)
+    assert (counts["axis_chart"], counts["inverse"], counts["_cluster"]) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("n", [5, 14], ids=["list-table", "array-table"])
