@@ -155,9 +155,10 @@ class ArcUnion:
 
     Arcs are kept sorted by start angle, and `starts` holds those angles for
     bisection; arcs whose closures meet are rejected rather than merged, and
-    the assembly answers that rejection with deeper cuts.  A union built by
-    :meth:`of_arrays` holds its arcs as the kernel's arrays, which the
-    screened verifier reads, and builds the arc objects on first use of `arcs`.
+    the assembly answers that rejection with deeper cuts.  :func:`schottky_margin`
+    decides a union of arc objects pair by pair, and screens a union built
+    by :meth:`of_arrays`, which holds its arcs as the kernel's arrays and
+    builds the arc objects on first use of `arcs`.
     """
 
     __slots__ = ("_arcs", "_arrays", "starts")
@@ -198,10 +199,8 @@ class ArcUnion:
             self._arcs = tuple(arcs_of(*self._arrays))
         return self._arcs
 
-    def arrays(self) -> tuple[PointArrays, PointArrays]:
-        """The start and end points of the arcs, as arrays."""
-        if self._arrays is None:
-            self._arrays = tuple(_point_arrays([getattr(a, side) for a in self.arcs]) for side in ("start", "end"))
+    def arrays(self) -> tuple[PointArrays, PointArrays] | None:
+        """The start and end points of the arcs of a union built by :meth:`of_arrays`, else None."""
         return self._arrays
 
     def __iter__(self):
@@ -213,10 +212,6 @@ class ArcUnion:
 
 def _overlapping(end_angle: float) -> OverlappingArcs:
     return OverlappingArcs(f"arc closures intersect near angle {end_angle:.6f}")
-
-
-def _point_arrays(points: Sequence[BoundaryPoint]) -> PointArrays:
-    return tuple(np.array([getattr(p, name) for p in points]) for name in ("x", "y", "angle"))
 
 
 def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[float, float] | None:
@@ -296,14 +291,6 @@ def verify_schottky(
 # The screen's error bound: array angles differ from the scalar ones by a
 # few ulps of 2*pi (about 1e-15 rad), and derived gaps by a few times that.
 SCREEN_TOL = 1e-12
-# Generators times union components from which the verifier screens.  One
-# call on assembled families (about n components for n generators), scalar
-# against screened, each the median over 12 families (4 at n = 32) of the
-# fastest of 60 interleaved calls on a 2-core VM: 128 vs 297 us at n*k = 16,
-# 190 vs 297 us at 25, 263 vs 308 us at 36, 347 vs 242 us at 64, 5.3 vs
-# 0.46 ms at 1,024.  The crossover, between 36 and 64, lies where it lay
-# with numpy's `%` in the screen; the constant is left where it was.
-SCREEN_MIN_PAIRS = 32
 
 
 def schottky_margin(
@@ -321,16 +308,16 @@ def schottky_margin(
     land in the sliver.  `classes` are the generators' classifications,
     when the caller holds them; otherwise they are classified here.
 
-    Below SCREEN_MIN_PAIRS = 32 pairs of generator and union arc, every pair
-    is decided by the scalar `_enclosing` check.  From there on
-    :func:`_screened_margin` decides them on the union's arrays, with the
-    same result; it builds no object, so a union of
-    :meth:`ArcUnion.of_arrays` builds no arc here.
+    The union's form picks the path.  A union of arc objects (the scalar
+    assembly's, the rank-one search's) is decided pair by pair by the scalar
+    `_enclosing` check; one of :meth:`ArcUnion.of_arrays` (the array
+    assembly's) by :func:`_screened_margin`, with the same result, building no arc.
     """
     if classes is None:
         classes = [classify(f) for f in generators]
-    if len(generators) * len(union) >= SCREEN_MIN_PAIRS:
-        return _screened_margin(generators, classes, *union.arrays())
+    arrays = union.arrays()
+    if arrays is not None:
+        return _screened_margin(generators, classes, *arrays)
     for k in classes:
         # Components are disjoint, so only the last one starting at or before beta can hold it.
         if k.beta is not None and contains(union.arcs[bisect_right(union.starts, k.beta.angle) - 1], k.beta):

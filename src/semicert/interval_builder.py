@@ -234,8 +234,8 @@ def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
     return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
 
 
-# Screen of the cut ranking: an owner's entry is rescored exactly (in scalar,
-# or with the kernel of `moebius_core` on an array pair table) when its
+# Screen of the cut ranking of an array pair table: an owner's entry is
+# rescored exactly, with the kernel of `moebius_core`, when its
 # t + s or t - s lies within AXIS_SCREEN_TOL of the owner's max or min, and a
 # pair is admitted or skipped in scalar when its lesser translation length
 # lies within AXIS_SCREEN_TOL of its pair gate.  The screened t differs from the
@@ -246,37 +246,32 @@ def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
 AXIS_SCREEN_TOL = 1e-9
 AXIS_SCREEN_LOG = 100.0
 AXIS_FLOOR_CONDITION = 1e-4
-# Ordered admissible pairs from which the screen pays for itself.  One table
-# and ranking, scalar against screened: 115 vs 180 us at 22 entries, 215 vs
-# 220 us at 42, 350 vs 250 us at 68, 3.9 vs 0.8 ms at about 640 (n = 32).
-AXIS_SCREEN_MIN_PAIRS = 48
 
 
 class _AxisTable:
     """What the cut ranking and every cut of one family read; one :func:`assemble_global` call builds one.
 
     - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its
-      inverse; `_chart_entries`, `_to_axis_entries`: their entries a, b, c,
-      d on the first axis;
-    - `entries`: (owner, partner) for both orders of each admissible pair
-      above its pair gate, in table order, `_entry_arrays` the same as
-      shape (2, entries), and `notes` for the pairs skipped below it;
+      inverse;
+    - `entries` (`_entry_arrays` on the array path, shape (2, entries)):
+      (owner, partner) for both orders of each admissible pair above its
+      pair gate, in table order, and `notes` for the pairs skipped below it;
     - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair, read
       off `family`, and the axis position t of an ordered pair, each
       computed once;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
       and the arc cut at one height; :meth:`cuts`, many cuts on arrays.
 
-    A family with the pair table as arrays is admitted from the arrays:
-    gates and cut floors come from numpy, and a pair is decided, and a skip
-    note written, in scalar where the gate screen cannot decide it.  Its
-    charts come from one pass of :func:`axis_charts` over the fixed points
-    and its entries from the admitted keys, as arrays; the chart objects
-    and the entry list are built only when a scalar replay (:meth:`cut`,
-    :meth:`position`) reads them.  Its cut ranking reads exact positions
-    and cut floors from the kernel of `moebius_core`, each computed once.
-    A smaller family builds the objects and the list, and the arrays on
-    first use.
+    The table follows the family's path.  A family with the pair table as
+    a list builds the objects and ranks in scalar.  One with the pair table
+    as arrays is admitted from the arrays: gates and cut floors come from
+    numpy, and a pair is decided, and a skip note written, in scalar where
+    the gate screen cannot decide it.  Its charts come from one pass of
+    :func:`axis_charts` over the fixed points, as entries a, b, c, d on the
+    first axis, and the chart objects are built only when a scalar replay
+    (:meth:`cut`, :meth:`position`) reads them.  Its cut ranking is screened
+    and reads exact positions and cut floors from the kernel of
+    `moebius_core`, each computed once.
     """
 
     def __init__(self, family: Family):
@@ -295,9 +290,10 @@ class _AxisTable:
                 except ThresholdNotMet as exc:
                     notes.append(f"pair ({i}, {j}) skipped: {exc}")
             self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
-            floors = np.array([self.floors[key] for key in keys])
-            trusted = np.ones(len(keys), dtype=bool)
         else:
+            self._taus = np.array([k.tau for k in family.cls])
+            # Angles of the attracting points, then of the repelling points: shape (2, n).
+            self.fixed_angles = np.array([(k.alpha.angle, k.beta.angle) for k in family.cls]).T
             alpha, beta = family.fixed_points
             self._chart_entries, self._to_axis_entries, coincide = axis_charts(beta, alpha)
             if (coincide | (self.fixed_angles[0] == self.fixed_angles[1])).any():
@@ -309,11 +305,10 @@ class _AxisTable:
             # NaN marks a value not computed yet: no exact position or floor is NaN.
             self._exact_t = np.full(2 * len(rows), math.nan)
             self._exact_floor = np.full(len(rows), math.nan)
+            self._key_floors, self._key_trusted = floors, trusted
+            self._screen: tuple[np.ndarray, ...] | None = None
         self.notes = tuple(notes)
-        self._key_floors = floors
-        self._key_trusted = trusted
         self._positions: dict[tuple[int, int], float] = {}
-        self._screen: tuple[np.ndarray, ...] | None = None
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
     def _admit(self, family: Family) -> tuple[np.ndarray, ...]:
@@ -363,19 +358,16 @@ class _AxisTable:
 
         Perpendiculars to one line nest, so the innermost a arc is cut at the
         largest t + s and the innermost b arc at the smallest t - s; equal
-        heights cut equal arcs, so no tie needs a rule.  From
-        AXIS_SCREEN_MIN_PAIRS entries on, the ranking reads only the
+        heights cut equal arcs, so no tie needs a rule.  A list table ranks
+        every entry in scalar; an array table ranks on arrays only the
         :meth:`_candidates`, which hold every entry that can win, so it finds
-        the same heights as over all entries.  None marks an owner without one.
+        the same heights.  None marks an owner without one.
         """
-        picked = range(2 * len(self._key_floors))  # two entries for each admitted pair
-        if len(picked) >= AXIS_SCREEN_MIN_PAIRS:
-            picked = self._candidates(extra)
         if self.family.kinds is not None:
-            return self._innermost_arrays(np.array(picked, dtype=int), extra)
+            return self._innermost_arrays(self._candidates(extra), extra)
         cls = self.family.cls
         heights: list[tuple[float, float] | None] = [None] * len(cls)
-        for owner, partner in (self.entries[e] for e in picked):
+        for owner, partner in self.entries:
             t = self.position(owner, partner)
             s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
             top, bottom = heights[owner] or (-math.inf, math.inf)
@@ -449,7 +441,7 @@ class _AxisTable:
         end = tuple(np.where(forward, w, u) for u, w in zip(p, q))
         return start, end, (ok & placed).all(axis=0) & between
 
-    def _candidates(self, extra: float) -> list[int]:
+    def _candidates(self, extra: float) -> np.ndarray:
         """Indices of the entries whose screened t + s or t - s is near its owner's max or min, or untrusted."""
         if self._screen is None:
             self._screen = self._screen_entries()
@@ -461,7 +453,7 @@ class _AxisTable:
         down[owner, partner] = np.where(trusted, t - s, np.inf)
         top, bottom = up.max(axis=1)[owner], down.min(axis=1)[owner]
         near = (t + s >= top - AXIS_SCREEN_TOL) | (t - s <= bottom + AXIS_SCREEN_TOL)
-        return np.flatnonzero(near | ~trusted).tolist()
+        return np.flatnonzero(near | ~trusted)
 
     @np.errstate(all="ignore")  # the diagonal and degenerate positions come out untrusted
     def _screen_entries(self) -> tuple[np.ndarray, ...]:
@@ -483,9 +475,9 @@ class _AxisTable:
         trusted &= ~(np.abs(0.5 * tau - floor) <= AXIS_SCREEN_TOL)
         return owner, partner, tau, floor, t[owner, partner], trusted
 
-    # One form of each of the charts, their inverses and the entries is set by
-    # the constructor (the objects on the scalar path, the arrays on the
-    # array path); the other is built from it on first use.
+    # The scalar path sets the charts and their inverses as objects; the
+    # array path sets their arrays, and builds the objects from them on the
+    # first scalar replay.
 
     @cached_property
     def charts(self) -> tuple[MoebiusMap, ...]:
@@ -494,37 +486,6 @@ class _AxisTable:
     @cached_property
     def to_axis(self) -> tuple[MoebiusMap, ...]:
         return _maps(self._to_axis_entries)
-
-    @cached_property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(zip(*self._entry_arrays.tolist()))
-
-    @cached_property
-    def _chart_entries(self) -> np.ndarray:
-        return _entries(self.charts)
-
-    @cached_property
-    def _to_axis_entries(self) -> np.ndarray:
-        return _entries(self.to_axis)
-
-    @cached_property
-    def _entry_arrays(self) -> np.ndarray:
-        """Owner and partner of every entry, shape (2, entries)."""
-        return np.array(self.entries, dtype=int).reshape(-1, 2).T
-
-    @cached_property
-    def _taus(self) -> np.ndarray:
-        return np.array([k.tau for k in self.family.cls])
-
-    @cached_property
-    def fixed_angles(self) -> np.ndarray:
-        """Angles of the attracting points, then of the repelling points: shape (2, n)."""
-        return np.array([(k.alpha.angle, k.beta.angle) for k in self.family.cls]).T
-
-
-def _entries(maps: tuple[MoebiusMap, ...]) -> np.ndarray:
-    """Entries a, b, c, d of the maps, on the first axis."""
-    return np.array([(m.a, m.b, m.c, m.d) for m in maps]).T
 
 
 def _maps(entries: np.ndarray) -> tuple[MoebiusMap, ...]:

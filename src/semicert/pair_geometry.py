@@ -132,11 +132,16 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
 
 # Pairs from which `Family.of` keeps the pair table as arrays: the cross
 # ratios from one n x n broadcast, the kinds from array comparisons, and a
-# PairGeometry decoded only when asked for.  `certify` on admissible
-# families, arrays against the scalar table: +13% at 28 pairs (n = 8), +2%
-# at 66 (n = 12), -3% at 91 (n = 14), -9% at 120 (n = 16), -10% at 153
-# (n = 18), -31% at 496 (n = 32).
-PAIR_ARRAY_MIN_PAIRS = 91
+# PairGeometry decoded only when asked for.  The one size switch: the cut
+# ranking and the verifier follow the family's path.  `certify` plus the
+# writer per path, over the code with three switches that it replaced, on
+# seeded `bench/families.admissible_family` draws: in one process, paths
+# interleaved, median over 8 families of the fastest of 40 runs, 2-core VM.
+# At n = 10 three runs read 1.09-1.13 (scalar) and 1.06-1.14 (arrays).
+#   n (pairs)   4 (6)  6 (15)  8 (28)  9 (36)  10 (45)  12 (66)  16 (120)  32 (496)
+#   scalar      0.98   0.89    1.00    1.04    1.10     1.23     1.85      4.42
+#   arrays      2.70   1.89    1.29    1.16    1.14     0.98     0.99      0.99
+PAIR_ARRAY_MIN_PAIRS = 45
 
 _XY = attrgetter("x", "y")
 
@@ -196,7 +201,9 @@ class Family:
     - `cross_ratios`: the cross ratio of each pair i < j, in row-major
       order; a list, or from PAIR_ARRAY_MIN_PAIRS pairs on an array, with
       the kind codes of the pairs in `kinds` and their generators i and j
-      in `pair_index` (both None on the list path).
+      in `pair_index` (both None on the list path).  That is the family's
+      path: a list table is assembled, ranked and verified in scalar, an
+      array table on arrays, with the ranking and the verifier screened.
     - :meth:`pair`: the geometry of generators i and j, decoded on first
       use; the cross ratio is symmetric in the pair, so it serves both
       orders.  `pairs` maps every (i, j), i < j, to its geometry.

@@ -42,10 +42,13 @@ from semicert.moebius_core import (
     inverse,
     require_hyperbolic,
 )
+from semicert import pair_geometry
 from semicert.pair_geometry import Family, cross_ratio_of_points
 
 TWO_PI = 2.0 * math.pi
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# The largest n whose Family keeps the pair table as a list; from LIST_N + 1 on it keeps arrays.
+LIST_N = max(n for n in range(2, 100) if n * (n - 1) // 2 < pair_geometry.PAIR_ARRAY_MIN_PAIRS)
 
 
 def bench_module(name):
@@ -55,6 +58,37 @@ def bench_module(name):
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
+
+
+def in_both_forms(items):
+    """The same arcs, or the same maps, in the scalar form and in the array form: (scalar, arrays).
+
+    Arcs, an ArcUnion or a sequence of BoundaryArc, come as `ArcUnion(arcs)`,
+    which `schottky_margin` decides pair by pair, and as `ArcUnion.of_arrays`
+    of the same points, which it screens.  Maps come as a Family with the
+    pair table as a list and as one with the pair table as arrays, built with
+    PAIR_ARRAY_MIN_PAIRS set above and below their number of pairs; each
+    takes its own path through `certify` and `assemble_global`.
+    """
+    items = list(items)
+    if items and isinstance(items[0], BoundaryArc):
+        start, end = (point_arrays([getattr(a, side) for a in items]) for side in ("start", "end"))
+        return ArcUnion(items), ArcUnion.of_arrays(start, end)
+    saved = pair_geometry.PAIR_ARRAY_MIN_PAIRS
+    try:
+        families = []
+        for crossover in (math.inf, 0):
+            pair_geometry.PAIR_ARRAY_MIN_PAIRS = crossover
+            families.append(Family.of(items))
+    finally:
+        pair_geometry.PAIR_ARRAY_MIN_PAIRS = saved
+    assert families[0].kinds is None and families[1].kinds is not None
+    return tuple(families)
+
+
+def point_arrays(points):
+    """The x, y and angle arrays of boundary points, as `ArcUnion.of_arrays` reads them."""
+    return tuple(np.array([getattr(p, name) for p in points]) for name in ("x", "y", "angle"))
 
 
 def greedy_cluster(points, tol):

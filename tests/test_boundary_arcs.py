@@ -26,6 +26,7 @@ from semicert.errors import OverlappingArcs, VerificationFailed
 from helpers import (
     ADVERSARIAL_UNIONS,
     figure_two,
+    in_both_forms,
     is_infinity,
     random_admissible_family,
     random_moebius,
@@ -34,7 +35,6 @@ from helpers import (
 )
 
 INF = BoundaryPoint.infinity()
-CROSSOVER = boundary_arcs.SCREEN_MIN_PAIRS
 
 
 def arc(a, b):
@@ -269,13 +269,10 @@ class TestPartition:
         assert outcomes == {True, False}
 
 
-def screened_and_scalar(monkeypatch, F, union):
-    """float.hex of schottky_margin with the screen on every call, then with every pair in scalar."""
-    out = []
-    for crossover in (0, math.inf):
-        monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", crossover)
-        out.append(schottky_margin(F, union).hex())
-    return out
+def screened_and_scalar(F, union):
+    """float.hex of schottky_margin on the union's array form (screened), then on its arc form (every pair in scalar)."""
+    scalar, arrays = in_both_forms(union)
+    return [schottky_margin(F, arrays).hex(), schottky_margin(F, scalar).hex()]
 
 
 def screened_pairs(monkeypatch, F, union):
@@ -290,8 +287,7 @@ def screened_pairs(monkeypatch, F, union):
 
     with monkeypatch.context() as patch:
         patch.setattr(boundary_arcs, "_screen", recording)
-        patch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", 0)
-        return found, schottky_margin(F, union)
+        return found, schottky_margin(F, in_both_forms(union)[1])
 
 
 def contracting_maps(rng, union, count, taus):
@@ -311,20 +307,20 @@ def contracting_maps(rng, union, count, taus):
 class TestScreenedVerifier:
     """The numpy screen of schottky_margin returns the all-scalar margin bit for bit."""
 
-    def test_assembled_unions_on_both_sides_of_the_crossover(self, monkeypatch):
+    def test_assembled_unions_on_both_sides_of_the_crossover(self):
         rng = np.random.default_rng(140)
         sides = set()
         for n in (2, 3, 4, 5, 6, 8, 10, 12, 16):
             F = random_admissible_family(rng, n, min_gap=0.01)
             union = assemble_global(F).union
-            screened, scalar = screened_and_scalar(monkeypatch, F, union)
+            screened, scalar = screened_and_scalar(F, union)
             assert screened == scalar, n
             assert float.fromhex(scalar) >= 1e-7
-            sides.add(n * len(union) >= CROSSOVER)
+            sides.add(union.arrays() is not None)  # the union of an array family
         assert sides == {True, False}
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_UNIONS))
-    def test_adversarial_unions(self, monkeypatch, name):
+    def test_adversarial_unions(self, name):
         union = ADVERSARIAL_UNIONS[name]
         rng = np.random.default_rng(141)
         finite = set()
@@ -332,12 +328,12 @@ class TestScreenedVerifier:
             for taus in ((1.0, 8.0), (8.0, 40.0), (40.0, 60.0)):
                 maps = contracting_maps(rng, union, count, taus)
                 for F in (maps, maps + [random_moebius(rng)]):
-                    screened, scalar = screened_and_scalar(monkeypatch, F, union)
+                    screened, scalar = screened_and_scalar(F, union)
                     assert screened == scalar, (count, taus)
                     finite.add(math.isfinite(float.fromhex(scalar)))
         assert finite == {True, False}
 
-    def test_images_on_a_component_start(self, monkeypatch):
+    def test_images_on_a_component_start(self):
         # z -> lam z - mu fixes infinity, the start (angle 0) of the component
         # (-inf, -1), and maps (1/2, 2) inside it: the image of (-inf, -1)
         # starts exactly on that start, where the bisection wraps.
@@ -348,13 +344,12 @@ class TestScreenedVerifier:
             normalize([[lam, -(2.0 * lam + 1.0 + mu)], [0.0, 1.0]])
             for lam, mu in zip(rng.uniform(1.5, 20.0, size=30), rng.uniform(0.1, 5.0, size=30))
         ]
-        assert len(F) * len(union) >= CROSSOVER
-        assert screened_and_scalar(monkeypatch, F, union) == [(0.0).hex()] * 2
+        assert screened_and_scalar(F, union) == [(0.0).hex()] * 2
         # The identity maps each component onto itself: not properly inside.
         identity = normalize([[1.0, 0.0], [0.0, 1.0]])
-        assert screened_and_scalar(monkeypatch, F + [identity], union) == [(-math.inf).hex()] * 2
+        assert screened_and_scalar(F + [identity], union) == [(-math.inf).hex()] * 2
 
-    def test_images_below_float_resolution(self, monkeypatch):
+    def test_images_below_float_resolution(self):
         rng = np.random.default_rng(143)
         families = [figure_two(41.0), figure_two(45.0)]
         families += [random_admissible_family(rng, n, tau_slack=(17.0, 25.0), min_gap=0.01) for n in (4, 8, 12)]
@@ -365,11 +360,11 @@ class TestScreenedVerifier:
                 for a in union:
                     p, q, _ = boundary_arcs._image_angles(f, (a.start, a.end, a.midpoint))
                     collapsed += p == q
-            screened, scalar = screened_and_scalar(monkeypatch, F, union)
+            screened, scalar = screened_and_scalar(F, union)
             assert screened == scalar
         assert collapsed > 0
 
-    def test_unplaceable_image(self, monkeypatch):
+    def test_unplaceable_image(self):
         # f1 (entries about 7e8) sends its repelling point to a pair whose
         # coordinates both round to 0.0 (see test_criteria_engine).
         pt = BoundaryPoint.from_angle
@@ -379,8 +374,7 @@ class TestScreenedVerifier:
         assert boundary_arcs._image_angles(f1, (a.start, a.end, a.midpoint)) is None
         union = ArcUnion([a, BoundaryArc(pt(2.0), pt(3.0))])
         F = [f0, f1] * 12
-        assert len(F) * len(union) >= CROSSOVER
-        assert screened_and_scalar(monkeypatch, F, union) == [(-math.inf).hex()] * 2
+        assert screened_and_scalar(F, union) == [(-math.inf).hex()] * 2
 
     def test_screen_leaves_few_pairs_to_the_scalar_check(self, monkeypatch):
         # The pairs that `_screen` returns are decided exactly, on the kernel's arrays.
@@ -389,8 +383,7 @@ class TestScreenedVerifier:
         pairs, margin = screened_pairs(monkeypatch, F, union)
         assert margin >= 1e-7
         assert 0 < len(pairs) <= 0.1 * len(F) * len(union)
-        monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", math.inf)
-        assert margin.hex() == schottky_margin(F, union).hex()
+        assert margin.hex() == schottky_margin(F, in_both_forms(union)[0]).hex()
 
 
 # --- inputs within SCREEN_TOL of each threshold the screen flags ----------------------
@@ -438,13 +431,13 @@ class TestScreenFlags:
     screen's angles still find it contained with a clearance above the least;
     only that threshold's flag sends the pair to the scalar check."""
 
-    def check(self, monkeypatch, F, union, pair):
-        rows, cols = boundary_arcs._screen(*boundary_arcs._screen_inputs(F, *union.arrays()))
+    def check(self, F, union, pair):
+        rows, cols = boundary_arcs._screen(*boundary_arcs._screen_inputs(F, *in_both_forms(union)[1].arrays()))
         assert pair in zip(rows.tolist(), cols.tolist())
-        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        screened, scalar = screened_and_scalar(F, union)
         assert screened == scalar
 
-    def test_unplaceable_point(self, monkeypatch):
+    def test_unplaceable_point(self):
         # f (entries near 9e8) sends its own repelling point to (0.0, 0.0),
         # which the arrays place at angle 0, inside K = (5.5, 0.9).
         pt = BoundaryPoint.from_angle
@@ -459,10 +452,10 @@ class TestScreenFlags:
             pytest.fail("no unplaceable repelling point")
         union = ArcUnion([BoundaryArc(beta, pt(2.0)), BoundaryArc(pt(5.5), pt(0.9))])
         F = [f, contracting_to(0.8)]
-        self.check(monkeypatch, F, union, (0, 0))
+        self.check(F, union, (0, 0))
         assert schottky_margin(F, union) == -math.inf
 
-    def test_image_at_the_collapse_guard(self, monkeypatch):
+    def test_image_at_the_collapse_guard(self):
         # U misses 5e-10 rad around angle 0; f repels from the middle of that
         # gap and widens it to 1e-9 - 5e-13 rad, so ccw_gap(p, q) sits just
         # below the guard.  g widens it on one side only (clearance 2e-11).
@@ -471,17 +464,17 @@ class TestScreenFlags:
         widen = lambda tau: from_axis_and_length(pt(boundary_arcs.TWO_PI - 2.5e-10), pt(math.pi), tau)
         tau = tuned(lambda t: image_gaps(widen(t), U)[1], 0.5, 1.0, COLLAPSE - 5e-13)
         g = from_axis_and_length(pt(boundary_arcs.TWO_PI - 4.9e-10), pt(math.pi), math.log(3.0))
-        self.check(monkeypatch, [widen(tau), g], ArcUnion([U]), (0, 0))
+        self.check([widen(tau), g], ArcUnion([U]), (0, 0))
 
-    def test_midpoint_at_the_collapse_guard(self, monkeypatch):
+    def test_midpoint_at_the_collapse_guard(self):
         # The repelling point lies in U's first half: the midpoint's image
         # falls behind the start's image, 1e-9 - 5e-13 rad before it.
         U = near_full_image(1.0, 20.0)[1]
         tau = tuned(lambda t: image_gaps(near_full_image(1.0, t)[0], U)[0], 15.0, 30.0, COLLAPSE + 5e-13)
         union = ArcUnion([U, BoundaryArc.from_angles(3.5, 4.5)])
-        self.check(monkeypatch, [near_full_image(1.0, tau)[0], contracting_to(4.4)], union, (0, 0))
+        self.check([near_full_image(1.0, tau)[0], contracting_to(4.4)], union, (0, 0))
 
-    def test_midpoint_at_the_containment_slack(self, monkeypatch):
+    def test_midpoint_at_the_containment_slack(self):
         # The repelling point lies in U's second half: the image end falls
         # just behind the start (a collapsed image) and the midpoint's image
         # 1e-9 - 5e-13 rad after the start, at the `off > img + 1e-9` slack.
@@ -490,10 +483,10 @@ class TestScreenFlags:
         f = near_full_image(1.25, tau)[0]
         assert image_gaps(f, U)[1] >= COLLAPSE + 1e-10
         union = ArcUnion([U, BoundaryArc.from_angles(3.5, 4.5)])
-        self.check(monkeypatch, [f, contracting_to(4.4)], union, (0, 0))
+        self.check([f, contracting_to(4.4)], union, (0, 0))
 
     @pytest.mark.parametrize("end", ["start", "end"])
-    def test_collapsed_image_at_a_component_end(self, monkeypatch, end):
+    def test_collapsed_image_at_a_component_end(self, end):
         # A collapsed image, 5e-10 rad wide, whose start lies 5e-13 rad before
         # the end of its component (lead at the span) or whose end lies
         # 5e-13 rad after the start (tail at the span).
@@ -509,7 +502,38 @@ class TestScreenFlags:
         lead = boundary_arcs.ccw_gap(K.start.angle, p)
         tail = boundary_arcs.ccw_gap(q, K.end.angle)
         assert abs((lead if end == "end" else tail) - span) <= 1e-12
-        self.check(monkeypatch, [f], union, (0, 0))
+        self.check([f], union, (0, 0))
+
+
+    def test_image_at_the_closure_slack(self):
+        # f repels from inside U and maps it onto all of the circle but a
+        # sliver around its attracting point 0.75, inside K = (0.5, 1): the
+        # image reads as collapsed, so lead + tail exceeds K's span by the
+        # sliver's width, which sits within SCREEN_TOL of the 1e-9 slack of
+        # `|lead + img + tail - span|`.  The collapse guard reads that width
+        # rounded to the ulp of 2*pi (8.9e-16, against 1.1e-16 at 0.75), and
+        # among the taus near 1e-9 - 1e-12 of width some leave it more than
+        # SCREEN_TOL from the guard: only the slack's flag sends the pair to
+        # the scalar check.
+        pt = BoundaryPoint.from_angle
+        union = ArcUnion([BoundaryArc(pt(2.9), pt(3.5)), BoundaryArc(pt(0.5), pt(1.0))])
+        K = union.arcs[0]
+        widen = lambda tau: from_axis_and_length(pt(3.4), pt(0.75), tau)
+
+        def screen_angles(f):
+            """The screen's image angles of U's start, end and midpoint under f."""
+            maps, pts, *_ = boundary_arcs._screen_inputs([f], *in_both_forms(union)[1].arrays())
+            return boundary_arcs._array_images(maps[:, :, None, None], pts[:, None])[0][0, 1].tolist()
+
+        def at_the_slack_alone(f):
+            p, q, mid = screen_angles(f)
+            rest = boundary_arcs.ccw_gap(K.start.angle, p) + boundary_arcs.ccw_gap(q, K.end.angle) - K.span
+            collapsed = boundary_arcs.ccw_gap(p, q) >= COLLAPSE + boundary_arcs.SCREEN_TOL
+            return collapsed and abs(rest - 1e-9) <= boundary_arcs.SCREEN_TOL and boundary_arcs.ccw_gap(p, mid) < 5e-10
+
+        tau = tuned(lambda t: boundary_arcs.ccw_gap(*screen_angles(widen(t))[1::-1]), 20.0, 30.0, 1e-9 - 1e-12)
+        f = next(filter(at_the_slack_alone, (widen(tau + 2e-8 * k) for k in range(-40, 41))))
+        self.check([f, contracting_to(0.95)], union, (0, 1))
 
 
 class TestWrapTurn:
@@ -568,17 +592,16 @@ class TestScreenAtItsBounds:
         assert angle[1, 1].tolist() == [0.0] * 3  # from (-1 : -1e-300), (-1 : -1e-20), (-1 : -0.0)
         assert (angle < boundary_arcs.TWO_PI).all()
 
-    def test_images_at_minus_zero_on_a_component_start(self, monkeypatch):
+    def test_images_at_minus_zero_on_a_component_start(self):
         union = ArcUnion([BoundaryArc(INF, BoundaryPoint.from_real(-1.0)), arc(0.5, 2.0)])
         F = negated_affine_maps(np.random.default_rng(152), 20)
-        assert len(F) * len(union) >= CROSSOVER
         for f in F:
             image = (f.a * INF.x + f.b * INF.y, f.c * INF.x + f.d * INF.y)
             assert image[0] < 0.0 and image[1] == 0.0 and math.copysign(1.0, image[1]) < 0.0
-        assert screened_and_scalar(monkeypatch, F, union) == [(0.0).hex()] * 2
+        assert screened_and_scalar(F, union) == [(0.0).hex()] * 2
 
     @pytest.mark.parametrize("bound", [1e-290, 1e289])
-    def test_entries_near_the_placement_bounds(self, monkeypatch, bound):
+    def test_entries_near_the_placement_bounds(self, bound):
         # Contracting maps scaled so that the larger coordinates of their
         # images fall on both sides of the screen's bound, half on each.
         union = ADVERSARIAL_UNIONS["wraps-past-zero"]
@@ -590,21 +613,19 @@ class TestScreenAtItsBounds:
             return np.array([max(abs(f.a * p.x + f.b * p.y), abs(f.c * p.x + f.d * p.y)) for f in F for p in points])
 
         F = scaled(maps, bound / float(np.median(larger_coordinates(maps))))
-        assert len(F) * len(union) >= CROSSOVER
         above = larger_coordinates(F) > bound
         assert above.any() and not above.all()
-        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        screened, scalar = screened_and_scalar(F, union)
         assert screened == scalar
         assert float.fromhex(scalar) > 0.0
 
-    def test_images_collapsed_below_1e_9(self, monkeypatch):
+    def test_images_collapsed_below_1e_9(self):
         union = ADVERSARIAL_UNIONS["wraps-past-zero"]
         rng = np.random.default_rng(154)
         F = contracting_maps(rng, union, 12, (45.0, 60.0))
-        assert len(F) * len(union) >= CROSSOVER
         widths = [image_gaps(f, a)[1] for f in F for a in union]
         assert min(widths) < 1e-9
-        screened, scalar = screened_and_scalar(monkeypatch, F, union)
+        screened, scalar = screened_and_scalar(F, union)
         assert screened == scalar
         assert float.fromhex(scalar) > 0.0
 

@@ -45,6 +45,7 @@ from helpers import (
     figure_two,
     forced_shared_family,
     geodesic_shape,
+    in_both_forms,
     intersect_shapes,
     nested,
     one_axis_family,
@@ -457,13 +458,12 @@ class TestInnermostSelection:
             assert [(p.a, p.b) for p in system.pairs] == reference
 
     def test_cuts_two_arcs_per_generator(self, monkeypatch):
-        # The assembly cuts each generator's a and b arc once, at its
+        # The scalar assembly cuts each generator's a and b arc once, at its
         # innermost heights, and builds no pair.
         from semicert import interval_builder
         from semicert.interval_builder import _assemble_once, _AxisTable
-        from semicert.pair_geometry import Family
 
-        family = Family.of(random_admissible_family(np.random.default_rng(12), 12))
+        family = in_both_forms(random_admissible_family(np.random.default_rng(12), 12))[0]
         admissible = [
             pg for pg in family.pairs.values()
             if pg.kind == "crossing" or (pg.kind == "disjoint" and pg.nested_attractors)
@@ -532,40 +532,34 @@ class TestScreens:
     """The numpy screens of the verifier and of the cut ranking change no certificate."""
 
     @staticmethod
-    def screened_and_scalar(monkeypatch, run):
-        """run() with both screens on every call, then with every pair in scalar."""
-        from semicert import boundary_arcs, interval_builder
-
-        out = []
-        for crossover in (0, math.inf):
-            monkeypatch.setattr(boundary_arcs, "SCREEN_MIN_PAIRS", crossover)
-            monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", crossover)
-            out.append(run())
-        return out
+    def screened_and_scalar(F, run):
+        """run(family) on the array form of F (both screens), then on its scalar form (every pair in scalar)."""
+        scalar, arrays = in_both_forms(F)
+        return [run(arrays), run(scalar)]
 
     @pytest.mark.parametrize("n", [8, 16, 32])
-    def test_certificates_are_byte_identical(self, monkeypatch, n):
+    def test_certificates_are_byte_identical(self, n):
         from semicert import certify
         from semicert.criteria_engine import certificate_to_dict
 
         F = random_admissible_family(np.random.default_rng(150 + n), n, min_gap=0.01)
         screened, scalar = self.screened_and_scalar(
-            monkeypatch, lambda: json.dumps(certificate_to_dict(certify(F)), sort_keys=True)
+            F, lambda family: json.dumps(certificate_to_dict(certify(family)), sort_keys=True)
         )
         assert json.loads(scalar)["kind"] == "semidiscrete_inverse_free"
         assert screened == scalar
 
-    def test_innermost_pairs_match_the_scalar_ranking(self, monkeypatch):
+    def test_innermost_pairs_match_the_scalar_ranking(self):
         from semicert.interval_builder import _AxisTable
 
         rng = np.random.default_rng(152)
         for n in (3, 5, 8, 12, 20):
-            family = Family.of(random_admissible_family(rng, n, min_gap=0.01))
+            F = random_admissible_family(rng, n, min_gap=0.01)
             for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
-                screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(extra))
+                screened, scalar = self.screened_and_scalar(F, lambda family: _AxisTable(family).innermost(extra))
                 assert screened == scalar, (n, extra)
 
-    def test_exact_tie_cuts_equal_arcs(self, monkeypatch):
+    def test_exact_tie_cuts_equal_arcs(self):
         # Partners mirrored by z -> -z have bit-identical axis positions and
         # cross ratios on the owner's axis 0 -> inf, hence equal t + s and
         # t - s: the owner's innermost cuts are the same whichever partner
@@ -582,7 +576,7 @@ class TestScreens:
             t, s = table.position(0, p), _cut_position(family.cls[0].tau, table.floor(0, p), 0.0)
             heights.append(((t + s).hex(), (t - s).hex()))
         assert heights[0] == heights[1]
-        screened, scalar = self.screened_and_scalar(monkeypatch, lambda: _AxisTable(family).innermost(0.0))
+        screened, scalar = self.screened_and_scalar(family.maps, lambda f: _AxisTable(f).innermost(0.0))
         assert screened == scalar
         assert [h.hex() for h in scalar[0]] == list(heights[0])
         pairs = [assemble_global(F).pairs[0] for F in ([owner, partner, mirror], [owner, mirror, partner])]

@@ -23,9 +23,7 @@ from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
 from semicert.pair_geometry import Family, cross_ratio_of_points
 
-from helpers import bench_module, figure_two, random_admissible_family
-
-CROSSOVERS = ((pair_geometry, "PAIR_ARRAY_MIN_PAIRS"),)
+from helpers import LIST_N, bench_module, figure_two, in_both_forms, point_arrays, random_admissible_family
 
 
 def bench_inputs(builder: str, *args):
@@ -34,11 +32,10 @@ def bench_inputs(builder: str, *args):
 
 
 def with_crossover(monkeypatch, crossover, run):
-    """run() with every crossover in CROSSOVERS set to `crossover` (None keeps the defaults)."""
+    """run() with PAIR_ARRAY_MIN_PAIRS, the one size switch, set to `crossover` (None keeps the default)."""
     with monkeypatch.context() as patch:
         if crossover is not None:
-            for module, name in CROSSOVERS:
-                patch.setattr(module, name, crossover)
+            patch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", crossover)
         return run()
 
 
@@ -153,6 +150,55 @@ def test_broadcast_cross_ratios_equal_the_scalar_ones():
         assert [c.hex() for c in family.cross_ratios.tolist()] == [c.hex() for c in scalar]
 
 
+# --- one switch: the family's path ---------------------------------------------------
+
+
+def array_path_calls(monkeypatch):
+    """Counts of the array path's own steps: the array assembly, the screened ranking and the screened verifier."""
+    counts = {}
+    for owner, name in (
+        (interval_builder, "_assemble_arrays"),
+        (_AxisTable, "_candidates"),
+        (boundary_arcs, "_screened_margin"),
+    ):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, LIST_N, LIST_N + 1, 32])
+def test_a_family_takes_one_path_end_to_end(monkeypatch, n):
+    # Family.of chooses the path once: a list table assembles, ranks and
+    # verifies in scalar, an array table assembles on arrays, screens the
+    # ranking of every schedule and screens its assembled union.
+    F = bench_module("families").admissible_family(np.random.default_rng([n, 41]), n)
+    counts = array_path_calls(monkeypatch)
+    cert = certify(F)
+    assert isinstance(cert, SemidiscreteInverseFree)
+    if n <= LIST_N:
+        assert Family.of(F).kinds is None
+        assert counts == {"_assemble_arrays": 0, "_candidates": 0, "_screened_margin": 0}
+    else:
+        assert cert.system.union.arrays() is not None
+        schedules = counts["_assemble_arrays"]
+        assert schedules >= 1 and counts["_candidates"] == schedules
+        assert 1 <= counts["_screened_margin"] <= schedules
+
+
+@pytest.mark.parametrize("n", [2, LIST_N, LIST_N + 1, 32])
+def test_a_rank_one_union_is_decided_in_scalar(monkeypatch, n):
+    F = bench_module("families").rank_one_family(np.random.default_rng([n, 42]), n)
+    counts = array_path_calls(monkeypatch)
+    assert certify(F).kind == "rank_one_schottky"
+    assert counts == {"_assemble_arrays": 0, "_candidates": 0, "_screened_margin": 0}
+
+
 # --- decisions near a threshold reach the scalar check ----------------------------
 
 
@@ -178,7 +224,7 @@ def test_tau_at_a_pair_gate_is_decided_in_scalar(monkeypatch):
     assert (0, 1) in decided and (0, 2) in decided
     monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", math.inf)
     reference = _AxisTable(Family.of(family.maps))
-    assert (table.entries, table.notes) == (reference.entries, reference.notes)
+    assert (list(zip(*table._entry_arrays.tolist())), table.notes) == (reference.entries, reference.notes)
 
 
 def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
@@ -198,25 +244,21 @@ def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
     assert {c for n, c in seen if n == "distance_from_cross_ratio"} >= {4.0, 0.25}
 
 
-def test_cut_at_half_tau_is_rescored_in_scalar(monkeypatch):
+def test_cut_at_half_tau_is_rescored_in_scalar():
     # Right-angle crossings have cut floor atanh(cos(pi/4)); at tau = twice
     # that, _cut_position jumps between its two branches, so the screen
     # cannot trust the array floor there.
-    monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", 0)
     floor = math.atanh(math.cos(0.25 * math.pi))
     owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 2.0 * floor)
-    family = Family.of([owner] + [right_angle_partner(h, 20.0) for h in (math.exp(-3.0), 1.0, math.exp(3.0))])
+    scalar, family = in_both_forms([owner] + [right_angle_partner(h, 20.0) for h in (math.exp(-3.0), 1.0, math.exp(3.0))])
     assert abs(0.5 * family.cls[0].tau - floor) <= AXIS_SCREEN_TOL
     table = _AxisTable(family)
     trusted = table._screen_entries()[-1]
-    mine = [e for e, (o, _) in enumerate(table.entries) if o == 0]
+    mine = np.flatnonzero(table._entry_arrays[0] == 0).tolist()
     assert len(mine) == 3 and not trusted[mine].any()
     for extra in (0.0, 2.0):
-        assert set(mine) <= set(table._candidates(extra))
-        monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", 0)
-        screened = table.innermost(extra)
-        monkeypatch.setattr(interval_builder, "AXIS_SCREEN_MIN_PAIRS", math.inf)
-        assert _AxisTable(family).innermost(extra) == screened
+        assert set(mine) <= set(table._candidates(extra).tolist())
+        assert table.innermost(extra) == _AxisTable(scalar).innermost(extra)
 
 
 def test_mapping_margin_passes_a_clearance_below_the_screen_tolerance():
@@ -273,7 +315,7 @@ def test_array_circle_steps_equal_the_scalar_ones():
         if trial % 7 == 0:
             lo[-1] = 1.0  # an arc that starts on the point: the intersection is empty
         ends = [(BoundaryPoint.from_angle(a), BoundaryPoint.from_angle(b)) for a, b in zip(lo.tolist(), hi.tolist())]
-        start, end = (boundary_arcs._point_arrays([e[k] for e in ends]) for k in (0, 1))
+        start, end = (point_arrays([e[k] for e in ends]) for k in (0, 1))
         point = BoundaryPoint.from_angle(1.0)
         arcs = [BoundaryArc(*e) for e in ends if e[0].angle != e[1].angle]
         if len(arcs) == n:
