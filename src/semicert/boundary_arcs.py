@@ -25,9 +25,9 @@ from .moebius_core import (
     Classification,
     FrozenValue,
     MoebiusMap,
+    _apply_pairs,
     angle_pairs,
     apply_boundary,
-    apply_boundary_arrays,
     boundary_angles,
     classify,
     points_of,
@@ -138,16 +138,12 @@ def arc_between(p: BoundaryPoint, q: BoundaryPoint, containing: BoundaryPoint) -
 def arcs_between(p: np.ndarray, q: np.ndarray, containing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`arc_between` on angle arrays: whether each arc runs from p (else from q), and where it exists.
 
-    An arc does not exist where `arc_between` raises ValueError.
+    Membership is decided with the arithmetic of :func:`contains`.  An arc
+    does not exist where `arc_between` raises ValueError.
     """
-    forward = _contain(p, q, containing)
-    return forward, (p != q) & (forward | _contain(q, p, containing))
-
-
-def _contain(start: np.ndarray, end: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """:func:`contains` on angle arrays."""
-    offset = (p - start) % TWO_PI
-    return (0.0 < offset) & (offset < (end - start) % TWO_PI)
+    offset, span, back, back_span = np.array([containing - p, q - p, containing - q, p - q]) % TWO_PI
+    forward = (0.0 < offset) & (offset < span)
+    return forward, (p != q) & (forward | ((0.0 < back) & (back < back_span)))
 
 
 class ArcUnion:
@@ -181,13 +177,15 @@ class ArcUnion:
         """The union of the arcs start[k] -> end[k], checked and sorted as the constructor does."""
         if not len(start[2]):
             raise ValueError(_EMPTY_UNION)
-        if (start[2] == end[2]).any():
+        if np.count_nonzero(start[2] == end[2]):
             raise ValueError(_COINCIDENT_ENDS)
-        order = np.argsort(start[2], kind="stable")
-        start, end = (tuple(v[order] for v in side) for side in (start, end))
+        order = start[2].argsort(kind="stable")
+        ends = np.array([*start, *end])[:, order]
+        start, end = ends[:3], ends[3:]
         if len(order) > 1:
-            overlap = (np.roll(start[2], -1) - start[2]) % TWO_PI <= (end[2] - start[2]) % TWO_PI
-            if overlap.any():
+            starts = start[2]
+            overlap = (np.concatenate([starts[1:], starts[:1]]) - starts) % TWO_PI <= (end[2] - starts) % TWO_PI
+            if np.count_nonzero(overlap):
                 raise _overlapping(float(end[2][np.argmax(overlap)]))
         union = object.__new__(ArcUnion)
         union._arcs, union._arrays, union.starts = None, (start, end), start[2].tolist()
@@ -352,16 +350,17 @@ def _screened_margin(
     leaves about 3% of the pairs: the images of one strongly contracting
     generator, whose clearances agree to the last few ulps.
     """
-    betas = np.array([k.beta.angle for k in classes if k.beta is not None], dtype=float)
-    comp = np.searchsorted(start[2], betas, side="right") - 1
-    if _contain(start[2][comp], end[2][comp], betas).any():
-        return -math.inf
     maps, pts, starts, ends, spans = _screen_inputs(generators, start, end)
+    betas = np.array([k.beta.angle for k in classes if k.beta is not None], dtype=float)
+    comp = starts.searchsorted(betas, side="right") - 1
+    offset = (betas - starts[comp]) % TWO_PI  # as in `contains`
+    if np.count_nonzero((0.0 < offset) & (offset < spans[comp])):
+        return -math.inf
     rows, cols = _screen(maps, pts, starts, ends, spans)
-    x, y, placed = apply_boundary_arrays(maps[:, rows, None], pts[0, cols], pts[1, cols])
+    x, y, placed = _apply_pairs(maps[:, rows, None], *pts[:, cols])
     angle = boundary_angles(x, y)
-    comp = np.searchsorted(starts, angle[:, 0], side="right") - 1
-    lead, tail, inside, _ = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
+    comp = starts.searchsorted(angle[:, 0], side="right") - 1
+    lead, tail, inside = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
     if not (placed.all(axis=-1) & inside & (lead + tail > 0.0)).all():
         return -math.inf
     return float(np.minimum(lead, tail).min())
@@ -399,13 +398,13 @@ def _screen(
     start, `lead` exceeds the span or comes within SCREEN_TOL of it.
     """
     angle, placed = _array_images(maps[:, :, None, None], pts[:, None])
-    comp = np.searchsorted(starts, angle[..., 0], side="right") - 1
-    lead, tail, inside, near = _array_clearances(angle, starts[comp], ends[comp], spans[comp])
-    near |= ~placed
-    inside &= lead + tail > 0.0
-    clear = np.where(inside & ~near, np.minimum(lead, tail), np.inf)
-    pick = near | ~inside | (clear <= clear.min() + SCREEN_TOL)
-    return np.nonzero(pick)
+    comp = starts.searchsorted(angle[..., 0], side="right") - 1
+    near = ~placed
+    lead, tail, inside = _array_clearances(angle, starts[comp], ends[comp], spans[comp], near)
+    near |= ~inside | ~(lead + tail > 0.0)
+    clear = np.minimum(lead, tail)
+    clear[near] = np.inf
+    return (near | (clear <= clear.min() + SCREEN_TOL)).nonzero()
 
 
 def _array_images(maps: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,30 +445,30 @@ def _wrap_turn(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _array_clearances(angle: np.ndarray, start, end, span) -> tuple[np.ndarray, ...]:
-    """`_clearances` on arrays: lead, tail, contained, and near a decision.
+def _array_clearances(angle: np.ndarray, start, end, span, near: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """`_clearances` on arrays: lead, tail and contained; `near`, when given, is or-ed with where a decision is near.
 
     `angle` holds the image start, end and midpoint angles on its last axis;
     `start`, `end` and `span` describe the outer arc.  Near means within
     SCREEN_TOL of a collapse guard, a 1e-9 slack or a clearance against the
     span.  Every angle here, the images' and the outer arc's, lies in
     [0, 2*pi) or is NaN, so each difference lies in (-2*pi, 2*pi) or is NaN,
-    and :func:`_wrap_turn` is `%` on it, bit for bit.
+    and :func:`_wrap_turn` is `%` on it, bit for bit; the four differences
+    are wrapped as one array.
     """
-    tol = SCREEN_TOL
     p, q, mid = angle[..., 0], angle[..., 1], angle[..., 2]
-    img = _wrap_turn(q - p)
-    off = _wrap_turn(mid - p)
-    near = (np.abs(img - (TWO_PI - 1e-9)) <= tol) | (np.abs(off - (TWO_PI - 1e-9)) <= tol)
-    img = np.where(img >= TWO_PI - 1e-9, 0.0, img)
-    off = np.where(off >= TWO_PI - 1e-9, 0.0, off)
-    lead = _wrap_turn(p - start)
-    tail = _wrap_turn(end - q)
+    turns = _wrap_turn(np.array([q - p, mid - p, p - start, end - q]))
+    img, off, lead, tail = turns
+    collapse = TWO_PI - 1e-9
+    if near is not None:
+        near |= (np.abs(turns[:2] - collapse) <= SCREEN_TOL).any(axis=0)
+    img[img >= collapse] = 0.0  # endpoints collapsed by rounding
+    off[off >= collapse] = 0.0  # midpoint rounded just behind the start
     rest = np.abs(lead + img + tail - span)
-    near |= (np.abs(off - img - 1e-9) <= tol) | (np.abs(rest - 1e-9) <= tol)
-    near |= (np.abs(lead - span) <= tol) | (np.abs(tail - span) <= tol)
-    inside = (off <= img + 1e-9) & (lead <= span) & (tail <= span) & (rest <= 1e-9)
-    return lead, tail, inside, near
+    if near is not None:
+        near |= (np.abs(np.array([off - img - 1e-9, rest - 1e-9, lead - span, tail - span])) <= SCREEN_TOL).any(axis=0)
+    inside = (off <= img + 1e-9) & (np.maximum(lead, tail) <= span) & (rest <= 1e-9)
+    return lead, tail, inside
 
 
 # --- points and arcs around them -----------------------------------------------
@@ -645,9 +644,10 @@ def hulls_around(
 
 def _reaches(points, owner, starts, ends, pick, empty) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_reach` of every point, with the ufunc `pick` and `empty` for a point without arcs."""
-    lead, tail = np.full(len(points), empty), np.full(len(points), empty)
-    pick.at(lead, owner, (points[owner] - starts) % TWO_PI)
-    pick.at(tail, owner, (ends - points[owner]) % TWO_PI)
+    lead, tail = np.full((2, len(points)), empty)
+    at = points[owner]
+    pick.at(lead, owner, (at - starts) % TWO_PI)
+    pick.at(tail, owner, (ends - at) % TWO_PI)
     return lead, tail
 
 
@@ -657,12 +657,10 @@ def _arcs_around(points, lead, tail, failed, message) -> tuple[PointArrays, Poin
     The first i where `failed` holds raises VerificationFailed(message), or
     where the endpoints coincide, ValueError, as the arc's constructor does.
     """
-    x, y = angle_pairs(np.concatenate([points - lead, points + tail]))
-    angle = boundary_angles(x, y)
-    m = len(points)
-    start, end = (x[:m], y[:m], angle[:m]), (x[m:], y[m:], angle[m:])
+    x, y = angle_pairs(points + np.array([-lead, tail]))  # a - b is a + (-b) in floats
+    start, end = np.array([x, y, boundary_angles(x, y)]).transpose(1, 0, 2)
     bad = failed | (start[2] == end[2])
-    if bad.any():
+    if np.count_nonzero(bad):
         i = int(np.argmax(bad))
         raise VerificationFailed(message) if failed[i] else ValueError(_COINCIDENT_ENDS)
     return start, end

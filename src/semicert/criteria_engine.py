@@ -19,7 +19,6 @@ from .boundary_arcs import (
     DEFAULT_MARGIN,
     ArcUnion,
     BoundaryArc,
-    PointArrays,
     contains,
     repeller_free_arc,
     schottky_margin,
@@ -479,12 +478,12 @@ def _json_number(v: float) -> float | str:
 
 
 def point_to_dict(p: BoundaryPoint) -> dict:
-    return _point_dict(p.angle, p.value)
+    return _point_dicts([p.angle], [p.value])[0]
 
 
-def _point_dict(angle: float, value: float) -> dict:
-    """The one JSON form of a point, from its angle and value, read off an object or an array."""
-    return {"angle": angle, "value": _json_number(value)}
+def _point_dicts(angles: list[float], values: list[float]) -> list[dict]:
+    """The one JSON form of points, from their angles and values, read off objects or arrays, with `_json_number` inlined."""
+    return [{"angle": a, "value": "inf" if math.isinf(v) else v} for a, v in zip(angles, values)]
 
 
 def arc_to_dict(arc: BoundaryArc) -> dict:
@@ -495,16 +494,16 @@ def union_to_dict(union: ArcUnion) -> list[dict]:
     return [arc_to_dict(a) for a in union]
 
 
-def _arc_dicts(start: PointArrays, end: PointArrays) -> list[dict]:
-    """:func:`arc_to_dict` of the arcs from start[k] to end[k] of the kernel's arrays, in their flat order.
+def _arc_dicts(start: np.ndarray, end: np.ndarray) -> list[dict]:
+    """:func:`arc_to_dict` of the arcs from start[:, k] to end[:, k] of the kernel's arrays (x, y and angle rows).
 
     The angles are the points' own, and `boundary_values` is
     `BoundaryPoint.value` bit for bit, so the dicts are those of the arcs.
     """
-    starts, ends = (
-        list(map(_point_dict, angle.ravel().tolist(), boundary_values(x, y).ravel().tolist())) for x, y, angle in (start, end)
-    )
-    return [{"start": p, "end": q} for p, q in zip(starts, ends)]
+    x, y, angle = np.concatenate([start, end], axis=1)
+    points = _point_dicts(angle.tolist(), boundary_values(x, y).tolist())
+    m = len(points) // 2
+    return [{"start": p, "end": q} for p, q in zip(points[:m], points[m:])]
 
 
 def _system_to_dict(system: GlobalIntervalSystem) -> tuple[list[dict], list[dict]]:
@@ -516,9 +515,11 @@ def _system_to_dict(system: GlobalIntervalSystem) -> tuple[list[dict], list[dict
     if system.cuts is None:
         pairs = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in system.pairs]
         return union_to_dict(system.union), pairs
-    cuts = _arc_dicts(*system.cuts)  # the a arcs, then the b arcs
-    n = len(cuts) // 2
-    return _arc_dicts(*system.union.arrays()), [{"owner": i, "a": cuts[i], "b": cuts[n + i]} for i in range(n)]
+    n = system.cuts[0].shape[-1]
+    # The a arcs, then the b arcs, then the union's, in one pass over their points.
+    ends = (np.concatenate([np.reshape(cut, (3, -1)), union], axis=1) for cut, union in zip(system.cuts, system.union.arrays()))
+    arcs = _arc_dicts(*ends)
+    return arcs[2 * n :], [{"owner": i, "a": arcs[i], "b": arcs[n + i]} for i in range(n)]
 
 
 def certificate_to_dict(cert: Certificate, version: str = "") -> dict:

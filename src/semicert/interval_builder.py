@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -54,13 +55,12 @@ from .moebius_core import (
     FrozenValue,
     Geodesic,
     MoebiusMap,
+    _apply_pairs,
     apply_boundary,
-    apply_boundary_arrays,
     axis_chart,
     axis_charts,
     boundary_angles,
     boundary_values,
-    canonical_pairs,
     compose,
     exact_map,
     from_boundary_triple,
@@ -160,11 +160,8 @@ def crossing_cut_floor(theta: float) -> float:
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
     pg = family.pair(i, j)
-    gate = pair_gate(pg.cross_ratio)
-    if pg.kind == "crossing":
-        rule, floor = "|log|C|| + 3/2", crossing_cut_floor(pg.theta)
-    else:
-        rule, floor = "log C + 3/2", math.asinh(1.0 / math.sinh(0.5 * pg.distance))
+    gate, floor = pair_gate(pg.cross_ratio), _floor_of(pg.cross_ratio)
+    rule = "|log|C|| + 3/2" if pg.kind == "crossing" else "log C + 3/2"
     for k in (i, j):
         tau = family.cls[k].tau
         if tau <= gate:
@@ -192,25 +189,22 @@ def _cut_position(tau: float, floor: float, extra: float) -> float:
 
 def _cut_positions(tau: np.ndarray, floor: np.ndarray, extra: float) -> np.ndarray:
     """:func:`_cut_position` elementwise, for the screen of the cut ranking."""
-    gap = 0.5 * tau - floor
+    half = 0.5 * tau
+    gap = half - floor
     shallow = np.minimum(np.minimum(0.375 * tau + extra, 0.45 * tau), MAX_CUT_DEPTH)
     s = floor + np.minimum(1.0 + extra, 0.5 * gap + extra)
-    deep = np.minimum(np.minimum(s, 0.5 * tau - 0.125 * gap), np.maximum(floor + 1e-6, MAX_CUT_DEPTH))
+    deep = np.minimum(np.minimum(s, half - 0.125 * gap), np.maximum(floor + 1e-6, MAX_CUT_DEPTH))
     return np.where(gap <= 0.0, shallow, deep)
 
 
-def _exact_cut_floors(c: np.ndarray, crossing: np.ndarray) -> np.ndarray:
-    """:func:`_cut_floor` of admitted pairs from their cross ratios, bit for bit.
+def _floor_of(c: float) -> float:
+    """The cut floor of a crossing (c < 0) or C > 1 pair from its cross ratio, with the angle or distance of `_decode`.
 
-    The angle and distance are those of `_decode`; the transcendental
-    functions go through `math`, with :func:`exact_map`.
+    Half of `_decode`'s distance 2 * atanh(...) is its atanh exactly.
     """
-    floors = np.empty(len(c))
-    theta = 2.0 * exact_map(math.atan, np.sqrt(-c[crossing]))
-    floors[crossing] = exact_map(math.atanh, exact_map(math.cos, 0.5 * np.minimum(theta, math.pi - theta)))
-    distance = 2.0 * exact_map(math.atanh, 1.0 / np.sqrt(c[~crossing]))
-    floors[~crossing] = exact_map(math.asinh, 1.0 / exact_map(math.sinh, 0.5 * distance))
-    return floors
+    if c < 0.0:
+        return crossing_cut_floor(2.0 * math.atan(math.sqrt(-c)))
+    return math.asinh(1.0 / math.sinh(math.atanh(1.0 / math.sqrt(c))))
 
 
 def _exp(height: float) -> float:
@@ -270,8 +264,8 @@ class _AxisTable:
     :func:`axis_charts` over the fixed points, as entries a, b, c, d on the
     first axis, and the chart objects are built only when a scalar replay
     (:meth:`cut`, :meth:`position`) reads them.  Its cut ranking is screened
-    and reads exact positions and cut floors from the kernel of
-    `moebius_core`, each computed once.
+    and reads, for each schedule's candidates, exact positions and cut
+    floors from the kernel of `moebius_core`.
     """
 
     def __init__(self, family: Family):
@@ -291,52 +285,53 @@ class _AxisTable:
                     notes.append(f"pair ({i}, {j}) skipped: {exc}")
             self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
         else:
-            self._taus = np.array([k.tau for k in family.cls])
-            # Angles of the attracting points, then of the repelling points: shape (2, n).
-            self.fixed_angles = np.array([(k.alpha.angle, k.beta.angle) for k in family.cls]).T
+            # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
+            cls = family.cls
+            table = np.array([[k.tau for k in cls], [k.alpha.angle for k in cls], [k.beta.angle for k in cls]])
+            self._taus, self.fixed_angles = table[0], table[1:]
             alpha, beta = family.fixed_points
             self._chart_entries, self._to_axis_entries, coincide = axis_charts(beta, alpha)
-            if (coincide | (self.fixed_angles[0] == self.fixed_angles[1])).any():
+            if np.count_nonzero(coincide | (self.fixed_angles[0] == self.fixed_angles[1])):
                 for k in family.cls:
                     axis_chart(Geodesic(k.beta, k.alpha))  # raises the scalar error of the first such generator
-            rows, cols, notes, floors, trusted, self._key_c, self._key_crossing = self._admit(family)
+            rows, cols, notes, self._key_floors, self._key_trusted, self._key_c = self._admit(family)
             # Entry 2k is (rows[k], cols[k]) and entry 2k + 1 the reverse.
-            self._entry_arrays = np.stack([np.stack([rows, cols], axis=1).ravel(), np.stack([cols, rows], axis=1).ravel()])
-            # NaN marks a value not computed yet: no exact position or floor is NaN.
-            self._exact_t = np.full(2 * len(rows), math.nan)
-            self._exact_floor = np.full(len(rows), math.nan)
-            self._key_floors, self._key_trusted = floors, trusted
+            self._entry_arrays = np.array([[rows, cols], [cols, rows]]).transpose(0, 2, 1).reshape(2, -1)
             self._screen: tuple[np.ndarray, ...] | None = None
         self.notes = tuple(notes)
         self._positions: dict[tuple[int, int], float] = {}
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
-    def _admit(self, family: Family) -> tuple[np.ndarray, ...]:
-        """Rows and columns of the admitted keys, skip notes, cut floors and their trust, cross ratios and crossing flags, from the arrays."""
-        rows, cols = family.pair_index
-        pick = np.flatnonzero((family.kinds == CROSSING) | (family.kinds == NESTED))
-        c, rows, cols = family.cross_ratios[pick], rows[pick], cols[pick]
-        crossing = family.kinds[pick] == CROSSING
+    def _admit(self, family: Family) -> tuple:
+        """Rows and columns of the admitted keys, skip notes, and the keys' cut floors, their trust and cross ratios, from the arrays.
+
+        The admissible kinds are CROSSING (c < 0) and NESTED (c > 1).  A pair
+        is admitted on arrays where its lesser translation length clears its
+        pair gate by more than AXIS_SCREEN_TOL (that difference is above 0,
+        so the scalar test holds too), else decided in scalar.
+        """
+        kinds = family.kinds
+        pick = ((kinds == CROSSING) | (kinds == NESTED)).nonzero()[0]
+        rows, cols = (v[pick] for v in family.pair_index)
+        c = family.cross_ratios[pick]
         tau = self._taus
-        gate = np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK
-        low = np.minimum(tau[rows], tau[cols])
-        admit = (low > gate) & ~(np.abs(low - gate) <= AXIS_SCREEN_TOL)
-        # The floors of crossing_cut_floor and _cut_floor, with the
-        # configuration's angle and distance as _decode computes them.
-        theta = 2.0 * np.arctan(np.sqrt(-c))
-        x = np.cos(0.5 * np.minimum(theta, math.pi - theta))
-        nested = np.arcsinh(1.0 / np.sinh(0.5 * (2.0 * np.arctanh(1.0 / np.sqrt(c)))))
-        floors = np.where(crossing, np.arctanh(x), nested)
+        admit = np.minimum(tau[rows], tau[cols]) - (np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK) > AXIS_SCREEN_TOL
+        # The floors of `_floor_of` with numpy's functions: half the crossing
+        # angle is arctan(sqrt(-c)), and (pi - theta) / 2 is pi/2 - half exactly.
+        half = np.arctan(np.sqrt(-c))
+        x = np.cos(np.minimum(half, 0.5 * math.pi - half))
+        crossing = c < 0.0
+        floors = np.where(crossing, np.arctanh(x), np.arcsinh(1.0 / np.sinh(np.arctanh(1.0 / np.sqrt(c)))))
         trusted = ~crossing | (1.0 - x * x >= AXIS_FLOOR_CONDITION)
         notes = []
-        for k in np.flatnonzero(~admit).tolist():  # decided in scalar, in table order
+        for k in (~admit).nonzero()[0].tolist():  # decided in scalar, in table order
             i, j = int(rows[k]), int(cols[k])
             try:
                 floors[k] = self.floors[(i, j)] = _cut_floor(family, i, j)
                 admit[k] = trusted[k] = True
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
-        return rows[admit], cols[admit], notes, floors[admit], trusted[admit], c[admit], crossing[admit]
+        return rows[admit], cols[admit], notes, floors[admit], trusted[admit], c[admit]
 
     def floor(self, i: int, j: int) -> float:
         """The scalar cut floor of pair (i, j); raises ThresholdNotMet below its pair gate."""
@@ -359,12 +354,12 @@ class _AxisTable:
         Perpendiculars to one line nest, so the innermost a arc is cut at the
         largest t + s and the innermost b arc at the smallest t - s; equal
         heights cut equal arcs, so no tie needs a rule.  A list table ranks
-        every entry in scalar; an array table ranks on arrays only the
-        :meth:`_candidates`, which hold every entry that can win, so it finds
-        the same heights.  None marks an owner without one.
+        every entry in scalar; an array table ranks on arrays
+        (:meth:`_innermost_arrays`).  None marks an owner without one.
         """
         if self.family.kinds is not None:
-            return self._innermost_arrays(self._candidates(extra), extra)
+            heights, held = self._innermost_arrays(extra)
+            return [(u, v) if h else None for u, v, h in zip(*heights.tolist(), held.tolist())]
         cls = self.family.cls
         heights: list[tuple[float, float] | None] = [None] * len(cls)
         for owner, partner in self.entries:
@@ -374,40 +369,38 @@ class _AxisTable:
             heights[owner] = (max(top, t + s), min(bottom, t - s))
         return heights
 
-    def _innermost_arrays(self, picked: np.ndarray, extra: float) -> list[tuple[float, float] | None]:
-        """:meth:`innermost` over the entries `picked`, on arrays with exact positions and floors."""
+    @np.errstate(all="ignore")  # positions that cannot be placed are rerun in scalar, which raises
+    def _innermost_arrays(self, extra: float) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`innermost` on arrays: the top and bottom heights, shape (2, n), and which owners hold an entry.
+
+        Ranks only the :meth:`_candidates`, which hold every entry that can
+        win, with their exact positions and cut floors (the floors of
+        :meth:`floor`, without decoding a pair), so it finds the scalar
+        heights.
+        """
+        picked = self._candidates(extra)
         owner = self._entry_arrays[0, picked]
         t = self._exact_positions(picked)
-        s = _cut_positions(self._taus[owner], self._exact_floors(picked // 2), extra)
+        s = _cut_positions(self._taus[owner], exact_map(_floor_of, self._key_c[picked // 2]), extra)
         n = len(self.family.cls)
-        top, bottom, held = np.full(n, -math.inf), np.full(n, math.inf), np.zeros(n, dtype=bool)
-        np.maximum.at(top, owner, t + s)
-        np.minimum.at(bottom, owner, t - s)
+        heights, held = np.full((2, n), math.inf), np.zeros(n, dtype=bool)
+        heights[0] = -math.inf
+        np.maximum.at(heights[0], owner, t + s)
+        np.minimum.at(heights[1], owner, t - s)
         held[owner] = True
-        return [(u, v) if h else None for u, v, h in zip(top.tolist(), bottom.tolist(), held.tolist())]
+        return heights, held
 
     def _exact_positions(self, picked: np.ndarray) -> np.ndarray:
-        """:meth:`position` of the entries `picked`, from the kernel, bit for bit."""
-        todo = picked[np.isnan(self._exact_t[picked])]
-        if todo.size:
-            owner, partner = self._entry_arrays[:, todo]
-            logs = []
-            for x, y in self.family.fixed_points:
-                x, y, placed = apply_boundary_arrays(self._to_axis_entries[:, owner], x[partner], y[partner])
-                value = np.abs(boundary_values(x, y))
-                if not (placed & (value > 0.0)).all():
-                    for o, p in zip(owner.tolist(), partner.tolist()):
-                        self.position(o, p)  # raises the scalar error of the first such entry
-                logs.append(exact_map(math.log, value))
-            self._exact_t[todo] = 0.5 * (logs[0] + logs[1])
-        return self._exact_t[picked]
-
-    def _exact_floors(self, keys: np.ndarray) -> np.ndarray:
-        """The cut floors of the admitted pairs `keys`, as :meth:`floor` computes them, without decoding a pair."""
-        todo = keys[np.isnan(self._exact_floor[keys])]
-        if todo.size:
-            self._exact_floor[todo] = _exact_cut_floors(self._key_c[todo], self._key_crossing[todo])
-        return self._exact_floor[keys]
+        """:meth:`position` of the entries `picked`, from the kernel, bit for bit: both fixed points of each partner in one pass."""
+        owner, partner = self._entry_arrays[:, picked]
+        x, y = self.family.fixed_points[:, :, partner].transpose(1, 0, 2)  # attracting row, then repelling
+        x, y, placed = _apply_pairs(self._to_axis_entries[:, owner], x, y)
+        value = np.abs(boundary_values(x, y))
+        if not (placed & (value > 0.0)).all():
+            for o, p in zip(owner.tolist(), partner.tolist()):
+                self.position(o, p)  # raises the scalar error of the first such entry
+        logs = exact_map(math.log, value)
+        return 0.5 * (logs[0] + logs[1])
 
     def cut(self, owner: int, height: float, around: BoundaryPoint) -> BoundaryArc:
         """The arc around `around` cut off at log-height `height` on the owner's axis.
@@ -420,60 +413,59 @@ class _AxisTable:
         except ValueError as exc:
             raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
 
-    def cuts(
-        self, owners: np.ndarray, heights: np.ndarray, around: np.ndarray
-    ) -> tuple[PointArrays, PointArrays, np.ndarray]:
+    @np.errstate(all="ignore")  # cuts that cannot be placed come out not `ok`
+    def cuts(self, owners: np.ndarray, heights: np.ndarray, around: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`cut` of each owners[k] at heights[..., k] around the point at angle around[..., k], on arrays.
 
-        Returns the start and end points of the cut arcs, and where :meth:`cut`
-        would not raise; elsewhere the points are meaningless.
+        Returns the start and end points of the cut arcs, each x, y and angle
+        on the first axis, and where :meth:`cut` would not raise; elsewhere
+        the points are meaningless.  `BoundaryPoint.from_real` of -e and e
+        scales (v : 1) by its hypot, which leaves y positive, so no sign flip
+        is taken; an infinite v is (1 : 0), and a NaN one is not placed.
         """
         e = exact_map(_exp, heights)
-        v = np.stack([-e, e])
-        x, y, ok = canonical_pairs(v, np.ones_like(v))
-        far = np.isinf(v)
-        x[far], y[far], ok[far] = 1.0, 0.0, True  # `BoundaryPoint.from_real` of infinity
-        x, y, placed = apply_boundary_arrays(self._chart_entries[:, owners], x, y)
+        norm = exact_map(math.hypot, e, 1.0)  # that of -e too
+        x, y = e / norm, 1.0 / norm
+        x = np.array([-x, x])  # (-e) / norm is -(e / norm) exactly
+        far = np.isinf(e)
+        x[:, far], y[far] = 1.0, 0.0
+        x, y, placed = _apply_pairs(self._chart_entries[:, owners], x, y)
         angle = boundary_angles(x, y)
         forward, between = arcs_between(angle[0], angle[1], around)
-        p, q = (x[0], y[0], angle[0]), (x[1], y[1], angle[1])
-        start = tuple(np.where(forward, u, w) for u, w in zip(p, q))
-        end = tuple(np.where(forward, w, u) for u, w in zip(p, q))
-        return start, end, (ok & placed).all(axis=0) & between
+        p, q = np.array([x, y, angle]).transpose(1, 0, 2, 3)
+        return np.where(forward, p, q), np.where(forward, q, p), placed[0] & placed[1] & ~np.isnan(e) & between
 
     def _candidates(self, extra: float) -> np.ndarray:
         """Indices of the entries whose screened t + s or t - s is near its owner's max or min, or untrusted."""
         if self._screen is None:
             self._screen = self._screen_entries()
-        owner, partner, tau, floor, t, trusted = self._screen
+        owners, tau, floor, t, trusted = self._screen
         s = _cut_positions(tau, floor, extra)
-        n = len(self.family.cls)
-        up, down = np.full((n, n), -np.inf), np.full((n, n), np.inf)
-        up[owner, partner] = np.where(trusted, t + s, -np.inf)
-        down[owner, partner] = np.where(trusted, t - s, np.inf)
-        top, bottom = up.max(axis=1)[owner], down.min(axis=1)[owner]
-        near = (t + s >= top - AXIS_SCREEN_TOL) | (t - s <= bottom + AXIS_SCREEN_TOL)
-        return np.flatnonzero(near | ~trusted)
+        # t + s, then -(t - s), whose maximum is minus the least t - s (negation is exact).
+        reach = np.concatenate([np.where(trusted, t + s, -math.inf), np.where(trusted, s - t, -math.inf)])
+        top = np.full(2 * len(self.family.cls), -math.inf)
+        np.maximum.at(top, owners, reach)
+        near = (reach >= top[owners] - AXIS_SCREEN_TOL).reshape(2, -1)
+        return (near[0] | near[1] | ~trusted).nonzero()[0]
 
-    @np.errstate(all="ignore")  # the diagonal and degenerate positions come out untrusted
+    @np.errstate(all="ignore")  # degenerate positions come out untrusted
     def _screen_entries(self) -> tuple[np.ndarray, ...]:
-        """The entries as arrays, with t from one n x n broadcast and where it is trusted.
+        """The entries' owners, translation lengths and floors, with t screened with numpy's log, and where t is trusted.
 
         An entry is also untrusted where its floor is, or where tau/2 lies
         within AXIS_SCREEN_TOL of the floor: :func:`_cut_position` jumps there.
         """
-        maps = self._to_axis_entries[:, :, None]
-        logs = [
-            np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y))) for x, y in self.family.fixed_points
-        ]
-        trusted = (np.abs(logs[0]) <= AXIS_SCREEN_LOG) & (np.abs(logs[1]) <= AXIS_SCREEN_LOG)
         owner, partner = self._entry_arrays
-        floor = np.repeat(self._key_floors, 2)
-        tau = self._taus[owner]
-        t = 0.5 * (logs[0] + logs[1])
-        trusted = trusted[owner, partner] & np.repeat(self._key_trusted, 2)
-        trusted &= ~(np.abs(0.5 * tau - floor) <= AXIS_SCREEN_TOL)
-        return owner, partner, tau, floor, t[owner, partner], trusted
+        maps = self._to_axis_entries[:, owner]
+        x, y = self.family.fixed_points[:, :, partner].transpose(1, 0, 2)  # attracting row, then repelling
+        logs = np.log(np.abs((maps[0] * x + maps[1] * y) / (maps[2] * x + maps[3] * y)))
+        floor, tau = self._key_floors.repeat(2), self._taus[owner]
+        trusted = np.abs(logs) <= AXIS_SCREEN_LOG
+        trusted = trusted[0] & trusted[1] & self._key_trusted.repeat(2)
+        trusted &= np.abs(0.5 * tau - floor) > AXIS_SCREEN_TOL
+        # The owners of the t + s, then of the -(t - s), in one index of 2n slots.
+        owners = np.concatenate([owner, owner + len(self.family.cls)])
+        return owners, tau, floor, 0.5 * (logs[0] + logs[1]), trusted
 
     # The scalar path sets the charts and their inverses as objects; the
     # array path sets their arrays, and builds the objects from them on the
@@ -702,9 +694,9 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     heights = table.innermost(extra)
     n = next((i for i, h in enumerate(heights) if h is None), len(cls))
     # Row 0 holds the a cuts (top heights, around alpha), row 1 the b cuts.
-    owners, cut_heights = np.arange(n), np.array(heights[:n], dtype=float).reshape(n, 2).T
+    owners, cut_heights = np.arange(n), np.fromiter(chain.from_iterable(heights[:n]), float, 2 * n).reshape(n, 2).T
     start, end, ok = table.cuts(owners, cut_heights, table.fixed_angles[:, :n])
-    failed = np.flatnonzero(~ok.all(axis=0))
+    failed = (~(ok[0] & ok[1])).nonzero()[0]
     if failed.size:
         i = int(failed[0])
         side = 0 if not ok[0, i] else 1
@@ -714,16 +706,17 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
         raise _no_partner(n)
     groups = build_shared_alpha_intervals(family)
     alpha = table.fixed_angles[0]
-    owner, starts, ends = [owners], [start[2][0]], [end[2][0]]
-    for group in groups:
-        arc, members = _alpha_side(group), np.array(group.members)
-        owner.append(members)
-        starts.append(np.full(len(members), arc.start.angle))
-        ends.append(np.full(len(members), arc.end.angle))
-    final_start, final_end = intersections_around(alpha, *map(np.concatenate, (owner, starts, ends)))
-    members = np.concatenate(family.alpha_classes)
-    owner = np.repeat(np.arange(len(family.alpha_classes)), [len(c) for c in family.alpha_classes])
-    heads = alpha[[c[0] for c in family.alpha_classes]]
+    owner, starts, ends = owners, start[2][0], end[2][0]
+    if groups:  # each member's a arc, then the alpha-side arc of each group for each of its members
+        sides = [(i, _alpha_side(group)) for group in groups for i in group.members]
+        owner = np.concatenate([owner, [i for i, _ in sides]])
+        starts = np.concatenate([starts, [arc.start.angle for _, arc in sides]])
+        ends = np.concatenate([ends, [arc.end.angle for _, arc in sides]])
+    final_start, final_end = intersections_around(alpha, owner, starts, ends)
+    classes = family.alpha_classes
+    members = np.fromiter(chain.from_iterable(classes), np.intp)
+    owner = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    heads = alpha[np.array([c[0] for c in classes])]
     union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
     achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
     return _system(family, table, None, groups, union, achieved, (start, end))

@@ -13,6 +13,7 @@ import numbers
 import reprlib
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -169,13 +170,16 @@ _point_angle = BoundaryPoint._angle.__set__
 # equal to the scalar code bit for bit.  Elementwise + - * / % and sqrt
 # round as the scalar operations do; the transcendental functions (hypot,
 # atan2, log, exp, cos, sin, ...) go through `math` with :func:`exact_map`,
-# since numpy's forms can differ from them in the last bit.
+# since numpy's forms can differ from them in the last bit.  Each public
+# function that can warn holds its own `np.errstate`; the array stages
+# (`Family.of`'s table, the axis table, a cut schedule, the verifier, the
+# writer) hold one each and call `_canonical` and `_apply_pairs` inside it.
 
 
-def exact_map(func: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
-    """`func` of `math` applied to each element of equally shaped arrays, as the scalar code applies it."""
+def exact_map(func: Callable[..., float], *arrays: np.ndarray | float) -> np.ndarray:
+    """`func` of `math` applied to each element of equally shaped arrays, as the scalar code applies it; a float stands for an array of it."""
     first = arrays[0]
-    values = map(func, *(a.ravel().tolist() for a in arrays))
+    values = map(func, *[a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a) for a in arrays])
     return np.fromiter(values, np.float64, first.size).reshape(first.shape)
 
 
@@ -186,28 +190,42 @@ def canonical_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     A pair is not placed where `of` raises ValueError (its hypot is 0 or not
     finite); its canonical entries are then meaningless.
     """
-    return _canonical(x, y)
+    return _placed(*_canonical(np.array([x, y], dtype=float)))
 
 
-def _canonical(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norm = exact_map(math.hypot, x, y)
-    placed = np.isfinite(norm) & (norm != 0.0)
-    x, y = x / norm, y / norm
-    # Multiplying by -1.0 negates exactly, as the scalar `-x` does.
-    sign = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
-    return x * sign, y * sign, placed
+def _canonical(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical x and y of the pairs (xy[0] : xy[1]), in place in `xy`, and their hypot.
+
+    The flip, where y < 0, or y == 0 and x < 0, multiplies by -1.0, which negates exactly.
+    """
+    norm = exact_map(math.hypot, xy[0], xy[1])
+    xy /= norm
+    xy *= np.copysign(1.0, np.where(xy[1] != 0.0, xy[1], xy[0]))
+    return xy[0], xy[1], norm
+
+
+def _placed(x: np.ndarray, y: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and where a pair is placed: its hypot `norm` is neither 0 nor inf."""
+    return x, y, np.isfinite(norm) & (norm != 0.0)
 
 
 @np.errstate(all="ignore")  # images that overflow come out not placed
 def apply_boundary_arrays(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_boundary` on arrays: `f` holds the entries a, b, c, d on its first axis; as :func:`canonical_pairs`."""
-    return _canonical(f[0] * x + f[1] * y, f[2] * x + f[3] * y)
+    return _apply_pairs(f, x, y)
+
+
+def _apply_pairs(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`apply_boundary_arrays` for a caller that holds the `errstate` of its stage."""
+    return _placed(*_canonical(np.array([f[0] * x + f[1] * y, f[2] * x + f[3] * y])))
 
 
 def angle_pairs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical x, y of `BoundaryPoint.from_angle` at each angle; every one is placed."""
-    half = 0.5 * theta
-    x, y, _ = _canonical(exact_map(math.cos, half), -exact_map(math.sin, half))
+    half = (0.5 * theta).ravel().tolist()
+    xy = np.fromiter(chain(map(math.cos, half), map(math.sin, half)), np.float64, 2 * len(half)).reshape(2, *theta.shape)
+    np.negative(xy[1], out=xy[1])
+    x, y, _ = _canonical(xy)
     return x, y
 
 
@@ -548,18 +566,17 @@ def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndar
     the first axis, equal to the scalar ones bit for bit, and where
     `axis_chart` raises (its cross product is 0); the entries are
     meaningless there.  Elsewhere `from_matrix` cannot raise: its
-    determinant is |cross|.
+    determinant is |cross|.  The inverses are taken before the canonical
+    sign, which is one pass over both: m and -m have the same canonical
+    sign, so that of the inverse does not depend on the chart's.
     """
     (sx, sy), (ex, ey) = start, end
     cross = ex * sy - ey * sx
     s = np.where(cross > 0.0, 1.0, -1.0)
-    chart = np.array([s * ex, sx, s * ey, sy])
-    a, b, c, d = chart
-    chart *= 1.0 / np.sqrt(a * d - b * c)
-    _canonical_signs(chart)
-    inverses = np.array([d, -b, -c, a])
-    _canonical_signs(inverses)
-    return chart, inverses, cross == 0.0
+    a, b, c, d = s * ex, sx, s * ey, sy
+    maps = np.array([[a, d], [b, -b], [c, -c], [d, a]]) * (1.0 / np.sqrt(a * d - b * c))
+    _canonical_signs(maps)
+    return maps[:, 0], maps[:, 1], cross == 0.0
 
 
 def _canonical_signs(entries: np.ndarray) -> None:
@@ -568,10 +585,9 @@ def _canonical_signs(entries: np.ndarray) -> None:
     t = a + d
     flip = t < 0.0
     zero = t == 0.0
-    if zero.any():  # the first nonzero of a, b, c decides
+    if np.count_nonzero(zero):  # the first nonzero of a, b, c decides
         flip |= zero & (np.where(a != 0.0, a, np.where(b != 0.0, b, c)) < 0.0)
-    # Multiplying by -1.0 negates exactly, as the scalar `-a` does.
-    entries *= np.where(flip, -1.0, 1.0)
+    np.negative(entries, out=entries, where=flip)
 
 
 def from_boundary_triple(

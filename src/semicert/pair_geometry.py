@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import Callable
@@ -131,45 +131,63 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
 
 
 # Pairs from which `Family.of` keeps the pair table as arrays: the cross
-# ratios from one n x n broadcast, the kinds from array comparisons, and a
-# PairGeometry decoded only when asked for.  The one size switch: the cut
-# ranking and the verifier follow the family's path.  `certify` plus the
-# writer per path, over the code with three switches that it replaced, on
-# seeded `bench/families.admissible_family` draws: in one process, paths
-# interleaved, median over 8 families of the fastest of 40 runs, 2-core VM.
-# At n = 10 three runs read 1.09-1.13 (scalar) and 1.06-1.14 (arrays).
-#   n (pairs)   4 (6)  6 (15)  8 (28)  9 (36)  10 (45)  12 (66)  16 (120)  32 (496)
-#   scalar      0.98   0.89    1.00    1.04    1.10     1.23     1.85      4.42
-#   arrays      2.70   1.89    1.29    1.16    1.14     0.98     0.99      0.99
-PAIR_ARRAY_MIN_PAIRS = 45
+# ratios from one gather over the fixed points, the kinds from one search of
+# `_KIND_EDGES`, and a PairGeometry decoded only when asked for.  The one size
+# switch: the cut ranking and the verifier follow the family's path.  `certify`
+# plus the writer, array path over scalar path, on seeded
+# `bench/families.admissible_family` draws: in one process, paths alternated,
+# median over 8 families of the ratio of the fastest of 30 runs, 2-core VM.
+# n = 8 sits at the crossover (two earlier runs read 1.02 and 1.03), so the
+# switch is at n = 9, from which arrays were faster in all three runs.
+#   n (pairs)   4 (6)  5 (10)  6 (15)  7 (21)  8 (28)  9 (36)  10 (45)  12 (66)  16 (120)  32 (496)
+#   arrays      2.00   1.68    1.38    1.12    0.95    0.82    0.71     0.57     0.39      0.16
+PAIR_ARRAY_MIN_PAIRS = 36
 
 _XY = attrgetter("x", "y")
 
 # Kind codes of the array table, in the order of `_decode`'s tests.
 MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT, NESTED = range(6)
 
+# The kind code of a cross ratio c is `_KIND_OF_BIN` at the number of
+# `_KIND_EDGES` at most c: the least ratios of the kinds after CROSSING, as the
+# first test of `_decode` that holds decides.  Near 1, c - 1 is exact, and the
+# float 1 - tol is the least ratio with |c - 1| <= tol, 1 + tol the least above.
+_KIND_OF_BIN = np.array([CROSSING, SHARED, DISJOINT, PARABOLIC, NESTED, MEETS])
+_KIND_EDGES = np.array([-DEGENERATE_TOL, math.nextafter(DEGENERATE_TOL, 1.0), 1.0 - DEGENERATE_TOL, 1.0 + DEGENERATE_TOL, math.inf])
+
+
+def _kinds(c: np.ndarray) -> np.ndarray:
+    """The kind codes of cross ratios, each finite or inf, as `_decode` decides them."""
+    return _KIND_OF_BIN[_KIND_EDGES.searchsorted(c, side="right")]
+
 
 @np.errstate(all="ignore")  # den == 0 and overflowing ratios become inf, as in the scalar code
 def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Cross ratio and kind code of every pair i < j, in row-major order, from `Family.fixed_points`, and the i and j.
 
-    The four wedge products are one n x n broadcast each, with the operations
-    of :func:`cross_ratio_of_points` (products, differences and one
-    quotient), so every ratio equals the scalar one bit for bit.
+    The four wedges p.x * q.y - p.y * q.x of every pair come from one gather
+    and their ratio as in :func:`cross_ratio_of_points`, so every ratio equals
+    the scalar one bit for bit; a zero `den` gives inf or NaN, not finite.
     """
-    (ax, ay), (bx, by) = fixed_points
-    i, j = np.triu_indices(len(ax), 1)
-    num = (ax[i] * ay[j] - ay[i] * ax[j]) * (bx[i] * by[j] - by[i] * bx[j])
-    den = (ax[i] * by[j] - ay[i] * bx[j]) * (bx[i] * ay[j] - by[i] * ax[j])
-    c = num / den
-    c[(den == 0.0) | ~np.isfinite(c)] = np.inf
-    # The first test of `_decode` that holds decides, so the tests are applied last to first.
-    kinds = np.where(c < 1.0, DISJOINT, NESTED)
-    kinds[c < 0.0] = CROSSING
-    kinds[np.abs(c - 1.0) <= DEGENERATE_TOL] = PARABOLIC
-    kinds[np.abs(c) <= DEGENERATE_TOL] = SHARED
-    kinds[np.isinf(c)] = MEETS
-    return c, kinds, (i, j)
+    gather, pair_index = _pair_gathers(fixed_points.shape[-1])
+    px, py, qx, qy = fixed_points.ravel()[gather]
+    w = px * qy - py * qx
+    c = (w[0] * w[1]) / (w[2] * w[3])
+    c[~np.isfinite(c)] = np.inf
+    return c, _kinds(c), pair_index
+
+
+@lru_cache(maxsize=16)  # about 70 n^2 bytes each
+def _pair_gathers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Flat indices into `Family.fixed_points` (rows ax, ay, bx, by) of p and q in the wedges p ^ q of each pair i < j, and i and j.
+
+    The wedges are alpha_i ^ alpha_j and beta_i ^ beta_j (the numerator), alpha_i ^ beta_j and beta_i ^ alpha_j.
+    """
+    i, j = np.triu_indices(n, 1)
+    rows = np.array([[0, 2, 0, 2], [1, 3, 1, 3], [0, 2, 2, 0], [1, 3, 3, 1]])[:, :, None]
+    gather = rows * n + np.stack([i, i, j, j])[:, None, :]
+    gather.flags.writeable = i.flags.writeable = j.flags.writeable = False  # shared by every family of n generators
+    return gather, (i, j)
 
 
 # Relative tolerance of :func:`screened_max`: numpy's log and math.log agree
@@ -199,9 +217,9 @@ class Family:
     - `cls[i]`: the classification of generator i (fixed points, translation
       length).
     - `cross_ratios`: the cross ratio of each pair i < j, in row-major
-      order; a list, or from PAIR_ARRAY_MIN_PAIRS pairs on an array, with
+      order; a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 9) an array, with
       the kind codes of the pairs in `kinds` and their generators i and j
-      in `pair_index` (both None on the list path).  That is the family's
+      in `pair_index` (read only; both None on the list path).  That is the family's
       path: a list table is assembled, ranked and verified in scalar, an
       array table on arrays, with the ranking and the verifier screened.
     - :meth:`pair`: the geometry of generators i and j, decoded on first

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from semicert import BoundaryArc, BoundaryPoint, MoebiusMap, certify, classify, normalize
 from semicert.cli import main
 from semicert.criteria_engine import certificate_to_dict, multicone, point_to_dict
+from semicert.pair_geometry import Family
 from semicert.render import render_figure
 
 from helpers import figure_two, section_one_pair
@@ -163,6 +164,17 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "rank_one_schottky"
+
+    def test_checked_in_admissible_family_takes_the_array_path(self, runner):
+        # `bench/families.admissible_family(np.random.default_rng(12), 12)`;
+        # CI certifies the same file with the installed console script.
+        from semicert.cli import _load_generators
+
+        src = Path(__file__).resolve().parent / "data" / "admissible12.json"
+        result = runner.invoke(main, ["certify", "--input", str(src)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
+        assert Family.of(_load_generators(str(src))).kinds is not None  # 66 pairs: the array table
 
     def test_matches_library_payload(self, runner, tmp_path):
         src = write_disc_input(tmp_path / "in.json", [41.0] * 5)

@@ -39,6 +39,7 @@ from semicert.pair_geometry import Family
 
 from helpers import (
     arcs_approx,
+    bench_module,
     conjugated_figure_two,
     crossing_pair,
     disjoint_pair,
@@ -52,6 +53,7 @@ from helpers import (
     random_admissible_family,
     random_moebius,
     reference_shared_intervals,
+    retry_ladder_family,
     shared_attractor_family,
     shared_repeller_family,
     strictly_inside,
@@ -537,7 +539,7 @@ class TestScreens:
         scalar, arrays = in_both_forms(F)
         return [run(arrays), run(scalar)]
 
-    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 32])
     def test_certificates_are_byte_identical(self, n):
         from semicert import certify
         from semicert.criteria_engine import certificate_to_dict
@@ -548,6 +550,28 @@ class TestScreens:
         )
         assert json.loads(scalar)["kind"] == "semidiscrete_inverse_free"
         assert screened == scalar
+
+    def test_a_corpus_gives_the_same_certificate_or_error_on_both_paths(self):
+        from semicert import certify
+        from semicert.criteria_engine import certificate_to_dict
+
+        def outcome(family):
+            try:
+                return json.dumps(certificate_to_dict(certify(family)), sort_keys=True)
+            except CertifyError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        corpus = [f.maps for f in bench_module("families").verdict_mix(1, 2)]
+        corpus += [conjugated_figure_two(), shared_attractor_family(), retry_ladder_family()]
+        corpus += [figure_two(tau) for tau in (0.1, 0.3, 3.6, 10.0, 40.2, 41.0, 45.0)]
+        # The inverse of generator 0 repels from the attracting point that 0 and 1 share.
+        corpus.append([*shared_attractor_family(), inverse(shared_attractor_family()[0])])
+        found = [self.screened_and_scalar(F, outcome) for F in corpus]
+        assert [arrays for arrays, _ in found] == [scalar for _, scalar in found]
+        kinds = {s.split(":")[0] if s.startswith("Precondition") else json.loads(s)["kind"] for _, s in found}
+        assert kinds == {
+            "PreconditionViolated", "inconclusive", "not_semidiscrete", "rank_one_schottky", "semidiscrete_inverse_free",
+        }
 
     def test_innermost_pairs_match_the_scalar_ranking(self):
         from semicert.interval_builder import _AxisTable

@@ -511,6 +511,26 @@ class TestArrayKernel:
         points = map(BoundaryPoint.from_angle, theta.tolist())
         assert self.arrays(x, y, placed) == [[v.hex() for v in (p.x, p.y, p.angle, p.value)] for p in points]
 
+    def test_degenerate_input_raises_no_warning(self):
+        # pytest turns a RuntimeWarning into an error, so a public kernel
+        # function that stage code calls inside its own `errstate` must still
+        # hold one, or need none, when called alone.
+        empty, huge = np.empty(0), np.array([1e300, -1e300, 1e308, 0.0])
+        for x, y in ((empty, empty), (huge, huge[::-1]), (np.zeros(2), np.array([0.0, -0.0]))):
+            x, y, placed = moebius_core.canonical_pairs(x, y)
+            moebius_core.boundary_angles(x, y)
+            moebius_core.boundary_values(x, y)
+        x, y, placed = moebius_core.apply_boundary_arrays(np.full(4, 1e300), huge, huge)  # every product overflows or is 0
+        assert not placed.any()
+        moebius_core.boundary_angles(x, y)
+        moebius_core.boundary_values(x, y)
+        for theta in (empty, np.array([0.0, TWO_PI])):
+            moebius_core.boundary_angles(*moebius_core.angle_pairs(theta))
+        ends = np.array([[1.0, 0.0, -0.6], [0.0, 1.0, 0.8]])
+        *_, coincide = moebius_core.axis_charts(ends, ends)  # coincident line ends
+        assert coincide.all()
+        moebius_core.axis_charts(np.empty((2, 0)), np.empty((2, 0)))
+
     def test_points_carry_the_kernel_angles(self):
         x, y, placed = moebius_core.canonical_pairs(np.array([3.0, -1.0]), np.array([-4.0, 0.0]))
         angle = moebius_core.boundary_angles(x, y)

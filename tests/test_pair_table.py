@@ -150,6 +150,30 @@ def test_broadcast_cross_ratios_equal_the_scalar_ones():
         assert [c.hex() for c in family.cross_ratios.tolist()] == [c.hex() for c in scalar]
 
 
+def test_kind_codes_at_their_edges_are_those_of_decode():
+    # Each edge of the kind codes, the floats beside it, and both sides of 0
+    # and 1, against `_decode`'s tests applied first to last.
+    cf, cg = Family.of(figure_two(41.0)[:2]).cls
+    code = {
+        "alpha_meets_beta": pair_geometry.MEETS,
+        "shared_alpha": pair_geometry.SHARED,
+        "shared_beta": pair_geometry.SHARED,
+        "parabolic_degenerate": pair_geometry.PARABOLIC,
+        "crossing": pair_geometry.CROSSING,
+    }
+    ratios = [math.inf, 1e300, -1e300, 0.5, -0.0]
+    for edge in [*pair_geometry._KIND_EDGES[:-1].tolist(), 0.0, 1.0]:
+        ratios += [edge, *(math.nextafter(edge, side * math.inf) for side in (-1, 1))]
+        ratios += [math.nextafter(math.nextafter(edge, side * math.inf), side * math.inf) for side in (-1, 1)]
+    expected = []
+    for c in ratios:
+        pg = pair_geometry._decode(c, cf, cg)
+        nested = pair_geometry.NESTED if pg.nested_attractors else pair_geometry.DISJOINT
+        expected.append(code.get(pg.kind, nested))
+    assert pair_geometry._kinds(np.array(ratios)).tolist() == expected
+    assert expected.count(pair_geometry.PARABOLIC) == 10 and expected.count(pair_geometry.SHARED) == 11
+
+
 # --- one switch: the family's path ---------------------------------------------------
 
 
