@@ -2,7 +2,9 @@
 
 The CLI is a thin shell over the library; every JSON payload it prints can be
 reproduced by calling the corresponding library function directly.  Exit
-codes: 0 for a definitive certificate, 2 for inconclusive, 1 for errors.
+codes: 0 for a definitive certificate, 2 for `inconclusive`, and 1 for a typed
+error or a file that cannot be read or written, reported by the group's one
+error boundary as one `error:` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +25,21 @@ from .pair_geometry import Family
 from .render import RenderSpec, render_figure
 from .search_oracle import DEFAULT_BUDGET, EnumerationReport, chaos_game, enumerate_words, inverse_free_probe
 
-@click.group()
+
+class _ErrorBoundary(click.Group):
+    """A group whose commands end a CertifyError or OSError as one `error:` line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed standard output: click's own handler ends quietly
+        except (CertifyError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__)
 def main():
     """Semidiscreteness certificates for hyperbolic transformation semigroups."""
@@ -109,11 +125,6 @@ def _emit(payload: dict, fmt: str, output: str | None, text_lines: list[str] | N
         click.echo(body, nl=False)
 
 
-def _fail(exc: Exception) -> "sys.NoReturn":
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
-
-
 _input_opt = click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 _output_opt = click.option("--output", "output_path", default=None, type=click.Path())
 _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
@@ -125,23 +136,19 @@ _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "text"]
 @_format_opt
 def cmd_classify(input_path, output_path, fmt):
     """Per-generator classification: kind, fixed points, translation length."""
-    try:
-        maps = _load_generators(input_path)
-        rows = []
-        for idx, f in enumerate(maps):
-            cls = classify(f)
-            row = {"index": idx, "kind": cls.kind}
-            if cls.kind == "hyperbolic":
-                row["alpha"] = point_to_dict(cls.alpha)
-                row["beta"] = point_to_dict(cls.beta)
-                row["tau"] = cls.tau
-            elif cls.kind == "parabolic":
-                row["fixed"] = point_to_dict(cls.fixed)
-            elif cls.kind == "elliptic":
-                row["rotation_angle"] = cls.rotation_angle
-            rows.append(row)
-    except CertifyError as exc:
-        _fail(exc)
+    rows = []
+    for idx, f in enumerate(_load_generators(input_path)):
+        cls = classify(f)
+        row = {"index": idx, "kind": cls.kind}
+        if cls.kind == "hyperbolic":
+            row["alpha"] = point_to_dict(cls.alpha)
+            row["beta"] = point_to_dict(cls.beta)
+            row["tau"] = cls.tau
+        elif cls.kind == "parabolic":
+            row["fixed"] = point_to_dict(cls.fixed)
+        elif cls.kind == "elliptic":
+            row["rotation_angle"] = cls.rotation_angle
+        rows.append(row)
     lines = [_classify_line(r) for r in rows]
     _emit({"schema": SCHEMA_VERSION, "generators": rows}, fmt, output_path, lines)
 
@@ -165,19 +172,15 @@ def _classify_line(row: dict) -> str:
 @_format_opt
 def cmd_pairs(input_path, output_path, fmt):
     """Cross-ratio table with decoded configurations for all generator pairs."""
-    try:
-        maps = _load_generators(input_path)
-        rows = []
-        for (i, j), cfg in Family.of(maps).pairs.items():
-            row = {"i": i, "j": j, "cross_ratio": _json_number(cfg.cross_ratio), "kind": cfg.kind}
-            if cfg.kind == "crossing":
-                row["theta"] = cfg.theta
-            elif cfg.kind == "disjoint":
-                row["distance"] = cfg.distance
-                row["nested_attractors"] = cfg.nested_attractors
-            rows.append(row)
-    except CertifyError as exc:
-        _fail(exc)
+    rows = []
+    for (i, j), cfg in Family.of(_load_generators(input_path)).pairs.items():
+        row = {"i": i, "j": j, "cross_ratio": _json_number(cfg.cross_ratio), "kind": cfg.kind}
+        if cfg.kind == "crossing":
+            row["theta"] = cfg.theta
+        elif cfg.kind == "disjoint":
+            row["distance"] = cfg.distance
+            row["nested_attractors"] = cfg.nested_attractors
+        rows.append(row)
     lines = [
         f"({r['i']},{r['j']}): C={r['cross_ratio']}  {r['kind']}"
         + (f"  theta={r['theta']:.6f}" if "theta" in r else "")
@@ -203,14 +206,11 @@ def cmd_pairs(input_path, output_path, fmt):
 )
 def cmd_certify(input_path, output_path, fmt, margin, max_words):
     """Run the semidiscreteness decision procedure and emit its certificate."""
-    try:
-        maps = _load_generators(input_path)
-        cert = certify(maps, margin=margin)
-        payload = certificate_to_dict(cert, version=__version__)
-        if max_words > 0:
-            payload["oracle"] = _oracle_section(maps, max_words)
-    except CertifyError as exc:
-        _fail(exc)
+    maps = _load_generators(input_path)
+    cert = certify(maps, margin=margin)
+    payload = certificate_to_dict(cert, version=__version__)
+    if max_words > 0:
+        payload["oracle"] = _oracle_section(maps, max_words)
     lines = [f"certificate: {cert.kind}"]
     if isinstance(cert, Inconclusive):
         lines.append(f"  lower={cert.report.get('lower')}  upper={cert.report.get('upper')}")
@@ -253,11 +253,8 @@ def _oracle_payload(maps, max_len: int, budget: int = DEFAULT_BUDGET) -> tuple[E
 )
 def cmd_cocycle(input_path, output_path, fmt, margin):
     """Multicone certificate for a matrix tuple (uniform hyperbolicity test)."""
-    try:
-        maps = _load_generators(input_path, matrices_only=True)
-        union = multicone(maps, margin=margin)
-    except CertifyError as exc:
-        _fail(exc)
+    maps = _load_generators(input_path, matrices_only=True)
+    union = multicone(maps, margin=margin)
     if union is None:
         _emit({"schema": SCHEMA_VERSION, "kind": "inconclusive"}, fmt, output_path, ["inconclusive"])
         sys.exit(2)
@@ -283,28 +280,25 @@ def cmd_cocycle(input_path, output_path, fmt, margin):
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Also sample the forward limit set.")
 def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
     """Empirical word-enumeration report (evidence, not a certificate)."""
-    try:
-        maps = _load_generators(input_path)
-        report, shared = _oracle_payload(maps, max_len, budget=max_words)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            **shared,
-            "budget": max_words,
-            "distinct_elements": report.distinct_elements,
-            "duplicate_classes": report.duplicate_classes,
-            "nearest_word": list(report.nearest_word.letters) if report.nearest_word else None,
-            "elliptic_words": [list(w.letters) for w in report.elliptic_words],
+    maps = _load_generators(input_path)
+    report, shared = _oracle_payload(maps, max_len, budget=max_words)
+    payload = {
+        "schema": SCHEMA_VERSION,
+        **shared,
+        "budget": max_words,
+        "distinct_elements": report.distinct_elements,
+        "duplicate_classes": report.duplicate_classes,
+        "nearest_word": list(report.nearest_word.letters) if report.nearest_word else None,
+        "elliptic_words": [list(w.letters) for w in report.elliptic_words],
+    }
+    if seed is not None:
+        angles = chaos_game(maps, 10_000, seed=seed).angles()
+        payload["chaos"] = {
+            "seed": seed,
+            "samples": len(angles),
+            "angle_min": float(angles.min()),
+            "angle_max": float(angles.max()),
         }
-        if seed is not None:
-            angles = chaos_game(maps, 10_000, seed=seed).angles()
-            payload["chaos"] = {
-                "seed": seed,
-                "samples": len(angles),
-                "angle_min": float(angles.min()),
-                "angle_max": float(angles.max()),
-            }
-    except CertifyError as exc:
-        _fail(exc)
     _emit(payload, fmt, output_path, [f"min identity distance: {report.min_identity_distance}"])
 
 
@@ -316,14 +310,11 @@ def cmd_oracle(input_path, output_path, fmt, max_len, max_words, seed):
 @click.option("--no-labels", is_flag=True, default=False)
 def cmd_render(input_path, output_path, cert_path, size, no_labels):
     """Draw the disc-model figure (axes, arrows, certificate arcs) as SVG."""
-    try:
-        maps = _load_generators(input_path)
-        union = _certificate_union(cert_path) if cert_path else None
-        svg = render_figure(maps, union, RenderSpec(size=size, draw_labels=not no_labels))
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-    except (CertifyError, OSError, ValueError) as exc:
-        _fail(exc)
+    maps = _load_generators(input_path)
+    union = _certificate_union(cert_path) if cert_path else None
+    svg = render_figure(maps, union, RenderSpec(size=size, draw_labels=not no_labels))
+    with open(output_path, "w", encoding="utf-8") as handle:
+        handle.write(svg)
 
 
 def _certificate_union(path: str) -> ArcUnion | None:

@@ -152,9 +152,9 @@ def pair_gate(c: float) -> float:
 
 
 def crossing_cut_floor(theta: float) -> float:
-    """Smallest cut position keeping the four crossing-pair arcs separated."""
-    m = min(theta, math.pi - theta)
-    return math.atanh(math.cos(0.5 * m))
+    """Smallest cut position keeping the four crossing-pair arcs separated; inf, atanh's limit, where cos(m/2) rounds to 1."""
+    x = math.cos(0.5 * min(theta, math.pi - theta))
+    return math.atanh(x) if x < 1.0 else math.inf
 
 
 def _cut_floor(family: Family, i: int, j: int) -> float:

@@ -580,14 +580,21 @@ def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _canonical_signs(entries: np.ndarray) -> None:
-    """:func:`_canonical_sign` in place, on the entries a, b, c, d of maps on the first axis."""
-    a, b, c, d = entries
-    t = a + d
-    flip = t < 0.0
-    zero = t == 0.0
-    if np.count_nonzero(zero):  # the first nonzero of a, b, c decides
-        flip |= zero & (np.where(a != 0.0, a, np.where(b != 0.0, b, c)) < 0.0)
-    np.negative(entries, out=entries, where=flip)
+    """:func:`_canonical_sign` in place, on the entries a, b, c, d of maps on the first axis (charts and the oracle's sweep).
+
+    A map whose deciding entry is NaN comes out NaN; both callers discard it.
+    """
+    trace = entries[0] + entries[3]
+    if trace.min(initial=1.0) > 0.0:  # no map flips
+        return
+    sign = np.sign(trace)
+    for col in entries[:3]:  # where the trace is 0, the first nonzero of a, b, c decides
+        if sign.all():  # no zero left (a NaN counts as decided)
+            break
+        sign = np.where(sign == 0.0, np.sign(col), sign)
+    else:
+        sign[sign == 0.0] = 1.0
+    entries *= sign
 
 
 def from_boundary_triple(

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .moebius_core import TRACE_TOL, BoundaryPoint, MoebiusMap, boundary_angles, classify
+from .moebius_core import TRACE_TOL, BoundaryPoint, MoebiusMap, _canonical_signs, boundary_angles, classify
 
 # Matrices whose entries round to the same multiple of this count as one element.
 DEDUP_TOL = 1e-10
@@ -262,7 +262,9 @@ class _Bfs:
                     out, t = quad[:, :, at + k0 : at + k1], term[:, :, : k1 - k0]
                     np.multiply(self.left[gi], top[:, k0:k1], out=out)
                     out += np.multiply(self.right[gi], bottom[:, k0:k1], out=t)
-                keys = _keys(_canonical_sign_rows(cols[:, lo:hi].T))
+                block = cols[:, lo:hi]
+                _canonical_signs(block)
+                keys = _keys(block.T)
                 if not np.isfinite(keys.view(np.float64)).all():
                     raise BudgetExceeded(f"word products leave float range at length {len(self.levels)}")
                 np.bitwise_and(_mix(keys), self.prefix_mask, out=words[lo:hi])
@@ -373,22 +375,6 @@ def _first_elliptic(mats: np.ndarray, term: np.ndarray) -> int | None:
     return None
 
 
-def _canonical_sign_rows(mats: np.ndarray) -> np.ndarray:
-    """Flip each row, in place, to the canonical sign of `MoebiusMap`; returns `mats`."""
-    trace = mats[:, 0] + mats[:, 3]
-    if trace.min(initial=1.0) > 0.0:  # no row flips
-        return mats
-    sign = np.sign(trace)
-    for col in (0, 1, 2):
-        if sign.all():  # no zero left (a NaN counts as decided)
-            break
-        sign = np.where(sign == 0.0, np.sign(mats[:, col]), sign)
-    else:
-        sign[sign == 0.0] = 1.0
-    mats *= sign[:, None]
-    return mats
-
-
 def enumerate_words(
     F: Sequence[MoebiusMap], max_len: int, budget: int = DEFAULT_BUDGET
 ) -> EnumerationReport:
@@ -481,7 +467,7 @@ def inverse_free_probe(
     a, b, c, d = rows
     # Adjugate rows (d, -b, -c, a): the inverses, up to the sign fixed here.
     inverses[:] = d, -b, -c, a
-    _canonical_sign_rows(inverses.T)
+    _canonical_signs(inverses)
     np.bitwise_and(_mix(_keys(inverses.T)), bfs.prefix_mask, out=bfs.words[n : 2 * n])
     label, own = bfs._join(2 * n)
     # An inverse whose key came before it: the first entry with that key is the latest own one.

@@ -1,13 +1,17 @@
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import semicert
 from semicert import BoundaryArc, BoundaryPoint, MoebiusMap, certify, classify, normalize
 from semicert.cli import main
 from semicert.criteria_engine import certificate_to_dict, multicone, point_to_dict
@@ -607,6 +611,59 @@ class TestRenderCommand:
             svgs.append(out.read_text())
         assert svgs[0] == svgs[1]
         assert svgs[0].count("<path") == 6  # five axes and the arc
+
+
+class TestErrorBoundary:
+    """Every command ends an output it cannot write as one `error:` line and exit 1."""
+
+    COMMANDS = {
+        "classify": [],
+        "pairs": [],
+        "certify": [],
+        "cocycle": [],
+        "oracle": ["--max-len", "2"],
+        "render": [],
+    }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_output(self, runner, tmp_path, command, target):
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        where = tmp_path / "out"
+        if target == "missing-directory":
+            out = where / "x.json"
+        else:
+            where.mkdir()
+            out = where
+        args = [command, "--input", str(src), "--output", str(out), *self.COMMANDS[command]]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error:") and "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (["in.json", "out"] if where.exists() else ["in.json"])
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        out = tmp_path / "missing" / "cert.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(semicert.__file__).parents[1])}
+        args = [sys.executable, "-m", "semicert.cli", "certify", "--input", str(src), "--output", str(out)]
+        result = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: [Errno 2]") and len(result.stderr.splitlines()) == 1
+        assert not out.parent.exists()
+
+    def test_closed_standard_output_ends_quietly(self, tmp_path):
+        # click's own handler ends a broken pipe with exit 1 and nothing on stderr.
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        env = {**os.environ, "PYTHONPATH": str(Path(semicert.__file__).parents[1])}
+        args = [sys.executable, "-m", "semicert.cli", "certify", "--input", str(src)]
+        with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()  # no reader is left before the command writes
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestMisc:

@@ -566,6 +566,11 @@ class TestScreens:
         corpus += [figure_two(tau) for tau in (0.1, 0.3, 3.6, 10.0, 40.2, 41.0, 45.0)]
         # The inverse of generator 0 repels from the attracting point that 0 and 1 share.
         corpus.append([*shared_attractor_family(), inverse(shared_attractor_family()[0])])
+        # |C(0, 1)| is about 4e16: the crossing cut floor's cos(m/2) rounds to 1, and the floor is inf.
+        at = BoundaryPoint.from_angle
+        corpus.append(
+            [from_axis_and_length(at(b), at(a), 400.0) for b, a in ((0, 3), (3 + 1e-8, 1e-8), (1.5, 4.5), (5, 2))]
+        )
         found = [self.screened_and_scalar(F, outcome) for F in corpus]
         assert [arrays for arrays, _ in found] == [scalar for _, scalar in found]
         kinds = {s.split(":")[0] if s.startswith("Precondition") else json.loads(s)["kind"] for _, s in found}

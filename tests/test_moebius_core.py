@@ -531,6 +531,17 @@ class TestArrayKernel:
         assert coincide.all()
         moebius_core.axis_charts(np.empty((2, 0)), np.empty((2, 0)))
 
+    def test_canonical_signs_match_the_scalar_sign(self):
+        # Entries in {-1, -0, 0, 1} give zero traces whose sign a, b or c decides, and signed zeros.
+        rng = np.random.default_rng(175)
+        small = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(4, 3000))
+        entries = np.concatenate([small, rng.standard_normal((4, 1000)), rng.uniform(0.1, 2.0, (4, 100))], axis=1)
+        expected = [
+            [v.hex() for v in (m.a, m.b, m.c, m.d)] for m in (moebius_core._canonical_sign(*e) for e in entries.T.tolist())
+        ]
+        moebius_core._canonical_signs(entries)
+        assert [[v.hex() for v in column] for column in entries.T.tolist()] == expected
+
     def test_points_carry_the_kernel_angles(self):
         x, y, placed = moebius_core.canonical_pairs(np.array([3.0, -1.0]), np.array([-4.0, 0.0]))
         angle = moebius_core.boundary_angles(x, y)

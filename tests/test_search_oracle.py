@@ -23,13 +23,13 @@ from semicert import (
 )
 from semicert import search_oracle
 from semicert.errors import BudgetExceeded
+from semicert.moebius_core import _canonical_signs
 from semicert.search_oracle import (
     CHAOS_BURN_IN,
     CHAOS_CHAINS,
     DEDUP_TOL,
     INVERSE_TOL,
     _Bfs,
-    _canonical_sign_rows,
     _chaos_start,
     _elliptic,
     _keys,
@@ -42,6 +42,12 @@ from helpers import crossing_pair, disjoint_pair, figure_two, is_infinity, secti
 def key(row):
     """The per-row dedup key that the table replaced: rounded entries as bytes."""
     return (np.round(row / DEDUP_TOL) + 0.0).tobytes()
+
+
+def canonical_rows(mats):
+    """The (n, 4) matrices `mats` with the canonical sign of `MoebiusMap`, in place; returns `mats`."""
+    _canonical_signs(mats.T)
+    return mats
 
 
 def reference_bfs(F, max_len):
@@ -68,7 +74,7 @@ def reference_bfs(F, max_len):
             )
             parents.append(np.arange(w.shape[0]))
             letters.append(np.full(w.shape[0], gi))
-        mats = _canonical_sign_rows(np.concatenate(blocks, axis=0))
+        mats = canonical_rows(np.concatenate(blocks, axis=0))
         parent, letter = np.concatenate(parents), np.concatenate(letters)
         fresh = np.zeros(mats.shape[0], dtype=bool)
         for idx, row in enumerate(mats):
@@ -515,7 +521,7 @@ class TestInverseFreeProbe:
             index = {key(row): row for row in rows}
             for row in rows:
                 a, b, c, d = row
-                partner = index.get(key(_canonical_sign_rows(np.array([[d, -b, -c, a]]))[0]))
+                partner = index.get(key(canonical_rows(np.array([[d, -b, -c, a]]))[0]))
                 if partner is None:
                     continue
                 prod = np.array([[a, b], [c, d]]) @ np.array([[partner[0], partner[1]], [partner[2], partner[3]]])
