@@ -483,7 +483,8 @@ def cluster(points: Sequence[BoundaryPoint], tol: float) -> list[list[int]]:
     One pass over the points in angle order: each point's window holds the
     points after it, across angle 0 too, whose angle lies within tol plus a
     slack beyond any rounding, so every pair within tol shares a window.
-    `BoundaryPoint.angular_distance` confirms each pair a window holds, and
+    The angular distance of `BoundaryPoint.angular_distance`, computed from
+    the angles, confirms each pair a window holds, and
     the greedy rule reads only the confirmed pairs; the classes are those of
     comparing every point with every class head.  Members ascend within a
     class, and the classes come in the order of their first points.
@@ -505,13 +506,16 @@ def _cluster(points: Sequence[BoundaryPoint], tol: float) -> tuple[list[list[int
     turn += [a + TWO_PI for a in turn]
     reach = tol + 1e-12  # beyond any rounding of an angle difference below 2*pi
     pairs = []
-    for k in [k for k in range(n) if turn[k + 1] - turn[k] <= reach]:
+    for k in range(n):
+        if turn[k + 1] - turn[k] > reach:  # nearly every point: an empty window
+            continue
         for m in range(k + 1, k + n):  # the window of k: each other point at most once
             if turn[m] - turn[k] > reach:
                 break
             i, j = order[k], order[m % n]
-            if points[i].angular_distance(points[j]) <= tol:
-                pairs.append((max(i, j), min(i, j)))
+            d = abs(angles[i] - angles[j]) % TWO_PI
+            if d <= tol or TWO_PI - d <= tol:
+                pairs.append((i, j) if i > j else (j, i))
     classes: list[list[int] | None] = [[i] for i in range(n)]
     # By ascending later point i, then earlier point j: i joins the first j that heads a class.
     for i, j in sorted(pairs):

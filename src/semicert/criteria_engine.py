@@ -115,8 +115,9 @@ class Thresholds:
         if isinstance(values, np.ndarray):
             return Thresholds._of_array(values)
         cs = [float(c) for c in values]
-        lower = min([1.0] + [(c - 1.0) / (c + 3.0) for c in cs if _in_lower(c)])
-        upper = max([0.0] + [_upper_term(c) for c in cs if _in_upper(c)])
+        # C enters the lower bound when 1 < C < inf, the upper one when DEGENERATE_TOL < |C| < inf.
+        lower = min([1.0] + [(c - 1.0) / (c + 3.0) for c in cs if 1.0 < c < math.inf])
+        upper = max([0.0] + [_upper_term(c) for c in cs if DEGENERATE_TOL < abs(c) < math.inf])
         return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
 
     @staticmethod
@@ -137,16 +138,6 @@ class Thresholds:
 
 def _upper_term(c: float) -> float:
     return abs(math.log(abs(c * (c - 1.0))))
-
-
-def _in_lower(c: float) -> bool:
-    """Whether cross ratio c enters the lower bound 0.2 min(1, (C - 1)/(C + 3))."""
-    return math.isfinite(c) and c > 1.0
-
-
-def _in_upper(c: float) -> bool:
-    """Whether cross ratio c enters the upper bound 4 max |log|C (C - 1)|| + 23."""
-    return math.isfinite(c) and abs(c) > DEGENERATE_TOL
 
 
 # --- certificates -------------------------------------------------------------
@@ -383,29 +374,21 @@ def _witness_scan(family: Family) -> Certificate | None:
 
 
 def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
+    lower, upper = thresholds.lower, thresholds.upper
+    pairs = []
+    for (i, j), pg in family.pairs.items():
+        c = pg.cross_ratio
+        # Whether C enters each bound, as in `Thresholds.from_cross_ratios`.
+        pairs.append({"i": i, "j": j, "cross_ratio": c, "in_lower": 1.0 < c < math.inf, "in_upper": DEGENERATE_TOL < abs(c) < math.inf})
     return {
         "reason": "no sufficient condition fired",
-        "lower": thresholds.lower,
-        "upper": thresholds.upper,
+        "lower": lower,
+        "upper": upper,
         "generators": [
-            {
-                "index": idx,
-                "tau": k.tau,
-                "below_lower": k.tau < thresholds.lower,
-                "above_upper": k.tau > thresholds.upper,
-            }
+            {"index": idx, "tau": k.tau, "below_lower": k.tau < lower, "above_upper": k.tau > upper}
             for idx, k in enumerate(family.cls)
         ],
-        "pairs": [
-            {
-                "i": i,
-                "j": j,
-                "cross_ratio": pg.cross_ratio,
-                "in_lower": _in_lower(pg.cross_ratio),
-                "in_upper": _in_upper(pg.cross_ratio),
-            }
-            for (i, j), pg in family.pairs.items()
-        ],
+        "pairs": pairs,
         "notes": notes,
     }
 

@@ -161,6 +161,18 @@ _new = object.__new__
 _point_x = BoundaryPoint.x.__set__
 _point_y = BoundaryPoint.y.__set__
 _point_angle = BoundaryPoint._angle.__set__
+_set_attribute = object.__setattr__
+
+
+def _filled(cls: type, fields: dict):
+    """An instance of the frozen dataclass `cls` whose attributes are `fields`, every field in order.
+
+    Skips the keyword `__init__`, whose per-field `object.__setattr__`
+    calls cost more than the arithmetic of `classify` or `_decode`.
+    """
+    obj = _new(cls)
+    _set_attribute(obj, "__dict__", fields)
+    return obj
 
 
 # --- the array kernel -----------------------------------------------------------
@@ -455,63 +467,53 @@ def classify(f: MoebiusMap) -> Classification:
     Hyperbolic fixed points are the projective roots of c z^2 + (d-a) z - b;
     the attracting one is picked by the angular derivative (image norm of the
     unit homogeneous vector), which stays well conditioned for c near 0.
+    One body for every kind, called once per generator of every family.
     """
-    if _identity_distance(f) <= IDENTITY_TOL:
-        return Classification(kind="identity")
-    t = f.trace  # >= 0 in canonical form
+    a, b, c, d = f.a, f.b, f.c, f.d
+    if abs(a - 1.0) <= IDENTITY_TOL and abs(b) <= IDENTITY_TOL and abs(c) <= IDENTITY_TOL and abs(d - 1.0) <= IDENTITY_TOL:
+        return _filled(Classification, {"kind": "identity", "rotation_angle": None, "fixed": None, "alpha": None, "beta": None, "tau": None})
+    t = a + d  # the trace, >= 0 in canonical form
     if abs(t - 2.0) <= TRACE_TOL:
-        return Classification(kind="parabolic", fixed=_parabolic_fixed_point(f))
+        x, y = a - d, 2.0 * c
+        fixed = BoundaryPoint.infinity() if math.hypot(x, y) < 1e-14 else BoundaryPoint.of(x, y)
+        return _filled(Classification, {"kind": "parabolic", "rotation_angle": None, "fixed": fixed, "alpha": None, "beta": None, "tau": None})
     if t < 2.0:
-        return Classification(kind="elliptic", rotation_angle=math.acos(max(-1.0, min(1.0, t / 2.0))))
-    p1, p2 = _hyperbolic_fixed_points(f)
-    # The image norms are e^(tau/2) and e^(-tau/2); comparing them against
-    # each other (not against 1) keeps the assignment right even when huge
-    # entries pollute the smaller norm with rounding noise.
-    alpha, beta = (p1, p2) if _image_norm(f, p1) > _image_norm(f, p2) else (p2, p1)
-    return Classification(
-        kind="hyperbolic", alpha=alpha, beta=beta, tau=2.0 * math.acosh(t / 2.0)
-    )
-
-
-def _identity_distance(f: MoebiusMap) -> float:
-    return max(abs(f.a - 1.0), abs(f.b), abs(f.c), abs(f.d - 1.0))
-
-
-def _parabolic_fixed_point(f: MoebiusMap) -> BoundaryPoint:
-    x, y = f.a - f.d, 2.0 * f.c
-    if math.hypot(x, y) < 1e-14:
-        return BoundaryPoint.infinity()
-    return BoundaryPoint.of(x, y)
-
-
-def _hyperbolic_fixed_points(f: MoebiusMap) -> tuple[BoundaryPoint, BoundaryPoint]:
-    # Roots of A z^2 + B z + C with A = c, B = d - a, C = -b; disc = tr^2 - 4.
-    A, B, C = f.c, f.d - f.a, -f.b
-    t2 = f.trace * f.trace
-    # Once tr^2 overflows, 4/tr^2 is far below float epsilon and the root is tr.
-    sq = math.sqrt(max(t2 - 4.0, 0.0)) if t2 < math.inf else f.trace
-    if A == 0.0:
-        return BoundaryPoint.infinity(), BoundaryPoint.of(-C, B)
-    # At B == 0 the sign of A keeps each point's formula the same for inverse(f).
-    q = -0.5 * (B + math.copysign(sq, B if B != 0.0 else A))
-    # q/A is the large root, C/q the small one; no cancellation either way.
-    first = BoundaryPoint.of(q, A)
-    second = BoundaryPoint.of(C, q) if q != 0.0 else BoundaryPoint.of(-B, A)
-    return first, second
-
-
-def _image_norm(f: MoebiusMap, p: BoundaryPoint) -> float:
-    # For a unit fixed vector this is the eigenvalue magnitude; the angular
-    # derivative there is 1/norm^2, so norm > 1 means attracting.
-    return math.hypot(f.a * p.x + f.b * p.y, f.c * p.x + f.d * p.y)
+        angle = math.acos(max(-1.0, min(1.0, t / 2.0)))
+        return _filled(Classification, {"kind": "elliptic", "rotation_angle": angle, "fixed": None, "alpha": None, "beta": None, "tau": None})
+    # Roots of c z^2 + B z - b with B = d - a; the discriminant is t^2 - 4 > 0.
+    B = d - a
+    t2 = t * t
+    # Once t^2 overflows, 4/t^2 is far below float epsilon and the root is t.
+    sq = math.sqrt(t2 - 4.0) if t2 < math.inf else t
+    if c == 0.0:
+        p1, p2 = BoundaryPoint.infinity(), BoundaryPoint.of(b, B)
+    else:
+        # At B == 0 the sign of c keeps each point's formula the same for inverse(f).
+        # |q| >= sq/2 >= 3e-5 (t > 2 + TRACE_TOL), so q is never 0.
+        q = -0.5 * (B + math.copysign(sq, B if B != 0.0 else c))
+        # q/c is the large root, -b/q the small one; no cancellation either way.
+        p1, p2 = BoundaryPoint.of(q, c), BoundaryPoint.of(-b, q)
+    # The image norms of the unit fixed vectors are e^(tau/2) and e^(-tau/2)
+    # (the angular derivative is 1/norm^2); comparing them against each other
+    # (not against 1) keeps the assignment right even when huge entries
+    # pollute the smaller norm with rounding noise.
+    x, y, u, v = p1.x, p1.y, p2.x, p2.y
+    alpha, beta = (p1, p2) if math.hypot(a * x + b * y, c * x + d * y) > math.hypot(a * u + b * v, c * u + d * v) else (p2, p1)
+    tau = 2.0 * math.acosh(t / 2.0)
+    return _filled(Classification, {"kind": "hyperbolic", "rotation_angle": None, "fixed": None, "alpha": alpha, "beta": beta, "tau": tau})
 
 
 def require_hyperbolic(f: MoebiusMap, label: str = "map") -> Classification:
     """Classification of f; raises NotHyperbolic naming `label` otherwise."""
     cls = classify(f)
     if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"{label} is {cls.kind}, not hyperbolic")
+        raise _not_hyperbolic(cls, label)
     return cls
+
+
+def _not_hyperbolic(cls: Classification, label: str) -> NotHyperbolic:
+    """The error for a map named `label` that is classified as `cls`, not hyperbolic."""
+    return NotHyperbolic(f"{label} is {cls.kind}, not hyperbolic")
 
 
 def hyperbolic_distance(z: complex, w: complex) -> float:

@@ -33,9 +33,12 @@ from .moebius_core import (
     Classification,
     Geodesic,
     MoebiusMap,
+    _filled,
+    _not_hyperbolic,
     apply_boundary,
     apply_interior,
     axis_chart,
+    classify,
     hyperbolic_distance,
     inverse,
     require_hyperbolic,
@@ -46,21 +49,18 @@ from .moebius_core import (
 DEGENERATE_TOL = 1e-9
 
 
-def _wedge(p: BoundaryPoint, q: BoundaryPoint) -> float:
-    return p.x * q.y - p.y * q.x
-
-
 def cross_ratio(f: MoebiusMap, g: MoebiusMap) -> float:
     """Cross ratio of the fixed-point quadruple; math.inf when alpha meets beta."""
-    cf, cg = require_hyperbolic(f), require_hyperbolic(g)
+    cf, cg = require_hyperbolic(f, "f"), require_hyperbolic(g, "g")
     return cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta)
 
 
 def cross_ratio_of_points(
     alpha_f: BoundaryPoint, beta_f: BoundaryPoint, alpha_g: BoundaryPoint, beta_g: BoundaryPoint
 ) -> float:
-    num = _wedge(alpha_f, alpha_g) * _wedge(beta_f, beta_g)
-    den = _wedge(alpha_f, beta_g) * _wedge(beta_f, alpha_g)
+    # (alpha_f ^ alpha_g)(beta_f ^ beta_g) over (alpha_f ^ beta_g)(beta_f ^ alpha_g), with p ^ q = p.x q.y - p.y q.x.
+    num = (alpha_f.x * alpha_g.y - alpha_f.y * alpha_g.x) * (beta_f.x * beta_g.y - beta_f.y * beta_g.x)
+    den = (alpha_f.x * beta_g.y - alpha_f.y * beta_g.x) * (beta_f.x * alpha_g.y - beta_f.y * alpha_g.x)
     if den == 0.0:
         return math.inf
     value = num / den
@@ -102,7 +102,7 @@ class PairGeometry:
 
 def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
     """Decode the axis configuration of a hyperbolic pair from its cross ratio."""
-    cf, cg = require_hyperbolic(f), require_hyperbolic(g)
+    cf, cg = require_hyperbolic(f, "f"), require_hyperbolic(g, "g")
     return _decode(cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta), cf, cg)
 
 
@@ -113,21 +113,20 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
     crossing point on the attracting side.  Disjoint axes: C = tanh^2(d/2)
     below 1 and coth^2(d/2) above 1, d the distance between the axes.
     """
+    theta = distance = nested = None
     if math.isinf(c):
-        return PairGeometry(cross_ratio=c, kind="alpha_meets_beta")
-    if abs(c) <= DEGENERATE_TOL:
+        kind = "alpha_meets_beta"
+    elif abs(c) <= DEGENERATE_TOL:
         kind = "shared_alpha" if cf.alpha.approx(cg.alpha) else "shared_beta"
-        return PairGeometry(cross_ratio=c, kind=kind)
-    if abs(c - 1.0) <= DEGENERATE_TOL:
-        return PairGeometry(cross_ratio=c, kind="parabolic_degenerate")
-    if c < 0.0:
-        theta = 2.0 * math.atan(math.sqrt(-c))
-        return PairGeometry(cross_ratio=c, kind="crossing", _theta=theta)
-    if c < 1.0:
-        d = 2.0 * math.atanh(math.sqrt(c))
-        return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=False)
-    d = 2.0 * math.atanh(1.0 / math.sqrt(c))
-    return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=True)
+    elif abs(c - 1.0) <= DEGENERATE_TOL:
+        kind = "parabolic_degenerate"
+    elif c < 0.0:
+        kind, theta = "crossing", 2.0 * math.atan(math.sqrt(-c))
+    elif c < 1.0:
+        kind, distance, nested = "disjoint", 2.0 * math.atanh(math.sqrt(c)), False
+    else:
+        kind, distance, nested = "disjoint", 2.0 * math.atanh(1.0 / math.sqrt(c)), True
+    return _filled(PairGeometry, {"cross_ratio": c, "kind": kind, "_theta": theta, "_distance": distance, "nested_attractors": nested})
 
 
 # Pairs from which `Family.of` keeps the pair table as arrays: the cross
@@ -222,9 +221,10 @@ class Family:
       in `pair_index` (read only; both None on the list path).  That is the family's
       path: a list table is assembled, ranked and verified in scalar, an
       array table on arrays, with the ranking and the verifier screened.
-    - :meth:`pair`: the geometry of generators i and j, decoded on first
-      use; the cross ratio is symmetric in the pair, so it serves both
-      orders.  `pairs` maps every (i, j), i < j, to its geometry.
+    - :meth:`pair`: the geometry of generators i and j, decoded by
+      :meth:`of` with a list table and on first use with an array table;
+      the cross ratio is symmetric in the pair, so it serves both orders.
+      `pairs` maps every (i, j), i < j, to its geometry.
     - `fixed_points`: x and y of the attracting points, then of the
       repelling points, shape (2, 2, n); built with the array pair table,
       or on first use.
@@ -238,7 +238,9 @@ class Family:
       :func:`rank_one_arcs` off the same classes, in the angle order that
       the clustering sorted.
 
-    Build values with :meth:`of`, the one place that classifies a family.
+    Build values with :meth:`of`, the one place that classifies a family;
+    it classifies each generator once and raises NotHyperbolic naming the
+    first `generator k` that is not hyperbolic.
     """
 
     maps: tuple[MoebiusMap, ...]
@@ -260,7 +262,10 @@ class Family:
         maps = tuple(F)
         if not maps:
             raise ValueError("need at least one generator")
-        cls = tuple(require_hyperbolic(f, f"generator {idx}") for idx, f in enumerate(maps))
+        cls = tuple(map(classify, maps))
+        for idx, k in enumerate(cls):
+            if not k.is_hyperbolic:
+                raise _not_hyperbolic(k, f"generator {idx}")
         n = len(cls)
         # Point 2i is alpha_i and 2i + 1 is beta_i.
         points = [p for k in cls for p in (k.alpha, k.beta)]
@@ -276,8 +281,11 @@ class Family:
             cross_ratios, kinds, pair_index = _cross_ratio_table(fixed_points)
         classes, by_angle = _cluster(points, ANGLE_TOL)
         alpha_classes, beta_classes, meets = _split(classes)
-        arcs = rank_one_arcs(points, by_angle)
-        family = Family(maps, cls, cross_ratios, kinds, pair_index, alpha_classes, beta_classes, meets, arcs, decoded)
+        family = _filled(Family, {
+            "maps": maps, "cls": cls, "cross_ratios": cross_ratios, "kinds": kinds, "pair_index": pair_index,
+            "alpha_classes": alpha_classes, "beta_classes": beta_classes, "alpha_meets_beta": meets,
+            "rank_one_arcs": rank_one_arcs(points, by_angle), "_decoded": decoded,
+        })
         if kinds is not None:
             object.__setattr__(family, "fixed_points", fixed_points)  # cached: the array the pair table read
         return family
@@ -344,8 +352,8 @@ def _split(classes: list[list[int]]) -> tuple[tuple, tuple, tuple[int, int] | No
             i = members[0]
             (beta if i % 2 else alpha).append((i // 2,))
             continue
-        a = tuple(i // 2 for i in members if i % 2 == 0)
-        b = tuple(i // 2 for i in members if i % 2)
+        a = tuple([i // 2 for i in members if i % 2 == 0])
+        b = tuple([i // 2 for i in members if i % 2])
         if a:
             alpha.append(a)
         if b:

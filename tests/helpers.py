@@ -35,6 +35,9 @@ from semicert.interval_builder import (
 )
 from semicert.moebius_core import (
     ANGLE_TOL,
+    IDENTITY_TOL,
+    TRACE_TOL,
+    Classification,
     Geodesic,
     apply_boundary,
     compose,
@@ -559,3 +562,59 @@ ADVERSARIAL_UNIONS = {
     "gaps-below-1e-9": union_with_gaps(0.5, 2.0, 2.0 + 1e-12, 3.0, 3.0 + 1e-14, 6.2),
     "one-component": union_with_gaps(6.0, 5.0),
 }
+
+
+# --- references for the fused `classify` and `_decode` -------------------------
+#
+# The classification and pair decoding as they were written with one helper
+# per step; `tests/test_moebius_core.py` compares the library with them bit for bit.
+
+
+def reference_classify(f: MoebiusMap) -> Classification:
+    if max(abs(f.a - 1.0), abs(f.b), abs(f.c), abs(f.d - 1.0)) <= IDENTITY_TOL:
+        return Classification(kind="identity")
+    t = f.trace
+    if abs(t - 2.0) <= TRACE_TOL:
+        x, y = f.a - f.d, 2.0 * f.c
+        fixed = BoundaryPoint.infinity() if math.hypot(x, y) < 1e-14 else BoundaryPoint.of(x, y)
+        return Classification(kind="parabolic", fixed=fixed)
+    if t < 2.0:
+        return Classification(kind="elliptic", rotation_angle=math.acos(max(-1.0, min(1.0, t / 2.0))))
+    p1, p2 = reference_hyperbolic_fixed_points(f)
+    alpha, beta = (p1, p2) if reference_image_norm(f, p1) > reference_image_norm(f, p2) else (p2, p1)
+    return Classification(kind="hyperbolic", alpha=alpha, beta=beta, tau=2.0 * math.acosh(t / 2.0))
+
+
+def reference_hyperbolic_fixed_points(f: MoebiusMap) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """The roots of A z^2 + B z + C with A = c, B = d - a, C = -b; the discriminant is tr^2 - 4."""
+    A, B, C = f.c, f.d - f.a, -f.b
+    t2 = f.trace * f.trace
+    sq = math.sqrt(max(t2 - 4.0, 0.0)) if t2 < math.inf else f.trace
+    if A == 0.0:
+        return BoundaryPoint.infinity(), BoundaryPoint.of(-C, B)
+    q = -0.5 * (B + math.copysign(sq, B if B != 0.0 else A))
+    first = BoundaryPoint.of(q, A)
+    second = BoundaryPoint.of(C, q) if q != 0.0 else BoundaryPoint.of(-B, A)
+    return first, second
+
+
+def reference_image_norm(f: MoebiusMap, p: BoundaryPoint) -> float:
+    return math.hypot(f.a * p.x + f.b * p.y, f.c * p.x + f.d * p.y)
+
+
+def reference_decode(c: float, cf: Classification, cg: Classification) -> pair_geometry.PairGeometry:
+    PairGeometry = pair_geometry.PairGeometry
+    if math.isinf(c):
+        return PairGeometry(cross_ratio=c, kind="alpha_meets_beta")
+    if abs(c) <= pair_geometry.DEGENERATE_TOL:
+        kind = "shared_alpha" if cf.alpha.approx(cg.alpha) else "shared_beta"
+        return PairGeometry(cross_ratio=c, kind=kind)
+    if abs(c - 1.0) <= pair_geometry.DEGENERATE_TOL:
+        return PairGeometry(cross_ratio=c, kind="parabolic_degenerate")
+    if c < 0.0:
+        return PairGeometry(cross_ratio=c, kind="crossing", _theta=2.0 * math.atan(math.sqrt(-c)))
+    if c < 1.0:
+        d = 2.0 * math.atanh(math.sqrt(c))
+        return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=False)
+    d = 2.0 * math.atanh(1.0 / math.sqrt(c))
+    return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=True)

@@ -180,6 +180,22 @@ class TestCertifyCommand:
         assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
         assert Family.of(_load_generators(str(src))).kinds is not None  # 66 pairs: the array table
 
+    def test_checked_in_figure_two_is_helpers_figure_two(self, runner):
+        # `figure_two(41.0)`: five generators with shared fixed points, on the
+        # list pair table; CI certifies the same file with the installed console script.
+        from semicert.cli import _load_generators
+
+        src = Path(__file__).resolve().parent / "data" / "figure_two_41.json"
+        expected = [[f.a, f.b, f.c, f.d] for f in figure_two(41.0)]
+        assert [g["matrix"] for g in json.loads(src.read_text())["generators"]] == expected
+        maps = _load_generators(str(src))
+        assert [[f.a, f.b, f.c, f.d] for f in maps] == expected
+        result = runner.invoke(main, ["certify", "--input", str(src)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
+        family = Family.of(maps)
+        assert family.kinds is None and max(map(len, family.alpha_classes + family.beta_classes)) == 2
+
     def test_matches_library_payload(self, runner, tmp_path):
         src = write_disc_input(tmp_path / "in.json", [41.0] * 5)
         result = runner.invoke(main, ["certify", "--input", str(src)])

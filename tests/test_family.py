@@ -202,6 +202,33 @@ def test_guard_names_the_generator():
         Family.of([])
 
 
+NOT_HYPERBOLIC = {
+    "identity": normalize([[1.0, 0.0], [0.0, 1.0]]),
+    "elliptic": normalize([[0.0, -1.0], [1.0, 0.0]]),
+    "parabolic": normalize([[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_HYPERBOLIC))
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: figure_two(1.0), lambda: random_admissible_family(np.random.default_rng(94), 12)],
+    ids=["list-table", "array-table"],
+)
+def test_guard_names_the_generator_and_classifies_each_once(monkeypatch, build, place, kind):
+    F = build()
+    k = {"first": 0, "middle": len(F) // 2, "last": len(F) - 1}[place]
+    F[k] = NOT_HYPERBOLIC[kind]
+    counts = count_calls(monkeypatch)
+    for call in (Family.of, certify):
+        with pytest.raises(NotHyperbolic, match=f"^generator {k} is {kind}, not hyperbolic$"):
+            call(F)
+        assert counts["classify"] == len(F)
+        assert counts["cross_ratio_of_points"] == 0
+        counts.clear()
+
+
 def test_shared_fixed_point_does_not_stop_the_crossing_scan():
     # The corner pairs of Figure 2 share a fixed point, and their cross ratio
     # rounds to about -1e-14.  The witness scan reads the decoded kind, so it

@@ -88,6 +88,21 @@ class TestCrossRatio:
             cross_ratio(normalize([[1.0, 1.0], [0.0, 1.0]]), normalize([[2.0, 0.0], [0.0, 1.0]]))
 
 
+ELLIPTIC = normalize([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("pair_function", [cross_ratio, configuration])
+def test_first_map_not_hyperbolic_is_named_f(pair_function):
+    with pytest.raises(NotHyperbolic, match="^f is elliptic, not hyperbolic$"):
+        pair_function(ELLIPTIC, section_one_pair()[1])
+
+
+@pytest.mark.parametrize("pair_function", [cross_ratio, configuration])
+def test_second_map_not_hyperbolic_is_named_g(pair_function):
+    with pytest.raises(NotHyperbolic, match="^g is elliptic, not hyperbolic$"):
+        pair_function(section_one_pair()[0], ELLIPTIC)
+
+
 class TestConfiguration:
     def test_right_angle(self):
         rng = np.random.default_rng(33)
