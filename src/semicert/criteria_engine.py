@@ -36,7 +36,7 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
 from .moebius_core import BoundaryPoint, MoebiusMap, boundary_values, compose, normalize, power
-from .pair_geometry import DEGENERATE_TOL, Family, screened_max
+from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -219,7 +219,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
     """Decision for a pair with cross ratio above 1: witness, intervals, or neither."""
     family = Family.of([f, g])
     c = family.disjoint_pair(0, 1).cross_ratio
-    witness = _disjoint_witness(family, 0, 1)
+    witness = _disjoint_witness(family, 0, 1, c)
     if witness is not None:
         return witness
     tau_f, tau_g = (k.tau for k in family.cls)
@@ -243,9 +243,8 @@ def _pair_bound(c: float) -> float:
     return 0.2 * (c - 1.0) / (c + 3.0)
 
 
-def _disjoint_witness(family: Family, i: int, j: int) -> NotSemidiscrete | None:
-    """Elliptic word of a C > 1 pair whose translation lengths are both below its gate."""
-    c = family.pair(i, j).cross_ratio
+def _disjoint_witness(family: Family, i: int, j: int, c: float) -> NotSemidiscrete | None:
+    """Elliptic word of the pair (i, j), of cross ratio c > 1, if both translation lengths are below its gate."""
     t_low = _pair_bound(c)
     if family.cls[i].tau >= t_low or family.cls[j].tau >= t_low:
         return None
@@ -298,12 +297,14 @@ def triple_crossing_test(F, i: int = 0, j: int = 1, k: int = 2) -> Certificate:
     family = Family.of(F)
     arc = crossing_limit_interval(family, i, j)
     if not contains(arc, family.cls[k].beta):
-        raise PreconditionViolated(
-            "repelling point of the third generator lies outside the limit interval"
-        )
-    cfg = family.pair(i, j)
-    cf, cg = family.cls[i], family.cls[j]
-    product = math.sinh(0.5 * cf.tau) * math.sinh(0.5 * cg.tau) * math.sin(cfg.theta)
+        raise PreconditionViolated("repelling point of the third generator lies outside the limit interval")
+    return _crossing_witness(family, i, j, k, arc)
+
+
+def _crossing_witness(family: Family, i: int, j: int, k: int, arc: BoundaryArc) -> NotSemidiscrete:
+    """The certificate of the crossing pair i, j whose limit arc `arc` holds the repeller of k, if the discreteness product is small."""
+    cf, cg, theta = family.cls[i], family.cls[j], family.pair(i, j).theta
+    product = math.sinh(0.5 * cf.tau) * math.sinh(0.5 * cg.tau) * math.sin(theta)
     if product >= JORGENSEN_BOUND:
         raise PreconditionViolated("discreteness product is not below cos(3*pi/7)")
     return NotSemidiscrete(
@@ -311,7 +312,7 @@ def triple_crossing_test(F, i: int = 0, j: int = 1, k: int = 2) -> Certificate:
             "rule": "crossing_pair_with_interleaved_repeller",
             "pair": [i, j],
             "interleaved": k,
-            "angle": cfg.theta,
+            "angle": theta,
             "limit_interval": arc_to_dict(arc),
             "discreteness_product": product,
             "discreteness_bound": JORGENSEN_BOUND,
@@ -353,33 +354,30 @@ def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certific
 
 
 def _witness_scan(family: Family) -> Certificate | None:
-    cls = family.cls
-    for (i, j), pg in family.pairs.items():
-        if pg.kind == "disjoint" and pg.nested_attractors:
-            witness = _disjoint_witness(family, i, j)
+    """The first disjoint-pair witness, else the first crossing-pair one, in row-major order; None without one."""
+    cls, rows = family.cls, list(family.pair_rows())
+    for (i, j), c, code in rows:
+        if code == NESTED:
+            witness = _disjoint_witness(family, i, j, c)
             if witness is not None:
                 return witness
-    for (i, j), pg in family.pairs.items():
-        if pg.kind != "crossing":
-            continue
-        if cls[i].tau >= CROSSING_TAU_LIMIT or cls[j].tau >= CROSSING_TAU_LIMIT:
+    for (i, j), _, code in rows:
+        if code != CROSSING or cls[i].tau >= CROSSING_TAU_LIMIT or cls[j].tau >= CROSSING_TAU_LIMIT:
             continue
         arc = crossing_limit_interval(family, i, j)
-        for k in range(len(cls)):
-            if k in (i, j):
-                continue
-            if contains(arc, cls[k].beta):
-                return triple_crossing_test(family, i, j, k)
+        for k, ck in enumerate(cls):
+            if k != i and k != j and contains(arc, ck.beta):
+                return _crossing_witness(family, i, j, k, arc)
     return None
 
 
 def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
     lower, upper = thresholds.lower, thresholds.upper
-    pairs = []
-    for (i, j), pg in family.pairs.items():
-        c = pg.cross_ratio
-        # Whether C enters each bound, as in `Thresholds.from_cross_ratios`.
-        pairs.append({"i": i, "j": j, "cross_ratio": c, "in_lower": 1.0 < c < math.inf, "in_upper": DEGENERATE_TOL < abs(c) < math.inf})
+    # Whether C enters each bound, as in `Thresholds.from_cross_ratios`.
+    pairs = [
+        {"i": i, "j": j, "cross_ratio": c, "in_lower": 1.0 < c < math.inf, "in_upper": DEGENERATE_TOL < abs(c) < math.inf}
+        for (i, j), c, _ in family.pair_rows()
+    ]
     return {
         "reason": "no sufficient condition fired",
         "lower": lower,

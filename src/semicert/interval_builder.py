@@ -66,7 +66,7 @@ from .moebius_core import (
     from_boundary_triple,
     inverse,
 )
-from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, distance_from_cross_ratio, screened_max
+from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, _kinds, _pair_gathers, distance_from_cross_ratio, screened_max
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
@@ -159,9 +159,9 @@ def crossing_cut_floor(theta: float) -> float:
 
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
-    pg = family.pair(i, j)
-    gate, floor = pair_gate(pg.cross_ratio), _floor_of(pg.cross_ratio)
-    rule = "|log|C|| + 3/2" if pg.kind == "crossing" else "log C + 3/2"
+    c = family.cross_ratio(i, j)
+    gate, floor = pair_gate(c), _floor_of(c)
+    rule = "|log|C|| + 3/2" if c < 0.0 else "log C + 3/2"
     for k in (i, j):
         tau = family.cls[k].tau
         if tau <= gate:
@@ -271,19 +271,17 @@ class _AxisTable:
     def __init__(self, family: Family):
         self.family = family
         self.floors: dict[tuple[int, int], float] = {}
-        if family.kinds is None:
+        if not isinstance(family.cross_ratios, np.ndarray):
             self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
             self.to_axis = tuple(inverse(chart) for chart in self.charts)
-            keys, notes = [], []
-            for (i, j), pg in family.pairs.items():
-                if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
-                    continue
-                try:
-                    self.floors[(i, j)] = _cut_floor(family, i, j)
-                    keys.append((i, j))
-                except ThresholdNotMet as exc:
-                    notes.append(f"pair ({i}, {j}) skipped: {exc}")
-            self.entries = [(o, p) for i, j in keys for o, p in ((i, j), (j, i))]
+            notes = []
+            for (i, j), _, code in family.pair_rows():
+                if code == CROSSING or code == NESTED:
+                    try:
+                        self.floors[(i, j)] = _cut_floor(family, i, j)
+                    except ThresholdNotMet as exc:
+                        notes.append(f"pair ({i}, {j}) skipped: {exc}")
+            self.entries = [(o, p) for i, j in self.floors for o, p in ((i, j), (j, i))]
         else:
             # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
             cls = family.cls
@@ -310,9 +308,9 @@ class _AxisTable:
         pair gate by more than AXIS_SCREEN_TOL (that difference is above 0,
         so the scalar test holds too), else decided in scalar.
         """
-        kinds = family.kinds
+        kinds = _kinds(family.cross_ratios)
         pick = ((kinds == CROSSING) | (kinds == NESTED)).nonzero()[0]
-        rows, cols = (v[pick] for v in family.pair_index)
+        rows, cols = (v[pick] for v in _pair_gathers(len(family.cls))[1])
         c = family.cross_ratios[pick]
         tau = self._taus
         admit = np.minimum(tau[rows], tau[cols]) - (np.abs(np.log(np.abs(c))) + PAIR_GATE_SLACK) > AXIS_SCREEN_TOL
@@ -357,7 +355,7 @@ class _AxisTable:
         every entry in scalar; an array table ranks on arrays
         (:meth:`_innermost_arrays`).  None marks an owner without one.
         """
-        if self.family.kinds is not None:
+        if isinstance(self.family.cross_ratios, np.ndarray):
             heights, held = self._innermost_arrays(extra)
             return [(u, v) if h else None for u, v, h in zip(*heights.tolist(), held.tolist())]
         cls = self.family.cls
@@ -650,7 +648,7 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
 
     A family with the pair table as arrays is assembled by :func:`_assemble_arrays`.
     """
-    if family.kinds is not None:
+    if isinstance(family.cross_ratios, np.ndarray):
         return _assemble_arrays(family, table, margin, extra)
     maps, cls = family.maps, family.cls
     n = len(maps)

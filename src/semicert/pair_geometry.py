@@ -5,17 +5,19 @@ endpoint pairs), so infinite fixed points need no branching.  Its value
 decodes the axis configuration: crossing angle for negative values, distance
 apart for positive ones, shared endpoints at 0 and infinity.  A `Family`
 classifies each generator of a set once, computes each pair's cross ratio
-once, decodes a pair at most once and groups coinciding fixed points once.
+once, decodes a pair only when it is read, at most once, and groups
+coinciding fixed points once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -100,6 +102,33 @@ class PairGeometry:
         return self._distance
 
 
+# Kind codes of a pair, for the first of these that its cross ratio C meets:
+# |C| = inf, |C| <= DEGENERATE_TOL, |C - 1| <= DEGENERATE_TOL, C < 0, C < 1, C > 1.
+MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT, NESTED = range(6)
+# The `PairGeometry.kind` of each code; a SHARED pair is labelled by its endpoints.
+_KIND_NAMES = ("alpha_meets_beta", None, "parabolic_degenerate", "crossing", "disjoint", "disjoint")
+
+# The kind rule, the one place that decides a pair's kind: the code of a
+# cross ratio c, any float but NaN, is `_KIND_OF_BIN` at the number of
+# `_KIND_EDGES` at most c, each edge the least ratio of the next bin, so -inf
+# is MEETS as inf is.  Near 1, c - 1 is exact, and the float 1 - tol is the
+# least ratio with |c - 1| <= tol, 1 + tol the least above.  `_kind` bisects
+# the same values as Python numbers.
+_KIND_OF_BIN = np.array([MEETS, CROSSING, SHARED, DISJOINT, PARABOLIC, NESTED, MEETS])
+_KIND_EDGES = np.array([math.nextafter(-math.inf, 0.0), -DEGENERATE_TOL, math.nextafter(DEGENERATE_TOL, 1.0), 1.0 - DEGENERATE_TOL, 1.0 + DEGENERATE_TOL, math.inf])
+_BINS, _EDGES = _KIND_OF_BIN.tolist(), _KIND_EDGES.tolist()
+
+
+def _kind(c: float) -> int:
+    """The kind code of one cross ratio."""
+    return _BINS[bisect_right(_EDGES, c)]
+
+
+def _kinds(c: np.ndarray) -> np.ndarray:
+    """The kind codes of cross ratios."""
+    return _KIND_OF_BIN[_KIND_EDGES.searchsorted(c, side="right")]
+
+
 def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
     """Decode the axis configuration of a hyperbolic pair from its cross ratio."""
     cf, cg = require_hyperbolic(f, "f"), require_hyperbolic(g, "g")
@@ -109,31 +138,27 @@ def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
 def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
     """The configuration that the cross ratio c of two hyperbolic classifications encodes.
 
-    Crossing axes: C = -tan^2(theta/2) with theta in (0, pi) measured at the
-    crossing point on the attracting side.  Disjoint axes: C = tanh^2(d/2)
-    below 1 and coth^2(d/2) above 1, d the distance between the axes.
+    The kind is :func:`_kind`'s.  Crossing axes: C = -tan^2(theta/2) with
+    theta in (0, pi) measured at the crossing point on the attracting side.
+    Disjoint axes: C = tanh^2(d/2) below 1 and coth^2(d/2) above 1, d the
+    distance between the axes.
     """
-    theta = distance = nested = None
-    if math.isinf(c):
-        kind = "alpha_meets_beta"
-    elif abs(c) <= DEGENERATE_TOL:
+    code = _kind(c)
+    kind, theta, distance, nested = _KIND_NAMES[code], None, None, None
+    if code == SHARED:
         kind = "shared_alpha" if cf.alpha.approx(cg.alpha) else "shared_beta"
-    elif abs(c - 1.0) <= DEGENERATE_TOL:
-        kind = "parabolic_degenerate"
-    elif c < 0.0:
-        kind, theta = "crossing", 2.0 * math.atan(math.sqrt(-c))
-    elif c < 1.0:
-        kind, distance, nested = "disjoint", 2.0 * math.atanh(math.sqrt(c)), False
-    else:
-        kind, distance, nested = "disjoint", 2.0 * math.atanh(1.0 / math.sqrt(c)), True
+    elif code == CROSSING:
+        theta = 2.0 * math.atan(math.sqrt(-c))
+    elif code in (DISJOINT, NESTED):
+        nested = code == NESTED
+        distance = 2.0 * math.atanh(1.0 / math.sqrt(c) if nested else math.sqrt(c))
     return _filled(PairGeometry, {"cross_ratio": c, "kind": kind, "_theta": theta, "_distance": distance, "nested_attractors": nested})
 
 
-# Pairs from which `Family.of` keeps the pair table as arrays: the cross
-# ratios from one gather over the fixed points, the kinds from one search of
-# `_KIND_EDGES`, and a PairGeometry decoded only when asked for.  The one size
-# switch: the cut ranking and the verifier follow the family's path.  `certify`
-# plus the writer, array path over scalar path, on seeded
+# Pairs from which `Family.of` keeps the cross ratios as an array, from one
+# gather over the fixed points, not a list.  The one size switch: the cut
+# ranking and the verifier follow the family's path.  `certify` plus the
+# writer, array path over scalar path, on seeded
 # `bench/families.admissible_family` draws: in one process, paths alternated,
 # median over 8 families of the ratio of the fastest of 30 runs, 2-core VM.
 # n = 8 sits at the crossover (two earlier runs read 1.02 and 1.03), so the
@@ -144,36 +169,20 @@ PAIR_ARRAY_MIN_PAIRS = 36
 
 _XY = attrgetter("x", "y")
 
-# Kind codes of the array table, in the order of `_decode`'s tests.
-MEETS, SHARED, PARABOLIC, CROSSING, DISJOINT, NESTED = range(6)
-
-# The kind code of a cross ratio c is `_KIND_OF_BIN` at the number of
-# `_KIND_EDGES` at most c: the least ratios of the kinds after CROSSING, as the
-# first test of `_decode` that holds decides.  Near 1, c - 1 is exact, and the
-# float 1 - tol is the least ratio with |c - 1| <= tol, 1 + tol the least above.
-_KIND_OF_BIN = np.array([CROSSING, SHARED, DISJOINT, PARABOLIC, NESTED, MEETS])
-_KIND_EDGES = np.array([-DEGENERATE_TOL, math.nextafter(DEGENERATE_TOL, 1.0), 1.0 - DEGENERATE_TOL, 1.0 + DEGENERATE_TOL, math.inf])
-
-
-def _kinds(c: np.ndarray) -> np.ndarray:
-    """The kind codes of cross ratios, each finite or inf, as `_decode` decides them."""
-    return _KIND_OF_BIN[_KIND_EDGES.searchsorted(c, side="right")]
-
 
 @np.errstate(all="ignore")  # den == 0 and overflowing ratios become inf, as in the scalar code
-def _cross_ratio_table(fixed_points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Cross ratio and kind code of every pair i < j, in row-major order, from `Family.fixed_points`, and the i and j.
+def _cross_ratio_table(fixed_points: np.ndarray) -> np.ndarray:
+    """Cross ratio of every pair i < j, in row-major order, from `Family.fixed_points`.
 
     The four wedges p.x * q.y - p.y * q.x of every pair come from one gather
     and their ratio as in :func:`cross_ratio_of_points`, so every ratio equals
     the scalar one bit for bit; a zero `den` gives inf or NaN, not finite.
     """
-    gather, pair_index = _pair_gathers(fixed_points.shape[-1])
-    px, py, qx, qy = fixed_points.ravel()[gather]
+    px, py, qx, qy = fixed_points.ravel()[_pair_gathers(fixed_points.shape[-1])[0]]
     w = px * qy - py * qx
     c = (w[0] * w[1]) / (w[2] * w[3])
     c[~np.isfinite(c)] = np.inf
-    return c, _kinds(c), pair_index
+    return c
 
 
 @lru_cache(maxsize=16)  # about 70 n^2 bytes each
@@ -215,16 +224,15 @@ class Family:
 
     - `cls[i]`: the classification of generator i (fixed points, translation
       length).
-    - `cross_ratios`: the cross ratio of each pair i < j, in row-major
-      order; a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 9) an array, with
-      the kind codes of the pairs in `kinds` and their generators i and j
-      in `pair_index` (read only; both None on the list path).  That is the family's
-      path: a list table is assembled, ranked and verified in scalar, an
-      array table on arrays, with the ranking and the verifier screened.
-    - :meth:`pair`: the geometry of generators i and j, decoded by
-      :meth:`of` with a list table and on first use with an array table;
-      the cross ratio is symmetric in the pair, so it serves both orders.
-      `pairs` maps every (i, j), i < j, to its geometry.
+    - `cross_ratios`: the pair table, the cross ratio of each pair i < j in
+      row-major order: a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 9)
+      an array, whose type is the family's path (a list table is assembled,
+      ranked and verified in scalar, an array table on arrays, screened).
+    - :meth:`pair_rows`, :meth:`cross_ratio`: the table's rows, each pair's
+      (i, j), C and kind code by `_KIND_EDGES`, the one kind rule, and one
+      pair's C, in either order; neither decodes a pair.
+    - :meth:`pair`: the geometry of generators i and j, in either order,
+      decoded on first use; `pairs` maps every (i, j), i < j, to it.
     - `fixed_points`: x and y of the attracting points, then of the
       repelling points, shape (2, 2, n); built with the array pair table,
       or on first use.
@@ -239,15 +247,14 @@ class Family:
       the clustering sorted.
 
     Build values with :meth:`of`, the one place that classifies a family;
-    it classifies each generator once and raises NotHyperbolic naming the
-    first `generator k` that is not hyperbolic.
+    it classifies each generator once, computes each pair's cross ratio
+    once, decodes no pair, and raises NotHyperbolic naming the first
+    `generator k` that is not hyperbolic.
     """
 
     maps: tuple[MoebiusMap, ...]
     cls: tuple[Classification, ...]
     cross_ratios: list[float] | np.ndarray
-    kinds: np.ndarray | None
-    pair_index: tuple[np.ndarray, np.ndarray] | None
     alpha_classes: tuple[tuple[int, ...], ...]
     beta_classes: tuple[tuple[int, ...], ...]
     alpha_meets_beta: tuple[int, int] | None
@@ -270,52 +277,48 @@ class Family:
         # Point 2i is alpha_i and 2i + 1 is beta_i.
         points = [p for k in cls for p in (k.alpha, k.beta)]
         if n * (n - 1) // 2 < PAIR_ARRAY_MIN_PAIRS:
-            decoded = {
-                (i, j): _decode(cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta), ci, cj)
-                for i, ci in enumerate(cls)
-                for j, cj in enumerate(cls[i + 1 :], i + 1)
-            }
-            cross_ratios, kinds, pair_index = [pg.cross_ratio for pg in decoded.values()], None, None
+            cross_ratios = [cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta) for i, ci in enumerate(cls) for cj in cls[i + 1 :]]
         else:
-            decoded, fixed_points = {}, _coordinates(points)
-            cross_ratios, kinds, pair_index = _cross_ratio_table(fixed_points)
+            fixed_points = _coordinates(points)
+            cross_ratios = _cross_ratio_table(fixed_points)
         classes, by_angle = _cluster(points, ANGLE_TOL)
         alpha_classes, beta_classes, meets = _split(classes)
         family = _filled(Family, {
-            "maps": maps, "cls": cls, "cross_ratios": cross_ratios, "kinds": kinds, "pair_index": pair_index,
+            "maps": maps, "cls": cls, "cross_ratios": cross_ratios,
             "alpha_classes": alpha_classes, "beta_classes": beta_classes, "alpha_meets_beta": meets,
-            "rank_one_arcs": rank_one_arcs(points, by_angle), "_decoded": decoded,
+            "rank_one_arcs": rank_one_arcs(points, by_angle), "_decoded": {},
         })
-        if kinds is not None:
+        if isinstance(cross_ratios, np.ndarray):
             object.__setattr__(family, "fixed_points", fixed_points)  # cached: the array the pair table read
         return family
 
+    def pair_rows(self) -> Iterator[tuple[tuple[int, int], float, int]]:
+        """((i, j), C, kind code) of every pair i < j, in row-major order."""
+        n, cs = len(self.cls), self.cross_ratios
+        cs, codes = (cs.tolist(), _kinds(cs).tolist()) if isinstance(cs, np.ndarray) else (cs, map(_kind, cs))
+        return zip(((i, j) for i in range(n) for j in range(i + 1, n)), cs, codes)
+
+    def cross_ratio(self, i: int, j: int) -> float:
+        """The cross ratio of generators i and j, in either order."""
+        i, j, n = min(i, j), max(i, j), len(self.cls)
+        if not 0 <= i < j < n:
+            raise KeyError((i, j))
+        return float(self.cross_ratios[i * (2 * n - i - 1) // 2 + j - i - 1])
+
     def pair(self, i: int, j: int) -> PairGeometry:
         key = (i, j) if i < j else (j, i)
-        pg = self._decoded.get(key)
-        if pg is None:
-            i, j = key
-            if not 0 <= i < j < len(self.cls):
-                raise KeyError(key)
-            c = float(self.cross_ratios[i * (2 * len(self.cls) - i - 1) // 2 + j - i - 1])
-            pg = self._decoded[key] = _decode(c, self.cls[i], self.cls[j])
-        return pg
+        if key not in self._decoded:
+            self._decoded[key] = _decode(self.cross_ratio(i, j), self.cls[key[0]], self.cls[key[1]])
+        return self._decoded[key]
 
-    @property
+    @cached_property
     def pairs(self) -> dict[tuple[int, int], PairGeometry]:
         """Every pair's geometry, (i, j) with i < j in row-major order."""
-        if self.kinds is None:
-            return self._decoded  # decoded in that order by :meth:`of`
-        return self._all_pairs
+        return {key: self.pair(*key) for key, _, _ in self.pair_rows()}
 
     @cached_property
     def fixed_points(self) -> np.ndarray:
         return _coordinates([p for k in self.cls for p in (k.alpha, k.beta)])
-
-    @cached_property
-    def _all_pairs(self) -> dict[tuple[int, int], PairGeometry]:
-        n = len(self.cls)
-        return {(i, j): self.pair(i, j) for i in range(n) for j in range(i + 1, n)}
 
     def disjoint_pair(self, i: int, j: int) -> PairGeometry:
         """The geometry of (i, j); raises AxesNotDisjoint unless C > 1."""

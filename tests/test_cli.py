@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -178,7 +179,7 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
-        assert Family.of(_load_generators(str(src))).kinds is not None  # 66 pairs: the array table
+        assert isinstance(Family.of(_load_generators(str(src))).cross_ratios, np.ndarray)  # 66 pairs: the array table
 
     def test_checked_in_figure_two_is_helpers_figure_two(self, runner):
         # `figure_two(41.0)`: five generators with shared fixed points, on the
@@ -194,7 +195,7 @@ class TestCertifyCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
         family = Family.of(maps)
-        assert family.kinds is None and max(map(len, family.alpha_classes + family.beta_classes)) == 2
+        assert isinstance(family.cross_ratios, list) and max(map(len, family.alpha_classes + family.beta_classes)) == 2
 
     def test_matches_library_payload(self, runner, tmp_path):
         src = write_disc_input(tmp_path / "in.json", [41.0] * 5)

@@ -1,4 +1,4 @@
-"""The one-pass family: each generator classified once, each pair decoded once."""
+"""The one-pass family: each generator classified once, each pair decoded at most once, when read."""
 
 import importlib
 import math
@@ -100,9 +100,12 @@ def test_certify_clusters_the_fixed_points_once(monkeypatch, build):
     assert isinstance(certify(F), SemidiscreteInverseFree)
     assert counts["_cluster"] == 1
     assert counts["can_partition_rank_one"] == 0
+    # Family.of decodes no pair; reading `pairs` decodes each once, and labels a shared endpoint with one comparison.
     counts.clear()
     family = Family.of(F)
-    assert counts["approx"] == sum(pg.kind.startswith("shared_") for pg in family.pairs.values())
+    assert counts["approx"] == 0
+    pairs = family.pairs
+    assert counts["approx"] == sum(pg.kind.startswith("shared_") for pg in pairs.values())
 
 
 def test_certify_builds_no_chart_object_on_the_array_path(monkeypatch):
@@ -117,7 +120,7 @@ def test_certify_builds_no_chart_object_on_the_array_path(monkeypatch):
 @pytest.mark.parametrize("n", [LIST_N, LIST_N + 1], ids=["list-table", "array-table"])
 def test_fixed_points_are_the_classified_coordinates(n):
     family = Family.of(random_admissible_family(np.random.default_rng(93), n))
-    assert (family.kinds is None) == (n == LIST_N)
+    assert isinstance(family.cross_ratios, list) == (n == LIST_N)
     expected = [[[getattr(getattr(k, side), axis) for k in family.cls] for axis in "xy"] for side in ("alpha", "beta")]
     assert family.fixed_points.tolist() == expected
 

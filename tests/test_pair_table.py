@@ -1,15 +1,16 @@
 """The pair table as arrays and the screens of the assembly change no certificate.
 
-A large `Family` keeps its cross ratios and kinds as arrays and decodes a
-pair only when asked; the axis table, `Thresholds` and `eq_constant` read
-the arrays.  Every screen leaves to the scalar code each decision it cannot
-separate from a threshold, so forcing the scalar path everywhere must give
-byte-identical certificates.
+A large `Family` keeps its cross ratios as an array, and every `Family`
+decodes a pair only when asked; the axis table, `Thresholds` and
+`eq_constant` read the array.  Every screen leaves to the scalar code each
+decision it cannot separate from a threshold, so forcing the scalar path
+everywhere must give byte-identical certificates.
 """
 
 import gc
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,17 @@ from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
 from semicert.pair_geometry import Family, cross_ratio_of_points
 
-from helpers import LIST_N, bench_module, figure_two, in_both_forms, point_arrays, random_admissible_family
+from helpers import (
+    LIST_N,
+    bench_module,
+    figure_two,
+    in_both_forms,
+    point_arrays,
+    random_admissible_family,
+    shared_attractor_family,
+    shared_repeller_family,
+)
+from test_reference_classify import geometry_bits
 
 
 def bench_inputs(builder: str, *args):
@@ -150,28 +161,35 @@ def test_broadcast_cross_ratios_equal_the_scalar_ones():
         assert [c.hex() for c in family.cross_ratios.tolist()] == [c.hex() for c in scalar]
 
 
-def test_kind_codes_at_their_edges_are_those_of_decode():
-    # Each edge of the kind codes, the floats beside it, and both sides of 0
-    # and 1, against `_decode`'s tests applied first to last.
-    cf, cg = Family.of(figure_two(41.0)[:2]).cls
-    code = {
-        "alpha_meets_beta": pair_geometry.MEETS,
-        "shared_alpha": pair_geometry.SHARED,
-        "shared_beta": pair_geometry.SHARED,
-        "parabolic_degenerate": pair_geometry.PARABOLIC,
-        "crossing": pair_geometry.CROSSING,
-    }
-    ratios = [math.inf, 1e300, -1e300, 0.5, -0.0]
-    for edge in [*pair_geometry._KIND_EDGES[:-1].tolist(), 0.0, 1.0]:
-        ratios += [edge, *(math.nextafter(edge, side * math.inf) for side in (-1, 1))]
-        ratios += [math.nextafter(math.nextafter(edge, side * math.inf), side * math.inf) for side in (-1, 1)]
-    expected = []
-    for c in ratios:
-        pg = pair_geometry._decode(c, cf, cg)
-        nested = pair_geometry.NESTED if pg.nested_attractors else pair_geometry.DISJOINT
-        expected.append(code.get(pg.kind, nested))
-    assert pair_geometry._kinds(np.array(ratios)).tolist() == expected
-    assert expected.count(pair_geometry.PARABOLIC) == 10 and expected.count(pair_geometry.SHARED) == 11
+def edge_families():
+    """Pairs with a cross ratio within a few ulps of each kind edge, on both sides, and one with C = inf.
+
+    With f on 0 -> inf and g from v to its attracting point 1, C = v.
+    """
+    r, tol = BoundaryPoint.from_real, pair_geometry.DEGENERATE_TOL
+    f = from_axis_and_length(r(0.0), BoundaryPoint.infinity(), 2.0)
+    out = [
+        [f, from_axis_and_length(r(edge * (1.0 + k * 2.0**-40)), r(1.0), 2.0)]
+        for edge in (-tol, tol, 1.0 - tol, 1.0 + tol)
+        for k in range(-3, 4)
+    ]
+    return out + [[f, from_axis_and_length(r(3.0), r(0.0), 2.0)]]  # g attracts to f's repeller
+
+
+def test_both_forms_decode_every_pair_alike():
+    rng = np.random.default_rng(163)
+    families = [random_admissible_family(rng, n) for n in range(2, LIST_N + 1)]
+    families += [figure_two(41.0), shared_attractor_family(), shared_repeller_family(), *edge_families()]
+    kinds = Counter()
+    for F in families:
+        scalar, arrays = in_both_forms(F)
+        rows = [[(key, c.hex(), code) for key, c, code in family.pair_rows()] for family in (scalar, arrays)]
+        assert rows[0] == rows[1]
+        keys = [(i, j) for i in range(len(F)) for j in range(i + 1, len(F))]
+        assert list(scalar.pairs) == list(arrays.pairs) == keys
+        assert [geometry_bits(pg) for pg in scalar.pairs.values()] == [geometry_bits(pg) for pg in arrays.pairs.values()]
+        kinds.update(pg.kind for pg in scalar.pairs.values())
+    assert set(kinds) == {"crossing", "disjoint", "shared_alpha", "shared_beta", "alpha_meets_beta", "parabolic_degenerate"}
 
 
 # --- one switch: the family's path ---------------------------------------------------
@@ -206,7 +224,7 @@ def test_a_family_takes_one_path_end_to_end(monkeypatch, n):
     cert = certify(F)
     assert isinstance(cert, SemidiscreteInverseFree)
     if n <= LIST_N:
-        assert Family.of(F).kinds is None
+        assert isinstance(Family.of(F).cross_ratios, list)
         assert counts == {"_assemble_arrays": 0, "_candidates": 0, "_screened_margin": 0}
     else:
         assert cert.system.union.arrays() is not None
@@ -298,11 +316,17 @@ def test_mapping_margin_passes_a_clearance_below_the_screen_tolerance():
 # --- decoding on demand -----------------------------------------------------------
 
 
-def test_certify_decodes_only_the_pairs_it_reads(monkeypatch):
-    F = bench_inputs("assembly_large", 1, 1, 32)[0]
+def counted_decodes(monkeypatch) -> list:
+    """The classifications of each pair that `_decode` decodes from now on, appended as it runs."""
     decoded = []
     decode = pair_geometry._decode
     monkeypatch.setattr(pair_geometry, "_decode", lambda c, cf, cg: decoded.append((id(cf), id(cg))) or decode(c, cf, cg))
+    return decoded
+
+
+def test_certify_decodes_only_the_pairs_it_reads(monkeypatch):
+    F = bench_inputs("assembly_large", 1, 1, 32)[0]
+    decoded = counted_decodes(monkeypatch)
     assert certify(F).kind == "semidiscrete_inverse_free"
     # None of the 496 pairs: the ranking reads exact cut floors off the
     # arrays, and no pair of this family is decided or skipped in scalar.
@@ -310,6 +334,36 @@ def test_certify_decodes_only_the_pairs_it_reads(monkeypatch):
     family = Family.of(F)
     assert len(family.pairs) == 496 and list(family.pairs) == sorted(family.pairs)
     assert len(decoded) == len(set(decoded)) == 496
+
+
+def test_certify_decodes_only_the_pairs_it_reads_on_the_list_path(monkeypatch):
+    # The first family of each verdict-mix class.  Only the crossing rule's
+    # angle and the witness search's axis distance decode a pair: the
+    # rank-one search, the thresholds, the assembly, the skipped witness
+    # rules and the report read cross ratios and kind codes.
+    first = {}
+    for f in bench_module("families").verdict_mix(1, 1)[1:]:
+        first.setdefault(f.cls, list(f.maps))
+    expected = {
+        "rank_one": "rank_one_schottky",
+        "between": "inconclusive",
+        "schottky": "semidiscrete_inverse_free",
+        "witness": "not_semidiscrete",
+        "crossing": "not_semidiscrete",
+    }
+    assert set(first) == set(expected)
+    decoded = counted_decodes(monkeypatch)
+    for cls, F in first.items():
+        family = Family.of(F)
+        assert isinstance(family.cross_ratios, list) and decoded == [], cls
+        cert = certify(family)
+        assert cert.kind == expected[cls], cls
+        # A witness decodes its own pair, once; no other verdict decodes one.
+        i, j = cert.criterion["pair"] if cert.kind == "not_semidiscrete" else (None, None)
+        assert decoded == ([] if i is None else [(id(family.cls[i]), id(family.cls[j]))]), cls
+        decoded.clear()
+    family = Family.of(bench_inputs("assembly_large", 1, 1, 32)[0])
+    assert isinstance(family.cross_ratios, np.ndarray) and decoded == []
 
 
 

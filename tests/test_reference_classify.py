@@ -1,4 +1,4 @@
-"""`classify` and `_decode` against their step-by-step references, bit for bit.
+"""`classify`, `_decode` and the kind rule against their step-by-step references, bit for bit.
 
 The library's `classify` is one fused body and fills its `Classification`
 without the keyword `__init__`; `_decode` fills its `PairGeometry` the same
@@ -9,10 +9,13 @@ tolerance and both sides of its edge, elliptic maps, c == 0, d - a == 0 (the
 sign of c decides the root), tr^2 beyond float range, and the generators of
 the truth corpora.  (The references' fallback for a zero q cannot be reached:
 |q| >= sqrt(tr^2 - 4) / 2 >= 3e-5 once tr > 2 + TRACE_TOL.)  The draws come
-in blocks, and every hyperbolic pair of a block is decoded.
+in blocks, and every hyperbolic pair of a block is decoded.  The kind rule,
+`_KIND_EDGES`, is read on arrays (`_kinds`) and for one ratio (`_kind`), and
+both are compared with the threshold chain of `reference_decode`.
 """
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -21,7 +24,8 @@ import pytest
 from semicert import BoundaryPoint, MoebiusMap, classify, conjugate, from_axis_and_length, inverse, normalize
 from semicert.errors import CertifyError
 from semicert.moebius_core import IDENTITY_TOL, TRACE_TOL, power
-from semicert.pair_geometry import _decode, cross_ratio_of_points
+from semicert import pair_geometry
+from semicert.pair_geometry import DEGENERATE_TOL, _decode, _kind, _kinds, cross_ratio_of_points
 
 from helpers import random_moebius, reference_classify, reference_decode, section_one_pair
 from test_truth_corpora import dyadic_family, psl_family
@@ -199,3 +203,51 @@ def test_decode_equals_the_reference_on_every_pair_of_a_block(draws):
                 kinds[pg.kind if pg.kind != "disjoint" else f"disjoint, nested {pg.nested_attractors}"] += 1
     expected = {"crossing", "disjoint, nested True", "disjoint, nested False", "shared_alpha", "shared_beta", "alpha_meets_beta", "parabolic_degenerate"}
     assert set(kinds) == expected and min(kinds.values()) >= 20, kinds
+
+
+def reference_code(c: float, cf, cg) -> int:
+    """The kind code of `reference_decode`'s configuration."""
+    pg = reference_decode(c, cf, cg)
+    if pg.kind == "disjoint":
+        return pair_geometry.NESTED if pg.nested_attractors else pair_geometry.DISJOINT
+    codes = {"alpha_meets_beta": pair_geometry.MEETS, "parabolic_degenerate": pair_geometry.PARABOLIC, "crossing": pair_geometry.CROSSING}
+    return codes.get(pg.kind, pair_geometry.SHARED)
+
+
+def edge_ratios() -> list[float]:
+    """Each ratio where the reference's thresholds switch, the two floats on either side of it, -0.0, and both infinities.
+
+    Taken from DEGENERATE_TOL, not from `_KIND_EDGES`, so an edge moved by
+    one ulp puts one of these ratios on its wrong side.
+    """
+    largest = sys.float_info.max
+    ratios = [-0.0]
+    for base in (-math.inf, -largest, -DEGENERATE_TOL, 0.0, DEGENERATE_TOL, 1.0 - DEGENERATE_TOL, 1.0, 1.0 + DEGENERATE_TOL, largest, math.inf):
+        ratios.append(base)
+        for side in (-math.inf, math.inf):
+            near = math.nextafter(base, side)
+            ratios += [near, math.nextafter(near, side)]
+    return ratios
+
+
+def test_kind_codes_are_those_of_the_reference_decode(draws):
+    cf, cg = (classify(f) for f in section_one_pair())
+    ratios = edge_ratios()
+    expected = [reference_code(c, cf, cg) for c in ratios]
+    assert [_kind(c) for c in ratios] == expected
+    assert _kinds(np.array(ratios)).tolist() == expected
+    assert Counter(expected) == {
+        pair_geometry.MEETS: 10, pair_geometry.SHARED: 12, pair_geometry.PARABOLIC: 10,
+        pair_geometry.CROSSING: 7, pair_geometry.DISJOINT: 4, pair_geometry.NESTED: 8,
+    }
+    # The cross ratio of every hyperbolic pair of the draws.
+    ratios, expected = [], []
+    for block in draws:
+        hyperbolic = [k for k in map(classify, block) if k.kind == "hyperbolic"]
+        for i, cf in enumerate(hyperbolic):
+            for cg in hyperbolic[i + 1 :]:
+                ratios.append(cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta))
+                expected.append(reference_code(ratios[-1], cf, cg))
+    assert [_kind(c) for c in ratios] == expected
+    assert _kinds(np.array(ratios)).tolist() == expected
+    assert set(expected) == set(range(6))
