@@ -212,66 +212,65 @@ def _overlapping(end_angle: float) -> OverlappingArcs:
     return OverlappingArcs(f"arc closures intersect near angle {end_angle:.6f}")
 
 
-def _clearances(p: float, q: float, mid: float, outer: BoundaryArc) -> tuple[float, float] | None:
-    """Endpoint clearances of the arc from angle p to angle q inside `outer`.
+def _clearances(p: float, q: float, mid: float, start: float, end: float, span: float) -> tuple[float, float] | None:
+    """Endpoint clearances of the arc from angle p to angle q inside the arc from `start` to `end` of `span`.
 
     Works on endpoint angles directly, so arcs contracted below float
     angular resolution (endpoints rounding to one point) are still checked;
     the angle `mid` of a point inside the arc guards against mistaking a
     wrapped arc for a tiny one.  Returns None when the arc is not contained
-    in `outer`.
+    in the outer one.  Each remainder is :func:`ccw_gap`'s, inlined.
     """
-    img = ccw_gap(p, q)
+    img = (q - p) % TWO_PI
     if img >= TWO_PI - 1e-9:
         img = 0.0  # endpoints collapsed by rounding
-    off = ccw_gap(p, mid)
+    off = (mid - p) % TWO_PI
     if off >= TWO_PI - 1e-9:
         off = 0.0  # midpoint rounded just behind the start
     if off > img + 1e-9:
         return None
-    span = outer.span
-    lead = ccw_gap(outer.start.angle, p)
-    tail = ccw_gap(q, outer.end.angle)
+    lead = (p - start) % TWO_PI
+    tail = (end - q) % TWO_PI
     if lead > span or tail > span or abs(lead + img + tail - span) > 1e-9:
         return None
     return lead, tail
 
 
-def _image_angles(
-    f: MoebiusMap, points: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint]
-) -> tuple[float, float, float] | None:
-    """Start, end and midpoint angles of the images of an arc's `points` under f.
+def _image_turns(a: float, b: float, c: float, d: float, points: Iterable[tuple[float, float]]) -> list[float] | None:
+    """Angles of the images of the points (x, y) in `points` under the map with entries a, b, c, d.
 
-    None when an image cannot be placed: a map with huge entries can send a
-    point to a pair whose coordinates both round to zero.
+    Each is `apply_boundary(f, p).angle` bit for bit: the arithmetic of
+    `BoundaryPoint.of` (hypot, divide, sign flip) and of `angle`, without
+    building the point.  None where `of` raises: a map with huge entries can
+    send a point to a pair whose coordinates both round to zero.
     """
-    start, end, mid = points
-    try:
-        return apply_boundary(f, start).angle, apply_boundary(f, end).angle, apply_boundary(f, mid).angle
-    except ValueError:
-        return None
+    angles = []
+    for x, y in points:
+        u = a * x + b * y
+        v = c * x + d * y
+        n = math.hypot(u, v)
+        if n == 0.0 or not math.isfinite(n):
+            return None
+        u, v = u / n, v / n
+        if v < 0.0 or (v == 0.0 and u < 0.0):
+            u, v = -u, -v
+        theta = (-2.0 * math.atan2(v, u)) % TWO_PI
+        angles.append(0.0 if theta == TWO_PI else theta)
+    return angles
 
 
-def _enclosing(angles: tuple[float, float, float] | None, union: ArcUnion) -> tuple[float, float] | None:
-    """Clearances in the component of `union` that properly contains the arc, or None.
-
-    Components have disjoint closures, so only the one starting last at or
-    before the arc's start (index -1 wraps to the last) can contain it.
-    """
-    if angles is None:
-        return None
-    found = _clearances(*angles, union.arcs[bisect_right(union.starts, angles[0]) - 1])
-    if found is not None and found[0] + found[1] > 0.0:
-        return found
-    return None
+def _arc_floats(arc: BoundaryArc) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
+    """The (x, y) of the arc's start, end and midpoint, and its start angle, end angle and span."""
+    start, end, mid = arc.start, arc.end, arc.midpoint
+    return ((start.x, start.y), (end.x, end.y), (mid.x, mid.y)), (start.angle, end.angle, arc.span)
 
 
 def image_clearances(
     f: MoebiusMap, arc: BoundaryArc, outer: BoundaryArc
 ) -> tuple[float, float] | None:
     """Endpoint clearances of the image of `arc` under f inside `outer`, or None."""
-    angles = _image_angles(f, (arc.start, arc.end, arc.midpoint))
-    return None if angles is None else _clearances(*angles, outer)
+    angles = _image_turns(f.a, f.b, f.c, f.d, _arc_floats(arc)[0])
+    return None if angles is None else _clearances(*angles, outer.start.angle, outer.end.angle, outer.span)
 
 
 def verify_schottky(
@@ -307,9 +306,12 @@ def schottky_margin(
     when the caller holds them; otherwise they are classified here.
 
     The union's form picks the path.  A union of arc objects (the scalar
-    assembly's, the rank-one search's) is decided pair by pair by the scalar
-    `_enclosing` check; one of :meth:`ArcUnion.of_arrays` (the array
-    assembly's) by :func:`_screened_margin`, with the same result, building no arc.
+    assembly's, the rank-one search's) is decided pair by pair on floats:
+    :func:`_image_turns` gives the three image angles of each (generator,
+    arc) pair, and one `_clearances` call against the one component that
+    can hold them decides it, with no point built.  One of
+    :meth:`ArcUnion.of_arrays` (the array assembly's) is decided by
+    :func:`_screened_margin`, with the same result, building no arc.
     """
     if classes is None:
         classes = [classify(f) for f in generators]
@@ -320,14 +322,20 @@ def schottky_margin(
         # Components are disjoint, so only the last one starting at or before beta can hold it.
         if k.beta is not None and contains(union.arcs[bisect_right(union.starts, k.beta.angle) - 1], k.beta):
             return -math.inf
+    points, outers = zip(*map(_arc_floats, union.arcs))
+    starts = union.starts
     worst = math.inf
-    arc_points = [(a.start, a.end, a.midpoint) for a in union]
     for f in generators:
-        for points in arc_points:
-            found = _enclosing(_image_angles(f, points), union)
-            if found is None:
+        a, b, c, d = f.a, f.b, f.c, f.d
+        for xy in points:
+            angles = _image_turns(a, b, c, d, xy)
+            if angles is None:
                 return -math.inf
-            worst = min(worst, min(found))
+            p, q, mid = angles  # only the last component starting at or before p can hold the image
+            found = _clearances(p, q, mid, *outers[bisect_right(starts, p) - 1])
+            if found is None or found[0] + found[1] <= 0.0:
+                return -math.inf
+            worst = min(worst, *found)
     return worst
 
 
@@ -343,7 +351,7 @@ def _screened_margin(
     and decided by `_array_clearances`, whose arithmetic is that of
     `_clearances` (its remainders by :func:`_wrap_turn` are `%` bit for bit,
     since the kernel's angles and the arcs' lie in [0, 2*pi)): each pair is
-    decided as in the scalar loop.  A pair the
+    decided as by `_clearances` in the scalar loop.  A pair the
     screen leaves out is contained in scalar too, with a clearance above the
     least, so the result, -inf or the clearance of the minimising pair, is
     the scalar one bit for bit.  On n = 32 assembled unions the screen
@@ -382,8 +390,8 @@ def _screen(
 
     `maps` holds the generators' entries a, b, c, d on its first axis, and
     `pts` the x and y of each arc's start, end and midpoint (shape (2,
-    arcs, 3)).  Replays `_image_angles`, `_enclosing` and `_clearances` on
-    arrays of shape (generators, arcs) at array cost: :func:`_array_images`
+    arcs, 3)).  Replays the scalar loop's `_image_turns`, choice of component
+    and `_clearances` on arrays of shape (generators, arcs) at array cost: :func:`_array_images`
     reads the angles with numpy's arctan2 off the images as computed, with
     no normalisation and no sign flip, and places them by a bound on their
     larger coordinate; no remainder is taken with numpy's `%`.

@@ -3,7 +3,7 @@
 Each pair builder returns arcs that are symmetric with respect to their
 owner: the hyperbolic line through the arc endpoints meets the owner's axis
 at a right angle.  In the owner's axis chart (axis on 0 -> inf) such a line
-is one log-height on the axis, and :meth:`_AxisTable.cut` cuts every arc
+is one log-height on the axis, and :func:`_cut` cuts every arc
 from its height.  The partner fixes a position t = log sqrt|u v| on the
 axis, u and v being the partner's fixed points there; the a arc is cut at
 t + s and the b arc at t - s.  The owner translates cut positions by its
@@ -401,15 +401,8 @@ class _AxisTable:
         return 0.5 * (logs[0] + logs[1])
 
     def cut(self, owner: int, height: float, around: BoundaryPoint) -> BoundaryArc:
-        """The arc around `around` cut off at log-height `height` on the owner's axis.
-
-        In the owner's axis chart (axis 0 -> inf) the cut is the half-circle from -e to e, e = exp(height).
-        """
-        chart, e = self.charts[owner], math.exp(height)
-        try:
-            return arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
-        except ValueError as exc:
-            raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
+        """The arc around `around` cut off at log-height `height` on the owner's axis (:func:`_cut`)."""
+        return _cut(self.charts[owner], height, around)
 
     @np.errstate(all="ignore")  # cuts that cannot be placed come out not `ok`
     def cuts(self, owners: np.ndarray, heights: np.ndarray, around: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -483,6 +476,18 @@ def _maps(entries: np.ndarray) -> tuple[MoebiusMap, ...]:
     return tuple(map(MoebiusMap, *entries.tolist()))
 
 
+def _cut(chart: MoebiusMap, height: float, around: BoundaryPoint) -> BoundaryArc:
+    """The arc around `around` cut off at log-height `height` on the axis that `chart` sends 0 -> inf to.
+
+    In the chart the cut is the half-circle from -e to e, e = exp(height).
+    """
+    e = math.exp(height)
+    try:
+        return arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
+    except ValueError as exc:
+        raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
+
+
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
     """Clearance of image(complement of b) inside a; -inf if not contained.
 
@@ -497,15 +502,18 @@ def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
 def _build_pair(
     family: Family, i: int, j: int, extra: float
 ) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
-    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position t."""
-    table = _AxisTable(family)
-    floor = table.floor(i, j)
+    """Owner-symmetric pairs of admissible pair (i, j), each cut around the other's axis position t.
+
+    Reads only the two owners' axis charts and the pair's cut floor, as an
+    :class:`_AxisTable` of the family would give them.
+    """
+    charts = [axis_chart(Geodesic(family.cls[k].beta, family.cls[k].alpha)) for k in (i, j)]
+    floor = _cut_floor(family, i, j)
     pairs = []
-    for owner, partner in ((i, j), (j, i)):
-        k, t = family.cls[owner], table.position(owner, partner)
+    for chart, owner, partner in zip(charts, (i, j), (j, i)):
+        k, t = family.cls[owner], _axis_position(inverse(chart), family.cls[partner])
         s = _cut_position(k.tau, floor, extra)
-        a, b = table.cut(owner, t + s, k.alpha), table.cut(owner, t - s, k.beta)
-        pairs.append(SymmetricIntervalPair(a, b, owner))
+        pairs.append(SymmetricIntervalPair(_cut(chart, t + s, k.alpha), _cut(chart, t - s, k.beta), owner))
     return pairs[0], pairs[1]
 
 

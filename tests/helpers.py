@@ -3,6 +3,7 @@
 import importlib
 import math
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,6 @@ from semicert import (
 from semicert.boundary_arcs import (
     ArcUnion,
     BoundaryArc,
-    _clearances,
-    _enclosing,
     arc_image,
     can_partition_rank_one,
     ccw_gap,
@@ -30,6 +29,9 @@ from semicert.boundary_arcs import (
 from semicert.errors import ThresholdNotMet, VerificationFailed
 from semicert.interval_builder import (
     SHARED_ALPHA_GATE,
+    SymmetricIntervalPair,
+    _AxisTable,
+    _cut_position,
     build_crossing_pair_intervals,
     build_disjoint_pair_intervals,
 )
@@ -40,6 +42,7 @@ from semicert.moebius_core import (
     Classification,
     Geodesic,
     apply_boundary,
+    classify,
     compose,
     from_boundary_triple,
     inverse,
@@ -388,7 +391,7 @@ def strictly_inside(inner, outer, margin=0.0):
     are the verifier's, including its 1e-9 closure slack.
     """
     for arc in inner:
-        found = _enclosing(arc_angles(arc), outer)
+        found = reference_enclosing(arc_angles(arc), outer)
         if found is None or min(found) < margin:
             return False
     return True
@@ -396,7 +399,7 @@ def strictly_inside(inner, outer, margin=0.0):
 
 def nested(inner, outer):
     """Whether the closure of arc `inner` lies in the closure of `outer`, to within 1e-9."""
-    return _clearances(*arc_angles(inner), outer) is not None
+    return reference_clearances(*arc_angles(inner), outer) is not None
 
 
 def innermost_arc(point, arcs):
@@ -436,6 +439,19 @@ def innermost_by_building_every_pair(F, extra=0.0):
         )
         for i, found in candidates.items()
     ]
+
+
+def reference_build_pair(family, i, j, extra=0.0):
+    """The pair builders' cut as it was written: a whole axis table of the family to cut one pair (i, j)."""
+    table = _AxisTable(family)
+    floor = table.floor(i, j)
+    pairs = []
+    for owner, partner in ((i, j), (j, i)):
+        k, t = family.cls[owner], table.position(owner, partner)
+        s = _cut_position(k.tau, floor, extra)
+        a, b = table.cut(owner, t + s, k.alpha), table.cut(owner, t - s, k.beta)
+        pairs.append(SymmetricIntervalPair(a, b, owner))
+    return pairs[0], pairs[1]
 
 
 def reference_shared_intervals(fs):
@@ -618,3 +634,70 @@ def reference_decode(c: float, cf: Classification, cg: Classification) -> pair_g
         return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=False)
     d = 2.0 * math.atanh(1.0 / math.sqrt(c))
     return PairGeometry(cross_ratio=c, kind="disjoint", _distance=d, nested_attractors=True)
+
+
+# --- reference for the verifier's pair loop on floats ---------------------------
+#
+# `schottky_margin`'s loop over a union of arc objects as it was written with
+# one `BoundaryPoint` per image point; `tests/test_boundary_arcs.py` compares
+# the library's float loop with it bit for bit.
+
+
+def reference_schottky_margin(generators, union, classes=None):
+    """`schottky_margin` of a union of arc objects, each image built as points."""
+    if classes is None:
+        classes = [classify(f) for f in generators]
+    for k in classes:
+        # Components are disjoint, so only the last one starting at or before beta can hold it.
+        if k.beta is not None and contains(union.arcs[bisect_right(union.starts, k.beta.angle) - 1], k.beta):
+            return -math.inf
+    worst = math.inf
+    arc_points = [(a.start, a.end, a.midpoint) for a in union]
+    for f in generators:
+        for points in arc_points:
+            found = reference_enclosing(reference_image_angles(f, points), union)
+            if found is None:
+                return -math.inf
+            worst = min(worst, min(found))
+    return worst
+
+
+def reference_clearances(p, q, mid, outer):
+    """Endpoint clearances of the arc from angle p to angle q inside `outer`, or None."""
+    img = ccw_gap(p, q)
+    if img >= TWO_PI - 1e-9:
+        img = 0.0  # endpoints collapsed by rounding
+    off = ccw_gap(p, mid)
+    if off >= TWO_PI - 1e-9:
+        off = 0.0  # midpoint rounded just behind the start
+    if off > img + 1e-9:
+        return None
+    span = outer.span
+    lead = ccw_gap(outer.start.angle, p)
+    tail = ccw_gap(q, outer.end.angle)
+    if lead > span or tail > span or abs(lead + img + tail - span) > 1e-9:
+        return None
+    return lead, tail
+
+
+def reference_image_angles(f, points):
+    """Start, end and midpoint angles of the images of an arc's `points` under f; None when one cannot be placed."""
+    start, end, mid = points
+    try:
+        return apply_boundary(f, start).angle, apply_boundary(f, end).angle, apply_boundary(f, mid).angle
+    except ValueError:
+        return None
+
+
+def reference_enclosing(angles, union):
+    """Clearances in the component of `union` that properly contains the arc, or None.
+
+    Components have disjoint closures, so only the one starting last at or
+    before the arc's start (index -1 wraps to the last) can contain it.
+    """
+    if angles is None:
+        return None
+    found = reference_clearances(*angles, union.arcs[bisect_right(union.starts, angles[0]) - 1])
+    if found is not None and found[0] + found[1] > 0.0:
+        return found
+    return None

@@ -22,14 +22,20 @@ from semicert import (
 )
 from semicert.boundary_arcs import BoundaryArc, schottky_margin
 from semicert.errors import OverlappingArcs, VerificationFailed
+from semicert.pair_geometry import Family
 
 from helpers import (
     ADVERSARIAL_UNIONS,
+    LIST_N,
+    bench_module,
     figure_two,
     in_both_forms,
     is_infinity,
     random_admissible_family,
     random_moebius,
+    reference_clearances,
+    reference_image_angles,
+    reference_schottky_margin,
     section_one_pair,
     strictly_inside,
 )
@@ -358,7 +364,7 @@ class TestScreenedVerifier:
             union = assemble_global(F).union
             for f in F:
                 for a in union:
-                    p, q, _ = boundary_arcs._image_angles(f, (a.start, a.end, a.midpoint))
+                    p, q, _ = reference_image_angles(f, (a.start, a.end, a.midpoint))
                     collapsed += p == q
             screened, scalar = screened_and_scalar(F, union)
             assert screened == scalar
@@ -371,7 +377,7 @@ class TestScreenedVerifier:
         f0 = from_axis_and_length(pt(0.10047899997889743), pt(4.518991109258015), 2.0)
         f1 = from_axis_and_length(pt(4.518991109258015), pt(4.762346601567949), 37.691380848931175)
         a = BoundaryArc(classify(f1).beta, pt(1.0))
-        assert boundary_arcs._image_angles(f1, (a.start, a.end, a.midpoint)) is None
+        assert reference_image_angles(f1, (a.start, a.end, a.midpoint)) is None
         union = ArcUnion([a, BoundaryArc(pt(2.0), pt(3.0))])
         F = [f0, f1] * 12
         assert screened_and_scalar(F, union) == [(-math.inf).hex()] * 2
@@ -406,7 +412,7 @@ def tuned(measure, lo, hi, target):
 
 def image_gaps(f, arc):
     """ccw_gap from the image start to the image midpoint and to the image end."""
-    p, q, mid = boundary_arcs._image_angles(f, (arc.start, arc.end, arc.midpoint))
+    p, q, mid = reference_image_angles(f, (arc.start, arc.end, arc.midpoint))
     return boundary_arcs.ccw_gap(p, mid), boundary_arcs.ccw_gap(p, q)
 
 
@@ -493,7 +499,7 @@ class TestScreenFlags:
         U = near_full_image(1.35, 20.0)[1]
         tau = tuned(lambda t: boundary_arcs.TWO_PI - image_gaps(near_full_image(1.35, t)[0], U)[1], 20.0, 30.0, 5e-10)
         f = near_full_image(1.35, tau)[0]
-        p, q, _ = boundary_arcs._image_angles(f, (U.start, U.end, U.midpoint))
+        p, q, _ = reference_image_angles(f, (U.start, U.end, U.midpoint))
         assert image_gaps(f, U)[0] < 1e-9 - 1e-10
         pt = BoundaryPoint.from_angle
         K = BoundaryArc(pt(3.5), pt(p + 5e-13)) if end == "end" else BoundaryArc(pt(q - 5e-13), pt(4.5))
@@ -657,3 +663,144 @@ class TestRepellingPointInside:
         for F in [figure_two(41.0)] + [random_admissible_family(rng, n) for n in (3, 6, 12)]:
             union = assemble_global(F).union
             assert schottky_margin(F, union) > 0.0
+
+
+def margins_agree(F, union):
+    """float.hex of `schottky_margin` on a union of arc objects, asserted equal to the reference's, with and without `classes`."""
+    assert union.arrays() is None
+    found = schottky_margin(F, union).hex()
+    assert found == reference_schottky_margin(F, union).hex()
+    classes = [classify(f) for f in F]
+    assert schottky_margin(F, union, classes).hex() == found
+    for f in F:
+        for a in union:
+            for outer in union:
+                angles = reference_image_angles(f, (a.start, a.end, a.midpoint))
+                expected = None if angles is None else reference_clearances(*angles, outer)
+                assert boundary_arcs.image_clearances(f, a, outer) == expected
+    return found
+
+
+class TestFloatPairLoop:
+    """The verifier's loop over a union of arc objects, on floats, equals the
+    loop that built every image point (`helpers.reference_schottky_margin`) bit for bit."""
+
+    def test_assembled_scalar_unions(self):
+        rng = np.random.default_rng(160)
+        finite = set()
+        for n in range(2, LIST_N + 1):
+            for _ in range(3):
+                F = random_admissible_family(rng, n, min_gap=0.01)
+                union = assemble_global(F).union
+                assert float.fromhex(margins_agree(F, union)) >= 1e-7
+                if len(union) > 1:  # a broken union: some image leaves it
+                    finite.add(math.isfinite(float.fromhex(margins_agree(F, ArcUnion(union.arcs[1:])))))
+        assert False in finite
+
+    def test_rank_one_candidates_of_verdict_mix(self):
+        families = bench_module("families").verdict_mix(1, 20)
+        sizes, candidates = set(), 0
+        for fam in families:
+            if fam.cls != "rank_one":
+                continue
+            family = Family.of(fam.maps)
+            sizes.add(len(family.maps))
+            for arc in family.rank_one_arcs:
+                assert float.fromhex(margins_agree(family.maps, ArcUnion([arc]))) >= 0.0
+                candidates += 1
+        assert min(sizes) == 4 and max(sizes) == 16
+        assert candidates == 80
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_UNIONS))
+    def test_adversarial_unions(self, name):
+        union = ADVERSARIAL_UNIONS[name]
+        rng = np.random.default_rng(141)  # the draws of `TestScreenedVerifier.test_adversarial_unions`
+        finite = set()
+        for count in (1, 3, 8, 20, 48):
+            for taus in ((1.0, 8.0), (8.0, 40.0), (40.0, 60.0)):
+                maps = contracting_maps(rng, union, count, taus)
+                for F in (maps, maps + [random_moebius(rng)]):
+                    finite.add(math.isfinite(float.fromhex(margins_agree(F, union))))
+        assert finite == {True, False}
+
+    def test_unplaceable_image(self):
+        # f1 of `TestScreenedVerifier.test_unplaceable_image`: an image point of `a` rounds to (0.0 : 0.0).
+        pt = BoundaryPoint.from_angle
+        f0 = from_axis_and_length(pt(0.10047899997889743), pt(4.518991109258015), 2.0)
+        f1 = from_axis_and_length(pt(4.518991109258015), pt(4.762346601567949), 37.691380848931175)
+        a = BoundaryArc(classify(f1).beta, pt(1.0))
+        assert boundary_arcs._image_turns(f1.a, f1.b, f1.c, f1.d, [(p.x, p.y) for p in (a.start, a.end, a.midpoint)]) is None
+        union = ArcUnion([a, BoundaryArc(pt(2.0), pt(3.0))])
+        assert margins_agree([f0, f1], union) == (-math.inf).hex()
+        assert margins_agree([f1], ArcUnion([BoundaryArc(pt(2.0), pt(3.0)), BoundaryArc(pt(5.0), pt(6.0))])) is not None
+
+    @pytest.mark.parametrize("tau", [41.0, 45.0])
+    def test_collapsed_images_of_figure_two(self, tau):
+        F = figure_two(tau)
+        union = assemble_global(F).union
+        collapsed = 0
+        for f in F:
+            for a in union:
+                p, q, _ = reference_image_angles(f, (a.start, a.end, a.midpoint))
+                collapsed += p == q
+        assert collapsed > 0
+        assert float.fromhex(margins_agree(F, union)) > 0.0
+
+    def test_images_on_a_component_start_at_angle_zero(self):
+        union = ArcUnion([BoundaryArc(INF, BoundaryPoint.from_real(-1.0)), arc(0.5, 2.0)])
+        assert union.starts[0] == 0.0
+        rng = np.random.default_rng(162)
+        F = [
+            normalize([[lam, -(2.0 * lam + 1.0 + mu)], [0.0, 1.0]])
+            for lam, mu in zip(rng.uniform(1.5, 20.0, size=10), rng.uniform(0.1, 5.0, size=10))
+        ]
+        assert margins_agree(F, union) == (0.0).hex()
+        assert margins_agree(F + [normalize([[1.0, 0.0], [0.0, 1.0]])], union) == (-math.inf).hex()
+
+    def test_minus_zero_coordinates(self):
+        # Each map sends infinity, (1 : 0), to (-a : -0.0), which the sign flip turns into infinity.
+        union = ArcUnion([BoundaryArc(INF, BoundaryPoint.from_real(-1.0)), arc(0.5, 2.0)])
+        F = negated_affine_maps(np.random.default_rng(163), 10)
+        assert margins_agree(F, union) == (0.0).hex()
+        # Points with -0.0 coordinates, as given, under maps with -0.0 entries.
+        f = F[0]
+        for x, y in ((-0.0, 1.0), (1.0, -0.0), (-1.0, -0.0), (-0.0, -1.0)):
+            [angle] = boundary_arcs._image_turns(f.a, f.b, f.c, f.d, [(x, y)])
+            assert angle.hex() == apply_boundary(f, BoundaryPoint(x, y)).angle.hex()
+
+    def test_image_angles_are_those_of_the_points(self):
+        # Entries from 1e-320 (subnormal) to 1e308, so that the images' hypot
+        # underflows to 0 or overflows to inf for some, and points anywhere,
+        # with zeros of either sign among their coordinates; diagonal maps
+        # keep points just off infinity there, where the angle rounds to 2*pi.
+        rng = np.random.default_rng(164)
+        placed, norms, near_infinity = set(), set(), 0
+        coordinates = [0.0, -0.0, 1.0, -1.0, 1e-20, -1e-20, 5e-324]
+        for _ in range(4000):
+            scale = 10.0 ** float(rng.choice([rng.uniform(-320.0, -300.0), rng.uniform(-5.0, 5.0), rng.uniform(300.0, 308.0)]))
+            a, b, c, d = (float(v) * scale for v in rng.normal(size=4))
+            if rng.random() < 0.1:
+                a, b, c, d = abs(a), 0.0, 0.0, abs(d)
+            f = MoebiusMap(a, b, c, d)
+            points = [BoundaryPoint.from_angle(float(t)) for t in rng.uniform(0.0, boundary_arcs.TWO_PI, 3)]
+            if rng.random() < 0.3:
+                points[0] = BoundaryPoint(float(rng.choice(coordinates)), float(rng.choice(coordinates)))
+            xy = [(p.x, p.y) for p in points]
+            turns = boundary_arcs._image_turns(a, b, c, d, xy)
+            try:
+                expected = [apply_boundary(f, p).angle for p in points]
+            except ValueError:
+                expected = None
+            if expected is None:
+                assert turns is None
+            else:
+                assert [t.hex() for t in turns] == [t.hex() for t in expected]
+                image = apply_boundary(f, points[0])  # an angle that rounds to 2*pi reads as 0
+                near_infinity += (-2.0 * math.atan2(image.y, image.x)) % boundary_arcs.TWO_PI == boundary_arcs.TWO_PI
+            placed.add(expected is not None)
+            for x, y in xy:
+                n = math.hypot(a * x + b * y, c * x + d * y)
+                norms.add(n if n == 0.0 or not math.isfinite(n) else "finite")
+        assert placed == {True, False}
+        assert {0.0, math.inf, "finite"} <= norms  # hypot's underflow and overflow both reached
+        assert near_infinity > 0

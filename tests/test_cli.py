@@ -19,7 +19,7 @@ from semicert.criteria_engine import certificate_to_dict, multicone, point_to_di
 from semicert.pair_geometry import Family
 from semicert.render import render_figure
 
-from helpers import figure_two, section_one_pair
+from helpers import bench_module, figure_two, section_one_pair
 
 
 @pytest.fixture
@@ -179,6 +179,22 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--input", str(src)])
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "semidiscrete_inverse_free"
+        assert isinstance(Family.of(_load_generators(str(src))).cross_ratios, np.ndarray)  # 66 pairs: the array table
+
+    def test_checked_in_rank_one_family_takes_the_array_path(self, runner):
+        # `bench/families.rank_one_family(np.random.default_rng(12), 12)`: the
+        # scalar verifier behind the array pair table; CI certifies the same
+        # file with the installed console script.
+        from semicert.cli import _load_generators
+
+        src = Path(__file__).resolve().parent / "data" / "rank_one12.json"
+        expected = [[f.a, f.b, f.c, f.d] for f in bench_module("families").rank_one_family(np.random.default_rng(12), 12)]
+        assert [g["matrix"] for g in json.loads(src.read_text())["generators"]] == expected
+        result = runner.invoke(main, ["certify", "--input", str(src)])
+        assert result.exit_code == 0
+        cert = json.loads(result.output)
+        assert cert["kind"] == "rank_one_schottky"
+        assert round(cert["margin"], 4) == 0.0555
         assert isinstance(Family.of(_load_generators(str(src))).cross_ratios, np.ndarray)  # 66 pairs: the array table
 
     def test_checked_in_figure_two_is_helpers_figure_two(self, runner):

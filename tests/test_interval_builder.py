@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,10 +35,12 @@ from semicert.errors import (
     ThresholdNotMet,
     VerificationFailed,
 )
+from semicert import interval_builder
 from semicert.interval_builder import mapping_margin
 from semicert.pair_geometry import Family
 
 from helpers import (
+    LIST_N,
     arcs_approx,
     bench_module,
     conjugated_figure_two,
@@ -51,6 +54,7 @@ from helpers import (
     nested,
     one_axis_family,
     random_admissible_family,
+    reference_build_pair,
     random_moebius,
     reference_shared_intervals,
     retry_ladder_family,
@@ -620,3 +624,73 @@ class TestScreens:
             assert [s.hex() for s in _cut_positions(tau, floor, extra).tolist()] == [
                 _cut_position(t, f, extra).hex() for t, f in zip(tau.tolist(), floor.tolist())
             ]
+
+
+def admissible_pairs(family):
+    """(i, j, builder) of each pair that a pair builder accepts: crossing, or disjoint with C > 1."""
+    for (i, j), pg in family.pairs.items():
+        if pg.kind == "crossing":
+            yield i, j, build_crossing_pair_intervals
+        elif pg.kind == "disjoint" and pg.nested_attractors:
+            yield i, j, build_disjoint_pair_intervals
+
+
+def retimed(family, taus):
+    """The family's fixed points with translation lengths `taus`."""
+    return Family.of([from_axis_and_length(k.beta, k.alpha, float(t)) for k, t in zip(family.cls, taus)])
+
+
+class TestPairBuildReadsOnlyItsPair:
+    """A pair build reads its two owners' charts and one cut floor, and cuts the arcs that a whole axis table cuts."""
+
+    def test_one_cut_floor_and_two_charts_per_build(self, monkeypatch):
+        calls = []
+        for name in ("_cut_floor", "axis_chart", "_AxisTable"):
+            original = getattr(interval_builder, name)
+            monkeypatch.setattr(interval_builder, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        rng = np.random.default_rng(170)
+        builds = 0
+        for n in (4, 12):  # the list and the array pair table
+            family = Family.of(random_admissible_family(rng, n, min_gap=0.01))
+            for i, j, builder in admissible_pairs(family):
+                calls.clear()
+                builder(family, i, j)
+                assert sorted(calls) == ["_cut_floor", "axis_chart", "axis_chart"], (n, i, j)
+                builds += 1
+        assert builds > 10
+
+    def test_arcs_are_those_of_the_whole_table(self):
+        rng = np.random.default_rng(171)
+        forms, outcomes = set(), set()
+        for n in range(2, 13):
+            F = random_admissible_family(rng, n, min_gap=0.01)
+            family = Family.of(F)
+            forms.add(isinstance(family.cross_ratios, np.ndarray))
+            assert isinstance(family.cross_ratios, np.ndarray) == (n > LIST_N)
+            # The same fixed points with translation lengths on both sides of the pair gates.
+            for fam in (family, retimed(family, rng.uniform(0.5, 12.0, n))):
+                for i, j, builder in admissible_pairs(fam):
+                    for extra in (0.0, 2.0):
+                        try:
+                            expected = reference_build_pair(fam, i, j, extra)
+                        except ThresholdNotMet as exc:
+                            with pytest.raises(ThresholdNotMet, match=f"^{re.escape(str(exc))}$"):
+                                builder(fam, i, j, cut_offset=extra)
+                            outcomes.add("skipped")
+                            continue
+                        found = builder(fam, i, j, cut_offset=extra)
+                        assert [p.owner for p in found] == [i, j]
+                        assert endpoint_hexes(found) == endpoint_hexes(expected), (n, i, j, extra)
+                        outcomes.add("built")
+        assert forms == {False, True}
+        assert outcomes == {"built", "skipped"}
+
+
+def endpoint_hexes(pairs):
+    """float.hex of x, y and angle of each endpoint of the a and b arcs of `pairs`."""
+    return [
+        [v.hex() for v in (p.x, p.y, p.angle)]
+        for pair in pairs
+        for arc in (pair.a, pair.b)
+        for p in (arc.start, arc.end)
+    ]
