@@ -26,6 +26,8 @@ from .moebius_core import (
     FrozenValue,
     MoebiusMap,
     _apply_pairs,
+    _canonical_point,
+    _point_at,
     angle_pairs,
     apply_boundary,
     boundary_angles,
@@ -91,6 +93,11 @@ def arcs_of(start: PointArrays, end: PointArrays) -> list[BoundaryArc]:
     return list(map(BoundaryArc, points_of(*start), points_of(*end)))
 
 
+def _arc_at(start: tuple[float, float, float], end: tuple[float, float, float]) -> BoundaryArc:
+    """The arc between two points given as canonical x, y and angle, as the float code computes them."""
+    return BoundaryArc(_point_at(*start), _point_at(*end))
+
+
 def ccw_gap(from_angle: float, to_angle: float) -> float:
     """Counterclockwise angular distance in [0, 2*pi)."""
     return (to_angle - from_angle) % TWO_PI
@@ -124,22 +131,22 @@ def complement(arc: BoundaryArc) -> BoundaryArc:
     return BoundaryArc(arc.end, arc.start)
 
 
-def arc_between(p: BoundaryPoint, q: BoundaryPoint, containing: BoundaryPoint) -> BoundaryArc:
-    """The one of the two arcs with endpoints {p, q} that contains `containing`."""
-    arc = BoundaryArc(p, q)
-    if contains(arc, containing):
-        return arc
-    arc = BoundaryArc(q, p)
-    if not contains(arc, containing):
-        raise ValueError("reference point lies on the arc boundary")
-    return arc
+def _runs_forward(p: float, q: float, containing: float) -> bool:
+    """Whether the arc from angle p to q, else the one from q to p, holds `containing` (:func:`contains`); ValueError if they coincide or neither does."""
+    if p == q:
+        raise ValueError(_COINCIDENT_ENDS)
+    if 0.0 < (containing - p) % TWO_PI < (q - p) % TWO_PI:
+        return True
+    if 0.0 < (containing - q) % TWO_PI < (p - q) % TWO_PI:
+        return False
+    raise ValueError("reference point lies on the arc boundary")
 
 
 def arcs_between(p: np.ndarray, q: np.ndarray, containing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`arc_between` on angle arrays: whether each arc runs from p (else from q), and where it exists.
+    """:func:`_runs_forward` on angle arrays: whether each arc runs from p (else from q), and where it exists.
 
     Membership is decided with the arithmetic of :func:`contains`.  An arc
-    does not exist where `arc_between` raises ValueError.
+    does not exist where `_runs_forward` raises ValueError.
     """
     offset, span, back, back_span = np.array([containing - p, q - p, containing - q, p - q]) % TWO_PI
     forward = (0.0 < offset) & (offset < span)
@@ -305,7 +312,7 @@ def schottky_margin(
     land in the sliver.  `classes` are the generators' classifications,
     when the caller holds them; otherwise they are classified here.
 
-    The union's form picks the path.  A union of arc objects (the scalar
+    The union's form picks the path.  A union of arc objects (the list
     assembly's, the rank-one search's) is decided pair by pair on floats:
     :func:`_image_turns` gives the three image angles of each (generator,
     arc) pair, and one `_clearances` call against the one component that
@@ -611,33 +618,32 @@ def repeller_free_arc(ci: Classification, cj: Classification) -> BoundaryArc:
     raise AxesDoNotCross("fixed points do not interleave")
 
 
-def intersect_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
-    """Largest arc around `point` inside each of `arcs` (each must contain the point)."""
-    lead, tail = _reach(point, arcs, min)
-    if lead <= 0.0 or tail <= 0.0:
-        raise VerificationFailed(_EMPTY_INTERSECTION)
-    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
+def _around(point: float, arcs: Sequence[tuple[float, float]], hull: bool) -> tuple[tuple[float, float, float], ...]:
+    """The x, y and angle of the ends of the largest arc around the angle `point` inside each of `arcs`, or with `hull` the smallest holding each.
 
-
-def hull_around(point: BoundaryPoint, arcs: Sequence[BoundaryArc]) -> BoundaryArc:
-    """Smallest arc around `point` holding each of `arcs` (each must contain the point)."""
-    lead, tail = _reach(point, arcs, max)
-    if lead + tail >= TWO_PI:
+    Each arc is given by its start and end angles and holds the point.  The
+    ends, and the errors, are those of `BoundaryArc.from_angles(point -
+    lead, point + tail)`, with lead and tail the least (for a hull, the
+    greatest) clearances behind and ahead of the point to the arcs' ends.
+    """
+    pick = max if hull else min
+    lead = pick([(point - start) % TWO_PI for start, _ in arcs])
+    tail = pick([(end - point) % TWO_PI for _, end in arcs])
+    if hull and lead + tail >= TWO_PI:
         raise VerificationFailed(_WHOLE_CIRCLE_HULL)
-    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
-
-
-def _reach(point: BoundaryPoint, arcs: Sequence[BoundaryArc], pick) -> tuple[float, float]:
-    """`pick` of the clearances behind and ahead of `point` to the ends of `arcs`."""
-    lead = pick(ccw_gap(a.start.angle, point.angle) for a in arcs)
-    tail = pick(ccw_gap(point.angle, a.end.angle) for a in arcs)
-    return lead, tail
+    if not hull and (lead <= 0.0 or tail <= 0.0):
+        raise VerificationFailed(_EMPTY_INTERSECTION)
+    lo, hi = 0.5 * (point - lead), 0.5 * (point + tail)
+    start, end = _canonical_point(math.cos(lo), -math.sin(lo)), _canonical_point(math.cos(hi), -math.sin(hi))
+    if start[2] == end[2]:
+        raise ValueError(_COINCIDENT_ENDS)
+    return start, end
 
 
 def intersections_around(
     points: np.ndarray, owner: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[PointArrays, PointArrays]:
-    """:func:`intersect_around` of each angle points[i] and the arcs k with owner[k] == i, on angle arrays.
+    """:func:`_around` of each angle points[i] and the arcs k with owner[k] == i, on angle arrays.
 
     Returns the start and end points of the arcs; raises the error that the
     scalar calls, in order of i, raise first.
@@ -649,13 +655,13 @@ def intersections_around(
 def hulls_around(
     points: np.ndarray, owner: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[PointArrays, PointArrays]:
-    """:func:`hull_around` of each angle points[i] and the arcs k with owner[k] == i, as :func:`intersections_around`."""
+    """:func:`_around` with `hull` of each angle points[i] and the arcs k with owner[k] == i, as :func:`intersections_around`."""
     lead, tail = _reaches(points, owner, starts, ends, np.maximum, -math.inf)
     return _arcs_around(points, lead, tail, lead + tail >= TWO_PI, _WHOLE_CIRCLE_HULL)
 
 
 def _reaches(points, owner, starts, ends, pick, empty) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_reach` of every point, with the ufunc `pick` and `empty` for a point without arcs."""
+    """The lead and tail of :func:`_around` at every point, with the ufunc `pick` and `empty` for a point without arcs."""
     lead, tail = np.full((2, len(points)), empty)
     at = points[owner]
     pick.at(lead, owner, (at - starts) % TWO_PI)

@@ -30,15 +30,14 @@ from .boundary_arcs import (
     ArcUnion,
     BoundaryArc,
     PointArrays,
-    arc_between,
+    _arc_at,
+    _around,
+    _runs_forward,
     arc_image,
     arcs_between,
-    arcs_of,
     complement,
-    hull_around,
     hulls_around,
     image_clearances,
-    intersect_around,
     intersections_around,
     schottky_margin,
 )
@@ -56,6 +55,7 @@ from .moebius_core import (
     Geodesic,
     MoebiusMap,
     _apply_pairs,
+    _canonical_point,
     apply_boundary,
     axis_chart,
     axis_charts,
@@ -110,17 +110,16 @@ class SharedFixedPointGroup:
 class GlobalIntervalSystem(FrozenValue):
     """Assembled per-generator intervals plus the verified forward union.
 
-    `pairs[i]` holds generator i's a and b arcs.  A system assembled on the
-    kernel's arrays holds its cuts as arrays in `cuts`: the start and end
-    points of the a arcs (row 0) and of the b arcs (row 1), each x, y and
-    angle of shape (2, n).  It builds `pairs` from them on first read, as a
-    union of :meth:`ArcUnion.of_arrays` builds its arcs, so a certificate
-    written from the arrays builds no arc.  `cuts` is None otherwise.
-    Immutable, with equality, hashing and repr over `_fields`, as a frozen
-    dataclass.
+    `pairs[i]` holds generator i's a and b arcs.  An assembled system holds
+    its cuts and builds `pairs` from them on first read, so a certificate
+    written from the cuts builds no pair arc: as arrays in `cuts` (the start
+    and end points of the a arcs, row 0, and of the b arcs, row 1, each x, y
+    and angle of shape (2, n)), else as floats in `_cut_ends` (per generator,
+    x, y and angle of its a arc's ends, then its b arc's).  Immutable, with
+    equality, hashing and repr over `_fields`, as a frozen dataclass.
     """
 
-    __slots__ = ("_pairs", "cuts", "groups", "union", "constant_m", "margin", "notes")
+    __slots__ = ("_pairs", "cuts", "_cut_ends", "groups", "union", "constant_m", "margin", "notes")
     _fields = ("pairs", "groups", "union", "constant_m", "margin", "notes")
     _key = attrgetter(*_fields)
 
@@ -133,16 +132,19 @@ class GlobalIntervalSystem(FrozenValue):
         margin: float,
         notes: tuple[str, ...] = (),
         cuts: tuple[PointArrays, PointArrays] | None = None,
+        _cut_ends: list[tuple[tuple[float, float, float], ...]] | None = None,
     ):
-        for name, value in zip(self.__slots__, (pairs, cuts, groups, union, constant_m, margin, notes)):
+        for name, value in zip(self.__slots__, (pairs, cuts, _cut_ends, groups, union, constant_m, margin, notes)):
             object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
 
     @property
     def pairs(self) -> tuple[SymmetricIntervalPair, ...]:
         if self._pairs is None:
-            start, end = self.cuts
-            a, b = (arcs_of(tuple(v[side] for v in start), tuple(v[side] for v in end)) for side in (0, 1))
-            object.__setattr__(self, "_pairs", tuple(map(SymmetricIntervalPair, a, b, range(len(a)))))
+            ends = self._cut_ends
+            if ends is None:  # the arrays' ends, in the order of `_cut_ends`
+                ends = np.array(self.cuts).transpose(3, 2, 0, 1).reshape(-1, 4, 3).tolist()
+            pairs = (SymmetricIntervalPair(_arc_at(*e[:2]), _arc_at(*e[2:]), i) for i, e in enumerate(ends))
+            object.__setattr__(self, "_pairs", tuple(pairs))
         return self._pairs
 
 
@@ -215,16 +217,26 @@ def _exp(height: float) -> float:
         return math.nan
 
 
-def _axis_position(to_axis: MoebiusMap, partner: Classification) -> float:
+def _axis_position(to_axis: tuple[float, float, float, float], partner: Classification) -> float:
     """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
 
-    `to_axis` inverts the owner's :func:`axis_chart` (axis on 0 -> inf) and
-    sends the partner's fixed points to u and v; the point sits at height
-    sqrt|u v|.  Neither is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1
-    and inf, and C is 0 or inf exactly when the two maps share a fixed point.
+    The map with entries `to_axis` inverts the owner's :func:`axis_chart`
+    (axis on 0 -> inf) and sends the partner's fixed points to u and v,
+    each `apply_boundary(...).value` bit for bit (`of`'s sign flip changes
+    neither |y| nor |x / y|); the point sits at height sqrt|u v|.  Neither
+    is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1 and inf, and C is 0
+    or inf exactly when the two maps share a fixed point.
     """
-    u = apply_boundary(to_axis, partner.alpha).value
-    v = apply_boundary(to_axis, partner.beta).value
+    a, b, c, d = to_axis
+    values = []
+    for p in (partner.alpha, partner.beta):
+        x, y = a * p.x + b * p.y, c * p.x + d * p.y
+        n = math.hypot(x, y)
+        if n == 0.0 or not math.isfinite(n):
+            BoundaryPoint.of(x, y)  # raises "invalid homogeneous pair"
+        x, y = x / n, y / n
+        values.append(math.inf if abs(y) < 1e-300 else x / y)
+    u, v = values
     return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
 
 
@@ -245,8 +257,8 @@ AXIS_FLOOR_CONDITION = 1e-4
 class _AxisTable:
     """What the cut ranking and every cut of one family read; one :func:`assemble_global` call builds one.
 
-    - `charts[i]`: generator i's :func:`axis_chart`, `to_axis[i]` its
-      inverse;
+    - `charts[i]`: the entries a, b, c, d of generator i's
+      :func:`axis_chart` and of its inverse, on first use;
     - `entries` (`_entry_arrays` on the array path, shape (2, entries)):
       (owner, partner) for both orders of each admissible pair above its
       pair gate, in table order, and `notes` for the pairs skipped below it;
@@ -254,16 +266,16 @@ class _AxisTable:
       off `family`, and the axis position t of an ordered pair, each
       computed once;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
-      and the arc cut at one height; :meth:`cuts`, many cuts on arrays.
+      and the ends of the arc cut at one height; :meth:`cuts`, many cuts on
+      arrays.
 
     The table follows the family's path.  A family with the pair table as
-    a list builds the objects and ranks in scalar.  One with the pair table
-    as arrays is admitted from the arrays: gates and cut floors come from
-    numpy, and a pair is decided, and a skip note written, in scalar where
-    the gate screen cannot decide it.  Its charts come from one pass of
+    a list ranks and cuts on floats.  One with the pair table as arrays is
+    admitted from the arrays: gates and cut floors come from numpy, and a
+    pair is decided, and a skip note written, in scalar where the gate
+    screen cannot decide it.  Its charts come from one pass of
     :func:`axis_charts` over the fixed points, as entries a, b, c, d on the
-    first axis, and the chart objects are built only when a scalar replay
-    (:meth:`cut`, :meth:`position`) reads them.  Its cut ranking is screened
+    first axis, equal to `charts` bit for bit.  Its cut ranking is screened
     and reads, for each schedule's candidates, exact positions and cut
     floors from the kernel of `moebius_core`.
     """
@@ -272,8 +284,6 @@ class _AxisTable:
         self.family = family
         self.floors: dict[tuple[int, int], float] = {}
         if not isinstance(family.cross_ratios, np.ndarray):
-            self.charts = tuple(axis_chart(Geodesic(k.beta, k.alpha)) for k in family.cls)
-            self.to_axis = tuple(inverse(chart) for chart in self.charts)
             notes = []
             for (i, j), _, code in family.pair_rows():
                 if code == CROSSING or code == NESTED:
@@ -342,7 +352,7 @@ class _AxisTable:
     def position(self, owner: int, partner: int) -> float:
         t = self._positions.get((owner, partner))
         if t is None:
-            t = _axis_position(self.to_axis[owner], self.family.cls[partner])
+            t = _axis_position(self.charts[owner][1], self.family.cls[partner])
             self._positions[(owner, partner)] = t
         return t
 
@@ -400,13 +410,13 @@ class _AxisTable:
         logs = exact_map(math.log, value)
         return 0.5 * (logs[0] + logs[1])
 
-    def cut(self, owner: int, height: float, around: BoundaryPoint) -> BoundaryArc:
-        """The arc around `around` cut off at log-height `height` on the owner's axis (:func:`_cut`)."""
-        return _cut(self.charts[owner], height, around)
+    def cut(self, owner: int, height: float, around: float) -> tuple[tuple[float, float, float], ...]:
+        """The ends of the arc around the angle `around` cut off at log-height `height` on the owner's axis (:func:`_cut`)."""
+        return _cut(self.charts[owner][0], height, around)
 
     @np.errstate(all="ignore")  # cuts that cannot be placed come out not `ok`
     def cuts(self, owners: np.ndarray, heights: np.ndarray, around: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`cut` of each owners[k] at heights[..., k] around the point at angle around[..., k], on arrays.
+        """:meth:`cut` of each owners[k] at heights[..., k] around the angle around[..., k], on arrays.
 
         Returns the start and end points of the cut arcs, each x, y and angle
         on the first axis, and where :meth:`cut` would not raise; elsewhere
@@ -458,34 +468,42 @@ class _AxisTable:
         owners = np.concatenate([owner, owner + len(self.family.cls)])
         return owners, tau, floor, 0.5 * (logs[0] + logs[1]), trusted
 
-    # The scalar path sets the charts and their inverses as objects; the
-    # array path sets their arrays, and builds the objects from them on the
-    # first scalar replay.
-
     @cached_property
-    def charts(self) -> tuple[MoebiusMap, ...]:
-        return _maps(self._chart_entries)
-
-    @cached_property
-    def to_axis(self) -> tuple[MoebiusMap, ...]:
-        return _maps(self._to_axis_entries)
+    def charts(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+        return tuple(map(_chart_entries, self.family.cls))
 
 
-def _maps(entries: np.ndarray) -> tuple[MoebiusMap, ...]:
-    """The maps whose entries a, b, c, d lie on the first axis."""
-    return tuple(map(MoebiusMap, *entries.tolist()))
+def _chart_entries(k: Classification) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The entries a, b, c, d of the :func:`axis_chart` of the map classified as `k`, and of its inverse."""
+    chart = axis_chart(Geodesic(k.beta, k.alpha))
+    to_axis = inverse(chart)
+    return (chart.a, chart.b, chart.c, chart.d), (to_axis.a, to_axis.b, to_axis.c, to_axis.d)
 
 
-def _cut(chart: MoebiusMap, height: float, around: BoundaryPoint) -> BoundaryArc:
-    """The arc around `around` cut off at log-height `height` on the axis that `chart` sends 0 -> inf to.
+def _cut(chart: tuple[float, float, float, float], height: float, around: float) -> tuple[tuple[float, float, float], ...]:
+    """The x, y and angle of the start and end of the arc around the angle `around` cut off at log-height `height`.
 
-    In the chart the cut is the half-circle from -e to e, e = exp(height).
+    The cut lies on the axis that the map with entries `chart` sends 0 ->
+    inf to; there it is the half-circle from -e to e, e = exp(height).  The
+    ends, and the errors in their order, are those of the arc, of the two
+    between the points `apply_boundary(chart, BoundaryPoint.from_real(v))`
+    for v = -e and e, that holds the angle, built as objects.
     """
     e = math.exp(height)
+    a, b, c, d = chart
     try:
-        return arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
+        if math.isfinite(e):
+            norm = math.hypot(e, 1.0)
+            x, y = e / norm, 1.0 / norm
+            u = -x  # (-e) / norm is -(e / norm) exactly
+        else:  # `from_real` raises on NaN, and -e and e are infinity, (1 : 0)
+            u = x = BoundaryPoint.from_real(e).x
+            y = 0.0
+        p, q = _canonical_point(a * u + b * y, c * u + d * y), _canonical_point(a * x + b * y, c * x + d * y)
+        forward = _runs_forward(p[2], q[2], around)
     except ValueError as exc:
         raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
+    return (p, q) if forward else (q, p)
 
 
 def mapping_margin(owner: MoebiusMap, pair: SymmetricIntervalPair) -> float:
@@ -507,13 +525,14 @@ def _build_pair(
     Reads only the two owners' axis charts and the pair's cut floor, as an
     :class:`_AxisTable` of the family would give them.
     """
-    charts = [axis_chart(Geodesic(family.cls[k].beta, family.cls[k].alpha)) for k in (i, j)]
+    charts = [_chart_entries(family.cls[k]) for k in (i, j)]
     floor = _cut_floor(family, i, j)
     pairs = []
-    for chart, owner, partner in zip(charts, (i, j), (j, i)):
-        k, t = family.cls[owner], _axis_position(inverse(chart), family.cls[partner])
+    for (chart, to_axis), owner, partner in zip(charts, (i, j), (j, i)):
+        k, t = family.cls[owner], _axis_position(to_axis, family.cls[partner])
         s = _cut_position(k.tau, floor, extra)
-        pairs.append(SymmetricIntervalPair(_cut(chart, t + s, k.alpha), _cut(chart, t - s, k.beta), owner))
+        a, b = _cut(chart, t + s, k.alpha.angle), _cut(chart, t - s, k.beta.angle)
+        pairs.append(SymmetricIntervalPair(_arc_at(*a), _arc_at(*b), owner))
     return pairs[0], pairs[1]
 
 
@@ -654,47 +673,46 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
 def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
     """One cut schedule: the union of the innermost cuts, or the first error of its construction.
 
-    A family with the pair table as arrays is assembled by :func:`_assemble_arrays`.
+    A family with the pair table as a list is assembled on floats: only the
+    union's components become arcs, for the verifier.  One with the pair
+    table as arrays is assembled by :func:`_assemble_arrays`.
     """
     if isinstance(family.cross_ratios, np.ndarray):
         return _assemble_arrays(family, table, margin, extra)
-    maps, cls = family.maps, family.cls
-    n = len(maps)
-    pairs = []
+    cls = family.cls
+    alpha = [k.alpha.angle for k in cls]
+    ends = []
     for i, heights in enumerate(table.innermost(extra)):
         if heights is None:
             raise _no_partner(i)
         top, bottom = heights
-        a, b = table.cut(i, top, cls[i].alpha), table.cut(i, bottom, cls[i].beta)
-        pairs.append(SymmetricIntervalPair(a, b, i))
+        ends.append((*table.cut(i, top, alpha[i]), *table.cut(i, bottom, cls[i].beta.angle)))
     groups = build_shared_alpha_intervals(family)
-    alpha_extra: dict[int, list[BoundaryArc]] = {i: [] for i in range(n)}
+    # Each generator's a arc, then the alpha-side arc of each group it belongs to, as start and end angles.
+    sides = [[(start[2], end[2])] for start, end, _, _ in ends]
     for group in groups:
+        arc = _alpha_side(group)
         for i in group.members:
-            alpha_extra[i].append(_alpha_side(group))
-    final_a: list[BoundaryArc] = []
-    for i in range(n):
-        final_a.append(intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
-    components: list[BoundaryArc] = []
-    for members in family.alpha_classes:
-        point = cls[members[0]].alpha
-        components.append(hull_around(point, [final_a[i] for i in members]))
-    union = ArcUnion(components)
-    achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
-    return _system(family, table, tuple(pairs), groups, union, achieved)
+            sides[i].append((arc.start.angle, arc.end.angle))
+    final = [_around(alpha[i], arcs, False) for i, arcs in enumerate(sides)]
+    union = ArcUnion(
+        _arc_at(*_around(alpha[members[0]], [(final[i][0][2], final[i][1][2]) for i in members], True))
+        for members in family.alpha_classes
+    )
+    achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
+    return _system(family, table, groups, union, achieved, ends=ends)
 
 
 def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
-    """The scalar schedule of :func:`_assemble_once` on the arrays of the `moebius_core` kernel.
+    """The float schedule of :func:`_assemble_once` on the arrays of the `moebius_core` kernel.
 
-    The cuts, intersections, hulls, union and margin are the scalar ones bit
-    for bit, and the error raised is the one the scalar schedule raises
+    The cuts, intersections, hulls, union and margin are the float ones bit
+    for bit, and the error raised is the one the float schedule raises
     first: the cuts of the owners before the first owner without a partner,
     each a cut before its b cut (a failing cut is rerun by :meth:`_AxisTable.cut`,
     which raises its error), then that owner, the shared groups, the
     intersections, the hulls, the union's overlap and the margin, in order.
-    No point or arc is built: the returned system holds the cuts as arrays
-    (only the one cut that a failing schedule reruns builds its points).
+    No point or arc is built: the returned system holds the cuts as arrays.
     """
     cls = family.cls
     heights = table.innermost(extra)
@@ -706,7 +724,7 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     if failed.size:
         i = int(failed[0])
         side = 0 if not ok[0, i] else 1
-        table.cut(i, cut_heights[side, i], (cls[i].alpha, cls[i].beta)[side])  # raises the scalar error
+        table.cut(i, cut_heights[side, i], (cls[i].alpha, cls[i].beta)[side].angle)  # raises the scalar error
         raise AssertionError(f"the cut of generator {i} failed on arrays but not in scalar")
     if n < len(cls):
         raise _no_partner(n)
@@ -725,7 +743,7 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     heads = alpha[np.array([c[0] for c in classes])]
     union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
     achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
-    return _system(family, table, None, groups, union, achieved, (start, end))
+    return _system(family, table, groups, union, achieved, cuts=(start, end))
 
 
 def _no_partner(i: int) -> PreconditionViolated:
@@ -746,20 +764,21 @@ def _checked_margin(achieved: float, margin: float) -> float:
 def _system(
     family: Family,
     table: _AxisTable,
-    pairs: tuple[SymmetricIntervalPair, ...] | None,
     groups: tuple[SharedFixedPointGroup, ...],
     union: ArcUnion,
     achieved: float,
     cuts: tuple[PointArrays, PointArrays] | None = None,
+    ends: list[tuple[tuple[float, float, float], ...]] | None = None,
 ) -> GlobalIntervalSystem:
     return GlobalIntervalSystem(
-        pairs=pairs,
+        pairs=None,
         groups=groups,
         union=union,
         constant_m=eq_constant(family.cross_ratios),
         margin=achieved,
         notes=table.notes,
         cuts=cuts,
+        _cut_ends=ends,
     )
 
 

@@ -164,6 +164,27 @@ _point_angle = BoundaryPoint._angle.__set__
 _set_attribute = object.__setattr__
 
 
+def _canonical_point(x: float, y: float) -> tuple[float, float, float]:
+    """The x, y and `angle` of `BoundaryPoint.of(x, y)`, bit for bit, without building the point; raises its ValueError."""
+    n = math.hypot(x, y)
+    if n == 0.0 or not math.isfinite(n):
+        BoundaryPoint.of(x, y)  # raises "invalid homogeneous pair"
+    x, y = x / n, y / n
+    if y < 0.0 or (y == 0.0 and x < 0.0):
+        x, y = -x, -y
+    theta = (-2.0 * math.atan2(y, x)) % TWO_PI
+    return x, y, 0.0 if theta == TWO_PI else theta
+
+
+def _point_at(x: float, y: float, angle: float) -> BoundaryPoint:
+    """The `BoundaryPoint` of a canonical pair whose angle is already computed, built once."""
+    p = _new(BoundaryPoint)
+    _point_x(p, x)
+    _point_y(p, y)
+    _point_angle(p, angle)
+    return p
+
+
 def _filled(cls: type, fields: dict):
     """An instance of the frozen dataclass `cls` whose attributes are `fields`, every field in order.
 
@@ -256,14 +277,7 @@ def boundary_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def points_of(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> list[BoundaryPoint]:
     """The `BoundaryPoint`s of canonical pairs whose angles the kernel computed, built once each."""
-    points = []
-    for px, py, theta in zip(x.tolist(), y.tolist(), angle.tolist()):
-        p = _new(BoundaryPoint)
-        _point_x(p, px)
-        _point_y(p, py)
-        _point_angle(p, theta)
-        points.append(p)
-    return points
+    return list(map(_point_at, x.tolist(), y.tolist(), angle.tolist()))
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,14 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
 # Pairs from which `Family.of` keeps the cross ratios as an array, from one
 # gather over the fixed points, not a list.  The one size switch: the cut
 # ranking and the verifier follow the family's path.  `certify` plus the
-# writer, array path over scalar path, on seeded
-# `bench/families.admissible_family` draws: in one process, paths alternated,
-# median over 8 families of the ratio of the fastest of 30 runs, 2-core VM.
-# n = 8 sits at the crossover (two earlier runs read 1.02 and 1.03), so the
-# switch is at n = 9, from which arrays were faster in all three runs.
-#   n (pairs)   4 (6)  5 (10)  6 (15)  7 (21)  8 (28)  9 (36)  10 (45)  12 (66)  16 (120)  32 (496)
-#   arrays      2.00   1.68    1.38    1.12    0.95    0.82    0.71     0.57     0.39      0.16
-PAIR_ARRAY_MIN_PAIRS = 36
+# writer, arrays over lists, on seeded `bench/families` draws (median over
+# 8 families of the fastest of 30, paths alternated, range over 3 runs,
+# 2-core VM): both classes are faster on lists at n = 9, and at n = 10 the
+# rank-one draws break even (0.99-1.01 over six runs).
+#   n (pairs)          8 (28)     9 (36)     10 (45)    11 (55)    12 (66)
+#   admissible_family  1.48-1.50  1.27-1.30  1.17-1.19  1.03-1.07  0.84-0.96
+#   rank_one_family    1.04-1.05  1.02-1.03  1.01       0.99-1.00  0.97-0.98
+PAIR_ARRAY_MIN_PAIRS = 45
 
 _XY = attrgetter("x", "y")
 
@@ -225,7 +225,7 @@ class Family:
     - `cls[i]`: the classification of generator i (fixed points, translation
       length).
     - `cross_ratios`: the pair table, the cross ratio of each pair i < j in
-      row-major order: a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 9)
+      row-major order: a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 10)
       an array, whose type is the family's path (a list table is assembled,
       ranked and verified in scalar, an array table on arrays, screened).
     - :meth:`pair_rows`, :meth:`cross_ratio`: the table's rows, each pair's

@@ -18,6 +18,8 @@ from semicert import (
 from semicert.boundary_arcs import (
     ArcUnion,
     BoundaryArc,
+    _arc_at,
+    _around,
     arc_image,
     can_partition_rank_one,
     ccw_gap,
@@ -26,14 +28,21 @@ from semicert.boundary_arcs import (
     image_clearances,
     schottky_margin,
 )
+from semicert.criteria_engine import arc_to_dict, union_to_dict
 from semicert.errors import ThresholdNotMet, VerificationFailed
 from semicert.interval_builder import (
     SHARED_ALPHA_GATE,
+    GlobalIntervalSystem,
     SymmetricIntervalPair,
+    _alpha_side,
     _AxisTable,
+    _checked_margin,
     _cut_position,
+    _no_partner,
     build_crossing_pair_intervals,
     build_disjoint_pair_intervals,
+    build_shared_alpha_intervals,
+    eq_constant,
 )
 from semicert.moebius_core import (
     ANGLE_TOL,
@@ -449,8 +458,8 @@ def reference_build_pair(family, i, j, extra=0.0):
     for owner, partner in ((i, j), (j, i)):
         k, t = family.cls[owner], table.position(owner, partner)
         s = _cut_position(k.tau, floor, extra)
-        a, b = table.cut(owner, t + s, k.alpha), table.cut(owner, t - s, k.beta)
-        pairs.append(SymmetricIntervalPair(a, b, owner))
+        a, b = table.cut(owner, t + s, k.alpha.angle), table.cut(owner, t - s, k.beta.angle)
+        pairs.append(SymmetricIntervalPair(_arc_at(*a), _arc_at(*b), owner))
     return pairs[0], pairs[1]
 
 
@@ -701,3 +710,102 @@ def reference_enclosing(angles, union):
     if found is not None and found[0] + found[1] > 0.0:
         return found
     return None
+
+
+def arc_around(point, arcs, hull=False):
+    """`boundary_arcs._around` of a point and arcs given as objects: the intersection around the point, or the hull."""
+    return _arc_at(*_around(point.angle, [(a.start.angle, a.end.angle) for a in arcs], hull))
+
+
+# --- references for the list assembly on floats ---------------------------------
+#
+# The cut, the intersections and hulls around a point, the list branch of
+# `_assemble_once` and the writer of a system's pairs as they were written
+# with `BoundaryPoint`, `BoundaryArc` and `MoebiusMap` objects;
+# `tests/test_float_assembly.py` compares the library's float code with them
+# bit for bit, errors included.
+
+
+def reference_axis_position(to_axis, partner):
+    """Log-height on the owner's axis of the partner's foot or crossing point; `to_axis` is the map that inverts the owner's chart."""
+    u = apply_boundary(to_axis, partner.alpha).value
+    v = apply_boundary(to_axis, partner.beta).value
+    return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
+
+
+def reference_cut(chart, height, around):
+    """The arc around the point `around` cut off at log-height `height` on the axis that the map `chart` sends 0 -> inf to."""
+    e = math.exp(height)
+    try:
+        return reference_arc_between(*(apply_boundary(chart, BoundaryPoint.from_real(v)) for v in (-e, e)), around)
+    except ValueError as exc:
+        raise VerificationFailed(f"cut arcs fell below float angular resolution: {exc}")
+
+
+def reference_arc_between(p, q, containing):
+    """The one of the two arcs with endpoints {p, q} that contains `containing`."""
+    arc = BoundaryArc(p, q)
+    if contains(arc, containing):
+        return arc
+    arc = BoundaryArc(q, p)
+    if not contains(arc, containing):
+        raise ValueError("reference point lies on the arc boundary")
+    return arc
+
+
+def reference_intersect_around(point, arcs):
+    """Largest arc around `point` inside each of `arcs` (each must contain the point)."""
+    lead, tail = reference_reach(point, arcs, min)
+    if lead <= 0.0 or tail <= 0.0:
+        raise VerificationFailed("intersection around fixed point is empty")
+    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
+
+
+def reference_hull_around(point, arcs):
+    """Smallest arc around `point` holding each of `arcs` (each must contain the point)."""
+    lead, tail = reference_reach(point, arcs, max)
+    if lead + tail >= TWO_PI:
+        raise VerificationFailed("hull around fixed point covers the whole circle")
+    return BoundaryArc.from_angles(point.angle - lead, point.angle + tail)
+
+
+def reference_reach(point, arcs, pick):
+    """`pick` of the clearances behind and ahead of `point` to the ends of `arcs`."""
+    lead = pick(ccw_gap(a.start.angle, point.angle) for a in arcs)
+    tail = pick(ccw_gap(point.angle, a.end.angle) for a in arcs)
+    return lead, tail
+
+
+def reference_assemble_once(family, table, margin, extra):
+    """One cut schedule of a family with the pair table as a list, on objects; the system holds its pairs' arcs."""
+    maps, cls = family.maps, family.cls
+    n = len(maps)
+    pairs = []
+    for i, heights in enumerate(table.innermost(extra)):
+        if heights is None:
+            raise _no_partner(i)
+        top, bottom = heights
+        chart = MoebiusMap(*table.charts[i][0])
+        a, b = reference_cut(chart, top, cls[i].alpha), reference_cut(chart, bottom, cls[i].beta)
+        pairs.append(SymmetricIntervalPair(a, b, i))
+    groups = build_shared_alpha_intervals(family)
+    alpha_extra = {i: [] for i in range(n)}
+    for group in groups:
+        for i in group.members:
+            alpha_extra[i].append(_alpha_side(group))
+    final_a = []
+    for i in range(n):
+        final_a.append(reference_intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
+    components = []
+    for members in family.alpha_classes:
+        point = cls[members[0]].alpha
+        components.append(reference_hull_around(point, [final_a[i] for i in members]))
+    union = ArcUnion(components)
+    achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
+    return GlobalIntervalSystem(tuple(pairs), groups, union, eq_constant(family.cross_ratios), achieved, table.notes)
+
+
+def reference_system_to_dict(system):
+    """The `union` and `pairs` entries of a certificate, written off the system's arc objects."""
+    pairs = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in system.pairs]
+    return union_to_dict(system.union), pairs

@@ -14,8 +14,6 @@ from semicert.boundary_arcs import (
     DEFAULT_MARGIN,
     BoundaryArc,
     cluster,
-    hull_around,
-    intersect_around,
     rank_one_arcs,
     repeller_free_arc,
     schottky_margin,
@@ -26,6 +24,7 @@ from semicert.moebius_core import ANGLE_TOL, points_of
 from helpers import (
     ADVERSARIAL_UNIONS,
     arc_angles,
+    arc_around,
     arcs_approx,
     crossing_pair,
     disjoint_pair,
@@ -307,10 +306,10 @@ def contains_any(arc, *points):
 def test_arcs_around_a_point():
     point = BoundaryPoint.from_angle(1.0)
     wide, narrow = BoundaryArc.from_angles(0.5, 2.0), BoundaryArc.from_angles(0.8, 1.5)
-    assert arcs_approx(intersect_around(point, [wide, narrow]), BoundaryArc.from_angles(0.8, 1.5), 1e-12)
-    assert arcs_approx(hull_around(point, [wide, narrow]), BoundaryArc.from_angles(0.5, 2.0), 1e-12)
+    assert arcs_approx(arc_around(point, [wide, narrow]), BoundaryArc.from_angles(0.8, 1.5), 1e-12)
+    assert arcs_approx(arc_around(point, [wide, narrow], hull=True), BoundaryArc.from_angles(0.5, 2.0), 1e-12)
     elsewhere = BoundaryArc.from_angles(3.0, 4.0)
     with pytest.raises(VerificationFailed, match="intersection around fixed point is empty"):
-        intersect_around(BoundaryPoint.from_angle(3.0), [elsewhere, wide])
+        arc_around(BoundaryPoint.from_angle(3.0), [elsewhere, wide])
     with pytest.raises(VerificationFailed, match="covers the whole circle"):
-        hull_around(point, [BoundaryArc.from_angles(0.5, 6.0), BoundaryArc.from_angles(2.0, 1.9)])
+        arc_around(point, [BoundaryArc.from_angles(0.5, 6.0), BoundaryArc.from_angles(2.0, 1.9)], hull=True)

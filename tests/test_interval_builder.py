@@ -527,8 +527,9 @@ class TestInnermostSelection:
                 for owner, partner, z in points:
                     w = apply_interior(to_axis[owner], z)
                     assert abs(w.real) < 1e-9 * abs(w)  # the point is on the owner's axis
+                    m = to_axis[owner]
                     assert math.log(w.imag) == pytest.approx(
-                        _axis_position(to_axis[owner], family.cls[partner]), abs=1e-9
+                        _axis_position((m.a, m.b, m.c, m.d), family.cls[partner]), abs=1e-9
                     )
                 checked[pg.kind] += 1
         assert min(checked.values()) > 0

@@ -18,7 +18,7 @@ import pytest
 from semicert import BoundaryPoint, assemble_global, certify, from_axis_and_length
 from semicert import interval_builder, pair_geometry
 from semicert import boundary_arcs
-from semicert.boundary_arcs import ArcUnion, BoundaryArc, arc_between, arc_image, complement, hull_around, intersect_around
+from semicert.boundary_arcs import ArcUnion, BoundaryArc, arc_image, complement
 from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
 from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
@@ -26,6 +26,7 @@ from semicert.pair_geometry import Family, cross_ratio_of_points
 
 from helpers import (
     LIST_N,
+    arc_around,
     bench_module,
     figure_two,
     in_both_forms,
@@ -214,7 +215,7 @@ def array_path_calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("n", [2, LIST_N, LIST_N + 1, 32])
+@pytest.mark.parametrize("n", sorted({2, 8, LIST_N, LIST_N + 1, 32}))
 def test_a_family_takes_one_path_end_to_end(monkeypatch, n):
     # Family.of chooses the path once: a list table assembles, ranks and
     # verifies in scalar, an array table assembles on arrays, screens the
@@ -233,7 +234,7 @@ def test_a_family_takes_one_path_end_to_end(monkeypatch, n):
         assert 1 <= counts["_screened_margin"] <= schedules
 
 
-@pytest.mark.parametrize("n", [2, LIST_N, LIST_N + 1, 32])
+@pytest.mark.parametrize("n", sorted({2, 8, LIST_N, LIST_N + 1, 32}))
 def test_a_rank_one_union_is_decided_in_scalar(monkeypatch, n):
     F = bench_module("families").rank_one_family(np.random.default_rng([n, 42]), n)
     counts = array_path_calls(monkeypatch)
@@ -382,6 +383,11 @@ def arc_hex(arc):
     return [v.hex() for p in (arc.start, arc.end) for v in (p.x, p.y, p.angle)]
 
 
+def cut_hex(ends):
+    """`arc_hex` of the arc whose ends a float cut gives as x, y and angle."""
+    return [v.hex() for p in ends for v in p]
+
+
 def test_array_circle_steps_equal_the_scalar_ones():
     rng = np.random.default_rng(181)
     for trial in range(300):
@@ -398,9 +404,9 @@ def test_array_circle_steps_equal_the_scalar_ones():
         arcs = [BoundaryArc(*e) for e in ends if e[0].angle != e[1].angle]
         if len(arcs) == n:
             owner, points = np.zeros(n, dtype=int), np.array([point.angle])
-            steps = ((intersect_around, boundary_arcs.intersections_around), (hull_around, boundary_arcs.hulls_around))
-            for scalar, arrays in steps:
-                expected = outcome(lambda: arc_hex(scalar(point, arcs)))
+            steps = ((False, boundary_arcs.intersections_around), (True, boundary_arcs.hulls_around))
+            for hull, arrays in steps:
+                expected = outcome(lambda: arc_hex(arc_around(point, arcs, hull)))
                 found = outcome(lambda: arc_hex(boundary_arcs.arcs_of(*arrays(points, owner, start[2], end[2]))[0]))
                 assert found == expected
         expected = outcome(lambda: [arc_hex(a) for a in ArcUnion([BoundaryArc(*e) for e in ends])])
@@ -408,7 +414,7 @@ def test_array_circle_steps_equal_the_scalar_ones():
         forward, between = boundary_arcs.arcs_between(start[2], end[2], np.full(n, point.angle))
         for k, e in enumerate(ends):
             try:
-                expected = arc_between(*e, point).start is e[0]
+                expected = boundary_arcs._runs_forward(e[0].angle, e[1].angle, point.angle)
             except ValueError:
                 expected = None
             assert (bool(forward[k]) if between[k] else None) == expected
@@ -428,7 +434,7 @@ def test_array_cuts_equal_the_scalar_cuts(monkeypatch):
         arcs = iter(boundary_arcs.arcs_of(*(tuple(v[row][cut] for v in ends) for ends in (start, end))))
         found = [arc_hex(next(arcs)) if k else "failed" for k in cut.tolist()]
         points = [getattr(k, side) for k in family.cls]
-        expected = [outcome(lambda: arc_hex(table.cut(i, h, points[i]))) for i, h in zip(owners.tolist(), heights.tolist())]
+        expected = [outcome(lambda: cut_hex(table.cut(i, h, points[i].angle))) for i, h in zip(owners.tolist(), heights.tolist())]
         assert found == [e if isinstance(e, list) else "failed" for e in expected]
         assert {e.split(":")[0] for e in expected if isinstance(e, str)} == {"VerificationFailed", "OverflowError"}
 
