@@ -9,7 +9,6 @@ or a verified union of boundary intervals mapped strictly inside itself.
 from .boundary_arcs import (
     ArcUnion,
     BoundaryArc,
-    arc_image,
     can_partition_rank_one,
     complement,
     contains,

@@ -29,7 +29,6 @@ from .moebius_core import (
     _canonical_point,
     _point_at,
     angle_pairs,
-    apply_boundary,
     boundary_angles,
     classify,
     points_of,
@@ -84,6 +83,14 @@ class BoundaryArc(FrozenValue):
         return BoundaryPoint.from_angle(self.start.angle + 0.5 * self.span)
 
 
+def _midpoint(start: float, end: float) -> tuple[float, float]:
+    """The x, y of `BoundaryArc(p, q).midpoint` for points p and q at angles `start` and `end`, without building either; the arc's ValueError where they coincide."""
+    if start == end:
+        raise ValueError(_COINCIDENT_ENDS)
+    half = 0.5 * (start + 0.5 * ((end - start) % TWO_PI))
+    return _canonical_point(math.cos(half), -math.sin(half))[:2]  # `from_angle`
+
+
 _arc_start = BoundaryArc.start.__set__
 _arc_end = BoundaryArc.end.__set__
 
@@ -109,20 +116,24 @@ def contains(arc: BoundaryArc, p: BoundaryPoint) -> bool:
     return 0.0 < offset < arc.span
 
 
-def arc_image(f: MoebiusMap, arc: BoundaryArc) -> BoundaryArc:
-    """The ccw arc between the endpoint images, checked on the midpoint's image.
+def _image_ends(f: tuple[float, float, float, float], points) -> tuple[tuple[float, float, float], ...]:
+    """The x, y and angle of the start and end of the image of an arc, without building a point.
 
-    An image thinner than float angular resolution (endpoint images equal,
-    or rounded out of order) or not placeable raises VerificationFailed.
+    `f` holds the map's entries a, b, c, d and `points` the (x, y) of the
+    arc's start, end and midpoint.  The image is the ccw arc between the
+    endpoint images (each `apply_boundary`'s), checked on the midpoint's
+    image (with `angular_distance`'s and :func:`contains`'s arithmetic): an
+    image thinner than float angular resolution (endpoint images equal, or
+    rounded out of order) or not placeable raises VerificationFailed.
     """
+    a, b, c, d = f
     try:
-        start, end, mid = (apply_boundary(f, p) for p in (arc.start, arc.end, arc.midpoint))
+        start, end, mid = [_canonical_point(a * x + b * y, c * x + d * y) for x, y in points]
     except ValueError as exc:
         raise VerificationFailed(f"image point cannot be placed: {exc}") from exc
-    if start.angular_distance(end) > 0.0:
-        image = BoundaryArc(start, end)
-        if contains(image, mid):
-            return image
+    gap = abs(start[2] - end[2]) % TWO_PI
+    if min(gap, TWO_PI - gap) > 0.0 and 0.0 < (mid[2] - start[2]) % TWO_PI < (end[2] - start[2]) % TWO_PI:
+        return start, end
     raise VerificationFailed("image arc is below float angular resolution")
 
 

@@ -31,9 +31,11 @@ from .boundary_arcs import (
     BoundaryArc,
     PointArrays,
     _arc_at,
+    _arc_floats,
     _around,
+    _image_ends,
+    _midpoint,
     _runs_forward,
-    arc_image,
     arcs_between,
     complement,
     hulls_around,
@@ -52,26 +54,29 @@ from .moebius_core import (
     BoundaryPoint,
     Classification,
     FrozenValue,
-    Geodesic,
     MoebiusMap,
     _apply_pairs,
+    _axis_chart_entries,
     _canonical_point,
-    apply_boundary,
-    axis_chart,
+    _signed_entries,
+    _triple_entries,
+    _unit_entries,
     axis_charts,
     boundary_angles,
     boundary_values,
-    compose,
     exact_map,
-    from_boundary_triple,
-    inverse,
 )
-from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, _kinds, _pair_gathers, distance_from_cross_ratio, screened_max
+from .pair_geometry import CROSSING, DEGENERATE_TOL, DISJOINT, MEETS, NESTED, SHARED, Family, _kinds, _pair_gathers, distance_from_cross_ratio, screened_max
 
 # Additive slack on translation lengths required by the pair constructions.
 PAIR_GATE_SLACK = 1.5
 # Shared-fixed-point construction needs every translation length above log 5.
 SHARED_ALPHA_GATE = math.log(5.0)
+# That construction's triple 0, 1, inf, and its half-plane intervals (5/2,
+# -3/2) through infinity (`near`) and (-1/2, 3/2) (`far`), as the (x, y) of
+# their start, end and midpoint.
+_ZERO_ONE_INF = [(p.x, p.y) for p in (BoundaryPoint.from_real(0.0), BoundaryPoint.from_real(1.0), BoundaryPoint.infinity())]
+_NEAR_FAR = [_arc_floats(BoundaryArc.from_reals(*ends))[0] for ends in ((2.5, -1.5), (-0.5, 1.5))]
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,7 @@ class SymmetricIntervalPair:
     owner: int
 
 
-@dataclass(frozen=True)
-class SharedFixedPointGroup:
+class SharedFixedPointGroup(FrozenValue):
     """Two arcs that serve every generator sharing one fixed point.
 
     `near` surrounds the shared point and `far` the members' other fixed
@@ -99,12 +103,41 @@ class SharedFixedPointGroup:
     strictly inside `near`, and for kind "beta" (shared repeller), every
     member mapping the complement of `near` strictly inside `far`.  The
     assembled union is the check.
+
+    A group holds the ends of its arcs as floats in `_ends` (x, y and angle
+    of the start and end of `near`, then of `far`), and a group cut on
+    floats builds `near` and `far` from them on first read.  Immutable, with
+    equality, hashing and repr over `_fields`, as a frozen dataclass.
     """
 
-    kind: str  # "alpha" or "beta"
-    members: tuple[int, ...]
-    near: BoundaryArc
-    far: BoundaryArc
+    __slots__ = ("kind", "members", "_ends", "_near", "_far")
+    _fields = ("kind", "members", "near", "far")
+    _key = attrgetter(*_fields)
+
+    def __init__(
+        self,
+        kind: str,  # "alpha" or "beta"
+        members: tuple[int, ...],
+        near: BoundaryArc | None,
+        far: BoundaryArc | None,
+        _ends: tuple[tuple[tuple[float, float, float], ...], ...] | None = None,
+    ):
+        if _ends is None:
+            _ends = tuple(tuple((p.x, p.y, p.angle) for p in (arc.start, arc.end)) for arc in (near, far))
+        for name, value in zip(self.__slots__, (kind, members, _ends, near, far)):
+            object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
+
+    @property
+    def near(self) -> BoundaryArc:
+        if self._near is None:
+            object.__setattr__(self, "_near", _arc_at(*self._ends[0]))
+        return self._near
+
+    @property
+    def far(self) -> BoundaryArc:
+        if self._far is None:
+            object.__setattr__(self, "_far", _arc_at(*self._ends[1]))
+        return self._far
 
 
 class GlobalIntervalSystem(FrozenValue):
@@ -162,13 +195,17 @@ def crossing_cut_floor(theta: float) -> float:
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
     c = family.cross_ratio(i, j)
-    gate, floor = pair_gate(c), _floor_of(c)
-    rule = "|log|C|| + 3/2" if c < 0.0 else "log C + 3/2"
+    return _gated_floor(family, i, j, c, pair_gate(c))
+
+
+def _gated_floor(family: Family, i: int, j: int, c: float, gate: float) -> float:
+    """:func:`_cut_floor` of the pair (i, j) with cross ratio c and pair gate `gate`."""
     for k in (i, j):
         tau = family.cls[k].tau
         if tau <= gate:
+            rule = "|log|C|| + 3/2" if c < 0.0 else "log C + 3/2"
             raise ThresholdNotMet(f"translation length {tau:.6f} not above {rule} = {gate:.6f}")
-    return floor
+    return _floor_of(c)
 
 
 # Cap on the cut depth, so that cut arcs stay far wider than float angular
@@ -221,23 +258,27 @@ def _axis_position(to_axis: tuple[float, float, float, float], partner: Classifi
     """Log-height on the owner's axis of the partner's perpendicular foot or crossing point.
 
     The map with entries `to_axis` inverts the owner's :func:`axis_chart`
-    (axis on 0 -> inf) and sends the partner's fixed points to u and v,
-    each `apply_boundary(...).value` bit for bit (`of`'s sign flip changes
-    neither |y| nor |x / y|); the point sits at height sqrt|u v|.  Neither
-    is 0 or inf: DEGENERATE_TOL keeps C away from 0, 1 and inf, and C is 0
-    or inf exactly when the two maps share a fixed point.
+    (axis on 0 -> inf) and sends the partner's fixed points to u and v;
+    the point sits at height sqrt|u v|.  Neither is 0 or inf:
+    DEGENERATE_TOL keeps C away from 0, 1 and inf, and C is 0 or inf
+    exactly when the two maps share a fixed point.
     """
-    a, b, c, d = to_axis
-    values = []
-    for p in (partner.alpha, partner.beta):
-        x, y = a * p.x + b * p.y, c * p.x + d * p.y
-        n = math.hypot(x, y)
-        if n == 0.0 or not math.isfinite(n):
-            BoundaryPoint.of(x, y)  # raises "invalid homogeneous pair"
-        x, y = x / n, y / n
-        values.append(math.inf if abs(y) < 1e-300 else x / y)
-    u, v = values
+    u, v = _image_value(to_axis, partner.alpha), _image_value(to_axis, partner.beta)
     return 0.5 * (math.log(abs(u)) + math.log(abs(v)))
+
+
+def _image_value(f: tuple[float, float, float, float], p: BoundaryPoint) -> float:
+    """`apply_boundary(f, p).value` of the map with entries f, bit for bit, without building the point; raises its ValueError.
+
+    `of`'s sign flip changes neither |y| nor x / y, so it is not taken.
+    """
+    a, b, c, d = f
+    x, y = a * p.x + b * p.y, c * p.x + d * p.y
+    n = math.hypot(x, y)
+    if n == 0.0 or not math.isfinite(n):
+        BoundaryPoint.of(x, y)  # raises "invalid homogeneous pair"
+    x, y = x / n, y / n
+    return math.inf if abs(y) < 1e-300 else x / y
 
 
 # Screen of the cut ranking of an array pair table: an owner's entry is
@@ -255,25 +296,32 @@ AXIS_FLOOR_CONDITION = 1e-4
 
 
 class _AxisTable:
-    """What the cut ranking and every cut of one family read; one :func:`assemble_global` call builds one.
+    """What every cut schedule of one family reads; one :func:`assemble_global` call builds one.
 
     - `charts[i]`: the entries a, b, c, d of generator i's
       :func:`axis_chart` and of its inverse, on first use;
     - `entries` (`_entry_arrays` on the array path, shape (2, entries)):
       (owner, partner) for both orders of each admissible pair above its
       pair gate, in table order, and `notes` for the pairs skipped below it;
-    - :meth:`floor`, :meth:`position`: the scalar cut floor of a pair, read
-      off `family`, and the axis position t of an ordered pair, each
-      computed once;
+    - :meth:`position`: the axis position t of an ordered pair;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
       and the ends of the arc cut at one height; :meth:`cuts`, many cuts on
-      arrays.
+      arrays;
+    - :meth:`groups`: the family's shared-fixed-point groups, cut once, by
+      the first schedule that reaches them, or the error that a retried
+      schedule meets again;
+    - :meth:`constant`: the assembly constant, :func:`eq_constant`.
 
     The table follows the family's path.  A family with the pair table as
-    a list ranks and cuts on floats.  One with the pair table as arrays is
-    admitted from the arrays: gates and cut floors come from numpy, and a
-    pair is decided, and a skip note written, in scalar where the gate
-    screen cannot decide it.  Its charts come from one pass of
+    a list ranks and cuts on floats: one pass over the table's rows keeps
+    the cut floors, the skip notes and the two maxima of the assembly
+    constant, and the first ranking keeps, for each entry, its owner, its
+    axis position, the owner's translation length and the cut floor, so a
+    schedule computes only its cut positions.  Its charts come from each
+    classification's fixed points as floats.  One with the pair table as
+    arrays is admitted from the arrays: gates and cut floors come from
+    numpy, and a pair is decided, and a skip note written, in scalar where
+    the gate screen cannot decide it.  Its charts come from one pass of
     :func:`axis_charts` over the fixed points, as entries a, b, c, d on the
     first axis, equal to `charts` bit for bit.  Its cut ranking is screened
     and reads, for each schedule's candidates, exact positions and cut
@@ -282,16 +330,30 @@ class _AxisTable:
 
     def __init__(self, family: Family):
         self.family = family
-        self.floors: dict[tuple[int, int], float] = {}
+        self._groups: tuple[SharedFixedPointGroup, ...] | VerificationFailed | None = None
         if not isinstance(family.cross_ratios, np.ndarray):
             notes = []
-            for (i, j), _, code in family.pair_rows():
+            self.floors: dict[tuple[int, int], float] = {}  # the cut floor of each admitted pair
+            # The maxima of `eq_constant`: the pair gates of the pairs with
+            # |C| above DEGENERATE_TOL (every kind but MEETS and SHARED), and
+            # the axis distances of those with C > 0 away from 1 (DISJOINT,
+            # NESTED), as `_KIND_EDGES` bins them.
+            top_gate, top_distance = -math.inf, 0.0
+            for (i, j), c, code in family.pair_rows():
+                if code == MEETS or code == SHARED:
+                    continue
+                gate = pair_gate(c)
+                top_gate = max(top_gate, gate)
+                if code == DISJOINT or code == NESTED:
+                    top_distance = max(top_distance, distance_from_cross_ratio(c))
                 if code == CROSSING or code == NESTED:
                     try:
-                        self.floors[(i, j)] = _cut_floor(family, i, j)
+                        self.floors[(i, j)] = _gated_floor(family, i, j, c, gate)
                     except ThresholdNotMet as exc:
                         notes.append(f"pair ({i}, {j}) skipped: {exc}")
+            self._maxima = (top_gate, top_distance)
             self.entries = [(o, p) for i, j in self.floors for o, p in ((i, j), (j, i))]
+            self._rows: list[tuple[int, float, float, float]] | None = None
         else:
             # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
             cls = family.cls
@@ -301,13 +363,12 @@ class _AxisTable:
             self._chart_entries, self._to_axis_entries, coincide = axis_charts(beta, alpha)
             if np.count_nonzero(coincide | (self.fixed_angles[0] == self.fixed_angles[1])):
                 for k in family.cls:
-                    axis_chart(Geodesic(k.beta, k.alpha))  # raises the scalar error of the first such generator
+                    _chart_entries(k)  # raises the scalar error of the first such generator
             rows, cols, notes, self._key_floors, self._key_trusted, self._key_c = self._admit(family)
             # Entry 2k is (rows[k], cols[k]) and entry 2k + 1 the reverse.
             self._entry_arrays = np.array([[rows, cols], [cols, rows]]).transpose(0, 2, 1).reshape(2, -1)
             self._screen: tuple[np.ndarray, ...] | None = None
         self.notes = tuple(notes)
-        self._positions: dict[tuple[int, int], float] = {}
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
     def _admit(self, family: Family) -> tuple:
@@ -335,26 +396,15 @@ class _AxisTable:
         for k in (~admit).nonzero()[0].tolist():  # decided in scalar, in table order
             i, j = int(rows[k]), int(cols[k])
             try:
-                floors[k] = self.floors[(i, j)] = _cut_floor(family, i, j)
+                floors[k] = _cut_floor(family, i, j)
                 admit[k] = trusted[k] = True
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
         return rows[admit], cols[admit], notes, floors[admit], trusted[admit], c[admit]
 
-    def floor(self, i: int, j: int) -> float:
-        """The scalar cut floor of pair (i, j); raises ThresholdNotMet below its pair gate."""
-        key = (i, j) if i < j else (j, i)
-        floor = self.floors.get(key)
-        if floor is None:
-            floor = self.floors[key] = _cut_floor(self.family, i, j)
-        return floor
-
     def position(self, owner: int, partner: int) -> float:
-        t = self._positions.get((owner, partner))
-        if t is None:
-            t = _axis_position(self.charts[owner][1], self.family.cls[partner])
-            self._positions[(owner, partner)] = t
-        return t
+        """The axis position t of the partner on the owner's axis."""
+        return _axis_position(self.charts[owner][1], self.family.cls[partner])
 
     def innermost(self, extra: float) -> list[tuple[float, float] | None]:
         """Per owner, the heights (top, bottom) of its innermost a and b cuts at schedule `extra`.
@@ -362,17 +412,23 @@ class _AxisTable:
         Perpendiculars to one line nest, so the innermost a arc is cut at the
         largest t + s and the innermost b arc at the smallest t - s; equal
         heights cut equal arcs, so no tie needs a rule.  A list table ranks
-        every entry in scalar; an array table ranks on arrays
-        (:meth:`_innermost_arrays`).  None marks an owner without one.
+        every entry in scalar, from rows (owner, t, tau, floor) that its
+        first ranking computes in entry order; an array table ranks on
+        arrays (:meth:`_innermost_arrays`).  None marks an owner without one.
         """
         if isinstance(self.family.cross_ratios, np.ndarray):
             heights, held = self._innermost_arrays(extra)
             return [(u, v) if h else None for u, v, h in zip(*heights.tolist(), held.tolist())]
-        cls = self.family.cls
-        heights: list[tuple[float, float] | None] = [None] * len(cls)
-        for owner, partner in self.entries:
-            t = self.position(owner, partner)
-            s = _cut_position(cls[owner].tau, self.floor(owner, partner), extra)
+        if self._rows is None:
+            taus = [k.tau for k in self.family.cls]
+            self._rows = [
+                (o, self.position(o, p), taus[o], floor)
+                for (i, j), floor in self.floors.items()
+                for o, p in ((i, j), (j, i))
+            ]
+        heights: list[tuple[float, float] | None] = [None] * len(self.family.cls)
+        for owner, t, tau, floor in self._rows:
+            s = _cut_position(tau, floor, extra)
             top, bottom = heights[owner] or (-math.inf, math.inf)
             heights[owner] = (max(top, t + s), min(bottom, t - s))
         return heights
@@ -383,7 +439,7 @@ class _AxisTable:
 
         Ranks only the :meth:`_candidates`, which hold every entry that can
         win, with their exact positions and cut floors (the floors of
-        :meth:`floor`, without decoding a pair), so it finds the scalar
+        :func:`_cut_floor`, without decoding a pair), so it finds the scalar
         heights.
         """
         picked = self._candidates(extra)
@@ -472,12 +528,37 @@ class _AxisTable:
     def charts(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
         return tuple(map(_chart_entries, self.family.cls))
 
+    def groups(self) -> tuple[SharedFixedPointGroup, ...]:
+        """:func:`build_shared_alpha_intervals` of the family, called once: every later call returns its groups.
+
+        Its VerificationFailed, the one error after which
+        :func:`assemble_global` tries another schedule, is kept and raised
+        again by every later call, as a new call would raise it.
+        """
+        if self._groups is None:
+            try:
+                self._groups = build_shared_alpha_intervals(self.family)
+            except VerificationFailed as exc:
+                self._groups = exc
+        if isinstance(self._groups, VerificationFailed):
+            raise self._groups
+        return self._groups
+
+    def constant(self) -> float:
+        """:func:`eq_constant` of the family's pair table, bit for bit; a list table's from the maxima its pass kept."""
+        if isinstance(self.family.cross_ratios, np.ndarray):
+            return eq_constant(self.family.cross_ratios)
+        top_gate, top_distance = self._maxima
+        return 0.0 if top_gate == -math.inf else 2.0 * top_gate + top_distance
+
 
 def _chart_entries(k: Classification) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The entries a, b, c, d of the :func:`axis_chart` of the map classified as `k`, and of its inverse."""
-    chart = axis_chart(Geodesic(k.beta, k.alpha))
-    to_axis = inverse(chart)
-    return (chart.a, chart.b, chart.c, chart.d), (to_axis.a, to_axis.b, to_axis.c, to_axis.d)
+    """The entries a, b, c, d of the :func:`axis_chart` of the map classified as `k`, and of its inverse, without building a line or a map.
+
+    Raises the CoincidentEndpoints of `Geodesic(k.beta, k.alpha)` and `axis_chart`.
+    """
+    a, b, c, d = chart = _axis_chart_entries(k.beta, k.alpha)
+    return chart, _signed_entries(d, -b, -c, a)  # `inverse`
 
 
 def _cut(chart: tuple[float, float, float, float], height: float, around: float) -> tuple[tuple[float, float, float], ...]:
@@ -610,7 +691,14 @@ def build_shared_alpha_intervals(F) -> tuple[SharedFixedPointGroup, ...]:
 
 
 def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> SharedFixedPointGroup:
-    """The cut `near` and `far` arcs of one shared fixed point; the assembled union is their check."""
+    """The cut `near` and `far` arcs of one shared fixed point, as floats; the assembled union is their check.
+
+    Each map has the entries that the map objects had (the map between two
+    boundary triples, `MoebiusMap.from_matrix`, `compose` and `inverse`),
+    the values are those of `apply_boundary` and the arcs the images of the
+    two intervals (`_image_ends`), bit for bit, with their errors in their
+    order, after the log 5 gate.
+    """
     attracting = kind == "alpha"
     for i in members:
         tau = family.cls[i].tau
@@ -624,19 +712,23 @@ def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> Shared
     cls = [family.cls[i] for i in members]
     ends = [(k.alpha, k.beta) if attracting else (k.beta, k.alpha) for k in cls]
     shared, first = ends[0]
-    # Send the shared point to infinity, then squeeze the other fixed points
-    # into [0, 1] with a boundary-affine map.
-    to_infinity = from_boundary_triple(
-        (first, BoundaryArc(first, shared).midpoint, shared),
-        (BoundaryPoint.from_real(0.0), BoundaryPoint.from_real(1.0), BoundaryPoint.infinity()),
-    )
-    xs = [apply_boundary(to_infinity, other).value for _, other in ends]
+    # Send the shared point to infinity (the map of first, the midpoint of
+    # `BoundaryArc(first, shared)` and shared onto 0, 1, inf), then squeeze
+    # the other fixed points into [0, 1] with a boundary-affine map; every
+    # map is four floats.
+    mid = _midpoint(first.angle, shared.angle)
+    t = _triple_entries([(first.x, first.y), mid, (shared.x, shared.y)], _ZERO_ONE_INF)
+    xs = [_image_value(t, other) for _, other in ends]
     lo, hi = min(xs), max(xs)
     scale = hi - lo if hi - lo > 1e-12 else 1.0
-    back = inverse(compose(MoebiusMap.from_matrix(1.0, -lo, 0.0, scale), to_infinity))
-    near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
-    far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
-    return SharedFixedPointGroup(kind, members, near, far)
+    m = _unit_entries(1.0, -lo, 0.0, scale)
+    # inverse(compose(m, t))
+    a, b, c, d = _signed_entries(
+        m[0] * t[0] + m[1] * t[2], m[0] * t[1] + m[1] * t[3], m[2] * t[0] + m[3] * t[2], m[2] * t[1] + m[3] * t[3]
+    )
+    back = _signed_entries(d, -b, -c, a)
+    near, far = (_image_ends(back, points) for points in _NEAR_FAR)
+    return SharedFixedPointGroup(kind, members, None, None, _ends=(near, far))
 
 
 # --- global assembly --------------------------------------------------------
@@ -653,8 +745,8 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     intervals.  The pairs are not checked one by one: the union of the
     components, as :class:`ArcUnion`, and its :func:`schottky_margin` are
     the only check, and if they fail the cuts are pushed deeper.  The call
-    builds one axis table (charts, cut floors, axis positions) of the family,
-    and every cut schedule reads it.
+    builds one axis table (charts, cut floors, axis positions, shared
+    groups) of the family, and every cut schedule reads it.
     """
     family = Family.of(F)
     family.require_alpha_apart_from_beta()
@@ -687,20 +779,20 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
             raise _no_partner(i)
         top, bottom = heights
         ends.append((*table.cut(i, top, alpha[i]), *table.cut(i, bottom, cls[i].beta.angle)))
-    groups = build_shared_alpha_intervals(family)
+    groups = table.groups()
     # Each generator's a arc, then the alpha-side arc of each group it belongs to, as start and end angles.
     sides = [[(start[2], end[2])] for start, end, _, _ in ends]
     for group in groups:
-        arc = _alpha_side(group)
+        start, end = _alpha_side(group)
         for i in group.members:
-            sides[i].append((arc.start.angle, arc.end.angle))
+            sides[i].append((start[2], end[2]))
     final = [_around(alpha[i], arcs, False) for i, arcs in enumerate(sides)]
     union = ArcUnion(
         _arc_at(*_around(alpha[members[0]], [(final[i][0][2], final[i][1][2]) for i in members], True))
         for members in family.alpha_classes
     )
     achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
-    return _system(family, table, groups, union, achieved, ends=ends)
+    return _system(table, union, achieved, ends=ends)
 
 
 def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
@@ -728,14 +820,14 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
         raise AssertionError(f"the cut of generator {i} failed on arrays but not in scalar")
     if n < len(cls):
         raise _no_partner(n)
-    groups = build_shared_alpha_intervals(family)
+    groups = table.groups()
     alpha = table.fixed_angles[0]
     owner, starts, ends = owners, start[2][0], end[2][0]
     if groups:  # each member's a arc, then the alpha-side arc of each group for each of its members
         sides = [(i, _alpha_side(group)) for group in groups for i in group.members]
         owner = np.concatenate([owner, [i for i, _ in sides]])
-        starts = np.concatenate([starts, [arc.start.angle for _, arc in sides]])
-        ends = np.concatenate([ends, [arc.end.angle for _, arc in sides]])
+        starts = np.concatenate([starts, [side[0][2] for _, side in sides]])
+        ends = np.concatenate([ends, [side[1][2] for _, side in sides]])
     final_start, final_end = intersections_around(alpha, owner, starts, ends)
     classes = family.alpha_classes
     members = np.fromiter(chain.from_iterable(classes), np.intp)
@@ -743,16 +835,16 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     heads = alpha[np.array([c[0] for c in classes])]
     union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
     achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
-    return _system(family, table, groups, union, achieved, cuts=(start, end))
+    return _system(table, union, achieved, cuts=(start, end))
 
 
 def _no_partner(i: int) -> PreconditionViolated:
     return PreconditionViolated(f"generator {i} has no admissible partner with sufficient translation length")
 
 
-def _alpha_side(group: SharedFixedPointGroup) -> BoundaryArc:
-    """The arc of a shared group around its members' attracting points."""
-    return group.near if group.kind == "alpha" else group.far
+def _alpha_side(group: SharedFixedPointGroup) -> tuple[tuple[float, float, float], ...]:
+    """The x, y and angle of the start and end of the arc of a shared group around its members' attracting points."""
+    return group._ends[0 if group.kind == "alpha" else 1]
 
 
 def _checked_margin(achieved: float, margin: float) -> float:
@@ -762,9 +854,7 @@ def _checked_margin(achieved: float, margin: float) -> float:
 
 
 def _system(
-    family: Family,
     table: _AxisTable,
-    groups: tuple[SharedFixedPointGroup, ...],
     union: ArcUnion,
     achieved: float,
     cuts: tuple[PointArrays, PointArrays] | None = None,
@@ -772,9 +862,9 @@ def _system(
 ) -> GlobalIntervalSystem:
     return GlobalIntervalSystem(
         pairs=None,
-        groups=groups,
+        groups=table.groups(),
         union=union,
-        constant_m=eq_constant(family.cross_ratios),
+        constant_m=table.constant(),
         margin=achieved,
         notes=table.notes,
         cuts=cuts,

@@ -315,11 +315,7 @@ class MoebiusMap(FrozenValue):
 
     @staticmethod
     def from_matrix(a: float, b: float, c: float, d: float) -> "MoebiusMap":
-        det = a * d - b * c
-        if not math.isfinite(det) or det <= 0.0:
-            raise NonPositiveDeterminant(f"determinant {det!r} must be positive")
-        s = 1.0 / math.sqrt(det)
-        return _canonical_sign(a * s, b * s, c * s, d * s)
+        return MoebiusMap(*_unit_entries(a, b, c, d))
 
     @staticmethod
     def identity() -> "MoebiusMap":
@@ -337,6 +333,11 @@ _map_d = MoebiusMap.d.__set__
 
 
 def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
+    return MoebiusMap(*_signed_entries(a, b, c, d))
+
+
+def _signed_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """The entries of the map with matrix (a, b, c, d) in canonical sign: a + d > 0, or a + d == 0 and the first nonzero of a, b, c positive."""
     t = a + d
     flip = t < 0.0
     if t == 0.0:
@@ -345,8 +346,30 @@ def _canonical_sign(a: float, b: float, c: float, d: float) -> MoebiusMap:
                 flip = entry < 0.0
                 break
     if flip:
-        a, b, c, d = -a, -b, -c, -d
-    return MoebiusMap(a, b, c, d)
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def _unit_entries(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """The entries of `MoebiusMap.from_matrix(a, b, c, d)`; raises its NonPositiveDeterminant."""
+    det = a * d - b * c
+    if not math.isfinite(det) or det <= 0.0:
+        raise NonPositiveDeterminant(f"determinant {det!r} must be positive")
+    s = 1.0 / math.sqrt(det)
+    return _signed_entries(a * s, b * s, c * s, d * s)
+
+
+def _axis_chart_entries(start: BoundaryPoint, end: BoundaryPoint) -> tuple[float, float, float, float]:
+    """The entries of the :func:`axis_chart` of the line from `start` to `end`.
+
+    Raises CoincidentEndpoints where `Geodesic` or `axis_chart` raises: the
+    ends have one angle, or their cross product is 0.
+    """
+    cross = end.x * start.y - end.y * start.x
+    if cross == 0.0 or start.angle == end.angle:
+        raise CoincidentEndpoints("geodesic endpoints coincide")
+    s = 1.0 if cross > 0.0 else -1.0
+    return _unit_entries(s * end.x, start.x, s * end.y, start.y)
 
 
 def normalize(raw) -> MoebiusMap:
@@ -567,11 +590,7 @@ def from_axis_and_length(beta: BoundaryPoint, alpha: BoundaryPoint, tau: float) 
 
 def axis_chart(geo: Geodesic) -> MoebiusMap:
     """Map sending the directed line (0 -> inf) onto `geo`."""
-    cross = geo.end.x * geo.start.y - geo.end.y * geo.start.x
-    if cross == 0.0:
-        raise CoincidentEndpoints("geodesic endpoints coincide")
-    s = 1.0 if cross > 0.0 else -1.0
-    return MoebiusMap.from_matrix(s * geo.end.x, geo.start.x, s * geo.end.y, geo.start.y)
+    return MoebiusMap(*_axis_chart_entries(geo.start, geo.end))
 
 
 @np.errstate(all="ignore")  # lines whose ends coincide, where `axis_chart` raises
@@ -613,14 +632,12 @@ def _canonical_signs(entries: np.ndarray) -> None:
     entries *= sign
 
 
-def from_boundary_triple(
-    src: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint],
-    dst: tuple[BoundaryPoint, BoundaryPoint, BoundaryPoint],
-) -> MoebiusMap:
-    """The map sending one ordered boundary triple to another.
+def _triple_entries(src, dst) -> tuple[float, float, float, float]:
+    """The entries of the map sending one ordered boundary triple to another, each point given as its (x, y).
 
     The triples must have the same cyclic orientation, since only
-    orientation-preserving maps are representable here.
+    orientation-preserving maps are representable; ValueError otherwise,
+    and CoincidentEndpoints for a triple with coincident points.
     """
     s = _chart_to_zero_one_inf(*src)
     t = _chart_to_zero_one_inf(*dst)
@@ -632,18 +649,19 @@ def from_boundary_triple(
         ti[2] * s[1] + ti[3] * s[3],
     )
     try:
-        return MoebiusMap.from_matrix(*raw)
+        return _unit_entries(*raw)
     except NonPositiveDeterminant as exc:
         raise ValueError("boundary triples have opposite cyclic orientations") from exc
 
 
-def _chart_to_zero_one_inf(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint):
+def _chart_to_zero_one_inf(p: tuple[float, float], q: tuple[float, float], r: tuple[float, float]):
     # z -> (z ^ p)(q ^ r) / ((z ^ r)(q ^ p)) with ^ the homogeneous wedge.
-    qr = q.x * r.y - q.y * r.x
-    qp = q.x * p.y - q.y * p.x
+    (px, py), (qx, qy), (rx, ry) = p, q, r
+    qr = qx * ry - qy * rx
+    qp = qx * py - qy * px
     if qr == 0.0 or qp == 0.0:
         raise CoincidentEndpoints("triple contains coincident points")
-    return (qr * p.y, -qr * p.x, qp * r.y, -qp * r.x)
+    return (qr * py, -qr * px, qp * ry, -qp * rx)
 
 
 def cayley_to_disc(p):

@@ -5,8 +5,8 @@ endpoint pairs), so infinite fixed points need no branching.  Its value
 decodes the axis configuration: crossing angle for negative values, distance
 apart for positive ones, shared endpoints at 0 and infinity.  A `Family`
 classifies each generator of a set once, computes each pair's cross ratio
-once, decodes a pair only when it is read, at most once, and groups
-coinciding fixed points once.
+once, when the pair table is first read, decodes a pair only when it is
+read, at most once, and groups coinciding fixed points once.
 """
 
 from __future__ import annotations
@@ -155,16 +155,17 @@ def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
     return _filled(PairGeometry, {"cross_ratio": c, "kind": kind, "_theta": theta, "_distance": distance, "nested_attractors": nested})
 
 
-# Pairs from which `Family.of` keeps the cross ratios as an array, from one
+# Pairs from which `Family` keeps the cross ratios as an array, from one
 # gather over the fixed points, not a list.  The one size switch: the cut
 # ranking and the verifier follow the family's path.  `certify` plus the
 # writer, arrays over lists, on seeded `bench/families` draws (median over
 # 8 families of the fastest of 30, paths alternated, range over 3 runs,
-# 2-core VM): both classes are faster on lists at n = 9, and at n = 10 the
-# rank-one draws break even (0.99-1.01 over six runs).
+# 2-core VM): the Schottky draws are faster on lists up to n = 12, and the
+# rank-one draws, which no longer compute the pair table, do not favour
+# lists at n = 10 in every run, so the switch stays at n = 10.
 #   n (pairs)          8 (28)     9 (36)     10 (45)    11 (55)    12 (66)
-#   admissible_family  1.48-1.50  1.27-1.30  1.17-1.19  1.03-1.07  0.84-0.96
-#   rank_one_family    1.04-1.05  1.02-1.03  1.01       0.99-1.00  0.97-0.98
+#   admissible_family  1.57-1.65  1.37-1.45  1.26-1.34  1.10-1.27  1.03-1.05
+#   rank_one_family    0.99-1.00  1.00-1.02  0.99-1.00  0.99-1.01  1.00-1.01
 PAIR_ARRAY_MIN_PAIRS = 45
 
 _XY = attrgetter("x", "y")
@@ -225,17 +226,19 @@ class Family:
     - `cls[i]`: the classification of generator i (fixed points, translation
       length).
     - `cross_ratios`: the pair table, the cross ratio of each pair i < j in
-      row-major order: a list, or from PAIR_ARRAY_MIN_PAIRS pairs on (n >= 10)
-      an array, whose type is the family's path (a list table is assembled,
-      ranked and verified in scalar, an array table on arrays, screened).
+      row-major order, computed on first read (a family certified by one
+      rank-one interval never reads it): a list, or from
+      PAIR_ARRAY_MIN_PAIRS pairs on (n >= 10) an array, whose type is the
+      family's path (a list table is assembled, ranked and verified in
+      scalar, an array table on arrays, screened).
     - :meth:`pair_rows`, :meth:`cross_ratio`: the table's rows, each pair's
       (i, j), C and kind code by `_KIND_EDGES`, the one kind rule, and one
       pair's C, in either order; neither decodes a pair.
     - :meth:`pair`: the geometry of generators i and j, in either order,
       decoded on first use; `pairs` maps every (i, j), i < j, to it.
     - `fixed_points`: x and y of the attracting points, then of the
-      repelling points, shape (2, 2, n); built with the array pair table,
-      or on first use.
+      repelling points, shape (2, 2, n), on first use (the array pair
+      table reads it).
     - `alpha_classes`, `beta_classes`: the generators whose attracting
       (repelling) points fall in each class of the one :func:`cluster` of
       all 2n fixed points within ANGLE_TOL, empty ones dropped; a class with
@@ -247,14 +250,13 @@ class Family:
       the clustering sorted.
 
     Build values with :meth:`of`, the one place that classifies a family;
-    it classifies each generator once, computes each pair's cross ratio
-    once, decodes no pair, and raises NotHyperbolic naming the first
-    `generator k` that is not hyperbolic.
+    it classifies each generator once, computes no cross ratio, decodes no
+    pair, and raises NotHyperbolic naming the first `generator k` that is
+    not hyperbolic.
     """
 
     maps: tuple[MoebiusMap, ...]
     cls: tuple[Classification, ...]
-    cross_ratios: list[float] | np.ndarray
     alpha_classes: tuple[tuple[int, ...], ...]
     beta_classes: tuple[tuple[int, ...], ...]
     alpha_meets_beta: tuple[int, int] | None
@@ -273,24 +275,23 @@ class Family:
         for idx, k in enumerate(cls):
             if not k.is_hyperbolic:
                 raise _not_hyperbolic(k, f"generator {idx}")
-        n = len(cls)
         # Point 2i is alpha_i and 2i + 1 is beta_i.
         points = [p for k in cls for p in (k.alpha, k.beta)]
-        if n * (n - 1) // 2 < PAIR_ARRAY_MIN_PAIRS:
-            cross_ratios = [cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta) for i, ci in enumerate(cls) for cj in cls[i + 1 :]]
-        else:
-            fixed_points = _coordinates(points)
-            cross_ratios = _cross_ratio_table(fixed_points)
         classes, by_angle = _cluster(points, ANGLE_TOL)
         alpha_classes, beta_classes, meets = _split(classes)
-        family = _filled(Family, {
-            "maps": maps, "cls": cls, "cross_ratios": cross_ratios,
+        return _filled(Family, {
+            "maps": maps, "cls": cls,
             "alpha_classes": alpha_classes, "beta_classes": beta_classes, "alpha_meets_beta": meets,
             "rank_one_arcs": rank_one_arcs(points, by_angle), "_decoded": {},
         })
-        if isinstance(cross_ratios, np.ndarray):
-            object.__setattr__(family, "fixed_points", fixed_points)  # cached: the array the pair table read
-        return family
+
+    @cached_property
+    def cross_ratios(self) -> list[float] | np.ndarray:
+        cls = self.cls
+        n = len(cls)
+        if n * (n - 1) // 2 < PAIR_ARRAY_MIN_PAIRS:
+            return [cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta) for i, ci in enumerate(cls) for cj in cls[i + 1 :]]
+        return _cross_ratio_table(self.fixed_points)
 
     def pair_rows(self) -> Iterator[tuple[tuple[int, int], float, int]]:
         """((i, j), C, kind code) of every pair i < j, in row-major order."""

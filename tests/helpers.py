@@ -20,7 +20,6 @@ from semicert.boundary_arcs import (
     BoundaryArc,
     _arc_at,
     _around,
-    arc_image,
     can_partition_rank_one,
     ccw_gap,
     complement,
@@ -29,19 +28,19 @@ from semicert.boundary_arcs import (
     schottky_margin,
 )
 from semicert.criteria_engine import arc_to_dict, union_to_dict
-from semicert.errors import ThresholdNotMet, VerificationFailed
+from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, ThresholdNotMet, VerificationFailed
 from semicert.interval_builder import (
     SHARED_ALPHA_GATE,
     GlobalIntervalSystem,
+    SharedFixedPointGroup,
     SymmetricIntervalPair,
-    _alpha_side,
     _AxisTable,
     _checked_margin,
+    _cut_floor,
     _cut_position,
     _no_partner,
     build_crossing_pair_intervals,
     build_disjoint_pair_intervals,
-    build_shared_alpha_intervals,
     eq_constant,
 )
 from semicert.moebius_core import (
@@ -51,9 +50,9 @@ from semicert.moebius_core import (
     Classification,
     Geodesic,
     apply_boundary,
+    axis_chart,
     classify,
     compose,
-    from_boundary_triple,
     inverse,
     require_hyperbolic,
 )
@@ -95,6 +94,7 @@ def in_both_forms(items):
         for crossover in (math.inf, 0):
             pair_geometry.PAIR_ARRAY_MIN_PAIRS = crossover
             families.append(Family.of(items))
+            families[-1].cross_ratios  # the table, and so the path, is taken on first read
     finally:
         pair_geometry.PAIR_ARRAY_MIN_PAIRS = saved
     assert isinstance(families[0].cross_ratios, list) and isinstance(families[1].cross_ratios, np.ndarray)
@@ -453,7 +453,7 @@ def innermost_by_building_every_pair(F, extra=0.0):
 def reference_build_pair(family, i, j, extra=0.0):
     """The pair builders' cut as it was written: a whole axis table of the family to cut one pair (i, j)."""
     table = _AxisTable(family)
-    floor = table.floor(i, j)
+    floor = _cut_floor(family, i, j)
     pairs = []
     for owner, partner in ((i, j), (j, i)):
         k, t = family.cls[owner], table.position(owner, partner)
@@ -788,11 +788,11 @@ def reference_assemble_once(family, table, margin, extra):
         chart = MoebiusMap(*table.charts[i][0])
         a, b = reference_cut(chart, top, cls[i].alpha), reference_cut(chart, bottom, cls[i].beta)
         pairs.append(SymmetricIntervalPair(a, b, i))
-    groups = build_shared_alpha_intervals(family)
+    groups = reference_shared_groups(family)
     alpha_extra = {i: [] for i in range(n)}
     for group in groups:
         for i in group.members:
-            alpha_extra[i].append(_alpha_side(group))
+            alpha_extra[i].append(group.near if group.kind == "alpha" else group.far)
     final_a = []
     for i in range(n):
         final_a.append(reference_intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
@@ -809,3 +809,92 @@ def reference_system_to_dict(system):
     """The `union` and `pairs` entries of a certificate, written off the system's arc objects."""
     pairs = [{"owner": p.owner, "a": arc_to_dict(p.a), "b": arc_to_dict(p.b)} for p in system.pairs]
     return union_to_dict(system.union), pairs
+
+
+# --- references for the charts and shared groups on floats ----------------------
+#
+# The map of two boundary triples, the axis charts, the shared-fixed-point groups and the image of an arc as they were
+# written with `Geodesic`, `MoebiusMap` and `BoundaryPoint` objects;
+# `tests/test_float_groups.py` compares the library's float code with them
+# bit for bit, errors included.
+
+
+def from_boundary_triple(src, dst):
+    """The map sending one ordered boundary triple of points to another with the same cyclic orientation."""
+    s = chart_to_zero_one_inf(*src)
+    t = chart_to_zero_one_inf(*dst)
+    ti = (t[3], -t[1], -t[2], t[0])
+    raw = (
+        ti[0] * s[0] + ti[1] * s[2],
+        ti[0] * s[1] + ti[1] * s[3],
+        ti[2] * s[0] + ti[3] * s[2],
+        ti[2] * s[1] + ti[3] * s[3],
+    )
+    try:
+        return MoebiusMap.from_matrix(*raw)
+    except NonPositiveDeterminant as exc:
+        raise ValueError("boundary triples have opposite cyclic orientations") from exc
+
+
+def chart_to_zero_one_inf(p, q, r):
+    # z -> (z ^ p)(q ^ r) / ((z ^ r)(q ^ p)) with ^ the homogeneous wedge.
+    qr = q.x * r.y - q.y * r.x
+    qp = q.x * p.y - q.y * p.x
+    if qr == 0.0 or qp == 0.0:
+        raise CoincidentEndpoints("triple contains coincident points")
+    return (qr * p.y, -qr * p.x, qp * r.y, -qp * r.x)
+
+
+def reference_chart_entries(k):
+    """The entries of the `axis_chart` of the map classified as `k`, and of its inverse, through the objects."""
+    chart = axis_chart(Geodesic(k.beta, k.alpha))
+    to_axis = inverse(chart)
+    return (chart.a, chart.b, chart.c, chart.d), (to_axis.a, to_axis.b, to_axis.c, to_axis.d)
+
+
+def arc_image(f, arc):
+    """The ccw arc between the endpoint images of `arc` under f, checked on the midpoint's image, through point objects."""
+    try:
+        start, end, mid = (apply_boundary(f, p) for p in (arc.start, arc.end, arc.midpoint))
+    except ValueError as exc:
+        raise VerificationFailed(f"image point cannot be placed: {exc}") from exc
+    if start.angular_distance(end) > 0.0:
+        image = BoundaryArc(start, end)
+        if contains(image, mid):
+            return image
+    raise VerificationFailed("image arc is below float angular resolution")
+
+
+def reference_shared_group(family, kind, members):
+    """One shared-fixed-point group of `family`, cut through map objects: (kind, members, near, far)."""
+    attracting = kind == "alpha"
+    for i in members:
+        tau = family.cls[i].tau
+        if tau <= SHARED_ALPHA_GATE + 1e-12:
+            raise ThresholdNotMet(
+                f"shared {'attracting' if attracting else 'repelling'} point at {list(members)}: "
+                f"translation length {tau:.6f} not above log 5 = {SHARED_ALPHA_GATE:.6f}"
+            )
+    ends = [(k.alpha, k.beta) if attracting else (k.beta, k.alpha) for k in (family.cls[i] for i in members)]
+    shared, first = ends[0]
+    to_infinity = from_boundary_triple(
+        (first, BoundaryArc(first, shared).midpoint, shared),
+        (BoundaryPoint.from_real(0.0), BoundaryPoint.from_real(1.0), BoundaryPoint.infinity()),
+    )
+    xs = [apply_boundary(to_infinity, other).value for _, other in ends]
+    lo, hi = min(xs), max(xs)
+    scale = hi - lo if hi - lo > 1e-12 else 1.0
+    back = inverse(compose(MoebiusMap.from_matrix(1.0, -lo, 0.0, scale), to_infinity))
+    near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
+    far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
+    return SharedFixedPointGroup(kind, members, near, far)
+
+
+def reference_shared_groups(family):
+    """`build_shared_alpha_intervals` through `reference_shared_group`: attracting classes, then repelling ones."""
+    groups = []
+    for kind, classes in (("alpha", family.alpha_classes), ("beta", family.beta_classes)):
+        for members in classes:
+            if len(members) > 1:
+                groups.append(reference_shared_group(family, kind, members))
+    return tuple(groups)

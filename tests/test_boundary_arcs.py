@@ -9,7 +9,6 @@ from semicert import (
     BoundaryPoint,
     MoebiusMap,
     apply_boundary,
-    arc_image,
     assemble_global,
     can_partition_rank_one,
     classify,
@@ -27,6 +26,7 @@ from semicert.pair_geometry import Family
 from helpers import (
     ADVERSARIAL_UNIONS,
     LIST_N,
+    arc_image,
     bench_module,
     figure_two,
     in_both_forms,

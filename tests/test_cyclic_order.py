@@ -9,7 +9,7 @@ import pytest
 
 import semicert
 from semicert import boundary_arcs
-from semicert import ArcUnion, BoundaryPoint, arc_image, assemble_global, classify, verify_schottky
+from semicert import ArcUnion, BoundaryPoint, assemble_global, classify, verify_schottky
 from semicert.boundary_arcs import (
     DEFAULT_MARGIN,
     BoundaryArc,
@@ -24,6 +24,7 @@ from semicert.moebius_core import ANGLE_TOL, points_of
 from helpers import (
     ADVERSARIAL_UNIONS,
     arc_angles,
+    arc_image,
     arc_around,
     arcs_approx,
     crossing_pair,

@@ -25,7 +25,7 @@ from semicert import (
     normalize,
     verify_schottky,
 )
-from semicert.boundary_arcs import arc_image, can_partition_rank_one
+from semicert.boundary_arcs import can_partition_rank_one
 from semicert.errors import (
     AxesDoNotCross,
     CertifyError,
@@ -41,6 +41,7 @@ from semicert.pair_geometry import Family
 
 from helpers import (
     LIST_N,
+    arc_image,
     arcs_approx,
     bench_module,
     conjugated_figure_two,
@@ -598,7 +599,7 @@ class TestScreens:
         # cross ratios on the owner's axis 0 -> inf, hence equal t + s and
         # t - s: the owner's innermost cuts are the same whichever partner
         # comes first.
-        from semicert.interval_builder import _AxisTable, _cut_position
+        from semicert.interval_builder import _AxisTable, _cut_floor, _cut_position
 
         owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 20.0)
         partner = from_axis_and_length(BoundaryPoint.from_real(-3.0), BoundaryPoint.from_real(0.5), 20.0)
@@ -607,7 +608,7 @@ class TestScreens:
         table = _AxisTable(family)
         heights = []
         for p in (1, 2):
-            t, s = table.position(0, p), _cut_position(family.cls[0].tau, table.floor(0, p), 0.0)
+            t, s = table.position(0, p), _cut_position(family.cls[0].tau, _cut_floor(family, 0, p), 0.0)
             heights.append(((t + s).hex(), (t - s).hex()))
         assert heights[0] == heights[1]
         screened, scalar = self.screened_and_scalar(family.maps, lambda f: _AxisTable(f).innermost(0.0))
@@ -646,7 +647,7 @@ class TestPairBuildReadsOnlyItsPair:
 
     def test_one_cut_floor_and_two_charts_per_build(self, monkeypatch):
         calls = []
-        for name in ("_cut_floor", "axis_chart", "_AxisTable"):
+        for name in ("_cut_floor", "_chart_entries", "_AxisTable"):
             original = getattr(interval_builder, name)
             monkeypatch.setattr(interval_builder, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         rng = np.random.default_rng(170)
@@ -656,7 +657,7 @@ class TestPairBuildReadsOnlyItsPair:
             for i, j, builder in admissible_pairs(family):
                 calls.clear()
                 builder(family, i, j)
-                assert sorted(calls) == ["_cut_floor", "axis_chart", "axis_chart"], (n, i, j)
+                assert sorted(calls) == ["_chart_entries", "_chart_entries", "_cut_floor"], (n, i, j)
                 builds += 1
         assert builds > 10
 

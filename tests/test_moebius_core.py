@@ -24,10 +24,10 @@ from semicert import (
 )
 from semicert import moebius_core
 from semicert.errors import CoincidentEndpoints, NonPositiveDeterminant, NotHyperbolic
-from semicert.moebius_core import TWO_PI, Geodesic, axis_chart, from_boundary_triple, power, require_hyperbolic
+from semicert.moebius_core import TWO_PI, Geodesic, axis_chart, power, require_hyperbolic
 from semicert.pair_geometry import Family
 
-from helpers import bench_module, cayley_from_disc, figure_two, is_infinity, random_hyperbolic, random_moebius, section_one_pair
+from helpers import bench_module, cayley_from_disc, figure_two, from_boundary_triple, is_infinity, random_hyperbolic, random_moebius, section_one_pair
 
 INF = BoundaryPoint.infinity()
 

@@ -18,7 +18,7 @@ import pytest
 from semicert import BoundaryPoint, assemble_global, certify, from_axis_and_length
 from semicert import interval_builder, pair_geometry
 from semicert import boundary_arcs
-from semicert.boundary_arcs import ArcUnion, BoundaryArc, arc_image, complement
+from semicert.boundary_arcs import ArcUnion, BoundaryArc, complement
 from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
 from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
@@ -27,6 +27,7 @@ from semicert.pair_geometry import Family, cross_ratio_of_points
 from helpers import (
     LIST_N,
     arc_around,
+    arc_image,
     bench_module,
     figure_two,
     in_both_forms,
