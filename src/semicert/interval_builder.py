@@ -58,6 +58,7 @@ from .moebius_core import (
     _apply_pairs,
     _axis_chart_entries,
     _canonical_point,
+    _product,
     _signed_entries,
     _triple_entries,
     _unit_entries,
@@ -94,7 +95,8 @@ class SymmetricIntervalPair:
     owner: int
 
 
-class SharedFixedPointGroup(FrozenValue):
+@dataclass(frozen=True)
+class SharedFixedPointGroup:
     """Two arcs that serve every generator sharing one fixed point.
 
     `near` surrounds the shared point and `far` the members' other fixed
@@ -102,54 +104,33 @@ class SharedFixedPointGroup(FrozenValue):
     "alpha" (shared attractor), every member mapping the complement of `far`
     strictly inside `near`, and for kind "beta" (shared repeller), every
     member mapping the complement of `near` strictly inside `far`.  The
-    assembled union is the check.
-
-    A group holds the ends of its arcs as floats in `_ends` (x, y and angle
-    of the start and end of `near`, then of `far`), and a group cut on
-    floats builds `near` and `far` from them on first read.  Immutable, with
-    equality, hashing and repr over `_fields`, as a frozen dataclass.
+    assembled union is the check.  `ends` holds the x, y and angle of the
+    start and end of `near`, then of `far`; each arc is built on first read.
     """
 
-    __slots__ = ("kind", "members", "_ends", "_near", "_far")
-    _fields = ("kind", "members", "near", "far")
-    _key = attrgetter(*_fields)
+    kind: str  # "alpha" or "beta"
+    members: tuple[int, ...]
+    ends: tuple[tuple[tuple[float, float, float], ...], ...]
 
-    def __init__(
-        self,
-        kind: str,  # "alpha" or "beta"
-        members: tuple[int, ...],
-        near: BoundaryArc | None,
-        far: BoundaryArc | None,
-        _ends: tuple[tuple[tuple[float, float, float], ...], ...] | None = None,
-    ):
-        if _ends is None:
-            _ends = tuple(tuple((p.x, p.y, p.angle) for p in (arc.start, arc.end)) for arc in (near, far))
-        for name, value in zip(self.__slots__, (kind, members, _ends, near, far)):
-            object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
-
-    @property
+    @cached_property
     def near(self) -> BoundaryArc:
-        if self._near is None:
-            object.__setattr__(self, "_near", _arc_at(*self._ends[0]))
-        return self._near
+        return _arc_at(*self.ends[0])
 
-    @property
+    @cached_property
     def far(self) -> BoundaryArc:
-        if self._far is None:
-            object.__setattr__(self, "_far", _arc_at(*self._ends[1]))
-        return self._far
+        return _arc_at(*self.ends[1])
 
 
 class GlobalIntervalSystem(FrozenValue):
     """Assembled per-generator intervals plus the verified forward union.
 
-    `pairs[i]` holds generator i's a and b arcs.  An assembled system holds
-    its cuts and builds `pairs` from them on first read, so a certificate
-    written from the cuts builds no pair arc: as arrays in `cuts` (the start
-    and end points of the a arcs, row 0, and of the b arcs, row 1, each x, y
-    and angle of shape (2, n)), else as floats in `_cut_ends` (per generator,
-    x, y and angle of its a arc's ends, then its b arc's).  Immutable, with
-    equality, hashing and repr over `_fields`, as a frozen dataclass.
+    `pairs[i]` holds generator i's a and b arcs.  A system holds its cuts, and
+    a certificate is written from them with no pair arc built: as arrays in
+    `cuts` (the start and end points of the a arcs, row 0, and of the b arcs,
+    row 1, each x, y and angle of shape (2, n)), else as floats in `_cut_ends`
+    (per generator, x, y and angle of its a arc's ends, then its b arc's),
+    read off `pairs` when they are given, and else built into `pairs` on first
+    read.  Immutable, with equality, hashing and repr over `_fields`.
     """
 
     __slots__ = ("_pairs", "cuts", "_cut_ends", "groups", "union", "constant_m", "margin", "notes")
@@ -167,6 +148,8 @@ class GlobalIntervalSystem(FrozenValue):
         cuts: tuple[PointArrays, PointArrays] | None = None,
         _cut_ends: list[tuple[tuple[float, float, float], ...]] | None = None,
     ):
+        if pairs is not None:
+            _cut_ends = [[(p.x, p.y, p.angle) for arc in (q.a, q.b) for p in (arc.start, arc.end)] for q in pairs]
         for name, value in zip(self.__slots__, (pairs, cuts, _cut_ends, groups, union, constant_m, margin, notes)):
             object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
 
@@ -273,10 +256,11 @@ def _image_value(f: tuple[float, float, float, float], p: BoundaryPoint) -> floa
     `of`'s sign flip changes neither |y| nor x / y, so it is not taken.
     """
     a, b, c, d = f
+    # Inline, not `_canonical_point`: folded, a Schottky family read about 1.5% slower.
     x, y = a * p.x + b * p.y, c * p.x + d * p.y
     n = math.hypot(x, y)
     if n == 0.0 or not math.isfinite(n):
-        BoundaryPoint.of(x, y)  # raises "invalid homogeneous pair"
+        _canonical_point(x, y)  # raises "invalid homogeneous pair"
     x, y = x / n, y / n
     return math.inf if abs(y) < 1e-300 else x / y
 
@@ -300,9 +284,9 @@ class _AxisTable:
 
     - `charts[i]`: the entries a, b, c, d of generator i's
       :func:`axis_chart` and of its inverse, on first use;
-    - `entries` (`_entry_arrays` on the array path, shape (2, entries)):
-      (owner, partner) for both orders of each admissible pair above its
-      pair gate, in table order, and `notes` for the pairs skipped below it;
+    - `floors` (`_entry_arrays` on the array path, each pair's (owner,
+      partner) in both orders): the admissible pairs above their pair gate,
+      in table order, and `notes` for the pairs skipped below it;
     - :meth:`position`: the axis position t of an ordered pair;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
       and the ends of the arc cut at one height; :meth:`cuts`, many cuts on
@@ -352,7 +336,6 @@ class _AxisTable:
                     except ThresholdNotMet as exc:
                         notes.append(f"pair ({i}, {j}) skipped: {exc}")
             self._maxima = (top_gate, top_distance)
-            self.entries = [(o, p) for i, j in self.floors for o, p in ((i, j), (j, i))]
             self._rows: list[tuple[int, float, float, float]] | None = None
         else:
             # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
@@ -716,19 +699,14 @@ def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> Shared
     # `BoundaryArc(first, shared)` and shared onto 0, 1, inf), then squeeze
     # the other fixed points into [0, 1] with a boundary-affine map; every
     # map is four floats.
-    mid = _midpoint(first.angle, shared.angle)
+    mid = _midpoint(first.angle, shared.angle)[:2]
     t = _triple_entries([(first.x, first.y), mid, (shared.x, shared.y)], _ZERO_ONE_INF)
     xs = [_image_value(t, other) for _, other in ends]
     lo, hi = min(xs), max(xs)
     scale = hi - lo if hi - lo > 1e-12 else 1.0
-    m = _unit_entries(1.0, -lo, 0.0, scale)
-    # inverse(compose(m, t))
-    a, b, c, d = _signed_entries(
-        m[0] * t[0] + m[1] * t[2], m[0] * t[1] + m[1] * t[3], m[2] * t[0] + m[3] * t[2], m[2] * t[1] + m[3] * t[3]
-    )
-    back = _signed_entries(d, -b, -c, a)
-    near, far = (_image_ends(back, points) for points in _NEAR_FAR)
-    return SharedFixedPointGroup(kind, members, None, None, _ends=(near, far))
+    a, b, c, d = _signed_entries(*_product(_unit_entries(1.0, -lo, 0.0, scale), t))  # compose(squeeze, t)
+    back = _signed_entries(d, -b, -c, a)  # its inverse
+    return SharedFixedPointGroup(kind, members, tuple(_image_ends(back, points) for points in _NEAR_FAR))
 
 
 # --- global assembly --------------------------------------------------------
@@ -844,7 +822,7 @@ def _no_partner(i: int) -> PreconditionViolated:
 
 def _alpha_side(group: SharedFixedPointGroup) -> tuple[tuple[float, float, float], ...]:
     """The x, y and angle of the start and end of the arc of a shared group around its members' attracting points."""
-    return group._ends[0 if group.kind == "alpha" else 1]
+    return group.ends[0 if group.kind == "alpha" else 1]
 
 
 def _checked_margin(achieved: float, margin: float) -> float:

@@ -866,7 +866,7 @@ def arc_image(f, arc):
 
 
 def reference_shared_group(family, kind, members):
-    """One shared-fixed-point group of `family`, cut through map objects: (kind, members, near, far)."""
+    """One shared-fixed-point group of `family`, cut through map objects, and built from its arcs' floats."""
     attracting = kind == "alpha"
     for i in members:
         tau = family.cls[i].tau
@@ -887,7 +887,7 @@ def reference_shared_group(family, kind, members):
     back = inverse(compose(MoebiusMap.from_matrix(1.0, -lo, 0.0, scale), to_infinity))
     near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
     far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
-    return SharedFixedPointGroup(kind, members, near, far)
+    return SharedFixedPointGroup(kind, members, tuple(tuple((p.x, p.y, p.angle) for p in (a.start, a.end)) for a in (near, far)))
 
 
 def reference_shared_groups(family):

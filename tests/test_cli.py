@@ -21,6 +21,8 @@ from semicert.render import render_figure
 
 from helpers import bench_module, figure_two, section_one_pair
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 @pytest.fixture
 def runner():
@@ -778,3 +780,13 @@ class TestAxisFormInput:
         assert result.stderr.startswith("error:")
         assert f"generators[0]{field}" in result.stderr
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["classify", "pairs", "cocycle"])
+@pytest.mark.parametrize("name", ["admissible6", "figure_two_41", "admissible12", "rank_one12"])
+def test_checked_in_cli_outputs_are_written_byte_for_byte(runner, command, name):
+    # Each golden file is the command's sorted-key JSON on `tests/data/<name>.json`, written by the
+    # object forms of `from_angle`, `apply_boundary`, `BoundaryArc.midpoint` and the shared groups.
+    result = runner.invoke(main, [command, "--input", str(DATA / f"{name}.json")])
+    assert result.exit_code == 0, result.output
+    assert result.output == (DATA / "cli" / f"{command}_{name}.json").read_text()

@@ -19,7 +19,7 @@ import pytest
 
 from semicert import BoundaryPoint, Geodesic, MoebiusMap, assemble_global, certify, inverse
 from semicert import boundary_arcs, interval_builder, moebius_core
-from semicert.boundary_arcs import BoundaryArc, _around
+from semicert.boundary_arcs import ArcUnion, BoundaryArc, _around
 from semicert.cli import _load_generators
 from semicert.criteria_engine import _system_to_dict, certificate_to_dict
 from semicert.errors import CertifyError
@@ -310,6 +310,25 @@ def test_checked_in_certificates_are_written_byte_for_byte(name):
     # JSON, written by the object assembly before it moved onto floats.
     maps = _load_generators(str(DATA / f"{name}.json"))
     assert json.dumps(certificate_to_dict(certify(maps)), sort_keys=True) + "\n" == (DATA / "certificates" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["figure_two_41", "admissible12"])
+def test_union_certificates_compare_and_hash_by_value(name):
+    # figure_two_41 assembles on the list path, admissible12 on arrays (`ArcUnion.of_arrays`).
+    maps = _load_generators(str(DATA / f"{name}.json"))
+    first, second = certify(maps), certify(maps)
+    assert first.kind == "semidiscrete_inverse_free" and first.system.union is not second.system.union
+    assert first == second and hash(first) == hash(second)
+
+
+def test_an_array_union_equals_the_object_union_of_the_same_arcs():
+    start, end = certify(_load_generators(str(DATA / "admissible12.json"))).system.union.arrays()
+    arrays = ArcUnion.of_arrays(start, end)
+    ends = zip(start[0].tolist(), start[1].tolist(), end[0].tolist(), end[1].tolist())
+    objects = ArcUnion(BoundaryArc(BoundaryPoint(sx, sy), BoundaryPoint(ex, ey)) for sx, sy, ex, ey in ends)
+    assert objects.arrays() is None and arrays._arcs is None  # no arc built on the array side yet
+    assert arrays == objects and objects == arrays and hash(arrays) == hash(objects)
+    assert ArcUnion(objects.arcs[1:]) != arrays and arrays != objects.arcs
 
 
 def test_checked_in_admissible6_takes_the_list_path_without_shared_points():

@@ -12,6 +12,7 @@ family certified by one rank-one interval never computes its pair table.
 """
 
 import math
+import pickle
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from semicert import interval_builder
 from semicert.boundary_arcs import BoundaryArc, _arc_floats, _image_ends
 from semicert.cli import _load_generators
 from semicert.errors import CertifyError, VerificationFailed
-from semicert.interval_builder import SHARED_ALPHA_GATE, _AxisTable, _chart_entries, _shared_group, eq_constant
+from semicert.interval_builder import SHARED_ALPHA_GATE, SharedFixedPointGroup, _AxisTable, _chart_entries, _shared_group, eq_constant
 from semicert.moebius_core import Classification
 from semicert.pair_geometry import Family
 
@@ -123,6 +124,21 @@ def test_shared_groups_equal_the_object_groups():
                     assert group_outcome(lambda: _shared_group(family, kind, members)) == expected
                     seen.add(expected.split(":")[0] if isinstance(expected, str) else (kind, min(len(members), 3)))
     assert seen == {("alpha", 2), ("beta", 2), ("alpha", 3), "ThresholdNotMet"}
+
+
+def test_a_group_pickles_hashes_and_compares_by_its_ends():
+    system = assemble_global(conjugated_figure_two())
+    group = system.groups[0]
+    fresh = SharedFixedPointGroup(group.kind, group.members, group.ends)
+    near = group.near  # read on one group only: the arcs built take no part in equality or hashing
+    assert fresh == group and hash(fresh) == hash(group)
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy == group and hash(copy) == hash(group) and copy.near == near and copy.far == fresh.far
+    swapped = SharedFixedPointGroup(group.kind, group.members, group.ends[::-1])
+    assert swapped != group and swapped.near == group.far
+    # A system holding groups hashes, and two assemblies of one family are equal.
+    again = assemble_global(conjugated_figure_two())
+    assert len(system.groups) == 4 and again == system and hash(again) == hash(system)
 
 
 def crafted_groups():
@@ -225,7 +241,7 @@ def test_list_ranking_places_each_entry_once(monkeypatch):
     first = table.innermost(0.0)
     for extra in (2.0, 4.0, 7.0, 10.0):
         table.innermost(extra)
-    assert placed == table.entries
+    assert placed == [(o, p) for i, j in table.floors for o, p in ((i, j), (j, i))]
     assert first == _AxisTable(family).innermost(0.0)
 
 

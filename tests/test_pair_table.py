@@ -268,7 +268,8 @@ def test_tau_at_a_pair_gate_is_decided_in_scalar(monkeypatch):
     assert (0, 1) in decided and (0, 2) in decided
     monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", math.inf)
     reference = _AxisTable(Family.of(family.maps))
-    assert (list(zip(*table._entry_arrays.tolist())), table.notes) == (reference.entries, reference.notes)
+    entries = [(o, p) for i, j in reference.floors for o, p in ((i, j), (j, i))]
+    assert (list(zip(*table._entry_arrays.tolist())), table.notes) == (entries, reference.notes)
 
 
 def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
