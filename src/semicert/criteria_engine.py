@@ -35,9 +35,9 @@ from .errors import (
     ThresholdNotMet,
     VerificationFailed,
 )
-from .interval_builder import GlobalIntervalSystem, assemble_global, pair_gate
+from .interval_builder import GlobalIntervalSystem, assemble_global
 from .moebius_core import BoundaryPoint, MoebiusMap, boundary_values, compose, normalize, power
-from .pair_geometry import CROSSING, DEGENERATE_TOL, NESTED, Family, screened_max
+from .pair_geometry import CROSSING, NESTED, _BOUNDS, Family, _bound_ratios, _lower_term, _upper_term, pair_gate, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -100,7 +100,14 @@ def pair_trace_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Lower and upper translation-length bounds for a generator family."""
+    """Lower and upper translation-length bounds for a generator family.
+
+    lower = 0.2 min (C - 1)/(C + 3) over the NESTED pairs (1 without one)
+    and upper = 4 max |log|C(C - 1)|| + 23 over the CROSSING, DISJOINT and
+    NESTED pairs (23 without one), as `pair_geometry._BOUNDS_OF_KIND`
+    decides from the kind codes; MEETS, SHARED and PARABOLIC pairs enter
+    neither.
+    """
 
     lower: float
     upper: float
@@ -114,31 +121,19 @@ class Thresholds:
         bit for bit, and the upper bound is a :func:`screened_max`.
         """
         if isinstance(values, np.ndarray):
-            return Thresholds._of_array(values)
-        cs = [float(c) for c in values]
-        # C enters the lower bound when 1 < C < inf, the upper one when DEGENERATE_TOL < |C| < inf.
-        lower = min([1.0] + [(c - 1.0) / (c + 3.0) for c in cs if 1.0 < c < math.inf])
-        upper = max([0.0] + [_upper_term(c) for c in cs if DEGENERATE_TOL < abs(c) < math.inf])
+            low, up, _ = _bound_ratios(values)
+            lower = float(_lower_term(low).min(initial=1.0))
+            with np.errstate(all="ignore"):  # a product c (c - 1) that overflows is recomputed in scalar
+                upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term) or 0.0
+        else:
+            low, up, _ = _bound_ratios([float(c) for c in values])
+            lower, upper = min([1.0, *map(_lower_term, low)]), max([0.0, *map(_upper_term, up)])
         return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
-
-    @staticmethod
-    @np.errstate(all="ignore")  # a product c (c - 1) of 0 or inf is recomputed in scalar
-    def _of_array(cs: np.ndarray) -> "Thresholds":
-        finite = np.isfinite(cs)
-        low = cs[finite & (cs > 1.0)]
-        lower = min(1.0, ((low - 1.0) / (low + 3.0)).min()) if low.size else 1.0
-        up = cs[finite & (np.abs(cs) > DEGENERATE_TOL)]
-        upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term)
-        return Thresholds(0.2 * float(lower), 4.0 * max(0.0, upper or 0.0) + 23.0)
 
     @staticmethod
     def from_generators(F) -> "Thresholds":
         """Thresholds of a family (anything :meth:`Family.of` accepts)."""
         return Thresholds.from_cross_ratios(Family.of(F).cross_ratios)
-
-
-def _upper_term(c: float) -> float:
-    return abs(math.log(abs(c * (c - 1.0))))
 
 
 # --- certificates -------------------------------------------------------------
@@ -240,7 +235,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
 
 
 def _pair_bound(c: float) -> float:
-    """Lower gate 0.2 (C - 1)/(C + 3) of a pair with cross ratio C > 1."""
+    """Lower gate 0.2 (C - 1)/(C + 3) of a NESTED pair, 0.2 (C - 1) before the division, as the witnesses record it."""
     return 0.2 * (c - 1.0) / (c + 3.0)
 
 
@@ -374,10 +369,9 @@ def _witness_scan(family: Family) -> Certificate | None:
 
 def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
     lower, upper = thresholds.lower, thresholds.upper
-    # Whether C enters each bound, as in `Thresholds.from_cross_ratios`.
     pairs = [
-        {"i": i, "j": j, "cross_ratio": c, "in_lower": 1.0 < c < math.inf, "in_upper": DEGENERATE_TOL < abs(c) < math.inf}
-        for (i, j), c, _ in family.pair_rows()
+        {"i": i, "j": j, "cross_ratio": c, "in_lower": _BOUNDS[code][0], "in_upper": _BOUNDS[code][1]}
+        for (i, j), c, code in family.pair_rows()
     ]
     return {
         "reason": "no sufficient condition fired",

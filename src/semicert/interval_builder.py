@@ -67,10 +67,8 @@ from .moebius_core import (
     boundary_values,
     exact_map,
 )
-from .pair_geometry import CROSSING, DEGENERATE_TOL, DISJOINT, MEETS, NESTED, SHARED, Family, _kinds, _pair_gathers, distance_from_cross_ratio, screened_max
+from .pair_geometry import CROSSING, NESTED, PAIR_GATE_SLACK, Family, _bound_ratios, _kinds, _pair_gathers, distance_from_cross_ratio, pair_gate, screened_max
 
-# Additive slack on translation lengths required by the pair constructions.
-PAIR_GATE_SLACK = 1.5
 # Shared-fixed-point construction needs every translation length above log 5.
 SHARED_ALPHA_GATE = math.log(5.0)
 # That construction's triple 0, 1, inf, and its half-plane intervals (5/2,
@@ -164,11 +162,6 @@ class GlobalIntervalSystem(FrozenValue):
         return self._pairs
 
 
-def pair_gate(c: float) -> float:
-    """|log|C|| + 3/2, the translation-length gate of a pair; log C + 3/2 when C > 1."""
-    return abs(math.log(abs(c))) + PAIR_GATE_SLACK
-
-
 def crossing_cut_floor(theta: float) -> float:
     """Smallest cut position keeping the four crossing-pair arcs separated; inf, atanh's limit, where cos(m/2) rounds to 1."""
     x = math.cos(0.5 * min(theta, math.pi - theta))
@@ -177,12 +170,12 @@ def crossing_cut_floor(theta: float) -> float:
 
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
-    c = family.cross_ratio(i, j)
-    return _gated_floor(family, i, j, c, pair_gate(c))
+    return _gated_floor(family, i, j, family.cross_ratio(i, j))
 
 
-def _gated_floor(family: Family, i: int, j: int, c: float, gate: float) -> float:
-    """:func:`_cut_floor` of the pair (i, j) with cross ratio c and pair gate `gate`."""
+def _gated_floor(family: Family, i: int, j: int, c: float) -> float:
+    """:func:`_cut_floor` of the pair (i, j) with cross ratio c."""
+    gate = pair_gate(c)
     for k in (i, j):
         tau = family.cls[k].tau
         if tau <= gate:
@@ -293,15 +286,14 @@ class _AxisTable:
       arrays;
     - :meth:`groups`: the family's shared-fixed-point groups, cut once, by
       the first schedule that reaches them, or the error that a retried
-      schedule meets again;
-    - :meth:`constant`: the assembly constant, :func:`eq_constant`.
+      schedule meets again.
 
     The table follows the family's path.  A family with the pair table as
     a list ranks and cuts on floats: one pass over the table's rows keeps
-    the cut floors, the skip notes and the two maxima of the assembly
-    constant, and the first ranking keeps, for each entry, its owner, its
-    axis position, the owner's translation length and the cut floor, so a
-    schedule computes only its cut positions.  Its charts come from each
+    the cut floors and the skip notes, and the first ranking keeps, for
+    each entry, its owner, its axis position, the owner's translation
+    length and the cut floor, so a schedule computes only its cut
+    positions.  Its charts come from each
     classification's fixed points as floats.  One with the pair table as
     arrays is admitted from the arrays: gates and cut floors come from
     numpy, and a pair is decided, and a skip note written, in scalar where
@@ -318,24 +310,12 @@ class _AxisTable:
         if not isinstance(family.cross_ratios, np.ndarray):
             notes = []
             self.floors: dict[tuple[int, int], float] = {}  # the cut floor of each admitted pair
-            # The maxima of `eq_constant`: the pair gates of the pairs with
-            # |C| above DEGENERATE_TOL (every kind but MEETS and SHARED), and
-            # the axis distances of those with C > 0 away from 1 (DISJOINT,
-            # NESTED), as `_KIND_EDGES` bins them.
-            top_gate, top_distance = -math.inf, 0.0
             for (i, j), c, code in family.pair_rows():
-                if code == MEETS or code == SHARED:
-                    continue
-                gate = pair_gate(c)
-                top_gate = max(top_gate, gate)
-                if code == DISJOINT or code == NESTED:
-                    top_distance = max(top_distance, distance_from_cross_ratio(c))
                 if code == CROSSING or code == NESTED:
                     try:
-                        self.floors[(i, j)] = _gated_floor(family, i, j, c, gate)
+                        self.floors[(i, j)] = _gated_floor(family, i, j, c)
                     except ThresholdNotMet as exc:
                         notes.append(f"pair ({i}, {j}) skipped: {exc}")
-            self._maxima = (top_gate, top_distance)
             self._rows: list[tuple[int, float, float, float]] | None = None
         else:
             # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
@@ -526,13 +506,6 @@ class _AxisTable:
         if isinstance(self._groups, VerificationFailed):
             raise self._groups
         return self._groups
-
-    def constant(self) -> float:
-        """:func:`eq_constant` of the family's pair table, bit for bit; a list table's from the maxima its pass kept."""
-        if isinstance(self.family.cross_ratios, np.ndarray):
-            return eq_constant(self.family.cross_ratios)
-        top_gate, top_distance = self._maxima
-        return 0.0 if top_gate == -math.inf else 2.0 * top_gate + top_distance
 
 
 def _chart_entries(k: Classification) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -842,7 +815,7 @@ def _system(
         pairs=None,
         groups=table.groups(),
         union=union,
-        constant_m=table.constant(),
+        constant_m=eq_constant(table.family.cross_ratios),
         margin=achieved,
         notes=table.notes,
         cuts=cuts,
@@ -851,32 +824,22 @@ def _system(
 
 
 def eq_constant(cross_ratios: list[float] | np.ndarray) -> float:
-    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance.
+    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance; 0 when no pair enters.
 
-    An array, as the pair table of a large Family holds, is read with numpy,
-    each maximum a :func:`screened_max`, so the constant is the scalar one
-    bit for bit.
+    The pair gates |log|C|| + 3/2 are those of the CROSSING, DISJOINT and
+    NESTED pairs, and the axis distances those of the DISJOINT and NESTED
+    pairs, as `pair_geometry._BOUNDS_OF_KIND` decides from the kind codes;
+    MEETS, SHARED and PARABOLIC pairs enter neither.  An array, as the pair
+    table of a large Family holds, is read with numpy, each maximum a
+    :func:`screened_max`, so the constant is the scalar one bit for bit.
     """
-    if isinstance(cross_ratios, np.ndarray):
-        return _eq_constant_of_array(cross_ratios)
-    logs = [pair_gate(c) for c in cross_ratios if math.isfinite(c) and abs(c) > DEGENERATE_TOL]
-    if not logs:
+    _, gated, far = _bound_ratios(cross_ratios)
+    if not len(gated):
         return 0.0
-    dists = [0.0]
-    for c in cross_ratios:
-        if math.isfinite(c) and c > DEGENERATE_TOL and abs(c - 1.0) > DEGENERATE_TOL:
-            dists.append(distance_from_cross_ratio(c))
-    return 2.0 * max(logs) + max(dists)
-
-
-@np.errstate(all="ignore")
-def _eq_constant_of_array(cs: np.ndarray) -> float:
-    cs = cs[np.isfinite(cs)]
-    gated = cs[np.abs(cs) > DEGENERATE_TOL]
-    top = screened_max(gated, np.abs(np.log(np.abs(gated))) + PAIR_GATE_SLACK, pair_gate)
-    if top is None:
-        return 0.0
-    far = cs[(cs > DEGENERATE_TOL) & (np.abs(cs - 1.0) > DEGENERATE_TOL)]
-    root = np.sqrt(far)
-    dist = screened_max(far, np.log((root + 1.0) / np.abs(root - 1.0)), distance_from_cross_ratio)
-    return 2.0 * top + max(0.0, dist or 0.0)
+    if isinstance(gated, np.ndarray):
+        top = screened_max(gated, np.abs(np.log(np.abs(gated))) + PAIR_GATE_SLACK, pair_gate)
+        root = np.sqrt(far)
+        dist = screened_max(far, np.log((root + 1.0) / np.abs(root - 1.0)), distance_from_cross_ratio) or 0.0
+    else:
+        top, dist = max(map(pair_gate, gated)), max([0.0, *map(distance_from_cross_ratio, far)])
+    return 2.0 * top + dist

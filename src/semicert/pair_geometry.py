@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -46,8 +46,11 @@ from .moebius_core import (
     require_hyperbolic,
 )
 
-# |C| or |C - 1| below this counts as a degenerate configuration; the
-# thresholds and the assembly constant leave such cross ratios out.
+# |C| or |C - 1| below this counts as a degenerate configuration, a SHARED
+# or PARABOLIC pair.  By the bound rule below such pairs, like MEETS ones,
+# enter no bound: NESTED pairs enter the lower bound, CROSSING, DISJOINT and
+# NESTED pairs the upper bound and the largest pair gate, and DISJOINT and
+# NESTED pairs the largest axis distance.
 DEGENERATE_TOL = 1e-9
 
 
@@ -127,6 +130,44 @@ def _kind(c: float) -> int:
 def _kinds(c: np.ndarray) -> np.ndarray:
     """The kind codes of cross ratios."""
     return _KIND_OF_BIN[_KIND_EDGES.searchsorted(c, side="right")]
+
+
+# The bound rule, the one place that decides which pairs enter the bounds
+# built from the pair table: row `code` of `_BOUNDS_OF_KIND` says whether a
+# pair of that kind code enters the lower bound 0.2 min (C - 1)/(C + 3), the
+# upper bound 4 max |log|C(C - 1)|| + 23 and the largest pair gate, and the
+# largest axis distance.  NESTED pairs enter all three, DISJOINT pairs the
+# last two and CROSSING pairs the upper bound; MEETS, SHARED and PARABOLIC
+# pairs enter none, so no term takes the log of 0 or of inf.
+_BOUNDS_OF_KIND = np.array([[False] * 3] * 3 + [[False, True, False], [False, True, True], [True, True, True]])
+_BOUNDS = _BOUNDS_OF_KIND.tolist()
+# Additive slack on translation lengths required by the pair constructions.
+PAIR_GATE_SLACK = 1.5
+
+
+def _bound_ratios(cs: list[float] | np.ndarray) -> tuple:
+    """The cross ratios of `cs`, a list or an array, that enter the lower bound, the upper bound and the largest pair gate, and the largest axis distance: three lists or three arrays, in table order."""
+    if isinstance(cs, np.ndarray):
+        codes = _kinds(cs)
+        return tuple(cs[enters[codes]] for enters in _BOUNDS_OF_KIND.T)
+    rows = [_BOUNDS[_BINS[bisect_right(_EDGES, c)]] for c in cs]  # `_kind` inline
+    low, up, far = zip(*rows) if rows else ((), (), ())
+    return list(compress(cs, low)), list(compress(cs, up)), list(compress(cs, far))
+
+
+def _lower_term(c: float) -> float:
+    """(C - 1)/(C + 3), a NESTED pair's term of the lower bound."""
+    return (c - 1.0) / (c + 3.0)
+
+
+def _upper_term(c: float) -> float:
+    """|log|C(C - 1)||, a pair's term of the upper bound."""
+    return abs(math.log(abs(c * (c - 1.0))))
+
+
+def pair_gate(c: float) -> float:
+    """|log|C|| + 3/2, the translation-length gate of a pair; log C + 3/2 when C > 1."""
+    return abs(math.log(abs(c))) + PAIR_GATE_SLACK
 
 
 def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:

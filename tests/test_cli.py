@@ -301,6 +301,14 @@ class TestCertifyCommand:
         assert result.exit_code in (0, 1, 2)
         assert "Traceback" not in result.output
 
+    def test_cross_ratio_one_is_inconclusive(self, runner):
+        # Its one pair has C == 1.0 (PARABOLIC), which enters no bound.
+        result = runner.invoke(main, ["certify", "--input", str(DATA / "cross_ratio_one.json")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        payload = json.loads(result.stdout)
+        assert payload["kind"] == "inconclusive"
+        assert payload["report"]["pairs"] == [{"i": 0, "j": 1, "cross_ratio": 1.0, "in_lower": False, "in_upper": False}]
+
     def test_certify_has_no_seed_option(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
         result = runner.invoke(main, ["certify", "--input", str(src), "--seed", "3"])

@@ -30,6 +30,7 @@ from semicert import (
     uniform_hyperbolicity,
     verify_schottky,
 )
+from semicert.boundary_arcs import schottky_margin
 from semicert.criteria_engine import (
     certificate_to_dict,
     cos_phi,
@@ -45,6 +46,7 @@ from semicert.errors import (
     ThresholdNotMet,
 )
 from semicert.moebius_core import power
+from semicert.pair_geometry import PARABOLIC, Family, _kind
 
 from helpers import (
     crossing_pair,
@@ -379,6 +381,63 @@ class TestCertify:
             assert isinstance(cert, NotSemidiscrete)
             word = MoebiusMapProduct(cert.witness_word, [f, g])
             assert abs(word.trace) < 2.0 - 1e-9
+
+
+def cross_ratio_one_pair(u=1.0, v=-0.5, d=1e-8, tau=5.0):
+    """Axes from u to u + d and from v to v - d, so close to points that their cross ratio rounds to exactly 1."""
+    r = BoundaryPoint.from_real
+    return [from_axis_and_length(r(u), r(u + d), tau), from_axis_and_length(r(v), r(v - d), tau)]
+
+
+def far_generators():
+    """Eight maps whose axes are half-circles about 0 of radius 20 to 55, far outside the points of `cross_ratio_one_pair`."""
+    r = BoundaryPoint.from_real
+    return [from_axis_and_length(r(x), r(-x), 5.0) for x in (20.0, 30.0, 40.0, 50.0, -25.0, -35.0, -45.0, -55.0)]
+
+
+def checked_outcome(F):
+    """The kind of `certify(F)`, a certificate being checked by `schottky_margin`, or the name of its CertifyError."""
+    try:
+        cert = certify(F)
+    except CertifyError as exc:
+        return type(exc).__name__
+    if isinstance(cert, RankOneSchottky):
+        assert schottky_margin(F, ArcUnion([cert.interval])) >= 0.0
+    elif isinstance(cert, SemidiscreteInverseFree):
+        assert schottky_margin(F, cert.system.union) >= cert.system.margin
+    return cert.kind
+
+
+class TestCrossRatioOne:
+    # A PARABOLIC pair (|C - 1| <= DEGENERATE_TOL) enters no bound, so C == 1.0 never reaches log 0.
+
+    @pytest.mark.parametrize("far", [0, 8], ids=["list", "array"])
+    def test_ends_inconclusive(self, far):
+        F = cross_ratio_one_pair() + far_generators()[:far]
+        family = Family.of(F)
+        assert family.cross_ratio(0, 1) == 1.0 and _kind(1.0) == PARABOLIC
+        assert isinstance(family.cross_ratios, np.ndarray) == bool(far)
+        cert = certify(F)
+        assert isinstance(cert, Inconclusive)
+        assert cert.report["pairs"][0] == {"i": 0, "j": 1, "cross_ratio": 1.0, "in_lower": False, "in_upper": False}
+
+    def test_thresholds_leave_it_out(self):
+        empty = Thresholds(0.2, 23.0)
+        assert Thresholds.from_cross_ratios([1.0]) == Thresholds.from_cross_ratios(np.array([1.0] * 50)) == empty
+        assert Thresholds.from_cross_ratios([9.0, 1.0]) == Thresholds.from_cross_ratios([9.0])
+
+    def test_grid_ends_in_a_checked_outcome(self):
+        outcomes, ones = {}, 0
+        for d in (2e-9, 5e-9, 1e-8, 3e-8, 1e-7):
+            for tau in (1.0, 5.0, 50.0):
+                for u in (0.3, 1.0, 2.0, 7.0):
+                    for v in (-1.0, -3.0, -0.5):
+                        F = cross_ratio_one_pair(u, v, d, tau)
+                        ones += Family.of(F).cross_ratio(0, 1) == 1.0
+                        kind = checked_outcome(F)
+                        outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert ones == 63 and sum(outcomes.values()) == 180
+        assert set(outcomes) <= {"rank_one_schottky", "semidiscrete_inverse_free", "not_semidiscrete", "inconclusive", "PreconditionViolated"}
 
 
 class TestRankOneSearch:

@@ -304,10 +304,14 @@ def test_list_assembly_builds_no_point_or_arc_before_the_union(monkeypatch):
     assert len(cert.system.pairs) == len(family.cls) and events.count("arc") == 2 * len(family.cls)
 
 
-@pytest.mark.parametrize("name", ["admissible6", "figure_two_41", "admissible12", "rank_one12"])
+@pytest.mark.parametrize(
+    "name", ["admissible6", "figure_two_41", "admissible12", "rank_one12", "figure_two_0_1", "figure_two_0_2", "figure_two_1"]
+)
 def test_checked_in_certificates_are_written_byte_for_byte(name):
     # Each golden file is `certify` plus `certificate_to_dict`, as sorted-key
-    # JSON, written by the object assembly before it moved onto floats.
+    # JSON: the union and rank-one ones written by the object assembly before
+    # it moved onto floats, the witness and report ones (figure_two at tau =
+    # 0.1, 0.2 and 1, in disc axis form) before the bounds read the kind codes.
     maps = _load_generators(str(DATA / f"{name}.json"))
     assert json.dumps(certificate_to_dict(certify(maps)), sort_keys=True) + "\n" == (DATA / "certificates" / f"{name}.json").read_text()
 

@@ -26,7 +26,7 @@ from semicert.cli import _load_generators
 from semicert.errors import CertifyError, VerificationFailed
 from semicert.interval_builder import SHARED_ALPHA_GATE, SharedFixedPointGroup, _AxisTable, _chart_entries, _shared_group, eq_constant
 from semicert.moebius_core import Classification
-from semicert.pair_geometry import Family
+from semicert.pair_geometry import Family, distance_from_cross_ratio, pair_gate
 
 from helpers import (
     LIST_N,
@@ -245,7 +245,10 @@ def test_list_ranking_places_each_entry_once(monkeypatch):
     assert first == _AxisTable(family).innermost(0.0)
 
 
-def test_the_assembly_constant_is_read_off_the_pair_pass():
+def test_the_assembly_constant_reads_the_crossing_and_disjoint_pairs():
+    # The gates of the crossing and disjoint pairs and the axis distances of
+    # the disjoint ones, picked by their decoded kinds, give the constant of
+    # both table forms bit for bit.
     rng = np.random.default_rng(385)
     maps = [random_admissible_family(rng, n, min_gap=0.01) for n in range(2, LIST_N + 1) for _ in range(3)]
     maps += [[from_axis_and_length(BoundaryPoint.from_real(-1.0), BoundaryPoint.from_real(1.0), 3.0)]]
@@ -255,8 +258,12 @@ def test_the_assembly_constant_is_read_off_the_pair_pass():
     for F in maps:
         family = Family.of(F)
         assert isinstance(family.cross_ratios, list)
-        found, expected = _AxisTable(family).constant(), eq_constant(family.cross_ratios)
-        assert found.hex() == expected.hex()
+        pairs = [(pg.cross_ratio, pg.kind) for pg in family.pairs.values()]
+        gates = [pair_gate(c) for c, kind in pairs if kind in ("crossing", "disjoint")]
+        distances = [distance_from_cross_ratio(c) for c, kind in pairs if kind == "disjoint"]
+        expected = 2.0 * max(gates) + max([0.0, *distances]) if gates else 0.0
+        for table in (family.cross_ratios, np.array(family.cross_ratios)):
+            assert eq_constant(table).hex() == expected.hex()
         values.add(expected == 0.0)
     assert values == {True, False}
 

@@ -289,6 +289,34 @@ def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
     assert {c for n, c in seen if n == "distance_from_cross_ratio"} >= {4.0, 0.25}
 
 
+def kind_edge_values():
+    """Each `_KIND_EDGES` edge and its float neighbours, the DEGENERATE_TOL points, and finite ratios whose C (C - 1) overflows."""
+    tol = pair_geometry.DEGENERATE_TOL
+    edges = pair_geometry._KIND_EDGES.tolist()
+    values = {v for e in edges for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))}
+    return sorted(values | {-tol, tol, 1.0 - tol, 1.0, 1.0 + tol, 1e155, -1e155})
+
+
+def bound_bits(cs):
+    th = Thresholds.from_cross_ratios(cs)
+    return th.lower.hex(), th.upper.hex(), eq_constant(cs).hex()
+
+
+def test_both_forms_agree_at_the_kind_edges():
+    values = kind_edge_values()
+    parabolic = [c for c in values if pair_geometry._kind(c) == pair_geometry.PARABOLIC]
+    assert 1.0 in parabolic and len(parabolic) == 4
+    rng = np.random.default_rng(167)
+    tables = [[c] for c in values] + [values] + [rng.choice(values, 6).tolist() for _ in range(40)]
+    tables += [[3.0, -2.0, 0.5, c] for c in values]
+    for table in tables:
+        found = bound_bits(table)
+        assert bound_bits(np.array(table)) == found
+        # A PARABOLIC pair enters no bound.
+        for c in parabolic:
+            assert bound_bits(table + [c]) == bound_bits(np.array(table + [c])) == found
+
+
 def test_cut_at_half_tau_is_rescored_in_scalar():
     # Right-angle crossings have cut floor atanh(cos(pi/4)); at tau = twice
     # that, _cut_position jumps between its two branches, so the screen
