@@ -128,6 +128,9 @@ def _emit(payload: dict, fmt: str, output: str | None, text_lines: list[str] | N
 _input_opt = click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 _output_opt = click.option("--output", "output_path", default=None, type=click.Path())
 _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+# FloatRange lets NaN through; the callback refuses it, and inf, as one `error:` line.
+_margin_opt = click.option("--margin", type=click.FloatRange(min=0.0), default=DEFAULT_MARGIN, show_default=True,
+                           callback=lambda ctx, param, v: finite_number(v, "--margin", "a finite number >= 0"))
 
 
 @main.command("classify")
@@ -194,9 +197,7 @@ def cmd_pairs(input_path, output_path, fmt):
 @_input_opt
 @_output_opt
 @_format_opt
-@click.option(
-    "--margin", type=click.FloatRange(min=0.0), default=DEFAULT_MARGIN, show_default=True
-)
+@_margin_opt
 @click.option(
     "--max-words",
     type=click.IntRange(min=0),
@@ -248,9 +249,7 @@ def _oracle_payload(maps, max_len: int, budget: int = DEFAULT_BUDGET) -> tuple[E
 @_input_opt
 @_output_opt
 @_format_opt
-@click.option(
-    "--margin", type=click.FloatRange(min=0.0), default=DEFAULT_MARGIN, show_default=True
-)
+@_margin_opt
 def cmd_cocycle(input_path, output_path, fmt, margin):
     """Multicone certificate for a matrix tuple (uniform hyperbolicity test)."""
     maps = _load_generators(input_path, matrices_only=True)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .interval_builder import GlobalIntervalSystem, assemble_global
 from .moebius_core import BoundaryPoint, MoebiusMap, boundary_values, compose, normalize, power
-from .pair_geometry import CROSSING, NESTED, _BOUNDS, Family, _bound_ratios, _lower_term, _upper_term, pair_gate, screened_max
+from .pair_geometry import CROSSING, NESTED, _BOUNDS, Family, _bound_ratios, _kinds, _lower_term, _upper_term, pair_gate, screened_max
 
 # Discreteness bound for crossing pairs: cos(3*pi/7), about 0.2225.
 JORGENSEN_BOUND = math.cos(3.0 * math.pi / 7.0)
@@ -102,11 +102,9 @@ def pair_trace_identity_check(f: MoebiusMap, g: MoebiusMap) -> tuple[float, floa
 class Thresholds:
     """Lower and upper translation-length bounds for a generator family.
 
-    lower = 0.2 min (C - 1)/(C + 3) over the NESTED pairs (1 without one)
-    and upper = 4 max |log|C(C - 1)|| + 23 over the CROSSING, DISJOINT and
-    NESTED pairs (23 without one), as `pair_geometry._BOUNDS_OF_KIND`
-    decides from the kind codes; MEETS, SHARED and PARABOLIC pairs enter
-    neither.
+    lower = 0.2 min (C - 1)/(C + 3), with 1 for the min without a term, and
+    upper = 4 max |log|C(C - 1)|| + 23, with 0 for the max, over the pairs
+    that `pair_geometry._BOUNDS_OF_KIND` enters in each.
     """
 
     lower: float
@@ -114,26 +112,27 @@ class Thresholds:
 
     @staticmethod
     def from_cross_ratios(values: Sequence[float] | np.ndarray) -> "Thresholds":
-        """Thresholds of the given cross ratios.
-
-        An array, as the pair table of a large Family holds, is read with
-        numpy: the lower bound uses only -, + and /, so it is the scalar one
-        bit for bit, and the upper bound is a :func:`screened_max`.
-        """
-        if isinstance(values, np.ndarray):
-            low, up, _ = _bound_ratios(values)
-            lower = float(_lower_term(low).min(initial=1.0))
-            with np.errstate(all="ignore"):  # a product c (c - 1) that overflows is recomputed in scalar
-                upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term) or 0.0
-        else:
-            low, up, _ = _bound_ratios([float(c) for c in values])
-            lower, upper = min([1.0, *map(_lower_term, low)]), max([0.0, *map(_upper_term, up)])
-        return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
+        """Thresholds of the given cross ratios, a list or an array (as the pair table of a large Family holds)."""
+        cs = values if isinstance(values, np.ndarray) else [float(c) for c in values]
+        return _thresholds(cs, _kinds(cs))
 
     @staticmethod
     def from_generators(F) -> "Thresholds":
-        """Thresholds of a family (anything :meth:`Family.of` accepts)."""
-        return Thresholds.from_cross_ratios(Family.of(F).cross_ratios)
+        """Thresholds of a family (anything :meth:`Family.of` accepts), from its kind codes."""
+        family = Family.of(F)
+        return _thresholds(family.cross_ratios, family.kinds)
+
+
+def _thresholds(cs: list[float] | np.ndarray, codes: list[int] | np.ndarray) -> Thresholds:
+    """The thresholds of a table and its kind codes; on an array the lower bound is the scalar one bit for bit (only -, + and /), the upper a :func:`screened_max`."""
+    low, up = _bound_ratios(cs, codes, (0, 1))
+    if isinstance(cs, np.ndarray):
+        lower = float(_lower_term(low).min(initial=1.0))
+        with np.errstate(all="ignore"):  # a product c (c - 1) that overflows is recomputed in scalar
+            upper = screened_max(up, np.abs(np.log(np.abs(up * (up - 1.0)))), _upper_term) or 0.0
+    else:
+        lower, upper = min([1.0, *map(_lower_term, low)]), max([0.0, *map(_upper_term, up)])
+    return Thresholds(0.2 * lower, 4.0 * upper + 23.0)
 
 
 # --- certificates -------------------------------------------------------------
@@ -215,8 +214,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
     """Decision for a pair with cross ratio above 1: witness, intervals, or neither."""
     family = Family.of([f, g])
     c = family.disjoint_pair(0, 1).cross_ratio
-    witness = _disjoint_witness(family, 0, 1, c)
-    if witness is not None:
+    if (witness := _disjoint_witness(family, 0, 1, c)) is not None:
         return witness
     tau_f, tau_g = (k.tau for k in family.cls)
     t_high = pair_gate(c)
@@ -319,44 +317,60 @@ def _crossing_witness(family: Family, i: int, j: int, k: int, arc: BoundaryArc) 
 # --- the main decision procedure ---------------------------------------------
 
 
-def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certificate:
-    """Decide semidiscreteness of the generated semigroup where the criteria apply.
+@dataclass
+class _Decision:
+    """One `certify` call as its rules read it: the family, the margin, the thresholds once set, and the notes left."""
 
-    Order of business: verified single-interval (rank-one) certificates
-    first, then the preconditions, then the interval system when every
-    translation length clears the upper threshold, then the nondiscreteness
-    witness scan, and otherwise a full inconclusive report.
-    """
-    family = Family.of(F)
-    rank_one = find_rank_one_interval(family)
-    if rank_one is not None:
-        arc, achieved = rank_one
-        return RankOneSchottky(interval=arc, margin=achieved)
-    # After the rank-one search: a rank-one interval may end where an
-    # attracting point meets a repelling one.
-    family.require_alpha_apart_from_beta()
-    thresholds = Thresholds.from_generators(family)
-    notes: list[str] = []
-    if all(k.tau > thresholds.upper for k in family.cls):
+    family: Family
+    margin: float
+    thresholds: Thresholds | None = None
+    notes: list[str] = field(default_factory=list)
+
+
+def _rank_one(d: _Decision) -> Certificate | None:
+    found = find_rank_one_interval(d.family)
+    return found and RankOneSchottky(interval=found[0], margin=found[1])
+
+
+def _precondition(d: _Decision) -> None:
+    # After the rank-one rule: a rank-one interval may end where an attracting point meets a repelling one.
+    d.family.require_alpha_apart_from_beta()
+    d.thresholds = Thresholds.from_generators(d.family)
+
+
+def _assembly(d: _Decision) -> Certificate | None:
+    if all(k.tau > d.thresholds.upper for k in d.family.cls):
         try:
-            system = assemble_global(family, margin=margin)
-            return SemidiscreteInverseFree(system=system, thresholds=thresholds)
+            return SemidiscreteInverseFree(system=assemble_global(d.family, margin=d.margin), thresholds=d.thresholds)
         except (PreconditionViolated, VerificationFailed) as exc:
-            notes.append(f"interval assembly failed: {exc}")
-    witness = _witness_scan(family)
-    if witness is not None:
-        return witness
-    return Inconclusive(report=_report(family, thresholds, notes))
+            d.notes.append(f"interval assembly failed: {exc}")
+    return None
+
+
+def _witnesses(d: _Decision) -> Certificate | None:
+    return _witness_scan(d.family)
+
+
+# The rules of `certify`, in order.  Each calls what it runs by its module
+# name, so a wrapper bound there (`bench/tracing.py`) sees the call.
+_RULES = (_rank_one, _precondition, _assembly, _witnesses)
+
+
+def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certificate:
+    """Decide semidiscreteness where the criteria apply: the first certificate of `_RULES`, else an inconclusive report."""
+    d = _Decision(Family.of(F), margin)
+    for rule in _RULES:
+        if (cert := rule(d)) is not None:
+            return cert
+    return Inconclusive(report=_report(d.family, d.thresholds, d.notes))
 
 
 def _witness_scan(family: Family) -> Certificate | None:
     """The first disjoint-pair witness, else the first crossing-pair one, in row-major order; None without one."""
     cls, rows = family.cls, list(family.pair_rows())
     for (i, j), c, code in rows:
-        if code == NESTED:
-            witness = _disjoint_witness(family, i, j, c)
-            if witness is not None:
-                return witness
+        if code == NESTED and (witness := _disjoint_witness(family, i, j, c)) is not None:
+            return witness
     for (i, j), _, code in rows:
         if code != CROSSING or cls[i].tau >= CROSSING_TAU_LIMIT or cls[j].tau >= CROSSING_TAU_LIMIT:
             continue
@@ -369,10 +383,6 @@ def _witness_scan(family: Family) -> Certificate | None:
 
 def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
     lower, upper = thresholds.lower, thresholds.upper
-    pairs = [
-        {"i": i, "j": j, "cross_ratio": c, "in_lower": _BOUNDS[code][0], "in_upper": _BOUNDS[code][1]}
-        for (i, j), c, code in family.pair_rows()
-    ]
     return {
         "reason": "no sufficient condition fired",
         "lower": lower,
@@ -381,7 +391,10 @@ def _report(family: Family, thresholds: Thresholds, notes: list[str]) -> dict:
             {"index": idx, "tau": k.tau, "below_lower": k.tau < lower, "above_upper": k.tau > upper}
             for idx, k in enumerate(family.cls)
         ],
-        "pairs": pairs,
+        "pairs": [
+            {"i": i, "j": j, "cross_ratio": c, "in_lower": _BOUNDS[code][0], "in_upper": _BOUNDS[code][1]}
+            for (i, j), c, code in family.pair_rows()
+        ],
         "notes": notes,
     }
 

@@ -67,7 +67,7 @@ from .moebius_core import (
     boundary_values,
     exact_map,
 )
-from .pair_geometry import CROSSING, NESTED, PAIR_GATE_SLACK, Family, _bound_ratios, _kinds, _pair_gathers, distance_from_cross_ratio, pair_gate, screened_max
+from .pair_geometry import CROSSING, NESTED, PAIR_GATE_SLACK, Family, _bound_ratios, _pair_gathers, distance_from_cross_ratio, pair_gate, screened_max
 
 # Shared-fixed-point construction needs every translation length above log 5.
 SHARED_ALPHA_GATE = math.log(5.0)
@@ -162,12 +162,6 @@ class GlobalIntervalSystem(FrozenValue):
         return self._pairs
 
 
-def crossing_cut_floor(theta: float) -> float:
-    """Smallest cut position keeping the four crossing-pair arcs separated; inf, atanh's limit, where cos(m/2) rounds to 1."""
-    x = math.cos(0.5 * min(theta, math.pi - theta))
-    return math.atanh(x) if x < 1.0 else math.inf
-
-
 def _cut_floor(family: Family, i: int, j: int) -> float:
     """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
     return _gated_floor(family, i, j, family.cross_ratio(i, j))
@@ -215,10 +209,14 @@ def _cut_positions(tau: np.ndarray, floor: np.ndarray, extra: float) -> np.ndarr
 def _floor_of(c: float) -> float:
     """The cut floor of a crossing (c < 0) or C > 1 pair from its cross ratio, with the angle or distance of `_decode`.
 
-    Half of `_decode`'s distance 2 * atanh(...) is its atanh exactly.
+    A crossing floor, the least cut keeping the four arcs apart, is inf,
+    atanh's limit, where cos rounds to 1.  Half of `_decode`'s distance
+    2 * atanh(...) is its atanh exactly.
     """
     if c < 0.0:
-        return crossing_cut_floor(2.0 * math.atan(math.sqrt(-c)))
+        theta = 2.0 * math.atan(math.sqrt(-c))
+        x = math.cos(0.5 * min(theta, math.pi - theta))
+        return math.atanh(x) if x < 1.0 else math.inf
     return math.asinh(1.0 / math.sinh(math.atanh(1.0 / math.sqrt(c))))
 
 
@@ -342,8 +340,7 @@ class _AxisTable:
         pair gate by more than AXIS_SCREEN_TOL (that difference is above 0,
         so the scalar test holds too), else decided in scalar.
         """
-        kinds = _kinds(family.cross_ratios)
-        pick = ((kinds == CROSSING) | (kinds == NESTED)).nonzero()[0]
+        pick = ((family.kinds == CROSSING) | (family.kinds == NESTED)).nonzero()[0]
         rows, cols = (v[pick] for v in _pair_gathers(len(family.cls))[1])
         c = family.cross_ratios[pick]
         tau = self._taus
@@ -799,7 +796,7 @@ def _alpha_side(group: SharedFixedPointGroup) -> tuple[tuple[float, float, float
 
 
 def _checked_margin(achieved: float, margin: float) -> float:
-    if achieved < margin:
+    if not achieved >= margin:  # a NaN margin fails too
         raise VerificationFailed(f"assembled union has margin {achieved:.3e}, below required {margin:.3e}")
     return achieved
 
@@ -815,7 +812,7 @@ def _system(
         pairs=None,
         groups=table.groups(),
         union=union,
-        constant_m=eq_constant(table.family.cross_ratios),
+        constant_m=eq_constant(table.family.cross_ratios, table.family.kinds),
         margin=achieved,
         notes=table.notes,
         cuts=cuts,
@@ -823,17 +820,13 @@ def _system(
     )
 
 
-def eq_constant(cross_ratios: list[float] | np.ndarray) -> float:
-    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance; 0 when no pair enters.
+def eq_constant(cross_ratios: list[float] | np.ndarray, codes: list[int] | np.ndarray) -> float:
+    """The assembly constant 2*max(|log|C|| + 3/2) + max axis distance of a table and its kind codes; 0 when no pair enters.
 
-    The pair gates |log|C|| + 3/2 are those of the CROSSING, DISJOINT and
-    NESTED pairs, and the axis distances those of the DISJOINT and NESTED
-    pairs, as `pair_geometry._BOUNDS_OF_KIND` decides from the kind codes;
-    MEETS, SHARED and PARABOLIC pairs enter neither.  An array, as the pair
-    table of a large Family holds, is read with numpy, each maximum a
-    :func:`screened_max`, so the constant is the scalar one bit for bit.
+    Pairs enter each maximum by `pair_geometry._BOUNDS_OF_KIND`.  An array is
+    read with numpy, each maximum a :func:`screened_max`: the scalar constant bit for bit.
     """
-    _, gated, far = _bound_ratios(cross_ratios)
+    gated, far = _bound_ratios(cross_ratios, codes, (1, 2))
     if not len(gated):
         return 0.0
     if isinstance(gated, np.ndarray):

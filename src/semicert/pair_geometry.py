@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -48,9 +48,7 @@ from .moebius_core import (
 
 # |C| or |C - 1| below this counts as a degenerate configuration, a SHARED
 # or PARABOLIC pair.  By the bound rule below such pairs, like MEETS ones,
-# enter no bound: NESTED pairs enter the lower bound, CROSSING, DISJOINT and
-# NESTED pairs the upper bound and the largest pair gate, and DISJOINT and
-# NESTED pairs the largest axis distance.
+# enter no bound.
 DEGENERATE_TOL = 1e-9
 
 
@@ -127,9 +125,11 @@ def _kind(c: float) -> int:
     return _BINS[bisect_right(_EDGES, c)]
 
 
-def _kinds(c: np.ndarray) -> np.ndarray:
-    """The kind codes of cross ratios."""
-    return _KIND_OF_BIN[_KIND_EDGES.searchsorted(c, side="right")]
+def _kinds(cs: list[float] | np.ndarray) -> list[int] | np.ndarray:
+    """The kind codes of cross ratios, a list or an array, in the same form."""
+    if isinstance(cs, np.ndarray):
+        return _KIND_OF_BIN[_KIND_EDGES.searchsorted(cs, side="right")]
+    return [_BINS[bisect_right(_EDGES, c)] for c in cs]  # `_kind` inline
 
 
 # The bound rule, the one place that decides which pairs enter the bounds
@@ -145,14 +145,11 @@ _BOUNDS = _BOUNDS_OF_KIND.tolist()
 PAIR_GATE_SLACK = 1.5
 
 
-def _bound_ratios(cs: list[float] | np.ndarray) -> tuple:
-    """The cross ratios of `cs`, a list or an array, that enter the lower bound, the upper bound and the largest pair gate, and the largest axis distance: three lists or three arrays, in table order."""
+def _bound_ratios(cs: list[float] | np.ndarray, codes: list[int] | np.ndarray, columns: tuple[int, int]) -> tuple:
+    """The ratios of `cs`, a list or an array, with kind codes `codes`, that enter each bound in `columns` (0 the lower bound, 1 the upper bound and the largest pair gate, 2 the largest axis distance), in table order."""
     if isinstance(cs, np.ndarray):
-        codes = _kinds(cs)
-        return tuple(cs[enters[codes]] for enters in _BOUNDS_OF_KIND.T)
-    rows = [_BOUNDS[_BINS[bisect_right(_EDGES, c)]] for c in cs]  # `_kind` inline
-    low, up, far = zip(*rows) if rows else ((), (), ())
-    return list(compress(cs, low)), list(compress(cs, up)), list(compress(cs, far))
+        return tuple(cs[_BOUNDS_OF_KIND[:, k][codes]] for k in columns)
+    return tuple([c for c, code in zip(cs, codes) if _BOUNDS[code][k]] for k in columns)
 
 
 def _lower_term(c: float) -> float:
@@ -271,10 +268,12 @@ class Family:
       rank-one interval never reads it): a list, or from
       PAIR_ARRAY_MIN_PAIRS pairs on (n >= 10) an array, whose type is the
       family's path (a list table is assembled, ranked and verified in
-      scalar, an array table on arrays, screened).
+      scalar, an array table on arrays, screened); `kinds`, in the same
+      form, each ratio's kind code by `_KIND_EDGES`, the one kind rule,
+      computed with the table and read by everything that bins it.
     - :meth:`pair_rows`, :meth:`cross_ratio`: the table's rows, each pair's
-      (i, j), C and kind code by `_KIND_EDGES`, the one kind rule, and one
-      pair's C, in either order; neither decodes a pair.
+      (i, j), C and kind code, and one pair's C, in either order; neither
+      decodes a pair.
     - :meth:`pair`: the geometry of generators i and j, in either order,
       decoded on first use; `pairs` maps every (i, j), i < j, to it.
     - `fixed_points`: x and y of the attracting points, then of the
@@ -331,13 +330,22 @@ class Family:
         cls = self.cls
         n = len(cls)
         if n * (n - 1) // 2 < PAIR_ARRAY_MIN_PAIRS:
-            return [cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta) for i, ci in enumerate(cls) for cj in cls[i + 1 :]]
-        return _cross_ratio_table(self.fixed_points)
+            cs = [cross_ratio_of_points(ci.alpha, ci.beta, cj.alpha, cj.beta) for i, ci in enumerate(cls) for cj in cls[i + 1 :]]
+        else:
+            cs = _cross_ratio_table(self.fixed_points)
+        self.__dict__["kinds"] = _kinds(cs)  # in the same pass, and never again
+        return cs
+
+    @cached_property
+    def kinds(self) -> list[int] | np.ndarray:
+        self.cross_ratios  # sets this attribute
+        return self.__dict__["kinds"]
 
     def pair_rows(self) -> Iterator[tuple[tuple[int, int], float, int]]:
         """((i, j), C, kind code) of every pair i < j, in row-major order."""
-        n, cs = len(self.cls), self.cross_ratios
-        cs, codes = (cs.tolist(), _kinds(cs).tolist()) if isinstance(cs, np.ndarray) else (cs, map(_kind, cs))
+        n, cs, codes = len(self.cls), self.cross_ratios, self.kinds
+        if isinstance(cs, np.ndarray):
+            cs, codes = cs.tolist(), codes.tolist()
         return zip(((i, j) for i in range(n) for j in range(i + 1, n)), cs, codes)
 
     def cross_ratio(self, i: int, j: int) -> float:
@@ -422,20 +430,6 @@ def distance_from_cross_ratio(c: float) -> float:
 # --- half-plane circle geometry -------------------------------------------
 
 
-def geodesics_cross(g1: Geodesic, g2: Geodesic) -> bool:
-    """Whether the lines cross in the open half-plane (endpoints interleave)."""
-    arc = BoundaryArc(g1.start, g1.end)
-    return contains(arc, g2.start) != contains(arc, g2.end)
-
-
-def _shared_endpoint(g1: Geodesic, g2: Geodesic, tol: float) -> bool:
-    return any(
-        p.angular_distance(q) <= tol
-        for p in (g1.start, g1.end)
-        for q in (g2.start, g2.end)
-    )
-
-
 def common_perpendicular(
     l1: Geodesic, l2: Geodesic, tol: float = 1e-12
 ) -> tuple[Geodesic, complex, complex, float]:
@@ -446,9 +440,10 @@ def common_perpendicular(
     joins u and v of one sign: the perpendicular is the half-circle of radius
     r = sqrt(uv) about 0, with feet i*r and (2uv/(u+v), r*|u-v|/|u+v|).
     """
-    if _shared_endpoint(l1, l2, tol):
+    if any(p.angular_distance(q) <= tol for p in (l1.start, l1.end) for q in (l2.start, l2.end)):
         raise SharedEndpoint("lines share a boundary endpoint")
-    if geodesics_cross(l1, l2):
+    arc = BoundaryArc(l1.start, l1.end)
+    if contains(arc, l2.start) != contains(arc, l2.end):  # the endpoints interleave
         raise AxesCross("lines cross; no common perpendicular exists")
     chart = axis_chart(l1)
     to_chart = inverse(chart)

@@ -802,7 +802,7 @@ def reference_assemble_once(family, table, margin, extra):
         components.append(reference_hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
     achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
-    return GlobalIntervalSystem(tuple(pairs), groups, union, eq_constant(family.cross_ratios), achieved, table.notes)
+    return GlobalIntervalSystem(tuple(pairs), groups, union, eq_constant(family.cross_ratios, family.kinds), achieved, table.notes)
 
 
 def reference_system_to_dict(system):

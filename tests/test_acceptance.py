@@ -42,7 +42,7 @@ from semicert import (
 from semicert.boundary_arcs import BoundaryArc, ccw_gap, schottky_margin
 from semicert.interval_builder import eq_constant, mapping_margin
 from semicert.moebius_core import TWO_PI, apply_boundary, power
-from semicert.pair_geometry import cross_ratio_of_points
+from semicert.pair_geometry import _kinds, cross_ratio_of_points
 
 from helpers import (
     crossing_pair,
@@ -345,7 +345,7 @@ def test_criterion_9_assembly_bound():
             for c in table
             if math.isfinite(c) and abs(c) > 1e-9
         ) + 23.0
-        m_const = eq_constant(table)
+        m_const = eq_constant(table, _kinds(table))
         assert m_const <= bound
         system = assemble_global(F)
         assert verify_schottky(F, system.union, margin=1e-7)

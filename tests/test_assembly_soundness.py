@@ -11,8 +11,9 @@ so families whose generators share a fixed point get the same re-check.
 import math
 
 import numpy as np
+import pytest
 
-from semicert import BoundaryPoint, assemble_global, from_axis_and_length, verify_schottky
+from semicert import BoundaryPoint, assemble_global, classify, from_axis_and_length, verify_schottky
 from semicert.boundary_arcs import DEFAULT_MARGIN
 from semicert.criteria_engine import SemidiscreteInverseFree, certificate_to_dict
 from semicert.errors import CertifyError, VerificationFailed
@@ -93,3 +94,16 @@ def test_unions_with_shared_fixed_points_pass_the_independent_checks():
     unions, refused, grouped, problems = check_returned_unions(shared_point_families(np.random.default_rng(2025), 300))
     assert not problems
     assert grouped == unions >= 50 and refused >= 20, (unions, refused, grouped)
+
+
+def test_a_nan_margin_fails_closed():
+    # A draw of `bench/families.admissible_family` with every tau scaled by
+    # 0.085: no cut schedule verifies, and a NaN margin, which compares false
+    # with everything, must not let the failed union through.
+    rng = np.random.default_rng(5)
+    drawn = bench_module("families").admissible_family(rng, 5)
+    scale = rng.uniform(0.05, 0.6)
+    F = [from_axis_and_length(m.beta, m.alpha, m.tau * scale) for m in map(classify, drawn)]
+    for margin in (DEFAULT_MARGIN, math.nan):
+        with pytest.raises(VerificationFailed, match="assembled union has margin -inf"):
+            assemble_global(F, margin=margin)

@@ -91,6 +91,20 @@ def test_tracer_sees_the_rank_one_verification(tracing):
     assert tracer.non_null["criteria_engine.find_rank_one_interval"] == 1
 
 
+def test_tracer_sees_every_stage_of_the_rule_table(tracing):
+    # The rules call these by their module names, so the wrappers that
+    # `Tracer.install` binds there count each call of an inconclusive certify.
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cert = criteria_engine.certify(figure_two(1.0))  # looked up as the benchmark does
+    finally:
+        tracer.uninstall()
+    assert cert.kind == "inconclusive"
+    stages = ("find_rank_one_interval", "Thresholds.from_generators", "_witness_scan", "_report")
+    assert [tracer.total_calls(f"criteria_engine.{name}") for name in stages] == [1, 1, 1, 1]
+
+
 def test_tracer_counts_one_bfs_sweep_per_oracle_call(tracing):
     # `search_oracle.bfs_sweeps` counts `_Bfs` constructions; each call runs one sweep.
     from semicert import search_oracle

@@ -687,6 +687,16 @@ class TestErrorBoundary:
         assert result.stdout == ""
         assert sorted(p.name for p in tmp_path.rglob("*")) == (["in.json", "out"] if where.exists() else ["in.json"])
 
+    @pytest.mark.parametrize("margin", ["nan", "-nan", "inf"])
+    @pytest.mark.parametrize("command", ["certify", "cocycle"])
+    def test_non_finite_margin(self, runner, tmp_path, command, margin):
+        # FloatRange(min=0.0) lets NaN through; a NaN margin used to pass any union.
+        src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
+        result = runner.invoke(main, [command, "--input", str(src), "--margin", margin])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: --margin: expected a finite number >= 0, got {float(margin)!r}"]
+        assert result.stdout == ""
+
     def test_module_entry_point_prints_no_traceback(self, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", list(section_one_pair()))
         out = tmp_path / "missing" / "cert.json"

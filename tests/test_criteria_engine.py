@@ -30,6 +30,7 @@ from semicert import (
     uniform_hyperbolicity,
     verify_schottky,
 )
+from semicert import criteria_engine
 from semicert.boundary_arcs import schottky_margin
 from semicert.criteria_engine import (
     certificate_to_dict,
@@ -381,6 +382,45 @@ class TestCertify:
             assert isinstance(cert, NotSemidiscrete)
             word = MoebiusMapProduct(cert.witness_word, [f, g])
             assert abs(word.trace) < 2.0 - 1e-9
+
+
+class TestRuleTable:
+    """`certify` walks one ordered tuple of rules and returns the first certificate."""
+
+    def test_order(self):
+        assert [rule.__name__ for rule in criteria_engine._RULES] == ["_rank_one", "_precondition", "_assembly", "_witnesses"]
+
+    def test_first_certificate_wins(self, monkeypatch):
+        tried = []
+
+        def rule(name, cert):
+            return lambda d: tried.append(name) or cert
+
+        first, second = Inconclusive({"rule": "first"}), Inconclusive({"rule": "second"})
+        rules = (rule("none", None), rule("first", first), rule("second", second))
+        monkeypatch.setattr(criteria_engine, "_RULES", rules)
+        assert certify(figure_two(1.0)) is first
+        assert tried == ["none", "first"]
+
+    def test_no_certificate_is_a_report_with_the_notes(self, monkeypatch):
+        def noted(d):
+            d.notes.append("noted")
+
+        rules = (criteria_engine._precondition, noted)
+        monkeypatch.setattr(criteria_engine, "_RULES", rules)
+        cert = certify(figure_two(41.0))  # which the full table assembles
+        assert isinstance(cert, Inconclusive) and cert.report["notes"] == ["noted"]
+
+    def test_the_precondition_rule_raises_after_the_rank_one_rule(self):
+        f = from_axis_and_length(BoundaryPoint.from_real(0.0), INF, 1.0)
+        g = from_axis_and_length(INF, BoundaryPoint.from_real(-3.0), 1.0)
+        h = from_axis_and_length(BoundaryPoint.from_real(1.0), BoundaryPoint.from_real(2.0), 1.0)
+        d = criteria_engine._Decision(Family.of([f, g, h]), 1e-7)
+        assert criteria_engine._rank_one(d) is None
+        with pytest.raises(PreconditionViolated, match="^attracting point of generator 0 meets repelling point of 1$"):
+            criteria_engine._precondition(d)
+        with pytest.raises(PreconditionViolated, match="^attracting point of generator 0 meets repelling point of 1$"):
+            certify([f, g, h])
 
 
 def cross_ratio_one_pair(u=1.0, v=-0.5, d=1e-8, tau=5.0):

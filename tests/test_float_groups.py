@@ -26,7 +26,7 @@ from semicert.cli import _load_generators
 from semicert.errors import CertifyError, VerificationFailed
 from semicert.interval_builder import SHARED_ALPHA_GATE, SharedFixedPointGroup, _AxisTable, _chart_entries, _shared_group, eq_constant
 from semicert.moebius_core import Classification
-from semicert.pair_geometry import Family, distance_from_cross_ratio, pair_gate
+from semicert.pair_geometry import Family, _kinds, distance_from_cross_ratio, pair_gate
 
 from helpers import (
     LIST_N,
@@ -263,7 +263,7 @@ def test_the_assembly_constant_reads_the_crossing_and_disjoint_pairs():
         distances = [distance_from_cross_ratio(c) for c, kind in pairs if kind == "disjoint"]
         expected = 2.0 * max(gates) + max([0.0, *distances]) if gates else 0.0
         for table in (family.cross_ratios, np.array(family.cross_ratios)):
-            assert eq_constant(table).hex() == expected.hex()
+            assert eq_constant(table, _kinds(table)).hex() == expected.hex()
         values.add(expected == 0.0)
     assert values == {True, False}
 

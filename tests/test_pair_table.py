@@ -11,6 +11,7 @@ import gc
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from semicert import interval_builder, pair_geometry
 from semicert import boundary_arcs
 from semicert.boundary_arcs import ArcUnion, BoundaryArc, complement
 from semicert.criteria_engine import SemidiscreteInverseFree, Thresholds, certificate_to_dict
+from semicert.cli import _load_generators
 from semicert.errors import CertifyError
 from semicert.interval_builder import AXIS_SCREEN_TOL, SymmetricIntervalPair, _AxisTable, eq_constant, mapping_margin, pair_gate
-from semicert.pair_geometry import Family, cross_ratio_of_points
+from semicert.pair_geometry import Family, _kinds, cross_ratio_of_points
 
 from helpers import (
     LIST_N,
@@ -37,6 +39,8 @@ from helpers import (
     shared_repeller_family,
 )
 from test_reference_classify import geometry_bits
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def bench_inputs(builder: str, *args):
@@ -284,7 +288,7 @@ def test_tied_maxima_reach_the_scalar_terms(monkeypatch):
     assert Thresholds.from_cross_ratios(np.array(values)) == Thresholds.from_cross_ratios(values)
     assert {c for n, c in seen if n == "_upper_term"} >= {3.0, -2.0}
     seen.clear()
-    assert eq_constant(np.array(values)).hex() == eq_constant(values).hex()
+    assert eq_constant(np.array(values), _kinds(np.array(values))).hex() == eq_constant(values, _kinds(values)).hex()
     assert {c for n, c in seen if n == "pair_gate"} >= {4.0, 0.25}
     assert {c for n, c in seen if n == "distance_from_cross_ratio"} >= {4.0, 0.25}
 
@@ -299,7 +303,7 @@ def kind_edge_values():
 
 def bound_bits(cs):
     th = Thresholds.from_cross_ratios(cs)
-    return th.lower.hex(), th.upper.hex(), eq_constant(cs).hex()
+    return th.lower.hex(), th.upper.hex(), eq_constant(cs, _kinds(cs)).hex()
 
 
 def test_both_forms_agree_at_the_kind_edges():
@@ -315,6 +319,46 @@ def test_both_forms_agree_at_the_kind_edges():
         # A PARABOLIC pair enters no bound.
         for c in parabolic:
             assert bound_bits(table + [c]) == bound_bits(np.array(table + [c])) == found
+
+
+def test_the_stored_codes_are_those_of_the_kind_rule():
+    tol = pair_geometry.DEGENERATE_TOL
+    values = [-math.inf, math.inf, -0.0, 0.0, -tol, tol, 1.0 - tol, 1.0, 1.0 + tol, *kind_edge_values()]
+    expected = [pair_geometry._kind(c) for c in values]
+    assert pair_geometry._kinds(values) == expected
+    assert pair_geometry._kinds(np.array(values)).tolist() == expected
+    # Shared endpoints (C = 0 and inf), a ratio of exactly 1, and no degenerate pair, on both table types.
+    inputs = [figure_two(41.0), _load_generators(str(DATA / "cross_ratio_one.json")), random_admissible_family(np.random.default_rng(5), 6)]
+    for maps in inputs:
+        for family in in_both_forms(maps):
+            ratios, codes = family.cross_ratios, family.kinds
+            assert type(codes) is type(ratios) and len(codes) == len(ratios)
+            assert list(codes) == [pair_geometry._kind(c) for c in list(ratios)]
+        fresh = Family.of(maps)
+        assert fresh.kinds == list(codes) and "cross_ratios" in vars(fresh)  # read first, `kinds` computes the table
+
+
+def count_binning(monkeypatch):
+    """The calls of `pair_geometry.bisect_right`, one per ratio binned on a list, and of `_kinds`, one per table, appended as they run."""
+    calls = []
+    for name in ("bisect_right", "_kinds"):
+        original = getattr(pair_geometry, name)
+        monkeypatch.setattr(pair_geometry, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    return calls
+
+
+def test_each_ratio_is_binned_once_per_certify(monkeypatch):
+    # The thresholds, the witness scan and the report of `figure_two(1.0)`, 10
+    # ratios on a list, and the thresholds, the axis table and the assembly
+    # constant of an n = 32 family, 496 ratios on an array, read the codes
+    # that `Family` computes with the table.
+    [large] = bench_inputs("assembly_large", 1, 1, 32)
+    calls = count_binning(monkeypatch)
+    assert certify(figure_two(1.0)).kind == "inconclusive"
+    assert Counter(calls) == {"bisect_right": 10, "_kinds": 1}
+    calls.clear()
+    assert certify(large).kind == "semidiscrete_inverse_free"
+    assert Counter(calls) == {"_kinds": 1}
 
 
 def test_cut_at_half_tau_is_rescored_in_scalar():
