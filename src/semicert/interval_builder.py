@@ -126,9 +126,9 @@ class GlobalIntervalSystem(FrozenValue):
     a certificate is written from them with no pair arc built: as arrays in
     `cuts` (the start and end points of the a arcs, row 0, and of the b arcs,
     row 1, each x, y and angle of shape (2, n)), else as floats in `_cut_ends`
-    (per generator, x, y and angle of its a arc's ends, then its b arc's),
-    read off `pairs` when they are given, and else built into `pairs` on first
-    read.  Immutable, with equality, hashing and repr over `_fields`.
+    (per generator, x, y and angle of its a arc's ends, then its b arc's);
+    `pairs` is built from them on first read.  Immutable, with equality,
+    hashing and repr over `_fields`.
     """
 
     __slots__ = ("_pairs", "cuts", "_cut_ends", "groups", "union", "constant_m", "margin", "notes")
@@ -137,7 +137,6 @@ class GlobalIntervalSystem(FrozenValue):
 
     def __init__(
         self,
-        pairs: tuple[SymmetricIntervalPair, ...] | None,
         groups: tuple[SharedFixedPointGroup, ...],
         union: ArcUnion,
         constant_m: float,
@@ -146,9 +145,7 @@ class GlobalIntervalSystem(FrozenValue):
         cuts: tuple[PointArrays, PointArrays] | None = None,
         _cut_ends: list[tuple[tuple[float, float, float], ...]] | None = None,
     ):
-        if pairs is not None:
-            _cut_ends = [[(p.x, p.y, p.angle) for arc in (q.a, q.b) for p in (arc.start, arc.end)] for q in pairs]
-        for name, value in zip(self.__slots__, (pairs, cuts, _cut_ends, groups, union, constant_m, margin, notes)):
+        for name, value in zip(self.__slots__, (None, cuts, _cut_ends, groups, union, constant_m, margin, notes)):
             object.__setattr__(self, name, value)  # as a frozen dataclass sets its fields
 
     @property
@@ -162,13 +159,8 @@ class GlobalIntervalSystem(FrozenValue):
         return self._pairs
 
 
-def _cut_floor(family: Family, i: int, j: int) -> float:
-    """Cut floor of crossing or C > 1 pair (i, j); raises ThresholdNotMet below its pair gate."""
-    return _gated_floor(family, i, j, family.cross_ratio(i, j))
-
-
 def _gated_floor(family: Family, i: int, j: int, c: float) -> float:
-    """:func:`_cut_floor` of the pair (i, j) with cross ratio c."""
+    """Cut floor of crossing or C > 1 pair (i, j) with cross ratio c; raises ThresholdNotMet below its pair gate."""
     gate = pair_gate(c)
     for k in (i, j):
         tau = family.cls[k].tau
@@ -275,9 +267,10 @@ class _AxisTable:
 
     - `charts[i]`: the entries a, b, c, d of generator i's
       :func:`axis_chart` and of its inverse, on first use;
-    - `floors` (`_entry_arrays` on the array path, each pair's (owner,
-      partner) in both orders): the admissible pairs above their pair gate,
-      in table order, and `notes` for the pairs skipped below it;
+    - `_rows` (`_entry_arrays` on the array path): the entries of each
+      admissible pair above its pair gate, in table order, one per owner
+      (each a row (owner, t, tau, floor), or on arrays (owner, partner)),
+      and `notes` for the pairs skipped below it;
     - :meth:`position`: the axis position t of an ordered pair;
     - :meth:`innermost`, :meth:`cut`: each owner's innermost cut heights,
       and the ends of the arc cut at one height; :meth:`cuts`, many cuts on
@@ -286,35 +279,37 @@ class _AxisTable:
       the first schedule that reaches them, or the error that a retried
       schedule meets again.
 
-    The table follows the family's path.  A family with the pair table as
-    a list ranks and cuts on floats: one pass over the table's rows keeps
-    the cut floors and the skip notes, and the first ranking keeps, for
-    each entry, its owner, its axis position, the owner's translation
-    length and the cut floor, so a schedule computes only its cut
-    positions.  Its charts come from each
-    classification's fixed points as floats.  One with the pair table as
-    arrays is admitted from the arrays: gates and cut floors come from
-    numpy, and a pair is decided, and a skip note written, in scalar where
-    the gate screen cannot decide it.  Its charts come from one pass of
+    The table follows the family's path, and is built with everything that
+    each ranking reads.  A family with the pair table as a list ranks and
+    cuts on floats: one pass over the table's rows writes the skip notes
+    and, for each entry, its owner, its axis position, the owner's
+    translation length and the cut floor, so a schedule computes only its
+    cut positions.  Its charts come from each classification's fixed
+    points as floats.  One with the pair table as arrays is admitted from
+    the arrays: gates and cut floors come from numpy, and a pair is
+    decided, and a skip note written, in scalar where the gate screen
+    cannot decide it.  Its charts come from one pass of
     :func:`axis_charts` over the fixed points, as entries a, b, c, d on the
     first axis, equal to `charts` bit for bit.  Its cut ranking is screened
-    and reads, for each schedule's candidates, exact positions and cut
-    floors from the kernel of `moebius_core`.
+    on arrays computed with the table, and reads, for each schedule's
+    candidates, exact positions and cut floors from the kernel of
+    `moebius_core`.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self._groups: tuple[SharedFixedPointGroup, ...] | VerificationFailed | None = None
         if not isinstance(family.cross_ratios, np.ndarray):
-            notes = []
-            self.floors: dict[tuple[int, int], float] = {}  # the cut floor of each admitted pair
+            notes, taus = [], [k.tau for k in family.cls]
+            self._rows: list[tuple[int, float, float, float]] = []  # (owner, t, tau, floor) of each entry
             for (i, j), c, code in family.pair_rows():
                 if code == CROSSING or code == NESTED:
                     try:
-                        self.floors[(i, j)] = _gated_floor(family, i, j, c)
+                        floor = _gated_floor(family, i, j, c)
                     except ThresholdNotMet as exc:
                         notes.append(f"pair ({i}, {j}) skipped: {exc}")
-            self._rows: list[tuple[int, float, float, float]] | None = None
+                        continue
+                    self._rows += [(o, self.position(o, p), taus[o], floor) for o, p in ((i, j), (j, i))]
         else:
             # Translation lengths, then the angles of the attracting and of the repelling points: shape (2, n).
             cls = family.cls
@@ -328,7 +323,7 @@ class _AxisTable:
             rows, cols, notes, self._key_floors, self._key_trusted, self._key_c = self._admit(family)
             # Entry 2k is (rows[k], cols[k]) and entry 2k + 1 the reverse.
             self._entry_arrays = np.array([[rows, cols], [cols, rows]]).transpose(0, 2, 1).reshape(2, -1)
-            self._screen: tuple[np.ndarray, ...] | None = None
+            self._screen = self._screen_entries()
         self.notes = tuple(notes)
 
     @np.errstate(all="ignore")  # the gates and floors of degenerate entries come out untrusted
@@ -356,7 +351,7 @@ class _AxisTable:
         for k in (~admit).nonzero()[0].tolist():  # decided in scalar, in table order
             i, j = int(rows[k]), int(cols[k])
             try:
-                floors[k] = _cut_floor(family, i, j)
+                floors[k] = _gated_floor(family, i, j, float(c[k]))
                 admit[k] = trusted[k] = True
             except ThresholdNotMet as exc:
                 notes.append(f"pair ({i}, {j}) skipped: {exc}")
@@ -372,20 +367,13 @@ class _AxisTable:
         Perpendiculars to one line nest, so the innermost a arc is cut at the
         largest t + s and the innermost b arc at the smallest t - s; equal
         heights cut equal arcs, so no tie needs a rule.  A list table ranks
-        every entry in scalar, from rows (owner, t, tau, floor) that its
-        first ranking computes in entry order; an array table ranks on
-        arrays (:meth:`_innermost_arrays`).  None marks an owner without one.
+        every entry in scalar, from its rows (owner, t, tau, floor); an
+        array table ranks on arrays (:meth:`_innermost_arrays`).  None marks
+        an owner without one.
         """
         if isinstance(self.family.cross_ratios, np.ndarray):
             heights, held = self._innermost_arrays(extra)
             return [(u, v) if h else None for u, v, h in zip(*heights.tolist(), held.tolist())]
-        if self._rows is None:
-            taus = [k.tau for k in self.family.cls]
-            self._rows = [
-                (o, self.position(o, p), taus[o], floor)
-                for (i, j), floor in self.floors.items()
-                for o, p in ((i, j), (j, i))
-            ]
         heights: list[tuple[float, float] | None] = [None] * len(self.family.cls)
         for owner, t, tau, floor in self._rows:
             s = _cut_position(tau, floor, extra)
@@ -399,7 +387,7 @@ class _AxisTable:
 
         Ranks only the :meth:`_candidates`, which hold every entry that can
         win, with their exact positions and cut floors (the floors of
-        :func:`_cut_floor`, without decoding a pair), so it finds the scalar
+        :func:`_gated_floor`, without decoding a pair), so it finds the scalar
         heights.
         """
         picked = self._candidates(extra)
@@ -454,8 +442,6 @@ class _AxisTable:
 
     def _candidates(self, extra: float) -> np.ndarray:
         """Indices of the entries whose screened t + s or t - s is near its owner's max or min, or untrusted."""
-        if self._screen is None:
-            self._screen = self._screen_entries()
         owners, tau, floor, t, trusted = self._screen
         s = _cut_positions(tau, floor, extra)
         # t + s, then -(t - s), whose maximum is minus the least t - s (negation is exact).
@@ -560,7 +546,7 @@ def _build_pair(
     :class:`_AxisTable` of the family would give them.
     """
     charts = [_chart_entries(family.cls[k]) for k in (i, j)]
-    floor = _cut_floor(family, i, j)
+    floor = _gated_floor(family, i, j, family.cross_ratio(i, j))
     pairs = []
     for (chart, to_axis), owner, partner in zip(charts, (i, j), (j, i)):
         k, t = family.cls[owner], _axis_position(to_axis, family.cls[partner])
@@ -570,9 +556,7 @@ def _build_pair(
     return pairs[0], pairs[1]
 
 
-def build_disjoint_pair_intervals(
-    F, i: int = 0, j: int = 1, cut_offset: float = 0.0
-) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
+def build_disjoint_pair_intervals(F, i: int = 0, j: int = 1) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
     """Interval pairs for generators i, j of F with disjoint axes and cross ratio above 1.
 
     Each owner's arcs are cut at t + s and t - s along its axis, where t is
@@ -590,12 +574,10 @@ def build_disjoint_pair_intervals(
     """
     family = Family.of(F)
     family.disjoint_pair(i, j)
-    return _build_pair(family, i, j, cut_offset)
+    return _build_pair(family, i, j, 0.0)
 
 
-def build_crossing_pair_intervals(
-    F, i: int = 0, j: int = 1, cut_offset: float = 0.0
-) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
+def build_crossing_pair_intervals(F, i: int = 0, j: int = 1) -> tuple[SymmetricIntervalPair, SymmetricIntervalPair]:
     """Interval pairs for generators i, j of F whose axes cross.
 
     Each owner's arcs are cut at t + s and t - s along its axis, where t is
@@ -616,7 +598,7 @@ def build_crossing_pair_intervals(
     pg = family.pair(i, j)
     if pg.kind != "crossing":
         raise AxesDoNotCross(f"cross ratio {pg.cross_ratio!r} is not negative")
-    return _build_pair(family, i, j, cut_offset)
+    return _build_pair(family, i, j, 0.0)
 
 
 def build_shared_alpha_intervals(F) -> tuple[SharedFixedPointGroup, ...]:
@@ -809,7 +791,6 @@ def _system(
     ends: list[tuple[tuple[float, float, float], ...]] | None = None,
 ) -> GlobalIntervalSystem:
     return GlobalIntervalSystem(
-        pairs=None,
         groups=table.groups(),
         union=union,
         constant_m=eq_constant(table.family.cross_ratios, table.family.kinds),

@@ -170,18 +170,17 @@ def pair_gate(c: float) -> float:
 def configuration(f: MoebiusMap, g: MoebiusMap) -> PairGeometry:
     """Decode the axis configuration of a hyperbolic pair from its cross ratio."""
     cf, cg = require_hyperbolic(f, "f"), require_hyperbolic(g, "g")
-    return _decode(cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta), cf, cg)
+    c = cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta)
+    return _decode(c, _kind(c), cf, cg)
 
 
-def _decode(c: float, cf: Classification, cg: Classification) -> PairGeometry:
-    """The configuration that the cross ratio c of two hyperbolic classifications encodes.
+def _decode(c: float, code: int, cf: Classification, cg: Classification) -> PairGeometry:
+    """The configuration that the cross ratio c, of kind code `code`, of two hyperbolic classifications encodes.
 
-    The kind is :func:`_kind`'s.  Crossing axes: C = -tan^2(theta/2) with
-    theta in (0, pi) measured at the crossing point on the attracting side.
-    Disjoint axes: C = tanh^2(d/2) below 1 and coth^2(d/2) above 1, d the
-    distance between the axes.
+    Crossing axes: C = -tan^2(theta/2) with theta in (0, pi) measured at the
+    crossing point on the attracting side.  Disjoint axes: C = tanh^2(d/2)
+    below 1 and coth^2(d/2) above 1, d the distance between the axes.
     """
-    code = _kind(c)
     kind, theta, distance, nested = _KIND_NAMES[code], None, None, None
     if code == SHARED:
         kind = "shared_alpha" if cf.alpha.approx(cg.alpha) else "shared_beta"
@@ -275,7 +274,9 @@ class Family:
       (i, j), C and kind code, and one pair's C, in either order; neither
       decodes a pair.
     - :meth:`pair`: the geometry of generators i and j, in either order,
-      decoded on first use; `pairs` maps every (i, j), i < j, to it.
+      decoded on first use from the pair's C and stored kind code, read
+      through the one row index that :meth:`cross_ratio` reads, so no ratio
+      is binned again; `pairs` maps every (i, j), i < j, to it.
     - `fixed_points`: x and y of the attracting points, then of the
       repelling points, shape (2, 2, n), on first use (the array pair
       table reads it).
@@ -348,17 +349,23 @@ class Family:
             cs, codes = cs.tolist(), codes.tolist()
         return zip(((i, j) for i in range(n) for j in range(i + 1, n)), cs, codes)
 
-    def cross_ratio(self, i: int, j: int) -> float:
-        """The cross ratio of generators i and j, in either order."""
+    def _row(self, i: int, j: int) -> int:
+        """The row of the pair of generators i and j, in either order, in the pair table."""
         i, j, n = min(i, j), max(i, j), len(self.cls)
         if not 0 <= i < j < n:
             raise KeyError((i, j))
-        return float(self.cross_ratios[i * (2 * n - i - 1) // 2 + j - i - 1])
+        return i * (2 * n - i - 1) // 2 + j - i - 1
+
+    def cross_ratio(self, i: int, j: int) -> float:
+        """The cross ratio of generators i and j, in either order."""
+        return float(self.cross_ratios[self._row(i, j)])
 
     def pair(self, i: int, j: int) -> PairGeometry:
         key = (i, j) if i < j else (j, i)
         if key not in self._decoded:
-            self._decoded[key] = _decode(self.cross_ratio(i, j), self.cls[key[0]], self.cls[key[1]])
+            row = self._row(i, j)
+            c, code = float(self.cross_ratios[row]), int(self.kinds[row])
+            self._decoded[key] = _decode(c, code, self.cls[key[0]], self.cls[key[1]])
         return self._decoded[key]
 
     @cached_property

@@ -63,10 +63,11 @@ def render_figure(
         if not cls.is_hyperbolic:
             continue
         samples = _axis_samples(Geodesic(cls.beta, cls.alpha))
+        mid, t = _midpoint_tangent(samples)
         parts.append(_path([pix(z) for z in samples], AXIS_COLOR, STROKE))
-        parts.append(_arrow(samples, pix))
+        parts.append(_arrow(mid, t, pix))
         if spec.draw_labels:
-            lx, ly = pix(samples[len(samples) // 2] + 0.045 * _label_offset(samples))
+            lx, ly = pix(mid + 0.045 * (1j * t))
             parts.append(
                 f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{spec.size // 40}" '
                 f'fill="{AXIS_COLOR}">f{idx + 1}</text>'
@@ -96,23 +97,16 @@ def _axis_samples(geo: Geodesic) -> list[complex]:
     return out
 
 
-def _label_offset(samples: list[complex]) -> complex:
+def _midpoint_tangent(samples: list[complex]) -> tuple[complex, complex]:
+    """The axis midpoint and the unit tangent there, in the direction of travel; 0 where the next sample coincides."""
     mid = samples[len(samples) // 2]
-    nxt = samples[len(samples) // 2 + 1]
-    t = nxt - mid
-    if abs(t) == 0.0:
-        return 0j
-    n = 1j * t / abs(t)
-    return n
+    t = samples[len(samples) // 2 + 1] - mid
+    return mid, t / abs(t) if abs(t) != 0.0 else 0j
 
 
-def _arrow(samples: list[complex], pix) -> str:
-    mid = samples[len(samples) // 2]
-    nxt = samples[len(samples) // 2 + 1]
-    t = nxt - mid
-    if abs(t) == 0.0:
+def _arrow(mid: complex, t: complex, pix) -> str:
+    if t == 0j:
         return ""
-    t /= abs(t)
     n = 1j * t
     size = 0.035
     tip = mid + size * t

@@ -35,12 +35,11 @@ from semicert.interval_builder import (
     SharedFixedPointGroup,
     SymmetricIntervalPair,
     _AxisTable,
+    _build_pair,
     _checked_margin,
-    _cut_floor,
     _cut_position,
+    _gated_floor,
     _no_partner,
-    build_crossing_pair_intervals,
-    build_disjoint_pair_intervals,
     eq_constant,
 )
 from semicert.moebius_core import (
@@ -57,7 +56,7 @@ from semicert.moebius_core import (
     require_hyperbolic,
 )
 from semicert import pair_geometry
-from semicert.pair_geometry import Family, cross_ratio_of_points
+from semicert.pair_geometry import CROSSING, NESTED, Family, cross_ratio_of_points
 
 TWO_PI = 2.0 * math.pi
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -423,20 +422,16 @@ def innermost_arc(point, arcs):
 def innermost_by_building_every_pair(F, extra=0.0):
     """Reference selection: build every admissible pair, keep each generator's innermost arcs.
 
-    Returns one (a, b) tuple per generator, from the same builders and cut
-    schedule `extra` that the assembly uses.
+    Returns one (a, b) tuple per generator, from the pair builders' cut
+    (`_build_pair`) at the cut schedule `extra` that the assembly uses.
     """
     family = Family.of(F)
     candidates = {i: [] for i in range(len(family.maps))}
     for (i, j), pg in family.pairs.items():
-        if pg.kind == "crossing":
-            builder = build_crossing_pair_intervals
-        elif pg.kind == "disjoint" and pg.nested_attractors:
-            builder = build_disjoint_pair_intervals
-        else:
+        if pg.kind != "crossing" and not (pg.kind == "disjoint" and pg.nested_attractors):
             continue
         try:
-            pi, pj = builder(family, i, j, cut_offset=extra)
+            pi, pj = _build_pair(family, i, j, extra)
         except ThresholdNotMet:
             continue
         candidates[i].append(pi)
@@ -450,10 +445,37 @@ def innermost_by_building_every_pair(F, extra=0.0):
     ]
 
 
+def cut_floor(family, i, j):
+    """The cut floor of admissible pair (i, j), or its ThresholdNotMet, as the pair builders read it."""
+    return _gated_floor(family, i, j, family.cross_ratio(i, j))
+
+
+def admitted_entries(table):
+    """The entries (owner, partner), then (partner, owner), of each pair that a list axis table admits, in table order.
+
+    Those are the crossing and C > 1 pairs without a skip note; their
+    owners are those of the table's rows.
+    """
+    skipped = {note.split(" skipped")[0] for note in table.notes}
+    rows = table.family.pair_rows()
+    admitted = [(i, j) for (i, j), _, code in rows if code in (CROSSING, NESTED) and f"pair ({i}, {j})" not in skipped]
+    entries = [(o, p) for i, j in admitted for o, p in ((i, j), (j, i))]
+    assert [o for o, _ in entries] == [row[0] for row in table._rows]
+    return entries
+
+
+def system_of_pairs(pairs, *args):
+    """The GlobalIntervalSystem of `args` holding the ends of `pairs` as floats; its `pairs` equal them."""
+    ends = [[(p.x, p.y, p.angle) for arc in (q.a, q.b) for p in (arc.start, arc.end)] for q in pairs]
+    system = GlobalIntervalSystem(*args, _cut_ends=ends)
+    assert system.pairs == tuple(pairs)
+    return system
+
+
 def reference_build_pair(family, i, j, extra=0.0):
     """The pair builders' cut as it was written: a whole axis table of the family to cut one pair (i, j)."""
     table = _AxisTable(family)
-    floor = _cut_floor(family, i, j)
+    floor = cut_floor(family, i, j)
     pairs = []
     for owner, partner in ((i, j), (j, i)):
         k, t = family.cls[owner], table.position(owner, partner)
@@ -802,7 +824,7 @@ def reference_assemble_once(family, table, margin, extra):
         components.append(reference_hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
     achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
-    return GlobalIntervalSystem(tuple(pairs), groups, union, eq_constant(family.cross_ratios, family.kinds), achieved, table.notes)
+    return system_of_pairs(pairs, groups, union, eq_constant(family.cross_ratios, family.kinds), achieved, table.notes)
 
 
 def reference_system_to_dict(system):

@@ -18,10 +18,10 @@ import pytest
 from semicert import ArcUnion, BoundaryArc, BoundaryPoint, certify
 from semicert.boundary_arcs import arcs_of
 from semicert.criteria_engine import SemidiscreteInverseFree, certificate_arcs, certificate_to_dict
-from semicert.interval_builder import GlobalIntervalSystem, SymmetricIntervalPair
+from semicert.interval_builder import SymmetricIntervalPair
 from semicert.render import render_figure
 
-from helpers import bench_module
+from helpers import bench_module, system_of_pairs
 
 
 def written(families):
@@ -87,10 +87,10 @@ def emitted(request):
 
 
 def object_written(cert):
-    """`certificate_to_dict` of the certificate with its system's pairs and union held as objects."""
+    """`certificate_to_dict` of the certificate with its system's cut ends read off its pairs' arc objects, and its union held as objects."""
     if isinstance(cert, SemidiscreteInverseFree):
         s = cert.system
-        system = GlobalIntervalSystem(s.pairs, s.groups, ArcUnion(s.union.arcs), s.constant_m, s.margin, s.notes)
+        system = system_of_pairs(s.pairs, s.groups, ArcUnion(s.union.arcs), s.constant_m, s.margin, s.notes)
         cert = SemidiscreteInverseFree(system, cert.thresholds)
     return certificate_to_dict(cert)
 

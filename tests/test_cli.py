@@ -117,6 +117,21 @@ class TestClassifyCommand:
             assert row["tau"] == pytest.approx(cls.tau, abs=1e-9)
             assert row["alpha"]["angle"] == pytest.approx(cls.alpha.angle, abs=1e-9)
 
+    def test_identity_and_elliptic_rows(self, runner, tmp_path):
+        c, s = math.cos(0.6), math.sin(0.6)
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"schema": 1, "generators": [{"matrix": [1, 0, 0, 1]}, {"matrix": [c, -s, s, c]}]}))
+        result = runner.invoke(main, ["classify", "--input", str(src)])
+        assert result.exit_code == 0
+        angle = classify(normalize([c, -s, s, c])).rotation_angle
+        assert json.loads(result.output)["generators"] == [
+            {"index": 0, "kind": "identity"},
+            {"index": 1, "kind": "elliptic", "rotation_angle": angle},
+        ]
+        text = runner.invoke(main, ["classify", "--input", str(src), "--format", "text"])
+        assert text.exit_code == 0
+        assert text.output == f"0: identity\n1: elliptic  angle={angle:.6f}\n"
+
 
 class TestPairsCommand:
     def test_figure_two_table(self, runner, tmp_path):
@@ -369,6 +384,41 @@ class TestCertifyCommand:
         assert "error" in result.output or result.output == ""
 
 
+# Generator files that `_load` or `_load_generators` refuse: (name, file text, the message after the path).
+# A file text of None stands for a directory.
+GENERATOR_FILE_FAULTS = [
+    ("directory", None, "cannot read"),
+    ("top-level-list", "[1, 2]", "top level must be an object"),
+    ("unknown-model", {"model": "poincare", "generators": [{"matrix": [2, 0, 0, 1]}]}, 'model must be "half-plane" or "disc"'),
+    ("empty-generators", {"generators": []}, '"generators" must be a nonempty list'),
+    ("generators-not-a-list", {"generators": {"matrix": [2, 0, 0, 1]}}, '"generators" must be a nonempty list'),
+    ("generator-not-an-object", {"generators": [{"matrix": [2, 0, 0, 1]}, 3]}, "generators[1]: must be an object"),
+    ("axis-without-beta", {"generators": [{"matrix": [2, 0, 0, 1]}, {"axis": {"alpha": 1.0}, "tau": 1.0}]}, 'generators[1]: axis needs "beta" and "alpha"'),
+    ("axis-without-alpha", {"generators": [{"axis": {"beta": 0.0}, "tau": 1.0}]}, 'generators[0]: axis needs "beta" and "alpha"'),
+    ("axis-without-tau", {"generators": [{"axis": {"beta": 0.0, "alpha": 1.0}}]}, 'generators[0]: axis form needs "tau"'),
+    ("neither-matrix-nor-axis", {"generators": [{"tau": 1.0}]}, 'generators[0]: needs either "matrix" or "axis"+"tau"'),
+    ("matrix-string", {"generators": [{"matrix": "2 0 0 1"}]}, "generators[0]: expected [a, b, c, d]"),
+    ("matrix-number", {"generators": [{"matrix": 2}]}, "generators[0]: expected [a, b, c, d]"),
+]
+
+
+@pytest.mark.parametrize("body, message", [case[1:] for case in GENERATOR_FILE_FAULTS], ids=[case[0] for case in GENERATOR_FILE_FAULTS])
+def test_a_faulty_generator_file_is_one_error_line(runner, tmp_path, body, message):
+    src = tmp_path / "in"
+    if body is None:
+        src.mkdir()
+    else:
+        src.write_text(body if isinstance(body, str) else json.dumps({"schema": 1, **body}))
+    result = runner.invoke(main, ["certify", "--input", str(src)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    expected = f"error: cannot read {src}: " if body is None else f"error: {src}: {message}"
+    assert line.startswith(expected), line
+    assert "Traceback" not in result.stderr
+
+
 class TestCocycleCommand:
     def test_multicone(self, runner, tmp_path):
         src = write_matrix_input(tmp_path / "in.json", figure_two(41.0))
@@ -553,6 +603,30 @@ class TestRenderCommand:
         )
         assert result.exit_code == 0
         assert plain.read_bytes() == overlay.read_bytes()
+
+    def test_checked_in_figure_is_written_byte_for_byte(self, runner, tmp_path):
+        # The golden SVG is Figure 2 at tau = 41 with its checked-in certificate's arcs.
+        out = tmp_path / "figure.svg"
+        cert = DATA / "certificates" / "figure_two_41.json"
+        result = runner.invoke(
+            main, ["render", "--input", str(DATA / "figure_two_41.json"), "--certificate", str(cert), "--output", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / "cli" / "render_figure_two_41.svg").read_bytes()
+
+    def test_skips_the_axis_of_a_non_hyperbolic_generator(self, runner, tmp_path):
+        f, g = section_one_pair()
+        c, s = math.cos(0.6), math.sin(0.6)
+        rotation = normalize([c, -s, s, c])
+        src = write_matrix_input(tmp_path / "in.json", [f, rotation, g])
+        out = tmp_path / "figure.svg"
+        result = runner.invoke(main, ["render", "--input", str(src), "--output", str(out)])
+        assert result.exit_code == 0
+        body = out.read_text()
+        assert body.count("<path") == 2 and body.count("<polygon") == 2
+        assert ">f1<" in body and ">f2<" not in body and ">f3<" in body
+        # Each drawn axis keeps its generator's label.
+        assert body == render_figure([f, g]).replace(">f2<", ">f3<")
 
     @pytest.mark.parametrize("layout", ["union", "interval"])
     @pytest.mark.parametrize(

@@ -27,8 +27,8 @@ from semicert.interval_builder import (
     _assemble_once,
     _AxisTable,
     _axis_position,
+    _build_pair,
     _cut,
-    _cut_floor,
     _cut_position,
     build_crossing_pair_intervals,
     build_disjoint_pair_intervals,
@@ -39,6 +39,7 @@ from semicert.pair_geometry import Family
 from helpers import (
     LIST_N,
     conjugated_figure_two,
+    cut_floor,
     figure_two,
     one_axis_family,
     random_admissible_family,
@@ -246,7 +247,7 @@ def test_crafted_schedules_raise_the_object_errors(families, monkeypatch):
 
 def reference_pair(family, i, j, extra):
     """The bits of the arcs of pair (i, j), owner i's then owner j's, cut as objects."""
-    floor = _cut_floor(family, i, j)
+    floor = cut_floor(family, i, j)
     arcs = []
     for owner, partner in ((i, j), (j, i)):
         k = family.cls[owner]
@@ -268,7 +269,8 @@ def test_pair_builders_cut_the_object_arcs(families):
                 continue
             for extra in (0.0, 2.0):
                 expected = outcome(lambda: reference_pair(family, i, j, extra))
-                found = outcome(lambda: [[arc_hex(p.a), arc_hex(p.b)] for p in builder(family, i, j, cut_offset=extra)])
+                build = (lambda: builder(family, i, j)) if extra == 0.0 else (lambda: _build_pair(family, i, j, extra))
+                found = outcome(lambda: [[arc_hex(p.a), arc_hex(p.b)] for p in build()])
                 assert found == expected, (i, j, extra)
                 built += not isinstance(found, str)
     assert built > 20

@@ -30,6 +30,7 @@ from semicert.pair_geometry import Family, _kinds, distance_from_cross_ratio, pa
 
 from helpers import (
     LIST_N,
+    admitted_entries,
     arc_image,
     conjugated_figure_two,
     figure_two,
@@ -241,7 +242,7 @@ def test_list_ranking_places_each_entry_once(monkeypatch):
     first = table.innermost(0.0)
     for extra in (2.0, 4.0, 7.0, 10.0):
         table.innermost(extra)
-    assert placed == [(o, p) for i, j in table.floors for o, p in ((i, j), (j, i))]
+    assert placed == admitted_entries(table)
     assert first == _AxisTable(family).innermost(0.0)
 
 

@@ -36,7 +36,7 @@ from semicert.errors import (
     VerificationFailed,
 )
 from semicert import interval_builder
-from semicert.interval_builder import mapping_margin
+from semicert.interval_builder import _build_pair, mapping_margin
 from semicert.pair_geometry import Family
 
 from helpers import (
@@ -46,6 +46,7 @@ from helpers import (
     bench_module,
     conjugated_figure_two,
     crossing_pair,
+    cut_floor,
     disjoint_pair,
     figure_two,
     forced_shared_family,
@@ -211,7 +212,7 @@ class TestCutPlacement:
         """Each arc's line meets the owner's axis at distance s from the
         common perpendicular's foot (disjoint) or the crossing point."""
         from semicert import hyperbolic_distance
-        from semicert.interval_builder import _cut_floor, _cut_position, pair_gate
+        from semicert.interval_builder import _cut_position, pair_gate
         from semicert.pair_geometry import Family, common_perpendicular
 
         rng = np.random.default_rng(122)
@@ -233,7 +234,7 @@ class TestCutPlacement:
                 refs = (z, z)
             else:
                 refs = common_perpendicular(axes[0], axes[1])[1:3]
-            floor = _cut_floor(family, 0, 1)
+            floor = cut_floor(family, 0, 1)
             for cls, pair, ax, ref in zip(family.cls, build(family), axes, refs):
                 s = _cut_position(cls.tau, floor, 0.0)
                 for arc in (pair.a, pair.b):
@@ -599,7 +600,7 @@ class TestScreens:
         # cross ratios on the owner's axis 0 -> inf, hence equal t + s and
         # t - s: the owner's innermost cuts are the same whichever partner
         # comes first.
-        from semicert.interval_builder import _AxisTable, _cut_floor, _cut_position
+        from semicert.interval_builder import _AxisTable, _cut_position
 
         owner = from_axis_and_length(BoundaryPoint.from_real(0.0), BoundaryPoint.infinity(), 20.0)
         partner = from_axis_and_length(BoundaryPoint.from_real(-3.0), BoundaryPoint.from_real(0.5), 20.0)
@@ -608,7 +609,7 @@ class TestScreens:
         table = _AxisTable(family)
         heights = []
         for p in (1, 2):
-            t, s = table.position(0, p), _cut_position(family.cls[0].tau, _cut_floor(family, 0, p), 0.0)
+            t, s = table.position(0, p), _cut_position(family.cls[0].tau, cut_floor(family, 0, p), 0.0)
             heights.append(((t + s).hex(), (t - s).hex()))
         assert heights[0] == heights[1]
         screened, scalar = self.screened_and_scalar(family.maps, lambda f: _AxisTable(f).innermost(0.0))
@@ -647,7 +648,7 @@ class TestPairBuildReadsOnlyItsPair:
 
     def test_one_cut_floor_and_two_charts_per_build(self, monkeypatch):
         calls = []
-        for name in ("_cut_floor", "_chart_entries", "_AxisTable"):
+        for name in ("_gated_floor", "_chart_entries", "_AxisTable"):
             original = getattr(interval_builder, name)
             monkeypatch.setattr(interval_builder, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         rng = np.random.default_rng(170)
@@ -657,7 +658,7 @@ class TestPairBuildReadsOnlyItsPair:
             for i, j, builder in admissible_pairs(family):
                 calls.clear()
                 builder(family, i, j)
-                assert sorted(calls) == ["_chart_entries", "_chart_entries", "_cut_floor"], (n, i, j)
+                assert sorted(calls) == ["_chart_entries", "_chart_entries", "_gated_floor"], (n, i, j)
                 builds += 1
         assert builds > 10
 
@@ -673,14 +674,16 @@ class TestPairBuildReadsOnlyItsPair:
             for fam in (family, retimed(family, rng.uniform(0.5, 12.0, n))):
                 for i, j, builder in admissible_pairs(fam):
                     for extra in (0.0, 2.0):
+                        # The builders cut at schedule 0; `_build_pair` at any schedule.
+                        build = (lambda: builder(fam, i, j)) if extra == 0.0 else (lambda: _build_pair(fam, i, j, extra))
                         try:
                             expected = reference_build_pair(fam, i, j, extra)
                         except ThresholdNotMet as exc:
                             with pytest.raises(ThresholdNotMet, match=f"^{re.escape(str(exc))}$"):
-                                builder(fam, i, j, cut_offset=extra)
+                                build()
                             outcomes.add("skipped")
                             continue
-                        found = builder(fam, i, j, cut_offset=extra)
+                        found = build()
                         assert [p.owner for p in found] == [i, j]
                         assert endpoint_hexes(found) == endpoint_hexes(expected), (n, i, j, extra)
                         outcomes.add("built")

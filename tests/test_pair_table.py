@@ -28,6 +28,7 @@ from semicert.pair_geometry import Family, _kinds, cross_ratio_of_points
 
 from helpers import (
     LIST_N,
+    admitted_entries,
     arc_around,
     arc_image,
     bench_module,
@@ -90,7 +91,7 @@ def test_assembly_large_certificates_are_byte_identical(monkeypatch):
 
 
 def test_axis_table_outlives_its_family(monkeypatch):
-    # A table keeps the family that its lazy cut floors read, so one built
+    # A table keeps the family that its rankings read, so one built
     # on a Family that nothing else holds ranks every cut schedule as the
     # table of assemble_global does.
     F = bench_inputs("assembly_large", 1, 1, 32)[0]  # the workload's first family
@@ -264,15 +265,15 @@ def test_tau_at_a_pair_gate_is_decided_in_scalar(monkeypatch):
     family = Family.of([from_axis_and_length(beta, alpha, gate)] + partners)
     assert abs(family.cls[0].tau - pair_gate(family.pair(0, 1).cross_ratio)) <= 1e-12
     decided = []
-    cut_floor = interval_builder._cut_floor
+    gated_floor = interval_builder._gated_floor
     monkeypatch.setattr(
-        interval_builder, "_cut_floor", lambda fam, i, j: decided.append((i, j)) or cut_floor(fam, i, j)
+        interval_builder, "_gated_floor", lambda fam, i, j, c: decided.append((i, j)) or gated_floor(fam, i, j, c)
     )
     table = _AxisTable(Family.of(family.maps))
     assert (0, 1) in decided and (0, 2) in decided
     monkeypatch.setattr(pair_geometry, "PAIR_ARRAY_MIN_PAIRS", math.inf)
     reference = _AxisTable(Family.of(family.maps))
-    entries = [(o, p) for i, j in reference.floors for o, p in ((i, j), (j, i))]
+    entries = admitted_entries(reference)
     assert (list(zip(*table._entry_arrays.tolist())), table.notes) == (entries, reference.notes)
 
 
@@ -349,13 +350,18 @@ def count_binning(monkeypatch):
 
 def test_each_ratio_is_binned_once_per_certify(monkeypatch):
     # The thresholds, the witness scan and the report of `figure_two(1.0)`, 10
-    # ratios on a list, and the thresholds, the axis table and the assembly
-    # constant of an n = 32 family, 496 ratios on an array, read the codes
-    # that `Family` computes with the table.
+    # ratios on a list, the witness rules of `figure_two(0.1)` and
+    # `figure_two(0.2)`, which decode pairs, and the thresholds, the axis
+    # table and the assembly constant of an n = 32 family, 496 ratios on an
+    # array, read the codes that `Family` computes with the table.
     [large] = bench_inputs("assembly_large", 1, 1, 32)
     calls = count_binning(monkeypatch)
     assert certify(figure_two(1.0)).kind == "inconclusive"
     assert Counter(calls) == {"bisect_right": 10, "_kinds": 1}
+    for tau in (0.1, 0.2):
+        calls.clear()
+        assert certify(figure_two(tau)).kind == "not_semidiscrete"
+        assert Counter(calls) == {"bisect_right": 10, "_kinds": 1}, tau
     calls.clear()
     assert certify(large).kind == "semidiscrete_inverse_free"
     assert Counter(calls) == {"_kinds": 1}
@@ -395,7 +401,7 @@ def counted_decodes(monkeypatch) -> list:
     """The classifications of each pair that `_decode` decodes from now on, appended as it runs."""
     decoded = []
     decode = pair_geometry._decode
-    monkeypatch.setattr(pair_geometry, "_decode", lambda c, cf, cg: decoded.append((id(cf), id(cg))) or decode(c, cf, cg))
+    monkeypatch.setattr(pair_geometry, "_decode", lambda c, code, cf, cg: decoded.append((id(cf), id(cg))) or decode(c, code, cf, cg))
     return decoded
 
 

@@ -197,7 +197,7 @@ def test_decode_equals_the_reference_on_every_pair_of_a_block(draws):
         for i, cf in enumerate(hyperbolic):
             for cg in hyperbolic[i + 1 :]:
                 c = cross_ratio_of_points(cf.alpha, cf.beta, cg.alpha, cg.beta)
-                pg, ref = _decode(c, cf, cg), reference_decode(c, cf, cg)
+                pg, ref = _decode(c, _kind(c), cf, cg), reference_decode(c, cf, cg)
                 assert geometry_bits(pg) == geometry_bits(ref)
                 assert pg == ref and hash(pg) == hash(ref) and vars(pg) == vars(ref)
                 kinds[pg.kind if pg.kind != "disjoint" else f"disjoint, nested {pg.nested_attractors}"] += 1
