@@ -2,9 +2,10 @@
 
 The CLI is a thin shell over the library; every JSON payload it prints can be
 reproduced by calling the corresponding library function directly.  Exit
-codes: 0 for a definitive certificate, 2 for `inconclusive`, and 1 for a typed
-error or a file that cannot be read or written, reported by the group's one
-error boundary as one `error:` line on stderr, never a traceback.
+codes: 0 for a definitive certificate, 2 for `inconclusive` or a usage error
+of click's (an unknown option: the usage on stderr, nothing on stdout), and 1
+for a typed error or a file that cannot be read or written, reported by the
+group's one error boundary as one `error:` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import click
 
 from . import __version__
-from .boundary_arcs import DEFAULT_MARGIN, ArcUnion, BoundaryArc
+from .boundary_arcs import ArcUnion, BoundaryArc
 from .criteria_engine import Inconclusive, certificate_to_dict, certify, multicone, point_to_dict, union_to_dict
 from .criteria_engine import SCHEMA_VERSION, _json_number, certificate_arcs, finite_number, point_from_value
 from .errors import BudgetExceeded, CertifyError, InvalidMatrix, NonPositiveDeterminant, OverlappingArcs, ParseError
@@ -128,9 +129,6 @@ def _emit(payload: dict, fmt: str, output: str | None, text_lines: list[str] | N
 _input_opt = click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 _output_opt = click.option("--output", "output_path", default=None, type=click.Path())
 _format_opt = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-# FloatRange lets NaN through; the callback refuses it, and inf, as one `error:` line.
-_margin_opt = click.option("--margin", type=click.FloatRange(min=0.0), default=DEFAULT_MARGIN, show_default=True,
-                           callback=lambda ctx, param, v: finite_number(v, "--margin", "a finite number >= 0"))
 
 
 @main.command("classify")
@@ -197,7 +195,6 @@ def cmd_pairs(input_path, output_path, fmt):
 @_input_opt
 @_output_opt
 @_format_opt
-@_margin_opt
 @click.option(
     "--max-words",
     type=click.IntRange(min=0),
@@ -205,10 +202,10 @@ def cmd_pairs(input_path, output_path, fmt):
     help="Cross-validate with the word enumeration oracle up to this word length "
     "(the oracle command's --max-words is a word budget instead).",
 )
-def cmd_certify(input_path, output_path, fmt, margin, max_words):
+def cmd_certify(input_path, output_path, fmt, max_words):
     """Run the semidiscreteness decision procedure and emit its certificate."""
     maps = _load_generators(input_path)
-    cert = certify(maps, margin=margin)
+    cert = certify(maps)
     payload = certificate_to_dict(cert, version=__version__)
     if max_words > 0:
         payload["oracle"] = _oracle_section(maps, max_words)
@@ -249,11 +246,10 @@ def _oracle_payload(maps, max_len: int, budget: int = DEFAULT_BUDGET) -> tuple[E
 @_input_opt
 @_output_opt
 @_format_opt
-@_margin_opt
-def cmd_cocycle(input_path, output_path, fmt, margin):
+def cmd_cocycle(input_path, output_path, fmt):
     """Multicone certificate for a matrix tuple (uniform hyperbolicity test)."""
     maps = _load_generators(input_path, matrices_only=True)
-    union = multicone(maps, margin=margin)
+    union = multicone(maps)
     if union is None:
         _emit({"schema": SCHEMA_VERSION, "kind": "inconclusive"}, fmt, output_path, ["inconclusive"])
         sys.exit(2)

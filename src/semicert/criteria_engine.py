@@ -210,7 +210,7 @@ def elliptic_witness_disjoint(F, i: int = 0, j: int = 1) -> tuple[int, int, floa
     )
 
 
-def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_MARGIN) -> Certificate:
+def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap) -> Certificate:
     """Decision for a pair with cross ratio above 1: witness, intervals, or neither."""
     family = Family.of([f, g])
     c = family.disjoint_pair(0, 1).cross_ratio
@@ -219,7 +219,7 @@ def two_gen_disjoint_test(f: MoebiusMap, g: MoebiusMap, margin: float = DEFAULT_
     tau_f, tau_g = (k.tau for k in family.cls)
     t_high = pair_gate(c)
     if tau_f > t_high and tau_g > t_high:
-        system = assemble_global(family, margin=margin)
+        system = assemble_global(family)
         return SemidiscreteInverseFree(system=system, thresholds=Thresholds.from_generators(family))
     return Inconclusive(
         report={
@@ -319,10 +319,9 @@ def _crossing_witness(family: Family, i: int, j: int, k: int, arc: BoundaryArc) 
 
 @dataclass
 class _Decision:
-    """One `certify` call as its rules read it: the family, the margin, the thresholds once set, and the notes left."""
+    """One `certify` call as its rules read it: the family, the thresholds once set, and the notes left."""
 
     family: Family
-    margin: float
     thresholds: Thresholds | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -341,7 +340,7 @@ def _precondition(d: _Decision) -> None:
 def _assembly(d: _Decision) -> Certificate | None:
     if all(k.tau > d.thresholds.upper for k in d.family.cls):
         try:
-            return SemidiscreteInverseFree(system=assemble_global(d.family, margin=d.margin), thresholds=d.thresholds)
+            return SemidiscreteInverseFree(system=assemble_global(d.family), thresholds=d.thresholds)
         except (PreconditionViolated, VerificationFailed) as exc:
             d.notes.append(f"interval assembly failed: {exc}")
     return None
@@ -356,9 +355,12 @@ def _witnesses(d: _Decision) -> Certificate | None:
 _RULES = (_rank_one, _precondition, _assembly, _witnesses)
 
 
-def certify(F: Sequence[MoebiusMap], margin: float = DEFAULT_MARGIN) -> Certificate:
-    """Decide semidiscreteness where the criteria apply: the first certificate of `_RULES`, else an inconclusive report."""
-    d = _Decision(Family.of(F), margin)
+def certify(F: Sequence[MoebiusMap]) -> Certificate:
+    """Decide semidiscreteness where the criteria apply: the first certificate of `_RULES`, else an inconclusive report.
+
+    An assembled union must keep a clearance of at least DEFAULT_MARGIN, and a rank-one interval one of at least 0.
+    """
+    d = _Decision(Family.of(F))
     for rule in _RULES:
         if (cert := rule(d)) is not None:
             return cert
@@ -415,15 +417,13 @@ def find_rank_one_interval(F) -> tuple[BoundaryArc, float] | None:
 # --- cocycle bridge -------------------------------------------------------------
 
 
-def uniform_hyperbolicity(
-    matrices: Sequence[Sequence[float]], margin: float = DEFAULT_MARGIN
-) -> ArcUnion | None:
+def uniform_hyperbolicity(matrices: Sequence[Sequence[float]]) -> ArcUnion | None:
     """Multicone certificate for a matrix tuple, when the sufficient test applies.
 
     Reads raw 2x2 matrices with :func:`normalize`; a singular or malformed
-    one raises InvalidMatrix.  Returns a union every matrix maps with closure
-    into the interior, or None when this test is silent, which includes a
-    matrix of negative determinant; None is never a disproof.
+    one raises InvalidMatrix.  Returns a union every matrix maps into itself
+    with clearance DEFAULT_MARGIN or more, or None when this test is silent,
+    which includes a matrix of negative determinant; None is never a disproof.
     """
     maps = []
     for raw in matrices:
@@ -433,25 +433,26 @@ def uniform_hyperbolicity(
             raise
         except NonPositiveDeterminant:
             maps.append(None)
-    return multicone(maps, margin)
+    return multicone(maps)
 
 
-def multicone(maps: Sequence[MoebiusMap | None], margin: float = DEFAULT_MARGIN) -> ArcUnion | None:
+def multicone(maps: Sequence[MoebiusMap | None]) -> ArcUnion | None:
     """The `uniform_hyperbolicity` union for maps already read, or None.
 
-    None stands for a matrix of negative determinant, which is outside this test.
+    None stands for a matrix of negative determinant, which is outside this test; a
+    rank-one interval counts only with a clearance of at least DEFAULT_MARGIN.
     """
     if not maps:
         raise InvalidMatrix("empty tuple")
     if None in maps:
         return None
     try:
-        cert = certify(maps, margin=margin)
+        cert = certify(maps)
     except PreconditionViolated:
         return None
     if isinstance(cert, SemidiscreteInverseFree):
         return cert.system.union
-    if isinstance(cert, RankOneSchottky) and cert.margin >= margin:
+    if isinstance(cert, RankOneSchottky) and cert.margin >= DEFAULT_MARGIN:
         return ArcUnion([cert.interval])
     return None
 

@@ -103,20 +103,12 @@ class SharedFixedPointGroup:
     strictly inside `near`, and for kind "beta" (shared repeller), every
     member mapping the complement of `near` strictly inside `far`.  The
     assembled union is the check.  `ends` holds the x, y and angle of the
-    start and end of `near`, then of `far`; each arc is built on first read.
+    start and end of `near`, then of `far`; no arc is built.
     """
 
     kind: str  # "alpha" or "beta"
     members: tuple[int, ...]
     ends: tuple[tuple[tuple[float, float, float], ...], ...]
-
-    @cached_property
-    def near(self) -> BoundaryArc:
-        return _arc_at(*self.ends[0])
-
-    @cached_property
-    def far(self) -> BoundaryArc:
-        return _arc_at(*self.ends[1])
 
 
 class GlobalIntervalSystem(FrozenValue):
@@ -316,10 +308,7 @@ class _AxisTable:
             table = np.array([[k.tau for k in cls], [k.alpha.angle for k in cls], [k.beta.angle for k in cls]])
             self._taus, self.fixed_angles = table[0], table[1:]
             alpha, beta = family.fixed_points
-            self._chart_entries, self._to_axis_entries, coincide = axis_charts(beta, alpha)
-            if np.count_nonzero(coincide | (self.fixed_angles[0] == self.fixed_angles[1])):
-                for k in family.cls:
-                    _chart_entries(k)  # raises the scalar error of the first such generator
+            self._chart_entries, self._to_axis_entries = axis_charts(beta, alpha)  # apart, by the precondition
             rows, cols, notes, self._key_floors, self._key_trusted, self._key_c = self._admit(family)
             # Entry 2k is (rows[k], cols[k]) and entry 2k + 1 the reverse.
             self._entry_arrays = np.array([[rows, cols], [cols, rows]]).transpose(0, 2, 1).reshape(2, -1)
@@ -381,7 +370,7 @@ class _AxisTable:
             heights[owner] = (max(top, t + s), min(bottom, t - s))
         return heights
 
-    @np.errstate(all="ignore")  # positions that cannot be placed are rerun in scalar, which raises
+    @np.errstate(all="ignore")  # an infinite cut floor makes the deep cut that `_cut_positions` discards NaN
     def _innermost_arrays(self, extra: float) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`innermost` on arrays: the top and bottom heights, shape (2, n), and which owners hold an entry.
 
@@ -406,12 +395,8 @@ class _AxisTable:
         """:meth:`position` of the entries `picked`, from the kernel, bit for bit: both fixed points of each partner in one pass."""
         owner, partner = self._entry_arrays[:, picked]
         x, y = self.family.fixed_points[:, :, partner].transpose(1, 0, 2)  # attracting row, then repelling
-        x, y, placed = _apply_pairs(self._to_axis_entries[:, owner], x, y)
-        value = np.abs(boundary_values(x, y))
-        if not (placed & (value > 0.0)).all():
-            for o, p in zip(owner.tolist(), partner.tolist()):
-                self.position(o, p)  # raises the scalar error of the first such entry
-        logs = exact_map(math.log, value)
+        x, y, _ = _apply_pairs(self._to_axis_entries[:, owner], x, y)
+        logs = exact_map(math.log, np.abs(boundary_values(x, y)))  # never 0 or inf (`_axis_position`)
         return 0.5 * (logs[0] + logs[1])
 
     def cut(self, owner: int, height: float, around: float) -> tuple[tuple[float, float, float], ...]:
@@ -664,7 +649,7 @@ def _shared_group(family: Family, kind: str, members: tuple[int, ...]) -> Shared
 # --- global assembly --------------------------------------------------------
 
 
-def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
+def assemble_global(F) -> GlobalIntervalSystem:
     """Assemble a verified forward-invariant union for the whole family.
 
     Each generator's admissible partners (crossing axes, or disjoint with
@@ -674,7 +659,7 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     point are additionally constrained by the shared-fixed-point
     intervals.  The pairs are not checked one by one: the union of the
     components, as :class:`ArcUnion`, and its :func:`schottky_margin` are
-    the only check, and if they fail the cuts are pushed deeper.  The call
+    the only check: below DEFAULT_MARGIN, the cuts are pushed deeper.  The call
     builds one axis table (charts, cut floors, axis positions, shared
     groups) of the family, and every cut schedule reads it.
     """
@@ -686,13 +671,13 @@ def assemble_global(F, margin: float = DEFAULT_MARGIN) -> GlobalIntervalSystem:
     last_error: Exception | None = None
     for extra in (0.0, 2.0, 4.0, 7.0, 10.0):
         try:
-            return _assemble_once(family, table, margin, extra)
+            return _assemble_once(family, table, extra)
         except (VerificationFailed, OverlappingArcs) as exc:
             last_error = exc
     raise VerificationFailed(f"no cut schedule produced a verifiable union: {last_error}")
 
 
-def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
+def _assemble_once(family: Family, table: _AxisTable, extra: float) -> GlobalIntervalSystem:
     """One cut schedule: the union of the innermost cuts, or the first error of its construction.
 
     A family with the pair table as a list is assembled on floats: only the
@@ -700,7 +685,7 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
     table as arrays is assembled by :func:`_assemble_arrays`.
     """
     if isinstance(family.cross_ratios, np.ndarray):
-        return _assemble_arrays(family, table, margin, extra)
+        return _assemble_arrays(family, table, extra)
     cls = family.cls
     alpha = [k.alpha.angle for k in cls]
     ends = []
@@ -721,11 +706,11 @@ def _assemble_once(family: Family, table: _AxisTable, margin: float, extra: floa
         _arc_at(*_around(alpha[members[0]], [(final[i][0][2], final[i][1][2]) for i in members], True))
         for members in family.alpha_classes
     )
-    achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
+    achieved = _checked_margin(schottky_margin(family.maps, union, cls))
     return _system(table, union, achieved, ends=ends)
 
 
-def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: float) -> GlobalIntervalSystem:
+def _assemble_arrays(family: Family, table: _AxisTable, extra: float) -> GlobalIntervalSystem:
     """The float schedule of :func:`_assemble_once` on the arrays of the `moebius_core` kernel.
 
     The cuts, intersections, hulls, union and margin are the float ones bit
@@ -764,7 +749,7 @@ def _assemble_arrays(family: Family, table: _AxisTable, margin: float, extra: fl
     owner = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
     heads = alpha[np.array([c[0] for c in classes])]
     union = ArcUnion.of_arrays(*hulls_around(heads, owner, final_start[2][members], final_end[2][members]))
-    achieved = _checked_margin(schottky_margin(family.maps, union, cls), margin)
+    achieved = _checked_margin(schottky_margin(family.maps, union, cls))
     return _system(table, union, achieved, cuts=(start, end))
 
 
@@ -777,9 +762,9 @@ def _alpha_side(group: SharedFixedPointGroup) -> tuple[tuple[float, float, float
     return group.ends[0 if group.kind == "alpha" else 1]
 
 
-def _checked_margin(achieved: float, margin: float) -> float:
-    if not achieved >= margin:  # a NaN margin fails too
-        raise VerificationFailed(f"assembled union has margin {achieved:.3e}, below required {margin:.3e}")
+def _checked_margin(achieved: float) -> float:
+    if not achieved >= DEFAULT_MARGIN:  # a NaN clearance fails too
+        raise VerificationFailed(f"assembled union has margin {achieved:.3e}, below required {DEFAULT_MARGIN:.3e}")
     return achieved
 
 

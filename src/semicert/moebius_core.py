@@ -583,14 +583,14 @@ def axis_chart(geo: Geodesic) -> MoebiusMap:
 
 
 @np.errstate(all="ignore")  # lines whose ends coincide, where `axis_chart` raises
-def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`axis_chart` of each line from (start[0][i] : start[1][i]) to (end[0][i] : end[1][i]), and its :func:`inverse`.
 
     Returns the entries a, b, c, d of the charts, then of their inverses, on
-    the first axis, equal to the scalar ones bit for bit, and where
-    `axis_chart` raises (its cross product is 0); the entries are
-    meaningless there.  Elsewhere `from_matrix` cannot raise: its
-    determinant is |cross|.  The inverses are taken before the canonical
+    the first axis, equal to the scalar ones bit for bit.  They are
+    meaningless where the ends coincide and `axis_chart` raises (its cross
+    product is 0), which the caller excludes.  Elsewhere `from_matrix`
+    cannot raise: its determinant is |cross|.  The inverses are taken before the canonical
     sign, which is one pass over both: m and -m have the same canonical
     sign, so that of the inverse does not depend on the chart's.
     """
@@ -600,7 +600,7 @@ def axis_charts(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndar
     a, b, c, d = s * ex, sx, s * ey, sy
     maps = np.array([[a, d], [b, -b], [c, -c], [d, a]]) * (1.0 / np.sqrt(a * d - b * c))
     _canonical_signs(maps)
-    return maps[:, 0], maps[:, 1], cross == 0.0
+    return maps[:, 0], maps[:, 1]
 
 
 def _canonical_signs(entries: np.ndarray) -> None:

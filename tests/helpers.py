@@ -65,7 +65,7 @@ LIST_N = max(n for n in range(2, 100) if n * (n - 1) // 2 < pair_geometry.PAIR_A
 
 
 def bench_module(name):
-    """A module of `bench/` (`families`, `exact`), imported read only."""
+    """A module of `bench/` (`families`, `exact`, `workloads`), imported read only."""
     sys.path.insert(0, str(BENCH))
     try:
         return importlib.import_module(name)
@@ -798,7 +798,7 @@ def reference_reach(point, arcs, pick):
     return lead, tail
 
 
-def reference_assemble_once(family, table, margin, extra):
+def reference_assemble_once(family, table, extra):
     """One cut schedule of a family with the pair table as a list, on objects; the system holds its pairs' arcs."""
     maps, cls = family.maps, family.cls
     n = len(maps)
@@ -814,7 +814,7 @@ def reference_assemble_once(family, table, margin, extra):
     alpha_extra = {i: [] for i in range(n)}
     for group in groups:
         for i in group.members:
-            alpha_extra[i].append(group.near if group.kind == "alpha" else group.far)
+            alpha_extra[i].append(group_arcs(group)[0 if group.kind == "alpha" else 1])
     final_a = []
     for i in range(n):
         final_a.append(reference_intersect_around(cls[i].alpha, [pairs[i].a, *alpha_extra[i]]))
@@ -823,7 +823,7 @@ def reference_assemble_once(family, table, margin, extra):
         point = cls[members[0]].alpha
         components.append(reference_hull_around(point, [final_a[i] for i in members]))
     union = ArcUnion(components)
-    achieved = _checked_margin(schottky_margin(maps, union, cls), margin)
+    achieved = _checked_margin(schottky_margin(maps, union, cls))
     return system_of_pairs(pairs, groups, union, eq_constant(family.cross_ratios, family.kinds), achieved, table.notes)
 
 
@@ -910,6 +910,11 @@ def reference_shared_group(family, kind, members):
     near = arc_image(back, BoundaryArc.from_reals(2.5, -1.5))
     far = arc_image(back, BoundaryArc.from_reals(-0.5, 1.5))
     return SharedFixedPointGroup(kind, members, tuple(tuple((p.x, p.y, p.angle) for p in (a.start, a.end)) for a in (near, far)))
+
+
+def group_arcs(group):
+    """The `near` and `far` arcs of a SharedFixedPointGroup, built from its ends."""
+    return _arc_at(*group.ends[0]), _arc_at(*group.ends[1])
 
 
 def reference_shared_groups(family):

@@ -17,6 +17,7 @@ from semicert import BoundaryPoint, assemble_global, classify, from_axis_and_len
 from semicert.boundary_arcs import DEFAULT_MARGIN
 from semicert.criteria_engine import SemidiscreteInverseFree, certificate_to_dict
 from semicert.errors import CertifyError, VerificationFailed
+from semicert.interval_builder import _checked_margin
 
 from helpers import (
     bench_module,
@@ -98,12 +99,13 @@ def test_unions_with_shared_fixed_points_pass_the_independent_checks():
 
 def test_a_nan_margin_fails_closed():
     # A draw of `bench/families.admissible_family` with every tau scaled by
-    # 0.085: no cut schedule verifies, and a NaN margin, which compares false
-    # with everything, must not let the failed union through.
+    # 0.085: no cut schedule verifies.  A NaN clearance, which compares false
+    # with everything, must not let a union through either.
     rng = np.random.default_rng(5)
     drawn = bench_module("families").admissible_family(rng, 5)
     scale = rng.uniform(0.05, 0.6)
     F = [from_axis_and_length(m.beta, m.alpha, m.tau * scale) for m in map(classify, drawn)]
-    for margin in (DEFAULT_MARGIN, math.nan):
-        with pytest.raises(VerificationFailed, match="assembled union has margin -inf"):
-            assemble_global(F, margin=margin)
+    with pytest.raises(VerificationFailed, match="assembled union has margin -inf"):
+        assemble_global(F)
+    with pytest.raises(VerificationFailed, match=f"^assembled union has margin nan, below required {DEFAULT_MARGIN:.3e}$"):
+        _checked_margin(math.nan)

@@ -415,7 +415,7 @@ class TestRuleTable:
         f = from_axis_and_length(BoundaryPoint.from_real(0.0), INF, 1.0)
         g = from_axis_and_length(INF, BoundaryPoint.from_real(-3.0), 1.0)
         h = from_axis_and_length(BoundaryPoint.from_real(1.0), BoundaryPoint.from_real(2.0), 1.0)
-        d = criteria_engine._Decision(Family.of([f, g, h]), 1e-7)
+        d = criteria_engine._Decision(Family.of([f, g, h]))
         assert criteria_engine._rank_one(d) is None
         with pytest.raises(PreconditionViolated, match="^attracting point of generator 0 meets repelling point of 1$"):
             criteria_engine._precondition(d)

@@ -212,8 +212,8 @@ def test_list_assembly_equals_the_object_assembly(families):
     for family in families:
         table = _AxisTable(family)
         for extra in SCHEDULES:
-            found = outcome(lambda: system_view(_assemble_once(family, table, 1e-7, extra), _system_to_dict))
-            expected = outcome(lambda: system_view(reference_assemble_once(family, table, 1e-7, extra), reference_system_to_dict))
+            found = outcome(lambda: system_view(_assemble_once(family, table, extra), _system_to_dict))
+            expected = outcome(lambda: system_view(reference_assemble_once(family, table, extra), reference_system_to_dict))
             assert found == expected
             kinds.add(expected.split(":")[0] if isinstance(expected, str) else "system")
     assert kinds == {"system", "VerificationFailed", "OverlappingArcs", "PreconditionViolated"}
@@ -237,8 +237,8 @@ def test_crafted_schedules_raise_the_object_errors(families, monkeypatch):
         crafted = [edit.get(i, h) for i, h in enumerate(heights)]
         monkeypatch.setattr(_AxisTable, "innermost", lambda self, extra: crafted)
         table = _AxisTable(family)
-        found = outcome(lambda: system_view(_assemble_once(family, table, 1e-7, 0.0), _system_to_dict))
-        expected = outcome(lambda: system_view(reference_assemble_once(family, table, 1e-7, 0.0), reference_system_to_dict))
+        found = outcome(lambda: system_view(_assemble_once(family, table, 0.0), _system_to_dict))
+        expected = outcome(lambda: system_view(reference_assemble_once(family, table, 0.0), reference_system_to_dict))
         assert found == expected, edit
         assert isinstance(expected, str), edit
         errors.add(expected.split(":")[0])

@@ -51,6 +51,7 @@ from helpers import (
     figure_two,
     forced_shared_family,
     geodesic_shape,
+    group_arcs,
     in_both_forms,
     intersect_shapes,
     nested,
@@ -248,7 +249,7 @@ class TestSharedAlpha:
         f1 = normalize([[6.0, 0.0], [0.0, 1.0]])
         f2 = normalize([[6.0, -5.0], [0.0, 1.0]])
         (group,) = build_shared_alpha_intervals([f1, f2])
-        a_arc, b_arc = group.near, group.far
+        a_arc, b_arc = group_arcs(group)
         assert (group.kind, group.members) == ("alpha", (0, 1))
         assert a_arc.start.value == pytest.approx(2.5)
         assert a_arc.end.value == pytest.approx(-1.5)
@@ -276,10 +277,11 @@ class TestSharedAlpha:
             conjugate(normalize([[7.5, -3.0], [0.0, 1.0]]), m),
         ]
         (group,) = build_shared_alpha_intervals(fs)
+        near, far = group_arcs(group)
         for f in fs:
-            img = arc_image(f, complement(group.far))
-            assert strictly_inside(ArcUnion([img]), ArcUnion([group.near]), 0.0)
-            assert contains(group.near, classify(f).alpha)
+            img = arc_image(f, complement(far))
+            assert strictly_inside(ArcUnion([img]), ArcUnion([near]), 0.0)
+            assert contains(near, classify(f).alpha)
 
     def test_groups_follow_the_shared_point(self):
         # z -> 6z and the map along 0 -> 1 share the repelling point 0.
@@ -288,10 +290,11 @@ class TestSharedAlpha:
         groups = build_shared_alpha_intervals([f1, f2])
         assert [(g.kind, g.members) for g in groups] == [("beta", (0, 1))]
         (group,) = groups
+        near, far = group_arcs(group)
         for f in (f1, f2):
-            img = arc_image(f, complement(group.near))
-            assert strictly_inside(ArcUnion([img]), ArcUnion([group.far]), 0.0)
-            assert contains(group.far, classify(f).alpha)
+            img = arc_image(f, complement(near))
+            assert strictly_inside(ArcUnion([img]), ArcUnion([far]), 0.0)
+            assert contains(far, classify(f).alpha)
         rng = np.random.default_rng(62)
         assert build_shared_alpha_intervals(disjoint_pair(rng, math.log(2.0), 5.0, 5.0)) == ()
 
@@ -331,8 +334,7 @@ def test_shared_groups_match_the_inverse_construction(build, expected):
     for g in groups:
         members = [F[i] if g.kind == "alpha" else inverse(F[i]) for i in g.members]
         a_union, b_arc = reference_shared_intervals(members)
-        assert g.near == a_union.arcs[0]
-        assert g.far == b_arc
+        assert group_arcs(g) == (a_union.arcs[0], b_arc)
 
 
 class TestAssembleGlobal:
@@ -430,7 +432,7 @@ class TestAssembleGlobal:
 
         family = Family.of(F)
         with pytest.raises((OverlappingArcs, VerificationFailed)):
-            _assemble_once(family, _AxisTable(family), 1e-7, 0.0)
+            _assemble_once(family, _AxisTable(family), 0.0)
         system = assemble_global(F)
         assert system.margin >= 1e-7
         assert verify_schottky(F, system.union, margin=1e-7)
@@ -455,9 +457,9 @@ class TestInnermostSelection:
         schedules = []
         once = interval_builder._assemble_once
 
-        def recording(family, table, margin, extra):
+        def recording(family, table, extra):
             schedules.append(extra)
-            return once(family, table, margin, extra)
+            return once(family, table, extra)
 
         monkeypatch.setattr(interval_builder, "_assemble_once", recording)
         for F in self.families():
@@ -487,7 +489,7 @@ class TestInnermostSelection:
                 name,
                 lambda *args, _b=builder, **kwargs: built.append(args[1:3]) or _b(*args, **kwargs),
             )
-        system = _assemble_once(family, _AxisTable(family), 1e-7, 0.0)
+        system = _assemble_once(family, _AxisTable(family), 0.0)
         assert sorted(cuts) == [i for i in range(12) for _ in (0, 1)]
         assert built == []
         assert [p.owner for p in system.pairs] == list(range(12))

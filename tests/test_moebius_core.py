@@ -533,8 +533,7 @@ class TestArrayKernel:
         for theta in (empty, np.array([0.0, TWO_PI])):
             moebius_core.boundary_angles(*moebius_core.angle_pairs(theta))
         ends = np.array([[1.0, 0.0, -0.6], [0.0, 1.0, 0.8]])
-        *_, coincide = moebius_core.axis_charts(ends, ends)  # coincident line ends
-        assert coincide.all()
+        moebius_core.axis_charts(ends, ends)  # coincident line ends
         moebius_core.axis_charts(np.empty((2, 0)), np.empty((2, 0)))
 
     def test_canonical_signs_match_the_scalar_sign(self):
@@ -564,8 +563,7 @@ class TestArrayKernel:
     @staticmethod
     def array_chart_hex(lines):
         start, end = (np.array([[p.x for p in ends], [p.y for p in ends]]) for ends in zip(*lines))
-        chart, to_axis, coincide = moebius_core.axis_charts(start, end)
-        assert not coincide.any()
+        chart, to_axis = moebius_core.axis_charts(start, end)
         return [[v.hex() for v in column] for entries in (chart, to_axis) for column in entries.T.tolist()]
 
     def test_axis_charts_of_the_assembly_large_axes(self):
@@ -591,8 +589,3 @@ class TestArrayKernel:
         assert charts[0] == MoebiusMap(1.0, 0.0, 0.0, 1.0)
         assert charts[1].trace == 0.0 and (charts[1].b, inverse(charts[1]).b) == (1.0, 1.0)
         assert self.array_chart_hex(lines) == self.chart_hex(lines)
-
-    def test_axis_charts_mark_coinciding_ends(self):
-        p = np.array([[0.6, 1.0], [0.8, 0.0]])
-        _, _, coincide = moebius_core.axis_charts(p, p)
-        assert coincide.tolist() == [True, True]

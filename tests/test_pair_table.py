@@ -78,9 +78,9 @@ def test_assembly_large_certificates_are_byte_identical(monkeypatch):
     schedules = []
     once = interval_builder._assemble_once
 
-    def counting(family, table, margin, extra):
+    def counting(family, table, extra):
         schedules.append(extra)
-        return once(family, table, margin, extra)
+        return once(family, table, extra)
 
     monkeypatch.setattr(interval_builder, "_assemble_once", counting)
     default = with_crossover(monkeypatch, None, lambda: certificates(families))
